@@ -1,30 +1,27 @@
-// Consensus-scale standing scenario (ISSUE 8, DESIGN.md §13): 1,024 relays
-// across 8 regions serving >= 100k simulated client sessions through the
-// sharded windowed loop, with the shard profiler live and a declarative SLO
-// verdict at the end.
+// Consensus-scale standing scenario (DESIGN.md §13): 1,024 relays in 8
+// latency groups serving >= 100k simulated client sessions on the one event
+// loop, with a declarative SLO verdict at the end. The one synthetic
+// simulator harness: it exercises only sim::Network and the obs stack.
 //
-// Topology: 8 regions x 128 relays plus 32 client-edge nodes per region;
-// each edge node fronts ~50 client sessions (distinct stream ids, staggered
-// start times), so the 100k-client population rides 1,280 network nodes
-// while every session still runs its own cell chain with its own timing.
-// Intra-region links are explicit (relay mesh 2 ms, edge->relay 10 ms);
-// cross-region links take the 40 ms default, which is therefore the
-// conservative lookahead.
+// Topology: 8 groups x 128 relays plus 32 client-edge nodes per group; each
+// edge node fronts ~50 client sessions (distinct stream ids, staggered start
+// times), so the 100k-client population rides 1,280 network nodes while
+// every session still runs its own cell chain with its own timing.
+// Intra-group links are explicit (relay mesh 2 ms, edge->relay 10 ms);
+// cross-group links take the 40 ms default.
 //
 // Each session walks a Tor-shaped path: edge ->guard ->middle ->exit, then
 // two reply cells back down (exit ->middle ->guard ->edge). Guard/middle/
-// exit always sit in pairwise different regions, so every chain crosses
-// region boundaries and exercises mailboxes and barriers. Every relay
-// delivery runs a ChaCha-style mixing loop standing in for relay crypto.
+// exit always sit in pairwise different groups, so every chain takes the
+// slow cross-group links. Every relay delivery runs a ChaCha-style mixing
+// loop standing in for relay crypto.
 // The client edge stamps stream.ttfb on the first reply cell and
 // stream.ttlb on the second — those series feed the SLO engine.
 //
 // Outputs: a one-object summary JSON on stdout (run_benchmarks.sh appends
 // it to BENCH_trajectory.jsonl), plus opt-in artifacts:
 //   --out FILE               BENCH_scenarios.json SLO verdict (byte-stable)
-//   --profile-out FILE       ShardProfile JSON, deterministic half
-//   --profile-wall-out FILE  ShardProfile JSON + wall attribution (not stable)
-//   --trace-out FILE         trace.jsonl (stream + shard.window/barrier events)
+//   --trace-out FILE         trace.jsonl (stream.ttfb/ttlb events)
 //   --trace-spans            add causal spans to the trace: one client.invoke
 //                            root per session (its duration == the session
 //                            TTLB), relay.forward + net.link spans along the
@@ -33,10 +30,8 @@
 //                            events per session; meant for the smaller
 //                            explainer run, not the 100k standing scenario
 //   --slo SPEC               replace the default objectives (repeatable)
-//   --top                    render a bentotop frame to stderr after the run
 // Exit code is the SLO verdict: 0 pass, 1 fail.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,12 +39,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -66,9 +58,9 @@ using bu::Time;
 
 namespace {
 
-constexpr int kRegions = 8;
-constexpr int kRelaysPerRegion = 128;  // 1,024 relays total
-constexpr int kEdgesPerRegion = 32;    // client-edge (NIC aggregation) nodes
+constexpr int kGroups = 8;
+constexpr int kRelaysPerGroup = 128;  // 1,024 relays total
+constexpr int kEdgesPerGroup = 32;    // client-edge (NIC aggregation) nodes
 
 // Cell layout (64 bytes). Relays are stateless: the full path rides in the
 // cell, so a relay only reads its stage and forwards.
@@ -98,13 +90,11 @@ void put_u32(bu::Bytes& d, std::size_t at, std::uint32_t v) {
   d[at + 3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
 }
 
-// Relay deliveries across all shards; relaxed is fine — read only after
-// run() returns, and the tally never feeds back into the simulation.
-// bentolint: allow(BL105 bench-only delivery tally, read after the run joins)
-std::atomic<std::uint64_t> g_cells{0};
+// Relay deliveries; read after run() returns, never fed back into the run.
+std::uint64_t g_cells = 0;
 
-/// Per-cell relay crypto stand-in: ChaCha20-style quarter rounds over a
-/// 64-byte state (see bench/scalability.cpp for the sizing rationale).
+/// Per-cell relay crypto stand-in: three hops' worth of ChaCha20-style
+/// rounds (20 each) over a 64-byte state.
 std::uint32_t mix_cell(std::uint32_t x) {
   std::uint32_t s[16];
   for (int i = 0; i < 16; ++i) s[i] = x + static_cast<std::uint32_t>(i) * 0x9e3779b9u;
@@ -133,7 +123,7 @@ class RelayHandler : public bs::MessageHandler {
   bs::NodeId self = bs::kInvalidNode;
 
   void on_message(bs::NodeId /*from*/, bu::Bytes data) override {
-    g_cells.fetch_add(1, std::memory_order_relaxed);
+    ++g_cells;
     if (data.size() < kCellBytes) return;
     // Inert (two loads) unless the cell carries a span context, i.e. the
     // run was started with --trace-spans.
@@ -209,16 +199,12 @@ class EdgeHandler : public bs::MessageHandler {
 };
 
 struct Options {
-  unsigned shards = 0;  // 0: BENTO_SIM_SHARDS or serial
   std::uint64_t clients = 100'000;
   std::uint64_t seed = 42;
-  std::string out;               // BENCH_scenarios.json
-  std::string profile_out;       // deterministic ShardProfile JSON
-  std::string profile_wall_out;  // + wall attribution
-  std::string trace_out;         // trace.jsonl
+  std::string out;        // BENCH_scenarios.json
+  std::string trace_out;  // trace.jsonl
   std::vector<std::string> slo_specs;
-  bool top = false;
-  bool trace_spans = false;      // causal spans for bentotrace critpath
+  bool trace_spans = false;  // causal spans for bentotrace critpath
 };
 
 bool write_file(const std::string& path, const std::string& body) {
@@ -244,32 +230,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--shards") {
-      opt.shards = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
-    } else if (arg == "--clients") {
+    if (arg == "--clients") {
       opt.clients = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--out") {
       opt.out = value();
-    } else if (arg == "--profile-out") {
-      opt.profile_out = value();
-    } else if (arg == "--profile-wall-out") {
-      opt.profile_wall_out = value();
     } else if (arg == "--trace-out") {
       opt.trace_out = value();
     } else if (arg == "--trace-spans") {
       opt.trace_spans = true;
     } else if (arg == "--slo") {
       opt.slo_specs.push_back(value());
-    } else if (arg == "--top") {
-      opt.top = true;
     } else {
       std::fprintf(stderr,
-                   "usage: consensus_scale [--shards N] [--clients N] [--seed N]\n"
-                   "                       [--out FILE] [--profile-out FILE]\n"
-                   "                       [--profile-wall-out FILE] [--trace-out FILE]\n"
-                   "                       [--trace-spans] [--slo SPEC]... [--top]\n");
+                   "usage: consensus_scale [--clients N] [--seed N] [--out FILE]\n"
+                   "                       [--trace-out FILE] [--trace-spans]\n"
+                   "                       [--slo SPEC]...\n");
       return 2;
     }
   }
@@ -278,23 +255,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bs::Simulator sim(opt.seed, opt.shards);
-  for (int r = 1; r < kRegions; ++r) sim.add_region();
+  bs::Simulator sim(opt.seed);
   bs::Network net(sim);
 
-  // The trace ring needs ttfb+ttlb per client plus the per-barrier shard
-  // events; cap the mask to exactly those kinds so the firehose kinds cost
-  // one branch each and the ring never wraps. With --trace-spans, each
-  // session adds a root span, 9 net.link spans (4 events each: begin, end,
-  // wire + idle budget notes), 7 relay.forward spans and the ref notes —
-  // ~75 events/session — so the ring is sized accordingly.
+  // The trace ring needs ttfb+ttlb per client; cap the mask to exactly those
+  // kinds so the firehose kinds cost one branch each and the ring never
+  // wraps. With --trace-spans, each session adds a root span, 9 net.link
+  // spans (4 events each: begin, end, wire + idle budget notes), 7
+  // relay.forward spans and the ref notes — ~75 events/session — so the
+  // ring is sized accordingly.
   bo::recorder().enable(std::max<std::size_t>(
       std::size_t{1} << 18,
       static_cast<std::size_t>((opt.trace_spans ? 96 : 3) * opt.clients)));
   std::uint64_t mask = bo::Recorder::mask_of(bo::Ev::StreamTtfb) |
-                       bo::Recorder::mask_of(bo::Ev::StreamTtlb) |
-                       bo::Recorder::mask_of(bo::Ev::ShardWindow) |
-                       bo::Recorder::mask_of(bo::Ev::ShardBarrier);
+                       bo::Recorder::mask_of(bo::Ev::StreamTtlb);
   if (opt.trace_spans) {
     mask |= bo::Recorder::mask_of(bo::Ev::SpanBegin) |
             bo::Recorder::mask_of(bo::Ev::SpanEnd) |
@@ -302,19 +276,15 @@ int main(int argc, char** argv) {
             bo::Recorder::mask_of(bo::Ev::ChaosFault);
   }
   bo::recorder().set_mask(mask);
-  bo::shard_profiler().reset();
 
-  // Build. All regions are assigned while the latency map is empty, so the
-  // per-call lookahead rescans stay O(nodes).
   std::vector<std::unique_ptr<RelayHandler>> relays;
   std::vector<std::unique_ptr<EdgeHandler>> edges;
-  std::vector<bs::NodeId> relay_ids;  // [region * kRelaysPerRegion + i]
-  std::vector<bs::NodeId> edge_ids;   // [region * kEdgesPerRegion + i]
-  for (int r = 0; r < kRegions; ++r) {
-    for (int i = 0; i < kRelaysPerRegion; ++i) {
+  std::vector<bs::NodeId> relay_ids;  // [group * kRelaysPerGroup + i]
+  std::vector<bs::NodeId> edge_ids;   // [group * kEdgesPerGroup + i]
+  for (int r = 0; r < kGroups; ++r) {
+    for (int i = 0; i < kRelaysPerGroup; ++i) {
       auto h = std::make_unique<RelayHandler>();
       const bs::NodeId id = net.add_node(bs::NodeSpec{.name = "relay"}, h.get());
-      net.set_region(id, static_cast<std::uint32_t>(r));
       h->net = &net;
       h->self = id;
       relay_ids.push_back(id);
@@ -322,49 +292,48 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<std::int64_t> start_us(opt.clients, 0);
-  for (int r = 0; r < kRegions; ++r) {
-    for (int i = 0; i < kEdgesPerRegion; ++i) {
+  for (int r = 0; r < kGroups; ++r) {
+    for (int i = 0; i < kEdgesPerGroup; ++i) {
       auto h = std::make_unique<EdgeHandler>();
       h->start_us = &start_us;
       const bs::NodeId id = net.add_node(bs::NodeSpec{.name = "edge"}, h.get());
-      net.set_region(id, static_cast<std::uint32_t>(r));
       edge_ids.push_back(id);
       edges.push_back(std::move(h));
     }
   }
-  for (int r = 0; r < kRegions; ++r) {
-    for (int i = 0; i < kRelaysPerRegion; ++i) {
-      for (int j = i + 1; j < kRelaysPerRegion; ++j) {
-        net.set_latency(relay_ids[r * kRelaysPerRegion + i],
-                        relay_ids[r * kRelaysPerRegion + j], Duration::millis(2));
+  for (int r = 0; r < kGroups; ++r) {
+    for (int i = 0; i < kRelaysPerGroup; ++i) {
+      for (int j = i + 1; j < kRelaysPerGroup; ++j) {
+        net.set_latency(relay_ids[r * kRelaysPerGroup + i],
+                        relay_ids[r * kRelaysPerGroup + j], Duration::millis(2));
       }
     }
-    for (int e = 0; e < kEdgesPerRegion; ++e) {
-      for (int i = 0; i < kRelaysPerRegion; ++i) {
-        net.set_latency(edge_ids[r * kEdgesPerRegion + e],
-                        relay_ids[r * kRelaysPerRegion + i], Duration::millis(10));
+    for (int e = 0; e < kEdgesPerGroup; ++e) {
+      for (int i = 0; i < kRelaysPerGroup; ++i) {
+        net.set_latency(edge_ids[r * kEdgesPerGroup + e],
+                        relay_ids[r * kRelaysPerGroup + i], Duration::millis(10));
       }
     }
   }
 
   // Session schedule: client c starts at 1 s + c * 100 µs (a flash crowd
   // ramping over ~10 s at the default population), from an edge node in
-  // region c % kRegions, through guard/middle/exit in pairwise different
-  // regions so every chain is cross-region.
+  // group c % kGroups, through guard/middle/exit in pairwise different
+  // groups so every chain takes the cross-group links.
   const Time ramp0 = Time::from_micros(1'000'000);
   for (std::uint64_t c = 0; c < opt.clients; ++c) {
-    const auto r = static_cast<std::uint32_t>(c % kRegions);
-    const std::uint64_t per = c / kRegions;
-    const bs::NodeId edge = edge_ids[r * kEdgesPerRegion + per % kEdgesPerRegion];
-    const bs::NodeId guard = relay_ids[r * kRelaysPerRegion + (c * 7 + 3) % kRelaysPerRegion];
-    const auto rm = static_cast<std::uint32_t>((r + 1 + c % 7) % kRegions);
-    const bs::NodeId middle = relay_ids[rm * kRelaysPerRegion + (c * 13 + 5) % kRelaysPerRegion];
-    const auto re = static_cast<std::uint32_t>((rm + 1 + c % 5) % kRegions);
-    const bs::NodeId exit_ = relay_ids[re * kRelaysPerRegion + (c * 17 + 7) % kRelaysPerRegion];
+    const auto r = static_cast<std::uint32_t>(c % kGroups);
+    const std::uint64_t per = c / kGroups;
+    const bs::NodeId edge = edge_ids[r * kEdgesPerGroup + per % kEdgesPerGroup];
+    const bs::NodeId guard = relay_ids[r * kRelaysPerGroup + (c * 7 + 3) % kRelaysPerGroup];
+    const auto rm = static_cast<std::uint32_t>((r + 1 + c % 7) % kGroups);
+    const bs::NodeId middle = relay_ids[rm * kRelaysPerGroup + (c * 13 + 5) % kRelaysPerGroup];
+    const auto re = static_cast<std::uint32_t>((rm + 1 + c % 5) % kGroups);
+    const bs::NodeId exit_ = relay_ids[re * kRelaysPerGroup + (c * 17 + 7) % kRelaysPerGroup];
     const Time start = ramp0 + Duration::micros(static_cast<std::int64_t>(c) * 100);
     start_us[c] = start.micros();
     const bool spans = opt.trace_spans;
-    sim.post(r, start, [&net, edge, guard, middle, exit_, c, spans] {
+    sim.at(start, [&net, edge, guard, middle, exit_, c, spans] {
       bu::Bytes cell(kCellBytes, 0);
       cell[0] = 0;
       put_u32(cell, 2, static_cast<std::uint32_t>(c));
@@ -392,11 +361,10 @@ int main(int argc, char** argv) {
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
-  const std::uint64_t cells = g_cells.load(std::memory_order_relaxed);
+  const std::uint64_t cells = g_cells;
   std::uint64_t completed = 0;
   for (const auto& e : edges) completed += e->completed;
   const double sim_s = static_cast<double>(sim.now().micros()) / 1e6;
-  const bo::ShardProfileSnapshot prof = bo::shard_profiler().snapshot();
 
   // SLO evaluation. Latency series come from the trace ring; scalars are
   // sim-domain quantities only, so the verdict is byte-stable.
@@ -404,9 +372,6 @@ int main(int argc, char** argv) {
   input.collect_latencies(bo::recorder());
   input.set_scalar("cells_per_sim_sec",
                    sim_s > 0 ? static_cast<double>(cells) / sim_s : 0.0);
-  input.set_scalar("region_imbalance",
-                   static_cast<double>(prof.imbalance_x1000()) / 1000.0);
-  input.set_scalar("windows", static_cast<double>(prof.windows));
   input.set_scalar("completed_sessions", static_cast<double>(completed));
 
   std::vector<std::string> spec_texts = opt.slo_specs;
@@ -422,8 +387,6 @@ int main(int argc, char** argv) {
         "ttlb_us:p99<=260000",
         "completed_sessions>=" + std::to_string(opt.clients),
         "cells_per_sim_sec>=5000",
-        "region_imbalance<=1.5",
-        "windows>=100",
     };
   }
   std::vector<bo::SloSpec> specs;
@@ -442,12 +405,6 @@ int main(int argc, char** argv) {
   // Artifacts.
   bool io_ok = true;
   if (!opt.out.empty()) io_ok &= write_file(opt.out, report.to_json());
-  if (!opt.profile_out.empty()) {
-    io_ok &= write_file(opt.profile_out, prof.to_json(/*include_wall=*/false));
-  }
-  if (!opt.profile_wall_out.empty()) {
-    io_ok &= write_file(opt.profile_wall_out, prof.to_json(/*include_wall=*/true));
-  }
   if (!opt.trace_out.empty()) {
     std::ofstream os(opt.trace_out, std::ios::binary);
     if (os) {
@@ -457,29 +414,12 @@ int main(int argc, char** argv) {
       io_ok = false;
     }
   }
-  if (opt.top) {
-    std::ostringstream frame;
-    bo::render_top_frame(prof, frame);
-    std::fputs(frame.str().c_str(), stderr);
-  }
   std::fputs(report.to_string().c_str(), stderr);
-
-  // Wall attribution coverage: the four coordinator buckets plus exclusive
-  // execution, as a fraction of the windowed run loop's wall time.
-  const std::uint64_t attributed = prof.dispatch_wall_ns + prof.barrier_wall_ns +
-                                   prof.drain_wall_ns + prof.merge_wall_ns +
-                                   prof.exclusive_wall_ns;
-  const double attributed_pct =
-      prof.run_wall_ns > 0
-          ? 100.0 * static_cast<double>(attributed) / static_cast<double>(prof.run_wall_ns)
-          : 0.0;
 
   std::printf("{");
   std::printf("\"bench\": \"consensus_scale\", ");
-  std::printf("\"host_cpus\": %u, ", std::thread::hardware_concurrency());
-  std::printf("\"shards\": %u, ", sim.shards());
-  std::printf("\"regions\": %d, ", kRegions);
-  std::printf("\"relays\": %d, ", kRegions * kRelaysPerRegion);
+  std::printf("\"groups\": %d, ", kGroups);
+  std::printf("\"relays\": %d, ", kGroups * kRelaysPerGroup);
   std::printf("\"clients\": %llu, ", static_cast<unsigned long long>(opt.clients));
   std::printf("\"completed_sessions\": %llu, ", static_cast<unsigned long long>(completed));
   std::printf("\"cells\": %llu, ", static_cast<unsigned long long>(cells));
@@ -489,10 +429,6 @@ int main(int argc, char** argv) {
               wall_s > 0 ? static_cast<double>(cells) / wall_s : 0.0);
   std::printf("\"cells_per_sim_sec\": %.0f, ",
               sim_s > 0 ? static_cast<double>(cells) / sim_s : 0.0);
-  std::printf("\"windows\": %llu, ", static_cast<unsigned long long>(prof.windows));
-  std::printf("\"region_imbalance_x1000\": %llu, ",
-              static_cast<unsigned long long>(prof.imbalance_x1000()));
-  std::printf("\"wall_attributed_pct\": %.1f, ", attributed_pct);
   std::printf("\"verdict\": \"%s\"", report.pass() ? "pass" : "fail");
   std::printf("}\n");
 

@@ -25,13 +25,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 #include <vector>
 
 #include "chaos/chaos.hpp"
 #include "crypto/chacha20.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
@@ -554,186 +552,4 @@ static void BM_NetworkSendChaosIdleOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendChaosIdleOverhead);
 
-// ---- Shard profiler gates (DESIGN.md §13) --------------------------------
-// The profiler's contract is "always cheap": its hot hooks fire once per
-// *window* (thousands of cells), cost a handful of adds, and never allocate.
-// These benchmarks pin that down from three sides: per-cell hook cost under
-// a worst-case charging model, a paired-median overhead ratio, and an
-// allocation probe over the real windowed dispatch loop. run_benchmarks.sh
-// gates overhead_pct <= 2 and allocs at zero, at --shards 1 and 4.
-
-// Traversal plus the full window-close hook sequence charged to *every*
-// cell — orders of magnitude denser than a real run, so the measured
-// per-cell cost is a hard upper bound. Must stay 0 allocs/cell.
-static void BM_RelayDatapath3HopProfiled(benchmark::State& state) {
-  Datapath3Hop path;
-  path.traverse();
-  bo::ShardProfiler& prof = bo::shard_profiler();
-  prof.set_enabled(true);
-  prof.reset();
-  std::uint64_t region_events[8] = {3, 2, 1, 2, 3, 1, 2, 2};
-
-  const std::uint64_t allocs_before = allocs();
-  std::uint64_t cells = 0;
-  for (auto _ : state) {
-    path.traverse();
-    prof.on_window_close(region_events, 8, 40'000);
-    prof.on_mailbox_drain(8, 2);
-    prof.add_worker_busy(0, 1'000, 16);
-    prof.add_barrier_wait(200);
-    prof.add_drain_wall(50);
-    prof.add_merge_wall(50);
-    ++cells;
-  }
-  const std::uint64_t allocs_delta = allocs() - allocs_before;
-  prof.reset();
-
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
-  state.SetBytesProcessed(static_cast<std::int64_t>(cells * bt::kCellPayloadLen));
-  state.counters["allocs_per_cell"] = benchmark::Counter(
-      static_cast<double>(allocs_delta) / static_cast<double>(cells ? cells : 1));
-}
-BENCHMARK(BM_RelayDatapath3HopProfiled);
-
-// Paired A/B for the <= 2% gate, same discipline as the chaos-idle
-// benchmark: plain and profiled traversal batches alternate inside one
-// timed loop (order flipping every iteration) and the statistic is the
-// ratio of per-batch medians, so host drift and scheduler spikes cancel.
-static void BM_RelayDatapath3HopProfilerOverhead(benchmark::State& state) {
-  constexpr int kCellBatch = 32;
-  Datapath3Hop plain;
-  Datapath3Hop profiled;
-  plain.traverse();
-  profiled.traverse();
-  bo::ShardProfiler& prof = bo::shard_profiler();
-  prof.set_enabled(true);
-  prof.reset();
-  std::uint64_t region_events[8] = {3, 2, 1, 2, 3, 1, 2, 2};
-  auto profiled_batch = [&] {
-    for (int i = 0; i < kCellBatch; ++i) {
-      profiled.traverse();
-      prof.on_window_close(region_events, 8, 40'000);
-      prof.on_mailbox_drain(8, 2);
-      prof.add_worker_busy(0, 1'000, 16);
-      prof.add_barrier_wait(200);
-      prof.add_drain_wall(50);
-      prof.add_merge_wall(50);
-    }
-  };
-  auto plain_batch = [&] {
-    for (int i = 0; i < kCellBatch; ++i) plain.traverse();
-  };
-
-  using clock = std::chrono::steady_clock;
-  std::vector<double> plain_ns;
-  std::vector<double> prof_ns;
-  plain_ns.reserve(1 << 20);
-  prof_ns.reserve(1 << 20);
-  bool plain_first = true;
-  std::uint64_t cells = 0;
-  for (auto _ : state) {
-    const auto t0 = clock::now();
-    if (plain_first) plain_batch(); else profiled_batch();
-    const auto t1 = clock::now();
-    if (plain_first) profiled_batch(); else plain_batch();
-    const auto t2 = clock::now();
-    (plain_first ? plain_ns : prof_ns)
-        .push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
-    (plain_first ? prof_ns : plain_ns)
-        .push_back(std::chrono::duration<double, std::nano>(t2 - t1).count());
-    plain_first = !plain_first;
-    cells += 2 * kCellBatch;
-  }
-  prof.reset();
-
-  auto median = [](std::vector<double>& v) {
-    if (v.empty()) return 0.0;
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
-                     v.end());
-    return v[v.size() / 2];
-  };
-  const double m_plain = median(plain_ns);
-  const double m_prof = median(prof_ns);
-
-  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
-  state.counters["overhead_pct"] = benchmark::Counter(
-      m_plain > 0 ? (m_prof - m_plain) / m_plain * 100.0 : 0.0);
-}
-BENCHMARK(BM_RelayDatapath3HopProfilerOverhead);
-
-// Windowed dispatch churn: a two-region simulator running the conservative-
-// lookahead loop — the profiler's window-close path, mailbox drain timing
-// and barrier accounting all live — while batches of inline-capture events
-// churn through. Steady state must stay at zero heap allocations per event
-// (the worker->region map, window scratch and mailboxes are all reused),
-// under both the serial fallback (--shards 1 still runs windowed here:
-// two regions) and the pooled path (--shards 4).
-static void BM_WindowedDispatchChurn(benchmark::State& state) {
-  bs::Simulator sim(1);
-  const std::uint32_t r1 = sim.add_region();
-  sim.set_lookahead(bu::Duration::micros(50));
-  bo::ShardProfiler& prof = bo::shard_profiler();
-  prof.set_enabled(true);
-  prof.reset();
-  constexpr int kBatch = 64;
-  std::uint64_t sink = 0;
-
-  auto batch = [&] {
-    for (int i = 0; i < kBatch; ++i) {
-      const bu::Duration d = bu::Duration::micros(i * 3);
-      std::array<std::uint64_t, 4> ctx{};  // inline-storage capture
-      ctx[0] = static_cast<std::uint64_t>(i);
-      if ((i & 1) == 0) {
-        sim.post(0, sim.now() + d, [&sink, ctx] { sink += ctx[0]; });
-      } else {
-        sim.post(r1, sim.now() + d, [&sink, ctx] { sink += ctx[0] * 3; });
-      }
-    }
-    sim.run();
-  };
-
-  // Warm-up: window scratch, mailboxes, worker pool, slab capacity.
-  batch();
-
-  const std::uint64_t allocs_before = allocs();
-  constexpr int kProbeBatches = 32;
-  for (int i = 0; i < kProbeBatches; ++i) batch();
-  const std::uint64_t allocs_delta = allocs() - allocs_before;
-
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    batch();
-    events += kBatch;
-  }
-  prof.reset();
-  benchmark::DoNotOptimize(sink);
-
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["allocs_per_event"] = benchmark::Counter(
-      static_cast<double>(allocs_delta) /
-      static_cast<double>(kProbeBatches * kBatch));
-}
-BENCHMARK(BM_WindowedDispatchChurn);
-
-// Custom main instead of BENCHMARK_MAIN(): a --shards flag (default 1)
-// selects the simulator worker count via the BENTO_SIM_SHARDS env override,
-// so the 0-allocs/cell and span-overhead gates run against both the serial
-// and the sharded dispatch paths (DESIGN.md §12).
-int main(int argc, char** argv) {
-  int out = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--shards" && i + 1 < argc) {
-      ::setenv("BENTO_SIM_SHARDS", argv[i + 1], 1);
-      ++i;
-      continue;
-    }
-    argv[out + 1] = argv[i];  // compact: google-benchmark must not see --shards
-    ++out;
-  }
-  argc = out + 1;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

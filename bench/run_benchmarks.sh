@@ -31,14 +31,10 @@
 # not reproduce a byte-identical namespace (SHA-256 snapshot digest), or if
 # an idle persistent-store mount costs the invoke datapath more than 2%.
 #
-# Shard observatory gates (DESIGN.md §13): the profiler hot hooks must add
-# <= 2% to the relay datapath and zero allocations per cell — at --shards 1
-# and --shards 4 — and the windowed dispatch loop must stay allocation-free
-# with the profiler live. The consensus-scale standing scenario (1,024
-# relays, 100k client sessions) then runs with its declarative SLOs (p99
-# TTFB ceiling among them); its byte-stable verdict lands in
-# BENCH_scenarios.json and the run fails if the verdict is "fail" or the
-# wall-time attribution drops below 95%.
+# Standing scenario (DESIGN.md §13): the consensus-scale scenario (1,024
+# relays, 100k client sessions) runs with its declarative SLOs (p99 TTFB
+# ceiling among them); its byte-stable verdict lands in BENCH_scenarios.json
+# and the run fails if the verdict is "fail".
 #
 # Tail-latency explainer gate (DESIGN.md §14): a fixed small spanned run of
 # the consensus scenario feeds `bentotrace critpath`; its blame profile is
@@ -46,7 +42,7 @@
 # per-segment mean/tail regression (>10% and >50 µs) fails the script. The
 # top-blame segment and diff verdict are appended to BENCH_trajectory.jsonl.
 # Regenerate the golden after an intentional change with:
-#   ./build/bench/consensus_scale --shards 4 --clients 2000 --seed 42 \
+#   ./build/bench/consensus_scale --clients 2000 --seed 42 \
 #     --trace-spans --trace-out /tmp/t.jsonl --slo "ttlb_us:count>=2000"
 #   ./build/tools/bentotrace critpath /tmp/t.jsonl --json \
 #     > bench/consensus_critpath_golden.json
@@ -70,11 +66,6 @@ if [[ ! -x "${bin}" ]]; then
   echo "error: ${bin} not built (cmake --build ${build_dir} --target datapath)" >&2
   exit 1
 fi
-scaling_bin="${build_dir}/bench/scalability"
-if [[ ! -x "${scaling_bin}" ]]; then
-  echo "error: ${scaling_bin} not built (cmake --build ${build_dir} --target scalability)" >&2
-  exit 1
-fi
 consensus_bin="${build_dir}/bench/consensus_scale"
 if [[ ! -x "${consensus_bin}" ]]; then
   echo "error: ${consensus_bin} not built (cmake --build ${build_dir} --target consensus_scale)" >&2
@@ -94,9 +85,7 @@ fi
 critpath_golden="${BENCH_CRITPATH_GOLDEN:-${repo_root}/bench/consensus_critpath_golden.json}"
 
 raw_json="$(mktemp)"
-raw4_json="$(mktemp)"
 raw_store_json="$(mktemp)"
-scaling_json="$(mktemp)"
 consensus_summary="$(mktemp)"
 baseline_copy="$(mktemp)"
 obs_baseline_copy="$(mktemp)"
@@ -104,7 +93,7 @@ store_baseline_copy="$(mktemp)"
 critpath_trace="$(mktemp)"
 critpath_json="$(mktemp)"
 critpath_diff_json="$(mktemp)"
-trap 'rm -f "${raw_json}" "${raw4_json}" "${raw_store_json}" "${scaling_json}" "${consensus_summary}" "${baseline_copy}" "${obs_baseline_copy}" "${store_baseline_copy}" "${critpath_trace}" "${critpath_json}" "${critpath_diff_json}"' EXIT
+trap 'rm -f "${raw_json}" "${raw_store_json}" "${consensus_summary}" "${baseline_copy}" "${obs_baseline_copy}" "${store_baseline_copy}" "${critpath_trace}" "${critpath_json}" "${critpath_diff_json}"' EXIT
 
 # Snapshot the committed baselines before anything overwrites them (the
 # default out paths are the baseline files themselves).
@@ -115,37 +104,27 @@ if [[ -f "${store_baseline_json}" ]]; then cp "${store_baseline_json}" "${store_
 "${bin}" --benchmark_format=json --benchmark_min_time="${min_time}" \
   >"${raw_json}"
 
-# Shard-profiler gates again with the pooled dispatch path live: the same
-# three benchmarks at --shards 4 (DESIGN.md §13).
-"${bin}" --shards 4 \
-  --benchmark_filter='Profiled|ProfilerOverhead|WindowedDispatchChurn' \
-  --benchmark_format=json --benchmark_min_time="${min_time}" >"${raw4_json}"
-
 # Sealed blob-store benchmarks (DESIGN.md §15): append/replay/compaction,
 # the zero-alloc steady-state append, the replay-determinism witness, and
 # the idle-mount invoke-datapath tax.
 "${store_bin}" --benchmark_format=json --benchmark_min_time="${min_time}" \
   >"${raw_store_json}"
 
-# Shard-scaling sweep (DESIGN.md §12): region-sharded simulator throughput
-# at shards 1/2/4/8 on the large multi-region topology.
-"${scaling_bin}" >"${scaling_json}"
-
 # Consensus-scale standing scenario (DESIGN.md §13): SLO verdict is the exit
 # code; the verdict JSON is byte-stable and committed as BENCH_scenarios.json.
 set +e
-"${consensus_bin}" --shards 4 --out "${scenarios_json}" >"${consensus_summary}"
+"${consensus_bin}" --out "${scenarios_json}" >"${consensus_summary}"
 consensus_exit=$?
 set -e
 
 # Tail-latency explainer gate (DESIGN.md §14): a fixed small spanned run of
 # the same scenario, its per-request critical-path blame profile, and a
 # `bentotrace diff` against the committed golden. The profile is a pure
-# function of (seed, clients, topology) — byte-stable across hosts and
-# shard counts — so the golden can be a committed JSON. The run carries its
-# own SLO (the default windows floor assumes the 100k-session scale);
-# --trace-spans is what the golden's blame numbers are made of.
-"${consensus_bin}" --shards 4 --clients 2000 --seed 42 --trace-spans \
+# function of (seed, clients, topology) — byte-stable across hosts — so the
+# golden can be a committed JSON. The run carries its own SLO (the default
+# count floors assume the 100k-session scale); --trace-spans is what the
+# golden's blame numbers are made of.
+"${consensus_bin}" --clients 2000 --seed 42 --trace-spans \
   --trace-out "${critpath_trace}" --slo "ttlb_us:count>=2000" >/dev/null
 "${bentotrace_bin}" critpath "${critpath_trace}" --json >"${critpath_json}"
 critpath_diff_exit=2  # 2 = skipped (no golden committed yet)
@@ -161,8 +140,8 @@ fi
 
 python3 - "${raw_json}" "${out_json}" "${obs_out_json}" \
   "${baseline_copy}" "${obs_baseline_copy}" "${trajectory_jsonl}" \
-  "${git_rev}" "${BENCH_BASELINE_SKIP:-0}" "${scaling_json}" \
-  "${raw4_json}" "${consensus_summary}" "${consensus_exit}" \
+  "${git_rev}" "${BENCH_BASELINE_SKIP:-0}" \
+  "${consensus_summary}" "${consensus_exit}" \
   "${scenarios_json}" "${critpath_json}" "${critpath_diff_json}" \
   "${critpath_diff_exit}" "${raw_store_json}" "${store_baseline_copy}" \
   "${store_out_json}" <<'PY'
@@ -170,23 +149,18 @@ import json
 import sys
 
 (raw_path, out_path, obs_out_path, baseline_path, obs_baseline_path,
- trajectory_path, git_rev, baseline_skip, scaling_path,
- raw4_path, consensus_summary_path, consensus_exit, scenarios_path,
+ trajectory_path, git_rev, baseline_skip,
+ consensus_summary_path, consensus_exit, scenarios_path,
  critpath_path, critpath_diff_path, critpath_diff_exit,
- raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:20]
+ raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:18]
 with open(raw_path) as f:
     raw = json.load(f)
-with open(scaling_path) as f:
-    scaling = json.load(f)
-with open(raw4_path) as f:
-    raw4 = json.load(f)
 with open(consensus_summary_path) as f:
     consensus = json.load(f)
 with open(scenarios_path) as f:
     scenarios = json.load(f)
 
 by_name = {b["name"]: b for b in raw["benchmarks"]}
-by4_name = {b["name"]: b for b in raw4["benchmarks"]}
 
 def mb_s(name):
     return round(by_name[name]["bytes_per_second"] / 1e6, 1)
@@ -296,23 +270,6 @@ obs = {
         "trace_record_ns": ns_per_op("BM_TraceRecord"),
         "trace_record_allocs_per_event": by_name["BM_TraceRecord"]["allocs_per_event"],
     },
-    # Shard-observatory cost story (DESIGN.md §13): the profiler hot hooks
-    # charged to every cell (worst case), the paired-median overhead ratio,
-    # and the windowed dispatch loop's alloc count — serial and pooled.
-    "shard_profiler": {
-        "profiled_allocs_per_cell":
-            by_name["BM_RelayDatapath3HopProfiled"]["allocs_per_cell"],
-        "profiler_overhead_pct":
-            round(by_name["BM_RelayDatapath3HopProfilerOverhead"]["overhead_pct"], 2),
-        "windowed_churn_allocs_per_event":
-            by_name["BM_WindowedDispatchChurn"]["allocs_per_event"],
-        "profiled_allocs_per_cell_shards4":
-            by4_name["BM_RelayDatapath3HopProfiled"]["allocs_per_cell"],
-        "profiler_overhead_pct_shards4":
-            round(by4_name["BM_RelayDatapath3HopProfilerOverhead"]["overhead_pct"], 2),
-        "windowed_churn_allocs_per_event_shards4":
-            by4_name["BM_WindowedDispatchChurn"]["allocs_per_event"],
-    },
 }
 
 with open(obs_out_path, "w") as f:
@@ -412,20 +369,8 @@ if store["replay"]["torn"] != 0:
     failures.append("store replay reported a torn tail on a fully synced log")
 if store["idle_mount"]["invoke_overhead_pct"] > 2.0:
     failures.append("idle persistent-store mount costs the invoke datapath above 2%")
-# Shard profiler gates (DESIGN.md §13): hooks free of heap and <= 2% on the
-# cell datapath, serial and pooled alike.
-prof_gate = obs["shard_profiler"]
-for suffix, label in (("", "shards=1"), ("_shards4", "shards=4")):
-    if prof_gate[f"profiled_allocs_per_cell{suffix}"] != 0:
-        failures.append(f"profiled datapath allocates per cell at {label}")
-    if prof_gate[f"windowed_churn_allocs_per_event{suffix}"] != 0:
-        failures.append(f"windowed dispatch churn allocates per event at {label}")
-    if prof_gate[f"profiler_overhead_pct{suffix}"] > 2.0:
-        failures.append(f"profiler overhead on the cell datapath above 2% at {label}")
-
 # Consensus-scale scenario gate (DESIGN.md §13): the SLO engine's verdict
-# (p99 TTFB ceiling among the objectives) is the exit code, and the wall
-# attribution buckets must cover >= 95% of the windowed run.
+# (p99 TTFB ceiling among the objectives) is the exit code.
 scenario_verdict = scenarios.get("verdict", "fail")
 if consensus_exit != "0" or scenario_verdict != "pass":
     detail = "; ".join(
@@ -433,17 +378,12 @@ if consensus_exit != "0" or scenario_verdict != "pass":
         if not o.get("pass"))
     failures.append(f"consensus scenario SLO verdict: {scenario_verdict}"
                     + (f" ({detail})" if detail else ""))
-if consensus["wall_attributed_pct"] < 95.0:
-    failures.append(
-        f"consensus scenario wall attribution {consensus['wall_attributed_pct']}% "
-        "below 95%")
 scenario_ttfb_p99 = next(
     (o["actual"] for o in scenarios.get("objectives", [])
      if o["name"] == "ttfb_us:p99"), None)
 print(f"consensus scenario: verdict={scenario_verdict}, "
       f"ttfb_p99_us={scenario_ttfb_p99}, "
-      f"attributed={consensus['wall_attributed_pct']}%, "
-      f"imbalance_x1000={consensus['region_imbalance_x1000']}")
+      f"wall_seconds={consensus['wall_seconds']}")
 
 # ---- Tail-latency explainer gate (DESIGN.md §14) ------------------------
 # The spanned run's blame profile names the stage that owns the most
@@ -470,35 +410,6 @@ else:
 print(f"critpath: top_seg={critpath_top_seg}, "
       f"tail_mean_us={critpath_tail_mean_us}, "
       f"diff_verdict={critpath_diff_verdict}")
-
-# ---- Shard-scaling gate (DESIGN.md §12) ---------------------------------
-# shards=4 must deliver >= 2.0x the cells/sec of shards=1 on the large
-# multi-region topology. Parallel speedup needs parallel hardware: on a
-# host with fewer than 4 CPUs the ratio is physically unreachable, so the
-# gate records a skip (with the reason) instead of a meaningless failure.
-shard_cps = {str(p["shards"]): round(p["cells_per_sec"])
-             for p in scaling["sweep"]}
-shard_speedup = round(scaling["speedup_4v1"], 3)
-scaling_cpus = scaling["host_cpus"]
-# Status and reason are separate fields so the trajectory stays machine-
-# readable: every entry — skips included — records why it got its status
-# and how many CPUs the host had.
-if scaling_cpus >= 4:
-    if shard_speedup < 2.0:
-        shard_gate = "fail"
-        shard_gate_reason = f"speedup_4v1={shard_speedup} below 2.0x"
-        failures.append(
-            f"shards=4 speedup {shard_speedup} below 2.0x over shards=1")
-    else:
-        shard_gate = "pass"
-        shard_gate_reason = f"speedup_4v1={shard_speedup} >= 2.0x"
-else:
-    shard_gate = "skip"
-    shard_gate_reason = (
-        f"host_cpus={scaling_cpus} < 4: parallel speedup is physically "
-        "unreachable on this runner")
-print(f"shard scaling: cells/sec {shard_cps}, "
-      f"speedup_4v1={shard_speedup}, gate={shard_gate} ({shard_gate_reason})")
 
 # ---- Regression gate against the committed baselines --------------------
 # Only host-independent metrics are gated; raw cells/s and MB/s depend on
@@ -586,23 +497,13 @@ trajectory_entry = {
         obs["relay_datapath_3hop"]["span_traced_allocs_per_cell"],
     "chaos_idle_overhead_pct": chaos_gate["overhead_pct"],
     "chaos_idle_extra_allocs_per_cell": chaos_gate["extra_allocs_per_cell"],
-    "host_cpus": scaling_cpus,
-    "shard_cells_per_sec": shard_cps,
-    "shard_speedup_4v1": shard_speedup,
-    "shard_gate": shard_gate,
-    "shard_gate_reason": shard_gate_reason,
-    "profiler_overhead_pct": prof_gate["profiler_overhead_pct"],
-    "profiler_overhead_pct_shards4": prof_gate["profiler_overhead_pct_shards4"],
-    "profiled_allocs_per_cell": prof_gate["profiled_allocs_per_cell"],
-    "windowed_churn_allocs_per_event":
-        prof_gate["windowed_churn_allocs_per_event"],
+    "host_cpus": distilled["context"]["host_cpus"],
     "scenario_verdict": scenario_verdict,
     "scenario_ttfb_p99_us": scenario_ttfb_p99,
     "critpath_top_seg": critpath_top_seg,
     "critpath_tail_mean_us": critpath_tail_mean_us,
     "critpath_diff_verdict": critpath_diff_verdict,
-    "scenario_wall_attributed_pct": consensus["wall_attributed_pct"],
-    "scenario_imbalance_x1000": consensus["region_imbalance_x1000"],
+    "scenario_wall_seconds": consensus["wall_seconds"],
     "store_allocs_per_append": store["append"]["allocs_per_append_512"],
     "store_replay_deterministic": store["replay"]["deterministic"],
     "store_idle_overhead_pct": store["idle_mount"]["invoke_overhead_pct"],

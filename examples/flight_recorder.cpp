@@ -16,26 +16,13 @@
 // lifecycle events and a full circuit build with TTFB/TTLB marks.
 //
 // Build: cmake --build build --target flight_recorder
-// Run:   ./build/examples/flight_recorder [output-dir] [--shards N]
-//                                         [--profile-out <path>] [--top]
-//
-// --shards N (default 1) runs the scenario on the region-sharded simulator
-// (DESIGN.md §12): trace.jsonl and stats.json must come out byte-identical
-// at every shard count — diff the artifacts across runs to prove it.
-//
-// --profile-out <path> writes the shard profiler's deterministic half as
-// ShardProfile JSON (DESIGN.md §13) — the same byte-stability contract as
-// trace.jsonl, and the file `bentotop --once` renders. --top prints that
-// frame to stderr at exit.
-#include <cstdlib>
+// Run:   ./build/examples/flight_recorder [output-dir]
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/world.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace bc = bento::core;
@@ -54,24 +41,7 @@ def on_message(msg):
 }
 
 int main(int argc, char** argv) {
-  std::string out_dir = ".";
-  std::string profile_out;
-  bool top = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      // The world builds its own Simulator; the env override (parallel to
-      // BENTO_CHAOS_SEED) is how callers select the shard count without a
-      // constructor to reach.
-      ::setenv("BENTO_SIM_SHARDS", argv[++i], 1);
-    } else if (arg == "--profile-out" && i + 1 < argc) {
-      profile_out = argv[++i];
-    } else if (arg == "--top") {
-      top = true;
-    } else {
-      out_dir = arg;
-    }
-  }
+  const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   // Recorder on before the world exists so circuit builds are captured too.
   // The SimDispatch firehose stays enabled here on purpose — the Chrome
@@ -176,18 +146,6 @@ int main(int argc, char** argv) {
   {
     std::ofstream f(out_dir + "/stats.json");
     snap.to_json(f);
-  }
-  const bo::ShardProfileSnapshot prof = bo::shard_profiler().snapshot();
-  if (!profile_out.empty()) {
-    std::ofstream f(profile_out);
-    prof.to_json(f);  // deterministic half only: byte-stable artifact
-    std::cout << "wrote " << profile_out << " (ShardProfile JSON; render with "
-                 "bentotop --once)\n";
-  }
-  if (top) {
-    std::ostringstream frame;
-    bo::render_top_frame(prof, frame);
-    std::cerr << frame.str();
   }
   std::cout << "wrote " << out_dir << "/trace.json (chrome://tracing), "
             << out_dir << "/trace.jsonl, " << out_dir << "/stats.txt, "

@@ -37,46 +37,8 @@ const char* fault_kind_name(FaultKind kind) {
   return "unknown";
 }
 
-namespace {
-// splitmix64 finalizer: decorrelates the per-region fault streams derived
-// from one base seed.
-std::uint64_t mix_region_seed(std::uint64_t base, std::uint32_t region) {
-  std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (region + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-}  // namespace
-
 ChaosEngine::ChaosEngine(sim::Simulator& sim, sim::Network& net)
-    : sim_(sim), net_(net), rngs_(1), stats_(1) {}
-
-BENTO_HOT util::Rng& ChaosEngine::packet_rng() {
-  std::uint32_t r = sim_.current_region_id();
-  if (r >= rngs_.size()) r = 0;
-  return rngs_[r].rng;
-}
-
-BENTO_HOT ChaosEngine::Stats& ChaosEngine::packet_stats() {
-  std::uint32_t r = sim_.current_region_id();
-  if (r >= stats_.size()) r = 0;
-  return stats_[r].s;
-}
-
-ChaosEngine::Stats ChaosEngine::stats() const {
-  Stats total;
-  for (const StatsSlot& slot : stats_) {
-    total.dropped += slot.s.dropped;
-    total.duplicated += slot.s.duplicated;
-    total.jittered += slot.s.jittered;
-    total.partitioned += slot.s.partitioned;
-    total.crashes += slot.s.crashes;
-    total.restarts += slot.s.restarts;
-    total.throttles += slot.s.throttles;
-    total.app_faults += slot.s.app_faults;
-  }
-  return total;
-}
+    : sim_(sim), net_(net) {}
 
 ChaosEngine::~ChaosEngine() {
   if (installed_ && net_.fault_injector() == this) {
@@ -98,18 +60,10 @@ void ChaosEngine::install(ChaosPlan plan) {
   if (installed_) throw std::logic_error("ChaosEngine::install: already installed");
   installed_ = true;
   plan_ = std::move(plan);
-  // All coin flips flow from generators derived from the simulator's seeded
+  // All coin flips flow from a generator derived from the simulator's seeded
   // Rng at this point, folded with the plan's own seed: identical (seed,
-  // plan) pairs replay identical fault sequences. Region 0 keeps the exact
-  // legacy stream; other regions get streams split from the same base, a
-  // pure function of (base, region) and so invariant under the shard count.
-  const std::uint64_t base = sim_.rng().next_u64() ^ plan_.seed ^ 0x63686130735f656eull;
-  rngs_.resize(sim_.regions());
-  stats_.resize(sim_.regions());
-  rngs_[0].rng = util::Rng(base);
-  for (std::uint32_t r = 1; r < rngs_.size(); ++r) {
-    rngs_[r].rng = util::Rng(mix_region_seed(base, r));
-  }
+  // plan) pairs replay identical fault sequences.
+  rng_ = util::Rng(sim_.rng().next_u64() ^ plan_.seed ^ 0x63686130735f656eull);
   sync_hook();
   schedule_plan();
 }
@@ -134,19 +88,19 @@ void ChaosEngine::set_recovery_callback(sim::NodeId node, std::function<void()> 
 
 void ChaosEngine::schedule_plan() {
   for (const Partition& p : plan_.partitions) {
-    ctl_at(p.start, [this, p] { cut(p.a, p.b, p.heal); });
+    sim_.at(p.start, [this, p] { cut(p.a, p.b, p.heal); });
   }
   for (const NodeCrash& c : plan_.crashes) {
-    ctl_at(c.at, [this, c] { crash(c.node, c.restart_after); });
+    sim_.at(c.at, [this, c] { crash(c.node, c.restart_after); });
   }
   for (const Throttle& t : plan_.throttles) {
-    ctl_at(t.start, [this, t] {
-      ++packet_stats().throttles;
+    sim_.at(t.start, [this, t] {
+      ++stats_.throttles;
       record(FaultKind::Throttle, t.node,
              static_cast<std::uint64_t>(t.scale * 1000.0));
       net_.set_bandwidth_scale(t.node, t.scale);
       if (t.duration.count_micros() > 0) {
-        ctl_after(t.duration, [this, node = t.node] {
+        sim_.after(t.duration, [this, node = t.node] {
           net_.set_bandwidth_scale(node, 1.0);
         });
       }
@@ -156,8 +110,8 @@ void ChaosEngine::schedule_plan() {
     // The callable is shared rather than copied into the event so capture
     // size stays within the scheduler's inline buffer.
     auto fn = std::make_shared<std::function<void()>>(f.fn);
-    ctl_at(f.at, [this, ref = f.ref, fn] {
-      ++packet_stats().app_faults;
+    sim_.at(f.at, [this, ref = f.ref, fn] {
+      ++stats_.app_faults;
       record(FaultKind::App, ref, 0);
       if (*fn) (*fn)();
     });
@@ -184,7 +138,7 @@ void ChaosEngine::crash(sim::NodeId node, util::Duration restart_after) {
   down_[node] = 1;
   ++down_count_;
   sync_hook();
-  ++packet_stats().crashes;
+  ++stats_.crashes;
   util::log_warn(kComponent, "crashing node ", node);
   record(FaultKind::Crash, node,
          static_cast<std::uint64_t>(restart_after.count_micros() / 1000));
@@ -192,7 +146,7 @@ void ChaosEngine::crash(sim::NodeId node, util::Duration restart_after) {
   if (it != node_handlers_.end() && it->second) it->second(false);
   net_.notify_peer_down(node);
   if (restart_after.count_micros() > 0) {
-    ctl_after(restart_after, [this, node] { restart(node); });
+    sim_.after(restart_after, [this, node] { restart(node); });
   }
 }
 
@@ -201,7 +155,7 @@ void ChaosEngine::restart(sim::NodeId node) {
   down_[node] = 0;
   --down_count_;
   sync_hook();
-  ++packet_stats().restarts;
+  ++stats_.restarts;
   util::log_info(kComponent, "restarting node ", node);
   record(FaultKind::Restart, node, 0);
   auto it = node_handlers_.find(node);
@@ -215,12 +169,12 @@ void ChaosEngine::restart(sim::NodeId node) {
 void ChaosEngine::cut(sim::NodeId a, sim::NodeId b, util::Duration heal) {
   cuts_.insert(ordered(a, b));
   sync_hook();
-  ++packet_stats().partitioned;
+  ++stats_.partitioned;
   record(FaultKind::Partition, a == kAnyNode ? b : a,
          a == kAnyNode || b == kAnyNode ? 0xffffffffu
                                         : static_cast<std::uint64_t>(ordered(a, b).second));
   if (heal.count_micros() > 0) {
-    ctl_after(heal, [this, a, b] { this->heal(a, b); });
+    sim_.after(heal, [this, a, b] { this->heal(a, b); });
   }
 }
 
@@ -240,28 +194,23 @@ BENTO_HOT sim::FaultDecision ChaosEngine::on_packet(sim::NodeId from, sim::NodeI
     record(FaultKind::Partition, from, to, /*ok=*/false);
     return verdict;
   }
-  // Coin flips come from the sending region's stream; counters land in its
-  // slot. Both are worker-private under parallel windows (the hook runs on
-  // the worker driving the sender's region).
-  util::Rng& rng = packet_rng();
-  Stats& st = packet_stats();
   for (const LinkFault& rule : plan_.links) {
     if (!rule_matches(rule.a, rule.b, from, to)) continue;
-    if (rule.drop_p > 0 && rng.chance(rule.drop_p)) {
-      ++st.dropped;
+    if (rule.drop_p > 0 && rng_.chance(rule.drop_p)) {
+      ++stats_.dropped;
       record(FaultKind::Drop, from, to, /*ok=*/false);
       verdict.drop = true;
       return verdict;  // a lost packet cannot also be duplicated/delayed
     }
-    if (rule.dup_p > 0 && rng.chance(rule.dup_p)) {
-      ++st.duplicated;
+    if (rule.dup_p > 0 && rng_.chance(rule.dup_p)) {
+      ++stats_.duplicated;
       record(FaultKind::Duplicate, from, to);
       verdict.duplicate = true;
     }
-    if (rule.jitter_p > 0 && rng.chance(rule.jitter_p)) {
-      ++st.jittered;
+    if (rule.jitter_p > 0 && rng_.chance(rule.jitter_p)) {
+      ++stats_.jittered;
       const util::Duration extra = util::Duration::micros(static_cast<std::int64_t>(
-          rng.exponential(rule.jitter_mean.to_seconds() * 1e6)));
+          rng_.exponential(rule.jitter_mean.to_seconds() * 1e6)));
       record(FaultKind::Jitter, from,
              static_cast<std::uint64_t>(extra.count_micros()));
       verdict.extra_delay = verdict.extra_delay + extra;

@@ -11,12 +11,7 @@
 // derived from the simulator's seeded generator at install() time, and all
 // timed faults fire at plan-specified sim times — so a run is a pure
 // function of (simulator seed, plan) and any failure replays bit-identically
-// from those two values. Under a region-sharded simulator (DESIGN.md §12)
-// the packet hook keeps one derived Rng stream and one Stats slot per
-// region — both pure functions of (install-time draw, plan seed, region) —
-// and every plan-scheduled control mutation (partition, crash, throttle,
-// app fault) runs as an exclusive event at a window barrier, so fault
-// injection is data-race-free and byte-identical at every shard count. Every injected fault lands in the flight recorder
+// from those two values. Every injected fault lands in the flight recorder
 // (Ev::ChaosFault) and, when a request is being traced, as a kNoteChaos span
 // note, so bentotrace attributes latency and failures to their injected
 // causes (DESIGN.md §9).
@@ -155,9 +150,7 @@ class ChaosEngine final : public sim::FaultInjector {
     std::uint64_t throttles = 0;
     std::uint64_t app_faults = 0;
   };
-  /// Totals merged across the per-region slots. Serial-context read (the
-  /// packet hook may be appending to region slots mid-window).
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
  private:
   void schedule_plan();
@@ -168,40 +161,11 @@ class ChaosEngine final : public sim::FaultInjector {
   void heal(sim::NodeId a, sim::NodeId b);
   void record(FaultKind kind, std::uint32_t a, std::uint64_t extra, bool ok = true);
 
-  /// Control mutations (crash/cut/throttle and their reversals) touch
-  /// cross-region state; on a multi-region simulator they run as exclusive
-  /// barrier events, on a single-region one as the plain events they always
-  /// were (keeping those traces bit-for-bit).
-  template <typename F>
-  void ctl_at(util::Time t, F&& fn) {
-    if (sim_.regions() > 1) {
-      sim_.at_exclusive(t, std::forward<F>(fn));
-    } else {
-      sim_.at(t, std::forward<F>(fn));
-    }
-  }
-  template <typename F>
-  void ctl_after(util::Duration d, F&& fn) {
-    ctl_at(sim_.now() + d, std::forward<F>(fn));
-  }
-
-  // Cache-line-padded per-region slots: the packet hook runs on whichever
-  // worker drives the sending node's region, and neighboring regions must
-  // not share lines on the hot path.
-  struct alignas(64) RngSlot {
-    util::Rng rng{0};
-  };
-  struct alignas(64) StatsSlot {
-    Stats s;
-  };
-  util::Rng& packet_rng();
-  Stats& packet_stats();
-
   sim::Simulator& sim_;
   sim::Network& net_;
   ChaosPlan plan_;
-  std::vector<RngSlot> rngs_;    // per-region fault streams; slot 0 = legacy stream
-  std::vector<StatsSlot> stats_;  // per-region counters, merged by stats()
+  util::Rng rng_{0};
+  Stats stats_;
   bool installed_ = false;
   std::size_t down_count_ = 0;      // nodes currently crashed
   std::vector<std::uint8_t> down_;  // indexed by NodeId, grown on demand

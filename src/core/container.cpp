@@ -318,13 +318,17 @@ void Container::http_get(const std::string& url, HttpCallback done) {
                                      util::to_bytes("GET " + parsed.path + "\n"));
     });
   };
+  // A network-budget trip is a function fault like any other: it kills this
+  // container, not the simulation. A dead container ignores the rest of the
+  // fetch.
   cbs.on_data = [this, alive, state](util::ByteView d) {
-    if (alive.expired()) return;
-    resources_->charge_network(d.size());
+    if (alive.expired() || dead_) return;
+    run_guarded([&] { resources_->charge_network(d.size()); });
+    if (dead_) return;
     util::append(state->body, d);
   };
   cbs.on_end = [this, alive, state, done_shared] {
-    if (alive.expired()) return;
+    if (alive.expired() || dead_) return;
     state->done = true;
     resources_->close_connection();
     // Function code runs guarded even on async paths.

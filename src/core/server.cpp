@@ -5,6 +5,7 @@
 #include "obs/trace.hpp"
 #include "script/parser.hpp"
 #include "util/log.hpp"
+#include "util/serialize.hpp"
 
 namespace bento::core {
 
@@ -95,15 +96,34 @@ bool BentoServer::on_stream_open(tor::EdgeStream& stream) {
   stream.set_on_data([this, ptr](util::ByteView data) {
     auto it = conns_.find(ptr);
     if (it == conns_.end()) return;
-    for (const Message& msg : it->second.framer.feed(data)) {
-      handle_message(ptr, msg);
+    std::vector<Message> msgs;
+    try {
+      msgs = it->second.framer.feed(data);
+    } catch (const util::ParseError& e) {
+      // Anonymous client bytes are untrusted: a malformed frame costs the
+      // sender its stream, never the box.
+      reject_stream(ptr, e.what());
+      return;
     }
+    for (const Message& msg : msgs) handle_message(ptr, msg);
   });
   stream.set_on_end([this, ptr] {
     conns_.erase(ptr);
     for (auto& [id, container] : containers_) container->on_stream_closed(ptr);
   });
   return true;
+}
+
+void BentoServer::reject_stream(tor::EdgeStream* stream, const std::string& why) {
+  // Registered on first use, so runs without a rejection keep their metric set.
+  static obs::Counter rejected = obs::registry().counter("bento.server.rejected");
+  rejected.inc();
+  util::log_info(kComponent, fingerprint(), ": rejecting stream: ", why);
+  conns_.erase(stream);
+  for (auto& [id, container] : containers_) container->on_stream_closed(stream);
+  reply_error(stream, "malformed frame: " + why);
+  // Last: ending a flushed stream destroys it, and with it this callback.
+  stream->end();
 }
 
 void BentoServer::send_to_stream(tor::EdgeStream* stream, const Message& msg) {

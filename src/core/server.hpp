@@ -148,6 +148,9 @@ class BentoServer : public tor::LocalApp {
   void handle_invoke(tor::EdgeStream* stream, const Message& msg);
   void handle_shutdown(tor::EdgeStream* stream, const Message& msg);
   void reply_error(tor::EdgeStream* stream, const std::string& text);
+  /// Answers a malformed frame: Error to the sender, then the stream ends
+  /// and its framer is dropped (counted as bento.server.rejected).
+  void reject_stream(tor::EdgeStream* stream, const std::string& why);
   Container* find_by_invocation(util::ByteView token);
   Container* find_by_shutdown(util::ByteView token);
   void remove_container(std::uint64_t id);

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/profile.hpp"
-
 namespace bento::core {
 
 namespace {
@@ -86,10 +84,6 @@ obs::Snapshot BentoWorld::snapshot_stats() {
           << "up/" << ns.down_queue_high_water << "down\n";
   }
   snap.sections.push_back(std::move(nodes).str());
-
-  // ShardProfile section (DESIGN.md §13): deterministic half only, so the
-  // stats artifact stays byte-identical across shard counts.
-  snap.sections.push_back(obs::shard_profiler().snapshot().to_section());
   return snap;
 }
 

@@ -6,12 +6,11 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 namespace bento::obs {
 
 namespace {
-
-constexpr std::int32_t kAllRegions = -1;
 
 std::string stage_token(Stage stage) {
   std::string name(stage_name(stage));
@@ -40,17 +39,12 @@ std::string pct_x100(std::int64_t bp) {
   return out;
 }
 
-std::string region_label(std::int32_t region) {
-  return region < 0 ? std::string("all") : "r" + std::to_string(region);
-}
-
 }  // namespace
 
 std::string segment_name(Stage stage, SegKind kind) {
   switch (kind) {
     case SegKind::Exec: return stage_token(stage);
     case SegKind::Wait: return stage_token(stage) + "_wait";
-    case SegKind::MailboxWait: return stage_token(stage) + "_mailbox_wait";
     case SegKind::LinkQueue: return stage_token(stage) + "_queue";
     case SegKind::LinkTransit: return stage_token(stage) + "_transit";
     case SegKind::ChaosDwell: return "chaos_dwell";
@@ -58,10 +52,10 @@ std::string segment_name(Stage stage, SegKind kind) {
   return "unknown";
 }
 
-CritReport compute_critical_paths(const CritInput& input) {
+CritReport compute_critical_paths(const std::vector<CritSpan>& spans) {
   CritReport out;
   std::map<std::uint32_t, const CritSpan*> by_id;
-  for (const CritSpan& s : input.spans) {
+  for (const CritSpan& s : spans) {
     if (s.id != 0) by_id[s.id] = &s;
   }
   std::map<std::uint32_t, std::vector<std::uint32_t>> kids;
@@ -70,9 +64,6 @@ CritReport compute_critical_paths(const CritInput& input) {
       kids[s->parent].push_back(id);
     }
   }
-  std::vector<std::int64_t> barriers = input.barriers_us;
-  std::sort(barriers.begin(), barriers.end());
-
   // One flattened subtree interval. The span hierarchy is causal, not
   // containment: children routinely outlive their (often instantaneous)
   // parents, so depth comes from the tree while intervals are taken at face
@@ -124,16 +115,12 @@ CritReport compute_critical_paths(const CritInput& input) {
       }
     }
 
-    // Elementary intervals: every clamped span boundary plus every
-    // shard.barrier timestamp inside the root's window.
+    // Elementary intervals: every clamped span boundary.
     pts.clear();
     for (const Flat& f : flats) {
       pts.push_back(f.b);
       pts.push_back(f.e);
     }
-    const auto bar_lo = std::upper_bound(barriers.begin(), barriers.end(), rb);
-    const auto bar_hi = std::lower_bound(barriers.begin(), barriers.end(), re);
-    pts.insert(pts.end(), bar_lo, bar_hi);
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
 
@@ -144,7 +131,7 @@ CritReport compute_critical_paths(const CritInput& input) {
     req.total_us = re - rb;
     req.ok = root->ok;
 
-    std::map<std::tuple<Stage, SegKind, std::uint32_t>, std::int64_t> acc;
+    std::map<std::pair<Stage, SegKind>, std::int64_t> acc;
     link_us.assign(flats.size(), 0);
     for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
       const std::int64_t t0 = pts[i];
@@ -169,13 +156,8 @@ CritReport compute_critical_paths(const CritInput& input) {
         link_us[wi] += dt;  // split into queue/transit/chaos below
         continue;
       }
-      SegKind kind = SegKind::Exec;
-      if (t0 >= w->first_child_b) {
-        kind = std::binary_search(barriers.begin(), barriers.end(), t0)
-                   ? SegKind::MailboxWait
-                   : SegKind::Wait;
-      }
-      acc[{w->s->stage, kind, w->s->id >> 24}] += dt;
+      const SegKind kind = t0 >= w->first_child_b ? SegKind::Wait : SegKind::Exec;
+      acc[{w->s->stage, kind}] += dt;
     }
     // Split each link's attributed time using the budget notes the network
     // stamped at send time: fault dwell first (so an injected throttle
@@ -186,22 +168,18 @@ CritReport compute_critical_paths(const CritInput& input) {
       const std::int64_t a = link_us[j];
       if (a <= 0) continue;
       const CritSpan& s = *flats[j].s;
-      const std::uint32_t region = s.id >> 24;
       const std::int64_t chaos =
           std::min(std::max<std::int64_t>(s.chaos_us, 0), a);
       const std::int64_t transit =
           std::min(std::max<std::int64_t>(s.idle_us, 0), a - chaos);
       const std::int64_t queue = a - chaos - transit;
-      if (chaos > 0) acc[{Stage::NetLink, SegKind::ChaosDwell, region}] += chaos;
-      if (transit > 0) {
-        acc[{Stage::NetLink, SegKind::LinkTransit, region}] += transit;
-      }
-      if (queue > 0) acc[{Stage::NetLink, SegKind::LinkQueue, region}] += queue;
+      if (chaos > 0) acc[{Stage::NetLink, SegKind::ChaosDwell}] += chaos;
+      if (transit > 0) acc[{Stage::NetLink, SegKind::LinkTransit}] += transit;
+      if (queue > 0) acc[{Stage::NetLink, SegKind::LinkQueue}] += queue;
     }
     req.segs.reserve(acc.size());
     for (const auto& [key, us] : acc) {
-      req.segs.push_back(
-          BlameSeg{std::get<0>(key), std::get<1>(key), std::get<2>(key), us});
+      req.segs.push_back(BlameSeg{key.first, key.second, us});
     }
     out.requests.push_back(std::move(req));
   }
@@ -228,10 +206,10 @@ BlameProfile aggregate_blame(const CritReport& report) {
     std::int64_t body = 0;
     std::int64_t tail = 0;
   };
-  std::map<std::pair<std::string, std::int32_t>, Agg> cells;
+  std::map<std::string, Agg> cells;
   std::int64_t body_sum = 0;
   std::int64_t tail_sum = 0;
-  std::map<std::pair<std::string, std::int32_t>, std::int64_t> mine;
+  std::map<std::string, std::int64_t> mine;
   for (const RequestBlame& r : report.requests) {
     const bool body = r.total_us <= p.p50_us;
     const bool tail = r.total_us >= p.p99_us;
@@ -244,13 +222,9 @@ BlameProfile aggregate_blame(const CritReport& report) {
       tail_sum += r.total_us;
     }
     mine.clear();
-    for (const BlameSeg& seg : r.segs) {
-      const std::string name = segment_name(seg.stage, seg.kind);
-      mine[{name, static_cast<std::int32_t>(seg.region)}] += seg.us;
-      mine[{name, kAllRegions}] += seg.us;
-    }
-    for (const auto& [key, us] : mine) {
-      Agg& a = cells[key];
+    for (const BlameSeg& seg : r.segs) mine[segment_name(seg.stage, seg.kind)] += seg.us;
+    for (const auto& [name, us] : mine) {
+      Agg& a = cells[name];
       ++a.requests;
       a.total += us;
       if (body) a.body += us;
@@ -260,34 +234,22 @@ BlameProfile aggregate_blame(const CritReport& report) {
   if (p.body_n > 0) p.body_mean_us = body_sum / static_cast<std::int64_t>(p.body_n);
   if (p.tail_n > 0) p.tail_mean_us = tail_sum / static_cast<std::int64_t>(p.tail_n);
 
-  // Group by segment, ordered by total blame descending (ties: name), with
-  // the all-regions row leading each group and regions ascending after it.
-  std::vector<std::pair<std::string, std::int64_t>> groups;
-  for (const auto& [key, a] : cells) {
-    if (key.second == kAllRegions) groups.emplace_back(key.first, a.total);
-  }
-  std::sort(groups.begin(), groups.end(), [](const auto& x, const auto& y) {
-    if (x.second != y.second) return x.second > y.second;
-    return x.first < y.first;
-  });
   const auto n = static_cast<std::int64_t>(p.requests);
-  for (const auto& [name, total] : groups) {
-    (void)total;
-    for (const auto& [key, a] : cells) {
-      if (key.first != name) continue;
-      BlameProfile::Row row;
-      row.seg = name;
-      row.region = key.second;
-      row.requests = a.requests;
-      row.total_us = a.total;
-      row.mean_us = n > 0 ? a.total / n : 0;
-      row.body_mean_us =
-          p.body_n > 0 ? a.body / static_cast<std::int64_t>(p.body_n) : 0;
-      row.tail_mean_us =
-          p.tail_n > 0 ? a.tail / static_cast<std::int64_t>(p.tail_n) : 0;
-      p.rows.push_back(std::move(row));
-    }
+  for (const auto& [name, a] : cells) {
+    BlameProfile::Row row;
+    row.seg = name;
+    row.requests = a.requests;
+    row.total_us = a.total;
+    row.mean_us = n > 0 ? a.total / n : 0;
+    row.body_mean_us = p.body_n > 0 ? a.body / static_cast<std::int64_t>(p.body_n) : 0;
+    row.tail_mean_us = p.tail_n > 0 ? a.tail / static_cast<std::int64_t>(p.tail_n) : 0;
+    p.rows.push_back(std::move(row));
   }
+  // Total blame descending, ties by name (the map already sorted by name).
+  std::stable_sort(p.rows.begin(), p.rows.end(),
+                   [](const BlameProfile::Row& x, const BlameProfile::Row& y) {
+                     return x.total_us > y.total_us;
+                   });
   return p;
 }
 
@@ -308,8 +270,8 @@ void BlameProfile::to_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     const std::int64_t share = sum_us > 0 ? r.total_us * 10000 / sum_us : 0;
-    os << "{\"seg\":\"" << r.seg << "\",\"region\":\"" << region_label(r.region)
-       << "\",\"requests\":" << r.requests << ",\"total_us\":" << r.total_us
+    os << "{\"seg\":\"" << r.seg << "\",\"region\":\"all\",\"requests\":"
+       << r.requests << ",\"total_us\":" << r.total_us
        << ",\"share_x100\":" << share << ",\"mean_us\":" << r.mean_us
        << ",\"body_mean_us\":" << r.body_mean_us
        << ",\"tail_mean_us\":" << r.tail_mean_us << "}";
@@ -332,12 +294,11 @@ std::string BlameProfile::to_string() const {
      << "us | body n=" << body_n << " mean=" << body_mean_us
      << "us | tail n=" << tail_n << " mean=" << tail_mean_us << "us\n";
   if (rows.empty()) return std::move(os).str();
-  os << "segment                       region    req      total_us  share%  "
+  os << "segment                          req      total_us  share%  "
         "  mean_us  body_mean  tail_mean\n";
   for (const Row& r : rows) {
     const std::int64_t share = sum_us > 0 ? r.total_us * 10000 / sum_us : 0;
     lcol(os, r.seg, 30);
-    lcol(os, region_label(r.region), 7);
     col(os, std::to_string(r.requests), 6);
     col(os, std::to_string(r.total_us), 14);
     col(os, pct_x100(share), 8);
@@ -382,15 +343,13 @@ BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
   d.floor_us = floor_us;
   d.a_requests = a.requests;
   d.b_requests = b.requests;
-  // a_mean, a_tail, b_mean, b_tail per segment (all-regions rows only).
+  // a_mean, a_tail, b_mean, b_tail per segment.
   std::map<std::string, std::array<std::int64_t, 4>> cells;
   for (const BlameProfile::Row& r : a.rows) {
-    if (r.region != kAllRegions) continue;
     cells[r.seg][0] = r.mean_us;
     cells[r.seg][1] = r.tail_mean_us;
   }
   for (const BlameProfile::Row& r : b.rows) {
-    if (r.region != kAllRegions) continue;
     cells[r.seg][2] = r.mean_us;
     cells[r.seg][3] = r.tail_mean_us;
   }

@@ -1,19 +1,17 @@
 // Per-request critical-path attribution over the span forest (DESIGN.md §14).
 //
 // The flight recorder measures; this module explains. Given the spans of a
-// run (plus the shard.barrier timestamps and the per-link budget notes the
-// network stamps), compute_critical_paths() reconstructs, for every request
-// root, *where each microsecond of its TTLB went*: which (stage, segment
-// kind, region) was the most specific work in flight at every instant of
-// the request's lifetime. The resulting blame vector sums exactly to the
-// request's measured duration — 100% attribution, no unexplained gap, by
-// construction (the root span always covers the interval being divided).
+// run (plus the per-link budget notes the network stamps),
+// compute_critical_paths() reconstructs, for every request root, *where
+// each microsecond of its TTLB went*: which (stage, segment kind) was the
+// most specific work in flight at every instant of the request's lifetime.
+// The resulting blame vector sums exactly to the request's measured
+// duration — 100% attribution, no unexplained gap, by construction (the
+// root span always covers the interval being divided).
 //
 // Segment kinds:
 //   exec          a span's own time before its first child started
 //   wait          a span's time after a child started (sim-queue / in-flight)
-//   mailbox_wait  a wait piece that begins exactly at a shard.barrier close —
-//                 the request resumed via a cross-shard mailbox window
 //   link_queue    net.link time beyond the idle budget: DRR queue contention
 //   link_transit  net.link idle budget: serialize at spec bandwidth + latency
 //   chaos_dwell   net.link time added by faults: throttled serialization and
@@ -24,7 +22,7 @@
 //
 // All arithmetic is integer µs and all output formatting is integer-only
 // (percent values are emitted as x100 fixed point), so reports are
-// byte-identical across hosts and across shard counts for the same trace.
+// byte-identical across hosts for the same trace.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +39,6 @@ namespace bento::obs {
 enum class SegKind : std::uint8_t {
   Exec,
   Wait,
-  MailboxWait,
   LinkQueue,
   LinkTransit,
   ChaosDwell,
@@ -67,19 +64,10 @@ struct CritSpan {
   std::int64_t chaos_us = 0;   // kNoteChaosDwell: fault-added dwell
 };
 
-/// The analyzer's whole input: the span set plus the sim-µs timestamps of
-/// shard.barrier events (window closes), used to tell mailbox waits apart
-/// from ordinary in-flight waits.
-struct CritInput {
-  std::vector<CritSpan> spans;
-  std::vector<std::int64_t> barriers_us;
-};
-
-/// One (stage, kind, region) cell of a request's blame vector.
+/// One (stage, kind) cell of a request's blame vector.
 struct BlameSeg {
   Stage stage = Stage::None;
   SegKind kind = SegKind::Exec;
-  std::uint32_t region = 0;  // span id >> 24
   std::int64_t us = 0;
 };
 
@@ -90,7 +78,7 @@ struct RequestBlame {
   std::int64_t begin_us = 0;
   std::int64_t total_us = 0;  // root duration == measured TTLB
   bool ok = true;
-  std::vector<BlameSeg> segs;  // sorted by (stage, kind, region)
+  std::vector<BlameSeg> segs;  // sorted by (stage, kind)
 };
 
 struct CritReport {
@@ -103,13 +91,12 @@ struct CritReport {
 /// the root's interval, and at every instant the deepest active span (ties:
 /// latest begin, then highest id — the most recently dispatched work) takes
 /// the blame.
-CritReport compute_critical_paths(const CritInput& input);
+CritReport compute_critical_paths(const std::vector<CritSpan>& spans);
 
 /// Aggregated blame across requests, with p50-body vs p99-tail cohorts.
 struct BlameProfile {
   struct Row {
-    std::string seg;          // segment_name()
-    std::int32_t region = -1; // -1: all regions, else region id
+    std::string seg;               // segment_name()
     std::uint64_t requests = 0;    // requests with >0 µs in this cell
     std::int64_t total_us = 0;
     std::int64_t mean_us = 0;      // total_us / all complete requests
@@ -127,15 +114,15 @@ struct BlameProfile {
   std::uint64_t tail_n = 0;  // requests with total >= p99
   std::int64_t body_mean_us = 0;
   std::int64_t tail_mean_us = 0;
-  // Grouped by segment: each segment's all-regions row first (region == -1),
-  // then its per-region rows; groups ordered by total blame descending
-  // (ties: name) so the top row is the headline.
+  // Ordered by total blame descending (ties: name), so the top row is the
+  // headline.
   std::vector<Row> rows;
 
   /// Name of the segment with the most total blame ("" when empty).
   std::string top_segment() const;
 
-  /// Byte-stable single-line JSON: {"critpath":{...}}.
+  /// Byte-stable single-line JSON: {"critpath":{...}}. Every segment row
+  /// carries "region":"all", a field consumers filter on.
   void to_json(std::ostream& os) const;
   std::string to_json() const;
 

@@ -11,30 +11,10 @@ Registry& registry() {
   return instance;
 }
 
-void detail::HistogramData::merge_into(HistogramCell& out) const {
-  const std::size_t nb = bounds.size() + 1;
-  out.name = name;
-  out.bounds = bounds;
-  out.buckets.assign(nb, 0);
-  for (unsigned w = 0; w < kMaxMetricWorkers; ++w) {
-    for (std::size_t i = 0; i < nb; ++i) out.buckets[i] += buckets[w * nb + i];
-  }
-  out.count = 0;
-  out.sum = 0;
-  out.min = std::numeric_limits<std::int64_t>::max();
-  out.max = std::numeric_limits<std::int64_t>::min();
-  for (const detail::HistogramSlot& s : slots) {
-    out.count += s.count;
-    out.sum += s.sum;
-    if (s.min < out.min) out.min = s.min;
-    if (s.max > out.max) out.max = s.max;
-  }
-}
-
 Counter Registry::counter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    auto cell = std::make_unique<detail::CounterData>();
+    auto cell = std::make_unique<CounterCell>();
     cell->name = std::string(name);
     it = counters_.emplace(std::string(name), std::move(cell)).first;
   }
@@ -44,7 +24,7 @@ Counter Registry::counter(std::string_view name) {
 Gauge Registry::gauge(std::string_view name) {
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
-    auto cell = std::make_unique<detail::GaugeData>();
+    auto cell = std::make_unique<GaugeCell>();
     cell->name = std::string(name);
     it = gauges_.emplace(std::string(name), std::move(cell)).first;
   }
@@ -63,54 +43,38 @@ Histogram Registry::histogram(std::string_view name,
       throw std::invalid_argument(
           "Registry::histogram: bounds must be strictly ascending");
     }
-    auto cell = std::make_unique<detail::HistogramData>();
+    auto cell = std::make_unique<HistogramCell>();
     cell->name = std::string(name);
     cell->bounds.assign(bounds.begin(), bounds.end());
-    cell->buckets.assign((bounds.size() + 1) * kMaxMetricWorkers, 0);
+    cell->buckets.assign(bounds.size() + 1, 0);
     it = histograms_.emplace(std::string(name), std::move(cell)).first;
   }
   return Histogram(it->second.get());
 }
 
 void Registry::reset() {
-  for (auto& [name, cell] : counters_) {
-    for (auto& s : cell->slots) s.value = 0;
-  }
+  for (auto& [name, cell] : counters_) cell->value = 0;
   for (auto& [name, cell] : gauges_) {
-    for (auto& s : cell->slots) {
-      s.value = 0;
-      s.high_water = std::numeric_limits<std::int64_t>::min();
-      s.touched = false;
-    }
+    cell->value = 0;
+    cell->high_water = std::numeric_limits<std::int64_t>::min();
   }
   for (auto& [name, cell] : histograms_) {
     std::fill(cell->buckets.begin(), cell->buckets.end(), 0);
-    for (auto& s : cell->slots) {
-      s.count = 0;
-      s.sum = 0;
-      s.min = std::numeric_limits<std::int64_t>::max();
-      s.max = std::numeric_limits<std::int64_t>::min();
-    }
+    cell->count = 0;
+    cell->sum = 0;
+    cell->min = std::numeric_limits<std::int64_t>::max();
+    cell->max = std::numeric_limits<std::int64_t>::min();
   }
 }
 
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   snap.counters.reserve(counters_.size());
-  for (const auto& [name, cell] : counters_) {
-    snap.counters.push_back(CounterCell{cell->name, cell->merged()});
-  }
+  for (const auto& [name, cell] : counters_) snap.counters.push_back(*cell);
   snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges.push_back(GaugeCell{cell->name, cell->merged_value(),
-                                    cell->merged_high_water()});
-  }
+  for (const auto& [name, cell] : gauges_) snap.gauges.push_back(*cell);
   snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, cell] : histograms_) {
-    HistogramCell merged;
-    cell->merge_into(merged);
-    snap.histograms.push_back(std::move(merged));
-  }
+  for (const auto& [name, cell] : histograms_) snap.histograms.push_back(*cell);
   return snap;
 }
 

@@ -9,16 +9,6 @@
 // BENCH_datapath.json honest (bench/datapath.cpp counts heap allocations
 // through the instrumented 3-hop cell loop).
 //
-// Sharded execution (DESIGN.md §12): every metric keeps one cache-line-
-// padded slot per worker thread; the hot path indexes its slot through a
-// thread_local worker id, so concurrent workers never touch the same line.
-// Reads (value(), snapshot()) merge the slots: counters and histograms sum
-// — which makes them invariant across shard counts, since the multiset of
-// recorded values is a property of the logical event sequence — and gauges
-// take the max over touched slots (last-writer semantics do not exist under
-// parallel windows; the high-water mark stays exact). Serial simulations
-// only ever touch slot 0, so their reads are bit-for-bit what they were.
-//
 // Cells live for the life of the process (the registry only ever grows and
 // reset() zeroes values in place), so handles never dangle — call sites can
 // cache them in function-local statics.
@@ -38,33 +28,16 @@
 
 namespace bento::obs {
 
-/// Worker threads the slot arrays are sized for (== the sharded simulator's
-/// maximum worker-pool size, Simulator::kMaxShards).
-inline constexpr unsigned kMaxMetricWorkers = 8;
-
 namespace detail {
 /// Constant-initialized: metrics are collected by default; flip off to make
 /// every handle a no-op (bench proves the two modes are within noise on the
 /// cell datapath, so "on" is the safe default for scenarios).
 inline bool g_metrics_enabled = true;
-
-/// Which per-metric slot this thread writes. Worker 0 is the coordinating
-/// (main) thread; the simulator assigns 1..N-1 to pool workers at spawn.
-// bentolint: allow(BL105 thread_local worker id for the sharded simulator, DESIGN.md §12)
-inline thread_local unsigned g_metric_worker = 0;
 }  // namespace detail
 
 inline bool metrics_enabled() { return detail::g_metrics_enabled; }
 inline void set_metrics_enabled(bool on) { detail::g_metrics_enabled = on; }
 
-/// Binds this thread to a per-metric slot (simulator-internal).
-inline void set_metric_worker(unsigned w) {
-  detail::g_metric_worker = w < kMaxMetricWorkers ? w : kMaxMetricWorkers - 1;
-}
-inline unsigned metric_worker() { return detail::g_metric_worker; }
-
-// Merged, read-only cell views as they appear in a Snapshot. These keep the
-// pre-sharding single-value layout; live storage is the slotted *Data below.
 struct CounterCell {
   std::string name;
   std::uint64_t value = 0;
@@ -91,72 +64,6 @@ struct HistogramCell {
   std::int64_t max = std::numeric_limits<std::int64_t>::min();
 };
 
-namespace detail {
-
-struct alignas(64) CounterSlot {
-  std::uint64_t value = 0;
-};
-
-struct CounterData {
-  std::string name;
-  CounterSlot slots[kMaxMetricWorkers];
-  std::uint64_t merged() const {
-    std::uint64_t total = 0;
-    for (const CounterSlot& s : slots) total += s.value;
-    return total;
-  }
-};
-
-struct alignas(64) GaugeSlot {
-  std::int64_t value = 0;
-  std::int64_t high_water = std::numeric_limits<std::int64_t>::min();
-  bool touched = false;
-};
-
-struct GaugeData {
-  std::string name;
-  GaugeSlot slots[kMaxMetricWorkers];
-  std::int64_t merged_value() const {
-    std::int64_t best = 0;
-    bool any = false;
-    for (const GaugeSlot& s : slots) {
-      if (!s.touched) continue;
-      if (!any || s.value > best) best = s.value;
-      any = true;
-    }
-    return best;
-  }
-  std::int64_t merged_high_water() const {
-    std::int64_t hw = std::numeric_limits<std::int64_t>::min();
-    for (const GaugeSlot& s : slots) {
-      if (s.high_water > hw) hw = s.high_water;
-    }
-    return hw;
-  }
-};
-
-struct alignas(64) HistogramSlot {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = std::numeric_limits<std::int64_t>::max();
-  std::int64_t max = std::numeric_limits<std::int64_t>::min();
-};
-
-struct HistogramData {
-  std::string name;
-  std::vector<std::int64_t> bounds;
-  // Slot-major: worker w's buckets are [w * (bounds.size() + 1), ...) — one
-  // contiguous private stripe per worker, no shared cache lines inside.
-  std::vector<std::uint64_t> buckets;
-  HistogramSlot slots[kMaxMetricWorkers];
-  // Scratch for cell(): merged view rebuilt on demand, address stable for
-  // the life of the process (interned handles compare cell() pointers).
-  mutable HistogramCell merged;
-  void merge_into(HistogramCell& out) const;
-};
-
-}  // namespace detail
-
 /// Monotone event count. Copyable value handle; default-constructed handles
 /// are inert.
 class Counter {
@@ -164,14 +71,14 @@ class Counter {
   Counter() = default;
   BENTO_HOT void inc(std::uint64_t n = 1) {
     if (!detail::g_metrics_enabled || cell_ == nullptr) return;
-    cell_->slots[detail::g_metric_worker].value += n;
+    cell_->value += n;
   }
-  std::uint64_t value() const { return cell_ != nullptr ? cell_->merged() : 0; }
+  std::uint64_t value() const { return cell_ != nullptr ? cell_->value : 0; }
 
  private:
   friend class Registry;
-  explicit Counter(detail::CounterData* cell) : cell_(cell) {}
-  detail::CounterData* cell_ = nullptr;
+  explicit Counter(CounterCell* cell) : cell_(cell) {}
+  CounterCell* cell_ = nullptr;
 };
 
 /// Point-in-time level with a high-water mark (queue depths, live objects).
@@ -180,29 +87,23 @@ class Gauge {
   Gauge() = default;
   BENTO_HOT void set(std::int64_t v) {
     if (!detail::g_metrics_enabled || cell_ == nullptr) return;
-    set_unchecked(cell_->slots[detail::g_metric_worker], v);
+    cell_->value = v;
+    if (v > cell_->high_water) cell_->high_water = v;
   }
   BENTO_HOT void add(std::int64_t delta) {
-    if (!detail::g_metrics_enabled || cell_ == nullptr) return;
-    detail::GaugeSlot& s = cell_->slots[detail::g_metric_worker];
-    set_unchecked(s, s.value + delta);
+    if (cell_ != nullptr) set(cell_->value + delta);
   }
-  std::int64_t value() const { return cell_ != nullptr ? cell_->merged_value() : 0; }
+  std::int64_t value() const { return cell_ != nullptr ? cell_->value : 0; }
   std::int64_t high_water() const {
     if (cell_ == nullptr) return 0;
-    const std::int64_t hw = cell_->merged_high_water();
+    const std::int64_t hw = cell_->high_water;
     return hw != std::numeric_limits<std::int64_t>::min() ? hw : 0;
   }
 
  private:
   friend class Registry;
-  explicit Gauge(detail::GaugeData* cell) : cell_(cell) {}
-  static void set_unchecked(detail::GaugeSlot& s, std::int64_t v) {
-    s.value = v;
-    s.touched = true;
-    if (v > s.high_water) s.high_water = v;
-  }
-  detail::GaugeData* cell_ = nullptr;
+  explicit Gauge(GaugeCell* cell) : cell_(cell) {}
+  GaugeCell* cell_ = nullptr;
 };
 
 /// Fixed-bucket histogram; bounds are frozen at registration. record() is a
@@ -216,32 +117,20 @@ class Histogram {
     std::size_t i = 0;
     const std::size_t n = cell_->bounds.size();
     while (i < n && v >= cell_->bounds[i]) ++i;
-    const unsigned w = detail::g_metric_worker;
-    cell_->buckets[w * (n + 1) + i] += 1;
-    detail::HistogramSlot& s = cell_->slots[w];
-    s.count += 1;
-    s.sum += v;
-    if (v < s.min) s.min = v;
-    if (v > s.max) s.max = v;
+    cell_->buckets[i] += 1;
+    cell_->count += 1;
+    cell_->sum += v;
+    if (v < cell_->min) cell_->min = v;
+    if (v > cell_->max) cell_->max = v;
   }
-  std::uint64_t count() const {
-    if (cell_ == nullptr) return 0;
-    std::uint64_t total = 0;
-    for (const detail::HistogramSlot& s : cell_->slots) total += s.count;
-    return total;
-  }
-  /// Merged view, rebuilt on each call; the pointer is stable per interned
-  /// name. Re-call after further record()s — the view is a snapshot.
-  const HistogramCell* cell() const {
-    if (cell_ == nullptr) return nullptr;
-    cell_->merge_into(cell_->merged);
-    return &cell_->merged;
-  }
+  std::uint64_t count() const { return cell_ != nullptr ? cell_->count : 0; }
+  /// The live cell; the pointer is stable per interned name.
+  const HistogramCell* cell() const { return cell_; }
 
  private:
   friend class Registry;
-  explicit Histogram(detail::HistogramData* cell) : cell_(cell) {}
-  detail::HistogramData* cell_ = nullptr;
+  explicit Histogram(HistogramCell* cell) : cell_(cell) {}
+  HistogramCell* cell_ = nullptr;
 };
 
 /// Default latency bucket upper bounds, microseconds of sim time: 50 µs up
@@ -289,13 +178,12 @@ class Registry {
 
  private:
   // std::less<> enables string_view lookups without temporary strings.
-  std::map<std::string, std::unique_ptr<detail::CounterData>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<detail::GaugeData>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<detail::HistogramData>, std::less<>> histograms_;
+  std::map<std::string, std::unique_ptr<CounterCell>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<GaugeCell>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<HistogramCell>, std::less<>> histograms_;
 };
 
-/// Process-global registry (one world at a time; registration and reads are
-/// serial-context operations — only the slotted hot paths run on workers).
+/// Process-global registry (one world at a time).
 Registry& registry();
 
 }  // namespace bento::obs

@@ -3,12 +3,11 @@
 // An SLO is a predicate over an *actual* computed from run data: a
 // percentile / count / mean / max over a sample series (e.g. "ttfb_us", the
 // stream.ttfb latencies pulled from the trace ring), or a named scalar the
-// scenario supplies (e.g. "cells_per_sim_sec", "region_imbalance"). All
+// scenario supplies (e.g. "cells_per_sim_sec", "completed_sessions"). All
 // inputs are sim-domain quantities, so a report — including the
 // BENCH_scenarios.json rendering — is byte-identical across repeated runs
-// at fixed (seed, topology, shard count). Wall-clock numbers are
-// deliberately not admissible inputs; they live in the profiler's opt-in
-// wall section instead.
+// at fixed (seed, topology). Wall-clock numbers are deliberately not
+// admissible inputs.
 //
 // Spec strings (parse_slo_spec):
 //   ttfb_us:p99<=250000        p99 of series "ttfb_us" must be <= 250000
@@ -16,7 +15,7 @@
 //   ttfb_us:count>=100000      sample count floor
 //   ttlb_us:mean<=120000       mean ceiling
 //   cells_per_sim_sec>=50000   scalar floor (no aggregator)
-//   region_imbalance<=1.5      scalar ceiling
+//   completed_sessions>=1000   scalar floor on a count
 // Percentiles use the nearest-rank definition on the sorted series.
 #pragma once
 

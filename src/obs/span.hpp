@@ -13,15 +13,6 @@
 // record() hot path, same wraparound semantics. Tree structure lives in the
 // operands (SpanBegin.b packs the parent id and stage) and is reconstructed
 // offline by tools/bentotrace.
-//
-// The "current" context is thread_local: each sharded-simulator worker
-// carries its own, set from the dispatched event's captured context, so
-// causality propagation is race-free under parallel windows (DESIGN.md §12).
-// Span ids are allocated from per-region counters — id = region << 24 | n,
-// with region 0 keeping the bare counter — so the ids a partitioned
-// topology hands out are a function of the region split alone and replay
-// identically at any shard count (and unpartitioned runs allocate exactly
-// the ids they always did).
 #pragma once
 
 #include <cstdint>
@@ -78,22 +69,11 @@ struct SpanContext {
   constexpr bool active() const { return span_id != 0; }
 };
 
-/// Regions the span-id space is partitioned across (8-bit region tag +
-/// 24-bit counter). The simulator enforces the same cap on add_region().
-inline constexpr std::uint32_t kMaxSpanRegions = 256;
-
 namespace detail {
-// bentolint: allow(BL105 thread_local span context for the sharded simulator, DESIGN.md §12)
-inline thread_local SpanContext g_current_span{};
-// Per-region id counters, indexed by trace_region(). Padded to a cache line
-// each: concurrent workers only ever touch their own region's slot.
-struct alignas(64) SpanIdSlot {
-  std::uint32_t next = 1;
-};
-inline SpanIdSlot g_span_ids[kMaxSpanRegions]{};
-// Matches Recorder::generation(); a mismatch resets the id counters so
-// seeded reruns that re-enable() the ring allocate identical span ids. Only
-// checked/written from serial context (the simulator syncs it at run start).
+inline SpanContext g_current_span{};
+inline std::uint32_t g_next_span_id = 1;
+// Matches Recorder::generation(); a mismatch resets the id counter so seeded
+// reruns that re-enable() the ring allocate identical span ids.
 inline std::uint64_t g_span_generation = 0;
 }  // namespace detail
 
@@ -105,7 +85,7 @@ inline void set_current_span(SpanContext ctx) { detail::g_current_span = ctx; }
 /// the recorder implies this (via the generation check in span_alloc_id).
 inline void reset_spans() {
   detail::g_current_span = SpanContext{};
-  for (auto& slot : detail::g_span_ids) slot.next = 1;
+  detail::g_next_span_id = 1;
 }
 
 /// True when spans would actually land in the ring; begin/end collapse to a
@@ -115,23 +95,14 @@ inline bool span_tracing_enabled() {
   return r.enabled() && (r.mask() & Recorder::mask_of(Ev::SpanBegin)) != 0;
 }
 
-/// Re-syncs the generation counter with the recorder (resetting span ids if
-/// the ring was re-enabled since the last sync). Called by the simulator at
-/// run start so the lazy check in span_alloc_id never fires on a worker
-/// thread mid-window.
-inline void sync_span_generation() {
-  const std::uint64_t gen = recorder().generation();
-  if (detail::g_span_generation != gen) {
-    detail::g_span_generation = gen;
-    reset_spans();
-  }
-}
-
 namespace detail {
 inline std::uint32_t span_alloc_id() {
-  sync_span_generation();
-  const std::uint32_t region = trace_region() < kMaxSpanRegions ? trace_region() : 0;
-  return (region << 24) | g_span_ids[region].next++;
+  const std::uint64_t gen = recorder().generation();
+  if (g_span_generation != gen) {
+    g_span_generation = gen;
+    reset_spans();
+  }
+  return g_next_span_id++;
 }
 }  // namespace detail
 

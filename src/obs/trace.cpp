@@ -37,8 +37,6 @@ const char* ev_name(Ev kind) {
     case Ev::CircRebuild: return "circuit.rebuild";
     case Ev::LbFailover: return "lb.failover";
     case Ev::ShardRepair: return "shard.repair";
-    case Ev::ShardWindow: return "shard.window";
-    case Ev::ShardBarrier: return "shard.barrier";
     case Ev::kCount: break;
   }
   return "unknown";
@@ -60,8 +58,6 @@ namespace {
 int lane_of(Ev kind) {
   switch (kind) {
     case Ev::SimDispatch:
-    case Ev::ShardWindow:
-    case Ev::ShardBarrier:
     case Ev::ChaosFault: return 0;  // sim
     case Ev::CircExtend:
     case Ev::CircRebuild:
@@ -87,74 +83,10 @@ void Recorder::enable(std::size_t capacity) {
   recorded_ = 0;
   overwritten_ = 0;
   ++generation_;
-  buffered_ = false;
-  for (auto& buf : pending_) buf.clear();
   enabled_ = true;
 }
 
 void Recorder::disable() { enabled_ = false; }
-
-void Recorder::begin_window(std::size_t regions) {
-  if (pending_.size() < regions) pending_.resize(regions);
-  buffered_ = true;
-}
-
-void Recorder::record_buffered(Ev kind, std::uint32_t a, std::uint64_t b, bool ok) {
-  const std::uint32_t region = detail::g_trace_region;
-  if (region >= pending_.size()) return;  // misconfigured caller; drop
-  detail::TraceOrder& ord = detail::g_trace_order;
-  Pending p;
-  p.e.ts_us = util::sim_now_micros();
-  p.e.b = b;
-  p.e.a = a;
-  p.e.kind = kind;
-  p.e.flags = ok ? 1 : 0;
-  p.owhen_us = ord.when_us;
-  p.oseq = ord.seq;
-  p.oorigin = ord.origin;
-  p.osub = ord.sub++;
-  // bentolint: allow(BL102 side-buffer growth is amortized; capacity is reused across windows)
-  pending_[region].push_back(p);
-}
-
-void Recorder::end_window() {
-  buffered_ = false;
-  bool any = false;
-  for (const auto& buf : pending_) {
-    if (!buf.empty()) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return;
-  // Each per-region buffer is already sorted by the dispatch key — a region
-  // executes its events in (when, origin, seq) order and `osub` increments
-  // within one handler — so a k-way merge by that key reconstructs exactly
-  // the insertion order a serial run would have produced.
-  const auto before = [](const Pending& x, const Pending& y) {
-    if (x.owhen_us != y.owhen_us) return x.owhen_us < y.owhen_us;
-    if (x.oorigin != y.oorigin) return x.oorigin < y.oorigin;
-    if (x.oseq != y.oseq) return x.oseq < y.oseq;
-    return x.osub < y.osub;
-  };
-  std::vector<std::size_t> cursor(pending_.size(), 0);
-  for (;;) {
-    const Pending* best = nullptr;
-    std::size_t best_region = 0;
-    for (std::size_t r = 0; r < pending_.size(); ++r) {
-      if (cursor[r] >= pending_[r].size()) continue;
-      const Pending& cand = pending_[r][cursor[r]];
-      if (best == nullptr || before(cand, *best)) {
-        best = &cand;
-        best_region = r;
-      }
-    }
-    if (best == nullptr) break;
-    commit(best->e);
-    ++cursor[best_region];
-  }
-  for (auto& buf : pending_) buf.clear();  // keeps capacity for the next window
-}
 
 template <typename Fn>
 void Recorder::for_each(Fn&& fn) const {

@@ -13,17 +13,6 @@
 // export time: to Chrome `trace_event` JSON (load in chrome://tracing or
 // Perfetto) or to a JSONL stream (one event per line, byte-stable across
 // identical seeded runs — the determinism regression diffs these).
-//
-// Sharded execution (DESIGN.md §12): while the simulator runs a parallel
-// lookahead window, record() from worker threads appends to a per-region
-// side buffer instead of the shared ring; each entry carries the executing
-// sim event's total-order key (when, origin region, seq) plus an intra-event
-// counter. At the window barrier the simulator calls end_window(), which
-// k-way-merges the region buffers by that key and commits them to the ring —
-// reproducing the exact insertion order a serial run of the same topology
-// would have produced, so exports stay byte-identical across shard counts.
-// Single-region simulations never enter buffered mode and keep the original
-// direct store path bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +57,6 @@ enum class Ev : std::uint8_t {
   CircRebuild,       // a: new circ id (0 while pending) b: excluded relays
   LbFailover,        // a: replica idx  b: missed health checks; flags: ok
   ShardRepair,       // a: shard index  b: re-seed target ref; flags: ok
-  ShardWindow,       // a: region id    b: events the region ran in the closed window
-  ShardBarrier,      // a: active regions b: window span (horizon - T_min), sim µs
   kCount,
 };
 
@@ -87,37 +74,6 @@ struct TraceEvent {
   Ev kind;
   std::uint8_t flags;  // bit 0: ok
 };
-
-namespace detail {
-/// Total-order key of the sim event currently dispatching on this thread,
-/// set by the simulator before each handler runs. Only consulted while the
-/// recorder is in buffered (parallel-window) mode; `sub` counts the records
-/// emitted within one handler so their relative order survives the merge.
-struct TraceOrder {
-  std::int64_t when_us = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t origin = 0;
-  std::uint32_t sub = 0;
-};
-// bentolint: allow(BL105 thread_local dispatch context for the sharded simulator, DESIGN.md §12)
-inline thread_local TraceOrder g_trace_order{};
-// bentolint: allow(BL105 thread_local region id routes buffered records, DESIGN.md §12)
-inline thread_local std::uint32_t g_trace_region = 0;
-}  // namespace detail
-
-/// Region whose side buffer this thread's records land in while the
-/// recorder is buffered (simulator-internal; harmless otherwise).
-inline void set_trace_region(std::uint32_t region) { detail::g_trace_region = region; }
-inline std::uint32_t trace_region() { return detail::g_trace_region; }
-
-/// Stamps the dispatching sim event's (when, origin, seq) key and resets the
-/// intra-event counter (simulator-internal).
-inline void set_trace_order(std::int64_t when_us, std::uint32_t origin, std::uint64_t seq) {
-  detail::g_trace_order.when_us = when_us;
-  detail::g_trace_order.seq = seq;
-  detail::g_trace_order.origin = origin;
-  detail::g_trace_order.sub = 0;
-}
 
 class Recorder {
  public:
@@ -158,10 +114,6 @@ class Recorder {
   BENTO_HOT void record(Ev kind, std::uint32_t a = 0, std::uint64_t b = 0, bool ok = true) {
     if (!enabled_) return;
     if ((mask_ & mask_of(kind)) == 0) return;
-    if (buffered_) {  // parallel window: defer to the per-region side buffer
-      record_buffered(kind, a, b, ok);
-      return;
-    }
     TraceEvent& e = ring_[head_];
     e.ts_us = util::sim_now_micros();
     e.b = b;
@@ -176,13 +128,6 @@ class Recorder {
     }
     ++recorded_;
   }
-
-  /// Parallel-window buffering (simulator-internal). Between begin_window()
-  /// and end_window(), record() appends to per-region buffers keyed by the
-  /// dispatching sim event's total-order key; end_window() merges them by
-  /// that key and commits to the ring, reproducing serial insertion order.
-  void begin_window(std::size_t regions);
-  void end_window();
 
   /// Events currently held (≤ capacity).
   std::size_t size() const { return size_; }
@@ -209,27 +154,6 @@ class Recorder {
   template <typename Fn>
   void for_each(Fn&& fn) const;  // oldest -> newest
 
-  /// Buffered entry: the public event plus the hidden merge key.
-  struct Pending {
-    TraceEvent e;
-    std::int64_t owhen_us;
-    std::uint64_t oseq;
-    std::uint32_t oorigin;
-    std::uint32_t osub;
-  };
-
-  void record_buffered(Ev kind, std::uint32_t a, std::uint64_t b, bool ok);
-  BENTO_HOT void commit(const TraceEvent& ev) {
-    ring_[head_] = ev;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-    if (size_ < ring_.size()) {
-      ++size_;
-    } else {
-      ++overwritten_;
-    }
-    ++recorded_;
-  }
-
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
@@ -238,11 +162,6 @@ class Recorder {
   std::uint64_t generation_ = 0;
   std::uint64_t mask_ = mask_all();
   bool enabled_ = false;
-  bool buffered_ = false;
-  // One side buffer per region; index [region]. Each is written only by the
-  // worker thread that owns the region during a window, and drained by the
-  // coordinating thread at the barrier — never concurrently.
-  std::vector<std::vector<Pending>> pending_;
 };
 
 namespace detail {

@@ -35,14 +35,10 @@ NodeId Network::add_node(const NodeSpec& spec, MessageHandler* handler) {
   st.down.bytes_per_sec = spec.down_bytes_per_sec;
   st.up.high_water = &st.stats.up_queue_high_water;
   st.down.high_water = &st.stats.down_queue_high_water;
-  // Uplink sink: propagate, then enqueue on the receiver's downlink. The
-  // propagation event is posted into the receiver's region — for same-region
-  // (and unpartitioned) topologies this is exactly the plain timer it always
-  // was; across regions it rides the simulator's deterministic mailbox.
+  // Uplink sink: propagate, then enqueue on the receiver's downlink.
   st.up.sink = [this](Packet&& pkt) {
     const Duration prop = latency(pkt.from, pkt.to) + pkt.chaos_delay;
-    const std::uint32_t dst_region = nodes_[pkt.to]->region;
-    sim_.post(dst_region, sim_.now() + prop, [this, pkt = std::move(pkt)]() mutable {
+    sim_.after(prop, [this, pkt = std::move(pkt)]() mutable {
       NodeState& dst = *nodes_[pkt.to];
       const NodeId peer = pkt.from;
       enqueue(dst.down, peer, std::move(pkt));
@@ -68,7 +64,6 @@ NodeId Network::add_node(const NodeSpec& spec, MessageHandler* handler) {
     }
   };
   nodes_.push_back(std::move(stp));
-  if (sim_.regions() > 1) recompute_lookahead();  // new region-0 node may add cross pairs
   return id;
 }
 
@@ -81,52 +76,6 @@ void Network::set_latency(NodeId a, NodeId b, Duration latency) {
   check_node(a);
   check_node(b);
   latency_[ordered(a, b)] = latency;
-  if (nodes_[a]->region != nodes_[b]->region) recompute_lookahead();
-}
-
-void Network::set_region(NodeId node, std::uint32_t region) {
-  check_node(node);
-  if (region >= sim_.regions()) {
-    throw std::out_of_range("Network::set_region: region does not exist");
-  }
-  nodes_[node]->region = region;
-  recompute_lookahead();
-}
-
-std::uint32_t Network::region(NodeId node) const {
-  check_node(node);
-  return nodes_[node]->region;
-}
-
-void Network::recompute_lookahead() {
-  // Nodes per region, to count cross-region pairs without enumerating them.
-  region_count_.assign(sim_.regions(), 0);
-  for (const auto& st : nodes_) region_count_[st->region] += 1;
-  const std::size_t n = nodes_.size();
-  std::size_t intra_pairs = 0;
-  for (const std::size_t c : region_count_) intra_pairs += c * (c - 1) / 2;
-  const std::size_t cross_pairs = n * (n - 1) / 2 - intra_pairs;
-  if (cross_pairs == 0) {
-    // Single effective region: lookahead is unused; leave a zero bound so a
-    // multi-region simulator without cross traffic falls back to serial.
-    sim_.set_lookahead(Duration{});
-    return;
-  }
-  bool have = false;
-  Duration best{};
-  std::size_t cross_explicit = 0;
-  for (const auto& [pair, lat] : latency_) {
-    if (nodes_[pair.first]->region == nodes_[pair.second]->region) continue;
-    ++cross_explicit;
-    if (!have || lat < best) {
-      best = lat;
-      have = true;
-    }
-  }
-  if (cross_explicit < cross_pairs && (!have || default_latency_ < best)) {
-    best = default_latency_;  // some cross pair still rides the default
-  }
-  sim_.set_lookahead(best);
 }
 
 Duration Network::latency(NodeId a, NodeId b) const {
@@ -206,9 +155,7 @@ void Network::notify_peer_down(NodeId down) {
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const NodeId id = static_cast<NodeId>(n);
     if (id == down || nodes_[n]->handler == nullptr) continue;
-    // Delivered in the listener's own region: peer-down handlers touch that
-    // node's connection state.
-    sim_.post(nodes_[n]->region, sim_.now() + latency(id, down), [this, id, down] {
+    sim_.after(latency(id, down), [this, id, down] {
       MessageHandler* handler = nodes_[id]->handler;
       if (handler != nullptr) handler->on_peer_down(down);
     });

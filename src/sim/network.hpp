@@ -7,13 +7,6 @@
 // scheduler over per-peer queues, so concurrent flows through one access
 // link share its bandwidth fairly — this is what produces the Figure-5
 // bandwidth-sharing behaviour without a full TCP implementation.
-//
-// Sharding (DESIGN.md §12): each node belongs to a simulator region
-// (set_region); its link queues, stats and handler run on that region's
-// worker. Propagation between nodes in different regions rides the
-// simulator's cross-region mailbox, and the network installs the minimum
-// cross-region propagation delay as the conservative lookahead bound, so
-// parallel windows never outrun a message in flight.
 #pragma once
 
 #include <cstdint>
@@ -106,17 +99,7 @@ class Network {
   void set_latency(NodeId a, NodeId b, Duration latency);
   Duration latency(NodeId a, NodeId b) const;
   /// Latency not explicitly set defaults to this value.
-  void set_default_latency(Duration d) {
-    default_latency_ = d;
-    recompute_lookahead();
-  }
-
-  /// Assigns a node to a simulator region (DESIGN.md §12). The region must
-  /// already exist (Simulator::add_region); nodes default to region 0.
-  /// Topology-build-time only. For cheap builds, assign regions before
-  /// installing pairwise latencies — reassignment rescans the latency map.
-  void set_region(NodeId node, std::uint32_t region);
-  std::uint32_t region(NodeId node) const;
+  void set_default_latency(Duration d) { default_latency_ = d; }
 
   /// Queues a message; delivery is asynchronous via the event loop.
   void send(NodeId from, NodeId to, util::Bytes payload);
@@ -188,9 +171,6 @@ class Network {
     NodeSpec spec;
     MessageHandler* handler = nullptr;
     NodeStats stats;
-    // Simulator region owning this node's link queues, stats and handler.
-    // Written at topology build time only; read-only during runs.
-    std::uint32_t region = 0;
     LinkQueue up;
     LinkQueue down;
   };
@@ -198,10 +178,6 @@ class Network {
   void enqueue(LinkQueue& lq, NodeId peer_key, Packet pkt);
   void serve(LinkQueue& lq);
   void check_node(NodeId node) const;
-  /// Installs the conservative lookahead bound on the simulator: the minimum
-  /// propagation delay over cross-region node pairs (explicit entries, plus
-  /// the default latency while any cross-region pair lacks one).
-  void recompute_lookahead();
 
   Simulator& sim_;
   // unique_ptr keeps NodeState addresses stable while nodes are added
@@ -209,7 +185,6 @@ class Network {
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::map<std::pair<NodeId, NodeId>, Duration> latency_;
   Duration default_latency_ = Duration::millis(40);
-  std::vector<std::size_t> region_count_;  // nodes per region, for lookahead
   WireMonitor monitor_;
   FaultInjector* chaos_ = nullptr;
   obs::Counter m_messages_;

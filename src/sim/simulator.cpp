@@ -1,12 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <exception>
-#include <limits>
-#include <stdexcept>
 
-#include "obs/profile.hpp"
 #include "util/annotations.hpp"
 #include "util/log.hpp"
 #include "util/simclock.hpp"
@@ -27,551 +22,67 @@ struct EventAfter {
   }
 };
 
-// Deterministic seed split for region Rng streams (splitmix64 finalizer):
-// region r's stream is a pure function of (master seed, r), so it is
-// invariant under the shard count. Region 0 keeps Rng(seed) itself.
-std::uint64_t split_seed(std::uint64_t seed, std::uint32_t region) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (region + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-// Restores the dispatch TLS (exec context, span, trace region) even when a
-// handler throws: a contract violation surfacing as an exception must not
-// leak a dangling region pointer into the next simulation on this thread.
-struct DispatchGuard {
-  detail::ExecCtx saved;
-  explicit DispatchGuard(const detail::ExecCtx& cur) : saved(cur) {}
-  ~DispatchGuard() {
-    detail::g_exec = saved;
-    obs::set_current_span(obs::SpanContext{});
-    obs::set_trace_region(0);
-  }
+// Clears the span context after a handler, also when it throws: no request's
+// causal context may leak into the next event or into the caller of run().
+struct SpanReset {
+  ~SpanReset() { obs::set_current_span(obs::SpanContext{}); }
 };
-
-unsigned shards_from_env() {
-  // BL101 exemption rationale: the override selects the worker count, which
-  // by construction cannot change any simulation result — determinism is
-  // the point of the sharded design (DESIGN.md §12).
-  const char* env = std::getenv("BENTO_SIM_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || v < 1) return 1;
-  return static_cast<unsigned>(v);
-}
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed, unsigned shards)
+Simulator::Simulator(std::uint64_t seed)
     : now_(Time::from_micros(0)),
-      seed_(seed),
+      rng_(seed),
       m_events_(obs::registry().counter("sim.events")),
       m_dispatch_lag_us_(obs::registry().histogram("sim.dispatch_lag_us")),
       m_pending_(obs::registry().gauge("sim.queue_depth")) {
-  if (shards == 0) shards = shards_from_env();
-  shards_ = std::clamp(shards, 1u, kMaxShards);
-  // Touch the profiler so its shard.* registry handles exist in every
-  // binary that simulates — keeps snapshot metric sets consistent across
-  // shard counts and run modes.
-  obs::shard_profiler();
-  auto r0 = std::make_unique<Region>();
-  r0->id = 0;
-  r0->rng = util::Rng(seed);
-  regions_.push_back(std::move(r0));
   util::install_sim_clock(&sim_clock_thunk, this);
 }
 
-Simulator::~Simulator() {
-  stop_pool();
-  util::uninstall_sim_clock(this);
-}
+Simulator::~Simulator() { util::uninstall_sim_clock(this); }
 
-std::uint32_t Simulator::add_region() {
-  if (regions_.size() >= kMaxRegions) {
-    throw std::length_error("Simulator::add_region: region limit reached");
-  }
-  const auto id = static_cast<std::uint32_t>(regions_.size());
-  auto r = std::make_unique<Region>();
-  r->id = id;
-  r->now = now_;
-  r->rng = util::Rng(split_seed(seed_, id));
-  regions_.push_back(std::move(r));
-  return id;
-}
-
-BENTO_HOT void Simulator::schedule_in(Region& r, Time t, EventFn fn) {
-  const Time tn = now();
-  if (t < tn) t = tn;
+BENTO_HOT void Simulator::schedule(Time t, EventFn fn) {
+  if (t < now_) t = now_;
   // bentolint: allow(BL102 heap vector growth, amortized; events themselves are pooled)
-  r.heap.push_back(Event{t, tn, r.next_seq++, r.id, obs::current_span(), std::move(fn)});
-  std::push_heap(r.heap.begin(), r.heap.end(), EventAfter{});
+  heap_.push_back(Event{t, now_, next_seq_++, obs::current_span(), std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
 }
 
-void Simulator::post_boxed(Region& origin, std::uint32_t target, Time t, EventFn fn) {
-  if (target >= regions_.size()) {
-    throw std::out_of_range("Simulator::post: unknown region");
-  }
-  const Time tn = now();
-  if (t < tn) t = tn;
-  Event ev{t, tn, origin.next_seq++, origin.id, obs::current_span(), std::move(fn)};
-  const detail::ExecCtx& x = detail::g_exec;
-  if (x.sim == this && x.in_window) {
-    // Conservative-lookahead contract: inside a window, a cross-region event
-    // must land at or beyond the horizon (the Network's minimum cross-region
-    // propagation delay guarantees this; anything closer would have to run
-    // inside a window another worker is already executing).
-    if (t < horizon_) {
-      throw std::logic_error(
-          "Simulator::post: cross-region event inside the lookahead window");
-    }
-    // bentolint: allow(BL102 mailbox growth is amortized; capacity is kept across windows)
-    mail_[origin.id * mail_regions_ + target].push_back(std::move(ev));
-    return;
-  }
-  std::vector<Event>& heap = regions_[target]->heap;
-  // bentolint: allow(BL102 heap vector growth, amortized; events themselves are pooled)
-  heap.push_back(std::move(ev));
-  std::push_heap(heap.begin(), heap.end(), EventAfter{});
-}
-
-void Simulator::schedule_exclusive(Time t, EventFn fn) {
-  const detail::ExecCtx& x = detail::g_exec;
-  if (x.sim == this && x.in_window && regions_.size() > 1) {
-    // Single-region windows run on the coordinating thread alone, where the
-    // exclusive heap is safe to touch; under parallel regions it is not.
-    throw std::logic_error(
-        "Simulator::at_exclusive: may not be called from inside a parallel window");
-  }
-  const Time tn = now();
-  if (t < tn) t = tn;
-  excl_heap_.push_back(
-      Event{t, tn, excl_next_seq_++, kNoRegion, obs::current_span(), std::move(fn)});
-  std::push_heap(excl_heap_.begin(), excl_heap_.end(), EventAfter{});
-}
-
-BENTO_HOT void Simulator::exec_region_event(Region& r) {
-  std::pop_heap(r.heap.begin(), r.heap.end(), EventAfter{});
-  Event ev = std::move(r.heap.back());
-  r.heap.pop_back();
-  r.now = ev.when;
-  detail::ExecCtx& x = detail::g_exec;
-  DispatchGuard guard(x);
-  x.sim = this;
-  x.region = &r;
-  obs::set_trace_region(r.id);
-  obs::set_trace_order(ev.when.micros(), ev.origin, ev.seq);
-  ++r.executed;
+BENTO_HOT bool Simulator::step() {
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  now_ = ev.when;
+  ++executed_;
   m_events_.inc();
   m_dispatch_lag_us_.record((ev.when - ev.queued_at).count_micros());
-  m_pending_.set(static_cast<std::int64_t>(r.heap.size()));
-  obs::trace(obs::Ev::SimDispatch, 0, r.heap.size());
+  m_pending_.set(static_cast<std::int64_t>(heap_.size()));
+  obs::trace(obs::Ev::SimDispatch, 0, heap_.size());
   // The predicate gate keeps the formatting cost out of the dispatch loop:
   // a Trace-level sink sees every event, everyone else pays one branch.
   if (util::log_enabled(util::LogLevel::Trace)) {
-    util::log(util::LogLevel::Trace, "sim", "dispatch #", r.executed, " at t=",
-              r.now.micros(), "us, ", r.heap.size(), " pending");
+    util::log(util::LogLevel::Trace, "sim", "dispatch #", executed_, " at t=",
+              now_.micros(), "us, ", heap_.size(), " pending");
   }
   // Dispatch under the span context captured at schedule() so downstream
   // instrumentation (and any events this handler schedules) inherit the
   // originating request's causal chain; cleared after, never leaked across
   // events.
+  const SpanReset reset;
   obs::set_current_span(ev.ctx);
   ev.fn();
-}
-
-void Simulator::exec_exclusive_event() {
-  std::pop_heap(excl_heap_.begin(), excl_heap_.end(), EventAfter{});
-  Event ev = std::move(excl_heap_.back());
-  excl_heap_.pop_back();
-  if (now_ < ev.when) now_ = ev.when;
-  ++excl_executed_;
-  m_events_.inc();
-  m_dispatch_lag_us_.record((ev.when - ev.queued_at).count_micros());
-  m_pending_.set(static_cast<std::int64_t>(excl_heap_.size()));
-  obs::set_trace_region(0);
-  obs::set_trace_order(ev.when.micros(), kNoRegion, ev.seq);
-  obs::trace(obs::Ev::SimDispatch, 0, excl_heap_.size());
-  if (util::log_enabled(util::LogLevel::Trace)) {
-    util::log(util::LogLevel::Trace, "sim", "exclusive #", excl_executed_, " at t=",
-              now_.micros(), "us, ", excl_heap_.size(), " pending");
-  }
-  DispatchGuard guard(detail::g_exec);
-  obs::set_current_span(ev.ctx);
-  ev.fn();
-}
-
-BENTO_HOT bool Simulator::step() {
-  Region* best = nullptr;
-  for (auto& rp : regions_) {
-    if (rp->heap.empty()) continue;
-    if (best == nullptr || rp->heap.front().before(best->heap.front())) best = rp.get();
-  }
-  if (!excl_heap_.empty() &&
-      (best == nullptr || excl_heap_.front().before(best->heap.front()))) {
-    exec_exclusive_event();
-    return true;
-  }
-  if (best == nullptr) return false;
-  exec_region_event(*best);
-  if (now_ < best->now) now_ = best->now;
   return true;
 }
 
 void Simulator::run(std::uint64_t limit) {
-  const bool windowed = limit == UINT64_MAX &&
-                        (regions_.size() > 1 || shards_ > 1) &&
-                        (regions_.size() == 1 || lookahead_ > Duration{});
-  if (windowed) {
-    run_windowed(Time{}, /*bounded=*/false);
-    return;
+  for (std::uint64_t i = 0; i < limit && step(); ++i) {
   }
-  run_serial(limit, Time{}, /*bounded=*/false);
 }
 
 void Simulator::run_until(Time deadline) {
-  const bool windowed = (regions_.size() > 1 || shards_ > 1) &&
-                        (regions_.size() == 1 || lookahead_ > Duration{});
-  if (windowed) {
-    run_windowed(deadline, /*bounded=*/true);
-    return;
-  }
-  run_serial(UINT64_MAX, deadline, /*bounded=*/true);
+  while (!heap_.empty() && !(deadline < heap_.front().when)) step();
   if (now_ < deadline) now_ = deadline;
-  sync_region_clocks(now_);
-}
-
-void Simulator::run_serial(std::uint64_t limit, Time deadline, bool bounded) {
-  for (std::uint64_t i = 0; i < limit; ++i) {
-    if (bounded) {
-      const Event* mn = nullptr;
-      for (const auto& rp : regions_) {
-        if (!rp->heap.empty() && (mn == nullptr || rp->heap.front().before(*mn))) {
-          mn = &rp->heap.front();
-        }
-      }
-      if (!excl_heap_.empty() && (mn == nullptr || excl_heap_.front().before(*mn))) {
-        mn = &excl_heap_.front();
-      }
-      if (mn == nullptr || deadline < mn->when) break;
-    }
-    if (!step()) break;
-  }
-}
-
-void Simulator::run_windowed(Time deadline, bool bounded) {
-  begin_parallel();
-  const bool multi = regions_.size() > 1;
-  // Profiling splits in two (DESIGN.md §13): deterministic sim-domain
-  // tallies are recorded only for multi-region topologies — which run the
-  // windowed executor at *every* shard count, so the profile is invariant
-  // under the worker count — while wall-clock buckets (observational only,
-  // never in deterministic artifacts) are collected whenever live. Hooks
-  // fire per window, never per event, keeping the always-on cost flat.
-  obs::ShardProfiler& prof = obs::shard_profiler();
-  const bool prof_live = prof.enabled();
-  if (prof_live && multi) prof.record_lookahead(lookahead_.count_micros());
-  const std::uint64_t run_t0 = prof_live ? obs::prof_now_ns() : 0;
-  const Time inf = Time::from_micros(std::numeric_limits<std::int64_t>::max());
-  const Duration tick = Duration::micros(1);
-  for (;;) {
-    {
-      const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
-      const DrainStats ds = drain_mailboxes();
-      if (prof_live) {
-        prof.add_drain_wall(obs::prof_now_ns() - t0);
-        if (multi && ds.drained > 0) prof.on_mailbox_drain(ds.drained, ds.max_depth);
-      }
-    }
-    const Event* rmin = nullptr;
-    for (const auto& rp : regions_) {
-      if (!rp->heap.empty() && (rmin == nullptr || rp->heap.front().before(*rmin))) {
-        rmin = &rp->heap.front();
-      }
-    }
-    const bool have_excl = !excl_heap_.empty();
-    if (rmin == nullptr && !have_excl) break;
-    Time tmin = rmin != nullptr ? rmin->when : excl_heap_.front().when;
-    if (have_excl && excl_heap_.front().when < tmin) tmin = excl_heap_.front().when;
-    if (bounded && deadline < tmin) break;
-    // Advance the barrier-context clock to the window floor so anything
-    // recorded between windows (the shard.window/shard.barrier events
-    // below) stamps T_min instead of a stale start-of-run time. Handlers
-    // never see this clock — they read their region's.
-    if (now_ < tmin) now_ = tmin;
-    if (rmin == nullptr || (have_excl && excl_heap_.front().before(*rmin))) {
-      const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
-      exec_exclusive_event();
-      if (prof_live) {
-        prof.add_exclusive_wall(obs::prof_now_ns() - t0);
-        if (multi) prof.on_exclusive();
-      }
-      continue;
-    }
-    // Window horizon: T_min + lookahead (unbounded when there is only one
-    // region), capped so exclusive events and the deadline fall between
-    // windows. Strict-< execution makes the +1µs caps inclusive bounds.
-    Time h = multi ? rmin->when + lookahead_ : inf;
-    if (have_excl) {
-      const Time cap = excl_heap_.front().when + tick;
-      if (cap < h) h = cap;
-    }
-    if (bounded) {
-      const Time cap = deadline + tick;
-      if (cap < h) h = cap;
-    }
-    const bool profile_window = prof_live && multi;
-    if (profile_window) {
-      for (std::size_t i = 0; i < regions_.size(); ++i) {
-        win_base_[i] = regions_[i]->executed;
-      }
-    }
-    const std::uint64_t wt0 = prof_live ? obs::prof_now_ns() : 0;
-    run_window(h);
-    if (prof_live) prof.add_window_wall(obs::prof_now_ns() - wt0);
-    if (profile_window) {
-      std::uint32_t active = 0;
-      for (std::size_t i = 0; i < regions_.size(); ++i) {
-        win_base_[i] = regions_[i]->executed - win_base_[i];
-        if (win_base_[i] > 0) ++active;
-      }
-      const std::int64_t span_us = (h - tmin).count_micros();
-      prof.on_window_close(win_base_.data(),
-                           static_cast<std::uint32_t>(regions_.size()), span_us);
-      if (obs::recorder().enabled()) {
-        obs::trace(obs::Ev::ShardBarrier, active,
-                   static_cast<std::uint64_t>(span_us));
-        for (std::size_t i = 0; i < regions_.size(); ++i) {
-          if (win_base_[i] > 0) {
-            obs::trace(obs::Ev::ShardWindow, static_cast<std::uint32_t>(i),
-                       win_base_[i]);
-          }
-        }
-      }
-    }
-    // Exclusive events due inside the closed window run now — but a region
-    // event an exclusive handler schedules at the same timestamp sorts
-    // before the *next* exclusive, exactly as the serial stepper would run
-    // them, so re-check the region heads between exclusives.
-    while (!excl_heap_.empty() && excl_heap_.front().when < h &&
-           !(bounded && deadline < excl_heap_.front().when)) {
-      const Event* rm = nullptr;
-      for (const auto& rp : regions_) {
-        if (!rp->heap.empty() && (rm == nullptr || rp->heap.front().before(*rm))) {
-          rm = &rp->heap.front();
-        }
-      }
-      if (rm != nullptr && rm->before(excl_heap_.front())) break;
-      const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
-      exec_exclusive_event();
-      if (prof_live) {
-        prof.add_exclusive_wall(obs::prof_now_ns() - t0);
-        if (multi) prof.on_exclusive();
-      }
-    }
-  }
-  if (prof_live) prof.add_run_wall(obs::prof_now_ns() - run_t0);
-  Time fin = now_;
-  for (const auto& rp : regions_) {
-    if (fin < rp->now) fin = rp->now;
-  }
-  if (bounded && fin < deadline) fin = deadline;
-  now_ = fin;
-  sync_region_clocks(fin);
-}
-
-void Simulator::begin_parallel() {
-  // Serial context: re-sync span-id generation here so the lazy check in
-  // span_alloc_id never writes from a worker thread mid-window.
-  obs::sync_span_generation();
-  const std::size_t n = regions_.size();
-  if (mail_regions_ != n) {
-    mail_regions_ = n;
-    mail_.clear();
-    mail_.resize(n * n);
-  }
-  // Rebuild the worker→regions map only when the topology changed; on the
-  // steady state (scenarios calling run() in a loop) this reuses capacity
-  // and performs zero allocations.
-  if (owned_.size() != shards_) {
-    owned_.clear();
-    owned_.resize(shards_);
-    owned_built_ = 0;
-  }
-  if (owned_built_ != n) {
-    for (auto& v : owned_) v.clear();
-    for (auto& rp : regions_) owned_[rp->id % shards_].push_back(rp.get());
-    owned_built_ = n;
-  }
-  if (win_base_.size() != n) win_base_.resize(n);
-  if (shards_ > 1) ensure_pool();
-}
-
-void Simulator::run_window(Time horizon) {
-  // Multi-region windows buffer trace records per region and merge them at
-  // the barrier in dispatch order, so the ring content is independent of
-  // the shard count. Single-region simulations write the ring directly.
-  const bool buffer = regions_.size() > 1;
-  obs::ShardProfiler& prof = obs::shard_profiler();
-  const bool prof_live = prof.enabled();
-  if (buffer) obs::recorder().begin_window(regions_.size());
-  if (workers_.empty()) {
-    horizon_ = horizon;
-    run_worker_window(0, horizon);
-  } else {
-    {
-      // bentolint: allow(BL105 round publish under the pool mutex, DESIGN.md §12)
-      std::lock_guard<std::mutex> lk(pool_mx_);
-      horizon_ = horizon;
-      ++round_;
-      pending_workers_ = static_cast<unsigned>(workers_.size());
-    }
-    pool_cv_.notify_all();
-    run_worker_window(0, horizon);
-    // Barrier-stall attribution: how long the coordinator waited for the
-    // slowest worker after finishing its own regions.
-    const std::uint64_t bt0 = prof_live ? obs::prof_now_ns() : 0;
-    {
-      // bentolint: allow(BL105 lookahead barrier wait, DESIGN.md §12)
-      std::unique_lock<std::mutex> lk(pool_mx_);
-      pool_done_cv_.wait(lk, [this] { return pending_workers_ == 0; });
-    }
-    if (prof_live) prof.add_barrier_wait(obs::prof_now_ns() - bt0);
-  }
-  if (buffer) {
-    const std::uint64_t mt0 = prof_live ? obs::prof_now_ns() : 0;
-    obs::recorder().end_window();
-    if (prof_live) prof.add_merge_wall(obs::prof_now_ns() - mt0);
-  }
-  if (win_error_) {
-    std::exception_ptr e = win_error_;
-    win_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void Simulator::run_worker_window(unsigned worker, Time horizon) {
-  detail::ExecCtx& x = detail::g_exec;
-  x.sim = this;
-  x.region = nullptr;
-  x.in_window = true;
-  std::vector<Region*>& owned = owned_[worker];
-  // Per-worker occupancy: one clock pair around the whole window loop (the
-  // per-event cost of profiling is zero). Worker 0's busy time doubles as
-  // the coordinator's dispatch attribution bucket.
-  obs::ShardProfiler& prof = obs::shard_profiler();
-  const bool prof_live = prof.enabled();
-  const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
-  std::uint64_t dispatched = 0;
-  // With a single region the (sole) window runs unbounded on this thread;
-  // it must yield to exclusive events as they come due mid-window.
-  const bool solo = regions_.size() == 1;
-  try {
-    for (;;) {
-      Region* best = nullptr;
-      for (Region* r : owned) {
-        if (r->heap.empty() || !(r->heap.front().when < horizon)) continue;
-        if (best == nullptr || r->heap.front().before(best->heap.front())) best = r;
-      }
-      if (best == nullptr) break;
-      if (solo && !excl_heap_.empty() && excl_heap_.front().before(best->heap.front())) {
-        break;
-      }
-      exec_region_event(*best);
-      ++dispatched;
-    }
-  } catch (...) {
-    // An exception on a worker must not escape the pool: park it and rethrow
-    // on the coordinating thread once every worker reaches the barrier.
-    // bentolint: allow(BL105 worker-exception capture under the pool mutex, DESIGN.md §12)
-    std::lock_guard<std::mutex> lk(pool_mx_);
-    if (!win_error_) win_error_ = std::current_exception();
-  }
-  if (prof_live) prof.add_worker_busy(worker, obs::prof_now_ns() - t0, dispatched);
-  x = detail::ExecCtx{};
-}
-
-Simulator::DrainStats Simulator::drain_mailboxes() {
-  DrainStats ds;
-  for (std::size_t i = 0; i < mail_.size(); ++i) {
-    std::vector<Event>& box = mail_[i];
-    if (box.empty()) continue;
-    if (box.size() > ds.max_depth) ds.max_depth = box.size();
-    ds.drained += box.size();
-    std::vector<Event>& heap = regions_[i % mail_regions_]->heap;
-    for (Event& ev : box) {
-      heap.push_back(std::move(ev));
-      std::push_heap(heap.begin(), heap.end(), EventAfter{});
-    }
-    box.clear();  // keeps capacity for the next window
-  }
-  return ds;
-}
-
-void Simulator::ensure_pool() {
-  if (!workers_.empty()) return;
-  workers_.reserve(shards_ - 1);
-  for (unsigned w = 1; w < shards_; ++w) {
-    // bentolint: allow(BL105 lazily spawned window workers, joined in stop_pool, DESIGN.md §12)
-    workers_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-void Simulator::stop_pool() {
-  if (workers_.empty()) return;
-  {
-    // bentolint: allow(BL105 pool shutdown handshake, DESIGN.md §12)
-    std::lock_guard<std::mutex> lk(pool_mx_);
-    pool_quit_ = true;
-  }
-  pool_cv_.notify_all();
-  // bentolint: allow(BL105 joining the window workers, DESIGN.md §12)
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  pool_quit_ = false;
-}
-
-void Simulator::worker_main(unsigned worker) {
-  obs::set_metric_worker(worker);
-  std::uint64_t seen = 0;
-  for (;;) {
-    Time h{};
-    {
-      // bentolint: allow(BL105 worker round wait, DESIGN.md §12)
-      std::unique_lock<std::mutex> lk(pool_mx_);
-      pool_cv_.wait(lk, [&] { return pool_quit_ || round_ != seen; });
-      if (pool_quit_) return;
-      seen = round_;
-      h = horizon_;
-    }
-    run_worker_window(worker, h);
-    {
-      // bentolint: allow(BL105 barrier arrival under the pool mutex, DESIGN.md §12)
-      std::lock_guard<std::mutex> lk(pool_mx_);
-      --pending_workers_;
-      if (pending_workers_ == 0) pool_done_cv_.notify_all();
-    }
-  }
-}
-
-void Simulator::sync_region_clocks(Time t) {
-  for (auto& rp : regions_) {
-    if (rp->now < t) rp->now = t;
-  }
-}
-
-std::uint64_t Simulator::events_executed() const {
-  std::uint64_t total = excl_executed_;
-  for (const auto& rp : regions_) total += rp->executed;
-  return total;
-}
-
-std::size_t Simulator::pending() const {
-  std::size_t total = excl_heap_.size();
-  for (const auto& rp : regions_) total += rp->heap.size();
-  for (const auto& box : mail_) total += box.size();
-  return total;
 }
 
 }  // namespace bento::sim

@@ -3,9 +3,9 @@
 // Each fixture in tests/lint_fixtures/ marks the lines that must fire with
 // a trailing `expect(BLxxx)` comment; the harness analyzes the fixture under
 // a *virtual* repo path (the path decides which rules apply — src/ turns on
-// BL101 everywhere, src/sim//src/core turn on BL105) and asserts the
-// diagnostic set equals the marker set exactly: positives fire, suppressed
-// and clean sections stay silent.
+// BL101 and BL105 everywhere) and asserts the diagnostic set equals the
+// marker set exactly: positives fire, suppressed and clean sections stay
+// silent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,13 +109,6 @@ TEST(BentoLint, BL102HotPathAllocations) {
   check_fixture("bl102_hot_alloc.cpp", "src/crypto/fixture.cpp");
 }
 
-TEST(BentoLint, BL102ProfilerWindowClosePath) {
-  // The shard profiler's window-close hook is BENTO_HOT (DESIGN.md §13);
-  // this fixture proves the rule fires if dynamic storage ever creeps into
-  // that path — which is why the committed baseline stays empty.
-  check_fixture("bl102_profiler_window.cpp", "src/obs/fixture.cpp");
-}
-
 TEST(BentoLint, BL103SharedSelfCapture) {
   check_fixture("bl103_self_capture.cpp", "src/core/fixture.cpp");
 }
@@ -124,16 +117,17 @@ TEST(BentoLint, BL104UnorderedIterationIntoTrace) {
   check_fixture("bl104_unordered_trace.cpp", "src/obs/fixture.cpp");
 }
 
-TEST(BentoLint, BL105ConcurrencyInventoryInSimCore) {
+TEST(BentoLint, BL105BansConcurrencyInSrc) {
   check_fixture("bl105_concurrency.cpp", "src/sim/fixture.cpp");
+  check_fixture("bl105_concurrency.cpp", "src/tor/fixture.cpp");
 }
 
-TEST(BentoLint, BL105SilentOutsideSimCore) {
-  // Same bytes, different tree position: the inventory only covers
-  // src/sim + src/core ahead of the sharded-simulator refactor.
+TEST(BentoLint, BL105SilentOutsideSrc) {
+  // Same bytes, different tree position: tools and benchmarks may time or
+  // tally from other threads.
   const std::string src = read_fixture("bl105_concurrency.cpp");
-  EXPECT_TRUE(bl::analyze_source("src/tor/fixture.cpp", src).empty());
   EXPECT_TRUE(bl::analyze_source("tools/fixture.cpp", src).empty());
+  EXPECT_TRUE(bl::analyze_source("bench/fixture.cpp", src).empty());
 }
 
 TEST(BentoLint, BL106BannedCStringFunctions) {

@@ -1,14 +1,14 @@
 // Critical-path attribution suite (DESIGN.md §14). Three layers:
 //
-//  1. Synthetic CritInput units pin the sweep semantics exactly: deepest
+//  1. Synthetic span-set units pin the sweep semantics exactly: deepest
 //     active span wins, link time splits into chaos/transit/queue against
-//     the budget notes, waits after a shard.barrier become mailbox waits,
-//     and every blame vector sums to the request's measured duration.
-//  2. An end-to-end 4-region forwarding harness (client -> three relays in
-//     three other regions -> client, root span per session) proves the
-//     acceptance contract: critpath text and JSON byte-identical at shard
-//     counts {1, 2, 4}, and per-request total_us equal to the harness's own
-//     measured round-trip, joined on the root's kNoteRef.
+//     the budget notes, and every blame vector sums to the request's
+//     measured duration.
+//  2. An end-to-end forwarding harness (client -> three relays -> client,
+//     root span per session) proves the acceptance contract: critpath text
+//     and JSON byte-identical across repeated runs, and per-request
+//     total_us equal to the harness's own measured round-trip, joined on
+//     the root's kNoteRef.
 //  3. The same harness under a chaos Throttle plan: the injected slowdown
 //     must surface as the dominant blame segment ("chaos_dwell", majority
 //     share), which is the tool's whole reason to exist.
@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bentotrace/critpath.hpp"
@@ -80,9 +81,6 @@ TEST(CritPath, SegmentNamesAreStable) {
             "client_invoke");
   EXPECT_EQ(bo::segment_name(bo::Stage::ClientInvoke, bo::SegKind::Wait),
             "client_invoke_wait");
-  EXPECT_EQ(
-      bo::segment_name(bo::Stage::RelayForward, bo::SegKind::MailboxWait),
-      "relay_forward_mailbox_wait");
   // Chaos dwell is stage-free: throttled serialization on any link is the
   // same phenomenon.
   EXPECT_EQ(bo::segment_name(bo::Stage::NetLink, bo::SegKind::ChaosDwell),
@@ -93,14 +91,14 @@ TEST(CritPath, BlameSumsToRootDurationWithLinkSplit) {
   // root [0,100] -> link1 [0,40] (idle 30); zero-length relay.forward at 40
   // whose child link2 [40,90] (idle 45) outlives it; tail [90,100] is the
   // root waiting on the final delivery.
-  bo::CritInput in;
-  in.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
-  in.spans.back().ref = 7;
-  in.spans.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
-  in.spans.back().idle_us = 30;
-  in.spans.push_back(span(3, 1, bo::Stage::RelayForward, 40, 40));
-  in.spans.push_back(span(4, 3, bo::Stage::NetLink, 40, 90));
-  in.spans.back().idle_us = 45;
+  std::vector<bo::CritSpan> in;
+  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
+  in.back().ref = 7;
+  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
+  in.back().idle_us = 30;
+  in.push_back(span(3, 1, bo::Stage::RelayForward, 40, 40));
+  in.push_back(span(4, 3, bo::Stage::NetLink, 40, 90));
+  in.back().idle_us = 45;
 
   const bo::CritReport report = bo::compute_critical_paths(in);
   ASSERT_EQ(report.requests.size(), 1u);
@@ -117,41 +115,21 @@ TEST(CritPath, BlameSumsToRootDurationWithLinkSplit) {
   EXPECT_EQ(seg_us(req, bo::Stage::ClientInvoke, bo::SegKind::Wait), 10);
   // Zero-length relay.forward cannot win any interval.
   EXPECT_EQ(seg_us(req, bo::Stage::RelayForward, bo::SegKind::Exec), 0);
-  // Vector is sorted by (stage, kind, region).
+  // Vector is sorted by (stage, kind).
   for (std::size_t i = 1; i < req.segs.size(); ++i) {
-    const auto key = [](const bo::BlameSeg& s) {
-      return std::tuple(s.stage, s.kind, s.region);
-    };
+    const auto key = [](const bo::BlameSeg& s) { return std::pair(s.stage, s.kind); };
     EXPECT_LT(key(req.segs[i - 1]), key(req.segs[i]));
   }
-}
-
-TEST(CritPath, BarrierTurnsWaitIntoMailboxWait) {
-  // root [0,100], child link [0,40]; a shard.barrier closes at 95, so the
-  // root's wait [40,100] splits into plain wait [40,95) and mailbox wait
-  // [95,100) — the request resumed via a cross-shard window.
-  bo::CritInput in;
-  in.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
-  in.spans.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
-  in.spans.back().idle_us = 40;
-  in.barriers_us = {95};
-
-  const bo::CritReport report = bo::compute_critical_paths(in);
-  ASSERT_EQ(report.requests.size(), 1u);
-  const bo::RequestBlame& req = report.requests[0];
-  EXPECT_EQ(sum_segs(req), 100);
-  EXPECT_EQ(seg_us(req, bo::Stage::ClientInvoke, bo::SegKind::Wait), 55);
-  EXPECT_EQ(seg_us(req, bo::Stage::ClientInvoke, bo::SegKind::MailboxWait), 5);
 }
 
 TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
   // Link attributed 40 µs with idle budget 30 and chaos dwell 15: chaos is
   // taken first (15), transit gets what the budget still fits (25), queue 0.
-  bo::CritInput in;
-  in.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 40));
-  in.spans.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
-  in.spans.back().idle_us = 30;
-  in.spans.back().chaos_us = 15;
+  std::vector<bo::CritSpan> in;
+  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 40));
+  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
+  in.back().idle_us = 30;
+  in.back().chaos_us = 15;
 
   const bo::CritReport report = bo::compute_critical_paths(in);
   ASSERT_EQ(report.requests.size(), 1u);
@@ -163,11 +141,11 @@ TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
 
   // Dwell larger than the attributed interval clamps: never blame more
   // microseconds than the path actually spent.
-  bo::CritInput clamp;
-  clamp.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 10));
-  clamp.spans.push_back(span(2, 1, bo::Stage::NetLink, 0, 10));
-  clamp.spans.back().idle_us = 30;
-  clamp.spans.back().chaos_us = 50;
+  std::vector<bo::CritSpan> clamp;
+  clamp.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 10));
+  clamp.push_back(span(2, 1, bo::Stage::NetLink, 0, 10));
+  clamp.back().idle_us = 30;
+  clamp.back().chaos_us = 50;
   const bo::CritReport clamped = bo::compute_critical_paths(clamp);
   ASSERT_EQ(clamped.requests.size(), 1u);
   EXPECT_EQ(seg_us(clamped.requests[0], bo::Stage::NetLink,
@@ -177,10 +155,10 @@ TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
 }
 
 TEST(CritPath, IncompleteRootsAreCountedNotAttributed) {
-  bo::CritInput in;
-  in.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, -1));  // no end
-  in.spans.push_back(span(2, 0, bo::Stage::ClientInvoke, -1, 50));  // no begin
-  in.spans.push_back(span(3, 0, bo::Stage::ClientInvoke, 10, 30));
+  std::vector<bo::CritSpan> in;
+  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, -1));  // no end
+  in.push_back(span(2, 0, bo::Stage::ClientInvoke, -1, 50));  // no begin
+  in.push_back(span(3, 0, bo::Stage::ClientInvoke, 10, 30));
   const bo::CritReport report = bo::compute_critical_paths(in);
   EXPECT_EQ(report.incomplete, 2u);
   ASSERT_EQ(report.requests.size(), 1u);
@@ -191,13 +169,13 @@ TEST(CritPath, IncompleteRootsAreCountedNotAttributed) {
 TEST(CritPath, SloSeriesCarryOneSamplePerRequest) {
   // Two requests; only the first has queue time. The series must still give
   // both requests a sample (0 for the second) so percentiles are per-request.
-  bo::CritInput in;
-  in.spans.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
-  in.spans.push_back(span(2, 1, bo::Stage::NetLink, 0, 100));
-  in.spans.back().idle_us = 60;
-  in.spans.push_back(span(5, 0, bo::Stage::ClientInvoke, 200, 250));
-  in.spans.push_back(span(6, 5, bo::Stage::NetLink, 200, 250));
-  in.spans.back().idle_us = 50;
+  std::vector<bo::CritSpan> in;
+  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
+  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 100));
+  in.back().idle_us = 60;
+  in.push_back(span(5, 0, bo::Stage::ClientInvoke, 200, 250));
+  in.push_back(span(6, 5, bo::Stage::NetLink, 200, 250));
+  in.back().idle_us = 50;
 
   const bo::CritReport report = bo::compute_critical_paths(in);
   bo::SloInput input;
@@ -219,7 +197,6 @@ TEST(CritPath, DiffFlagsRegressionsAboveThresholdAndFloor) {
     p.requests = 10;
     bo::BlameProfile::Row row;
     row.seg = "net_link_queue";
-    row.region = -1;
     row.requests = 10;
     row.mean_us = mean;
     row.body_mean_us = mean;
@@ -253,8 +230,8 @@ TEST(CritPath, DiffFlagsRegressionsAboveThresholdAndFloor) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// End-to-end harness: a client in region 0 sends a cell around a fixed
-// 4-region loop (guard r1, middle r2, exit r3, back to the client). Each
+// End-to-end harness: a client sends a cell around a fixed 4-node loop
+// (guard, middle, exit, back to the client). Each
 // session opens a root ClientInvoke span whose id rides in the cell (bytes
 // [1..4]); relays wrap their forward in a RelayForward span; the client ends
 // the root at delivery — root duration == the measured round-trip, exactly.
@@ -315,14 +292,12 @@ struct LoopCapture {
 /// `burst` sharing a start instant, bursts `spacing_us` apart; optional
 /// chaos plan. Bursts create link-queue contention; a burst of 1 with wide
 /// spacing keeps the loop uncontended so fault dwell stands alone.
-LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
-                     int burst, std::int64_t spacing_us,
-                     const bc::ChaosPlan* plan) {
+LoopCapture run_loop(std::uint64_t seed, int sessions, int burst,
+                     std::int64_t spacing_us, const bc::ChaosPlan* plan) {
   LoopCapture cap;
   bo::recorder().enable(std::size_t{1} << 16);
   {
-    bs::Simulator sim(seed, shards);
-    for (int r = 1; r < 4; ++r) sim.add_region();
+    bs::Simulator sim(seed);
     bs::Network net(sim);
 
     LoopClient client;
@@ -333,7 +308,6 @@ LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
     for (int r = 1; r < 4; ++r) {
       auto h = std::make_unique<LoopRelay>();
       const bs::NodeId id = net.add_node(bs::NodeSpec{.name = "relay"}, h.get());
-      net.set_region(id, static_cast<std::uint32_t>(r));
       h->net = &net;
       h->self = id;
       ids.push_back(id);
@@ -354,7 +328,7 @@ LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
     for (int s = 0; s < sessions; ++s) {
       const Time at = Time::from_micros(10'000 + (s / burst) * spacing_us);
       const std::uint32_t ref = static_cast<std::uint32_t>(s) + 1;
-      sim.post(0, at, [&net, &client, ids, ref] {
+      sim.at(at, [&net, &client, ids, ref] {
         bo::SpanScope root(bo::SpanScope::kRoot, bo::Stage::ClientInvoke, ref);
         bu::Bytes cell(kCellBytes, 0);
         put_u32(cell, 1, root.id());
@@ -375,7 +349,7 @@ LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
 
   std::istringstream in(cap.jsonl);
   const std::vector<bt::RawEvent> events = bt::read_jsonl(in);
-  cap.report = bo::compute_critical_paths(bt::crit_input_from_events(events));
+  cap.report = bo::compute_critical_paths(bt::crit_spans_from_events(events));
   const bo::BlameProfile profile = bo::aggregate_blame(cap.report);
   cap.critpath_text = profile.to_string();
   cap.critpath_json = profile.to_json();
@@ -384,24 +358,19 @@ LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
 
 }  // namespace
 
-TEST(CritPathE2E, ByteIdenticalAcrossShardCountsAndSumsToMeasuredLatency) {
-  const LoopCapture one = run_loop(41, 1, 12, 3, 30'000, nullptr);
-  const LoopCapture two = run_loop(41, 2, 12, 3, 30'000, nullptr);
-  const LoopCapture four = run_loop(41, 4, 12, 3, 30'000, nullptr);
+TEST(CritPathE2E, RepeatRunsByteIdenticalAndSumToMeasuredLatency) {
+  const LoopCapture one = run_loop(41, 12, 3, 30'000, nullptr);
+  const LoopCapture again = run_loop(41, 12, 3, 30'000, nullptr);
 
   ASSERT_EQ(one.report.requests.size(), 12u);
   EXPECT_EQ(one.report.incomplete, 0u);
   ASSERT_FALSE(one.critpath_text.empty());
 
   // The acceptance contract: the whole analysis — and the trace under it —
-  // is a pure function of (seed, topology, region split), never of the
-  // shard count.
-  EXPECT_EQ(one.jsonl, two.jsonl);
-  EXPECT_EQ(one.jsonl, four.jsonl);
-  EXPECT_EQ(one.critpath_text, two.critpath_text);
-  EXPECT_EQ(one.critpath_text, four.critpath_text);
-  EXPECT_EQ(one.critpath_json, two.critpath_json);
-  EXPECT_EQ(one.critpath_json, four.critpath_json);
+  // is a pure function of (seed, topology).
+  EXPECT_EQ(one.jsonl, again.jsonl);
+  EXPECT_EQ(one.critpath_text, again.critpath_text);
+  EXPECT_EQ(one.critpath_json, again.critpath_json);
 
   // Every request's blame sums to its root duration, and that duration is
   // the round-trip the harness measured itself (joined on kNoteRef).
@@ -412,13 +381,12 @@ TEST(CritPathE2E, ByteIdenticalAcrossShardCountsAndSumsToMeasuredLatency) {
     EXPECT_EQ(req.total_us, one.measured.at(req.ref)) << "ref " << req.ref;
   }
 
-  // Sanity on the content: cross-region transit exists, and the burst
-  // pattern produced at least some queue contention.
+  // Sanity on the content: link transit exists, and the burst pattern
+  // produced at least some queue contention.
   const bo::BlameProfile profile = bo::aggregate_blame(one.report);
   std::int64_t transit = 0;
   std::int64_t queue = 0;
   for (const auto& row : profile.rows) {
-    if (row.region != -1) continue;
     if (row.seg == "net_link_transit") transit = row.total_us;
     if (row.seg == "net_link_queue") queue = row.total_us;
   }
@@ -427,7 +395,7 @@ TEST(CritPathE2E, ByteIdenticalAcrossShardCountsAndSumsToMeasuredLatency) {
 }
 
 TEST(CritPathE2E, ProfileJsonRoundTripsAndDiffsCleanAgainstItself) {
-  const LoopCapture cap = run_loop(41, 2, 12, 3, 30'000, nullptr);
+  const LoopCapture cap = run_loop(41, 12, 3, 30'000, nullptr);
   bo::BlameProfile parsed;
   ASSERT_TRUE(bt::parse_blame_profile(cap.critpath_json, parsed));
   EXPECT_EQ(parsed.to_json(), cap.critpath_json);
@@ -462,7 +430,7 @@ TEST(CritPathE2E, InjectedThrottleDominatesTheBlameProfile) {
   // Sessions run one at a time, 150 ms apart — wider than the throttled
   // serialization — so the dwell itself, not queueing behind it, carries
   // the blame and the attribution is unambiguous.
-  const LoopCapture cap = run_loop(43, 2, 9, 1, 150'000, &plan);
+  const LoopCapture cap = run_loop(43, 9, 1, 150'000, &plan);
   ASSERT_GE(cap.report.requests.size(), 1u);
   for (const bo::RequestBlame& req : cap.report.requests) {
     EXPECT_EQ(sum_segs(req), req.total_us);
@@ -472,13 +440,13 @@ TEST(CritPathE2E, InjectedThrottleDominatesTheBlameProfile) {
   EXPECT_EQ(profile.top_segment(), "chaos_dwell");
   std::int64_t dwell = 0;
   for (const auto& row : profile.rows) {
-    if (row.region == -1 && row.seg == "chaos_dwell") dwell = row.total_us;
+    if (row.seg == "chaos_dwell") dwell = row.total_us;
   }
   EXPECT_GT(dwell * 2, profile.sum_us) << "throttle must own >50% of blame";
 
   // Same seed without the plan: `bentotrace diff` semantics catch the
   // regression (chaos_dwell appears, means explode past 10% + 50 µs).
-  const LoopCapture clean = run_loop(43, 2, 9, 1, 150'000, nullptr);
+  const LoopCapture clean = run_loop(43, 9, 1, 150'000, nullptr);
   const bo::BlameDiff diff =
       bo::diff_blame(bo::aggregate_blame(clean.report), profile, 10, 50);
   EXPECT_TRUE(diff.regressed());

@@ -1,8 +1,8 @@
-// Golden fixture for BL105 (concurrency allowlist): raw thread/mutex/atomic
-// in the sim/core tree flags unless the declaration carries a
-// `// bentolint: allow(BL105 <why>)` sanction (DESIGN.md §12). bentolint_test
-// analyzes this file twice — under a virtual src/sim/ path (fires) and a
-// virtual src/tor/ path (out of scope, silent) — to pin the scoping rule.
+// Golden fixture for BL105 (concurrency ban): thread, lock, atomic and
+// thread-local state anywhere in src/ flags, and an allow annotation does
+// not lift the ban — the simulator is one event loop (DESIGN.md §12).
+// bentolint_test analyzes this file under a virtual src/ path (fires) and
+// under tools/ and bench/ paths (out of scope, silent).
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -20,10 +20,12 @@ void spin() {
   t.join();
 }
 
-// Suppressed: harness-only synchronization, explained at the site.
+thread_local int per_thread = 0;  // expect(BL105)
+
+// An annotation is no sanction: the ban has no allowlist.
 struct Gate {
   // bentolint: allow(BL105 crash-only test harness, never on the sim loop)
-  std::mutex harness_mu;
+  std::mutex harness_mu;  // expect(BL105)
 };
 
 }  // namespace fx

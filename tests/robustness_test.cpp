@@ -451,6 +451,105 @@ TEST(Robustness, BentoServerSurvivesProtocolGarbage) {
   EXPECT_EQ(world.server_for(boxes[0])->live_containers(), 0u);
 }
 
+// One malformed 5-byte frame (length 1, body 0xff) is the sender's problem
+// alone: the box answers with one Error, ends that stream, counts the
+// rejection — and keeps serving everyone else.
+TEST(Robustness, MalformedFrameRejectsOnlyThatStream) {
+  bc::BentoWorld world;
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  const bt::RelayDescriptor* desc = world.bed().consensus().find(box);
+  ASSERT_NE(desc, nullptr);
+  bento::obs::Counter rejected = bento::obs::registry().counter("bento.server.rejected");
+  const std::uint64_t rejected_before = rejected.value();
+
+  auto attacker = world.make_client("attacker");
+  bc::StreamFramer framer;
+  int errors = 0;
+  int others = 0;
+  bool ended = false;
+  bt::PathConstraints constraints;
+  constraints.last_hop = box;
+  attacker.proxy->build_circuit(constraints, [&](bt::CircuitOrigin* circ) {
+    ASSERT_NE(circ, nullptr);
+    bt::Stream::Callbacks cbs;
+    cbs.on_data = [&](bu::ByteView d) {
+      for (const bc::Message& m : framer.feed(d)) {
+        ++(m.type == bc::MsgType::Error ? errors : others);
+      }
+    };
+    cbs.on_end = [&ended] { ended = true; };
+    const bt::Endpoint bento{desc->addr, bc::BentoClientConfig{}.bento_port};
+    bt::Stream* stream = circ->open_stream(bento, std::move(cbs));
+    stream->set_on_connected([stream] {
+      stream->send(bu::Bytes{0x00, 0x00, 0x00, 0x01, 0xff});
+    });
+  });
+  world.run();  // returns: the frame never escapes the box as an exception
+  EXPECT_EQ(errors, 1);
+  EXPECT_EQ(others, 0);
+  EXPECT_TRUE(ended);
+  EXPECT_EQ(rejected.value() - rejected_before, 1u);
+
+  auto alice = world.make_client("alice");
+  bc::FunctionManifest manifest;
+  manifest.name = "echo";
+  manifest.image = bc::kImagePython;
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 1'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 1 << 20;
+  Deployed d = deploy_function(world, alice, box, manifest,
+                               "def on_message(msg):\n    api.send(msg)\n");
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("still here"));
+  world.run();
+  ASSERT_EQ(d.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(d.outputs[0]), "still here");
+}
+
+// A Browser whose network budget is smaller than one page trips on a fetch
+// chunk: that container dies with a resource-limit reason, the simulation
+// carries on.
+TEST(Robustness, ClearnetBudgetTripKillsOnlyTheContainer) {
+  bc::BentoWorld world;
+  world.start();
+  world.bed().add_web_server(bt::parse_addr("93.184.216.34"), [](const std::string&) {
+    return std::optional<bu::Bytes>(bu::Bytes(200'000, 'x'));
+  });
+  std::string box;
+  for (const auto& relay : world.bed().consensus().relays) {
+    if (relay.flags.exit) box = relay.fingerprint();
+  }
+  ASSERT_FALSE(box.empty());
+  bento::obs::Counter trips = bento::obs::registry().counter("sandbox.resource_trips");
+
+  bc::FunctionManifest manifest = bf::browser_manifest();
+  manifest.resources.network_bytes = 10'000;
+  auto client = world.make_client("alice");
+  Deployed d = deploy_function(world, client, box, manifest, bf::browser_source());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  bc::BentoServer* server = world.server_for(box);
+  ASSERT_NE(server, nullptr);
+  ASSERT_EQ(server->containers().size(), 1u);
+  const bc::Container* container = server->containers()[0];
+  const std::uint64_t trips_before = trips.value();
+
+  d.conn->invoke(d.tokens->invocation.bytes(),
+                 bu::to_bytes("http://93.184.216.34/index.html 0"));
+  // Step until the box reclaims the container; its object lives until the
+  // deferred destructor event, so the death reason is still readable.
+  while (server->live_containers() == 1 && world.sim().step()) {
+  }
+  ASSERT_EQ(server->live_containers(), 0u);
+  EXPECT_TRUE(container->dead());
+  EXPECT_EQ(container->death_reason().rfind("resource limit", 0), 0u)
+      << container->death_reason();
+  world.run();
+  EXPECT_EQ(trips.value() - trips_before, 1u);
+  EXPECT_TRUE(d.outputs.empty());
+}
+
 TEST(Robustness, DoubleSpawnDoubleUploadHandled) {
   bc::BentoWorld world;
   world.start();

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "chaos/chaos.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/transport.hpp"
 #include "util/bytes.hpp"
 
+namespace bch = bento::chaos;
+namespace bo = bento::obs;
 namespace bs = bento::sim;
 namespace bu = bento::util;
 using bu::Duration;
@@ -184,6 +193,129 @@ TEST(Simulator, SlabPoolRecyclesAcrossManyEvents) {
   }
   sim.run();
   EXPECT_EQ(sum, 999ull * 1000 / 2);
+}
+
+TEST(Simulator, ThrowingHandlerPropagatesAndClearsSpanContext) {
+  bs::Simulator sim(1);
+  // Scheduled under an active request context, which dispatch restores.
+  bo::set_current_span(bo::SpanContext{7, 9});
+  sim.at(Time::from_micros(10), [] {
+    EXPECT_EQ(bo::current_span().span_id, 9u);
+    throw std::runtime_error("handler failed");
+  });
+  bo::set_current_span(bo::SpanContext{});
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_FALSE(bo::current_span().active());
+  EXPECT_EQ(sim.now().micros(), 10);
+
+  // The loop stays usable, and later events carry no leftover context.
+  bool clean = false;
+  sim.after(Duration::micros(5), [&clean] { clean = !bo::current_span().active(); });
+  sim.run();
+  EXPECT_TRUE(clean);
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+namespace {
+
+/// Decrements the hop budget in byte 0 and echoes the message back until it
+/// reaches zero — deterministic traffic that drains on its own.
+class EchoHandler : public bs::MessageHandler {
+ public:
+  bs::Network* net = nullptr;
+  bs::NodeId self = bs::kInvalidNode;
+
+  void on_message(bs::NodeId from, bu::Bytes data) override {
+    if (data.empty() || data[0] == 0) return;
+    data[0] -= 1;
+    net->send(self, from, std::move(data));
+  }
+};
+
+constexpr int kGroups = 4;
+constexpr int kPerGroup = 3;
+
+/// Builds a 12-node topology of 4 latency groups (2 ms links inside a group,
+/// the 40 ms default between groups, one explicit 50 ms cross link), kicks
+/// off intra- and cross-group echo traffic — all at the same timestamp, to
+/// stress tie-breaking — runs to quiescence and returns the flight-recorder
+/// capture.
+std::string run_twelve_nodes(std::uint64_t seed, bool with_chaos) {
+  bs::Simulator sim(seed);
+  bs::Network net(sim);
+  std::vector<std::unique_ptr<EchoHandler>> handlers;
+  std::vector<bs::NodeId> ids;
+  for (int i = 0; i < kGroups * kPerGroup; ++i) {
+    auto h = std::make_unique<EchoHandler>();
+    const bs::NodeId id = net.add_node(bs::NodeSpec{.name = "node"}, h.get());
+    h->net = &net;
+    h->self = id;
+    ids.push_back(id);
+    handlers.push_back(std::move(h));
+  }
+  for (int g = 0; g < kGroups; ++g) {
+    for (int i = 0; i < kPerGroup; ++i) {
+      for (int j = i + 1; j < kPerGroup; ++j) {
+        net.set_latency(ids[g * kPerGroup + i], ids[g * kPerGroup + j],
+                        Duration::millis(2));
+      }
+    }
+  }
+  net.set_latency(ids[0], ids[kPerGroup], Duration::millis(50));
+
+  bch::ChaosEngine chaos(sim, net);
+  if (with_chaos) {
+    bch::ChaosPlan plan;
+    plan.seed = 7;
+    plan.links.push_back(bch::LinkFault{.a = bch::kAnyNode,
+                                        .b = bch::kAnyNode,
+                                        .drop_p = 0.05,
+                                        .dup_p = 0.05,
+                                        .jitter_p = 0.10});
+    plan.partitions.push_back(bch::Partition{.a = ids[0],
+                                             .b = ids[kPerGroup],
+                                             .start = Time::from_micros(200'000),
+                                             .heal = Duration::millis(300)});
+    plan.crashes.push_back(bch::NodeCrash{.node = ids[2 * kPerGroup],
+                                          .at = Time::from_micros(250'000),
+                                          .restart_after = Duration::millis(200)});
+    chaos.install(std::move(plan));
+  }
+
+  bo::recorder().enable(1 << 15);
+  const Time start = Time::from_micros(10'000);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const bs::NodeId src = ids[i];
+    const bs::NodeId intra = ids[(i % kPerGroup + 1) % kPerGroup + (i / kPerGroup) * kPerGroup];
+    const bs::NodeId cross = ids[(i + kPerGroup) % ids.size()];
+    sim.at(start, [&net, src, intra, cross] {
+      net.send(src, intra, bu::Bytes{5});
+      net.send(src, cross, bu::Bytes{3});
+    });
+  }
+  sim.run();
+  std::ostringstream os;
+  bo::recorder().export_jsonl(os);
+  bo::recorder().disable();
+  return os.str();
+}
+
+}  // namespace
+
+TEST(Simulator, TwelveNodeTraceRepeatsByteIdentical) {
+  const std::string a = run_twelve_nodes(11, /*with_chaos=*/false);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, run_twelve_nodes(11, /*with_chaos=*/false));
+}
+
+TEST(Simulator, TwelveNodeChaosTraceRepeatsByteIdentical) {
+  const std::string a = run_twelve_nodes(23, /*with_chaos=*/true);
+  EXPECT_NE(a.find("chaos.fault"), std::string::npos);
+  EXPECT_EQ(a, run_twelve_nodes(23, /*with_chaos=*/true));
+}
+
+TEST(Simulator, TwelveNodeSeedsDiverge) {
+  EXPECT_NE(run_twelve_nodes(11, true), run_twelve_nodes(12, true));
 }
 
 namespace {

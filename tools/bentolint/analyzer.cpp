@@ -601,27 +601,21 @@ class FileAnalysis {
       check_range_for(i);
     }
 
-    // BL105 — concurrency allowlist for src/sim + src/core. The only
-    // sanctioned primitives are the sharded-simulator window pool's
-    // (worker std::threads, the lookahead-barrier mutex/condvars, shard
-    // mailboxes — DESIGN.md §12), each carrying a
-    // `// bentolint: allow(BL105 <why>)` annotation at the declaration.
-    // Anything unannotated still flags: new concurrency must join the
-    // allowlist with a written rationale, not slip in piecemeal.
-    if (scope_.concurrency_inventory) {
+    // BL105 — concurrency ban over src/. The simulator is one event loop
+    // (DESIGN.md §12) and everything in src/ runs on it, so no thread,
+    // lock, atomic or thread-local state has a reason to exist there.
+    if (scope_.concurrency_ban) {
       if (in_list(s, kConcurrencyTypes) && i >= 2 && is_punct(i - 1, "::") &&
           text(i - 2) == "std") {
         report("BL105", t,
                "std::" + std::string(s) +
-                   " outside the sharded-simulator allowlist; sanction it "
-                   "with `// bentolint: allow(BL105 <why>)` and a DESIGN.md "
-                   "§12 rationale, or keep this code single-threaded");
-      } else if (starts_with(s, "pthread_")) {
+                   " in src/: the simulator is single-threaded (DESIGN.md "
+                   "§12); keep this code on the event loop");
+      } else if (starts_with(s, "pthread_") || s == "thread_local") {
         report("BL105", t,
                "'" + std::string(s) +
-                   "' outside the sharded-simulator allowlist (raw pthreads "
-                   "are never sanctioned; use the std primitives with an "
-                   "allow annotation)");
+                   "' in src/: the simulator is single-threaded (DESIGN.md "
+                   "§12); keep this code on the event loop");
       }
     }
 
@@ -794,7 +788,8 @@ class FileAnalysis {
     std::vector<Diagnostic> kept;
     kept.reserve(diags_.size());
     for (Diagnostic& d : diags_) {
-      if (d.rule != "BL100") {
+      // BL100 judges the annotations themselves; BL105 is a plain ban.
+      if (d.rule != "BL100" && d.rule != "BL105") {
         if (sup_.file_wide.count(d.rule) != 0) continue;
         const auto it = sup_.by_line.find(d.line);
         if (it != sup_.by_line.end() && it->second.count(d.rule) != 0) {
@@ -880,8 +875,7 @@ void json_escape(std::string& out, std::string_view s) {
 FileScope scope_for_path(std::string_view rel_path) {
   FileScope scope;
   scope.deterministic_everywhere = starts_with(rel_path, "src/");
-  scope.concurrency_inventory =
-      starts_with(rel_path, "src/sim/") || starts_with(rel_path, "src/core/");
+  scope.concurrency_ban = starts_with(rel_path, "src/");
   scope.is_header = ends_with(rel_path, ".hpp") || ends_with(rel_path, ".h");
   scope.store_framing = starts_with(rel_path, "src/store/");
   return scope;

@@ -19,9 +19,10 @@
 //          reference-cycle leak class; capture a weak_ptr and lock()
 //   BL104  iteration over an unordered container feeding trace/log/event
 //          emission (iteration-order nondeterminism reaches the recorders)
-//   BL105  raw std::thread/mutex/atomic in src/sim + src/core outside the
-//          sharded-simulator allowlist (DESIGN.md §12); sanctioned
-//          primitives carry `// bentolint: allow(BL105 <why>)` annotations
+//   BL105  std::thread/mutex/condition_variable/atomic/future, pthread_*
+//          or thread_local anywhere in src/: the simulator is one event
+//          loop (DESIGN.md §12). A plain ban — allow annotations do not
+//          lift it
 //   BL106  banned unsafe C functions (strcpy, sprintf, gets, ...)
 //   BL107  header without #pragma once
 //   BL108  include hygiene ("../" escapes, <bits/...> internals)
@@ -63,8 +64,8 @@ struct FileScope {
   // (tools/, bench/ — wall-clock timing loops are their job), BL101 only
   // fires inside functions annotated BENTO_DETERMINISTIC.
   bool deterministic_everywhere = false;
-  // BL105 concurrency allowlist (src/sim + src/core only).
-  bool concurrency_inventory = false;
+  // BL105 concurrency ban (src/ only).
+  bool concurrency_ban = false;
   // BL107 pragma-once check (headers only).
   bool is_header = false;
   // BL109 frame/CRC pairing (src/store only).

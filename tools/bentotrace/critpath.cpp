@@ -1,6 +1,5 @@
 #include "bentotrace/critpath.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -8,10 +7,10 @@
 
 namespace bento::tools {
 
-obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events) {
-  obs::CritInput input;
+std::vector<obs::CritSpan> crit_spans_from_events(const std::vector<RawEvent>& events) {
+  std::vector<obs::CritSpan> spans;
   const TraceForest forest = build_forest(events);
-  input.spans.reserve(forest.spans.size());
+  spans.reserve(forest.spans.size());
   for (const auto& [id, node] : forest.spans) {
     obs::CritSpan s;
     s.id = id;
@@ -23,12 +22,9 @@ obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events) {
     s.ref = node.ref;
     s.idle_us = node.idle_us;
     s.chaos_us = node.chaos_us;
-    input.spans.push_back(s);
+    spans.push_back(s);
   }
-  for (const RawEvent& e : events) {
-    if (e.ev == "shard.barrier") input.barriers_us.push_back(e.ts);
-  }
-  return input;
+  return spans;
 }
 
 bool looks_like_blame_profile(std::string_view text) {
@@ -61,14 +57,8 @@ bool parse_blame_profile(std::string_view json, obs::BlameProfile& out) {
         !find_int(obj, "\"total_us\":", row.total_us) ||
         !find_int(obj, "\"mean_us\":", row.mean_us) ||
         !find_int(obj, "\"body_mean_us\":", row.body_mean_us) ||
-        !find_int(obj, "\"tail_mean_us\":", row.tail_mean_us)) {
-      return false;
-    }
-    if (region == "all") {
-      row.region = -1;
-    } else if (region.size() > 1 && region[0] == 'r') {
-      row.region = std::atoi(region.c_str() + 1);
-    } else {
+        !find_int(obj, "\"tail_mean_us\":", row.tail_mean_us) ||
+        region != "all") {
       return false;
     }
     out.rows.push_back(std::move(row));
@@ -99,8 +89,31 @@ bool load_blame_profile(std::string_view text, obs::BlameProfile& out,
     return false;
   }
   out = obs::aggregate_blame(
-      obs::compute_critical_paths(crit_input_from_events(events)));
+      obs::compute_critical_paths(crit_spans_from_events(events)));
   return true;
+}
+
+obs::SloReport evaluate_trace_slos(const std::vector<RawEvent>& events,
+                                   const std::vector<obs::SloSpec>& specs) {
+  obs::SloInput input;
+  for (const RawEvent& e : events) {
+    if (e.ev == "stream.ttfb") {
+      input.add_sample("ttfb_us", static_cast<std::int64_t>(e.b));
+    } else if (e.ev == "stream.ttlb") {
+      input.add_sample("ttlb_us", static_cast<std::int64_t>(e.b));
+    }
+  }
+  // critpath.* metrics (e.g. "critpath.net_link_queue_us:p99<=...") run the
+  // critical-path analyzer over the same events — lazily, only when a spec
+  // actually asks, so plain latency gates stay O(events).
+  for (const obs::SloSpec& spec : specs) {
+    if (spec.metric.rfind("critpath.", 0) == 0) {
+      obs::add_critpath_series(
+          obs::compute_critical_paths(crit_spans_from_events(events)), input);
+      break;
+    }
+  }
+  return obs::evaluate_slos("trace", specs, input);
 }
 
 }  // namespace bento::tools

@@ -3,21 +3,22 @@
 // profile JSON that `bentotrace critpath --json` emits — so `bentotrace
 // diff A B` accepts either a raw trace.jsonl or a committed profile on
 // each side (the golden-profile gate in CI diffs a fresh run against a
-// checked-in JSON).
+// checked-in JSON). Also evaluates SLO specs against a trace.
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "bentotrace/reader.hpp"
 #include "obs/critpath.hpp"
+#include "obs/slo.hpp"
 
 namespace bento::tools {
 
-/// Builds the analyzer input from parsed trace events: the span forest
-/// (with the kNoteLinkIdle / kNoteChaosDwell budget notes) plus the
-/// shard.barrier timestamps.
-obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events);
+/// Builds the analyzer input from parsed trace events: the span forest,
+/// with the kNoteLinkIdle / kNoteChaosDwell budget notes.
+std::vector<obs::CritSpan> crit_spans_from_events(const std::vector<RawEvent>& events);
 
 /// Parses a `{"critpath":{...}}` document (obs::BlameProfile::to_json) back
 /// into a profile. Returns false on anything that does not match the
@@ -33,5 +34,12 @@ bool looks_like_blame_profile(std::string_view text);
 /// Returns false (with *err set) when neither works.
 bool load_blame_profile(std::string_view text, obs::BlameProfile& out,
                         std::string* err);
+
+/// Builds the SLO input (ttfb_us / ttlb_us series) from trace events and
+/// evaluates the given objectives. Specs naming "critpath.*" metrics (e.g.
+/// critpath.net_link_queue_us) run the critical-path analyzer over the same
+/// events to build those series.
+obs::SloReport evaluate_trace_slos(const std::vector<RawEvent>& events,
+                                   const std::vector<obs::SloSpec>& specs);
 
 }  // namespace bento::tools

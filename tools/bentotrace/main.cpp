@@ -4,11 +4,6 @@
 //   bentotrace summary <trace.jsonl>   per-stage latency table + TTFB/TTLB
 //   bentotrace tree    <trace.jsonl>   reconstructed span trees, one per request
 //   bentotrace chrome  <trace.jsonl>   Chrome trace_event JSON (about:tracing)
-//   bentotrace shards  <trace.jsonl> [--profile <profile_wall.json>]
-//                                      per-region balance + barrier stats from
-//                                      shard.window/shard.barrier events; with
-//                                      --profile, wall-time attribution
-//                                      {dispatch, barrier wait, drain, merge}
 //   bentotrace slo     <trace.jsonl> SPEC [SPEC...]
 //                                      evaluate SLO specs (see obs/slo.hpp,
 //                                      e.g. ttfb_us:p99<=250000 or
@@ -39,7 +34,6 @@
 
 #include "bentotrace/critpath.hpp"
 #include "bentotrace/reader.hpp"
-#include "bentotrace/shards.hpp"
 #include "obs/critpath.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
@@ -49,7 +43,6 @@ namespace {
 
 int usage() {
   std::cerr << "usage: bentotrace <summary|tree|chrome> <trace.jsonl|->\n"
-               "       bentotrace shards <trace.jsonl|-> [--profile <profile_wall.json>]\n"
                "       bentotrace slo <trace.jsonl|-> SPEC [SPEC...]\n"
                "       bentotrace critpath <trace.jsonl|-> [--json]\n"
                "       bentotrace diff <A> <B> [--threshold-pct N] "
@@ -156,29 +149,8 @@ int main(int argc, char** argv) {
     }
     const bento::obs::BlameProfile profile = bento::obs::aggregate_blame(
         bento::obs::compute_critical_paths(
-            bento::tools::crit_input_from_events(events)));
+            bento::tools::crit_spans_from_events(events)));
     std::cout << (json ? profile.to_json() : profile.to_string());
-    return 0;
-  }
-
-  if (cmd == "shards") {
-    bento::obs::ShardProfileSnapshot wall;
-    bool have_wall = false;
-    for (int i = 3; i < argc; ++i) {
-      if (std::string(argv[i]) == "--profile" && i + 1 < argc) {
-        std::string text;
-        if (!read_whole(argv[++i], text)) return 1;
-        if (!bento::tools::parse_shard_profile(text, wall)) {
-          std::cerr << "bentotrace: not a ShardProfile JSON: " << argv[i] << "\n";
-          return 1;
-        }
-        have_wall = true;
-      } else {
-        return usage();
-      }
-    }
-    bento::tools::format_shard_report(events, have_wall ? &wall : nullptr,
-                                      std::cout);
     return 0;
   }
 

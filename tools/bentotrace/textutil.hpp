@@ -1,8 +1,7 @@
 // Shared text helpers for the bentotrace analysis library: fixed-width table
-// columns, fixed-point percent rendering, and the key-directed scanner used
-// to read back our own byte-stable JSON emitters (ShardProfile, critpath
-// blame profiles). One copy, so summary, shards, slo and critpath can never
-// disagree on formatting or parsing conventions.
+// columns and the key-directed scanner used to read back our own byte-stable
+// JSON emitters (critpath blame profiles). One copy, so summary and critpath
+// can never disagree on formatting or parsing conventions.
 #pragma once
 
 #include <charconv>
@@ -22,18 +21,6 @@ inline void rcol(std::ostream& os, const std::string& s, std::size_t width) {
 
 inline void rcol(std::ostream& os, std::int64_t v, std::size_t width) {
   rcol(os, std::to_string(v), width);
-}
-
-/// One-decimal fixed-point rendering (deterministic round-half-away).
-inline void fixed1(std::ostream& os, double v) {
-  const auto scaled = static_cast<std::int64_t>(v * 10 + (v < 0 ? -0.5 : 0.5));
-  os << scaled / 10 << '.' << (scaled < 0 ? -(scaled % 10) : scaled % 10);
-}
-
-inline double pct_of(std::uint64_t part, std::uint64_t whole) {
-  return whole == 0
-             ? 0.0
-             : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
 }
 
 /// Key-directed scanner for our emitters' fixed shapes (no whitespace,
