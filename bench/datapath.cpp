@@ -6,6 +6,8 @@
 // Measured here:
 //   * ChaCha20 keystream kernel, new (8-block SIMD) vs the seed scalar
 //     byte-at-a-time kernel (inlined below as the fixed baseline);
+//   * SHA-256 over 8 blocks: the scalar kernel vs Sha256 itself, which on a
+//     SHA-NI host must have dispatched to the SHA-NI kernel;
 //   * the full 3-hop relay-crypto datapath (origin onion-encrypt + three
 //     relay peel/check stages) with heap allocations counted per cell —
 //     the zero-allocation invariant of DESIGN.md §7;
@@ -29,6 +31,8 @@
 
 #include "chaos/chaos.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/kernels.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -215,6 +219,42 @@ static void BM_ChaCha20(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ChaCha20)->Arg(509)->Arg(8192);
+
+// SHA-256 of a 512 B run (8 blocks). The scalar arm calls the fallback
+// kernel directly; the shani arm hashes through Sha256, so it times whatever
+// the startup dispatch picked. run_benchmarks.sh gates shani/scalar at 3x on
+// SHA-NI hosts, which a broken kernel or a broken dispatch would both fail.
+static void BM_Sha256Kernel(benchmark::State& state, bool through_dispatch) {
+  if (through_dispatch) {
+#if BENTO_X86_KERNELS
+    const bool has_sha = __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+    const bool has_sha = false;
+#endif
+    if (!has_sha) {
+      state.SkipWithError("CPU lacks the SHA extensions");
+      return;
+    }
+  }
+  bu::Rng rng(4);
+  const bu::Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  bc::Sha256 hasher;
+  std::array<std::uint32_t, 8> chain{};
+  for (auto _ : state) {
+    if (through_dispatch) {
+      hasher.update(data);
+    } else {
+      bc::detail::sha256_blocks_scalar(chain, data.data(), data.size() / 64);
+    }
+    benchmark::DoNotOptimize(&hasher);
+    benchmark::DoNotOptimize(chain.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha256Kernel, scalar, false)->Arg(512);
+BENCHMARK_CAPTURE(BM_Sha256Kernel, shani, true)->Arg(512);
 
 // The whole 3-hop traversal must not touch the heap — with the metrics
 // registry live (it is on by default; recognition counters fire per check).
@@ -552,4 +592,13 @@ static void BM_NetworkSendChaosIdleOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendChaosIdleOverhead);
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus this repo's CMake build type: google-benchmark's own
+// context only knows how the benchmark library was built.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("build_type", BENTO_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

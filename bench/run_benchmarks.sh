@@ -5,13 +5,17 @@
 # Usage: bench/run_benchmarks.sh [build-dir] [out-json] [obs-out-json] [store-out-json]
 #
 # BENCH_datapath.json records keystream throughput (seed scalar baseline vs
-# the current 8-block kernel), the 3-hop relay datapath (cells/s, MB/s,
-# allocs/cell), and simulator event churn (events/s, allocs/event).
+# the current 8-block kernel), SHA-256 throughput (scalar kernel vs the
+# dispatched one), the 3-hop relay datapath (cells/s, MB/s, allocs/cell),
+# and simulator event churn (events/s, allocs/event), with the CMake build
+# type of the benchmarked tree as context.build_type.
 # BENCH_obs.json records the observability overhead story: the metrics-on vs
 # metrics-off datapath delta, the traced and span-traced datapaths, and the
 # raw per-op cost of counter/histogram/trace-record handles. CI runs this as
-# a smoke check: it fails if any zero-allocation invariant breaks, the kernel
-# regresses below 3x the scalar baseline, live metrics/span tracing cost
+# a smoke check: it fails if any zero-allocation invariant breaks, the
+# ChaCha20 kernel regresses below 3x the scalar baseline, SHA-256 on a
+# SHA-NI host runs below 3x its scalar kernel (recorded as null and skipped
+# on hosts without SHA-NI), live metrics/span tracing cost
 # the cell datapath more than 10%/15% throughput, or idle chaos hooks (no
 # plan installed) add any allocation or more than 2% overhead to the network
 # send path.
@@ -173,6 +177,12 @@ seed_8192 = mb_s("BM_ChaCha20Seed/8192")
 new_509 = mb_s("BM_ChaCha20/509")
 new_8192 = mb_s("BM_ChaCha20/8192")
 
+# The shani arm is skipped (error_occurred) on hosts without SHA-NI.
+sha_scalar_512 = mb_s("BM_Sha256Kernel/scalar/512")
+sha_shani = by_name.get("BM_Sha256Kernel/shani/512")
+sha_shani_512 = (None if sha_shani is None or sha_shani.get("error_occurred")
+                 else mb_s("BM_Sha256Kernel/shani/512"))
+
 relay = by_name["BM_RelayDatapath3Hop"]
 churn = by_name["BM_SimulatorEventChurn"]
 frame = by_name["BM_CellFrameUnframe"]
@@ -194,7 +204,7 @@ distilled = {
     "context": {
         "host_cpus": raw["context"]["num_cpus"],
         "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-        "build_type": raw["context"].get("library_build_type", "unknown"),
+        "build_type": raw["context"].get("build_type", "unknown"),
     },
     "chacha20": {
         "seed_scalar_mb_s_509": seed_509,
@@ -203,6 +213,12 @@ distilled = {
         "kernel_mb_s_8192": new_8192,
         "speedup_509": round(new_509 / seed_509, 2),
         "speedup_8192": round(new_8192 / seed_8192, 2),
+    },
+    "sha256": {
+        "scalar_mb_s_512": sha_scalar_512,
+        "shani_mb_s_512": sha_shani_512,
+        "speedup_512": (None if sha_shani_512 is None
+                        else round(sha_shani_512 / sha_scalar_512, 2)),
     },
     "relay_datapath_3hop": {
         "cells_per_sec": round(relay["items_per_second"]),
@@ -335,6 +351,11 @@ if distilled["chacha20"]["speedup_509"] < 3.0:
     failures.append("ChaCha20 509B speedup below 3x scalar baseline")
 if distilled["chacha20"]["speedup_8192"] < 3.0:
     failures.append("ChaCha20 8KiB speedup below 3x scalar baseline")
+sha256_speedup = distilled["sha256"]["speedup_512"]
+if sha256_speedup is None:
+    print("sha256 gate: skipped (CPU lacks SHA-NI)")
+elif sha256_speedup < 3.0:
+    failures.append("SHA-256 512B below 3x its scalar kernel on a SHA-NI host")
 if obs["relay_datapath_3hop"]["metrics_on_allocs_per_cell"] != 0:
     failures.append("metrics-on datapath allocates per cell")
 if obs["relay_datapath_3hop"]["traced_allocs_per_cell"] != 0:
@@ -488,6 +509,7 @@ trajectory_entry = {
     "rev": git_rev,
     "speedup_509": distilled["chacha20"]["speedup_509"],
     "speedup_8192": distilled["chacha20"]["speedup_8192"],
+    "sha256_speedup_512": sha256_speedup,
     "relay_cells_per_sec": distilled["relay_datapath_3hop"]["cells_per_sec"],
     "relay_allocs_per_cell": distilled["relay_datapath_3hop"]["allocs_per_cell"],
     "churn_allocs_per_event": distilled["simulator_event_churn"]["allocs_per_event"],

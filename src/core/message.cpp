@@ -39,6 +39,10 @@ std::vector<Message> StreamFramer::feed(util::ByteView data) {
   while (buffer_.size() - consumed >= 4) {
     util::Reader header(util::ByteView(buffer_.data() + consumed, 4));
     const std::uint32_t len = header.u32();
+    if (len > max_frame_) {
+      throw util::ParseError("frame announces " + std::to_string(len) + " bytes, over the " +
+                             std::to_string(max_frame_) + "-byte cap");
+    }
     if (buffer_.size() - consumed - 4 < len) break;
     out.push_back(Message::deserialize(
         util::ByteView(buffer_.data() + consumed + 4, len)));

@@ -10,6 +10,7 @@
 // python-op-sgx image is used; upload bodies then travel sealed.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,13 +51,21 @@ struct Message {
 /// Length-prefixed framing over a byte stream.
 class StreamFramer {
  public:
+  /// `max_frame` caps the body length a frame header may announce; the
+  /// default admits any u32 length.
+  explicit StreamFramer(std::uint64_t max_frame = UINT32_MAX) : max_frame_(max_frame) {}
+
   /// Encodes one message as a frame.
   static util::Bytes frame(const Message& msg);
 
-  /// Feeds received bytes; returns every completed message.
+  /// Feeds received bytes; returns every completed message. Throws
+  /// util::ParseError on a malformed message, or as soon as a header
+  /// announces a body longer than max_frame, without waiting for that body;
+  /// the framer must then be dropped.
   std::vector<Message> feed(util::ByteView data);
 
  private:
+  std::uint64_t max_frame_;
   util::Bytes buffer_;
 };
 

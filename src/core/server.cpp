@@ -92,7 +92,10 @@ std::size_t BentoServer::total_memory_bytes() const {
 
 bool BentoServer::on_stream_open(tor::EdgeStream& stream) {
   tor::EdgeStream* ptr = &stream;
-  conns_[ptr];
+  // No function may hold a message larger than its memory limit, so no
+  // client needs a longer frame.
+  conns_.try_emplace(ptr,
+                     ClientConn{StreamFramer(config_.policy.max_per_function.memory_bytes)});
   stream.set_on_data([this, ptr](util::ByteView data) {
     auto it = conns_.find(ptr);
     if (it == conns_.end()) return;

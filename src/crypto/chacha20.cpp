@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "crypto/kernels.hpp"
 #include "util/annotations.hpp"
 
 namespace bento::crypto {
@@ -10,13 +11,6 @@ namespace {
 BENTO_HOT std::uint32_t load32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 // ---- 8-block interleaved keystream kernel -------------------------------
@@ -33,13 +27,28 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
 #define BENTO_CHACHA_SIMD 1
 #endif
 
+#if BENTO_CHACHA_SIMD && (defined(__clang__) || __GNUC__ >= 12) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+// __builtin_shufflevector is available and vector lanes are stored in
+// keystream (little-endian) byte order: rotates and the output store are
+// shuffles. Other targets rotate with shift-or and store word by word.
+#define BENTO_CHACHA_SHUFFLE 1
+#endif
+
+#if !BENTO_CHACHA_SHUFFLE
+BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+#endif
+
 #if BENTO_CHACHA_SIMD
 
-#if (defined(__clang__) || __GNUC__ >= 12) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#if BENTO_CHACHA_SHUFFLE
 // Byte-granular rotates (16 and 8 bits) become single shuffle instructions
-// (vpshufb & co.). The u8/u16 lane indices below assume little-endian lane
-// layout; other targets use the shift-or fallback.
+// (vpshufb & co.). The u8/u16 lane indices assume little-endian lane layout.
 #define BENTO_ROT16(v)                                                        \
   __builtin_shufflevector((v), (v), 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, \
                           12, 15, 14)
@@ -63,7 +72,7 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
   x[b] ^= x[c];                       \
   x[b] = (x[b] << 7) | (x[b] >> 25);
 
-#ifdef BENTO_ROT16
+#if BENTO_CHACHA_SHUFFLE
 #define BENTO_CHACHA_ROT16(v)                                              \
   {                                                                        \
     using v16 = std::uint16_t __attribute__((vector_size(32)));            \
@@ -104,32 +113,97 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
   }                                                                     \
   for (int i = 0; i < 16; ++i) x[i] += vec{} + (state)[i];              \
   x[12] += lane_idx;                                                    \
-  for (int l = 0; l < 8; ++l) {                                         \
-    std::uint8_t* out = (block) + 64 * l;                               \
-    for (int i = 0; i < 16; ++i) store32(out + 4 * i, x[i][l]);         \
-  }
+  BENTO_CHACHA_STORE_HALF(0, block)                                     \
+  BENTO_CHACHA_STORE_HALF(8, block)
 
-BENTO_HOT void refill_portable(const std::uint32_t* state, std::uint8_t* block) {
+#if BENTO_CHACHA_SHUFFLE
+// Words w0..w0+7 of all 8 blocks: an 8x8 transpose (32-bit, 64-bit and
+// 128-bit interleaves — unpck/perm2i128 on AVX2) turns the word-major
+// x[w0..w0+7] into one 32-byte row per block, stored at its block's offset.
+#define BENTO_LO32 0, 8, 1, 9, 4, 12, 5, 13
+#define BENTO_HI32 2, 10, 3, 11, 6, 14, 7, 15
+#define BENTO_LO64 0, 1, 8, 9, 4, 5, 12, 13
+#define BENTO_HI64 2, 3, 10, 11, 6, 7, 14, 15
+#define BENTO_LO128 0, 1, 2, 3, 8, 9, 10, 11
+#define BENTO_HI128 4, 5, 6, 7, 12, 13, 14, 15
+#define BENTO_CHACHA_STORE_HALF(w0, block)                                        \
+  {                                                                               \
+    const vec t0 = __builtin_shufflevector(x[(w0)], x[(w0) + 1], BENTO_LO32);     \
+    const vec t1 = __builtin_shufflevector(x[(w0)], x[(w0) + 1], BENTO_HI32);     \
+    const vec t2 = __builtin_shufflevector(x[(w0) + 2], x[(w0) + 3], BENTO_LO32); \
+    const vec t3 = __builtin_shufflevector(x[(w0) + 2], x[(w0) + 3], BENTO_HI32); \
+    const vec t4 = __builtin_shufflevector(x[(w0) + 4], x[(w0) + 5], BENTO_LO32); \
+    const vec t5 = __builtin_shufflevector(x[(w0) + 4], x[(w0) + 5], BENTO_HI32); \
+    const vec t6 = __builtin_shufflevector(x[(w0) + 6], x[(w0) + 7], BENTO_LO32); \
+    const vec t7 = __builtin_shufflevector(x[(w0) + 6], x[(w0) + 7], BENTO_HI32); \
+    const vec u0 = __builtin_shufflevector(t0, t2, BENTO_LO64);                   \
+    const vec u1 = __builtin_shufflevector(t0, t2, BENTO_HI64);                   \
+    const vec u2 = __builtin_shufflevector(t1, t3, BENTO_LO64);                   \
+    const vec u3 = __builtin_shufflevector(t1, t3, BENTO_HI64);                   \
+    const vec u4 = __builtin_shufflevector(t4, t6, BENTO_LO64);                   \
+    const vec u5 = __builtin_shufflevector(t4, t6, BENTO_HI64);                   \
+    const vec u6 = __builtin_shufflevector(t5, t7, BENTO_LO64);                   \
+    const vec u7 = __builtin_shufflevector(t5, t7, BENTO_HI64);                   \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 0, u0, u4, BENTO_LO128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 1, u1, u5, BENTO_LO128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 2, u2, u6, BENTO_LO128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 3, u3, u7, BENTO_LO128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 4, u0, u4, BENTO_HI128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 5, u1, u5, BENTO_HI128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 6, u2, u6, BENTO_HI128)           \
+    BENTO_CHACHA_STORE_ROW((block) + 4 * (w0), 7, u3, u7, BENTO_HI128)           \
+  }
+#define BENTO_CHACHA_STORE_ROW(out, l, a, b, sel)                 \
+  {                                                               \
+    const vec row = __builtin_shufflevector((a), (b), sel);       \
+    std::memcpy((out) + 64 * (l), &row, 32);                      \
+  }
+#else
+#define BENTO_CHACHA_STORE_HALF(w0, block)                                  \
+  for (int l = 0; l < 8; ++l) {                                             \
+    for (int i = (w0); i < (w0) + 8; ++i) {                                 \
+      store32((block) + 64 * l + 4 * i, x[i][l]);                           \
+    }                                                                       \
+  }
+#endif
+
+}  // namespace
+
+namespace detail {
+
+BENTO_HOT void chacha20_refill_portable(const std::uint32_t* state, std::uint8_t* block) {
   BENTO_CHACHA_REFILL_BODY(state, block)
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-BENTO_HOT __attribute__((target("avx2"))) void refill_avx2(const std::uint32_t* state,
-                                                 std::uint8_t* block) {
+#if BENTO_X86_KERNELS
+BENTO_HOT __attribute__((target("avx2"))) void chacha20_refill_avx2(
+    const std::uint32_t* state, std::uint8_t* block) {
   BENTO_CHACHA_REFILL_BODY(state, block)
 }
 #endif
 
 #undef BENTO_CHACHA_REFILL_BODY
+#undef BENTO_CHACHA_STORE_HALF
+#undef BENTO_CHACHA_STORE_ROW
+#undef BENTO_LO32
+#undef BENTO_HI32
+#undef BENTO_LO64
+#undef BENTO_HI64
+#undef BENTO_LO128
+#undef BENTO_HI128
 #undef BENTO_CHACHA_QR
+
+}  // namespace detail
+
+namespace {
 
 using RefillFn = void (*)(const std::uint32_t*, std::uint8_t*);
 
 RefillFn pick_refill() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return refill_avx2;
+#if BENTO_X86_KERNELS
+  if (__builtin_cpu_supports("avx2")) return detail::chacha20_refill_avx2;
 #endif
-  return refill_portable;
+  return detail::chacha20_refill_portable;
 }
 
 const RefillFn kRefill = pick_refill();
@@ -153,7 +227,11 @@ BENTO_HOT void quarter_round(std::uint32_t x[16][8], int a, int b, int c, int d)
   }
 }
 
-BENTO_HOT void refill_scalar(const std::uint32_t* state, std::uint8_t* block) {
+}  // namespace
+
+namespace detail {
+
+BENTO_HOT void chacha20_refill_portable(const std::uint32_t* state, std::uint8_t* block) {
   std::uint32_t x[16][8];
   for (int i = 0; i < 16; ++i) {
     for (int l = 0; l < 8; ++l) x[i][l] = state[i];
@@ -179,7 +257,11 @@ BENTO_HOT void refill_scalar(const std::uint32_t* state, std::uint8_t* block) {
   }
 }
 
-constexpr auto kRefill = refill_scalar;
+}  // namespace detail
+
+namespace {
+
+constexpr auto kRefill = detail::chacha20_refill_portable;
 
 #endif  // BENTO_CHACHA_SIMD
 }  // namespace

@@ -2,7 +2,11 @@
 //
 // Used for relay fingerprints, cell digests, enclave measurements, and as
 // the hash under HMAC/HKDF. Verified against NIST test vectors in
-// tests/crypto_sha256_test.cpp.
+// tests/crypto_test.cpp.
+//
+// Whole 64-byte blocks go to one block kernel per call: the SHA-NI kernel
+// when the CPU has the SHA extensions (picked once at startup), else the
+// portable scalar one; both are declared in crypto/kernels.hpp.
 #pragma once
 
 #include <array>
@@ -29,7 +33,6 @@ class Sha256 {
   Digest peek_digest() const;
 
  private:
-  static void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block);
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -34,6 +34,7 @@ enum class ExprKind : std::uint8_t {
 struct Expr {
   ExprKind kind;
   int line = 0;
+  int height = 1;  // of this subtree: 1 for a leaf (the parser bounds it)
 
   // Literal
   Value literal;
@@ -72,6 +73,7 @@ struct FunctionDef {
 struct Stmt {
   StmtKind kind;
   int line = 0;
+  int height = 1;  // of this subtree, nested blocks and expressions included
 
   ExprPtr expr;    // ExprStmt value / Assign value / condition / Return value
   ExprPtr target;  // Assign & AugAssign target, For iterable

@@ -1,5 +1,7 @@
 #include "script/parser.hpp"
 
+#include <algorithm>
+
 namespace bento::script {
 
 namespace {
@@ -42,6 +44,55 @@ class Parser {
     while (at(TokenType::Newline)) ++pos_;
   }
 
+  // ---- depth bound ----
+  //
+  // Each node gets its subtree height as it is built and no node may exceed
+  // kMaxDepth; that covers left-assoc operator and postfix chains, which
+  // grow the tree in a loop. Nest bounds the parser's own recursion, which
+  // can run ahead of any node: parentheses nest without building one.
+
+  void check_depth(int depth, int line) const {
+    if (depth > kMaxDepth) {
+      throw SyntaxError("nesting deeper than " + std::to_string(kMaxDepth), line);
+    }
+  }
+
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) { p_.check_depth(++p_.depth_, p_.peek().line); }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  ExprPtr sized(ExprPtr e) {
+    int h = 0;
+    if (e->a) h = e->a->height;
+    if (e->b) h = std::max(h, e->b->height);
+    for (const auto& arg : e->args) h = std::max(h, arg->height);
+    for (const auto& [key, value] : e->pairs) h = std::max({h, key->height, value->height});
+    e->height = h + 1;
+    check_depth(e->height, e->line);
+    return e;
+  }
+
+  StmtPtr sized(StmtPtr s) {
+    int h = 0;
+    if (s->expr) h = s->expr->height;
+    if (s->target) h = std::max(h, s->target->height);
+    for (const auto& child : s->body) h = std::max(h, child->height);
+    for (const auto& child : s->orelse) h = std::max(h, child->height);
+    if (s->def) {
+      for (const auto& child : s->def->body) h = std::max(h, child->height);
+    }
+    s->height = h + 1;
+    check_depth(s->height, s->line);
+    return s;
+  }
+
   // ---- statements ----
 
   StmtPtr statement() {
@@ -66,7 +117,7 @@ class Parser {
       stmt->expr = expression();
     }
     end_of_statement();
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   void end_of_statement() {
@@ -75,6 +126,7 @@ class Parser {
   }
 
   std::vector<StmtPtr> block() {
+    const Nest nest(*this);
     expect(TokenType::Colon, "before block");
     expect(TokenType::Newline, "before block");
     skip_newlines();
@@ -106,7 +158,7 @@ class Parser {
     expect(TokenType::RParen, "after parameters");
     def->body = block();
     stmt->def = std::move(def);
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   StmtPtr if_statement() {
@@ -122,11 +174,12 @@ class Parser {
     } else if (match(TokenType::KwElse)) {
       stmt->orelse = block();
     }
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   StmtPtr if_statement_from_elif() {
     // Current token is KwElif; treat it as a nested if.
+    const Nest nest(*this);
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::If;
     stmt->line = advance().line;
@@ -138,7 +191,7 @@ class Parser {
     } else if (match(TokenType::KwElse)) {
       stmt->orelse = block();
     }
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   StmtPtr while_statement() {
@@ -147,7 +200,7 @@ class Parser {
     stmt->line = advance().line;
     stmt->expr = expression();
     stmt->body = block();
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   StmtPtr for_statement() {
@@ -158,7 +211,7 @@ class Parser {
     expect(TokenType::KwIn, "in for statement");
     stmt->target = expression();
     stmt->body = block();
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   StmtPtr expr_or_assign() {
@@ -178,19 +231,22 @@ class Parser {
       stmt->target = std::move(first);
       stmt->expr = expression();
       end_of_statement();
-      return stmt;
+      return sized(std::move(stmt));
     }
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::ExprStmt;
     stmt->line = line;
     stmt->expr = std::move(first);
     end_of_statement();
-    return stmt;
+    return sized(std::move(stmt));
   }
 
   // ---- expressions (precedence climbing) ----
 
-  ExprPtr expression() { return or_expr(); }
+  ExprPtr expression() {
+    const Nest nest(*this);
+    return or_expr();
+  }
 
   ExprPtr make_binary(TokenType op, int line, ExprPtr a, ExprPtr b) {
     auto e = std::make_unique<Expr>();
@@ -199,7 +255,7 @@ class Parser {
     e->line = line;
     e->a = std::move(a);
     e->b = std::move(b);
-    return e;
+    return sized(std::move(e));
   }
 
   ExprPtr or_expr() {
@@ -222,13 +278,14 @@ class Parser {
 
   ExprPtr not_expr() {
     if (at(TokenType::KwNot)) {
+      const Nest nest(*this);
       const int line = advance().line;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Unary;
       e->op = TokenType::KwNot;
       e->line = line;
       e->a = not_expr();
-      return e;
+      return sized(std::move(e));
     }
     return comparison();
   }
@@ -264,13 +321,14 @@ class Parser {
 
   ExprPtr unary() {
     if (at(TokenType::Minus)) {
+      const Nest nest(*this);
       const int line = advance().line;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Unary;
       e->op = TokenType::Minus;
       e->line = line;
       e->a = unary();
-      return e;
+      return sized(std::move(e));
     }
     return postfix();
   }
@@ -290,7 +348,7 @@ class Parser {
           } while (match(TokenType::Comma));
         }
         expect(TokenType::RParen, "after arguments");
-        e = std::move(call);
+        e = sized(std::move(call));
       } else if (at(TokenType::LBracket)) {
         const int line = advance().line;
         auto idx = std::make_unique<Expr>();
@@ -299,7 +357,7 @@ class Parser {
         idx->a = std::move(e);
         idx->b = expression();
         expect(TokenType::RBracket, "after index");
-        e = std::move(idx);
+        e = sized(std::move(idx));
       } else if (at(TokenType::Dot)) {
         const int line = advance().line;
         auto attr = std::make_unique<Expr>();
@@ -307,7 +365,7 @@ class Parser {
         attr->line = line;
         attr->name = expect(TokenType::Identifier, "after '.'").text;
         attr->a = std::move(e);
-        e = std::move(attr);
+        e = sized(std::move(attr));
       } else {
         return e;
       }
@@ -364,7 +422,7 @@ class Parser {
           } while (match(TokenType::Comma) && !at(TokenType::RBracket));
         }
         expect(TokenType::RBracket, "after list literal");
-        return e;
+        return sized(std::move(e));
       }
       case TokenType::LBrace: {
         ++pos_;
@@ -378,7 +436,7 @@ class Parser {
           } while (match(TokenType::Comma) && !at(TokenType::RBrace));
         }
         expect(TokenType::RBrace, "after dict literal");
-        return e;
+        return sized(std::move(e));
       }
       default:
         throw SyntaxError(std::string("unexpected token ") + to_string(t.type),
@@ -388,6 +446,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // live Nest guards
 };
 
 }  // namespace

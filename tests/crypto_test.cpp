@@ -4,6 +4,7 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kernels.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sign.hpp"
 #include "util/bytes.hpp"
@@ -277,6 +278,69 @@ TEST(Sha256, PeekDigestDoesNotDisturbState) {
   EXPECT_EQ(h.peek_digest(), first);  // idempotent
   h.update(bu::to_bytes("def"));
   EXPECT_EQ(h.peek_digest(), bc::sha256(bu::to_bytes("abcdef")));
+}
+
+// A relay payload split at every offset: update() must hand the buffered
+// head, the run of full blocks and the tail to the kernel without loss.
+TEST(Sha256, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  bu::Rng rng(509);
+  const bu::Bytes payload = rng.bytes(509);
+  const bc::Digest want = bc::sha256(payload);
+  for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+    bc::Sha256 h;
+    h.update(bu::ByteView(payload.data(), cut));
+    h.update(bu::ByteView(payload.data() + cut, payload.size() - cut));
+    ASSERT_EQ(h.finish(), want) << "split at " << cut;
+  }
+}
+
+// ---- Kernels: each accelerated kernel against its portable fallback ----
+//
+// Only one kernel per primitive is dispatched on a given host, so the KATs
+// above exercise just that one; these run both on the same inputs.
+
+TEST(CryptoKernels, Sha256ShaNiMatchesScalar) {
+#if BENTO_X86_KERNELS
+  if (!__builtin_cpu_supports("sha") || !__builtin_cpu_supports("sse4.1")) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions: only the scalar kernel can run";
+  }
+  bu::Rng rng(256);
+  const bu::Bytes buf = rng.bytes(64 * 16 + 63);
+  for (std::size_t start = 0; start < 64; ++start) {
+    for (std::size_t nblocks = 1; nblocks <= 16; ++nblocks) {
+      std::array<std::uint32_t, 8> scalar{};
+      for (auto& w : scalar) w = static_cast<std::uint32_t>(rng.next_u64());
+      std::array<std::uint32_t, 8> shani = scalar;
+      bc::detail::sha256_blocks_scalar(scalar, buf.data() + start, nblocks);
+      bc::detail::sha256_blocks_shani(shani, buf.data() + start, nblocks);
+      ASSERT_EQ(shani, scalar) << "start " << start << ", " << nblocks << " blocks";
+    }
+  }
+#else
+  GTEST_SKIP() << "the SHA-NI kernel exists only on x86";
+#endif
+}
+
+TEST(CryptoKernels, ChaCha20Avx2MatchesPortable) {
+#if BENTO_X86_KERNELS
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "CPU lacks AVX2: only the portable refill can run";
+  }
+  bu::Rng rng(8439);
+  for (int trial = 0; trial < 512; ++trial) {
+    std::array<std::uint32_t, 16> state{};
+    for (auto& w : state) w = static_cast<std::uint32_t>(rng.next_u64());
+    // Every other state starts within 8 of 2^32, so some lanes' counters wrap.
+    if (trial % 2 == 0) state[12] = 0xffffffffu - static_cast<std::uint32_t>(rng.uniform(0, 7));
+    std::array<std::uint8_t, 512> portable{};
+    std::array<std::uint8_t, 512> avx2{};
+    bc::detail::chacha20_refill_portable(state.data(), portable.data());
+    bc::detail::chacha20_refill_avx2(state.data(), avx2.data());
+    ASSERT_EQ(avx2, portable) << "trial " << trial << ", counter " << state[12];
+  }
+#else
+  GTEST_SKIP() << "the AVX2 refill exists only on x86";
+#endif
 }
 
 // ---- AEAD ----

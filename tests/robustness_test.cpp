@@ -451,10 +451,35 @@ TEST(Robustness, BentoServerSurvivesProtocolGarbage) {
   EXPECT_EQ(world.server_for(boxes[0])->live_containers(), 0u);
 }
 
-// One malformed 5-byte frame (length 1, body 0xff) is the sender's problem
-// alone: the box answers with one Error, ends that stream, counts the
-// rejection — and keeps serving everyone else.
-TEST(Robustness, MalformedFrameRejectsOnlyThatStream) {
+namespace {
+
+bc::FunctionManifest echo_manifest() {
+  bc::FunctionManifest manifest;
+  manifest.name = "echo";
+  manifest.image = bc::kImagePython;
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 1'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 1 << 20;
+  return manifest;
+}
+
+/// A fresh client deploys an echo function on `box` and gets its bytes back.
+void expect_box_still_serves(bc::BentoWorld& world, const std::string& box) {
+  auto alice = world.make_client("alice");
+  Deployed d = deploy_function(world, alice, box, echo_manifest(),
+                               "def on_message(msg):\n    api.send(msg)\n");
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("still here"));
+  world.run();
+  ASSERT_EQ(d.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(d.outputs[0]), "still here");
+}
+
+/// Sends `attack` raw on a fresh stream to a Bento box: the sender alone
+/// pays — one Error, its stream ended, one rejection counted — and the box
+/// keeps serving everyone else.
+void expect_stream_rejected(const bu::Bytes& attack) {
   bc::BentoWorld world;
   world.start();
   const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
@@ -481,9 +506,7 @@ TEST(Robustness, MalformedFrameRejectsOnlyThatStream) {
     cbs.on_end = [&ended] { ended = true; };
     const bt::Endpoint bento{desc->addr, bc::BentoClientConfig{}.bento_port};
     bt::Stream* stream = circ->open_stream(bento, std::move(cbs));
-    stream->set_on_connected([stream] {
-      stream->send(bu::Bytes{0x00, 0x00, 0x00, 0x01, 0xff});
-    });
+    stream->set_on_connected([stream, &attack] { stream->send(attack); });
   });
   world.run();  // returns: the frame never escapes the box as an exception
   EXPECT_EQ(errors, 1);
@@ -491,21 +514,39 @@ TEST(Robustness, MalformedFrameRejectsOnlyThatStream) {
   EXPECT_TRUE(ended);
   EXPECT_EQ(rejected.value() - rejected_before, 1u);
 
-  auto alice = world.make_client("alice");
-  bc::FunctionManifest manifest;
-  manifest.name = "echo";
-  manifest.image = bc::kImagePython;
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 1'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 1 << 20;
-  Deployed d = deploy_function(world, alice, box, manifest,
-                               "def on_message(msg):\n    api.send(msg)\n");
-  ASSERT_TRUE(d.tokens.has_value()) << d.error;
-  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("still here"));
-  world.run();
-  ASSERT_EQ(d.outputs.size(), 1u);
-  EXPECT_EQ(bu::to_string(d.outputs[0]), "still here");
+  expect_box_still_serves(world, box);
+}
+
+}  // namespace
+
+// One malformed 5-byte frame (length 1, body 0xff).
+TEST(Robustness, MalformedFrameRejectsOnlyThatStream) {
+  expect_stream_rejected(bu::Bytes{0x00, 0x00, 0x00, 0x01, 0xff});
+}
+
+// A header announcing ~4 GiB, far over the box's largest message, is
+// rejected on sight: the box does not buffer the rest of the stream
+// waiting for that body.
+TEST(Robustness, OversizedFrameHeaderRejectsOnlyThatStream) {
+  bu::Bytes attack{0xff, 0xff, 0xff, 0xf0};
+  attack.resize(4 + 1024, 0x41);
+  expect_stream_rejected(attack);
+}
+
+// An upload nested far deeper than the parser's bound is an ordinary syntax
+// error for its uploader, not a stack overflow that takes the box down.
+TEST(Robustness, DeeplyNestedUploadIsASyntaxError) {
+  bc::BentoWorld world;
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  auto mallory = world.make_client("mallory");
+  const std::string nested =
+      "x = " + std::string(100'000, '(') + "1" + std::string(100'000, ')') + "\n";
+  Deployed d = deploy_function(world, mallory, box, echo_manifest(), nested);
+  EXPECT_FALSE(d.tokens.has_value());
+  EXPECT_EQ(d.error.rfind("install failed: syntax error", 0), 0u) << d.error;
+
+  expect_box_still_serves(world, box);
 }
 
 // A Browser whose network budget is smaller than one page trips on a fetch

@@ -1,6 +1,7 @@
 // BentoScript: lexer, parser, interpreter, stdlib, budgets.
 #include <gtest/gtest.h>
 
+#include "script/analyzer.hpp"
 #include "script/interp.hpp"
 #include "script/parser.hpp"
 
@@ -352,6 +353,33 @@ TEST(ScriptErrors, ParserRejectsMalformed) {
   EXPECT_THROW(sc::parse("1 + 2 = 3\n"), sc::SyntaxError);
   EXPECT_THROW(sc::parse("if x:\npass\n"), sc::SyntaxError);  // missing indent
   EXPECT_THROW(sc::parse("x = [1, 2\n"), sc::SyntaxError);
+}
+
+// Uploads are untrusted: a source nested too deep must be a SyntaxError from
+// parse, never a stack overflow in parse, analyze() or run().
+TEST(ScriptErrors, ParserBoundsNestingDepth) {
+  const auto sum_chain = [](int terms) {
+    std::string src = "x = 1";
+    for (int i = 1; i < terms; ++i) src += "+1";
+    return src + "\n";
+  };
+  const std::string deep_parens =
+      "x = " + std::string(100'000, '(') + "1" + std::string(100'000, ')') + "\n";
+  EXPECT_THROW(sc::parse(deep_parens), sc::SyntaxError);
+  EXPECT_THROW(sc::parse(sum_chain(100'000)), sc::SyntaxError);
+  EXPECT_THROW(sc::parse(sum_chain(1'000'000)), sc::SyntaxError);
+
+  std::string deep_blocks;
+  for (int i = 0; i < 300; ++i) deep_blocks += std::string(i, ' ') + "if True:\n";
+  deep_blocks += std::string(300, ' ') + "pass\n";
+  EXPECT_THROW(sc::parse(deep_blocks), sc::SyntaxError);
+
+  // The assignment is one level above its chain: kMaxDepth - 1 terms make a
+  // tree exactly kMaxDepth deep, which is accepted, analyzed and run.
+  const auto program = sc::parse(sum_chain(sc::kMaxDepth - 1));
+  EXPECT_FALSE(sc::analyze(*program).has_errors());
+  EXPECT_EQ(run_program(sum_chain(sc::kMaxDepth - 1))->global("x").as_int(), sc::kMaxDepth - 1);
+  EXPECT_THROW(sc::parse(sum_chain(sc::kMaxDepth)), sc::SyntaxError);
 }
 
 TEST(ScriptBudget, StepLimitEnforced) {
