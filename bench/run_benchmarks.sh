@@ -5,7 +5,8 @@
 # Usage: bench/run_benchmarks.sh [build-dir] [out-json] [obs-out-json] [store-out-json]
 #
 # BENCH_datapath.json records keystream throughput (seed scalar baseline vs
-# the current 8-block kernel), SHA-256 throughput (scalar kernel vs the
+# the dispatched kernel, and one 1 KiB refill on each of the portable, AVX2
+# and AVX-512 kernels), SHA-256 throughput (scalar kernel vs the
 # dispatched one), the 3-hop relay datapath (cells/s, MB/s, allocs/cell),
 # and simulator event churn (events/s, allocs/event), with the CMake build
 # type of the benchmarked tree as context.build_type.
@@ -15,7 +16,9 @@
 # a smoke check: it fails if any zero-allocation invariant breaks, the
 # ChaCha20 kernel regresses below 3x the scalar baseline, SHA-256 on a
 # SHA-NI host runs below 3x its scalar kernel (recorded as null and skipped
-# on hosts without SHA-NI), live metrics/span tracing cost
+# on hosts without SHA-NI), the AVX-512 ChaCha20 refill runs below 1.3x the
+# AVX2 one on an AVX-512 host (null and skipped elsewhere), live
+# metrics/span tracing cost
 # the cell datapath more than 10%/15% throughput, or idle chaos hooks (no
 # plan installed) add any allocation or more than 2% overhead to the network
 # send path.
@@ -183,6 +186,16 @@ sha_shani = by_name.get("BM_Sha256Kernel/shani/512")
 sha_shani_512 = (None if sha_shani is None or sha_shani.get("error_occurred")
                  else mb_s("BM_Sha256Kernel/shani/512"))
 
+# One 1 KiB refill per kernel; an arm is skipped where the CPU lacks it.
+def kernel_mb_s(arm):
+    b = by_name.get("BM_ChaCha20Kernel/" + arm)
+    return None if b is None or b.get("error_occurred") else mb_s(b["name"])
+
+chacha_kernels_1024 = {arm: kernel_mb_s(arm) for arm in ("portable", "avx2", "avx512")}
+chacha_avx512_speedup = (
+    None if chacha_kernels_1024["avx512"] is None or chacha_kernels_1024["avx2"] is None
+    else round(chacha_kernels_1024["avx512"] / chacha_kernels_1024["avx2"], 2))
+
 relay = by_name["BM_RelayDatapath3Hop"]
 churn = by_name["BM_SimulatorEventChurn"]
 frame = by_name["BM_CellFrameUnframe"]
@@ -213,6 +226,8 @@ distilled = {
         "kernel_mb_s_8192": new_8192,
         "speedup_509": round(new_509 / seed_509, 2),
         "speedup_8192": round(new_8192 / seed_8192, 2),
+        "kernel_mb_s_1024": chacha_kernels_1024,
+        "avx512_speedup_1024": chacha_avx512_speedup,
     },
     "sha256": {
         "scalar_mb_s_512": sha_scalar_512,
@@ -356,6 +371,10 @@ if sha256_speedup is None:
     print("sha256 gate: skipped (CPU lacks SHA-NI)")
 elif sha256_speedup < 3.0:
     failures.append("SHA-256 512B below 3x its scalar kernel on a SHA-NI host")
+if chacha_avx512_speedup is None:
+    print("chacha20 avx512 gate: skipped (CPU lacks AVX-512F/VL/BW or AVX2)")
+elif chacha_avx512_speedup < 1.3:
+    failures.append("ChaCha20 1KiB AVX-512 refill below 1.3x the AVX2 refill")
 if obs["relay_datapath_3hop"]["metrics_on_allocs_per_cell"] != 0:
     failures.append("metrics-on datapath allocates per cell")
 if obs["relay_datapath_3hop"]["traced_allocs_per_cell"] != 0:
@@ -510,6 +529,7 @@ trajectory_entry = {
     "speedup_509": distilled["chacha20"]["speedup_509"],
     "speedup_8192": distilled["chacha20"]["speedup_8192"],
     "sha256_speedup_512": sha256_speedup,
+    "chacha20_avx512_speedup_1024": chacha_avx512_speedup,
     "relay_cells_per_sec": distilled["relay_datapath_3hop"]["cells_per_sec"],
     "relay_allocs_per_cell": distilled["relay_datapath_3hop"]["allocs_per_cell"],
     "churn_allocs_per_event": distilled["simulator_event_churn"]["allocs_per_event"],

@@ -51,6 +51,11 @@ void BentoClient::connect(const std::string& box_fingerprint,
   conn->proxy_ = &proxy_;
   conn->config_ = config_;
   conn->box_ = box_fingerprint;
+  if (const auto policy = advertised_policy(*box)) {
+    // The box sends no message larger than a function may hold, so no
+    // longer frame is legitimate (the cap the box puts on its clients).
+    conn->framer_ = StreamFramer(policy->max_per_function.memory_bytes);
+  }
   live_.push_back(conn);
 
   tor::PathConstraints constraints;
@@ -138,7 +143,14 @@ void BentoConnection::expect(std::function<void(const Message&)> handler) {
 
 void BentoConnection::on_stream_data(util::ByteView data) {
   raw_bytes_ += data.size();
-  for (const Message& msg : framer_.feed(data)) {
+  std::vector<Message> msgs;
+  try {
+    msgs = framer_.feed(data);
+  } catch (const util::ParseError& e) {
+    reject_stream(e.what());
+    return;
+  }
+  for (const Message& msg : msgs) {
     if (msg.type == MsgType::Output) {
       if (invoke_span_ != 0) {
         // First Output after an invoke = the client-observed response.
@@ -168,6 +180,20 @@ void BentoConnection::on_stream_data(util::ByteView data) {
 void BentoConnection::on_stream_end() {
   stream_ = nullptr;
   closed_ = true;  // everything rides the stream; a dead stream is a dead conn
+  fail_pending("connection closed");
+}
+
+void BentoConnection::reject_stream(const std::string& why) {
+  // Registered on first use, so runs without a rejection keep their metric set.
+  static obs::Counter rejected = obs::registry().counter("bento.client.rejected");
+  rejected.inc();
+  util::log_info(kComponent, box_, ": rejecting stream: ", why);
+  closed_ = true;
+  fail_pending("malformed frame: " + why);
+  close();
+}
+
+void BentoConnection::fail_pending(const std::string& why) {
   if (invoke_span_ != 0) {
     // Circuit torn down mid-request: the invoke span ends as a failure so
     // the trace shows an orphaned request, not a silent hole.
@@ -180,7 +206,7 @@ void BentoConnection::on_stream_end() {
     pending_.pop_front();
     Message err;
     err.type = MsgType::Error;
-    err.text = "connection closed";
+    err.text = why;
     handler(err);
   }
   if (on_close_) {

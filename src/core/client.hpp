@@ -94,6 +94,12 @@ class BentoConnection : public std::enable_shared_from_this<BentoConnection> {
   BentoConnection() = default;
   void on_stream_data(util::ByteView data);
   void on_stream_end();
+  /// A malformed or oversized frame from the box: fail everything waiting
+  /// and close, so the bytes never escape the simulation as an exception.
+  void reject_stream(const std::string& why);
+  /// Ends the in-flight invoke span and answers every pending request with
+  /// an Error carrying `why`, then fires on_close_.
+  void fail_pending(const std::string& why);
   void send_msg(const Message& msg);
   void expect(std::function<void(const Message&)> handler);
 

@@ -3,11 +3,12 @@
 // Provides the relay-crypto layers for onion encryption and the keystream
 // under the AEAD. Verified against the RFC 8439 test vectors.
 //
-// The keystream kernel generates eight 64-byte blocks per refill with the
-// quarter-round lanes interleaved (block-index innermost), so each round
-// statement is one wide SIMD operation (AVX2 when the CPU has it, split
-// vectors otherwise) and the blocks' dependency chains overlap. Consumption
-// XORs word-at-a-time against the block-aligned keystream buffer. `process`
+// A refill generates sixteen 64-byte blocks (1 KiB) with the quarter-round
+// lanes interleaved (block-index innermost), so each round statement is one
+// wide SIMD operation and the blocks' dependency chains overlap: one 16-lane
+// AVX-512 kernel when the CPU has it, else two 8-lane calls (AVX2, or split
+// vectors). Consumption XORs 64 bytes at a time against the keystream
+// buffer, the last partial vector under a byte mask on AVX-512BW. `process`
 // works in place on a caller-owned span: the relay datapath crypts a cell
 // payload with zero heap allocations.
 #pragma once
@@ -38,11 +39,11 @@ class ChaCha20 {
   util::Bytes transform(util::ByteView data);
 
  private:
-  static constexpr std::size_t kLanes = 8;  // blocks generated per refill
+  static constexpr std::size_t kBlocks = 16;  // blocks generated per refill
   void refill();
   std::array<std::uint32_t, 16> state_;
-  alignas(64) std::array<std::uint8_t, 64 * kLanes> block_;
-  std::size_t used_ = 64 * kLanes;  // forces refill on first use
+  alignas(64) std::array<std::uint8_t, 64 * kBlocks> block_;
+  std::size_t used_ = 64 * kBlocks;  // forces refill on first use
 };
 
 /// One-shot encryption with an explicit block counter.

@@ -17,6 +17,11 @@
 #define BENTO_X86_KERNELS 1
 #endif
 
+#if BENTO_X86_KERNELS && (defined(__clang__) || __GNUC__ >= 12)
+// The 16-block ChaCha20 refill stores through __builtin_shufflevector.
+#define BENTO_CHACHA_AVX512 1
+#endif
+
 namespace bento::crypto::detail {
 
 /// Compresses `nblocks` consecutive 64-byte blocks into `state` (FIPS 180-4).
@@ -36,6 +41,13 @@ void sha256_blocks_shani(std::array<std::uint32_t, 8>& state, const std::uint8_t
 
 /// chacha20_refill_portable compiled for AVX2; needs cpu "avx2".
 void chacha20_refill_avx2(const std::uint32_t* state, std::uint8_t* block);
+#endif
+
+#if BENTO_CHACHA_AVX512
+/// Writes the 16 keystream blocks (1 KiB) for block counters state[12] ..
+/// state[12] + 15, wrapping mod 2^32: two chacha20_refill_portable calls in
+/// one. Needs cpu "avx512f", "avx512vl" and "avx512bw".
+void chacha20_refill_avx512(const std::uint32_t* state, std::uint8_t* block);
 #endif
 
 }  // namespace bento::crypto::detail

@@ -39,6 +39,27 @@ Value Interpreter::global(const std::string& name) const {
   return it == globals_.end() ? Value::none() : it->second;
 }
 
+namespace {
+// Holds one level of eval_depth for as long as its eval/exec frame lives.
+class NestingLevel {
+ public:
+  NestingLevel(int& depth, int line) : depth_(depth) {
+    if (++depth_ > kMaxEvalDepth) {
+      --depth_;
+      throw ScriptError("nesting deeper than " + std::to_string(kMaxEvalDepth) +
+                            " levels across calls",
+                        line);
+    }
+  }
+  ~NestingLevel() { --depth_; }
+  NestingLevel(const NestingLevel&) = delete;
+  NestingLevel& operator=(const NestingLevel&) = delete;
+
+ private:
+  int& depth_;
+};
+}  // namespace
+
 void Interpreter::step(int line) {
   ++steps_;
   ++unreported_steps_;
@@ -117,6 +138,7 @@ Interpreter::Flow Interpreter::exec_block(const std::vector<StmtPtr>& body,
 }
 
 Interpreter::Flow Interpreter::exec(const Stmt& s, Value* ret) {
+  const NestingLevel level(eval_depth_, s.line);
   step(s.line);
   switch (s.kind) {
     case StmtKind::ExprStmt:
@@ -266,6 +288,7 @@ void Interpreter::assign(const Expr& target, Value value) {
 }
 
 Value Interpreter::eval(const Expr& e) {
+  const NestingLevel level(eval_depth_, e.line);
   step(e.line);
   switch (e.kind) {
     case ExprKind::Literal:

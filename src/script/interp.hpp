@@ -29,6 +29,16 @@ class ScriptError : public std::runtime_error {
   int line;
 };
 
+/// Bound on eval/exec nesting summed over every active call. The parser caps
+/// one tree's depth (kMaxDepth) and max_call_depth caps calls, but their
+/// product would let an upload claim megabytes of C++ stack. One level costs
+/// at most 3.7 KB of stack in a Debug ASan build (an eval frame plus its
+/// eval_binary, the largest pair; 0.6 KB at RelWithDebInfo), so the bound
+/// keeps a script under 4 MB of the 8 MB main-thread stack. The deepest
+/// legitimate use is a kMaxDepth tree at top level, or max_call_depth calls
+/// of library-sized bodies (depth <= 10).
+inline constexpr int kMaxEvalDepth = 1024;
+
 struct InterpreterOptions {
   /// Hard internal cap; the step hook may impose a tighter budget.
   std::uint64_t max_steps = 100'000'000;
@@ -94,6 +104,7 @@ class Interpreter {
   std::uint64_t steps_ = 0;
   std::uint64_t unreported_steps_ = 0;
   int call_depth_ = 0;
+  int eval_depth_ = 0;  // eval/exec frames live, across calls
   bool ran_ = false;
 };
 

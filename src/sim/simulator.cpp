@@ -15,9 +15,9 @@ std::int64_t sim_clock_thunk(const void* ctx) {
 }
 
 // std::push_heap/pop_heap are max-heaps; invert `before` to pop the minimum.
-struct EventAfter {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
+struct KeyAfter {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const {
     return b.before(a);
   }
 };
@@ -43,20 +43,40 @@ Simulator::~Simulator() { util::uninstall_sim_clock(this); }
 
 BENTO_HOT void Simulator::schedule(Time t, EventFn fn) {
   if (t < now_) t = now_;
+  std::uint32_t slot = free_slot_;
+  if (slot != kNoSlot) {
+    Slot& s = slots_[slot];
+    free_slot_ = s.next_free;
+    s.queued_at = now_;
+    s.ctx = obs::current_span();
+    s.fn = std::move(fn);
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    // bentolint: allow(BL102 slot vector growth, amortized; slots are recycled)
+    slots_.push_back(Slot{now_, obs::current_span(), std::move(fn)});
+  }
   // bentolint: allow(BL102 heap vector growth, amortized; events themselves are pooled)
-  heap_.push_back(Event{t, now_, next_seq_++, obs::current_span(), std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
+  heap_.push_back(Key{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyAfter{});
 }
 
 BENTO_HOT bool Simulator::step() {
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-  Event ev = std::move(heap_.back());
+  std::pop_heap(heap_.begin(), heap_.end(), KeyAfter{});
+  const Key key = heap_.back();
   heap_.pop_back();
-  now_ = ev.when;
+  // The handler may schedule events and so grow slots_: take the callable
+  // out of its slot before running it, and recycle the slot now.
+  Slot& slot = slots_[key.slot];
+  EventFn fn = std::move(slot.fn);
+  const Time queued_at = slot.queued_at;
+  const obs::SpanContext ctx = slot.ctx;
+  slot.next_free = free_slot_;
+  free_slot_ = key.slot;
+  now_ = key.when;
   ++executed_;
   m_events_.inc();
-  m_dispatch_lag_us_.record((ev.when - ev.queued_at).count_micros());
+  m_dispatch_lag_us_.record((key.when - queued_at).count_micros());
   m_pending_.set(static_cast<std::int64_t>(heap_.size()));
   obs::trace(obs::Ev::SimDispatch, 0, heap_.size());
   // The predicate gate keeps the formatting cost out of the dispatch loop:
@@ -70,8 +90,8 @@ BENTO_HOT bool Simulator::step() {
   // originating request's causal chain; cleared after, never leaked across
   // events.
   const SpanReset reset;
-  obs::set_current_span(ev.ctx);
-  ev.fn();
+  obs::set_current_span(ctx);
+  fn();
   return true;
 }
 

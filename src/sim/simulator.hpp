@@ -14,7 +14,9 @@
 // EventFn below is a move-only callable with 64 bytes of inline storage,
 // sized so the common captures (this + a Packet, this + a couple of words)
 // stay inline; larger captures fall back to the simulator's slab pool, so
-// steady-state scheduling performs zero heap allocations.
+// steady-state scheduling performs zero heap allocations. The binary heap
+// orders 24-byte keys only; each event's EventFn and sidecar state wait in
+// a recycled slot, so a sift never moves a callable.
 #pragma once
 
 #include <cstddef>
@@ -235,20 +237,29 @@ class Simulator {
   std::size_t pending() const { return heap_.size(); }
 
  private:
-  struct Event {
+  // What the heap sifts: the event's dispatch order and where it waits.
+  struct Key {
     Time when;
-    Time queued_at;     // scheduling time, for the dispatch-lag histogram
-    std::uint64_t seq;  // FIFO tie-break among same-timestamp events
+    std::uint64_t seq;   // FIFO tie-break among same-timestamp events
+    std::uint32_t slot;  // index into slots_
+
+    bool before(const Key& o) const {
+      if (when != o.when) return when < o.when;
+      return seq < o.seq;
+    }
+  };
+
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  // Everything else about a pending event; free slots form a list.
+  struct Slot {
+    Time queued_at;  // scheduling time, for the dispatch-lag histogram
     // Span context captured at schedule() and restored around dispatch, so
     // causality crosses timers and modeled delays without any handler
     // threading it through (DESIGN.md §8). Sidecar only: never on the wire.
     obs::SpanContext ctx;
     EventFn fn;
-
-    bool before(const Event& o) const {
-      if (when != o.when) return when < o.when;
-      return seq < o.seq;
-    }
+    std::uint32_t next_free = kNoSlot;
   };
 
   BENTO_HOT void schedule(Time t, EventFn fn);
@@ -257,8 +268,10 @@ class Simulator {
   util::Rng rng_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  SlabPool pool_;  // declared before heap_: events may hold pooled slabs
-  std::vector<Event> heap_;
+  SlabPool pool_;  // declared before slots_: events may hold pooled slabs
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
 
   // Pre-registered observability handles: per-dispatch cost is a flag
   // branch plus pointer-indirect adds (DESIGN.md §8 overhead contract).

@@ -91,7 +91,7 @@ BENTO_HOT std::array<std::uint8_t, kCellPayloadLen> RelayCell::pack() const {
   return out;
 }
 
-RelayCell RelayCell::unpack(const std::array<std::uint8_t, kCellPayloadLen>& payload) {
+RelayCell RelayCell::unpack(std::span<const std::uint8_t, kCellPayloadLen> payload) {
   util::Reader r(payload);
   RelayCell c;
   c.relay_cmd = static_cast<RelayCommand>(r.u8());

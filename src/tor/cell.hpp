@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/bytes.hpp"
@@ -29,6 +30,10 @@ inline constexpr std::size_t kRelayDataMax = kCellPayloadLen - kRelayHeaderLen; 
 
 using CircId = std::uint32_t;
 using StreamId = std::uint16_t;
+
+/// A cell payload wherever it lives — a Cell, a packing buffer or a framed
+/// cell on the link — so relay crypto works on it in place.
+using PayloadSpan = std::span<std::uint8_t, kCellPayloadLen>;
 
 enum class CellCommand : std::uint8_t {
   Padding = 0,
@@ -89,7 +94,7 @@ struct RelayCell {
   std::array<std::uint8_t, kCellPayloadLen> pack() const;
 
   /// Parses a payload. Throws util::ParseError if length field is invalid.
-  static RelayCell unpack(const std::array<std::uint8_t, kCellPayloadLen>& payload);
+  static RelayCell unpack(std::span<const std::uint8_t, kCellPayloadLen> payload);
 };
 
 }  // namespace bento::tor

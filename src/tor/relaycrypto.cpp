@@ -46,16 +46,15 @@ LayerCrypto::LayerCrypto(const LayerKeys& keys)
   bwd_digest_.update(keys.db);
 }
 
-BENTO_HOT void LayerCrypto::crypt_forward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT void LayerCrypto::crypt_forward(PayloadSpan payload) {
   fwd_cipher_.process(payload);
 }
 
-BENTO_HOT void LayerCrypto::crypt_backward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT void LayerCrypto::crypt_backward(PayloadSpan payload) {
   bwd_cipher_.process(payload);
 }
 
-BENTO_HOT void LayerCrypto::seal(crypto::Sha256& running,
-                       std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT void LayerCrypto::seal(crypto::Sha256& running, PayloadSpan payload) {
   // Digest field must be zero while hashing.
   std::memset(payload.data() + kDigestOff, 0, 4);
   running.update(payload);
@@ -64,8 +63,7 @@ BENTO_HOT void LayerCrypto::seal(crypto::Sha256& running,
   std::memcpy(payload.data() + kDigestOff, d.data(), 4);
 }
 
-BENTO_HOT bool LayerCrypto::check(crypto::Sha256& running,
-                        std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT bool LayerCrypto::check(crypto::Sha256& running, PayloadSpan payload) {
   RecognitionMetrics& metrics = recognition_metrics();
   // Cheap pre-check: recognized field must be zero.
   if (payload[kRecognizedOff] != 0 || payload[kRecognizedOff + 1] != 0) {
@@ -99,19 +97,19 @@ BENTO_HOT bool LayerCrypto::check(crypto::Sha256& running,
   return true;
 }
 
-BENTO_HOT void LayerCrypto::seal_forward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT void LayerCrypto::seal_forward(PayloadSpan payload) {
   seal(fwd_digest_, payload);
 }
 
-BENTO_HOT void LayerCrypto::seal_backward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT void LayerCrypto::seal_backward(PayloadSpan payload) {
   seal(bwd_digest_, payload);
 }
 
-BENTO_HOT bool LayerCrypto::check_forward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT bool LayerCrypto::check_forward(PayloadSpan payload) {
   return check(fwd_digest_, payload);
 }
 
-BENTO_HOT bool LayerCrypto::check_backward(std::array<std::uint8_t, kCellPayloadLen>& payload) {
+BENTO_HOT bool LayerCrypto::check_backward(PayloadSpan payload) {
   return check(bwd_digest_, payload);
 }
 

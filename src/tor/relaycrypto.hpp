@@ -42,30 +42,28 @@ class LayerCrypto {
  public:
   explicit LayerCrypto(const LayerKeys& keys);
 
-  /// XORs the forward keystream over a payload (encrypt at origin / peel at
-  /// the relay — identical operation).
-  void crypt_forward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  /// XORs the forward keystream over a payload in place (encrypt at origin /
+  /// peel at the relay — identical operation).
+  void crypt_forward(PayloadSpan payload);
   /// Same for the backward direction.
-  void crypt_backward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  void crypt_backward(PayloadSpan payload);
 
   /// Origin, sending to this hop: writes the digest field of a payload whose
   /// digest bytes are currently zero, committing the running forward digest.
-  void seal_forward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  void seal_forward(PayloadSpan payload);
   /// Relay, sending toward the origin: same for the backward digest.
-  void seal_backward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  void seal_backward(PayloadSpan payload);
 
   /// Relay side: checks recognition of a just-peeled forward payload.
   /// Commits the running digest on success; leaves state untouched on
   /// failure (the cell belongs to a later hop).
-  bool check_forward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  bool check_forward(PayloadSpan payload);
   /// Origin side: same for a backward payload.
-  bool check_backward(std::array<std::uint8_t, kCellPayloadLen>& payload);
+  bool check_backward(PayloadSpan payload);
 
  private:
-  static void seal(crypto::Sha256& running,
-                   std::array<std::uint8_t, kCellPayloadLen>& payload);
-  static bool check(crypto::Sha256& running,
-                    std::array<std::uint8_t, kCellPayloadLen>& payload);
+  static void seal(crypto::Sha256& running, PayloadSpan payload);
+  static bool check(crypto::Sha256& running, PayloadSpan payload);
 
   crypto::ChaCha20 fwd_cipher_;
   crypto::ChaCha20 bwd_cipher_;

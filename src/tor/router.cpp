@@ -81,16 +81,36 @@ void Router::clearnet_send(std::uint64_t conn, util::ByteView data) {
 void Router::clearnet_close(std::uint64_t conn) { tcp_.close(conn); }
 
 void Router::on_message(sim::NodeId from, util::Bytes data) {
-  if (is_framed_cell(data)) {
-    handle_cell(from, unframe_cell(data));
+  if (!is_framed_cell(data)) {
+    // Everything else on a relay node is TCP-like clearnet traffic.
+    try {
+      tcp_.on_message(from, TcpMsg::unpack(data));
+    } catch (const util::ParseError&) {
+      util::log_warn(kComponent, descriptor_.nickname, ": unparseable message from ",
+                     from);
+    }
     return;
   }
-  // Everything else on a relay node is TCP-like clearnet traffic.
-  try {
-    tcp_.on_message(from, TcpMsg::unpack(data));
-  } catch (const util::ParseError&) {
-    util::log_warn(kComponent, descriptor_.nickname, ": unparseable message from ",
-                   from);
+  const CircId circ_id = frame_circ_id(data);
+  ++counters_.cells_in;
+  obs::trace(obs::Ev::CellRecv, circ_id, node_);
+  // One span per cell per hop: inert unless the cell arrived on a traced
+  // request's causal chain. Zero sim-time (relay processing is modeled as
+  // instantaneous), but it marks which hops the request crossed and in what
+  // order, which is what bentotrace's flow arrows render.
+  obs::SpanScope span(obs::Stage::RelayForward, node_);
+  if (frame_command(data) == CellCommand::Relay) {
+    handle_relay(from, circ_id, std::move(data));
+    return;
+  }
+  const Cell cell = unframe_cell(data);
+  switch (cell.command) {
+    case CellCommand::Create: handle_create(from, cell); break;
+    case CellCommand::Created: handle_created(from, cell); break;
+    case CellCommand::Destroy: handle_destroy(from, cell); break;
+    case CellCommand::Relay:    // handled in place above
+    case CellCommand::Padding:  // link padding is absorbed
+      break;
   }
 }
 
@@ -99,26 +119,15 @@ void Router::send_cell(sim::NodeId to, const Cell& cell) {
   net_.send(node_, to, frame_cell(cell));
 }
 
+BENTO_HOT void Router::forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame) {
+  set_frame_circ_id(frame, circ_id);
+  ++counters_.cells_out;
+  net_.send(node_, to, std::move(frame));
+}
+
 Router::Circuit* Router::find_circuit(const Key& key) {
   auto it = circuits_.find(key);
   return it == circuits_.end() ? nullptr : it->second.get();
-}
-
-void Router::handle_cell(sim::NodeId from, const Cell& cell) {
-  ++counters_.cells_in;
-  obs::trace(obs::Ev::CellRecv, cell.circ_id, node_);
-  // One span per cell per hop: inert unless the cell arrived on a traced
-  // request's causal chain. Zero sim-time (relay processing is modeled as
-  // instantaneous), but it marks which hops the request crossed and in what
-  // order, which is what bentotrace's flow arrows render.
-  obs::SpanScope span(obs::Stage::RelayForward, node_);
-  switch (cell.command) {
-    case CellCommand::Create: handle_create(from, cell); break;
-    case CellCommand::Created: handle_created(from, cell); break;
-    case CellCommand::Relay: handle_relay(from, cell); break;
-    case CellCommand::Destroy: handle_destroy(from, cell); break;
-    case CellCommand::Padding: break;  // link padding is absorbed
-  }
 }
 
 void Router::handle_create(sim::NodeId from, const Cell& cell) {
@@ -171,56 +180,47 @@ void Router::handle_created(sim::NodeId from, const Cell& cell) {
   send_backward(prev_key, *circ, std::move(extended));
 }
 
-void Router::handle_relay(sim::NodeId from, const Cell& cell) {
-  const Key key{from, cell.circ_id};
+BENTO_HOT void Router::handle_relay(sim::NodeId from, CircId circ_id, util::Bytes frame) {
+  const Key key{from, circ_id};
   Circuit* circ = find_circuit(key);
   if (circ == nullptr) return;
+  const PayloadSpan payload = frame_payload(frame);
 
-  const bool forward = (from == circ->prev_peer && cell.circ_id == circ->prev_id);
-  auto payload = cell.payload;
-
-  if (forward) {
-    circ->crypto->crypt_forward(payload);
-    if (circ->crypto->check_forward(payload)) {
-      obs::trace(obs::Ev::CellRecognized, cell.circ_id, node_);
-      RelayCell rc;
-      try {
-        rc = RelayCell::unpack(payload);
-      } catch (const util::ParseError&) {
-        destroy_circuit(key, true, true);
-        return;
-      }
-      handle_recognized(key, *circ, rc);
-      return;
-    }
-    if (circ->next.has_value()) {
-      Cell out;
-      out.circ_id = circ->next->second;
-      out.command = CellCommand::Relay;
-      out.payload = payload;
-      send_cell(circ->next->first, out);
-      return;
-    }
-    if (circ->spliced.has_value()) {
-      // Rendezvous splice: inject into the mate circuit toward its origin.
-      const Key mate_key = *circ->spliced;
-      Circuit* mate = find_circuit(mate_key);
-      if (mate != nullptr) send_backward_raw(mate_key, *mate, payload);
-      return;
-    }
-    // Unrecognized at an edge with nowhere to go: protocol violation.
-    obs::trace(obs::Ev::CellUnrecognized, cell.circ_id, node_, /*ok=*/false);
-    destroy_circuit(key, true, true);
+  if (from != circ->prev_peer || circ_id != circ->prev_id) {
+    // Backward: add our layer and pass toward the origin.
+    circ->crypto->crypt_backward(payload);
+    forward_frame(circ->prev_peer, circ->prev_id, std::move(frame));
     return;
   }
-
-  // Backward: add our layer and pass toward the origin.
-  circ->crypto->crypt_backward(payload);
-  Cell out;
-  out.circ_id = circ->prev_id;
-  out.command = CellCommand::Relay;
-  out.payload = payload;
-  send_cell(circ->prev_peer, out);
+  circ->crypto->crypt_forward(payload);
+  if (circ->crypto->check_forward(payload)) {
+    obs::trace(obs::Ev::CellRecognized, circ_id, node_);
+    RelayCell rc;
+    try {
+      rc = RelayCell::unpack(payload);
+    } catch (const util::ParseError&) {
+      destroy_circuit(key, true, true);
+      return;
+    }
+    handle_recognized(key, *circ, rc);
+    return;
+  }
+  if (circ->next.has_value()) {
+    forward_frame(circ->next->first, circ->next->second, std::move(frame));
+    return;
+  }
+  if (circ->spliced.has_value()) {
+    // Rendezvous splice: inject into the mate circuit toward its origin.
+    Circuit* mate = find_circuit(*circ->spliced);
+    if (mate != nullptr) {
+      mate->crypto->crypt_backward(payload);
+      forward_frame(mate->prev_peer, mate->prev_id, std::move(frame));
+    }
+    return;
+  }
+  // Unrecognized at an edge with nowhere to go: protocol violation.
+  obs::trace(obs::Ev::CellUnrecognized, circ_id, node_, /*ok=*/false);
+  destroy_circuit(key, true, true);
 }
 
 void Router::handle_recognized(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -494,17 +494,6 @@ void Router::on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc) 
 void Router::send_backward(const Key& key, Circuit& circ, RelayCell rc) {
   auto payload = rc.pack();
   circ.crypto->seal_backward(payload);
-  circ.crypto->crypt_backward(payload);
-  Cell cell;
-  cell.circ_id = circ.prev_id;
-  cell.command = CellCommand::Relay;
-  cell.payload = payload;
-  send_cell(circ.prev_peer, cell);
-  (void)key;
-}
-
-void Router::send_backward_raw(const Key& key, Circuit& circ,
-                               std::array<std::uint8_t, kCellPayloadLen> payload) {
   circ.crypto->crypt_backward(payload);
   Cell cell;
   cell.circ_id = circ.prev_id;

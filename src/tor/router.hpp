@@ -154,10 +154,11 @@ class Router : public sim::MessageHandler {
     util::Bytes rend_cookie;  // non-empty on a waiting rendezvous circuit
   };
 
-  void handle_cell(sim::NodeId from, const Cell& cell);
   void handle_create(sim::NodeId from, const Cell& cell);
   void handle_created(sim::NodeId from, const Cell& cell);
-  void handle_relay(sim::NodeId from, const Cell& cell);
+  /// Peels or adds this hop's layer in the arriving frame itself and, unless
+  /// the cell is for this hop, forwards that same frame.
+  void handle_relay(sim::NodeId from, CircId circ_id, util::Bytes frame);
   void handle_destroy(sim::NodeId from, const Cell& cell);
   void handle_recognized(const Key& key, Circuit& circ, const RelayCell& rc);
 
@@ -175,10 +176,9 @@ class Router : public sim::MessageHandler {
   /// Seals+encrypts a relay cell at our layer and sends it toward the
   /// origin of `circ`.
   void send_backward(const Key& key, Circuit& circ, RelayCell rc);
-  /// Forwards an already-layered payload toward the origin (splice path).
-  void send_backward_raw(const Key& key, Circuit& circ,
-                         std::array<std::uint8_t, kCellPayloadLen> payload);
   void send_cell(sim::NodeId to, const Cell& cell);
+  /// Sends a framed RELAY cell on as circuit `circ_id` toward `to`.
+  void forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame);
 
   /// Pumps buffered stream data into DATA cells while windows allow.
   void pump_stream(const Key& key, Circuit& circ, StreamId sid);

@@ -29,4 +29,24 @@ BENTO_HOT Cell unframe_cell(util::ByteView wire) {
   return Cell::unpack(wire.subspan(1));
 }
 
+BENTO_HOT CircId frame_circ_id(util::ByteView frame) {
+  return static_cast<CircId>(frame[1]) << 24 | static_cast<CircId>(frame[2]) << 16 |
+         static_cast<CircId>(frame[3]) << 8 | static_cast<CircId>(frame[4]);
+}
+
+BENTO_HOT void set_frame_circ_id(std::span<std::uint8_t> frame, CircId circ_id) {
+  frame[1] = static_cast<std::uint8_t>(circ_id >> 24);
+  frame[2] = static_cast<std::uint8_t>(circ_id >> 16);
+  frame[3] = static_cast<std::uint8_t>(circ_id >> 8);
+  frame[4] = static_cast<std::uint8_t>(circ_id);
+}
+
+BENTO_HOT CellCommand frame_command(util::ByteView frame) {
+  return static_cast<CellCommand>(frame[5]);
+}
+
+BENTO_HOT PayloadSpan frame_payload(std::span<std::uint8_t> frame) {
+  return frame.subspan<6, kCellPayloadLen>();
+}
+
 }  // namespace bento::tor

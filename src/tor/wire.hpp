@@ -13,7 +13,7 @@ namespace bento::tor {
 
 inline constexpr std::uint8_t kCellFrameMarker = 0xC1;
 
-/// Cell -> link message.
+/// Cell -> link message: the marker, then the 514-byte cell.
 util::Bytes frame_cell(const Cell& cell);
 
 /// True if the message is a framed cell (vs a TcpMsg).
@@ -21,5 +21,12 @@ bool is_framed_cell(util::ByteView wire);
 
 /// Parses a framed cell; throws util::ParseError on malformed input.
 Cell unframe_cell(util::ByteView wire);
+
+// Fields of a message for which is_framed_cell() holds, read and written in
+// place, so a relay can forward a cell in the buffer it arrived in.
+CircId frame_circ_id(util::ByteView frame);
+void set_frame_circ_id(std::span<std::uint8_t> frame, CircId circ_id);
+CellCommand frame_command(util::ByteView frame);
+PayloadSpan frame_payload(std::span<std::uint8_t> frame);
 
 }  // namespace bento::tor

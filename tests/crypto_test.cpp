@@ -246,6 +246,26 @@ TEST(ChaCha20, SplitsAcrossBlockAndRefillBoundaries) {
   EXPECT_EQ(pieced, oneshot);
 }
 
+// 1100 bytes cross the 1 KiB refill boundary. Splitting them at every offset
+// makes calls of 1-1099 bytes starting at every keystream offset, so every
+// partial-vector tail length meets every alignment.
+TEST(ChaCha20, ProcessSplitAtEveryOffsetMatchesOneShot) {
+  bc::ChaChaKey key{};
+  key[31] = 0x5a;
+  bc::ChaChaNonce nonce{};
+  nonce[3] = 9;
+  bu::Rng rng(1100);
+  const bu::Bytes data = rng.bytes(1100);
+  const bu::Bytes want = bc::chacha20_xor(key, nonce, 7, data);
+  for (std::size_t cut = 1; cut < data.size(); ++cut) {
+    bc::ChaCha20 c(key, nonce, 7);
+    bu::Bytes got = data;
+    c.process(std::span<std::uint8_t>(got.data(), cut));
+    c.process(std::span<std::uint8_t>(got.data() + cut, got.size() - cut));
+    ASSERT_EQ(got, want) << "split at " << cut;
+  }
+}
+
 TEST(ChaCha20, InPlaceMatchesTransform) {
   bc::ChaChaKey key{};
   key[0] = 1;
@@ -340,6 +360,32 @@ TEST(CryptoKernels, ChaCha20Avx2MatchesPortable) {
   }
 #else
   GTEST_SKIP() << "the AVX2 refill exists only on x86";
+#endif
+}
+
+TEST(CryptoKernels, ChaCha20Avx512MatchesPortable) {
+#if BENTO_CHACHA_AVX512
+  if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("avx512vl") ||
+      !__builtin_cpu_supports("avx512bw")) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/VL/BW: the 16-block refill cannot run";
+  }
+  bu::Rng rng(16);
+  for (int trial = 0; trial < 512; ++trial) {
+    std::array<std::uint32_t, 16> state{};
+    for (auto& w : state) w = static_cast<std::uint32_t>(rng.next_u64());
+    // Every other state starts within 16 of 2^32, so some lanes' counters wrap.
+    if (trial % 2 == 0) state[12] = 0xffffffffu - static_cast<std::uint32_t>(rng.uniform(0, 15));
+    std::array<std::uint8_t, 1024> portable{};
+    std::array<std::uint8_t, 1024> avx512{};
+    bc::detail::chacha20_refill_portable(state.data(), portable.data());
+    std::array<std::uint32_t, 16> next = state;
+    next[12] += 8;
+    bc::detail::chacha20_refill_portable(next.data(), portable.data() + 512);
+    bc::detail::chacha20_refill_avx512(state.data(), avx512.data());
+    ASSERT_EQ(avx512, portable) << "trial " << trial << ", counter " << state[12];
+  }
+#else
+  GTEST_SKIP() << "the AVX-512 refill needs x86 and GCC >= 12 or Clang";
 #endif
 }
 

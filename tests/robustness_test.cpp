@@ -535,6 +535,71 @@ TEST(Robustness, OversizedFrameHeaderRejectsOnlyThatStream) {
 
 // An upload nested far deeper than the parser's bound is an ordinary syntax
 // error for its uploader, not a stack overflow that takes the box down.
+namespace {
+
+/// Stands in for the Bento server on a box's Bento port: answers the first
+/// bytes a client sends with `reply`.
+class FakeBox : public bt::LocalApp {
+ public:
+  explicit FakeBox(bu::Bytes reply) : reply_(std::move(reply)) {}
+  bool on_stream_open(bt::EdgeStream& stream) override {
+    stream.set_on_data([this, &stream](bu::ByteView) { stream.send(reply_); });
+    return true;
+  }
+
+ private:
+  bu::Bytes reply_;
+};
+
+/// A box replying `reply` to a real BentoClient costs that client its
+/// connection, never the simulation: the pending request fails, the
+/// connection closes and one client-side rejection is counted.
+void expect_client_rejects(const bu::Bytes& reply) {
+  bc::BentoWorld world;
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  bt::Router* relay = world.bed().router_by_fingerprint(box);
+  ASSERT_NE(relay, nullptr);
+  ASSERT_TRUE(bc::BentoClient::advertised_policy(relay->descriptor()).has_value());
+  FakeBox fake(reply);
+  relay->bind_local_app(bc::BentoClientConfig{}.bento_port, &fake);
+  bento::obs::Counter rejected = bento::obs::registry().counter("bento.client.rejected");
+  const std::uint64_t rejected_before = rejected.value();
+
+  auto alice = world.make_client("alice");
+  std::shared_ptr<bc::BentoConnection> conn;
+  alice.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> c) { conn = std::move(c); });
+  world.run();
+  ASSERT_NE(conn, nullptr);
+  bool answered = false;
+  bool got_policy = true;
+  conn->get_policy([&](std::optional<bc::MiddleboxPolicy> p) {
+    answered = true;
+    got_policy = p.has_value();
+  });
+  world.run();  // returns: the box's bytes never escape the client as an exception
+  EXPECT_TRUE(answered);
+  EXPECT_FALSE(got_policy);
+  EXPECT_TRUE(conn->closed());
+  EXPECT_FALSE(conn->open());
+  EXPECT_EQ(rejected.value() - rejected_before, 1u);
+}
+
+}  // namespace
+
+// The client-side mirror of MalformedFrameRejectsOnlyThatStream.
+TEST(Robustness, ClientRejectsMalformedFrameFromBox) {
+  expect_client_rejects(bu::Bytes{0x00, 0x00, 0x00, 0x01, 0xff});
+}
+
+// A header announcing ~4 GiB is over the box's advertised per-function
+// memory, so the client rejects it on sight instead of buffering toward it.
+TEST(Robustness, ClientRejectsOversizedFrameHeaderFromBox) {
+  bu::Bytes reply{0xff, 0xff, 0xff, 0xf0};
+  reply.resize(4 + 1024, 0x41);
+  expect_client_rejects(reply);
+}
+
 TEST(Robustness, DeeplyNestedUploadIsASyntaxError) {
   bc::BentoWorld world;
   world.start();

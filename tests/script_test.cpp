@@ -382,6 +382,21 @@ TEST(ScriptErrors, ParserBoundsNestingDepth) {
   EXPECT_THROW(sc::parse(sum_chain(sc::kMaxDepth)), sc::SyntaxError);
 }
 
+// Each call nests its body's tree on top of its caller's: 64 calls of a
+// 250-deep expression would be 16k eval frames, 2-4 MB of stack in a
+// RelWithDebInfo build and an overflow under ASan. The interpreter bounds
+// the nesting summed across calls instead.
+TEST(ScriptErrors, InterpreterBoundsNestingAcrossCalls) {
+  const auto recurse = [](const std::string& wrap) {
+    return "def f(n):\n    if n == 0:\n        return 0\n    return " + wrap +
+           "f(n - 1)\nx = f(63)\n";
+  };
+  EXPECT_THROW(run_program(recurse(std::string(250, '-'))), sc::ScriptError);
+  // The same 64 calls with shallow bodies run.
+  EXPECT_EQ(run_program(recurse("1 + "))->global("x").as_int(), 63);
+  EXPECT_EQ(run_program(recurse("--"))->global("x").as_int(), 0);
+}
+
 TEST(ScriptBudget, StepLimitEnforced) {
   sc::InterpreterOptions opts;
   opts.max_steps = 10'000;

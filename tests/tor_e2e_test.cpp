@@ -3,7 +3,9 @@
 // flow control, cover traffic, and teardown.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "tor/testbed.hpp"
+#include "tor/wire.hpp"
 #include "util/bytes.hpp"
 
 namespace bt = bento::tor;
@@ -204,6 +206,83 @@ TEST(TorE2E, LocalAppStreamEcho) {
   EXPECT_TRUE(connected);
   EXPECT_EQ(app.opened_, 1);
   EXPECT_EQ(bu::to_string(received), "ping");
+}
+
+namespace {
+/// Sits on a relay's node in front of its Router. Once armed, flips one
+/// data byte of the next RELAY frame from `upstream`, then hands every frame
+/// to the Router as the network would.
+class TamperShim : public bs::MessageHandler {
+ public:
+  TamperShim(bt::Router& router, bs::NodeId upstream) : router_(router), upstream_(upstream) {}
+  void on_message(bs::NodeId from, bu::Bytes data) override {
+    if (armed && from == upstream_ && bt::is_framed_cell(data) &&
+        bt::frame_command(data) == bt::CellCommand::Relay) {
+      bt::frame_payload(data)[bt::kRelayHeaderLen + 2] ^= 0x01;
+      armed = false;
+      ++flipped;
+    }
+    router_.on_message(from, std::move(data));
+  }
+  void on_peer_down(bs::NodeId peer) override { router_.on_peer_down(peer); }
+  bool armed = false;
+  int flipped = 0;
+
+ private:
+  bt::Router& router_;
+  bs::NodeId upstream_;
+};
+}  // namespace
+
+// The middle hop forwards a cell in the frame it arrived in, so a flipped
+// ciphertext bit must still travel to the exit and break its running digest
+// there: one digest mismatch, the circuit destroyed, the client's stream
+// ended, and nothing delivered to the app.
+TEST(TorE2E, TamperedCellThroughMiddleHopDestroysCircuitAtExit) {
+  bt::Testbed bed;
+  bed.finalize();
+  EchoApp app;
+  bt::Router& box = bed.router(bed.router_count() - 1);
+  box.bind_local_app(8888, &app);
+
+  auto client = bed.make_client("alice");
+  bt::CircuitOrigin* circ = nullptr;
+  bt::PathConstraints c;
+  c.last_hop = box.fingerprint();
+  client->build_circuit(c, [&](bt::CircuitOrigin* built) { circ = built; });
+  bed.run();
+  ASSERT_NE(circ, nullptr);
+  ASSERT_EQ(circ->hop_count(), 3);
+  bt::Router* middle = bed.router_by_fingerprint(circ->path()[1].fingerprint());
+  ASSERT_NE(middle, nullptr);
+  TamperShim shim(*middle, circ->path()[0].node);
+  bed.net().attach(middle->node(), &shim);
+
+  bento::obs::Counter mismatches =
+      bento::obs::registry().counter("tor.recognition.digest_mismatches");
+  const std::uint64_t mismatches_before = mismatches.value();
+  bool connected = false;
+  bool ended = false;
+  bu::Bytes received;
+  bt::Stream::Callbacks cbs;
+  cbs.on_data = [&](bu::ByteView d) { bu::append(received, d); };
+  cbs.on_end = [&] { ended = true; };
+  bt::Stream* stream = circ->open_stream({box.addr(), 8888}, std::move(cbs));
+  stream->set_on_connected([&, stream] {
+    connected = true;
+    shim.armed = true;  // BEGIN went through untouched; tamper with the DATA
+    stream->send(bu::to_bytes("ping"));
+  });
+  bed.run();
+
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(shim.flipped, 1);
+  EXPECT_EQ(mismatches.value() - mismatches_before, 1u);
+  EXPECT_TRUE(circ->destroyed());
+  EXPECT_TRUE(ended);
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(app.opened_, 1);
+  EXPECT_EQ(app.closed_, 1);  // the exit tore the stream down with the circuit
 }
 
 TEST(TorE2E, LocalAppCanRefuseStream) {
