@@ -1,9 +1,9 @@
 // Microbenchmarks: the from-scratch crypto substrate.
 #include <benchmark/benchmark.h>
 
-#include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sign.hpp"
 #include "tor/ntor.hpp"
@@ -38,17 +38,35 @@ static void BM_ChaCha20(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20)->Arg(509)->Arg(8192);
 
-static void BM_AeadSeal(benchmark::State& state) {
+static void BM_ChapolySeal(benchmark::State& state) {
   bu::Rng rng(3);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
-  const bu::Bytes payload = rng.bytes(498);
+  bc::ChaChaKey key{};
+  const bu::Bytes key_bytes = rng.bytes(key.size());
+  std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+  const bu::Bytes payload = rng.bytes(static_cast<std::size_t>(state.range(0)));
   std::uint64_t counter = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bc::aead_seal(key, bc::nonce_from_counter(++counter), {}, payload));
+        bc::chapoly_seal(key, bc::nonce_from_counter(++counter), {}, payload));
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_AeadSeal);
+BENCHMARK(BM_ChapolySeal)->Arg(498)->Arg(32768);
+
+static void BM_Poly1305(benchmark::State& state) {
+  bu::Rng rng(8);
+  bc::Poly1305Key key{};
+  const bu::Bytes key_bytes = rng.bytes(key.size());
+  std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+  const bu::Bytes message = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bc::poly1305(key, message));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Poly1305)->Arg(32768);
 
 static void BM_HmacSha256(benchmark::State& state) {
   bu::Rng rng(4);

@@ -12,23 +12,6 @@ namespace bento::core {
 
 namespace {
 constexpr char kComponent[] = "bento.container";
-
-/// Vfs backend over the conclave's FsProtect (python-op-sgx image).
-class FsProtectBackend final : public sandbox::VfsBackend {
- public:
-  explicit FsProtectBackend(tee::FsProtect& fs) : fs_(fs) {}
-  void put(const std::string& path, util::ByteView data) override {
-    fs_.write(path, data);
-  }
-  std::optional<util::Bytes> get(const std::string& path) const override {
-    return fs_.read(path);
-  }
-  bool erase(const std::string& path) override { return fs_.remove(path); }
-  std::vector<std::string> keys() const override { return fs_.list(); }
-
- private:
-  tee::FsProtect& fs_;
-};
 }  // namespace
 
 Container::Container(BentoServer& server, std::uint64_t id, std::string image,
@@ -37,7 +20,8 @@ Container::Container(BentoServer& server, std::uint64_t id, std::string image,
   if (image_ == kImagePythonOpSgx) {
     conclave_ = std::make_unique<tee::Conclave>(
         server_.platform(), server_.epc(), BentoServer::runtime_image(),
-        "bento-" + std::to_string(id_), rng_);
+        "bento-" + std::to_string(id_));
+    fs_protect_ = std::make_unique<tee::FsProtect>(rng_);
   }
 }
 
@@ -69,10 +53,11 @@ void Container::install(const FunctionManifest& manifest, const UploadBody& body
     auto mount = std::make_unique<sandbox::StoreBackend>(store_.get());
     mount->set_on_mutate([this] { schedule_store_maintenance(); });
     backend = std::move(mount);
-  } else if (conclave_ != nullptr) {
-    backend = std::make_unique<FsProtectBackend>(conclave_->fs());
   } else {
-    backend = std::make_unique<sandbox::MemoryBackend>();
+    std::unique_ptr<sandbox::MemoryBackend> memory = std::move(fs_protect_);
+    if (memory == nullptr) memory = std::make_unique<sandbox::MemoryBackend>();
+    memory_ = memory.get();
+    backend = std::move(memory);
   }
   vfs_ = std::make_unique<sandbox::Vfs>(std::move(backend), *resources_);
   if (store_ != nullptr) {
@@ -157,6 +142,10 @@ void Container::on_stream_closed(tor::EdgeStream* stream) {
       ++it;
     }
   }
+}
+
+util::Bytes* Container::stored_bytes(const std::string& path) const {
+  return memory_ != nullptr ? memory_->stored(sandbox::chroot_normalize(path)) : nullptr;
 }
 
 std::size_t Container::memory_bytes() const {

@@ -4,8 +4,9 @@
 // The container assembles, per function:
 //   * a ResourceAccountant under the server's aggregate cap (cgroups),
 //   * a SyscallFilter = manifest ∩ node policy (seccomp),
-//   * a chrooted Vfs — FsProtect-backed inside a conclave for the
-//     python-op-sgx image, plain memory for the python image,
+//   * a chrooted Vfs — in memory, sealed by FS-Protect for the
+//     python-op-sgx image and plain for the python image, or on the
+//     persistent sealed store,
 //   * a NetFilter compiled from the host relay's exit policy (iptables),
 //   * a StemSession (the Stem firewall),
 // and hosts the function itself: a BentoScript interpreter whose bindings
@@ -74,6 +75,10 @@ class Container final : public HostApi {
   store::BlobStore* blob_store() const { return store_.get(); }
   const std::string& store_volume_key() const { return store_volume_key_; }
   std::optional<tee::SecureChannel>& channel() { return channel_; }
+  /// The operator's view of one chroot file held in memory: the stored body
+  /// (ciphertext under FS-Protect), writable as the box's own disk is. Null
+  /// when absent or when the chroot is on the persistent store.
+  util::Bytes* stored_bytes(const std::string& path) const;
 
   /// Installs the function; throws (sandbox/script/parse errors) on failure.
   /// `program` is the pre-parsed (and statically verified) script image when
@@ -135,6 +140,10 @@ class Container final : public HostApi {
   sandbox::SyscallFilter filter_ = sandbox::SyscallFilter::deny_all();
   std::unique_ptr<sandbox::ResourceAccountant> resources_;
   std::unique_ptr<sandbox::Vfs> vfs_;
+  /// FS-Protect for the python-op-sgx image, built at launch (its ephemeral
+  /// key is drawn from rng_ before any token); install() mounts it.
+  std::unique_ptr<tee::FsProtect> fs_protect_;
+  sandbox::MemoryBackend* memory_ = nullptr;  // the mounted in-memory backend
   /// Persistent-store lifecycle: the container owns the BlobStore (open
   /// log, index, cache); the underlying Volume belongs to the server's
   /// VolumeManager and survives crashes.

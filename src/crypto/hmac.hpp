@@ -1,8 +1,8 @@
 // HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 //
 // HKDF is the key-schedule workhorse: circuit hop keys, conclave channel
-// keys, FS-Protect file keys, and sealing keys are all derived through it
-// with distinct info labels.
+// keys, sealing keys and hidden-service intro keys are all derived through
+// it with distinct info labels.
 #pragma once
 
 #include <string_view>

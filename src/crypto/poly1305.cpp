@@ -7,205 +7,174 @@
 namespace bento::crypto {
 
 namespace {
-BENTO_HOT std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
+using u128 = unsigned __int128;
+constexpr std::uint64_t kMask44 = (std::uint64_t{1} << 44) - 1;
+constexpr std::uint64_t kMask42 = (std::uint64_t{1} << 42) - 1;
+constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;  // 2^128 in limb 2
+
+// Spelled out byte by byte and `inline`, so at -O2 it is inlined and merged
+// into one load on little-endian hosts.
+BENTO_HOT inline std::uint64_t load64(const std::uint8_t* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 | std::uint64_t{p[2]} << 16 |
+         std::uint64_t{p[3]} << 24 | std::uint64_t{p[4]} << 32 |
+         std::uint64_t{p[5]} << 40 | std::uint64_t{p[6]} << 48 |
+         std::uint64_t{p[7]} << 56;
+}
+
+BENTO_HOT void store64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Poly1305 over three limbs of 44, 44 and 42 bits (poly1305-donna-64
+/// style): every limb product fits an unsigned __int128, and a term of
+/// weight 2^132 folds back as 20 because 2^130 = 5 (mod 2^130 - 5).
+class Poly1305State {
+ public:
+  explicit Poly1305State(const Poly1305Key& key)
+      : pad0_(load64(key.data() + 16)), pad1_(load64(key.data() + 24)) {
+    const std::uint64_t t0 = load64(key.data()), t1 = load64(key.data() + 8);
+    r0_ = t0 & 0xffc0fffffff;  // clamped r, split 44/44/42
+    r1_ = (t0 >> 44 | t1 << 20) & 0xfffffc0ffff;
+    r2_ = t1 >> 24 & 0x00ffffffc0f;
+  }
+
+  /// Absorbs `data`. A trailing partial block is zero-padded to 16 bytes
+  /// when `zero_pad` (the RFC 8439 §2.8 MAC input), else closed with the
+  /// 0x01 marker of a plain Poly1305 message.
+  BENTO_HOT void absorb(util::ByteView data, bool zero_pad) {
+    const std::size_t full = data.size() & ~std::size_t{15};
+    blocks(data.data(), full, kHibit);
+    if (full == data.size()) return;
+    std::uint8_t last[16] = {};
+    std::memcpy(last, data.data() + full, data.size() - full);
+    if (!zero_pad) last[data.size() - full] = 1;
+    blocks(last, 16, zero_pad ? kHibit : 0);
+  }
+
+  BENTO_HOT Poly1305Tag finish() const {
+    std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+    // Fully carry h, then compute g = h - p and keep it when h >= p.
+    std::uint64_t c = h1 >> 44;
+    h1 &= kMask44;
+    for (int round = 0; round < 2; ++round) {
+      h2 += c, c = h2 >> 42, h2 &= kMask42;
+      h0 += c * 5, c = h0 >> 44, h0 &= kMask44;
+      h1 += c, c = h1 >> 44, h1 &= kMask44;
+    }
+    h2 += c;
+    std::uint64_t g0 = h0 + 5;
+    c = g0 >> 44, g0 &= kMask44;
+    std::uint64_t g1 = h1 + c;
+    c = g1 >> 44, g1 &= kMask44;
+    const std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
+    const std::uint64_t keep_g = (g2 >> 63) - 1;  // all-ones iff h >= p
+    h0 = (h0 & ~keep_g) | (g0 & keep_g);
+    h1 = (h1 & ~keep_g) | (g1 & keep_g);
+    h2 = (h2 & ~keep_g) | (g2 & keep_g);
+
+    // tag = (h + s) mod 2^128.
+    h0 += pad0_ & kMask44, c = h0 >> 44, h0 &= kMask44;
+    h1 += ((pad0_ >> 44 | pad1_ << 20) & kMask44) + c, c = h1 >> 44, h1 &= kMask44;
+    h2 += (pad1_ >> 24) + c;
+    Poly1305Tag tag{};
+    store64(tag.data(), h0 | h1 << 44);
+    store64(tag.data() + 8, h1 >> 20 | h2 << 24);
+    return tag;
+  }
+
+ private:
+  /// Absorbs whole 16-byte blocks; `hibit` is the 2^128 bit every block
+  /// carries except a marker-closed final one.
+  BENTO_HOT void blocks(const std::uint8_t* m, std::size_t bytes,
+                        std::uint64_t hibit) {
+    const std::uint64_t r0 = r0_, r1 = r1_, r2 = r2_;
+    const std::uint64_t s1 = r1 * 20, s2 = r2 * 20;
+    std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+    for (; bytes >= 16; m += 16, bytes -= 16) {
+      const std::uint64_t t0 = load64(m), t1 = load64(m + 8);
+      h0 += t0 & kMask44;
+      h1 += (t0 >> 44 | t1 << 20) & kMask44;
+      h2 += (t1 >> 24) | hibit;
+      const u128 d0 = u128{h0} * r0 + u128{h1} * s2 + u128{h2} * s1;
+      u128 d1 = u128{h0} * r1 + u128{h1} * r0 + u128{h2} * s2;
+      u128 d2 = u128{h0} * r2 + u128{h1} * r1 + u128{h2} * r0;
+      h0 = static_cast<std::uint64_t>(d0) & kMask44;
+      d1 += static_cast<std::uint64_t>(d0 >> 44);
+      h1 = static_cast<std::uint64_t>(d1) & kMask44;
+      d2 += static_cast<std::uint64_t>(d1 >> 44);
+      h2 = static_cast<std::uint64_t>(d2) & kMask42;
+      h0 += static_cast<std::uint64_t>(d2 >> 42) * 5;
+      h1 += h0 >> 44;
+      h0 &= kMask44;
+    }
+    h0_ = h0, h1_ = h1, h2_ = h2;
+  }
+
+  std::uint64_t r0_, r1_, r2_;
+  std::uint64_t h0_ = 0, h1_ = 0, h2_ = 0;
+  std::uint64_t pad0_, pad1_;
+};
+
+/// The one RFC 8439 tag routine: Poly1305 under the block-0 one-time key
+/// over padded AAD, padded ciphertext and the two little-endian lengths.
+BENTO_HOT Poly1305Tag chapoly_tag(const ChaChaKey& key, const ChaChaNonce& nonce,
+                                  util::ByteView aad, util::ByteView ciphertext) {
+  Poly1305Key otk{};
+  chacha20_xor_inplace(key, nonce, 0, otk);
+  Poly1305State mac(otk);
+  mac.absorb(aad, true);
+  mac.absorb(ciphertext, true);
+  std::uint8_t lengths[16];
+  store64(lengths, aad.size());
+  store64(lengths + 8, ciphertext.size());
+  mac.absorb(lengths, true);
+  return mac.finish();
 }
 }  // namespace
 
 BENTO_HOT Poly1305Tag poly1305(const Poly1305Key& key, util::ByteView message) {
-  // 26-bit limb representation (poly1305-donna style).
-  const std::uint32_t r0 = le32(key.data()) & 0x3ffffff;
-  const std::uint32_t r1 = (le32(key.data() + 3) >> 2) & 0x3ffff03;
-  const std::uint32_t r2 = (le32(key.data() + 6) >> 4) & 0x3ffc0ff;
-  const std::uint32_t r3 = (le32(key.data() + 9) >> 6) & 0x3f03fff;
-  const std::uint32_t r4 = (le32(key.data() + 12) >> 8) & 0x00fffff;
-
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-
-  std::uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
-
-  std::size_t offset = 0;
-  while (offset < message.size()) {
-    std::uint8_t block[17] = {0};
-    const std::size_t n = std::min<std::size_t>(16, message.size() - offset);
-    std::memcpy(block, message.data() + offset, n);
-    block[n] = 1;  // 2^(8*n) marker
-    offset += n;
-
-    h0 += le32(block) & 0x3ffffff;
-    h1 += (le32(block + 3) >> 2) & 0x3ffffff;
-    h2 += (le32(block + 6) >> 4) & 0x3ffffff;
-    h3 += (le32(block + 9) >> 6) & 0x3ffffff;
-    h4 += (le32(block + 12) >> 8) | (static_cast<std::uint32_t>(block[16]) << 24);
-
-    const std::uint64_t d0 = static_cast<std::uint64_t>(h0) * r0 +
-                             static_cast<std::uint64_t>(h1) * s4 +
-                             static_cast<std::uint64_t>(h2) * s3 +
-                             static_cast<std::uint64_t>(h3) * s2 +
-                             static_cast<std::uint64_t>(h4) * s1;
-    std::uint64_t d1 = static_cast<std::uint64_t>(h0) * r1 +
-                       static_cast<std::uint64_t>(h1) * r0 +
-                       static_cast<std::uint64_t>(h2) * s4 +
-                       static_cast<std::uint64_t>(h3) * s3 +
-                       static_cast<std::uint64_t>(h4) * s2;
-    std::uint64_t d2 = static_cast<std::uint64_t>(h0) * r2 +
-                       static_cast<std::uint64_t>(h1) * r1 +
-                       static_cast<std::uint64_t>(h2) * r0 +
-                       static_cast<std::uint64_t>(h3) * s4 +
-                       static_cast<std::uint64_t>(h4) * s3;
-    std::uint64_t d3 = static_cast<std::uint64_t>(h0) * r3 +
-                       static_cast<std::uint64_t>(h1) * r2 +
-                       static_cast<std::uint64_t>(h2) * r1 +
-                       static_cast<std::uint64_t>(h3) * r0 +
-                       static_cast<std::uint64_t>(h4) * s4;
-    std::uint64_t d4 = static_cast<std::uint64_t>(h0) * r4 +
-                       static_cast<std::uint64_t>(h1) * r3 +
-                       static_cast<std::uint64_t>(h2) * r2 +
-                       static_cast<std::uint64_t>(h3) * r1 +
-                       static_cast<std::uint64_t>(h4) * r0;
-
-    // Carry propagation.
-    std::uint64_t c = d0 >> 26;
-    h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-    d1 += c;
-    c = d1 >> 26;
-    h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-    d2 += c;
-    c = d2 >> 26;
-    h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += c;
-    c = d3 >> 26;
-    h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += c;
-    c = d4 >> 26;
-    h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-    h0 += static_cast<std::uint32_t>(c) * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ffffff;
-    h1 += static_cast<std::uint32_t>(c);
-  }
-
-  // Final reduction mod 2^130 - 5.
-  std::uint32_t c = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
-
-  // Compute h + -p and select.
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
-
-  const std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
-  h0 = (h0 & ~mask) | (g0 & mask);
-  h1 = (h1 & ~mask) | (g1 & mask);
-  h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
-
-  // h = h % 2^128, then add s.
-  const std::uint32_t t0 = (h0 | (h1 << 26));
-  const std::uint32_t t1 = ((h1 >> 6) | (h2 << 20));
-  const std::uint32_t t2 = ((h2 >> 12) | (h3 << 14));
-  const std::uint32_t t3 = ((h3 >> 18) | (h4 << 8));
-
-  std::uint64_t f = static_cast<std::uint64_t>(t0) + le32(key.data() + 16);
-  Poly1305Tag tag{};
-  tag[0] = static_cast<std::uint8_t>(f);
-  tag[1] = static_cast<std::uint8_t>(f >> 8);
-  tag[2] = static_cast<std::uint8_t>(f >> 16);
-  tag[3] = static_cast<std::uint8_t>(f >> 24);
-  f = (f >> 32) + static_cast<std::uint64_t>(t1) + le32(key.data() + 20);
-  tag[4] = static_cast<std::uint8_t>(f);
-  tag[5] = static_cast<std::uint8_t>(f >> 8);
-  tag[6] = static_cast<std::uint8_t>(f >> 16);
-  tag[7] = static_cast<std::uint8_t>(f >> 24);
-  f = (f >> 32) + static_cast<std::uint64_t>(t2) + le32(key.data() + 24);
-  tag[8] = static_cast<std::uint8_t>(f);
-  tag[9] = static_cast<std::uint8_t>(f >> 8);
-  tag[10] = static_cast<std::uint8_t>(f >> 16);
-  tag[11] = static_cast<std::uint8_t>(f >> 24);
-  f = (f >> 32) + static_cast<std::uint64_t>(t3) + le32(key.data() + 28);
-  tag[12] = static_cast<std::uint8_t>(f);
-  tag[13] = static_cast<std::uint8_t>(f >> 8);
-  tag[14] = static_cast<std::uint8_t>(f >> 16);
-  tag[15] = static_cast<std::uint8_t>(f >> 24);
-  return tag;
+  Poly1305State mac(key);
+  mac.absorb(message, false);
+  return mac.finish();
 }
-
-namespace {
-Poly1305Tag chapoly_tag(const ChaChaKey& key, const ChaChaNonce& nonce,
-                        util::ByteView aad, util::ByteView ciphertext) {
-  // One-time key = first 32 bytes of the ChaCha20 block with counter 0.
-  // XOR-ing keystream into a zeroed array reads the keystream directly;
-  // no temporary buffers.
-  Poly1305Key otk{};
-  chacha20_xor_inplace(key, nonce, 0, otk);
-
-  auto pad16 = [](util::Bytes& b) {
-    while (b.size() % 16 != 0) b.push_back(0);
-  };
-  util::Bytes mac_data(aad.begin(), aad.end());
-  pad16(mac_data);
-  util::append(mac_data, ciphertext);
-  pad16(mac_data);
-  for (int i = 0; i < 8; ++i) {
-    mac_data.push_back(static_cast<std::uint8_t>(aad.size() >> (8 * i)));
-  }
-  for (int i = 0; i < 8; ++i) {
-    mac_data.push_back(static_cast<std::uint8_t>(ciphertext.size() >> (8 * i)));
-  }
-  return poly1305(otk, mac_data);
-}
-}  // namespace
 
 util::Bytes chapoly_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
                          util::ByteView aad, util::ByteView plaintext) {
   util::Bytes out;
-  out.reserve(plaintext.size() + 16);
-  out.assign(plaintext.begin(), plaintext.end());
-  chacha20_xor_inplace(key, nonce, 1, out);
-  const Poly1305Tag tag = chapoly_tag(key, nonce, aad, out);
-  out.insert(out.end(), tag.begin(), tag.end());
+  out.reserve(plaintext.size() + kChapolyTagLen);
+  chapoly_seal_append(out, key, nonce, aad, plaintext);
   return out;
+}
+
+BENTO_HOT void chapoly_seal_append(util::Bytes& out, const ChaChaKey& key,
+                                   const ChaChaNonce& nonce, util::ByteView aad,
+                                   util::ByteView plaintext) {
+  const std::size_t base = out.size();
+  // bentolint: allow(BL102 grows the caller's buffer, which it reserved)
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  const std::span<std::uint8_t> ciphertext(out.data() + base, plaintext.size());
+  chacha20_xor_inplace(key, nonce, 1, ciphertext);
+  const Poly1305Tag tag = chapoly_tag(key, nonce, aad, ciphertext);
+  // bentolint: allow(BL102 grows the caller's buffer, which it reserved)
+  out.insert(out.end(), tag.begin(), tag.end());
 }
 
 std::optional<util::Bytes> chapoly_open(const ChaChaKey& key,
                                         const ChaChaNonce& nonce,
                                         util::ByteView aad, util::ByteView sealed) {
-  if (sealed.size() < 16) return std::nullopt;
-  util::ByteView ciphertext = sealed.first(sealed.size() - 16);
+  if (sealed.size() < kChapolyTagLen) return std::nullopt;
+  const util::ByteView ciphertext = sealed.first(sealed.size() - kChapolyTagLen);
   const Poly1305Tag expect = chapoly_tag(key, nonce, aad, ciphertext);
-  if (!util::ct_equal(sealed.last(16),
-                      util::ByteView(expect.data(), expect.size()))) {
-    return std::nullopt;
-  }
+  if (!util::ct_equal(sealed.last(kChapolyTagLen), expect)) return std::nullopt;
   util::Bytes plaintext(ciphertext.begin(), ciphertext.end());
   chacha20_xor_inplace(key, nonce, 1, plaintext);
   return plaintext;
+}
+
+ChaChaNonce nonce_from_counter(std::uint64_t counter) {
+  ChaChaNonce n{};
+  store64(n.data() + 4, counter);
+  return n;
 }
 
 }  // namespace bento::crypto

@@ -6,46 +6,68 @@
 namespace bento::sandbox {
 
 std::optional<std::size_t> VfsBackend::size_of(const std::string& path) const {
-  const std::optional<util::Bytes> data = get(path);
+  const std::optional<util::Bytes> data = read(path);
   if (!data.has_value()) return std::nullopt;
   return data->size();
 }
 
-void MemoryBackend::put(const std::string& path, util::ByteView data) {
-  files_[path] = util::Bytes(data.begin(), data.end());
+namespace {
+util::ByteView path_bytes(const std::string& path) {
+  return {reinterpret_cast<const std::uint8_t*>(path.data()), path.size()};
+}
+}  // namespace
+
+MemoryBackend::MemoryBackend(std::unique_ptr<store::Sealer> sealer)
+    : sealer_(std::move(sealer)) {}
+
+void MemoryBackend::write(const std::string& path, util::ByteView data) {
+  Entry entry{++seq_, {}};
+  entry.body.reserve(data.size() + sealer_->overhead());
+  sealer_->seal_append(entry.body, entry.seq, path_bytes(path), data);
+  files_.insert_or_assign(path, std::move(entry));
 }
 
-std::optional<util::Bytes> MemoryBackend::get(const std::string& path) const {
+std::optional<util::Bytes> MemoryBackend::read(const std::string& path) const {
   auto it = files_.find(path);
   if (it == files_.end()) return std::nullopt;
-  return it->second;
+  std::optional<util::Bytes> plain =
+      sealer_->open(it->second.seq, path_bytes(path), it->second.body);
+  if (!plain.has_value()) {
+    throw store::StoreError("vfs: " + path + " failed authentication");
+  }
+  return plain;
 }
 
-bool MemoryBackend::erase(const std::string& path) { return files_.erase(path) > 0; }
+bool MemoryBackend::remove(const std::string& path) { return files_.erase(path) > 0; }
 
-std::vector<std::string> MemoryBackend::keys() const {
+std::vector<std::string> MemoryBackend::list() const {
   std::vector<std::string> out;
   out.reserve(files_.size());
   for (const auto& [k, v] : files_) out.push_back(k);
   return out;
 }
 
-void StoreBackend::put(const std::string& path, util::ByteView data) {
+util::Bytes* MemoryBackend::stored(const std::string& path) {
+  auto it = files_.find(path);
+  return it == files_.end() ? nullptr : &it->second.body;
+}
+
+void StoreBackend::write(const std::string& path, util::ByteView data) {
   blob_->put(path, data);
   if (on_mutate_) on_mutate_();
 }
 
-std::optional<util::Bytes> StoreBackend::get(const std::string& path) const {
+std::optional<util::Bytes> StoreBackend::read(const std::string& path) const {
   return blob_->get(path);
 }
 
-bool StoreBackend::erase(const std::string& path) {
+bool StoreBackend::remove(const std::string& path) {
   const bool existed = blob_->remove(path);
   if (existed && on_mutate_) on_mutate_();
   return existed;
 }
 
-std::vector<std::string> StoreBackend::keys() const { return blob_->list(); }
+std::vector<std::string> StoreBackend::list() const { return blob_->list(); }
 
 std::optional<std::size_t> StoreBackend::size_of(const std::string& path) const {
   return blob_->size_of(path);
@@ -89,16 +111,16 @@ void Vfs::write(const std::string& path, util::ByteView data) {
       (old == sizes_.end() ? 0 : static_cast<std::int64_t>(old->second));
   resources_.charge_disk(delta);  // throws before touching the backend
   try {
-    backend_->put(key, data);
+    backend_->write(key, data);
   } catch (...) {
-    resources_.charge_disk(-delta);  // a failed put stores nothing
+    resources_.charge_disk(-delta);  // a failed write stores nothing
     throw;
   }
   sizes_[key] = data.size();
 }
 
 std::optional<util::Bytes> Vfs::read(const std::string& path) const {
-  return backend_->get(chroot_normalize(path));
+  return backend_->read(chroot_normalize(path));
 }
 
 bool Vfs::remove(const std::string& path) {
@@ -107,17 +129,17 @@ bool Vfs::remove(const std::string& path) {
   if (it == sizes_.end()) return false;
   resources_.charge_disk(-static_cast<std::int64_t>(it->second));
   sizes_.erase(it);
-  return backend_->erase(key);
+  return backend_->remove(key);
 }
 
 bool Vfs::exists(const std::string& path) const {
   return sizes_.contains(chroot_normalize(path));
 }
 
-std::vector<std::string> Vfs::list() const { return backend_->keys(); }
+std::vector<std::string> Vfs::list() const { return backend_->list(); }
 
 void Vfs::restore_accounting() {
-  for (const std::string& key : backend_->keys()) {
+  for (const std::string& key : backend_->list()) {
     const std::optional<std::size_t> size = backend_->size_of(key);
     if (!size.has_value()) continue;
     const auto old = sizes_.find(key);

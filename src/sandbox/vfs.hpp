@@ -4,9 +4,10 @@
 // Each container gets a Vfs rooted at its own namespace; path traversal
 // ("..", absolute escapes) is normalized away so functions cannot reach
 // other containers' data. Disk usage is charged to the container's
-// ResourceAccountant. Storage can be backed by a plain map (Python
-// container) or by FsProtect inside the conclave (Python-OP-SGX container),
-// selected by the backend interface.
+// ResourceAccountant. Storage is one of two backends chosen at
+// construction: the in-memory MemoryBackend (plain for the Python
+// container, sealed by FS-Protect for the Python-OP-SGX container) or the
+// persistent sealed log store.
 #pragma once
 
 #include <functional>
@@ -22,29 +23,48 @@
 
 namespace bento::sandbox {
 
-/// Storage backend: plain memory, an enclaved FsProtect, or the persistent
-/// sealed blob store.
+/// Storage backend behind the chroot, taking the Vfs verbs on normalized
+/// paths.
 class VfsBackend {
  public:
   virtual ~VfsBackend() = default;
-  virtual void put(const std::string& path, util::ByteView data) = 0;
-  virtual std::optional<util::Bytes> get(const std::string& path) const = 0;
-  virtual bool erase(const std::string& path) = 0;
-  virtual std::vector<std::string> keys() const = 0;
+  virtual void write(const std::string& path, util::ByteView data) = 0;
+  /// nullopt if absent; throws store::StoreError when the stored bytes fail
+  /// to authenticate, so tampering never reads as a missing file.
+  virtual std::optional<util::Bytes> read(const std::string& path) const = 0;
+  virtual bool remove(const std::string& path) = 0;
+  virtual std::vector<std::string> list() const = 0;
   /// Size without materializing contents (recovery accounting). The default
   /// reads the file.
   virtual std::optional<std::size_t> size_of(const std::string& path) const;
 };
 
+/// The in-memory backend: a map from path to a body sealed by a
+/// store::Sealer, with a per-backend sequence number as nonce and the path
+/// as AAD. The default NullSealer keeps bodies in the clear (the python
+/// image); tee::FsProtect seals them under an ephemeral key.
 class MemoryBackend : public VfsBackend {
  public:
-  void put(const std::string& path, util::ByteView data) override;
-  std::optional<util::Bytes> get(const std::string& path) const override;
-  bool erase(const std::string& path) override;
-  std::vector<std::string> keys() const override;
+  explicit MemoryBackend(
+      std::unique_ptr<store::Sealer> sealer = store::make_null_sealer());
+  void write(const std::string& path, util::ByteView data) override;
+  std::optional<util::Bytes> read(const std::string& path) const override;
+  bool remove(const std::string& path) override;
+  std::vector<std::string> list() const override;
+
+  /// The operator's view of one file: the body as stored (ciphertext under
+  /// FS-Protect), writable as any disk is to whoever runs the box. Null if
+  /// absent.
+  util::Bytes* stored(const std::string& path);
 
  private:
-  std::map<std::string, util::Bytes> files_;
+  struct Entry {
+    std::uint64_t seq;
+    util::Bytes body;
+  };
+  std::unique_ptr<store::Sealer> sealer_;
+  std::uint64_t seq_ = 0;
+  std::map<std::string, Entry> files_;
 };
 
 /// Mounts a persistent sealed BlobStore (src/store) behind the chroot: the
@@ -55,15 +75,15 @@ class MemoryBackend : public VfsBackend {
 class StoreBackend final : public VfsBackend {
  public:
   explicit StoreBackend(store::BlobStore* blob) : blob_(blob) {}
-  void put(const std::string& path, util::ByteView data) override;
-  std::optional<util::Bytes> get(const std::string& path) const override;
-  bool erase(const std::string& path) override;
-  std::vector<std::string> keys() const override;
+  void write(const std::string& path, util::ByteView data) override;
+  std::optional<util::Bytes> read(const std::string& path) const override;
+  bool remove(const std::string& path) override;
+  std::vector<std::string> list() const override;
   std::optional<std::size_t> size_of(const std::string& path) const override;
 
   store::BlobStore& blob() { return *blob_; }
 
-  /// Fired after every mutation (put/erase) — the container hooks this to
+  /// Fired after every mutation (write/remove) — the container hooks this to
   /// schedule background compaction as a simulator event, so the event
   /// queue stays empty while the store is idle.
   void set_on_mutate(std::function<void()> fn) { on_mutate_ = std::move(fn); }

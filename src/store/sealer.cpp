@@ -17,65 +17,17 @@ std::optional<util::Bytes> NullSealer::open(std::uint64_t /*seq*/,
   return util::Bytes(sealed.begin(), sealed.end());
 }
 
-ChaPolySealer::ChaPolySealer(crypto::ChaChaKey key) : key_(key) {
-  mac_scratch_.reserve(512);
-}
-
-crypto::ChaChaNonce ChaPolySealer::nonce_for(std::uint64_t seq) {
-  crypto::ChaChaNonce nonce{};
-  for (int i = 0; i < 8; ++i) {
-    nonce[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  return nonce;
-}
-
-// Mirrors crypto::chapoly_seal byte for byte (the store test asserts
-// equality against it), but writes into the caller's reserved buffer and a
-// reused MAC scratch instead of allocating fresh vectors per record.
 BENTO_HOT void ChaPolySealer::seal_append(util::Bytes& out, std::uint64_t seq,
                                           util::ByteView aad,
                                           util::ByteView plaintext) {
-  const crypto::ChaChaNonce nonce = nonce_for(seq);
-  const std::size_t base = out.size();
-  // bentolint: allow(BL102 amortized by segment reserve)
-  out.insert(out.end(), plaintext.begin(), plaintext.end());
-  crypto::chacha20_xor_inplace(key_, nonce, 1,
-                       std::span<std::uint8_t>(out.data() + base, plaintext.size()));
-  const util::ByteView ciphertext(out.data() + base, plaintext.size());
-
-  // One-time Poly1305 key = ChaCha20 block 0 keystream.
-  crypto::Poly1305Key otk{};
-  crypto::chacha20_xor_inplace(key_, nonce, 0, otk);
-
-  mac_scratch_.clear();
-  // bentolint: allow(BL102 scratch capacity reused)
-  mac_scratch_.insert(mac_scratch_.end(), aad.begin(), aad.end());
-  while (mac_scratch_.size() % 16 != 0) {
-    mac_scratch_.push_back(0);  // bentolint: allow(BL102 scratch capacity reused)
-  }
-  // bentolint: allow(BL102 scratch capacity reused)
-  mac_scratch_.insert(mac_scratch_.end(), ciphertext.begin(),
-                      ciphertext.end());
-  while (mac_scratch_.size() % 16 != 0) {
-    mac_scratch_.push_back(0);  // bentolint: allow(BL102 scratch capacity reused)
-  }
-  for (int i = 0; i < 8; ++i) {
-    mac_scratch_.push_back(  // bentolint: allow(BL102 scratch capacity reused)
-        static_cast<std::uint8_t>(aad.size() >> (8 * i)));
-  }
-  for (int i = 0; i < 8; ++i) {
-    mac_scratch_.push_back(  // bentolint: allow(BL102 scratch capacity reused)
-        static_cast<std::uint8_t>(ciphertext.size() >> (8 * i)));
-  }
-  const crypto::Poly1305Tag tag = crypto::poly1305(otk, mac_scratch_);
-  // bentolint: allow(BL102 amortized by segment reserve)
-  out.insert(out.end(), tag.begin(), tag.end());
+  crypto::chapoly_seal_append(out, key_, crypto::nonce_from_counter(seq), aad,
+                              plaintext);
 }
 
 std::optional<util::Bytes> ChaPolySealer::open(std::uint64_t seq,
                                                util::ByteView aad,
                                                util::ByteView sealed) {
-  return crypto::chapoly_open(key_, nonce_for(seq), aad, sealed);
+  return crypto::chapoly_open(key_, crypto::nonce_from_counter(seq), aad, sealed);
 }
 
 std::unique_ptr<Sealer> make_null_sealer() { return std::make_unique<NullSealer>(); }

@@ -10,10 +10,13 @@
 //
 // `Sealer` is an interface so the store itself has no tee/ dependency:
 // tee/conclave.cpp derives the key from the platform sealing secret and the
-// enclave measurement (same HKDF contract as Enclave::sealing_key) and
-// hands the store a ChaPolySealer. Recovery on the wrong platform or with
-// the wrong measurement derives a different key, every unseal fails, and
-// replay fails closed — the attestation gate of DESIGN.md §15.
+// enclave measurement (tee::derive_sealing_key, which Enclave::seal also
+// keys from) and hands the store a ChaPolySealer. Recovery on the wrong
+// platform or with the wrong measurement derives a different key, every
+// unseal fails, and replay fails closed — the attestation gate of
+// DESIGN.md §15. The chroot's in-memory backend (sandbox/vfs.hpp) seals
+// file bodies through the same interface: NullSealer for the python image,
+// a ChaPolySealer under an ephemeral key for FS-Protect.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +60,12 @@ class NullSealer final : public Sealer {
                                   util::ByteView sealed) override;
 };
 
-/// ChaCha20-Poly1305 sealer. Output is byte-identical to
-/// crypto::chapoly_seal (ciphertext || 16-byte tag) with the nonce derived
-/// from `seq`; the append path reuses a scratch buffer so a steady-state
-/// seal performs zero heap allocations.
+/// ChaCha20-Poly1305 sealer: crypto::chapoly_seal_append (ciphertext ||
+/// 16-byte tag) with the nonce crypto::nonce_from_counter(seq), so a
+/// steady-state seal into a reserved buffer performs zero heap allocations.
 class ChaPolySealer final : public Sealer {
  public:
-  explicit ChaPolySealer(crypto::ChaChaKey key);
+  explicit ChaPolySealer(crypto::ChaChaKey key) : key_(key) {}
 
   std::size_t overhead() const override { return 16; }
   bool sealing() const override { return true; }
@@ -72,11 +74,8 @@ class ChaPolySealer final : public Sealer {
   std::optional<util::Bytes> open(std::uint64_t seq, util::ByteView aad,
                                   util::ByteView sealed) override;
 
-  static crypto::ChaChaNonce nonce_for(std::uint64_t seq);
-
  private:
   crypto::ChaChaKey key_;
-  util::Bytes mac_scratch_;  // reused across appends; capacity amortizes
 };
 
 std::unique_ptr<Sealer> make_null_sealer();

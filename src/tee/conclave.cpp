@@ -1,5 +1,6 @@
 #include "tee/conclave.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,59 +11,19 @@
 
 namespace bento::tee {
 
-FsProtect::FsProtect(util::Rng& rng)
-    : key_(crypto::AeadKey::from_bytes(rng.bytes(crypto::kAeadKeyLen))) {}
-
-void FsProtect::write(const std::string& path, util::ByteView data) {
-  const std::uint64_t counter = ++write_counter_;
-  Entry entry;
-  entry.nonce_counter = counter;
-  entry.plaintext_size = data.size();
-  entry.ciphertext = crypto::aead_seal(key_, crypto::nonce_from_counter(counter),
-                                       util::to_bytes(path), data);
-  auto it = files_.find(path);
-  if (it != files_.end()) {
-    plaintext_bytes_ -= it->second.plaintext_size;
-    it->second = std::move(entry);
-  } else {
-    files_[path] = std::move(entry);
-  }
-  plaintext_bytes_ += data.size();
+namespace {
+std::unique_ptr<store::Sealer> ephemeral_sealer(util::Rng& rng) {
+  // 64 bytes drawn, the first 32 keyed: the draw size fixes where the
+  // container's later draws (its tokens, os.urandom) fall in its seeded Rng
+  // stream, which seeded traces pin.
+  const util::Bytes material = rng.bytes(64);
+  crypto::ChaChaKey key{};
+  std::copy_n(material.begin(), key.size(), key.begin());
+  return store::make_chapoly_sealer(key);
 }
+}  // namespace
 
-std::optional<util::Bytes> FsProtect::read(const std::string& path) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return std::nullopt;
-  return crypto::aead_open(key_, crypto::nonce_from_counter(it->second.nonce_counter),
-                           util::to_bytes(path), it->second.ciphertext);
-}
-
-bool FsProtect::remove(const std::string& path) {
-  auto it = files_.find(path);
-  if (it == files_.end()) return false;
-  plaintext_bytes_ -= it->second.plaintext_size;
-  files_.erase(it);
-  return true;
-}
-
-std::vector<std::string> FsProtect::list() const {
-  std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, entry] : files_) out.push_back(path);
-  return out;
-}
-
-const util::Bytes& FsProtect::ciphertext_of(const std::string& path) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) throw std::out_of_range("FsProtect: no such file");
-  return it->second.ciphertext;
-}
-
-void FsProtect::corrupt(const std::string& path, std::size_t byte_index) {
-  auto it = files_.find(path);
-  if (it == files_.end()) throw std::out_of_range("FsProtect: no such file");
-  it->second.ciphertext.at(byte_index) ^= 0x01;
-}
+FsProtect::FsProtect(util::Rng& rng) : sandbox::MemoryBackend(ephemeral_sealer(rng)) {}
 
 // ---- SecureChannel ----
 
@@ -169,8 +130,8 @@ std::uint64_t Conclave::next_id() {
 }
 
 Conclave::Conclave(Platform& platform, EpcManager& epc, util::ByteView runtime_image,
-                   const std::string& name, util::Rng& rng)
-    : id_(next_id()), epc_(epc), runtime_(platform, runtime_image, name), fs_(rng) {
+                   const std::string& name)
+    : id_(next_id()), epc_(epc), runtime_(platform, runtime_image, name) {
   epc_.allocate(id_, kBaselineOverheadBytes);
   runtime_.set_memory_bytes(kBaselineOverheadBytes);
 }
@@ -191,17 +152,11 @@ std::unique_ptr<store::Sealer> Conclave::store_sealer(
 std::unique_ptr<store::Sealer> make_store_sealer(const Platform& platform,
                                                  const Measurement& measurement,
                                                  const std::string& store_name) {
-  // Same shape as Enclave::sealing_key (HKDF over the platform sealing
-  // secret, salted by the measurement) with a per-store info label, so each
-  // named store gets an independent ChaCha20-Poly1305 key bound to exactly
-  // the (platform, image) pair attestation vouches for.
-  const util::Bytes okm = crypto::hkdf(
-      platform.sealing_secret(),
-      util::ByteView(measurement.data(), measurement.size()),
-      "bento-store-seal:" + store_name, 32);
-  crypto::ChaChaKey key{};
-  std::memcpy(key.data(), okm.data(), key.size());
-  return store::make_chapoly_sealer(key);
+  // The Enclave::seal derivation with a per-store label, so each named store
+  // gets an independent key bound to exactly the (platform, image) pair
+  // attestation vouches for.
+  return store::make_chapoly_sealer(
+      derive_sealing_key(platform, measurement, "bento-store-seal:" + store_name));
 }
 
 }  // namespace bento::tee

@@ -1,9 +1,9 @@
 // Conclaves: "containers of enclaves" [34] (paper §5.4), plus the two
 // building blocks Bento relies on:
 //
-//   * FsProtect   — an enclaved filesystem that generates an *ephemeral*
-//                   encryption key at launch and encrypts every write, so
-//                   the operator only ever stores ciphertext (the paper's
+//   * FsProtect   — the chroot's in-memory backend sealed under an
+//                   *ephemeral* key generated at launch, so the operator
+//                   only ever stores ciphertext (the paper's
 //                   plausible-deniability argument, §6.2);
 //   * SecureChannel — the attested TLS-style channel a Bento client opens
 //                   to the function loader *inside* the conclave before
@@ -12,13 +12,12 @@
 //                   channel to the container's function loader").
 #pragma once
 
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "crypto/aead.hpp"
 #include "crypto/dh.hpp"
+#include "sandbox/vfs.hpp"
 #include "store/sealer.hpp"
 #include "tee/attestation.hpp"
 #include "tee/enclave.hpp"
@@ -28,39 +27,13 @@
 
 namespace bento::tee {
 
-/// Encrypted, integrity-protected filesystem living in its own enclave.
-/// The key is ephemeral: it is generated at launch, never sealed, never
-/// exported — when the conclave dies the data is gone for everyone.
-class FsProtect {
+/// FS-Protect: the in-memory chroot backend with every body sealed by
+/// ChaCha20-Poly1305 under an ephemeral key. The key is generated at launch,
+/// never sealed, never exported — when the conclave dies the data is gone
+/// for everyone. A tampered body raises store::StoreError on read.
+class FsProtect final : public sandbox::MemoryBackend {
  public:
   explicit FsProtect(util::Rng& rng);
-
-  void write(const std::string& path, util::ByteView data);
-  /// nullopt if absent (or if ciphertext was tampered with on disk).
-  std::optional<util::Bytes> read(const std::string& path) const;
-  bool remove(const std::string& path);
-  std::vector<std::string> list() const;
-  bool exists(const std::string& path) const { return files_.contains(path); }
-
-  /// Plaintext bytes stored (for resource accounting).
-  std::size_t total_plaintext_bytes() const { return plaintext_bytes_; }
-
-  /// What the *operator* can observe: ciphertext only.
-  const util::Bytes& ciphertext_of(const std::string& path) const;
-
-  /// Operator-side tampering hook for tests: corrupts stored ciphertext.
-  void corrupt(const std::string& path, std::size_t byte_index);
-
- private:
-  crypto::AeadKey key_;
-  std::uint64_t write_counter_ = 0;
-  struct Entry {
-    util::Bytes ciphertext;
-    std::uint64_t nonce_counter;
-    std::size_t plaintext_size;
-  };
-  std::map<std::string, Entry> files_;
-  std::size_t plaintext_bytes_ = 0;
 };
 
 /// One half of an attested, AEAD-protected session. The server side binds
@@ -103,21 +76,20 @@ class SecureChannel {
   std::uint64_t recv_seq_ = 0;
 };
 
-/// A conclave: runtime enclave + FsProtect, registered against the EPC.
+/// A conclave: the runtime enclave, registered against the EPC. Its
+/// container mounts FsProtect as the chroot.
 class Conclave {
  public:
   /// `runtime_image` is the code whose measurement clients attest (the
   /// Bento execution environment, NOT individual functions — §5.4).
   Conclave(Platform& platform, EpcManager& epc, util::ByteView runtime_image,
-           const std::string& name, util::Rng& rng);
+           const std::string& name);
   ~Conclave();
 
   Conclave(const Conclave&) = delete;
   Conclave& operator=(const Conclave&) = delete;
 
   const Enclave& runtime() const { return runtime_; }
-  FsProtect& fs() { return fs_; }
-  const FsProtect& fs() const { return fs_; }
 
   /// Updates the EPC accounting for this conclave's working set.
   void set_memory_bytes(std::size_t bytes);
@@ -140,7 +112,6 @@ class Conclave {
   std::uint64_t id_;
   EpcManager& epc_;
   Enclave runtime_;
-  FsProtect fs_;
 };
 
 /// Free-standing store-sealer derivation: the server-level recovery path

@@ -21,8 +21,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "crypto/aead.hpp"
+#include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -60,6 +61,13 @@ class Platform {
   util::Bytes sealing_secret_;
 };
 
+/// The SGX EGETKEY contract: a ChaCha20-Poly1305 key from HKDF over the
+/// platform sealing secret, salted by the measurement, under `label`. Only
+/// the same image on the same platform derives it again.
+crypto::ChaChaKey derive_sealing_key(const Platform& platform,
+                                     const Measurement& measurement,
+                                     std::string_view label);
+
 /// A loaded enclave instance.
 class Enclave {
  public:
@@ -70,7 +78,8 @@ class Enclave {
   const Platform& platform() const { return platform_; }
 
   /// Seals data so only an enclave with the same measurement on the same
-  /// platform can unseal it (MRENCLAVE policy).
+  /// platform can unseal it (MRENCLAVE policy): a u64 counter, then
+  /// ChaCha20-Poly1305 under that counter as nonce.
   util::Bytes seal(util::ByteView plaintext) const;
   std::optional<util::Bytes> unseal(util::ByteView sealed) const;
 
@@ -79,7 +88,6 @@ class Enclave {
   void set_memory_bytes(std::size_t bytes) { memory_bytes_ = bytes; }
 
  private:
-  crypto::AeadKey sealing_key() const;
   Platform& platform_;
   Measurement measurement_;
   std::string name_;

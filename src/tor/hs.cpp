@@ -1,8 +1,10 @@
 #include "tor/hs.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
+#include "crypto/poly1305.hpp"
 #include "tor/ntor.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
@@ -13,8 +15,13 @@ namespace {
 constexpr char kComponent[] = "tor.hs";
 constexpr std::string_view kIntroLabel = "bento-hs-intro";
 
-crypto::AeadKey intro_key(util::ByteView shared) {
-  return crypto::AeadKey::from_bytes(crypto::hkdf(shared, {}, kIntroLabel, 64));
+/// The blob's one key: each blob has its own one-time DH key, so nonce 0
+/// never repeats under it.
+crypto::ChaChaKey intro_key(util::ByteView shared) {
+  const util::Bytes okm = crypto::hkdf(shared, {}, kIntroLabel, 32);
+  crypto::ChaChaKey key{};
+  std::copy(okm.begin(), okm.end(), key.begin());
+  return key;
 }
 }  // namespace
 
@@ -28,24 +35,23 @@ util::Bytes make_intro_blob(crypto::Gp service_ntor_pub,
   pt.str(rend_fingerprint);
   pt.blob(cookie);
   pt.blob(ntor_skin);
-  const util::Bytes sealed =
-      crypto::aead_seal(intro_key(shared), crypto::nonce_from_counter(0), {}, pt.data());
   util::Bytes out = crypto::gp_to_bytes(tmp.public_value);
-  util::append(out, sealed);
+  crypto::chapoly_seal_append(out, intro_key(shared), crypto::nonce_from_counter(0), {},
+                              pt.data());
   return out;
 }
 
 bool open_intro_blob(const crypto::DhKeyPair& service_ntor_key, util::ByteView blob,
                      std::string* rend_fingerprint, util::Bytes* cookie,
                      util::Bytes* ntor_skin) {
-  if (blob.size() < static_cast<std::size_t>(crypto::kGpBytes) + crypto::kAeadTagLen) {
+  if (blob.size() < static_cast<std::size_t>(crypto::kGpBytes) + crypto::kChapolyTagLen) {
     return false;
   }
   try {
     const crypto::Gp tmp_pub = crypto::gp_from_bytes(blob.first(crypto::kGpBytes));
     const util::Bytes shared = crypto::dh_shared(service_ntor_key, tmp_pub);
-    auto opened = crypto::aead_open(intro_key(shared), crypto::nonce_from_counter(0),
-                                    {}, blob.subspan(crypto::kGpBytes));
+    auto opened = crypto::chapoly_open(intro_key(shared), crypto::nonce_from_counter(0),
+                                       {}, blob.subspan(crypto::kGpBytes));
     if (!opened.has_value()) return false;
     util::Reader r(*opened);
     *rend_fingerprint = r.str();

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "crypto/aead.hpp"
 #include "tor/circuit.hpp"
 #include "tor/directory.hpp"
 #include "tor/proxy.hpp"

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "crypto/aead.hpp"
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "crypto/chacha20.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/kernels.hpp"
+#include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sign.hpp"
 #include "util/bytes.hpp"
@@ -389,73 +393,80 @@ TEST(CryptoKernels, ChaCha20Avx512MatchesPortable) {
 #endif
 }
 
-// ---- AEAD ----
+// ---- AEAD: the API of the one AEAD, RFC 8439 chapoly_seal/chapoly_open ----
+
+namespace {
+bc::ChaChaKey random_key(bu::Rng& rng) {
+  bc::ChaChaKey key{};
+  const bu::Bytes b = rng.bytes(key.size());
+  std::copy(b.begin(), b.end(), key.begin());
+  return key;
+}
+}  // namespace
 
 TEST(Aead, SealOpenRoundTrip) {
   bu::Rng rng(10);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
+  const bc::ChaChaKey key = random_key(rng);
   auto nonce = bc::nonce_from_counter(1);
   bu::Bytes aad = bu::to_bytes("header");
   bu::Bytes pt = bu::to_bytes("attack at dawn");
-  bu::Bytes sealed = bc::aead_seal(key, nonce, aad, pt);
-  EXPECT_EQ(sealed.size(), pt.size() + bc::kAeadTagLen);
-  auto opened = bc::aead_open(key, nonce, aad, sealed);
+  bu::Bytes sealed = bc::chapoly_seal(key, nonce, aad, pt);
+  EXPECT_EQ(sealed.size(), pt.size() + bc::kChapolyTagLen);
+  auto opened = bc::chapoly_open(key, nonce, aad, sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, pt);
 }
 
 TEST(Aead, TamperedCiphertextFails) {
   bu::Rng rng(11);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
+  const bc::ChaChaKey key = random_key(rng);
   auto nonce = bc::nonce_from_counter(2);
-  bu::Bytes sealed = bc::aead_seal(key, nonce, {}, bu::to_bytes("data"));
+  bu::Bytes sealed = bc::chapoly_seal(key, nonce, {}, bu::to_bytes("data"));
   sealed[0] ^= 1;
-  EXPECT_FALSE(bc::aead_open(key, nonce, {}, sealed).has_value());
+  EXPECT_FALSE(bc::chapoly_open(key, nonce, {}, sealed).has_value());
 }
 
 TEST(Aead, TamperedTagFails) {
   bu::Rng rng(12);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
+  const bc::ChaChaKey key = random_key(rng);
   auto nonce = bc::nonce_from_counter(3);
-  bu::Bytes sealed = bc::aead_seal(key, nonce, {}, bu::to_bytes("data"));
+  bu::Bytes sealed = bc::chapoly_seal(key, nonce, {}, bu::to_bytes("data"));
   sealed.back() ^= 1;
-  EXPECT_FALSE(bc::aead_open(key, nonce, {}, sealed).has_value());
+  EXPECT_FALSE(bc::chapoly_open(key, nonce, {}, sealed).has_value());
 }
 
 TEST(Aead, WrongAadFails) {
   bu::Rng rng(13);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
+  const bc::ChaChaKey key = random_key(rng);
   auto nonce = bc::nonce_from_counter(4);
-  bu::Bytes sealed = bc::aead_seal(key, nonce, bu::to_bytes("aad1"), bu::to_bytes("data"));
-  EXPECT_FALSE(bc::aead_open(key, nonce, bu::to_bytes("aad2"), sealed).has_value());
+  bu::Bytes sealed =
+      bc::chapoly_seal(key, nonce, bu::to_bytes("aad1"), bu::to_bytes("data"));
+  EXPECT_FALSE(bc::chapoly_open(key, nonce, bu::to_bytes("aad2"), sealed).has_value());
 }
 
 TEST(Aead, WrongNonceFails) {
   bu::Rng rng(14);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
-  bu::Bytes sealed = bc::aead_seal(key, bc::nonce_from_counter(5), {}, bu::to_bytes("data"));
-  EXPECT_FALSE(bc::aead_open(key, bc::nonce_from_counter(6), {}, sealed).has_value());
+  const bc::ChaChaKey key = random_key(rng);
+  bu::Bytes sealed =
+      bc::chapoly_seal(key, bc::nonce_from_counter(5), {}, bu::to_bytes("data"));
+  EXPECT_FALSE(bc::chapoly_open(key, bc::nonce_from_counter(6), {}, sealed).has_value());
 }
 
 TEST(Aead, TooShortInputFails) {
   bu::Rng rng(15);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
-  bu::Bytes tiny(bc::kAeadTagLen - 1, 0);
-  EXPECT_FALSE(bc::aead_open(key, bc::nonce_from_counter(0), {}, tiny).has_value());
+  const bc::ChaChaKey key = random_key(rng);
+  bu::Bytes tiny(bc::kChapolyTagLen - 1, 0);
+  EXPECT_FALSE(bc::chapoly_open(key, bc::nonce_from_counter(0), {}, tiny).has_value());
 }
 
 TEST(Aead, EmptyPlaintextWorks) {
   bu::Rng rng(16);
-  auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));
+  const bc::ChaChaKey key = random_key(rng);
   auto nonce = bc::nonce_from_counter(7);
-  bu::Bytes sealed = bc::aead_seal(key, nonce, bu::to_bytes("x"), {});
-  auto opened = bc::aead_open(key, nonce, bu::to_bytes("x"), sealed);
+  bu::Bytes sealed = bc::chapoly_seal(key, nonce, bu::to_bytes("x"), {});
+  auto opened = bc::chapoly_open(key, nonce, bu::to_bytes("x"), sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_TRUE(opened->empty());
-}
-
-TEST(Aead, KeyFromBytesRejectsWrongSize) {
-  EXPECT_THROW(bc::AeadKey::from_bytes(bu::Bytes(10)), std::invalid_argument);
 }
 
 // ---- DH ----
@@ -584,8 +595,6 @@ INSTANTIATE_TEST_SUITE_P(Keys, SignSweep, ::testing::Range(0, 10));
 
 // ---- Poly1305 / ChaCha20-Poly1305: RFC 8439 vectors ----
 
-#include "crypto/poly1305.hpp"
-
 TEST(Poly1305, Rfc8439MacVector) {
   // RFC 8439 §2.5.2.
   bc::Poly1305Key key{};
@@ -656,4 +665,149 @@ TEST(Poly1305, EmptyAndBlockBoundaryMessages) {
     tags.insert(bu::to_hex(bu::ByteView(tag.data(), tag.size())));
   }
   EXPECT_EQ(tags.size(), 9u);  // all distinct
+}
+
+TEST(Poly1305, FinalReductionVectors) {
+  // r = 1 makes h the plain sum of the blocks (each + 2^128), so these
+  // exercise the final reduction mod p = 2^130 - 5 and the dropped carry
+  // out of + s. Checked by hand.
+  bc::Poly1305Key key{};
+  key[0] = 1;
+  auto hex = [](const bc::Poly1305Tag& t) {
+    return bu::to_hex(bu::ByteView(t.data(), t.size()));
+  };
+  const bu::Bytes all_ff(32, 0xff);
+  // h = 2 * (2^129 - 1) = 2^130 - 2 = p + 3.
+  EXPECT_EQ(hex(bc::poly1305(key, all_ff)), "03000000000000000000000000000000");
+  // s = 2^128 - 1: (3 + s) mod 2^128 = 2.
+  std::fill(key.begin() + 16, key.end(), 0xff);
+  EXPECT_EQ(hex(bc::poly1305(key, all_ff)), "02000000000000000000000000000000");
+  // (2^129 - 1) + (2^129 - 4) = p exactly, so h reduces to 0.
+  std::fill(key.begin() + 16, key.end(), 0);
+  bu::Bytes to_p(32, 0xff);
+  to_p[16] = 0xfc;
+  EXPECT_EQ(hex(bc::poly1305(key, to_p)), "00000000000000000000000000000000");
+}
+
+TEST(Poly1305, ChapolyTagMatchesAssembledMacInput) {
+  // chapoly_seal reads padded AAD, padded ciphertext and the two lengths
+  // where they sit; its tag must equal one-shot Poly1305 over the RFC 8439
+  // §2.8 MAC input assembled byte by byte, on both sides of every 16-byte
+  // boundary up to 1100 (empty included) for AAD and plaintext alike.
+  std::vector<std::size_t> lengths = {0};
+  for (std::size_t b = 16; b <= 1100; b += 16) {
+    lengths.insert(lengths.end(), {b - 1, b, b + 1});
+  }
+  lengths.push_back(1100);
+  bu::Rng rng(43);
+  const bc::ChaChaKey key = random_key(rng);
+  const bu::Bytes aad_pool = rng.bytes(1100);
+  const bu::Bytes pt_pool = rng.bytes(1100);
+  auto le64 = [](bu::Bytes& out, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  std::uint64_t counter = 0;
+  for (const std::size_t aad_len : lengths) {
+    for (const std::size_t pt_len : lengths) {
+      const bc::ChaChaNonce nonce = bc::nonce_from_counter(++counter);
+      const bu::ByteView aad(aad_pool.data(), aad_len);
+      const bu::Bytes sealed =
+          bc::chapoly_seal(key, nonce, aad, bu::ByteView(pt_pool.data(), pt_len));
+      const bu::ByteView ciphertext(sealed.data(), pt_len);
+
+      bu::Bytes mac_input(aad.begin(), aad.end());
+      mac_input.resize((mac_input.size() + 15) / 16 * 16, 0);
+      mac_input.insert(mac_input.end(), ciphertext.begin(), ciphertext.end());
+      mac_input.resize((mac_input.size() + 15) / 16 * 16, 0);
+      le64(mac_input, aad_len);
+      le64(mac_input, pt_len);
+      const bu::Bytes block0 = bc::chacha20_xor(key, nonce, 0, bu::Bytes(32, 0));
+      bc::Poly1305Key otk{};
+      std::copy(block0.begin(), block0.end(), otk.begin());
+      const bc::Poly1305Tag want = bc::poly1305(otk, mac_input);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), sealed.end() - 16))
+          << "aad " << aad_len << ", plaintext " << pt_len;
+    }
+  }
+}
+
+namespace {
+// Slow Poly1305 reference for the cross-check: schoolbook bit-serial
+// multiply mod p = 2^130 - 5 on three 64-bit words, written for
+// obviousness rather than speed.
+using U192 = std::array<std::uint64_t, 3>;
+
+U192 load_le(bu::ByteView b) {
+  U192 x{};
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    x[i / 8] |= static_cast<std::uint64_t>(b[i]) << (8 * (i % 8));
+  }
+  return x;
+}
+
+// a += b mod 2^192; returns the carry out.
+bool add_to(U192& a, const U192& b) {
+  unsigned __int128 carry = 0;
+  for (int i = 0; i < 3; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) + b[i];
+    a[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return carry != 0;
+}
+
+// x mod p for x < 2p: subtract p when x + (2^192 - p) carries out.
+void reduce(U192& x) {
+  const U192 minus_p = {5, 0, ~std::uint64_t{0} << 2};
+  U192 t = x;
+  if (add_to(t, minus_p)) x = t;
+}
+
+bc::Poly1305Tag slow_poly1305(const bc::Poly1305Key& key, bu::ByteView message) {
+  std::array<std::uint8_t, 16> r_bytes{};
+  std::copy(key.begin(), key.begin() + 16, r_bytes.begin());
+  for (const int i : {3, 7, 11, 15}) r_bytes[i] &= 15;
+  for (const int i : {4, 8, 12}) r_bytes[i] &= 252;
+  const U192 r = load_le(r_bytes);
+  U192 h{};
+  for (std::size_t off = 0; off < message.size(); off += 16) {
+    const std::size_t n = std::min<std::size_t>(16, message.size() - off);
+    U192 m = load_le(message.subspan(off, n));
+    m[n / 8] |= std::uint64_t{1} << (8 * (n % 8));
+    add_to(h, m);  // h < p and m < 2^129 < p
+    reduce(h);
+    U192 acc{};
+    for (int bit = 127; bit >= 0; --bit) {
+      add_to(acc, U192(acc));
+      reduce(acc);
+      if ((r[bit / 64] >> (bit % 64)) & 1) {
+        add_to(acc, h);
+        reduce(acc);
+      }
+    }
+    h = acc;
+  }
+  add_to(h, load_le(bu::ByteView(key.data() + 16, 16)));
+  bc::Poly1305Tag tag{};
+  for (int i = 0; i < 16; ++i) {
+    tag[i] = static_cast<std::uint8_t>(h[i / 8] >> (8 * (i % 8)));
+  }
+  return tag;
+}
+}  // namespace
+
+TEST(Poly1305, MatchesSlowReferenceOnRandomInputs) {
+  bu::Rng rng(44);
+  for (int trial = 0; trial < 2000; ++trial) {
+    bc::Poly1305Key key{};
+    const bu::Bytes kb = rng.bytes(32);
+    std::copy(kb.begin(), kb.end(), key.begin());
+    bu::Bytes message = rng.bytes(rng.uniform(0, 300));
+    // Three trials in four saturate r (before clamping), the message or
+    // both, so limb carries run at their bounds.
+    if (trial % 4 == 1 || trial % 4 == 3) std::fill(key.begin(), key.begin() + 16, 0xff);
+    if (trial % 4 >= 2) std::fill(message.begin(), message.end(), 0xff);
+    ASSERT_EQ(bc::poly1305(key, message), slow_poly1305(key, message))
+        << "trial " << trial << ", length " << message.size();
+  }
 }

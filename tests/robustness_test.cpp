@@ -476,6 +476,39 @@ void expect_box_still_serves(bc::BentoWorld& world, const std::string& box) {
   EXPECT_EQ(bu::to_string(d.outputs[0]), "still here");
 }
 
+/// What a box sent back on one raw stream.
+struct RawReply {
+  std::vector<bc::Message> messages;
+  bool ended = false;
+};
+
+/// Sends `bytes` as they are on a fresh stream from `client` to `box` and
+/// runs the world to quiescence. The stream callbacks share the reply, so
+/// late events on that stream touch nothing the caller freed.
+RawReply send_raw(bc::BentoWorld& world, bc::BentoWorld::Client& client,
+                  const std::string& box, const bu::Bytes& bytes) {
+  const bt::RelayDescriptor* desc = world.bed().consensus().find(box);
+  EXPECT_NE(desc, nullptr);
+  if (desc == nullptr) return {};
+  auto reply = std::make_shared<RawReply>();
+  auto framer = std::make_shared<bc::StreamFramer>();
+  bt::PathConstraints constraints;
+  constraints.last_hop = box;
+  client.proxy->build_circuit(constraints, [&](bt::CircuitOrigin* circ) {
+    ASSERT_NE(circ, nullptr);
+    bt::Stream::Callbacks cbs;
+    cbs.on_data = [reply, framer](bu::ByteView d) {
+      for (bc::Message& m : framer->feed(d)) reply->messages.push_back(std::move(m));
+    };
+    cbs.on_end = [reply] { reply->ended = true; };
+    const bt::Endpoint bento{desc->addr, bc::BentoClientConfig{}.bento_port};
+    bt::Stream* stream = circ->open_stream(bento, std::move(cbs));
+    stream->set_on_connected([stream, bytes] { stream->send(bytes); });
+  });
+  world.run();
+  return *reply;
+}
+
 /// Sends `attack` raw on a fresh stream to a Bento box: the sender alone
 /// pays — one Error, its stream ended, one rejection counted — and the box
 /// keeps serving everyone else.
@@ -483,35 +516,15 @@ void expect_stream_rejected(const bu::Bytes& attack) {
   bc::BentoWorld world;
   world.start();
   const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
-  const bt::RelayDescriptor* desc = world.bed().consensus().find(box);
-  ASSERT_NE(desc, nullptr);
   bento::obs::Counter rejected = bento::obs::registry().counter("bento.server.rejected");
   const std::uint64_t rejected_before = rejected.value();
 
   auto attacker = world.make_client("attacker");
-  bc::StreamFramer framer;
-  int errors = 0;
-  int others = 0;
-  bool ended = false;
-  bt::PathConstraints constraints;
-  constraints.last_hop = box;
-  attacker.proxy->build_circuit(constraints, [&](bt::CircuitOrigin* circ) {
-    ASSERT_NE(circ, nullptr);
-    bt::Stream::Callbacks cbs;
-    cbs.on_data = [&](bu::ByteView d) {
-      for (const bc::Message& m : framer.feed(d)) {
-        ++(m.type == bc::MsgType::Error ? errors : others);
-      }
-    };
-    cbs.on_end = [&ended] { ended = true; };
-    const bt::Endpoint bento{desc->addr, bc::BentoClientConfig{}.bento_port};
-    bt::Stream* stream = circ->open_stream(bento, std::move(cbs));
-    stream->set_on_connected([stream, &attack] { stream->send(attack); });
-  });
-  world.run();  // returns: the frame never escapes the box as an exception
-  EXPECT_EQ(errors, 1);
-  EXPECT_EQ(others, 0);
-  EXPECT_TRUE(ended);
+  // world.run() returns: the frame never escapes the box as an exception.
+  const RawReply reply = send_raw(world, attacker, box, attack);
+  ASSERT_EQ(reply.messages.size(), 1u);
+  EXPECT_EQ(reply.messages[0].type, bc::MsgType::Error);
+  EXPECT_TRUE(reply.ended);
   EXPECT_EQ(rejected.value() - rejected_before, 1u);
 
   expect_box_still_serves(world, box);
@@ -612,6 +625,59 @@ TEST(Robustness, DeeplyNestedUploadIsASyntaxError) {
   EXPECT_EQ(d.error.rfind("install failed: syntax error", 0), 0u) << d.error;
 
   expect_box_still_serves(world, box);
+}
+
+// The operator flips one stored byte of an SGX Dropbox's file. The next GET
+// kills that container with an Error naming the authentication failure
+// (never a MISSING that reads like an expired file); a second Dropbox on
+// the same box keeps serving.
+TEST(Robustness, TamperedFsProtectFileKillsOnlyThatDropbox) {
+  bc::BentoWorld world;
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  auto alice = world.make_client("alice");
+  auto bob = world.make_client("bob");
+  Deployed victim = deploy_function(world, alice, box, bf::dropbox_manifest(),
+                                    bf::dropbox_source());
+  Deployed other = deploy_function(world, bob, box, bf::dropbox_manifest(),
+                                   bf::dropbox_source());
+  ASSERT_TRUE(victim.tokens.has_value()) << victim.error;
+  ASSERT_TRUE(other.tokens.has_value()) << other.error;
+  victim.conn->invoke(victim.tokens->invocation.bytes(), bu::to_bytes("PUT:alice's"));
+  other.conn->invoke(other.tokens->invocation.bytes(), bu::to_bytes("PUT:bob's"));
+  world.run();
+  ASSERT_EQ(victim.outputs.size(), 1u);
+  ASSERT_EQ(other.outputs.size(), 1u);
+
+  bc::BentoServer* server = world.server_for(box);
+  ASSERT_NE(server, nullptr);
+  ASSERT_EQ(server->live_containers(), 2u);
+  bu::Bytes* stored = nullptr;
+  for (const bc::Container* container : server->containers()) {
+    if (container->tokens().invocation.bytes() == victim.tokens->invocation.bytes()) {
+      stored = container->stored_bytes("drop.bin");
+    }
+  }
+  ASSERT_NE(stored, nullptr);
+  (*stored)[0] ^= 0x01;
+
+  // The GET rides a raw stream: BentoConnection drops an Error it did not
+  // ask for, and this test is about what the box answers.
+  bc::Message get;
+  get.type = bc::MsgType::Invoke;
+  get.token = victim.tokens->invocation.bytes();
+  get.blob = bu::to_bytes("GET:");
+  const RawReply reply = send_raw(world, alice, box, bc::StreamFramer::frame(get));
+  ASSERT_EQ(reply.messages.size(), 1u);
+  EXPECT_EQ(reply.messages[0].type, bc::MsgType::Error);
+  EXPECT_NE(reply.messages[0].text.find("failed authentication"), std::string::npos)
+      << reply.messages[0].text;
+  EXPECT_EQ(server->live_containers(), 1u);
+
+  other.conn->invoke(other.tokens->invocation.bytes(), bu::to_bytes("GET:"));
+  world.run();
+  ASSERT_EQ(other.outputs.size(), 2u);
+  EXPECT_EQ(bu::to_string(other.outputs[1]), "bob's");
 }
 
 // A Browser whose network budget is smaller than one page trips on a fetch

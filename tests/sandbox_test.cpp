@@ -193,14 +193,14 @@ TEST(Vfs, FailedBackendPutRollsBackDiskCharge) {
   // — a guest must not be able to leak quota via failed writes.
   class ThrowingBackend final : public sb::VfsBackend {
    public:
-    void put(const std::string&, bu::ByteView) override {
+    void write(const std::string&, bu::ByteView) override {
       throw std::runtime_error("media error");
     }
-    std::optional<bu::Bytes> get(const std::string&) const override {
+    std::optional<bu::Bytes> read(const std::string&) const override {
       return std::nullopt;
     }
-    bool erase(const std::string&) override { return false; }
-    std::vector<std::string> keys() const override { return {}; }
+    bool remove(const std::string&) override { return false; }
+    std::vector<std::string> list() const override { return {}; }
   };
   sb::ResourceLimits limits;
   limits.disk_bytes = 100;

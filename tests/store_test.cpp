@@ -99,7 +99,7 @@ TEST(Store, SealerMatchesReferenceAead) {
     bu::Bytes out;
     sealer.seal_append(out, seq, aad, plain);
     const bu::Bytes want =
-        bcr::chapoly_seal(key, bs::ChaPolySealer::nonce_for(seq), aad, plain);
+        bcr::chapoly_seal(key, bcr::nonce_from_counter(seq), aad, plain);
     EXPECT_EQ(out, want) << "n=" << n;
     ASSERT_EQ(out.size(), plain.size() + sealer.overhead());
     // And the sealer opens its own output.

@@ -2,6 +2,9 @@
 // FS-Protect, and the attested secure channel.
 #include <gtest/gtest.h>
 
+#include "crypto/poly1305.hpp"
+#include "sandbox/vfs.hpp"
+#include "store/store.hpp"
 #include "tee/attestation.hpp"
 #include "tee/conclave.hpp"
 #include "tee/enclave.hpp"
@@ -166,9 +169,10 @@ TEST(FsProtect, WritesAreEncrypted) {
   fs.write("page.html", bu::to_bytes(secret));
 
   // Operator view: ciphertext differs from plaintext and leaks no substring.
-  const bu::Bytes& stored = fs.ciphertext_of("page.html");
-  const std::string stored_str = bu::to_string(stored);
-  EXPECT_EQ(stored.size(), secret.size() + bento::crypto::kAeadTagLen);
+  const bu::Bytes* stored = fs.stored("page.html");
+  ASSERT_NE(stored, nullptr);
+  const std::string stored_str = bu::to_string(*stored);
+  EXPECT_EQ(stored->size(), secret.size() + bento::crypto::kChapolyTagLen);
   EXPECT_EQ(stored_str.find("webpage"), std::string::npos);
 
   auto back = fs.read("page.html");
@@ -177,11 +181,14 @@ TEST(FsProtect, WritesAreEncrypted) {
 }
 
 TEST(FsProtect, TamperDetected) {
+  // A flipped stored byte raises StoreError, like the persistent store:
+  // tampering must never read as a missing file.
   bu::Rng rng(21);
   bt::FsProtect fs(rng);
   fs.write("f", bu::to_bytes("data"));
-  fs.corrupt("f", 1);
-  EXPECT_FALSE(fs.read("f").has_value());
+  fs.stored("f")->at(1) ^= 0x01;
+  EXPECT_THROW(fs.read("f"), bento::store::StoreError);
+  EXPECT_FALSE(fs.read("absent").has_value());
 }
 
 TEST(FsProtect, EphemeralKeysDiffer) {
@@ -189,22 +196,27 @@ TEST(FsProtect, EphemeralKeysDiffer) {
   bt::FsProtect fs1(rng), fs2(rng);
   fs1.write("f", bu::to_bytes("same data"));
   fs2.write("f", bu::to_bytes("same data"));
-  EXPECT_NE(fs1.ciphertext_of("f"), fs2.ciphertext_of("f"));
+  EXPECT_NE(*fs1.stored("f"), *fs2.stored("f"));
 }
 
 TEST(FsProtect, OverwriteListRemoveAccounting) {
+  // Byte accounting lives in the Vfs over the backend; FsProtect itself
+  // overwrites, lists and removes.
   bu::Rng rng(23);
-  bt::FsProtect fs(rng);
-  fs.write("a", bu::Bytes(100, 1));
-  fs.write("b", bu::Bytes(50, 2));
-  EXPECT_EQ(fs.total_plaintext_bytes(), 150u);
-  fs.write("a", bu::Bytes(10, 3));
-  EXPECT_EQ(fs.total_plaintext_bytes(), 60u);
-  EXPECT_EQ(fs.list().size(), 2u);
-  EXPECT_TRUE(fs.remove("a"));
-  EXPECT_FALSE(fs.remove("a"));
-  EXPECT_EQ(fs.total_plaintext_bytes(), 50u);
-  EXPECT_FALSE(fs.read("a").has_value());
+  bento::sandbox::ResourceLimits limits;
+  bento::sandbox::ResourceAccountant acct(limits);
+  bento::sandbox::Vfs vfs(std::make_unique<bt::FsProtect>(rng), acct);
+  vfs.write("a", bu::Bytes(100, 1));
+  vfs.write("b", bu::Bytes(50, 2));
+  EXPECT_EQ(acct.usage().disk_bytes, 150u);
+  vfs.write("a", bu::Bytes(10, 3));
+  EXPECT_EQ(acct.usage().disk_bytes, 60u);
+  EXPECT_EQ(*vfs.read("a"), bu::Bytes(10, 3));
+  EXPECT_EQ(vfs.list().size(), 2u);
+  EXPECT_TRUE(vfs.remove("a"));
+  EXPECT_FALSE(vfs.remove("a"));
+  EXPECT_EQ(acct.usage().disk_bytes, 50u);
+  EXPECT_FALSE(vfs.read("a").has_value());
 }
 
 TEST(SecureChannel, AttestedHandshakeAndTraffic) {
@@ -283,14 +295,17 @@ TEST(Conclave, RegistersEpcAndFsProtect) {
   bt::Platform platform(1, 2, rng);
   bt::EpcManager epc;
   {
-    bt::Conclave conclave(platform, epc, bu::to_bytes("runtime"), "c1", rng);
+    // A conclave and the FsProtect its container mounts, built together as
+    // the container does at launch.
+    bt::Conclave conclave(platform, epc, bu::to_bytes("runtime"), "c1");
+    bt::FsProtect fs(rng);
     EXPECT_EQ(epc.enclave_count(), 1u);
     EXPECT_EQ(epc.committed(), bt::Conclave::kBaselineOverheadBytes);
     conclave.set_memory_bytes(20 << 20);
     EXPECT_EQ(epc.committed(), (std::size_t{20} << 20) +
                                    bt::Conclave::kBaselineOverheadBytes);
-    conclave.fs().write("x", bu::to_bytes("inside"));
-    EXPECT_TRUE(conclave.fs().read("x").has_value());
+    fs.write("x", bu::to_bytes("inside"));
+    EXPECT_TRUE(fs.read("x").has_value());
   }
   EXPECT_EQ(epc.enclave_count(), 0u);  // destructor releases EPC
 }
@@ -305,7 +320,7 @@ TEST(Conclave, ManyConclavesTriggerPaging) {
   int fit_without_paging = 0;
   for (int i = 0; i < 10; ++i) {
     auto c = std::make_unique<bt::Conclave>(platform, epc,
-                                            bu::to_bytes("runtime"), "c", rng);
+                                            bu::to_bytes("runtime"), "c");
     c->set_memory_bytes(18 << 20);  // Browser-sized function
     conclaves.push_back(std::move(c));
     if (!epc.paging()) fit_without_paging = i + 1;
