@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the datapath microbenchmarks and distill BENCH_datapath.json plus
-# BENCH_obs.json.
+# Run the datapath and sealed-store microbenchmarks and distill
+# BENCH_datapath.json, BENCH_obs.json and BENCH_store.json.
 #
 # Usage: bench/run_benchmarks.sh [build-dir] [out-json] [obs-out-json] [store-out-json]
 #
@@ -38,21 +38,9 @@
 # not reproduce a byte-identical namespace (SHA-256 snapshot digest), or if
 # an idle persistent-store mount costs the invoke datapath more than 2%.
 #
-# Standing scenario (DESIGN.md §13): the consensus-scale scenario (1,024
-# relays, 100k client sessions) runs with its declarative SLOs (p99 TTFB
-# ceiling among them); its byte-stable verdict lands in BENCH_scenarios.json
-# and the run fails if the verdict is "fail".
-#
-# Tail-latency explainer gate (DESIGN.md §14): a fixed small spanned run of
-# the consensus scenario feeds `bentotrace critpath`; its blame profile is
-# diffed against the committed bench/consensus_critpath_golden.json and a
-# per-segment mean/tail regression (>10% and >50 µs) fails the script. The
-# top-blame segment and diff verdict are appended to BENCH_trajectory.jsonl.
-# Regenerate the golden after an intentional change with:
-#   ./build/bench/consensus_scale --clients 2000 --seed 42 \
-#     --trace-spans --trace-out /tmp/t.jsonl --slo "ttlb_us:count>=2000"
-#   ./build/tools/bentotrace critpath /tmp/t.jsonl --json \
-#     > bench/consensus_critpath_golden.json
+# The standing scenario's SLO verdict and critical-path golden diff
+# (DESIGN.md §13-14) are not gated here: they run in ctest as
+# StandingScenario.FlightRecorder.
 
 set -euo pipefail
 
@@ -73,34 +61,18 @@ if [[ ! -x "${bin}" ]]; then
   echo "error: ${bin} not built (cmake --build ${build_dir} --target datapath)" >&2
   exit 1
 fi
-consensus_bin="${build_dir}/bench/consensus_scale"
-if [[ ! -x "${consensus_bin}" ]]; then
-  echo "error: ${consensus_bin} not built (cmake --build ${build_dir} --target consensus_scale)" >&2
-  exit 1
-fi
 store_bin="${build_dir}/bench/store"
 if [[ ! -x "${store_bin}" ]]; then
   echo "error: ${store_bin} not built (cmake --build ${build_dir} --target store)" >&2
   exit 1
 fi
-scenarios_json="${BENCH_SCENARIOS:-${repo_root}/BENCH_scenarios.json}"
-bentotrace_bin="${build_dir}/tools/bentotrace"
-if [[ ! -x "${bentotrace_bin}" ]]; then
-  echo "error: ${bentotrace_bin} not built (cmake --build ${build_dir} --target bentotrace)" >&2
-  exit 1
-fi
-critpath_golden="${BENCH_CRITPATH_GOLDEN:-${repo_root}/bench/consensus_critpath_golden.json}"
 
 raw_json="$(mktemp)"
 raw_store_json="$(mktemp)"
-consensus_summary="$(mktemp)"
 baseline_copy="$(mktemp)"
 obs_baseline_copy="$(mktemp)"
 store_baseline_copy="$(mktemp)"
-critpath_trace="$(mktemp)"
-critpath_json="$(mktemp)"
-critpath_diff_json="$(mktemp)"
-trap 'rm -f "${raw_json}" "${raw_store_json}" "${consensus_summary}" "${baseline_copy}" "${obs_baseline_copy}" "${store_baseline_copy}" "${critpath_trace}" "${critpath_json}" "${critpath_diff_json}"' EXIT
+trap 'rm -f "${raw_json}" "${raw_store_json}" "${baseline_copy}" "${obs_baseline_copy}" "${store_baseline_copy}"' EXIT
 
 # Snapshot the committed baselines before anything overwrites them (the
 # default out paths are the baseline files themselves).
@@ -117,55 +89,18 @@ if [[ -f "${store_baseline_json}" ]]; then cp "${store_baseline_json}" "${store_
 "${store_bin}" --benchmark_format=json --benchmark_min_time="${min_time}" \
   >"${raw_store_json}"
 
-# Consensus-scale standing scenario (DESIGN.md §13): SLO verdict is the exit
-# code; the verdict JSON is byte-stable and committed as BENCH_scenarios.json.
-set +e
-"${consensus_bin}" --out "${scenarios_json}" >"${consensus_summary}"
-consensus_exit=$?
-set -e
-
-# Tail-latency explainer gate (DESIGN.md §14): a fixed small spanned run of
-# the same scenario, its per-request critical-path blame profile, and a
-# `bentotrace diff` against the committed golden. The profile is a pure
-# function of (seed, clients, topology) — byte-stable across hosts — so the
-# golden can be a committed JSON. The run carries its own SLO (the default
-# count floors assume the 100k-session scale); --trace-spans is what the
-# golden's blame numbers are made of.
-"${consensus_bin}" --clients 2000 --seed 42 --trace-spans \
-  --trace-out "${critpath_trace}" --slo "ttlb_us:count>=2000" >/dev/null
-"${bentotrace_bin}" critpath "${critpath_trace}" --json >"${critpath_json}"
-critpath_diff_exit=2  # 2 = skipped (no golden committed yet)
-if [[ -f "${critpath_golden}" ]]; then
-  set +e
-  "${bentotrace_bin}" diff "${critpath_golden}" "${critpath_json}" --json \
-    >"${critpath_diff_json}"
-  critpath_diff_exit=$?
-  set -e
-else
-  : >"${critpath_diff_json}"
-fi
-
 python3 - "${raw_json}" "${out_json}" "${obs_out_json}" \
   "${baseline_copy}" "${obs_baseline_copy}" "${trajectory_jsonl}" \
   "${git_rev}" "${BENCH_BASELINE_SKIP:-0}" \
-  "${consensus_summary}" "${consensus_exit}" \
-  "${scenarios_json}" "${critpath_json}" "${critpath_diff_json}" \
-  "${critpath_diff_exit}" "${raw_store_json}" "${store_baseline_copy}" \
-  "${store_out_json}" <<'PY'
+  "${raw_store_json}" "${store_baseline_copy}" "${store_out_json}" <<'PY'
 import json
 import sys
 
 (raw_path, out_path, obs_out_path, baseline_path, obs_baseline_path,
  trajectory_path, git_rev, baseline_skip,
- consensus_summary_path, consensus_exit, scenarios_path,
- critpath_path, critpath_diff_path, critpath_diff_exit,
- raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:18]
+ raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:12]
 with open(raw_path) as f:
     raw = json.load(f)
-with open(consensus_summary_path) as f:
-    consensus = json.load(f)
-with open(scenarios_path) as f:
-    scenarios = json.load(f)
 
 by_name = {b["name"]: b for b in raw["benchmarks"]}
 
@@ -409,48 +344,6 @@ if store["replay"]["torn"] != 0:
     failures.append("store replay reported a torn tail on a fully synced log")
 if store["idle_mount"]["invoke_overhead_pct"] > 2.0:
     failures.append("idle persistent-store mount costs the invoke datapath above 2%")
-# Consensus-scale scenario gate (DESIGN.md §13): the SLO engine's verdict
-# (p99 TTFB ceiling among the objectives) is the exit code.
-scenario_verdict = scenarios.get("verdict", "fail")
-if consensus_exit != "0" or scenario_verdict != "pass":
-    detail = "; ".join(
-        f"{o['name']} actual {o['actual']}" for o in scenarios.get("objectives", [])
-        if not o.get("pass"))
-    failures.append(f"consensus scenario SLO verdict: {scenario_verdict}"
-                    + (f" ({detail})" if detail else ""))
-scenario_ttfb_p99 = next(
-    (o["actual"] for o in scenarios.get("objectives", [])
-     if o["name"] == "ttfb_us:p99"), None)
-print(f"consensus scenario: verdict={scenario_verdict}, "
-      f"ttfb_p99_us={scenario_ttfb_p99}, "
-      f"wall_seconds={consensus['wall_seconds']}")
-
-# ---- Tail-latency explainer gate (DESIGN.md §14) ------------------------
-# The spanned run's blame profile names the stage that owns the most
-# critical-path time, and `bentotrace diff` against the committed golden
-# flags any per-segment mean/tail regression (>10% and >50 µs). Both land
-# in the trajectory so the blame history is recorded PR over PR.
-with open(critpath_path) as f:
-    critpath = json.load(f)["critpath"]
-critpath_top_seg = critpath.get("top", "")
-critpath_tail_mean_us = critpath.get("cohorts", {}).get("tail_mean_us")
-if critpath_diff_exit == "2":
-    critpath_diff_verdict = "skip"
-    print("critpath gate: no committed golden "
-          "(regenerate: bentotrace critpath <trace> --json "
-          "> bench/consensus_critpath_golden.json)")
-else:
-    with open(critpath_diff_path) as f:
-        critpath_diff_verdict = json.load(f)["critpath_diff"]["verdict"]
-    if critpath_diff_verdict != "pass" and baseline_skip != "1":
-        failures.append(
-            "critical-path blame regressed vs bench/consensus_critpath_golden"
-            ".json (bentotrace diff: per-segment mean or tail mean grew "
-            ">10% and >50us)")
-print(f"critpath: top_seg={critpath_top_seg}, "
-      f"tail_mean_us={critpath_tail_mean_us}, "
-      f"diff_verdict={critpath_diff_verdict}")
-
 # ---- Regression gate against the committed baselines --------------------
 # Only host-independent metrics are gated; raw cells/s and MB/s depend on
 # the runner and would make CI flaky.
@@ -540,12 +433,6 @@ trajectory_entry = {
     "chaos_idle_overhead_pct": chaos_gate["overhead_pct"],
     "chaos_idle_extra_allocs_per_cell": chaos_gate["extra_allocs_per_cell"],
     "host_cpus": distilled["context"]["host_cpus"],
-    "scenario_verdict": scenario_verdict,
-    "scenario_ttfb_p99_us": scenario_ttfb_p99,
-    "critpath_top_seg": critpath_top_seg,
-    "critpath_tail_mean_us": critpath_tail_mean_us,
-    "critpath_diff_verdict": critpath_diff_verdict,
-    "scenario_wall_seconds": consensus["wall_seconds"],
     "store_allocs_per_append": store["append"]["allocs_per_append_512"],
     "store_replay_deterministic": store["replay"]["deterministic"],
     "store_idle_overhead_pct": store["idle_mount"]["invoke_overhead_pct"],
@@ -559,4 +446,4 @@ if failures:
     sys.exit(1)
 PY
 
-echo "wrote ${out_json}, ${obs_out_json}, ${store_out_json}, ${scenarios_json}; appended ${trajectory_jsonl}"
+echo "wrote ${out_json}, ${obs_out_json}, ${store_out_json}; appended ${trajectory_jsonl}"

@@ -20,11 +20,14 @@ std::string stage_token(Stage stage) {
   return name;
 }
 
+// Right-aligns `s` into a `width`-character column that starts with at
+// least one space, so a value as wide as its column still stands apart.
 void col(std::ostream& os, const std::string& s, std::size_t width) {
-  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
-  os << s;
+  os << std::string(s.size() < width ? width - s.size() : 1, ' ') << s;
 }
 
+// Left-aligns `s` into a `width`-character first column; the right-aligned
+// column after it supplies the separator.
 void lcol(std::ostream& os, const std::string& s, std::size_t width) {
   os << s;
   for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
@@ -336,11 +339,8 @@ bool BlameDiff::regressed() const {
   return false;
 }
 
-BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
-                     std::uint64_t threshold_pct, std::int64_t floor_us) {
+BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b) {
   BlameDiff d;
-  d.threshold_pct = threshold_pct;
-  d.floor_us = floor_us;
   d.a_requests = a.requests;
   d.b_requests = b.requests;
   // a_mean, a_tail, b_mean, b_tail per segment.
@@ -353,9 +353,8 @@ BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
     cells[r.seg][2] = r.mean_us;
     cells[r.seg][3] = r.tail_mean_us;
   }
-  const auto worse = [&](std::int64_t x, std::int64_t y) {
-    return y - x > floor_us &&
-           y * 100 > x * (100 + static_cast<std::int64_t>(threshold_pct));
+  const auto worse = [](std::int64_t x, std::int64_t y) {
+    return y - x > kDiffFloorUs && y * 100 > x * (100 + kDiffThresholdPct);
   };
   for (const auto& [seg, m] : cells) {
     BlameDiff::Row row;
@@ -370,34 +369,10 @@ BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
   return d;
 }
 
-void BlameDiff::to_json(std::ostream& os) const {
-  os << "{\"critpath_diff\":{\"threshold_pct\":" << threshold_pct
-     << ",\"floor_us\":" << floor_us << ",\"a_requests\":" << a_requests
-     << ",\"b_requests\":" << b_requests << ",\"verdict\":\""
-     << (regressed() ? "fail" : "pass") << "\",\"segments\":[";
-  bool first = true;
-  for (const Row& r : rows) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"seg\":\"" << r.seg << "\",\"a_mean_us\":" << r.a_mean_us
-       << ",\"b_mean_us\":" << r.b_mean_us
-       << ",\"a_tail_mean_us\":" << r.a_tail_mean_us
-       << ",\"b_tail_mean_us\":" << r.b_tail_mean_us << ",\"regressed\":"
-       << (r.regressed ? "true" : "false") << "}";
-  }
-  os << "]}}\n";
-}
-
-std::string BlameDiff::to_json() const {
-  std::ostringstream ss;
-  to_json(ss);
-  return ss.str();
-}
-
 std::string BlameDiff::to_string() const {
   std::ostringstream os;
   os << "critpath diff: a=" << a_requests << " req, b=" << b_requests
-     << " req, threshold " << threshold_pct << "% floor " << floor_us
+     << " req, threshold " << kDiffThresholdPct << "% floor " << kDiffFloorUs
      << "us -> " << (regressed() ? "REGRESSED" : "ok") << "\n";
   if (rows.empty()) return std::move(os).str();
   os << "segment                        a_mean_us  b_mean_us      delta  "

@@ -138,10 +138,16 @@ BlameProfile aggregate_blame(const CritReport& report);
 /// spent nothing there) — so percentile gates compare like with like.
 void add_critpath_series(const CritReport& report, SloInput& input);
 
+/// The regression rule of diff_blame(): a per-request mean must grow by
+/// more than both of these to count.
+inline constexpr std::int64_t kDiffThresholdPct = 10;
+inline constexpr std::int64_t kDiffFloorUs = 50;
+
 /// Cross-run comparison of two blame profiles (run A = baseline, run B =
 /// candidate). A segment regresses when its per-request mean — overall or
-/// tail-cohort — grows by more than floor_us AND by more than threshold_pct
-/// percent. Missing segments count as mean 0 on the side they miss.
+/// tail-cohort — grows by more than kDiffFloorUs AND by more than
+/// kDiffThresholdPct percent. Missing segments count as mean 0 on the side
+/// they miss.
 struct BlameDiff {
   struct Row {
     std::string seg;
@@ -151,19 +157,14 @@ struct BlameDiff {
     std::int64_t b_tail_mean_us = 0;
     bool regressed = false;
   };
-  std::uint64_t threshold_pct = 0;
-  std::int64_t floor_us = 0;
   std::uint64_t a_requests = 0;
   std::uint64_t b_requests = 0;
   std::vector<Row> rows;  // segment-name order
 
   bool regressed() const;
-  void to_json(std::ostream& os) const;
-  std::string to_json() const;
   std::string to_string() const;
 };
 
-BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
-                     std::uint64_t threshold_pct, std::int64_t floor_us);
+BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b);
 
 }  // namespace bento::obs

@@ -7,15 +7,12 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/trace.hpp"
-
 namespace bento::obs {
 
 namespace {
 
 const char* agg_token(SloSpec::Agg agg) {
   switch (agg) {
-    case SloSpec::Agg::Scalar: return "";
     case SloSpec::Agg::Percentile: return "p";
     case SloSpec::Agg::Count: return "count";
     case SloSpec::Agg::Mean: return "mean";
@@ -39,19 +36,9 @@ void fmt_num(std::ostream& os, double v) {
   os << buf;
 }
 
-void json_str(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 std::string SloSpec::name() const {
-  if (agg == Agg::Scalar) return metric;
   std::ostringstream os;
   os << metric << ":" << agg_token(agg);
   if (agg == Agg::Percentile) {
@@ -95,43 +82,29 @@ bool parse_slo_spec(std::string_view text, SloSpec& out, std::string* err) {
   if (end == rhs_s.c_str() || *end != '\0') return fail("bad target number");
 
   const std::size_t colon = lhs.find(':');
-  if (colon == std::string_view::npos) {
-    spec.metric = std::string(lhs);
-    spec.agg = SloSpec::Agg::Scalar;
+  if (colon == std::string_view::npos) return fail("missing :aggregator");
+  spec.metric = std::string(lhs.substr(0, colon));
+  const std::string_view agg = lhs.substr(colon + 1);
+  if (spec.metric.empty() || agg.empty()) return fail("empty metric or aggregator");
+  if (agg == "count") {
+    spec.agg = SloSpec::Agg::Count;
+  } else if (agg == "mean") {
+    spec.agg = SloSpec::Agg::Mean;
+  } else if (agg == "max") {
+    spec.agg = SloSpec::Agg::Max;
+  } else if (agg == "min") {
+    spec.agg = SloSpec::Agg::Min;
+  } else if (agg.size() > 1 && agg[0] == 'p') {
+    const std::string p_s(agg.substr(1));
+    spec.pct = std::strtod(p_s.c_str(), &end);
+    if (end == p_s.c_str() || *end != '\0') return fail("bad percentile");
+    if (spec.pct <= 0 || spec.pct > 100) return fail("percentile out of (0,100]");
+    spec.agg = SloSpec::Agg::Percentile;
   } else {
-    spec.metric = std::string(lhs.substr(0, colon));
-    const std::string_view agg = lhs.substr(colon + 1);
-    if (spec.metric.empty() || agg.empty()) return fail("empty metric or aggregator");
-    if (agg == "count") {
-      spec.agg = SloSpec::Agg::Count;
-    } else if (agg == "mean") {
-      spec.agg = SloSpec::Agg::Mean;
-    } else if (agg == "max") {
-      spec.agg = SloSpec::Agg::Max;
-    } else if (agg == "min") {
-      spec.agg = SloSpec::Agg::Min;
-    } else if (agg.size() > 1 && agg[0] == 'p') {
-      const std::string p_s(agg.substr(1));
-      spec.pct = std::strtod(p_s.c_str(), &end);
-      if (end == p_s.c_str() || *end != '\0') return fail("bad percentile");
-      if (spec.pct <= 0 || spec.pct > 100) return fail("percentile out of (0,100]");
-      spec.agg = SloSpec::Agg::Percentile;
-    } else {
-      return fail("unknown aggregator");
-    }
+    return fail("unknown aggregator");
   }
   out = spec;
   return true;
-}
-
-void SloInput::collect_latencies(const Recorder& rec) {
-  for (const TraceEvent& e : rec.events()) {
-    if (e.kind == Ev::StreamTtfb) {
-      series["ttfb_us"].push_back(static_cast<std::int64_t>(e.b));
-    } else if (e.kind == Ev::StreamTtlb) {
-      series["ttlb_us"].push_back(static_cast<std::int64_t>(e.b));
-    }
-  }
 }
 
 std::int64_t slo_percentile(std::vector<std::int64_t> samples, double pct) {
@@ -156,41 +129,32 @@ SloReport evaluate_slos(std::string scenario, const std::vector<SloSpec>& specs,
   for (const SloSpec& spec : specs) {
     SloResult res;
     res.spec = spec;
-    if (spec.agg == SloSpec::Agg::Scalar) {
-      const auto it = input.scalars.find(spec.metric);
-      if (it == input.scalars.end()) {
-        res.missing = true;
-      } else {
-        res.actual = it->second;
-      }
+    const auto it = input.series.find(spec.metric);
+    const std::vector<std::int64_t>* s =
+        it != input.series.end() ? &it->second : nullptr;
+    if (spec.agg == SloSpec::Agg::Count) {
+      // A missing series is an honest zero for count floors.
+      res.actual = s != nullptr ? static_cast<double>(s->size()) : 0.0;
+    } else if (s == nullptr || s->empty()) {
+      res.missing = true;
     } else {
-      const auto it = input.series.find(spec.metric);
-      const std::vector<std::int64_t>* s =
-          it != input.series.end() ? &it->second : nullptr;
-      if (spec.agg == SloSpec::Agg::Count) {
-        // A missing series is an honest zero for count floors.
-        res.actual = s != nullptr ? static_cast<double>(s->size()) : 0.0;
-      } else if (s == nullptr || s->empty()) {
-        res.missing = true;
-      } else {
-        switch (spec.agg) {
-          case SloSpec::Agg::Percentile:
-            res.actual = static_cast<double>(slo_percentile(*s, spec.pct));
-            break;
-          case SloSpec::Agg::Mean: {
-            std::int64_t sum = 0;
-            for (const std::int64_t v : *s) sum += v;
-            res.actual = static_cast<double>(sum / static_cast<std::int64_t>(s->size()));
-            break;
-          }
-          case SloSpec::Agg::Max:
-            res.actual = static_cast<double>(*std::max_element(s->begin(), s->end()));
-            break;
-          case SloSpec::Agg::Min:
-            res.actual = static_cast<double>(*std::min_element(s->begin(), s->end()));
-            break;
-          default: break;
+      switch (spec.agg) {
+        case SloSpec::Agg::Percentile:
+          res.actual = static_cast<double>(slo_percentile(*s, spec.pct));
+          break;
+        case SloSpec::Agg::Mean: {
+          std::int64_t sum = 0;
+          for (const std::int64_t v : *s) sum += v;
+          res.actual = static_cast<double>(sum / static_cast<std::int64_t>(s->size()));
+          break;
         }
+        case SloSpec::Agg::Max:
+          res.actual = static_cast<double>(*std::max_element(s->begin(), s->end()));
+          break;
+        case SloSpec::Agg::Min:
+          res.actual = static_cast<double>(*std::min_element(s->begin(), s->end()));
+          break;
+        case SloSpec::Agg::Count: break;
       }
     }
     if (res.missing) {
@@ -210,35 +174,6 @@ bool SloReport::pass() const {
     if (!r.ok) return false;
   }
   return true;
-}
-
-void SloReport::to_json(std::ostream& os) const {
-  os << "{\"scenario\":";
-  json_str(os, scenario);
-  os << ",\"verdict\":\"" << (pass() ? "pass" : "fail") << "\",\"objectives\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) os << ",";
-    const SloResult& r = results[i];
-    os << "{\"name\":";
-    json_str(os, r.spec.name());
-    os << ",\"op\":\"" << (r.spec.op == SloSpec::Op::Le ? "<=" : ">=")
-       << "\",\"target\":";
-    fmt_num(os, r.spec.target);
-    os << ",\"actual\":";
-    if (r.missing) {
-      os << "null";
-    } else {
-      fmt_num(os, r.actual);
-    }
-    os << ",\"pass\":" << (r.ok ? "true" : "false") << "}";
-  }
-  os << "]}\n";
-}
-
-std::string SloReport::to_json() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
 }
 
 std::string SloReport::to_string() const {

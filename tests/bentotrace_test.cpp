@@ -1,17 +1,23 @@
 // bentotrace reader + end-to-end span pipeline tests: JSONL parsing, forest
-// reconstruction (orphans, wraparound stubs), byte-identical span trees for
-// fixed-seed runs, per-stage coverage of a full conclave deployment (client,
-// relay hops, conclave dispatch, attestation), Stem-firewall mediation spans
-// via the LoadBalancer native, and orphan reporting when a circuit dies
-// mid-request.
+// reconstruction (orphans, wraparound stubs), table columns that stay apart
+// at full width, byte-identical span trees for fixed-seed runs, per-stage
+// coverage of a full conclave deployment (client, relay hops, conclave
+// dispatch, attestation) and its critical-path attribution, Stem-firewall
+// mediation spans via the LoadBalancer native, and orphan reporting when a
+// circuit dies mid-request.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "bentotrace/critpath.hpp"
 #include "bentotrace/reader.hpp"
 #include "core/world.hpp"
 #include "functions/loadbalancer.hpp"
+#include "obs/critpath.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
@@ -117,6 +123,30 @@ TEST(BentotraceReader, OrphanEndAndUnfinishedSpanAreReported) {
   std::ostringstream summary;
   bt::format_stage_summary(forest, summary);
   EXPECT_NE(summary.str().find("relay.forward"), std::string::npos);
+}
+
+TEST(BentotraceReader, FullWidthValuesKeepTheirColumnsApart) {
+  // The flight recorder's TTFB shape: one 6-digit first byte and one
+  // 8-digit one (a stream that idles until a spawn), exactly as wide as the
+  // 8-character percentile columns.
+  const std::vector<bt::RawEvent> events = {
+      raw(10, "stream.ttfb", 7, 623650),
+      raw(20, "stream.ttfb", 7, 29776402),
+  };
+  std::ostringstream os;
+  bt::format_ttfb_table(bt::build_forest(events), os);
+  std::istringstream lines(os.str());
+  std::vector<std::string> all_row;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream in(line);
+    std::vector<std::string> fields{std::istream_iterator<std::string>(in),
+                                    std::istream_iterator<std::string>()};
+    if (!fields.empty() && fields[0] == "all") all_row = fields;
+  }
+  const std::vector<std::string> want = {"all",      "2",        "623650",
+                                         "29776402", "29776402", "29776402",
+                                         "29776402"};
+  EXPECT_EQ(all_row, want) << os.str();
 }
 
 namespace {
@@ -255,6 +285,39 @@ TEST(BentotraceE2E, BreakdownCoversEveryPipelineStage) {
   for (const std::string& name : seen) {
     EXPECT_NE(os.str().find(name), std::string::npos) << name;
   }
+}
+
+TEST(BentotraceE2E, CritpathAttributesEveryConclaveRequest) {
+  const ScenarioResult result = run_conclave_scenario();
+  std::istringstream in(result.jsonl);
+  const bo::CritReport report = bo::compute_critical_paths(
+      bt::crit_spans_from_events(bt::read_jsonl(in)));
+  // Connect, spawn, upload, two invokes and shutdown, all complete.
+  EXPECT_EQ(report.requests.size(), 6u);
+  EXPECT_EQ(report.incomplete, 0u);
+
+  std::size_t invokes = 0;
+  for (const bo::RequestBlame& req : report.requests) {
+    const bt::SpanNode& root = result.forest.spans.at(req.root_id);
+    std::int64_t sum = 0;
+    std::int64_t dispatch = 0;
+    for (const bo::BlameSeg& seg : req.segs) {
+      sum += seg.us;
+      if (bo::segment_name(seg.stage, seg.kind) == "fn_dispatch") dispatch += seg.us;
+    }
+    // Every microsecond of the root span lands in exactly one segment.
+    EXPECT_EQ(req.total_us, root.duration_us());
+    EXPECT_EQ(sum, req.total_us);
+    // The conclave ecall (60 us) is on every invoke's critical path, and on
+    // no other request's.
+    if (root.stage == bo::Stage::ClientInvoke) {
+      ++invokes;
+      EXPECT_EQ(dispatch, 60);
+    } else {
+      EXPECT_EQ(dispatch, 0) << bo::stage_name(root.stage);
+    }
+  }
+  EXPECT_EQ(invokes, 2u);
 }
 
 TEST(BentotraceE2E, StemMediationSpansAppearForHiddenServiceFunctions) {

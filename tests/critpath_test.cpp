@@ -207,24 +207,24 @@ TEST(CritPath, DiffFlagsRegressionsAboveThresholdAndFloor) {
   };
   // +100 µs on a 1000 µs mean = +10%: not *more than* 10%, so ok.
   const bo::BlameDiff at_edge = bo::diff_blame(profile_with(1000, 1000),
-                                               profile_with(1100, 1100), 10, 50);
+                                               profile_with(1100, 1100));
   EXPECT_FALSE(at_edge.regressed());
   // +200 µs = +20%: regressed, on the overall mean.
   const bo::BlameDiff over = bo::diff_blame(profile_with(1000, 1000),
-                                            profile_with(1200, 1000), 10, 50);
+                                            profile_with(1200, 1000));
   EXPECT_TRUE(over.regressed());
   // Tail-only regression is still a regression.
   const bo::BlameDiff tail = bo::diff_blame(profile_with(1000, 1000),
-                                            profile_with(1000, 1500), 10, 50);
+                                            profile_with(1000, 1500));
   EXPECT_TRUE(tail.regressed());
   // Large relative growth under the absolute floor stays quiet (noise gate).
   const bo::BlameDiff tiny = bo::diff_blame(profile_with(10, 10),
-                                            profile_with(40, 40), 10, 50);
+                                            profile_with(40, 40));
   EXPECT_FALSE(tiny.regressed());
-  // Output shape: verdict string flips with the result.
-  EXPECT_NE(over.to_json().find("\"verdict\":\"fail\""), std::string::npos);
-  EXPECT_NE(at_edge.to_json().find("\"verdict\":\"pass\""), std::string::npos);
-  EXPECT_NE(over.to_string().find("REGRESSED"), std::string::npos);
+  // Output shape: the verdict in the header line flips with the result.
+  EXPECT_NE(over.to_string().find("-> REGRESSED\n"), std::string::npos);
+  EXPECT_NE(at_edge.to_string().find("-> ok\n"), std::string::npos);
+  EXPECT_EQ(at_edge.to_string().find("REGRESSED"), std::string::npos);
 }
 
 namespace {
@@ -401,8 +401,7 @@ TEST(CritPathE2E, ProfileJsonRoundTripsAndDiffsCleanAgainstItself) {
   EXPECT_EQ(parsed.to_json(), cap.critpath_json);
 
   // A profile diffed against itself must be all-quiet...
-  const bo::BlameDiff self_diff =
-      bo::diff_blame(parsed, parsed, /*threshold_pct=*/10, /*floor_us=*/50);
+  const bo::BlameDiff self_diff = bo::diff_blame(parsed, parsed);
   EXPECT_FALSE(self_diff.regressed());
 
   // ...and load_blame_profile accepts both input shapes for a diff side.
@@ -448,6 +447,6 @@ TEST(CritPathE2E, InjectedThrottleDominatesTheBlameProfile) {
   // regression (chaos_dwell appears, means explode past 10% + 50 µs).
   const LoopCapture clean = run_loop(43, 9, 1, 150'000, nullptr);
   const bo::BlameDiff diff =
-      bo::diff_blame(bo::aggregate_blame(clean.report), profile, 10, 50);
+      bo::diff_blame(bo::aggregate_blame(clean.report), profile);
   EXPECT_TRUE(diff.regressed());
 }

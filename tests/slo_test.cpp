@@ -1,5 +1,5 @@
 // SLO engine suite (DESIGN.md §13): the spec grammar, nearest-rank
-// percentiles, missing-metric handling, byte-stable reports, and the
+// percentiles, missing-metric and value-caused failures, and the
 // bentotrace path that feeds trace events into the engine.
 #include <gtest/gtest.h>
 
@@ -30,11 +30,11 @@ TEST(Slo, SpecGrammarParses) {
   EXPECT_EQ(s.agg, bo::SloSpec::Agg::Count);
   EXPECT_EQ(s.op, bo::SloSpec::Op::Ge);
 
-  ASSERT_TRUE(bo::parse_slo_spec("queue_depth<=1.5", s));
-  EXPECT_EQ(s.agg, bo::SloSpec::Agg::Scalar);
-  EXPECT_EQ(s.name(), "queue_depth");
-
   std::string err;
+  // Every objective names a series aggregator: a bare metric has nothing
+  // to aggregate.
+  EXPECT_FALSE(bo::parse_slo_spec("queue_depth<=1.5", s, &err));
+  EXPECT_NE(err.find("aggregator"), std::string::npos);
   EXPECT_FALSE(bo::parse_slo_spec("no_operator", s, &err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(bo::parse_slo_spec("x:p200<=1", s, &err));
@@ -116,22 +116,28 @@ TEST(Slo, MissingMetricFailsTheRun) {
   EXPECT_FALSE(report.results[1].ok);
 }
 
-TEST(Slo, ReportJsonIsByteStable) {
+TEST(Slo, CeilingBelowActualFailsTheRun) {
   bo::SloInput input;
   for (int i = 1; i <= 100; ++i) input.add_sample("ttfb_us", i * 10);
-  input.set_scalar("completed_sessions", 55);
-  std::vector<bo::SloSpec> specs(3);
+  std::vector<bo::SloSpec> specs(2);
   ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:p99<=990", specs[0]));
   ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:count>=100", specs[1]));
-  ASSERT_TRUE(bo::parse_slo_spec("completed_sessions>=50", specs[2]));
-  const std::string a = bo::evaluate_slos("s", specs, input).to_json();
-  const std::string b = bo::evaluate_slos("s", specs, input).to_json();
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"verdict\":\"pass\""), std::string::npos);
-  specs.resize(1);
-  ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:p99<=10", specs[0]));
-  const std::string f = bo::evaluate_slos("s", specs, input).to_json();
-  EXPECT_NE(f.find("\"verdict\":\"fail\""), std::string::npos);
+  const bo::SloReport pass = bo::evaluate_slos("s", specs, input);
+  EXPECT_TRUE(pass.pass()) << pass.to_string();
+  EXPECT_DOUBLE_EQ(pass.results[0].actual, 990);
+
+  // The same data against a ceiling one below the actual: a failure caused
+  // by the value alone, with the actual still reported.
+  ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:p99<=989", specs[0]));
+  const bo::SloReport fail = bo::evaluate_slos("s", specs, input);
+  EXPECT_FALSE(fail.pass());
+  EXPECT_FALSE(fail.results[0].ok);
+  EXPECT_FALSE(fail.results[0].missing);
+  EXPECT_DOUBLE_EQ(fail.results[0].actual, 990);
+  EXPECT_TRUE(fail.results[1].ok);
+  EXPECT_NE(fail.to_string().find("[FAIL] ttfb_us:p99 <= 989  actual 990"),
+            std::string::npos)
+      << fail.to_string();
 }
 
 TEST(Slo, TraceEventsFeedTheEngine) {

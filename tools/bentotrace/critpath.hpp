@@ -2,8 +2,9 @@
 // analyzer in src/obs/critpath.hpp, and reads back the byte-stable blame
 // profile JSON that `bentotrace critpath --json` emits — so `bentotrace
 // diff A B` accepts either a raw trace.jsonl or a committed profile on
-// each side (the golden-profile gate in CI diffs a fresh run against a
-// checked-in JSON). Also evaluates SLO specs against a trace.
+// each side (the standing-scenario ctest diffs a fresh flight-recorder
+// trace against a checked-in JSON). Also evaluates SLO specs against a
+// trace.
 #pragma once
 
 #include <string>

@@ -5,27 +5,26 @@
 //   bentotrace tree    <trace.jsonl>   reconstructed span trees, one per request
 //   bentotrace chrome  <trace.jsonl>   Chrome trace_event JSON (about:tracing)
 //   bentotrace slo     <trace.jsonl> SPEC [SPEC...]
-//                                      evaluate SLO specs (see obs/slo.hpp,
-//                                      e.g. ttfb_us:p99<=250000 or
-//                                      critpath.net_link_queue_us:p99<=...)
+//                                      evaluate SLO specs (series:aggregator,
+//                                      see obs/slo.hpp, e.g.
+//                                      ttfb_us:p99<=250000 or
+//                                      critpath.total_us:max<=765000)
 //                                      against the trace; exit 0 pass / 1 fail
 //   bentotrace critpath <trace.jsonl> [--json]
 //                                      per-request critical-path blame,
 //                                      aggregated with p50-body vs p99-tail
 //                                      cohorts (DESIGN.md §14)
-//   bentotrace diff A B [--threshold-pct N] [--floor-us N] [--json]
-//                                      align two runs' blame profiles (each
+//   bentotrace diff A B                align two runs' blame profiles (each
 //                                      side: trace.jsonl or a critpath JSON)
-//                                      and flag per-segment regressions;
-//                                      exit 0 ok / 1 regressed
+//                                      and flag segments whose mean or tail
+//                                      mean grew by >10% and >50 us (DESIGN.md
+//                                      §14); exit 0 ok / 1 regressed
 //
 // `-` reads the dump from stdin. Every subcommand starts with a self-check
 // that obs::ev_name / obs::stage_name cover their whole enums — a new kind
 // added without a name string fails loudly here (and in CI) instead of
 // rendering as "unknown" in reports.
 
-#include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -45,8 +44,7 @@ int usage() {
   std::cerr << "usage: bentotrace <summary|tree|chrome> <trace.jsonl|->\n"
                "       bentotrace slo <trace.jsonl|-> SPEC [SPEC...]\n"
                "       bentotrace critpath <trace.jsonl|-> [--json]\n"
-               "       bentotrace diff <A> <B> [--threshold-pct N] "
-               "[--floor-us N] [--json]\n";
+               "       bentotrace diff <A> <B>\n";
   return 2;
 }
 
@@ -99,22 +97,7 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
 
   if (cmd == "diff") {
-    if (argc < 4) return usage();
-    std::uint64_t threshold_pct = 10;
-    std::int64_t floor_us = 50;
-    bool json = false;
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--threshold-pct" && i + 1 < argc) {
-        threshold_pct = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--floor-us" && i + 1 < argc) {
-        floor_us = std::strtoll(argv[++i], nullptr, 10);
-      } else if (arg == "--json") {
-        json = true;
-      } else {
-        return usage();
-      }
-    }
+    if (argc != 4) return usage();
     bento::obs::BlameProfile a;
     bento::obs::BlameProfile b;
     std::string text;
@@ -129,9 +112,8 @@ int main(int argc, char** argv) {
       std::cerr << "bentotrace: " << argv[3] << ": " << err << "\n";
       return 1;
     }
-    const bento::obs::BlameDiff diff =
-        bento::obs::diff_blame(a, b, threshold_pct, floor_us);
-    std::cout << (json ? diff.to_json() : diff.to_string());
+    const bento::obs::BlameDiff diff = bento::obs::diff_blame(a, b);
+    std::cout << diff.to_string();
     return diff.regressed() ? 1 : 0;
   }
 

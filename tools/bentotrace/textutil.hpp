@@ -1,7 +1,8 @@
 // Shared text helpers for the bentotrace analysis library: fixed-width table
 // columns and the key-directed scanner used to read back our own byte-stable
-// JSON emitters (critpath blame profiles). One copy, so summary and critpath
-// can never disagree on formatting or parsing conventions.
+// JSON emitters (critpath blame profiles). The summary tables and the
+// profile reader share this copy; critpath's own text tables are rendered
+// in src/obs with their own column helpers.
 #pragma once
 
 #include <charconv>
@@ -13,10 +14,10 @@
 
 namespace bento::tools {
 
-/// Right-aligns `s` into a `width`-character column.
+/// Right-aligns `s` into a `width`-character column that starts with at
+/// least one space, so a value as wide as its column still stands apart.
 inline void rcol(std::ostream& os, const std::string& s, std::size_t width) {
-  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
-  os << s;
+  os << std::string(s.size() < width ? width - s.size() : 1, ' ') << s;
 }
 
 inline void rcol(std::ostream& os, std::int64_t v, std::size_t width) {
