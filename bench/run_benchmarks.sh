@@ -1,449 +1,110 @@
 #!/usr/bin/env bash
-# Run the datapath and sealed-store microbenchmarks and distill
-# BENCH_datapath.json, BENCH_obs.json and BENCH_store.json.
+# Timing gates on the cell datapath and the invoke path. Every gate is a
+# ratio of two timings taken inside one run, so the host's speed cancels.
 #
-# Usage: bench/run_benchmarks.sh [build-dir] [out-json] [obs-out-json] [store-out-json]
+# Usage: bench/run_benchmarks.sh [build-dir]
+#   BENCH_MIN_TIME   --benchmark_min_time per benchmark (default 0.2)
 #
-# BENCH_datapath.json records keystream throughput (seed scalar baseline vs
-# the dispatched kernel, and one 1 KiB refill on each of the portable, AVX2
-# and AVX-512 kernels), SHA-256 throughput (scalar kernel vs the
-# dispatched one), the 3-hop relay datapath (cells/s, MB/s, allocs/cell),
-# and simulator event churn (events/s, allocs/event), with the CMake build
-# type of the benchmarked tree as context.build_type.
-# BENCH_obs.json records the observability overhead story: the metrics-on vs
-# metrics-off datapath delta, the traced and span-traced datapaths, and the
-# raw per-op cost of counter/histogram/trace-record handles. CI runs this as
-# a smoke check: it fails if any zero-allocation invariant breaks, the
-# ChaCha20 kernel regresses below 3x the scalar baseline, SHA-256 on a
-# SHA-NI host runs below 3x its scalar kernel (recorded as null and skipped
-# on hosts without SHA-NI), the AVX-512 ChaCha20 refill runs below 1.3x the
-# AVX2 one on an AVX-512 host (null and skipped elsewhere), live
-# metrics/span tracing cost
-# the cell datapath more than 10%/15% throughput, or idle chaos hooks (no
-# plan installed) add any allocation or more than 2% overhead to the network
-# send path.
+# Runs bench/datapath and the idle-mount benchmark of bench/store, prints
+# one JSON record to stdout (host, CPU MHz, build type, the eight ratios
+# below and the 3-hop relay's cells/s), writes no file, and exits 1 when a
+# ratio is out of bounds:
 #
-# Regression gate: after distilling, the run is compared against the
-# *committed* BENCH_datapath.json / BENCH_obs.json baselines. Only
-# host-independent metrics are gated (speedup ratios and alloc counts — raw
-# cells/s vary with the runner): a >15% drop in either ChaCha20 speedup or
-# any alloc metric moving off its baseline fails the script. Every gated run
-# also appends one line to BENCH_trajectory.jsonl so the perf history of the
-# repo is recorded PR over PR. Set BENCH_BASELINE_SKIP=1 to bypass the gate
-# (e.g. when intentionally refreshing the committed baselines).
+#   chacha20_speedup_509/_8192    dispatched ChaCha20 vs the seed scalar
+#                                 kernel compiled into the bench     >= 3.6x
+#   sha256_speedup_512            Sha256 vs its scalar kernel         >= 3x
+#   chacha20_avx512_speedup_1024  one 1 KiB refill, AVX-512 vs AVX2   >= 1.3x
+#   metrics_overhead_pct          live metrics on the cell path       <= 10%
+#   span_overhead_pct             one span per cell under a root      <= 15%
+#   chaos_idle_overhead_pct       idle chaos hooks on network send    <= 2%
+#   store_idle_overhead_pct       idle persistent-store mount, invoke <= 2%
 #
-# Sealed-store gates (DESIGN.md §15): BENCH_store.json records the blob
-# store's append/replay/compaction story. The run fails if a steady-state
-# append performs any heap allocation, if replaying the same log twice does
-# not reproduce a byte-identical namespace (SHA-256 snapshot digest), or if
-# an idle persistent-store mount costs the invoke datapath more than 2%.
-#
-# The standing scenario's SLO verdict and critical-path golden diff
-# (DESIGN.md §13-14) are not gated here: they run in ctest as
-# StandingScenario.FlightRecorder.
+# The SHA-256 and AVX-512 ratios are null, and not gated, on hosts without
+# SHA-NI or AVX-512. The four overheads are paired medians
+# (bench/paired.hpp). The exact gates — allocation counts, store replay
+# determinism and the lint — run in tier-1 ctest (Alloc.*, Store.*,
+# Lint.Tree).
 
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
-out_json="${2:-${repo_root}/BENCH_datapath.json}"
-obs_out_json="${3:-${repo_root}/BENCH_obs.json}"
-store_out_json="${4:-${repo_root}/BENCH_store.json}"
 min_time="${BENCH_MIN_TIME:-0.2}"
-baseline_json="${BENCH_BASELINE:-${repo_root}/BENCH_datapath.json}"
-obs_baseline_json="${BENCH_OBS_BASELINE:-${repo_root}/BENCH_obs.json}"
-store_baseline_json="${BENCH_STORE_BASELINE:-${repo_root}/BENCH_store.json}"
-trajectory_jsonl="${BENCH_TRAJECTORY:-${repo_root}/BENCH_trajectory.jsonl}"
-git_rev="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-bin="${build_dir}/bench/datapath"
-if [[ ! -x "${bin}" ]]; then
-  echo "error: ${bin} not built (cmake --build ${build_dir} --target datapath)" >&2
-  exit 1
-fi
-store_bin="${build_dir}/bench/store"
-if [[ ! -x "${store_bin}" ]]; then
-  echo "error: ${store_bin} not built (cmake --build ${build_dir} --target store)" >&2
-  exit 1
-fi
+for bin in datapath store; do
+  if [[ ! -x "${build_dir}/bench/${bin}" ]]; then
+    echo "error: ${build_dir}/bench/${bin} not built (cmake --build ${build_dir} --target ${bin})" >&2
+    exit 1
+  fi
+done
 
 raw_json="$(mktemp)"
 raw_store_json="$(mktemp)"
-baseline_copy="$(mktemp)"
-obs_baseline_copy="$(mktemp)"
-store_baseline_copy="$(mktemp)"
-trap 'rm -f "${raw_json}" "${raw_store_json}" "${baseline_copy}" "${obs_baseline_copy}" "${store_baseline_copy}"' EXIT
+trap 'rm -f "${raw_json}" "${raw_store_json}"' EXIT
 
-# Snapshot the committed baselines before anything overwrites them (the
-# default out paths are the baseline files themselves).
-if [[ -f "${baseline_json}" ]]; then cp "${baseline_json}" "${baseline_copy}"; else : >"${baseline_copy}"; fi
-if [[ -f "${obs_baseline_json}" ]]; then cp "${obs_baseline_json}" "${obs_baseline_copy}"; else : >"${obs_baseline_copy}"; fi
-if [[ -f "${store_baseline_json}" ]]; then cp "${store_baseline_json}" "${store_baseline_copy}"; else : >"${store_baseline_copy}"; fi
+"${build_dir}/bench/datapath" --benchmark_format=json \
+  --benchmark_min_time="${min_time}" >"${raw_json}"
+"${build_dir}/bench/store" --benchmark_format=json \
+  --benchmark_min_time="${min_time}" \
+  --benchmark_filter='^BM_StoreIdleInvokeOverhead$' >"${raw_store_json}"
 
-"${bin}" --benchmark_format=json --benchmark_min_time="${min_time}" \
-  >"${raw_json}"
-
-# Sealed blob-store benchmarks (DESIGN.md §15): append/replay/compaction,
-# the zero-alloc steady-state append, the replay-determinism witness, and
-# the idle-mount invoke-datapath tax.
-"${store_bin}" --benchmark_format=json --benchmark_min_time="${min_time}" \
-  >"${raw_store_json}"
-
-python3 - "${raw_json}" "${out_json}" "${obs_out_json}" \
-  "${baseline_copy}" "${obs_baseline_copy}" "${trajectory_jsonl}" \
-  "${git_rev}" "${BENCH_BASELINE_SKIP:-0}" \
-  "${raw_store_json}" "${store_baseline_copy}" "${store_out_json}" <<'PY'
+python3 - "${raw_json}" "${raw_store_json}" <<'PY'
 import json
 import sys
 
-(raw_path, out_path, obs_out_path, baseline_path, obs_baseline_path,
- trajectory_path, git_rev, baseline_skip,
- raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:12]
-with open(raw_path) as f:
+with open(sys.argv[1]) as f:
     raw = json.load(f)
-
-by_name = {b["name"]: b for b in raw["benchmarks"]}
-
-def mb_s(name):
-    return round(by_name[name]["bytes_per_second"] / 1e6, 1)
-
-def counter(name, key):
-    return by_name[name][key]
-
-seed_509 = mb_s("BM_ChaCha20Seed/509")
-seed_8192 = mb_s("BM_ChaCha20Seed/8192")
-new_509 = mb_s("BM_ChaCha20/509")
-new_8192 = mb_s("BM_ChaCha20/8192")
-
-# The shani arm is skipped (error_occurred) on hosts without SHA-NI.
-sha_scalar_512 = mb_s("BM_Sha256Kernel/scalar/512")
-sha_shani = by_name.get("BM_Sha256Kernel/shani/512")
-sha_shani_512 = (None if sha_shani is None or sha_shani.get("error_occurred")
-                 else mb_s("BM_Sha256Kernel/shani/512"))
-
-# One 1 KiB refill per kernel; an arm is skipped where the CPU lacks it.
-def kernel_mb_s(arm):
-    b = by_name.get("BM_ChaCha20Kernel/" + arm)
-    return None if b is None or b.get("error_occurred") else mb_s(b["name"])
-
-chacha_kernels_1024 = {arm: kernel_mb_s(arm) for arm in ("portable", "avx2", "avx512")}
-chacha_avx512_speedup = (
-    None if chacha_kernels_1024["avx512"] is None or chacha_kernels_1024["avx2"] is None
-    else round(chacha_kernels_1024["avx512"] / chacha_kernels_1024["avx2"], 2))
-
-relay = by_name["BM_RelayDatapath3Hop"]
-churn = by_name["BM_SimulatorEventChurn"]
-frame = by_name["BM_CellFrameUnframe"]
-net_base = by_name["BM_NetworkSendDatapath"]
-net_idle = by_name["BM_NetworkSendDatapathChaosIdle"]
-net_base_cells = net_base["items_per_second"]
-net_idle_cells = net_idle["items_per_second"]
-# The gated overhead comes from the paired benchmark, which alternates the
-# two variants inside one timed loop — host drift between two separately-
-# timed runs would otherwise read as fake overhead. Alloc counts are exact
-# (fixed-batch probe in the benchmark), so the delta gates at literal zero.
-chaos_overhead_pct = round(
-    by_name["BM_NetworkSendChaosIdleOverhead"]["overhead_pct"], 2)
-chaos_extra_allocs = round(
-    net_idle["allocs_per_cell"] - net_base["allocs_per_cell"], 6)
-
-distilled = {
-    "bench": "datapath",
-    "context": {
-        "host_cpus": raw["context"]["num_cpus"],
-        "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-        "build_type": raw["context"].get("build_type", "unknown"),
-    },
-    "chacha20": {
-        "seed_scalar_mb_s_509": seed_509,
-        "seed_scalar_mb_s_8192": seed_8192,
-        "kernel_mb_s_509": new_509,
-        "kernel_mb_s_8192": new_8192,
-        "speedup_509": round(new_509 / seed_509, 2),
-        "speedup_8192": round(new_8192 / seed_8192, 2),
-        "kernel_mb_s_1024": chacha_kernels_1024,
-        "avx512_speedup_1024": chacha_avx512_speedup,
-    },
-    "sha256": {
-        "scalar_mb_s_512": sha_scalar_512,
-        "shani_mb_s_512": sha_shani_512,
-        "speedup_512": (None if sha_shani_512 is None
-                        else round(sha_shani_512 / sha_scalar_512, 2)),
-    },
-    "relay_datapath_3hop": {
-        "cells_per_sec": round(relay["items_per_second"]),
-        "mb_per_sec": round(relay["bytes_per_second"] / 1e6, 1),
-        "allocs_per_cell": relay["allocs_per_cell"],
-    },
-    "cell_frame_unframe": {
-        "cells_per_sec": round(frame["items_per_second"]),
-        "allocs_per_cell": frame["allocs_per_cell"],
-    },
-    "simulator_event_churn": {
-        "events_per_sec": round(churn["items_per_second"]),
-        "allocs_per_event": churn["allocs_per_event"],
-    },
-    "network_send_chaos_idle": {
-        "baseline_cells_per_sec": round(net_base_cells),
-        "idle_hooks_cells_per_sec": round(net_idle_cells),
-        "overhead_pct": chaos_overhead_pct,
-        "baseline_allocs_per_cell": net_base["allocs_per_cell"],
-        "idle_hooks_allocs_per_cell": net_idle["allocs_per_cell"],
-        "extra_allocs_per_cell": chaos_extra_allocs,
-    },
-}
-
-with open(out_path, "w") as f:
-    json.dump(distilled, f, indent=2)
-    f.write("\n")
-
-print(json.dumps(distilled, indent=2))
-
-# Observability overhead distillation (BENCH_obs.json).
-metrics_on = by_name["BM_RelayDatapath3Hop"]
-metrics_off = by_name["BM_RelayDatapath3HopMetricsOff"]
-traced = by_name["BM_RelayDatapath3HopTraced"]
-span_traced = by_name["BM_RelayDatapath3HopSpanTraced"]
-on_cells = metrics_on["items_per_second"]
-off_cells = metrics_off["items_per_second"]
-span_cells = span_traced["items_per_second"]
-overhead_pct = round((off_cells - on_cells) / off_cells * 100.0, 2)
-# Span overhead is measured against the metrics-on path from the same run:
-# both sides share the host, so the ratio is host-independent.
-span_overhead_pct = round((on_cells - span_cells) / on_cells * 100.0, 2)
-
-def ns_per_op(name):
-    b = by_name[name]
-    unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[b["time_unit"]]
-    return round(b["cpu_time"] * unit, 3)
-
-obs = {
-    "bench": "obs",
-    "relay_datapath_3hop": {
-        "metrics_on_cells_per_sec": round(on_cells),
-        "metrics_off_cells_per_sec": round(off_cells),
-        "metrics_overhead_pct": overhead_pct,
-        "metrics_on_allocs_per_cell": metrics_on["allocs_per_cell"],
-        "traced_cells_per_sec": round(traced["items_per_second"]),
-        "traced_allocs_per_cell": traced["allocs_per_cell"],
-        "span_traced_cells_per_sec": round(span_cells),
-        "span_traced_allocs_per_cell": span_traced["allocs_per_cell"],
-        "span_overhead_pct": span_overhead_pct,
-    },
-    "handles": {
-        "counter_inc_ns": ns_per_op("BM_CounterIncrement"),
-        "histogram_record_ns": ns_per_op("BM_HistogramRecord"),
-        "trace_record_ns": ns_per_op("BM_TraceRecord"),
-        "trace_record_allocs_per_event": by_name["BM_TraceRecord"]["allocs_per_event"],
-    },
-}
-
-with open(obs_out_path, "w") as f:
-    json.dump(obs, f, indent=2)
-    f.write("\n")
-
-print(json.dumps(obs, indent=2))
-
-# Sealed blob-store distillation (BENCH_store.json, DESIGN.md §15).
-with open(raw_store_path) as f:
+with open(sys.argv[2]) as f:
     raw_store = json.load(f)
-s_by = {b["name"]: b for b in raw_store["benchmarks"]}
+by_name = {b["name"]: b for b in raw["benchmarks"] + raw_store["benchmarks"]}
 
-def s_mb(name):
-    return round(s_by[name]["bytes_per_second"] / 1e6, 1)
-
-s_idle = s_by["BM_StoreIdleInvokeOverhead"]
-s_replay = s_by["BM_StoreReplay"]
-s_compact = s_by["BM_StoreCompact"]
-store = {
-    "bench": "store",
-    "append": {
-        "sealed_mb_s_512": s_mb("BM_StoreAppend/512"),
-        "sealed_mb_s_4096": s_mb("BM_StoreAppend/4096"),
-        "plain_mb_s_4096": s_mb("BM_StoreAppendPlain/4096"),
-        "appends_per_sec_512": round(s_by["BM_StoreAppend/512"]["items_per_second"]),
-        "allocs_per_append_512": s_by["BM_StoreAppend/512"]["allocs_per_append"],
-        "allocs_per_append_4096": s_by["BM_StoreAppend/4096"]["allocs_per_append"],
-    },
-    "replay": {
-        "mb_per_sec": round(s_replay["bytes_per_second"] / 1e6, 1),
-        "frames_per_sec": round(s_replay["items_per_second"]),
-        "deterministic": int(s_replay["deterministic"]),
-        "torn": int(s_replay["torn"]),
-        "live_files": int(s_replay["live_files"]),
-    },
-    "compaction": {
-        "compactions_per_sec": round(s_compact["items_per_second"]),
-        "sealed_kb_per_compaction": round(
-            s_compact["sealed_bytes_per_compaction"] / 1e3, 1),
-        "reclaimed_ratio": round(s_compact["reclaimed_ratio"], 3),
-    },
-    "idle_mount": {
-        "invoke_overhead_pct": round(s_idle["overhead_pct"], 2),
-        "extra_allocs_per_invoke": s_idle["extra_allocs_per_invoke"],
-    },
-}
-
-with open(store_out_path, "w") as f:
-    json.dump(store, f, indent=2)
-    f.write("\n")
-
-print(json.dumps(store, indent=2))
-
-# Smoke assertions: the invariants these PRs establish must hold wherever
-# the benchmark runs, independent of absolute host speed.
-failures = []
-if distilled["relay_datapath_3hop"]["allocs_per_cell"] != 0:
-    failures.append("relay datapath allocates per cell")
-if distilled["simulator_event_churn"]["allocs_per_event"] != 0:
-    failures.append("simulator event churn allocates per event")
-if distilled["chacha20"]["speedup_509"] < 3.0:
-    failures.append("ChaCha20 509B speedup below 3x scalar baseline")
-if distilled["chacha20"]["speedup_8192"] < 3.0:
-    failures.append("ChaCha20 8KiB speedup below 3x scalar baseline")
-sha256_speedup = distilled["sha256"]["speedup_512"]
-if sha256_speedup is None:
-    print("sha256 gate: skipped (CPU lacks SHA-NI)")
-elif sha256_speedup < 3.0:
-    failures.append("SHA-256 512B below 3x its scalar kernel on a SHA-NI host")
-if chacha_avx512_speedup is None:
-    print("chacha20 avx512 gate: skipped (CPU lacks AVX-512F/VL/BW or AVX2)")
-elif chacha_avx512_speedup < 1.3:
-    failures.append("ChaCha20 1KiB AVX-512 refill below 1.3x the AVX2 refill")
-if obs["relay_datapath_3hop"]["metrics_on_allocs_per_cell"] != 0:
-    failures.append("metrics-on datapath allocates per cell")
-if obs["relay_datapath_3hop"]["traced_allocs_per_cell"] != 0:
-    failures.append("traced datapath allocates per cell")
-if obs["relay_datapath_3hop"]["span_traced_allocs_per_cell"] != 0:
-    failures.append("span-traced datapath allocates per cell")
-if obs["handles"]["trace_record_allocs_per_event"] != 0:
-    failures.append("trace record allocates per event")
-# Noise-tolerant: live metrics must stay within 10% of the disabled path,
-# and per-cell span scopes within 15% of the metrics-on path.
-if obs["relay_datapath_3hop"]["metrics_overhead_pct"] > 10.0:
-    failures.append("metrics overhead on the cell datapath above 10%")
-if obs["relay_datapath_3hop"]["span_overhead_pct"] > 15.0:
-    failures.append("span tracing overhead on the cell datapath above 15%")
-# Chaos-idle guard (DESIGN.md §9): supporting fault injection must be free
-# when no plan is installed — zero extra allocations, <= 2% send throughput.
-chaos_gate = distilled["network_send_chaos_idle"]
-if chaos_gate["extra_allocs_per_cell"] > 0:
-    failures.append("idle chaos hooks allocate on the network send path")
-if chaos_gate["overhead_pct"] > 2.0:
-    failures.append("idle chaos hooks cost the network send path above 2%")
-# Sealed-store gates (DESIGN.md §15): steady-state appends are heap-free,
-# replay of one log is byte-deterministic (SHA-256 namespace digest), and
-# an idle persistent mount taxes the invoke datapath at most 2%.
-if store["append"]["allocs_per_append_512"] != 0:
-    failures.append("store append (512B) allocates in steady state")
-if store["append"]["allocs_per_append_4096"] != 0:
-    failures.append("store append (4KiB) allocates in steady state")
-if store["replay"]["deterministic"] != 1:
-    failures.append("store replay is not deterministic (snapshot digest drifted)")
-if store["replay"]["torn"] != 0:
-    failures.append("store replay reported a torn tail on a fully synced log")
-if store["idle_mount"]["invoke_overhead_pct"] > 2.0:
-    failures.append("idle persistent-store mount costs the invoke datapath above 2%")
-# ---- Regression gate against the committed baselines --------------------
-# Only host-independent metrics are gated; raw cells/s and MB/s depend on
-# the runner and would make CI flaky.
-def load_baseline(path):
-    try:
-        with open(path) as f:
-            text = f.read().strip()
-        return json.loads(text) if text else None
-    except (OSError, ValueError):
+# A kernel arm is skipped (error_occurred) where the CPU lacks it.
+def speedup(fast, slow):
+    f, s = by_name.get(fast), by_name.get(slow)
+    if f is None or s is None or f.get("error_occurred") or s.get("error_occurred"):
         return None
+    return round(f["bytes_per_second"] / s["bytes_per_second"], 2)
 
-if baseline_skip == "1":
-    print("bench gate: skipped (BENCH_BASELINE_SKIP=1)")
-else:
-    base = load_baseline(baseline_path)
-    obs_base = load_baseline(obs_baseline_path)
-    if base is None or obs_base is None:
-        print("bench gate: no committed baseline found, skipping comparison")
-    else:
-        def gate_speedup(label, now, then):
-            if now < then * 0.85:
-                failures.append(
-                    f"{label} regressed >15% vs baseline ({now} < {then} * 0.85)")
+def overhead(name):
+    return round(by_name[name]["overhead_pct"], 2)
 
-        def gate_allocs(label, now, then):
-            if now > then:
-                failures.append(
-                    f"{label} allocations regressed vs baseline ({now} > {then})")
-
-        gate_speedup("ChaCha20 509B speedup",
-                     distilled["chacha20"]["speedup_509"],
-                     base["chacha20"]["speedup_509"])
-        gate_speedup("ChaCha20 8KiB speedup",
-                     distilled["chacha20"]["speedup_8192"],
-                     base["chacha20"]["speedup_8192"])
-        gate_allocs("relay datapath",
-                    distilled["relay_datapath_3hop"]["allocs_per_cell"],
-                    base["relay_datapath_3hop"]["allocs_per_cell"])
-        gate_allocs("cell frame/unframe",
-                    distilled["cell_frame_unframe"]["allocs_per_cell"],
-                    base["cell_frame_unframe"]["allocs_per_cell"])
-        gate_allocs("simulator event churn",
-                    distilled["simulator_event_churn"]["allocs_per_event"],
-                    base["simulator_event_churn"]["allocs_per_event"])
-        gate_allocs("traced datapath",
-                    obs["relay_datapath_3hop"]["traced_allocs_per_cell"],
-                    obs_base["relay_datapath_3hop"]["traced_allocs_per_cell"])
-        base_span = obs_base["relay_datapath_3hop"].get("span_traced_allocs_per_cell")
-        if base_span is not None:
-            gate_allocs("span-traced datapath",
-                        obs["relay_datapath_3hop"]["span_traced_allocs_per_cell"],
-                        base_span)
-        base_chaos = base.get("network_send_chaos_idle")
-        if base_chaos is not None:
-            gate_allocs("idle chaos hooks",
-                        chaos_gate["extra_allocs_per_cell"],
-                        base_chaos["extra_allocs_per_cell"])
-        store_base = load_baseline(store_baseline_path)
-        if store_base is not None:
-            gate_allocs("store append (512B)",
-                        store["append"]["allocs_per_append_512"],
-                        store_base["append"]["allocs_per_append_512"])
-            gate_allocs("store append (4KiB)",
-                        store["append"]["allocs_per_append_4096"],
-                        store_base["append"]["allocs_per_append_4096"])
-            if (store["replay"]["deterministic"] <
-                    store_base["replay"]["deterministic"]):
-                failures.append("store replay determinism regressed vs baseline")
-        print("bench gate: compared against committed baselines"
-              + (" — FAILED" if failures else " — ok"))
-
-# Append this run to the perf trajectory (one JSON object per line) so the
-# repo accumulates a PR-over-PR history of the gated metrics.
-trajectory_entry = {
-    "rev": git_rev,
-    "speedup_509": distilled["chacha20"]["speedup_509"],
-    "speedup_8192": distilled["chacha20"]["speedup_8192"],
-    "sha256_speedup_512": sha256_speedup,
-    "chacha20_avx512_speedup_1024": chacha_avx512_speedup,
-    "relay_cells_per_sec": distilled["relay_datapath_3hop"]["cells_per_sec"],
-    "relay_allocs_per_cell": distilled["relay_datapath_3hop"]["allocs_per_cell"],
-    "churn_allocs_per_event": distilled["simulator_event_churn"]["allocs_per_event"],
-    "metrics_overhead_pct": obs["relay_datapath_3hop"]["metrics_overhead_pct"],
-    "span_overhead_pct": obs["relay_datapath_3hop"]["span_overhead_pct"],
-    "span_traced_allocs_per_cell":
-        obs["relay_datapath_3hop"]["span_traced_allocs_per_cell"],
-    "chaos_idle_overhead_pct": chaos_gate["overhead_pct"],
-    "chaos_idle_extra_allocs_per_cell": chaos_gate["extra_allocs_per_cell"],
-    "host_cpus": distilled["context"]["host_cpus"],
-    "store_allocs_per_append": store["append"]["allocs_per_append_512"],
-    "store_replay_deterministic": store["replay"]["deterministic"],
-    "store_idle_overhead_pct": store["idle_mount"]["invoke_overhead_pct"],
-    "gate": "skip" if baseline_skip == "1" else ("fail" if failures else "pass"),
+context = raw["context"]
+record = {
+    "host": context.get("host_name", "unknown"),
+    "cpus": context["num_cpus"],
+    "mhz_per_cpu": context["mhz_per_cpu"],
+    "build_type": context.get("build_type", "unknown"),
+    "chacha20_speedup_509": speedup("BM_ChaCha20/509", "BM_ChaCha20Seed/509"),
+    "chacha20_speedup_8192": speedup("BM_ChaCha20/8192", "BM_ChaCha20Seed/8192"),
+    "sha256_speedup_512": speedup("BM_Sha256Kernel/shani/512",
+                                  "BM_Sha256Kernel/scalar/512"),
+    "chacha20_avx512_speedup_1024": speedup("BM_ChaCha20Kernel/avx512",
+                                            "BM_ChaCha20Kernel/avx2"),
+    "metrics_overhead_pct": overhead("BM_RelayMetricsOverhead"),
+    "span_overhead_pct": overhead("BM_RelaySpanOverhead"),
+    "chaos_idle_overhead_pct": overhead("BM_NetworkSendChaosIdleOverhead"),
+    "store_idle_overhead_pct": overhead("BM_StoreIdleInvokeOverhead"),
+    "relay_cells_per_sec": round(by_name["BM_RelayDatapath3Hop"]["items_per_second"]),
 }
-with open(trajectory_path, "a") as f:
-    f.write(json.dumps(trajectory_entry, sort_keys=True) + "\n")
+print(json.dumps(record))
 
+floors = {
+    "chacha20_speedup_509": 3.6,
+    "chacha20_speedup_8192": 3.6,
+    "sha256_speedup_512": 3.0,
+    "chacha20_avx512_speedup_1024": 1.3,
+}
+ceilings = {
+    "metrics_overhead_pct": 10.0,
+    "span_overhead_pct": 15.0,
+    "chaos_idle_overhead_pct": 2.0,
+    "store_idle_overhead_pct": 2.0,
+}
+failures = [f"{k} = {record[k]} < {v}" for k, v in floors.items()
+            if record[k] is not None and record[k] < v]
+failures += [f"{k} = {record[k]} > {v}" for k, v in ceilings.items()
+             if record[k] > v]
 if failures:
-    print("BENCH SMOKE FAILURES: " + "; ".join(failures), file=sys.stderr)
+    print("bench gates failed: " + "; ".join(failures), file=sys.stderr)
     sys.exit(1)
 PY
-
-echo "wrote ${out_json}, ${obs_out_json}, ${store_out_json}; appended ${trajectory_jsonl}"

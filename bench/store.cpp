@@ -1,168 +1,59 @@
-// Sealed blob-store benchmarks (DESIGN.md §15): the durability layer's own
-// perf story. Run via bench/run_benchmarks.sh, which distills the
-// google-benchmark JSON into BENCH_store.json and gates the invariants:
-//
-//   * steady-state append — overwrite-in-place of a warm path set — performs
-//     ZERO heap allocations per record (frame scratch, sealer scratch, LRU
-//     node and cache buffer are all reused), measured with an exact
-//     fixed-batch probe outside the timed loop;
-//   * replay is deterministic: re-opening the same log reproduces a
-//     byte-identical namespace (SHA-256 snapshot digest) every time;
-//   * mounting the persistent store under a function that never touches the
-//     filesystem costs the invoke datapath at most 2% (paired-median A/B,
-//     persistent_store off vs on, same echo workload).
-//
-// Also measured, for the trajectory: sealed vs plaintext append throughput,
-// replay MB/s over a mixed put/remove/overwrite log, and compaction MB/s
-// with the fraction of the log it reclaims.
+// Sealed blob-store benchmarks (DESIGN.md §15): sealed vs plaintext append
+// throughput, replay MB/s over a mixed put/remove/overwrite log, compaction
+// with the fraction of the log it reclaims, and what an idle persistent-store
+// mount costs the invoke datapath. bench/run_benchmarks.sh gates that last
+// one at 2% (paired, bench/paired.hpp); the zero-allocation steady-state
+// append and replay determinism are tier-1 tests (tests/alloc_test.cpp,
+// tests/store_test.cpp).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
-#include <new>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "core/world.hpp"
-#include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
+#include "harness.hpp"
+#include "paired.hpp"
 #include "store/sealer.hpp"
 #include "store/store.hpp"
 #include "store/volume.hpp"
 #include "util/rng.hpp"
 
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-// The replaced operator new below is malloc-backed, so pairing its result
-// with std::free in operator delete is correct; GCC's heuristic can't see
-// through the replacement and warns spuriously.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-namespace bc = bento::core;
-namespace bcr = bento::crypto;
 namespace bst = bento::store;
 namespace bu = bento::util;
-
-namespace {
-
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
-
-bcr::ChaChaKey bench_key() {
-  bcr::ChaChaKey key{};
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<std::uint8_t>(0x42 + i);
-  }
-  return key;
-}
+using bento::bench::paired_overhead_pct;
+using bento::bench::store_key;
+using bento::bench::StoreHarness;
+using bento::bench::WorldHarness;
 
 // ---- Append path ---------------------------------------------------------
 
-/// A store over a fresh volume with a fixed path set; batch() overwrites the
-/// paths round-robin — the steady state the zero-allocation invariant is
-/// stated for.
-struct StoreHarness {
-  bst::Volume volume;
-  std::unique_ptr<bst::BlobStore> store;
-  std::vector<std::string> paths;
-  bu::Bytes payload;
-  std::size_t cursor = 0;
-
-  StoreHarness(std::size_t payload_bytes, std::size_t n_paths, bool sealed,
-               std::size_t segment_bytes) {
-    bst::StoreOptions opts;
-    opts.segment_bytes = segment_bytes;
-    auto sealer =
-        sealed ? bst::make_chapoly_sealer(bench_key()) : bst::make_null_sealer();
-    store = std::make_unique<bst::BlobStore>(volume, std::move(sealer), opts);
-    store->replay();
-    bu::Rng rng(11);
-    payload = rng.bytes(payload_bytes);
-    paths.reserve(n_paths);
-    for (std::size_t i = 0; i < n_paths; ++i) {
-      paths.push_back("blob/" + std::to_string(i));
-    }
-  }
-
-  void batch(int n) {
-    for (int i = 0; i < n; ++i) {
-      store->put(paths[cursor], payload);
-      cursor = (cursor + 1) % paths.size();
-    }
-  }
-};
+namespace {
 
 constexpr int kAppendBatch = 64;
-constexpr int kAppendProbeBatches = 16;
 constexpr std::size_t kAppendPaths = 64;
-// Large enough that the warm-up plus the alloc probe stay inside the first
-// (pre-reserved) segment: a roll allocates by design and would smear the
-// exact per-append figure.
+// Large segments roll rarely, so the loop times appends, not segment setup.
 constexpr std::size_t kAppendSegmentBytes = 16ull << 20;
 
-// Alloc accounting runs over a fixed batch count *outside* the timed loop so
-// the per-append figure is exact and iteration-count independent. During the
-// timed loop, compaction (the store's own background duty) runs when the
-// garbage ratio asks for it, but paused — it has its own benchmark below.
+// During the timed loop, compaction (the store's own background duty) runs
+// when the garbage ratio asks for it, but paused: it has its own benchmark
+// below.
 void run_append(benchmark::State& state, StoreHarness& h) {
-  // Warm-up: two full rounds build the index entries, LRU nodes and cache
-  // buffers; from then on every put is an overwrite-in-place.
+  // Two full rounds build the index entries, LRU nodes and cache buffers;
+  // from then on every put is an overwrite in place.
   h.batch(static_cast<int>(2 * h.paths.size()));
-
-  const std::uint64_t allocs_before = allocs();
-  for (int i = 0; i < kAppendProbeBatches; ++i) h.batch(kAppendBatch);
-  const std::uint64_t allocs_delta = allocs() - allocs_before;
-
   std::uint64_t appends = 0;
   for (auto _ : state) {
     h.batch(kAppendBatch);
     appends += kAppendBatch;
-    if (h.store->wants_compaction()) {
+    if (h.blobs->wants_compaction()) {
       state.PauseTiming();
-      h.store->compact();
+      h.blobs->compact();
       state.ResumeTiming();
     }
   }
-
   state.SetItemsProcessed(static_cast<std::int64_t>(appends));
   state.SetBytesProcessed(
       static_cast<std::int64_t>(appends * h.payload.size()));
-  state.counters["allocs_per_append"] = benchmark::Counter(
-      static_cast<double>(allocs_delta) /
-      static_cast<double>(kAppendProbeBatches * kAppendBatch));
 }
 
 }  // namespace
@@ -186,17 +77,14 @@ BENCHMARK(BM_StoreAppendPlain)->Arg(4096);
 namespace {
 
 /// A synced log with history: overwrites, removes, re-adds — so replay
-/// exercises index churn, not just inserts. The reference digest is what
-/// every re-open must reproduce.
+/// exercises index churn, not just inserts.
 struct ReplayFixture {
   bst::Volume volume;
   bst::StoreOptions opts;
-  bcr::Digest reference{};
-  std::size_t live_files = 0;
 
   ReplayFixture() {
     opts.segment_bytes = 64 * 1024;
-    bst::BlobStore store(volume, bst::make_chapoly_sealer(bench_key()), opts);
+    bst::BlobStore store(volume, bst::make_chapoly_sealer(store_key()), opts);
     store.replay();
     bu::Rng rng(13);
     for (int round = 0; round < 6; ++round) {
@@ -209,8 +97,6 @@ struct ReplayFixture {
         store.remove("blob/" + std::to_string((round * 8 + i) % 64));
       }
     }
-    reference = store.snapshot_digest();
-    live_files = store.live_files();
   }
 };
 
@@ -220,23 +106,15 @@ static void BM_StoreReplay(benchmark::State& state) {
   ReplayFixture fx;
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
-  bool deterministic = true;
-  bool torn = false;
   for (auto _ : state) {
-    bst::BlobStore store(fx.volume, bst::make_chapoly_sealer(bench_key()),
+    bst::BlobStore store(fx.volume, bst::make_chapoly_sealer(store_key()),
                          fx.opts);
     const bst::ReplayReport report = store.replay();
     frames += report.frames;
     bytes += report.bytes;
-    torn |= report.torn;
-    deterministic &= (store.snapshot_digest() == fx.reference) &&
-                     (store.live_files() == fx.live_files);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(frames));
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  state.counters["deterministic"] = benchmark::Counter(deterministic ? 1.0 : 0.0);
-  state.counters["torn"] = benchmark::Counter(torn ? 1.0 : 0.0);
-  state.counters["live_files"] = benchmark::Counter(static_cast<double>(fx.live_files));
 }
 BENCHMARK(BM_StoreReplay);
 
@@ -261,11 +139,11 @@ static void BM_StoreCompact(benchmark::State& state) {
     for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
       sealed_before += segments[i].data.size();
     }
-    const std::uint64_t log_before = h->store->log_bytes();
+    const std::uint64_t log_before = h->blobs->log_bytes();
     state.ResumeTiming();
-    h->store->compact();
+    h->blobs->compact();
     bytes_in += sealed_before;
-    bytes_reclaimed += log_before - h->store->log_bytes();
+    bytes_reclaimed += log_before - h->blobs->log_bytes();
   }
   // No bytes_per_second here: compaction copies *live* records and skips
   // dead ones without touching their bytes, so a log-sized denominator would
@@ -283,130 +161,19 @@ BENCHMARK(BM_StoreCompact);
 
 // ---- Idle-store datapath tax ---------------------------------------------
 
-namespace {
-
-/// A one-box world with an echo function deployed; batch() pushes invokes
-/// through the full client->circuit->container datapath. The function never
-/// touches fs.*, so with persistent_store on the mounted StoreBackend is
-/// pure bystander — exactly the tax the 2% gate bounds.
-struct WorldHarness {
-  bc::BentoWorld world;
-  bc::BentoWorld::Client client;
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::uint64_t received = 0;
-  bu::Bytes payload;
-
-  static bc::BentoWorldOptions options(bool persistent) {
-    bc::BentoWorldOptions o;
-    o.testbed.guards = 2;
-    o.testbed.middles = 2;
-    o.testbed.exits = 2;
-    o.persistent_store = persistent;
-    return o;
-  }
-
-  explicit WorldHarness(bool persistent) : world(options(persistent)) {
-    world.start();
-    client = world.make_client("bench");
-    const auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-    client.bento->connect(boxes[0],
-                          [this](std::shared_ptr<bc::BentoConnection> c) {
-                            conn = std::move(c);
-                          });
-    world.run();
-    conn->spawn(bc::kImagePython, [this](bool ok, std::string) {
-      if (!ok) return;
-      bc::FunctionManifest manifest;
-      manifest.name = "bench";
-      // The permissive policy's ceilings, verbatim: budgets are cumulative
-      // over the function's lifetime and the bench invokes ~100k times.
-      manifest.resources.memory_bytes = 64ull << 20;
-      manifest.resources.cpu_instructions = 2'000'000'000ull;
-      manifest.resources.disk_bytes = 1ull << 20;
-      manifest.resources.network_bytes = 4ull << 30;
-      conn->upload(manifest, "def on_message(msg):\n    api.send(msg)\n", "", {},
-                   [this](std::optional<bc::TokenPair> t, std::string) {
-                     tokens = t;
-                   });
-    });
-    world.run();
-    conn->set_output_handler([this](bu::Bytes) { ++received; });
-    bu::Rng rng(3);
-    payload = rng.bytes(256);
-  }
-
-  void batch(int n) {
-    for (int i = 0; i < n; ++i) {
-      conn->invoke(tokens->invocation.bytes(), payload);
-    }
-    world.run();
-  }
-};
-
-constexpr int kInvokeBatch = 8;
-constexpr int kInvokeProbeBatches = 16;
-
-}  // namespace
-
-// Paired A/B measurement for the 2% gate, same shape as the chaos-idle
-// guard in datapath.cpp: the two worlds alternate batch by batch inside one
-// timed loop (order flipping every iteration) and the statistic is the
-// ratio of per-batch *medians*, so host drift and scheduler spikes cancel.
+// Echo invokes in 8-invoke batches on two worlds, persistent_store off vs on.
+// The function never touches fs.*, so the mounted store is a pure bystander;
+// run_benchmarks.sh gates overhead_pct at 2%.
 static void BM_StoreIdleInvokeOverhead(benchmark::State& state) {
+  constexpr int kInvokeBatch = 8;
   WorldHarness base(/*persistent=*/false);
   WorldHarness mounted(/*persistent=*/true);
   base.batch(kInvokeBatch);
   mounted.batch(kInvokeBatch);
-
-  // Exact alloc delta per invoke over a fixed warm batch count: an idle
-  // mount must not add heap traffic to the datapath either.
-  const std::uint64_t base_allocs_before = allocs();
-  for (int i = 0; i < kInvokeProbeBatches; ++i) base.batch(kInvokeBatch);
-  const std::uint64_t base_allocs = allocs() - base_allocs_before;
-  const std::uint64_t mounted_allocs_before = allocs();
-  for (int i = 0; i < kInvokeProbeBatches; ++i) mounted.batch(kInvokeBatch);
-  const std::uint64_t mounted_allocs = allocs() - mounted_allocs_before;
-
-  using clock = std::chrono::steady_clock;
-  std::vector<double> base_ns;
-  std::vector<double> mounted_ns;
-  base_ns.reserve(1 << 16);
-  mounted_ns.reserve(1 << 16);
-  bool base_first = true;
-  std::uint64_t invokes = 0;
-  for (auto _ : state) {
-    WorldHarness& first = base_first ? base : mounted;
-    WorldHarness& second = base_first ? mounted : base;
-    std::vector<double>& t_first = base_first ? base_ns : mounted_ns;
-    std::vector<double>& t_second = base_first ? mounted_ns : base_ns;
-    const auto t0 = clock::now();
-    first.batch(kInvokeBatch);
-    const auto t1 = clock::now();
-    second.batch(kInvokeBatch);
-    const auto t2 = clock::now();
-    t_first.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
-    t_second.push_back(std::chrono::duration<double, std::nano>(t2 - t1).count());
-    base_first = !base_first;
-    invokes += 2 * kInvokeBatch;
-  }
-
-  auto median = [](std::vector<double>& v) {
-    if (v.empty()) return 0.0;
-    std::nth_element(v.begin(),
-                     v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
-                     v.end());
-    return v[v.size() / 2];
-  };
-  const double m_base = median(base_ns);
-  const double m_mounted = median(mounted_ns);
-
-  state.SetItemsProcessed(static_cast<std::int64_t>(invokes));
-  state.counters["overhead_pct"] = benchmark::Counter(
-      m_base > 0 ? (m_mounted - m_base) / m_base * 100.0 : 0.0);
-  state.counters["extra_allocs_per_invoke"] = benchmark::Counter(
-      (static_cast<double>(mounted_allocs) - static_cast<double>(base_allocs)) /
-      static_cast<double>(kInvokeProbeBatches * kInvokeBatch));
+  state.counters["overhead_pct"] = paired_overhead_pct(
+      state, [&] { base.batch(kInvokeBatch); },
+      [&] { mounted.batch(kInvokeBatch); });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * kInvokeBatch);
   state.counters["echo_outputs"] = benchmark::Counter(
       static_cast<double>(base.received + mounted.received));
 }

@@ -2,8 +2,9 @@
 //
 // These macros expand to nothing: they exist so tools/bentolint can see, at
 // the definition site, which build-time contract a function is under. They
-// cost zero code, zero data, and zero runtime — the datapath benches gate
-// that claim (BENCH_datapath.json: 0 allocs/cell, overhead deltas ≤2%).
+// cost zero code, zero data, and zero runtime. What BENTO_HOT promises is
+// checked again at run time: tests/alloc_test.cpp counts 0 allocations per
+// cell through the annotated datapath.
 //
 //   BENTO_HOT            This function is on the per-cell / per-event fast
 //                        path and must not heap-allocate (the PR 2

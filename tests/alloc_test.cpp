@@ -1,0 +1,235 @@
+// Exact allocation invariants of the datapath (DESIGN.md §7, §8, §9, §15).
+// Each case warms up, then counts every heap allocation over a fixed batch,
+// so the figure is exact and independent of host speed. The counting
+// operator new below replaces the global one, which is why these cases are a
+// test binary of their own. The fixtures are the ones bench/ times
+// (bench/harness.hpp).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "chaos/chaos.hpp"
+#include "harness.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
+#include "sim/simulator.hpp"
+#include "tor/cell.hpp"
+#include "tor/wire.hpp"
+#include "util/rng.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// The replaced operator new below is malloc-backed, so pairing its result
+// with std::free in operator delete is correct; GCC's heuristic can't see
+// through the replacement and warns spuriously.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
+                                   (n + static_cast<std::size_t>(al) - 1) &
+                                       ~(static_cast<std::size_t>(al) - 1))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace bo = bento::obs;
+namespace bt = bento::tor;
+namespace bu = bento::util;
+using bento::bench::Datapath3Hop;
+using bento::bench::NetSendHarness;
+using bento::bench::StoreHarness;
+using bento::bench::WorldHarness;
+
+namespace {
+
+/// Heap allocations made while `fn` runs.
+template <class Fn>
+std::uint64_t allocs_during(Fn&& fn) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  fn();
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+constexpr int kCells = 4096;
+
+}  // namespace
+
+TEST(Alloc, RelayTraversalIsHeapFree) {
+  // Metrics live, as by default: recognition counters fire per check.
+  bo::set_metrics_enabled(true);
+  Datapath3Hop path;
+  path.traverse();  // registers the metric cells
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < kCells; ++i) path.traverse();
+            }),
+            0u)
+      << "metrics live";
+
+  // The flight recorder armed, with the two trace points a relay emits per
+  // cell (receive, recognition). The ring is preallocated at enable(), so
+  // wrapping it allocates nothing either.
+  bo::recorder().enable(std::size_t{1} << 12);
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < kCells; ++i) {
+                bo::trace(bo::Ev::CellRecv, 42, 1);
+                path.traverse();
+                bo::trace(bo::Ev::CellRecognized, 42, 2);
+              }
+            }),
+            0u)
+      << "flight recorder armed";
+
+  // A traced request transiting the hop: per cell, a relay.forward span
+  // (SpanBegin + SpanEnd into the ring) under a live client.invoke root.
+  bo::reset_spans();
+  {
+    bo::SpanScope root(bo::SpanScope::kRoot, bo::Stage::ClientInvoke);
+    EXPECT_EQ(allocs_during([&] {
+                for (int i = 0; i < kCells; ++i) {
+                  bo::SpanScope hop(bo::Stage::RelayForward, 42);
+                  path.traverse();
+                }
+              }),
+              0u)
+        << "one span per cell";
+  }
+  bo::recorder().disable();
+  EXPECT_EQ(path.recognized_at_exit, 1u + 3u * kCells);
+}
+
+TEST(Alloc, TraceRecordIsHeapFree) {
+  constexpr std::size_t kRing = std::size_t{1} << 12;
+  bo::recorder().enable(kRing);
+  // Four times around the ring: each record overwrites the oldest in place.
+  EXPECT_EQ(allocs_during([] {
+              for (std::uint32_t a = 0; a < 4 * kRing; ++a) {
+                bo::trace(bo::Ev::CellSend, a, 7);
+              }
+            }),
+            0u);
+  bo::recorder().disable();
+}
+
+TEST(Alloc, SimulatorChurnIsHeapFree) {
+  constexpr int kBatch = 64;
+  bento::sim::Simulator sim(1);
+  std::uint64_t sink = 0;
+  // A capture shaped like the network layer's delivery lambda: 40 bytes of
+  // context fit the event's inline storage.
+  auto batch = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      std::array<std::uint64_t, 5> ctx{};
+      ctx[0] = static_cast<std::uint64_t>(i);
+      sim.after(bu::Duration::micros(i), [&sink, ctx] { sink += ctx[0]; });
+    }
+    sim.run();
+  };
+  batch();  // grows the key heap and the slot pool to one batch
+  EXPECT_EQ(allocs_during([&] {
+              for (int b = 0; b < kBatch; ++b) batch();
+            }),
+            0u);
+  EXPECT_EQ(sink, (1u + kBatch) * (kBatch * (kBatch - 1) / 2));
+}
+
+TEST(Alloc, IdleChaosHooksAddNoSendAllocations) {
+  // Each message allocates its owned wire buffer plus amortized link-queue
+  // growth; an installed engine with an empty plan must add nothing to that.
+  constexpr int kBatch = 64;
+  constexpr int kBatches = 32;
+  NetSendHarness base;
+  NetSendHarness idle;
+  bento::chaos::ChaosEngine engine(idle.sim, idle.net);
+  engine.install({});
+  base.batch(kBatch);
+  idle.batch(kBatch);
+  auto count = [](NetSendHarness& h) {
+    return allocs_during([&] {
+      for (int i = 0; i < kBatches; ++i) h.batch(kBatch);
+    });
+  };
+  const std::uint64_t base_allocs = count(base);
+  const std::uint64_t idle_allocs = count(idle);
+  EXPECT_GE(base_allocs, std::uint64_t{kBatch} * kBatches);
+  EXPECT_EQ(idle_allocs, base_allocs);
+  EXPECT_EQ(idle.sink.received, base.sink.received);
+}
+
+TEST(Alloc, CellFrameUnframeAllocatesOnlyTheWireBuffer) {
+  bt::Cell cell;
+  cell.circ_id = 42;
+  cell.command = bt::CellCommand::Relay;
+  bu::Rng rng(4);
+  const bu::Bytes fill = rng.bytes(bt::kCellPayloadLen);
+  std::copy(fill.begin(), fill.end(), cell.payload.begin());
+  int round_trips = 0;
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < kCells; ++i) {
+                const bu::Bytes wire = bt::frame_cell(cell);
+                const bt::Cell back = bt::unframe_cell(wire);
+                round_trips += back.payload == cell.payload;
+              }
+            }),
+            std::uint64_t{kCells});
+  EXPECT_EQ(round_trips, kCells);
+}
+
+TEST(Alloc, SealedSteadyStateAppendIsHeapFree) {
+  constexpr int kPaths = 64;
+  for (const std::size_t payload : {std::size_t{512}, std::size_t{4096}}) {
+    // 16 MiB segments keep the warm-up and the counted batch inside the
+    // first, pre-reserved segment: a segment roll allocates by design.
+    StoreHarness h(payload, kPaths, /*sealed=*/true, 16ull << 20);
+    h.batch(2 * kPaths);  // index entries, LRU nodes and cache buffers
+    EXPECT_EQ(allocs_during([&] { h.batch(16 * kPaths); }), 0u)
+        << payload << " B bodies";
+  }
+}
+
+TEST(Alloc, IdleStoreMountAddsNoInvokeAllocations) {
+  constexpr int kBatch = 8;
+  constexpr int kBatches = 16;
+  WorldHarness base(/*persistent=*/false);
+  WorldHarness mounted(/*persistent=*/true);
+  ASSERT_TRUE(base.tokens && mounted.tokens);
+  base.batch(kBatch);
+  mounted.batch(kBatch);
+  auto count = [](WorldHarness& h) {
+    return allocs_during([&] {
+      for (int i = 0; i < kBatches; ++i) h.batch(kBatch);
+    });
+  };
+  const std::uint64_t base_allocs = count(base);
+  const std::uint64_t mounted_allocs = count(mounted);
+  EXPECT_GT(base_allocs, 0u);
+  EXPECT_EQ(mounted_allocs, base_allocs);
+  EXPECT_EQ(base.received, std::uint64_t{kBatch} * (1 + kBatches));
+  EXPECT_EQ(mounted.received, base.received);
+}

@@ -143,24 +143,35 @@ TEST(Store, PutGetRemoveRoundTrip) {
 TEST(Store, ReplayIsDeterministicAndByteIdentical) {
   bs::Volume volume;
   const bcr::ChaChaKey key = test_key(9);
+  // 4 KiB segments: the put/remove/overwrite history rolls the log across
+  // many segments, and replay has to walk all of them in order.
+  bs::StoreOptions opts;
+  opts.segment_bytes = 4 * 1024;
   bcr::Digest before;
+  std::size_t live_before = 0;
   {
-    auto store = open_store(volume, bs::make_chapoly_sealer(key));
+    auto store = open_store(volume, bs::make_chapoly_sealer(key), opts);
     bu::Rng rng(8);
     for (int i = 0; i < 40; ++i) {
       store->put("/f" + std::to_string(i % 10), rng.bytes(rng.uniform(1, 3000)));
       if (i % 7 == 0) store->remove("/f" + std::to_string((i + 3) % 10));
     }
     before = store->snapshot_digest();
+    live_before = store->live_files();
   }
-  // A second store over the same volume replays to the same namespace.
-  auto recovered = std::make_unique<bs::BlobStore>(
-      volume, bs::make_chapoly_sealer(key), bs::StoreOptions{});
-  const bs::ReplayReport report = recovered->replay();
-  EXPECT_FALSE(report.torn);
-  EXPECT_GT(report.frames, 0u);
-  EXPECT_EQ(report.live_files, recovered->live_files());
-  EXPECT_EQ(recovered->snapshot_digest(), before);
+  ASSERT_GE(volume.segments().size(), 4u);
+  // Two more stores over the same volume, one after the other, each replay
+  // to the same namespace with no torn tail.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    auto recovered = std::make_unique<bs::BlobStore>(
+        volume, bs::make_chapoly_sealer(key), opts);
+    const bs::ReplayReport report = recovered->replay();
+    EXPECT_FALSE(report.torn) << "reopen " << reopen;
+    EXPECT_GT(report.frames, 0u);
+    EXPECT_EQ(report.live_files, live_before);
+    EXPECT_EQ(recovered->live_files(), live_before);
+    EXPECT_EQ(recovered->snapshot_digest(), before) << "reopen " << reopen;
+  }
 }
 
 TEST(Store, TornTailTruncatesToLongestValidPrefix) {

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "bentolint/lexer.hpp"
@@ -15,15 +16,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Small utilities
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -250,7 +242,11 @@ class FileAnalysis {
     walk();
     for (Diagnostic& d : sup_.malformed) diags_.push_back(std::move(d));
     apply_suppressions();
-    assign_fingerprints();
+    std::sort(diags_.begin(), diags_.end(),
+              [](const Diagnostic& a, const Diagnostic& b) {
+                return std::tie(a.line, a.col, a.rule) <
+                       std::tie(b.line, b.col, b.rule);
+              });
     return std::move(diags_);
   }
 
@@ -801,30 +797,6 @@ class FileAnalysis {
     diags_ = std::move(kept);
   }
 
-  void assign_fingerprints() {
-    std::sort(diags_.begin(), diags_.end(),
-              [](const Diagnostic& a, const Diagnostic& b) {
-                return std::tie(a.line, a.col, a.rule) <
-                       std::tie(b.line, b.col, b.rule);
-              });
-    std::map<std::uint64_t, int> ordinals;
-    for (Diagnostic& d : diags_) {
-      const std::string_view line_text =
-          d.line >= 1 && d.line <= static_cast<int>(lines_.size())
-              ? trim(lines_[d.line - 1])
-              : std::string_view{};
-      std::uint64_t h = fnv1a(d.rule);
-      h = fnv1a("|", h);
-      h = fnv1a(d.file, h);
-      h = fnv1a("|", h);
-      h = fnv1a(line_text, h);
-      const int ordinal = ordinals[h]++;
-      h = fnv1a("|", h);
-      h = fnv1a(std::to_string(ordinal), h);
-      d.fingerprint = h;
-    }
-  }
-
   std::string_view path_;
   FileScope scope_;
   std::vector<std::string_view> lines_;
@@ -840,16 +812,6 @@ class FileAnalysis {
   std::vector<FnFrame> fns_;
   std::vector<Diagnostic> diags_;
 };
-
-std::string hex16(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
 
 void json_escape(std::string& out, std::string_view s) {
   for (const char c : s) {
@@ -915,7 +877,6 @@ std::string to_json(const std::vector<Diagnostic>& diags) {
     json_escape(out, d.file);
     out += "\",\"line\":" + std::to_string(d.line);
     out += ",\"col\":" + std::to_string(d.col);
-    out += ",\"fingerprint\":\"" + hex16(d.fingerprint) + "\"";
     out += ",\"message\":\"";
     json_escape(out, d.message);
     out += "\"}";
@@ -937,54 +898,8 @@ std::string to_json(const std::vector<Diagnostic>& diags) {
 void print_text(std::ostream& os, const std::vector<Diagnostic>& diags) {
   for (const Diagnostic& d : diags) {
     os << d.file << ":" << d.line << ":" << d.col << ": " << d.rule << ": "
-       << d.message << " [" << hex16(d.fingerprint) << "]\n";
+       << d.message << "\n";
   }
-}
-
-std::set<std::uint64_t> load_baseline(std::istream& is) {
-  std::set<std::uint64_t> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::string_view t = trim(line);
-    if (t.empty() || t.front() == '#') continue;
-    const std::string_view field = t.substr(0, t.find_first_of(" \t"));
-    if (field.size() != 16) continue;
-    std::uint64_t v = 0;
-    bool ok = true;
-    for (const char c : field) {
-      v <<= 4;
-      if (c >= '0' && c <= '9') {
-        v |= static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        v |= static_cast<std::uint64_t>(c - 'a' + 10);
-      } else {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.insert(v);
-  }
-  return out;
-}
-
-void write_baseline(std::ostream& os, const std::vector<Diagnostic>& diags) {
-  os << "# bentolint baseline: accepted pre-existing diagnostics.\n"
-     << "# Regenerate with: bentolint --fix-baseline (see DESIGN.md §10).\n"
-     << "# Only the leading fingerprint is matched; the rest is context.\n";
-  for (const Diagnostic& d : diags) {
-    os << hex16(d.fingerprint) << " " << d.rule << " " << d.file << ":"
-       << d.line << " " << d.message << "\n";
-  }
-}
-
-std::vector<Diagnostic> subtract_baseline(
-    const std::vector<Diagnostic>& diags,
-    const std::set<std::uint64_t>& baseline) {
-  std::vector<Diagnostic> out;
-  for (const Diagnostic& d : diags) {
-    if (baseline.count(d.fingerprint) == 0) out.push_back(d);
-  }
-  return out;
 }
 
 }  // namespace bento::lint

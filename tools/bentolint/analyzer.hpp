@@ -36,9 +36,7 @@
 // the file. A reason is required — a bare allow() is itself reported.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,10 +49,6 @@ struct Diagnostic {
   int line = 0;
   int col = 0;
   std::string message;
-  // Stable identity for baselines: FNV-1a over rule|file|trimmed source
-  // line|ordinal, so a diagnostic survives unrelated line-number churn but
-  // a second identical violation on another copy of the line is distinct.
-  std::uint64_t fingerprint = 0;
 };
 
 /// Where a file sits in the tree decides which rules apply to it.
@@ -83,8 +77,6 @@ std::vector<Diagnostic> analyze_source(std::string_view rel_path,
 
 /// Convenience: analyze a set of in-memory files in the deterministic order
 /// of the vector and sort the combined list (tests and main both use this).
-/// Fingerprints are assigned inside analyze_source, where the line text is
-/// at hand.
 struct SourceFile {
   std::string rel_path;
   std::string contents;
@@ -97,15 +89,5 @@ std::string to_json(const std::vector<Diagnostic>& diags);
 
 /// Human output, one line per diagnostic: file:line:col: rule: message.
 void print_text(std::ostream& os, const std::vector<Diagnostic>& diags);
-
-/// Baseline = the set of accepted fingerprints. The file format is one
-/// diagnostic per line, "<hex16-fingerprint> <rule> <file>:<line> <msg>";
-/// only the first field is authoritative, the rest is for the reviewer.
-std::set<std::uint64_t> load_baseline(std::istream& is);
-void write_baseline(std::ostream& os, const std::vector<Diagnostic>& diags);
-
-/// Diagnostics not covered by the baseline (what Enforce mode gates on).
-std::vector<Diagnostic> subtract_baseline(const std::vector<Diagnostic>& diags,
-                                          const std::set<std::uint64_t>& baseline);
 
 }  // namespace bento::lint

@@ -1,17 +1,13 @@
 // bentolint CLI — run the BL1xx invariant catalog over the tree.
 //
 //   bentolint [options] <path>...            paths: files or directories
-//     --mode=warn|enforce   warn: report, exit 0. enforce: exit 1 on any
-//                           diagnostic not covered by the baseline.
-//     --baseline FILE       accepted-fingerprint file (see DESIGN.md §10)
-//     --fix-baseline        rewrite the baseline FILE from this run and exit
 //     --json                byte-stable machine output instead of text
 //     --root DIR            repo root; paths are reported relative to it
 //
-// CI runs `bentolint --mode=enforce --baseline tools/bentolint/baseline.txt
-// src tools bench` from the repo root (the `lint` CMake target wraps the
-// same invocation), so a new diagnostic anywhere fails the build unless it
-// is fixed, suppressed with a reason, or deliberately baselined.
+// Exits 1 on any diagnostic, 2 on a usage or I/O error. The tier-1 ctest
+// Lint.Tree runs `bentolint --root <repo> src tools bench`, so a new
+// diagnostic anywhere fails the build unless it is fixed or suppressed with
+// a reason.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -47,33 +43,20 @@ std::string rel_to_root(const fs::path& p, const fs::path& root) {
 }
 
 int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--mode=warn|enforce] [--baseline FILE] [--fix-baseline]"
-               " [--json] [--root DIR] <path>...\n";
+  std::cerr << "usage: " << argv0 << " [--json] [--root DIR] <path>...\n";
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode = "warn";
-  std::string baseline_path;
   std::string root = ".";
-  bool fix_baseline = false;
   bool json = false;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--mode=", 0) == 0) {
-      mode = arg.substr(7);
-      if (mode != "warn" && mode != "enforce") return usage(argv[0]);
-    } else if (arg == "--baseline") {
-      if (++i >= argc) return usage(argv[0]);
-      baseline_path = argv[i];
-    } else if (arg == "--fix-baseline") {
-      fix_baseline = true;
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       json = true;
     } else if (arg == "--root") {
       if (++i >= argc) return usage(argv[0]);
@@ -85,10 +68,6 @@ int main(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return usage(argv[0]);
-  if (fix_baseline && baseline_path.empty()) {
-    std::cerr << "bentolint: --fix-baseline needs --baseline FILE\n";
-    return 2;
-  }
 
   const fs::path root_path = fs::path(root);
   std::vector<std::string> files;
@@ -137,42 +116,16 @@ int main(int argc, char** argv) {
 
   const std::vector<Diagnostic> diags = bento::lint::analyze_files(sources);
 
-  if (fix_baseline) {
-    std::ofstream ofs(baseline_path, std::ios::binary | std::ios::trunc);
-    if (!ofs) {
-      std::cerr << "bentolint: cannot write baseline " << baseline_path << "\n";
-      return 2;
-    }
-    bento::lint::write_baseline(ofs, diags);
-    std::cerr << "bentolint: baseline rewritten with " << diags.size()
-              << " diagnostic(s): " << baseline_path << "\n";
-    return 0;
-  }
-
-  std::set<std::uint64_t> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream ifs(baseline_path, std::ios::binary);
-    if (!ifs) {
-      std::cerr << "bentolint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    baseline = bento::lint::load_baseline(ifs);
-  }
-  const std::vector<Diagnostic> fresh =
-      bento::lint::subtract_baseline(diags, baseline);
-
   if (json) {
-    std::cout << bento::lint::to_json(fresh);
+    std::cout << bento::lint::to_json(diags);
   } else {
-    bento::lint::print_text(std::cout, fresh);
+    bento::lint::print_text(std::cout, diags);
     std::cerr << "bentolint: " << sources.size() << " file(s), "
-              << diags.size() << " diagnostic(s), " << fresh.size()
-              << " not in baseline\n";
+              << diags.size() << " diagnostic(s)\n";
   }
-  if (mode == "enforce" && !fresh.empty()) {
-    std::cerr << "bentolint: FAIL (enforce): fix the diagnostic, suppress it "
-                 "with `// bentolint: allow(BLxxx reason)`, or baseline it "
-                 "with --fix-baseline\n";
+  if (!diags.empty()) {
+    std::cerr << "bentolint: FAIL: fix the diagnostic or suppress it with "
+                 "`// bentolint: allow(BLxxx reason)`\n";
     return 1;
   }
   return 0;
