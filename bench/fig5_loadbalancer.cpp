@@ -175,7 +175,7 @@ int main() {
         while (left > 0) {
           const std::size_t n =
               static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
-          stream.send(bu::ByteView(chunk.data(), n));
+          stream.send(bu::Bytes(chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(n)));
           left -= n;
         }
         stream.end();

@@ -45,10 +45,11 @@ struct Datapath3Hop {
       origin.emplace_back(k);
       relays.emplace_back(k);
     }
+    const util::Bytes data = rng.bytes(tor::kRelayDataMax);
     tor::RelayCell rc;
     rc.relay_cmd = tor::RelayCommand::Data;
     rc.stream_id = 7;
-    rc.data = rng.bytes(tor::kRelayDataMax);
+    rc.data = data;
     cell_template = rc.pack();
   }
 

@@ -28,10 +28,11 @@ static void BM_OnionLayer3Hop(benchmark::State& state) {
     origin_layers.emplace_back(keys);
     relay_layers.emplace_back(keys);
   }
+  const bu::Bytes data = rng.bytes(bt::kRelayDataMax);
   bt::RelayCell rc;
   rc.relay_cmd = bt::RelayCommand::Data;
   rc.stream_id = 1;
-  rc.data = rng.bytes(bt::kRelayDataMax);
+  rc.data = data;
 
   for (auto _ : state) {
     auto payload = rc.pack();

@@ -121,8 +121,8 @@ class Function {
   virtual ~Function() = default;
   /// Called once after upload with the client-provided install args.
   virtual void on_install(HostApi& api, util::ByteView args) = 0;
-  /// Called for every Invoke payload.
-  virtual void on_message(HostApi& api, util::ByteView payload) = 0;
+  /// Called for every Invoke payload, which the function then owns.
+  virtual void on_message(HostApi& api, util::Bytes payload) = 0;
   /// Called on graceful shutdown (shutdown token presented).
   virtual void on_shutdown(HostApi& api) { (void)api; }
 };

@@ -143,14 +143,19 @@ void BentoConnection::expect(std::function<void(const Message&)> handler) {
 
 void BentoConnection::on_stream_data(util::ByteView data) {
   raw_bytes_ += data.size();
-  std::vector<Message> msgs;
-  try {
-    msgs = framer_.feed(data);
-  } catch (const util::ParseError& e) {
-    reject_stream(e.what());
-    return;
-  }
-  for (const Message& msg : msgs) {
+  framer_.append(data);
+  // The stream callback holds a strong reference, so framer_ outlives every
+  // handler this loop runs.
+  for (;;) {
+    std::optional<Message> next;
+    try {
+      next = framer_.next();
+    } catch (const util::ParseError& e) {
+      reject_stream(e.what());
+      return;
+    }
+    if (!next.has_value()) return;
+    const Message& msg = *next;
     if (msg.type == MsgType::Output) {
       if (invoke_span_ != 0) {
         // First Output after an invoke = the client-observed response.
@@ -162,7 +167,7 @@ void BentoConnection::on_stream_data(util::ByteView data) {
         // keep-alive reference cycle, say) without destroying the closure
         // it is executing from.
         auto handler = output_;
-        handler(msg.blob);
+        handler(util::Bytes(msg.blob.begin(), msg.blob.end()));
       }
       continue;
     }
@@ -241,8 +246,10 @@ void BentoConnection::spawn(const std::string& image, SpawnFn done) {
   msg.text = image;
   spawned_image_ = image;
   const bool sgx = image == kImagePythonOpSgx;
+  util::Bytes hello;
   if (sgx) {
-    msg.blob2 = tee::SecureChannel::client_hello(channel_eph_, proxy_->rng()).to_bytes();
+    hello = tee::SecureChannel::client_hello(channel_eph_, proxy_->rng()).to_bytes();
+    msg.blob2 = hello;
   }
   // Weak capture: this handler sits in our own `pending_` queue, so holding a
   // shared_ptr to ourselves would be a reference cycle — and a reply lost to a
@@ -257,7 +264,7 @@ void BentoConnection::spawn(const std::string& image, SpawnFn done) {
       return;
     }
     if (reply.type != MsgType::SpawnReply) {
-      done(false, reply.text.empty() ? "spawn failed" : reply.text);
+      done(false, reply.text.empty() ? "spawn failed" : std::string(reply.text));
       return;
     }
     self->container_id_ = reply.container_id;
@@ -309,11 +316,12 @@ void BentoConnection::upload(const FunctionManifest& manifest,
   obs::SpanScope span(obs::SpanScope::kRoot, obs::Stage::ClientUpload,
                       static_cast<std::uint32_t>(container_id_));
   const std::uint32_t span_id = span.detach();
+  util::Bytes body_bytes = body.serialize();
+  if (channel_.has_value()) body_bytes = channel_->seal(body_bytes);
   Message msg;
   msg.type = MsgType::Upload;
   msg.container_id = container_id_;
-  util::Bytes serialized = body.serialize();
-  msg.blob = channel_.has_value() ? channel_->seal(serialized) : serialized;
+  msg.blob = body_bytes;
 
   // Weak capture for the same reason as spawn(): the handler lives in our own
   // `pending_` queue, and a self-capture would leak the connection if the
@@ -328,17 +336,19 @@ void BentoConnection::upload(const FunctionManifest& manifest,
       return;
     }
     if (reply.type != MsgType::UploadReply) {
-      done(std::nullopt, reply.text.empty() ? "upload failed" : reply.text);
+      done(std::nullopt,
+           reply.text.empty() ? "upload failed" : std::string(reply.text));
       return;
     }
-    util::Bytes body_bytes = reply.blob;
+    util::ByteView body_bytes = reply.blob;
+    std::optional<util::Bytes> opened;
     if (self->channel_.has_value()) {
-      auto opened = self->channel_->open(body_bytes);
+      opened = self->channel_->open(body_bytes);
       if (!opened.has_value()) {
         done(std::nullopt, "upload reply failed channel authentication");
         return;
       }
-      body_bytes = std::move(*opened);
+      body_bytes = *opened;
     }
     try {
       const auto reply_body = UploadReplyBody::deserialize(body_bytes);
@@ -365,8 +375,8 @@ void BentoConnection::invoke(util::ByteView invocation_token, util::ByteView pay
   invoke_span_ = span.detach();
   Message msg;
   msg.type = MsgType::Invoke;
-  msg.token = util::Bytes(invocation_token.begin(), invocation_token.end());
-  msg.blob = util::Bytes(payload.begin(), payload.end());
+  msg.token = invocation_token;
+  msg.blob = payload;
   send_msg(msg);
 }
 
@@ -376,7 +386,7 @@ void BentoConnection::shutdown(util::ByteView shutdown_token, SimpleFn done) {
   const std::uint32_t span_id = span.detach();
   Message msg;
   msg.type = MsgType::Shutdown;
-  msg.token = util::Bytes(shutdown_token.begin(), shutdown_token.end());
+  msg.token = shutdown_token;
   expect([span_id, done = std::move(done)](const Message& reply) {
     obs::end_span(span_id, obs::Stage::ClientShutdown, reply.type == MsgType::Ok);
     done(reply.type == MsgType::Ok);

@@ -99,6 +99,8 @@ void Container::handle_invoke(tor::EdgeStream* from, util::ByteView payload) {
   fn_stats_.invokes += 1;
   fn_stats_.bytes_in += payload.size();
   bound_stream_ = from;
+  // The payload's one owned copy: it outlives the framer buffer it came
+  // from (across the ecall delay) and moves on into the function.
   util::Bytes copy(payload.begin(), payload.end());
   if (conclave_ != nullptr) {
     // Enclave transition costs (§7.3) are modeled as a small scheduling
@@ -112,17 +114,17 @@ void Container::handle_invoke(tor::EdgeStream* from, util::ByteView payload) {
     const std::uint32_t dispatch_span = dispatch.detach();
     std::weak_ptr<bool> alive = alive_;
     server_.simulator().after(kEcallOverhead, [this, alive, dispatch_span,
-                                               copy = std::move(copy)] {
+                                               copy = std::move(copy)]() mutable {
       obs::end_span(dispatch_span, obs::Stage::FnDispatch);
       if (alive.expired() || dead_ || function_ == nullptr) return;
       obs::SpanScope exec(obs::Stage::FnExecute, static_cast<std::uint32_t>(id_));
-      run_guarded([&] { function_->on_message(*this, copy); });
+      run_guarded([&] { function_->on_message(*this, std::move(copy)); });
       exec.set_ok(!dead_);
     });
     return;
   }
   obs::SpanScope exec(obs::Stage::FnExecute, static_cast<std::uint32_t>(id_));
-  run_guarded([&] { function_->on_message(*this, copy); });
+  run_guarded([&] { function_->on_message(*this, std::move(copy)); });
   exec.set_ok(!dead_);
 }
 
@@ -227,7 +229,7 @@ void Container::send(util::ByteView payload) {
   Message out;
   out.type = MsgType::Output;
   out.container_id = id_;
-  out.blob = util::Bytes(payload.begin(), payload.end());
+  out.blob = payload;
   server_.send_to_stream(bound_stream_, out);
 }
 
@@ -249,7 +251,7 @@ void Container::send_to(std::uint64_t handle, util::ByteView payload) {
   Message out;
   out.type = MsgType::Output;
   out.container_id = id_;
-  out.blob = util::Bytes(payload.begin(), payload.end());
+  out.blob = payload;
   server_.send_to_stream(it->second, out);
 }
 
@@ -451,17 +453,21 @@ void ScriptFunction::bind_modules(HostApi& api) {
   using script::Dict;
   using script::Value;
 
-  auto as_payload = [](const Value& v) -> util::Bytes {
+  // The bytes a payload argument stands for. A bytes value is viewed where
+  // it lives (the call's argument, alive for the whole host call); a str,
+  // or anything else by its display form, is rendered into `rendered`.
+  auto as_payload = [](const Value& v, util::Bytes& rendered) -> util::ByteView {
     if (v.is_bytes()) return v.as_bytes();
-    if (v.is_str()) return util::to_bytes(v.as_str());
-    return util::to_bytes(v.to_display());
+    rendered = v.is_str() ? util::to_bytes(v.as_str()) : util::to_bytes(v.to_display());
+    return rendered;
   };
 
   Dict api_mod;
   api_mod["send"] = Value::native([host, as_payload](script::Interpreter&,
                                                      std::vector<Value>& args) {
     if (args.size() != 1) throw script::TypeError("api.send() takes 1 argument");
-    host->send(as_payload(args[0]));
+    util::Bytes rendered;
+    host->send(as_payload(args[0], rendered));
     return Value::none();
   });
   api_mod["handle"] = Value::native([host](script::Interpreter&, std::vector<Value>&) {
@@ -470,7 +476,8 @@ void ScriptFunction::bind_modules(HostApi& api) {
   api_mod["send_to"] = Value::native([host, as_payload](script::Interpreter&,
                                                         std::vector<Value>& args) {
     if (args.size() != 2) throw script::TypeError("api.send_to(handle, data)");
-    host->send_to(static_cast<std::uint64_t>(args[0].as_int()), as_payload(args[1]));
+    util::Bytes rendered;
+    host->send_to(static_cast<std::uint64_t>(args[0].as_int()), as_payload(args[1], rendered));
     return Value::none();
   });
   api_mod["log"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
@@ -488,7 +495,8 @@ void ScriptFunction::bind_modules(HostApi& api) {
   fs_mod["write"] = Value::native([host, as_payload](script::Interpreter&,
                                                      std::vector<Value>& args) {
     if (args.size() != 2) throw script::TypeError("fs.write() takes 2 arguments");
-    host->fs_write(args[0].as_str(), as_payload(args[1]));
+    util::Bytes rendered;
+    host->fs_write(args[0].as_str(), as_payload(args[1], rendered));
     return Value::none();
   });
   fs_mod["read"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
@@ -554,7 +562,8 @@ void ScriptFunction::bind_modules(HostApi& api) {
   zlib_mod["compress"] = Value::native([as_payload](script::Interpreter&,
                                                     std::vector<Value>& args) {
     if (args.size() != 1) throw script::TypeError("zlib.compress() takes 1 argument");
-    return Value::bytes(util::zlite::compress(as_payload(args[0])));
+    util::Bytes rendered;
+    return Value::bytes(util::zlite::compress(as_payload(args[0], rendered)));
   });
   zlib_mod["decompress"] = Value::native([](script::Interpreter&,
                                             std::vector<Value>& args) {
@@ -596,7 +605,8 @@ void ScriptFunction::bind_modules(HostApi& api) {
       throw script::TypeError("bento.invoke(box, token, payload, on_output)");
     }
     Value callback = args[3];
-    host->invoke_remote(args[0].as_str(), args[1].as_bytes(), as_payload(args[2]),
+    util::Bytes rendered;
+    host->invoke_remote(args[0].as_str(), args[1].as_bytes(), as_payload(args[2], rendered),
                         [&in, callback](util::Bytes output) {
                           std::vector<Value> cb_args;
                           cb_args.push_back(Value::bytes(std::move(output)));
@@ -616,11 +626,13 @@ void ScriptFunction::on_install(HostApi& api, util::ByteView args) {
   }
 }
 
-void ScriptFunction::on_message(HostApi& api, util::ByteView payload) {
+void ScriptFunction::on_message(HostApi& api, util::Bytes payload) {
   bind_modules(api);
   if (interp_->has_function("on_message")) {
-    interp_->call("on_message",
-                  {script::Value::bytes(util::Bytes(payload.begin(), payload.end()))});
+    // Built by move: a braced list would copy the payload into the vector.
+    std::vector<script::Value> args;
+    args.push_back(script::Value::bytes(std::move(payload)));
+    interp_->call("on_message", std::move(args));
   }
 }
 

@@ -184,7 +184,7 @@ class ScriptFunction final : public Function {
   ScriptFunction(std::shared_ptr<const script::Program> program,
                  script::InterpreterOptions options);
   void on_install(HostApi& api, util::ByteView args) override;
-  void on_message(HostApi& api, util::ByteView payload) override;
+  void on_message(HostApi& api, util::Bytes payload) override;
   void on_shutdown(HostApi& api) override;
 
   std::uint64_t steps() const { return interp_->steps(); }

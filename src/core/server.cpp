@@ -99,16 +99,23 @@ bool BentoServer::on_stream_open(tor::EdgeStream& stream) {
   stream.set_on_data([this, ptr](util::ByteView data) {
     auto it = conns_.find(ptr);
     if (it == conns_.end()) return;
-    std::vector<Message> msgs;
-    try {
-      msgs = it->second.framer.feed(data);
-    } catch (const util::ParseError& e) {
-      // Anonymous client bytes are untrusted: a malformed frame costs the
-      // sender its stream, never the box.
-      reject_stream(ptr, e.what());
-      return;
+    it->second.framer.append(data);
+    // One message at a time: it views the framer, and handling it may drop
+    // this connection (and the framer with it), so look the connection up
+    // again before parsing the next.
+    while ((it = conns_.find(ptr)) != conns_.end()) {
+      std::optional<Message> msg;
+      try {
+        msg = it->second.framer.next();
+      } catch (const util::ParseError& e) {
+        // Anonymous client bytes are untrusted: a malformed frame costs the
+        // sender its stream, never the box.
+        reject_stream(ptr, e.what());
+        return;
+      }
+      if (!msg.has_value()) return;
+      handle_message(ptr, *msg);
     }
-    for (const Message& msg : msgs) handle_message(ptr, msg);
   });
   stream.set_on_end([this, ptr] {
     conns_.erase(ptr);
@@ -149,9 +156,10 @@ void BentoServer::handle_message(tor::EdgeStream* stream, const Message& msg) {
                       static_cast<std::uint32_t>(msg.container_id));
   switch (msg.type) {
     case MsgType::GetPolicy: {
+      const util::Bytes policy = config_.policy.serialize();
       Message reply;
       reply.type = MsgType::PolicyReply;
-      reply.blob = config_.policy.serialize();
+      reply.blob = policy;
       send_to_stream(stream, reply);
       return;
     }
@@ -166,11 +174,12 @@ void BentoServer::handle_message(tor::EdgeStream* stream, const Message& msg) {
 }
 
 void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
-  if (!config_.policy.offers_image(msg.text)) {
-    reply_error(stream, "image not offered: " + msg.text);
+  const std::string image(msg.text);
+  if (!config_.policy.offers_image(image)) {
+    reply_error(stream, "image not offered: " + image);
     return;
   }
-  if (msg.text == kImagePythonOpSgx && !config_.sgx_available) {
+  if (image == kImagePythonOpSgx && !config_.sgx_available) {
     reply_error(stream, "no SGX on this box");
     return;
   }
@@ -182,7 +191,7 @@ void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
   const std::uint64_t id = next_container_id_++;
   std::unique_ptr<Container> container;
   try {
-    container = std::make_unique<Container>(*this, id, msg.text, rng_.fork());
+    container = std::make_unique<Container>(*this, id, image, rng_.fork());
   } catch (const tee::EpcExhausted& e) {
     reply_error(stream, std::string("EPC exhausted: ") + e.what());
     return;
@@ -191,8 +200,10 @@ void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
   Message reply;
   reply.type = MsgType::SpawnReply;
   reply.container_id = id;
+  util::Bytes report_bytes;
+  util::Bytes accept_bytes;
 
-  if (msg.text == kImagePythonOpSgx) {
+  if (image == kImagePythonOpSgx) {
     // Attested channel handshake + stapled IAS report (paper §5.4).
     obs::SpanScope attest_span(obs::Stage::Attest, static_cast<std::uint32_t>(id));
     tee::SecureChannel::Hello hello;
@@ -214,8 +225,10 @@ void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
       return;
     }
     container->channel() = std::move(channel);
-    reply.blob = report->serialize();
-    reply.blob2 = accept.to_bytes();
+    report_bytes = report->serialize();
+    accept_bytes = accept.to_bytes();
+    reply.blob = report_bytes;
+    reply.blob2 = accept_bytes;
   }
 
   containers_[id] = std::move(container);
@@ -235,14 +248,15 @@ void BentoServer::handle_upload(tor::EdgeStream* stream, const Message& msg) {
     return;
   }
 
-  util::Bytes body_bytes = msg.blob;
+  util::ByteView body_bytes = msg.blob;
+  std::optional<util::Bytes> opened;
   if (container.channel().has_value()) {
-    auto opened = container.channel()->open(body_bytes);
+    opened = container.channel()->open(body_bytes);
     if (!opened.has_value()) {
       reply_error(stream, "upload failed channel authentication");
       return;
     }
-    body_bytes = std::move(*opened);
+    body_bytes = *opened;
   }
 
   UploadBody body;
@@ -323,12 +337,14 @@ void BentoServer::handle_upload(tor::EdgeStream* stream, const Message& msg) {
   UploadReplyBody reply_body;
   reply_body.invocation_token = container.tokens().invocation.bytes();
   reply_body.shutdown_token = container.tokens().shutdown.bytes();
+  util::Bytes reply_bytes = reply_body.serialize();
+  if (container.channel().has_value()) {
+    reply_bytes = container.channel()->seal(reply_bytes);
+  }
   Message reply;
   reply.type = MsgType::UploadReply;
   reply.container_id = msg.container_id;
-  util::Bytes serialized = reply_body.serialize();
-  reply.blob = container.channel().has_value() ? container.channel()->seal(serialized)
-                                               : serialized;
+  reply.blob = reply_bytes;
   send_to_stream(stream, reply);
 }
 

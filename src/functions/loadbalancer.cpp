@@ -70,7 +70,7 @@ void attach_content_acceptor(tor::HiddenServiceHost& host, std::uint64_t content
       while (left > 0) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, kChunk));
-        stream.send(util::ByteView(chunk.data(), n));
+        stream.send(util::Bytes(chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(n)));
         left -= n;
       }
       stream.end();
@@ -330,7 +330,7 @@ std::string LoadBalancerFunction::status() const {
   return out.str();
 }
 
-void LoadBalancerFunction::on_message(core::HostApi& api, util::ByteView payload) {
+void LoadBalancerFunction::on_message(core::HostApi& api, util::Bytes payload) {
   const std::string text = util::to_string(payload);
   if (text == "status") {
     api.send(util::to_bytes(status()));
@@ -362,7 +362,7 @@ void HsReplicaFunction::on_install(core::HostApi& api, util::ByteView args) {
   });
 }
 
-void HsReplicaFunction::on_message(core::HostApi& api, util::ByteView payload) {
+void HsReplicaFunction::on_message(core::HostApi& api, util::Bytes payload) {
   const std::string text = util::to_string(payload);
   if (text.rfind("INTRO:", 0) == 0) {
     host_->handle_introduction(

@@ -58,7 +58,7 @@ struct ReplicaConfig {
 class LoadBalancerFunction final : public core::Function {
  public:
   void on_install(core::HostApi& api, util::ByteView args) override;
-  void on_message(core::HostApi& api, util::ByteView payload) override;
+  void on_message(core::HostApi& api, util::Bytes payload) override;
   void on_shutdown(core::HostApi& api) override;
 
  private:
@@ -98,7 +98,7 @@ class LoadBalancerFunction final : public core::Function {
 class HsReplicaFunction final : public core::Function {
  public:
   void on_install(core::HostApi& api, util::ByteView args) override;
-  void on_message(core::HostApi& api, util::ByteView payload) override;
+  void on_message(core::HostApi& api, util::Bytes payload) override;
 
  private:
   ReplicaConfig config_;

@@ -12,7 +12,7 @@ void MultipathFetchFunction::on_install(core::HostApi& api, util::ByteView) {
   api.log("multipath: installed");
 }
 
-void MultipathFetchFunction::on_message(core::HostApi& api, util::ByteView payload) {
+void MultipathFetchFunction::on_message(core::HostApi& api, util::Bytes payload) {
   std::istringstream in(util::to_string(payload));
   std::string verb, url;
   int index = 0, count = 0;

@@ -36,7 +36,7 @@ class MultipathFetchFunction final : public core::Function {
  public:
   void on_install(core::HostApi& api, util::ByteView args) override;
   /// Message: "FETCH <url> <stripe_index> <stripe_count>".
-  void on_message(core::HostApi& api, util::ByteView payload) override;
+  void on_message(core::HostApi& api, util::Bytes payload) override;
 
  private:
   struct Stripe {

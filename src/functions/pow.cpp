@@ -47,7 +47,7 @@ void PowGateFunction::on_install(core::HostApi& api, util::ByteView args) {
   api.log("pow-gate: difficulty " + std::to_string(difficulty_));
 }
 
-void PowGateFunction::on_message(core::HostApi& api, util::ByteView payload) {
+void PowGateFunction::on_message(core::HostApi& api, util::Bytes payload) {
   const std::string text = util::to_string(payload);
   const auto colon = text.find(':');
   bool ok = false;

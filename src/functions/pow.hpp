@@ -36,7 +36,7 @@ std::optional<std::uint64_t> pow_solve(util::ByteView context, int difficulty,
 class PowGateFunction final : public core::Function {
  public:
   void on_install(core::HostApi& api, util::ByteView args) override;
-  void on_message(core::HostApi& api, util::ByteView payload) override;
+  void on_message(core::HostApi& api, util::Bytes payload) override;
 
   static constexpr const char* kContext = "bento-pow-gate-v1";
 

@@ -35,34 +35,7 @@ NodeId Network::add_node(const NodeSpec& spec, MessageHandler* handler) {
   st.down.bytes_per_sec = spec.down_bytes_per_sec;
   st.up.high_water = &st.stats.up_queue_high_water;
   st.down.high_water = &st.stats.down_queue_high_water;
-  // Uplink sink: propagate, then enqueue on the receiver's downlink.
-  st.up.sink = [this](Packet&& pkt) {
-    const Duration prop = latency(pkt.from, pkt.to) + pkt.chaos_delay;
-    sim_.after(prop, [this, pkt = std::move(pkt)]() mutable {
-      NodeState& dst = *nodes_[pkt.to];
-      const NodeId peer = pkt.from;
-      enqueue(dst.down, peer, std::move(pkt));
-    });
-  };
-  // Downlink sink: hand to the receiver. The NetLink span closes here —
-  // right at delivery — so its duration is the full network transit (queue
-  // wait + serialize + propagate); the handler runs under the sender's
-  // context (restored by serve()), continuing the causal chain.
-  st.down.sink = [this](Packet&& pkt) {
-    NodeState& dst = *nodes_[pkt.to];
-    if (chaos_ != nullptr && chaos_->node_down(pkt.to)) {
-      // Receiver crashed while the packet was in flight.
-      obs::end_span(pkt.link_span, obs::Stage::NetLink, /*ok=*/false);
-      return;
-    }
-    dst.stats.bytes_received += pkt.payload.size();
-    dst.stats.messages_received += 1;
-    if (monitor_) monitor_(pkt.from, pkt.to, pkt.wire_size);
-    obs::end_span(pkt.link_span, obs::Stage::NetLink);
-    if (dst.handler != nullptr) {
-      dst.handler->on_message(pkt.from, std::move(pkt.payload));
-    }
-  };
+  st.up.uplink = true;
   nodes_.push_back(std::move(stp));
   return id;
 }
@@ -76,6 +49,21 @@ void Network::set_latency(NodeId a, NodeId b, Duration latency) {
   check_node(a);
   check_node(b);
   latency_[ordered(a, b)] = latency;
+  // Nodes that already exchanged traffic cached the old value.
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    for (PeerQueue& q : nodes_[from]->up.peers) {
+      if (q.peer == to) q.latency = latency;
+    }
+  }
+}
+
+void Network::set_default_latency(Duration d) {
+  default_latency_ = d;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    for (PeerQueue& q : nodes_[n]->up.peers) {
+      q.latency = latency(static_cast<NodeId>(n), q.peer);
+    }
+  }
 }
 
 Duration Network::latency(NodeId a, NodeId b) const {
@@ -181,12 +169,29 @@ const NodeStats& Network::stats(NodeId node) const {
   return nodes_[node]->stats;
 }
 
-BENTO_HOT void Network::enqueue(LinkQueue& lq, NodeId peer_key, Packet pkt) {
-  auto [it, inserted] = lq.queues.try_emplace(peer_key);
-  // bentolint: allow(BL102 deque chunks are recycled; zero net allocs at steady state)
-  it->second.push_back(std::move(pkt));
-  // bentolint: allow(BL102 grows only on first contact with a new peer)
-  if (inserted) lq.rr_order.push_back(peer_key);
+BENTO_HOT void Network::enqueue(LinkQueue& lq, NodeId peer, Packet pkt) {
+  std::size_t slot = 0;
+  while (slot < lq.peers.size() && lq.peers[slot].peer != peer) ++slot;
+  if (slot == lq.peers.size()) {
+    // bentolint: allow(BL102 grows only on first contact with a new peer)
+    PeerQueue& fresh = lq.peers.emplace_back();
+    fresh.peer = peer;
+    if (lq.uplink) fresh.latency = latency(pkt.from, pkt.to);
+  }
+  PeerQueue& q = lq.peers[slot];
+  if (q.count == q.ring.size()) {
+    // Double the ring, oldest packet first. Only a backlog deeper than any
+    // this peer has had before grows it, so a warm link never does.
+    // bentolint: allow(BL102 amortized ring growth; a warm batch never repeats it)
+    std::vector<Packet> grown(q.ring.empty() ? 4 : 2 * q.ring.size());
+    for (std::size_t i = 0; i < q.count; ++i) {
+      grown[i] = std::move(q.ring[(q.head + i) & (q.ring.size() - 1)]);
+    }
+    q.ring = std::move(grown);
+    q.head = 0;
+  }
+  q.ring[(q.head + q.count) & (q.ring.size() - 1)] = std::move(pkt);
+  q.count += 1;
   lq.queued += 1;
   if (lq.high_water != nullptr && lq.queued > *lq.high_water) {
     *lq.high_water = lq.queued;
@@ -196,35 +201,70 @@ BENTO_HOT void Network::enqueue(LinkQueue& lq, NodeId peer_key, Packet pkt) {
 }
 
 BENTO_HOT void Network::serve(LinkQueue& lq) {
+  if (lq.queued == 0) return;
   // Round-robin across peers with pending packets.
-  for (std::size_t scanned = 0; scanned < lq.rr_order.size(); ++scanned) {
-    if (lq.rr_next >= lq.rr_order.size()) lq.rr_next = 0;
-    const NodeId peer = lq.rr_order[lq.rr_next];
+  for (std::size_t scanned = 0; scanned < lq.peers.size(); ++scanned) {
+    if (lq.rr_next >= lq.peers.size()) lq.rr_next = 0;
+    const std::size_t slot = lq.rr_next;
     lq.rr_next++;
-    auto qit = lq.queues.find(peer);
-    if (qit == lq.queues.end() || qit->second.empty()) continue;
-    Packet pkt = std::move(qit->second.front());
-    qit->second.pop_front();
+    PeerQueue& q = lq.peers[slot];
+    if (q.count == 0) continue;
+    Packet pkt = std::move(q.ring[q.head]);
+    q.head = (q.head + 1) & (q.ring.size() - 1);
+    q.count -= 1;
     lq.queued -= 1;
     lq.busy = true;
     const Duration ser =
         Duration::seconds(static_cast<double>(pkt.wire_size) / lq.bytes_per_sec);
     // The completion event fires under whatever context was current when
     // the link went busy — which, on a contended link, belongs to an
-    // unrelated flow. Restore this packet's own context around the sink so
-    // downstream work (including the propagation event the uplink sink
+    // unrelated flow. Restore this packet's own context around the hand-off
+    // so downstream work (including the propagation event an uplink
     // schedules) stays on the right causal chain.
-    sim_.after(ser, [this, &lq, pkt = std::move(pkt)]() mutable {
+    sim_.after(ser, [this, &lq, slot, pkt = std::move(pkt)]() mutable {
       lq.busy = false;
       const obs::SpanContext prev = obs::current_span();
       obs::set_current_span(pkt.ctx);
-      lq.sink(std::move(pkt));
+      // Read at completion, not at enqueue: set_latency() may have changed
+      // it while the packet was serializing.
+      if (lq.uplink) {
+        propagate(lq.peers[slot].latency, std::move(pkt));
+      } else {
+        deliver(std::move(pkt));
+      }
       obs::set_current_span(prev);
       serve(lq);
     });
     return;
   }
-  // Nothing pending anywhere.
+}
+
+void Network::propagate(Duration latency, Packet&& pkt) {
+  sim_.after(latency + pkt.chaos_delay, [this, pkt = std::move(pkt)]() mutable {
+    NodeState& dst = *nodes_[pkt.to];
+    const NodeId peer = pkt.from;
+    enqueue(dst.down, peer, std::move(pkt));
+  });
+}
+
+// The NetLink span closes here — right at delivery — so its duration is the
+// full network transit (queue wait + serialize + propagate); the handler
+// runs under the sender's context (restored by serve()), continuing the
+// causal chain.
+void Network::deliver(Packet&& pkt) {
+  NodeState& dst = *nodes_[pkt.to];
+  if (chaos_ != nullptr && chaos_->node_down(pkt.to)) {
+    // Receiver crashed while the packet was in flight.
+    obs::end_span(pkt.link_span, obs::Stage::NetLink, /*ok=*/false);
+    return;
+  }
+  dst.stats.bytes_received += pkt.payload.size();
+  dst.stats.messages_received += 1;
+  if (monitor_) monitor_(pkt.from, pkt.to, pkt.wire_size);
+  obs::end_span(pkt.link_span, obs::Stage::NetLink);
+  if (dst.handler != nullptr) {
+    dst.handler->on_message(pkt.from, std::move(pkt.payload));
+  }
 }
 
 }  // namespace bento::sim

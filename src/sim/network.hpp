@@ -10,10 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,7 +98,7 @@ class Network {
   void set_latency(NodeId a, NodeId b, Duration latency);
   Duration latency(NodeId a, NodeId b) const;
   /// Latency not explicitly set defaults to this value.
-  void set_default_latency(Duration d) { default_latency_ = d; }
+  void set_default_latency(Duration d);
 
   /// Queues a message; delivery is asynchronous via the event loop.
   void send(NodeId from, NodeId to, util::Bytes payload);
@@ -154,17 +153,31 @@ class Network {
     Duration chaos_delay{};
   };
 
+  // One remote peer's FIFO on one access link: a ring over packet slots that
+  // drained packets leave behind, so a warm link queues without allocating.
+  struct PeerQueue {
+    NodeId peer = kInvalidNode;
+    // Uplink entries: propagation latency to `peer`, refreshed by
+    // set_latency() and set_default_latency().
+    Duration latency{};
+    std::vector<Packet> ring;  // capacity is 0 or a power of two
+    std::size_t head = 0;
+    std::size_t count = 0;
+  };
+
   // Fair scheduler over per-peer FIFO queues for one direction of one
-  // node's access link. `sink` receives each packet once serialized.
+  // node's access link. An uplink hands each serialized packet to
+  // propagation, a downlink to the receiver's handler.
   struct LinkQueue {
+    bool uplink = false;
     double bytes_per_sec = 1.0;
     bool busy = false;
-    std::map<NodeId, std::deque<Packet>> queues;  // keyed by remote peer
-    std::vector<NodeId> rr_order;                 // round-robin cursor state
-    std::size_t rr_next = 0;
+    // One entry per peer in first-contact order, which is also the
+    // round-robin order; entries are never removed.
+    std::vector<PeerQueue> peers;
+    std::size_t rr_next = 0;            // round-robin cursor into peers
     std::size_t queued = 0;             // packets waiting across all peers
     std::size_t* high_water = nullptr;  // -> the owning NodeStats field
-    std::function<void(Packet&&)> sink;
   };
 
   struct NodeState {
@@ -175,8 +188,13 @@ class Network {
     LinkQueue down;
   };
 
-  void enqueue(LinkQueue& lq, NodeId peer_key, Packet pkt);
+  void enqueue(LinkQueue& lq, NodeId peer, Packet pkt);
   void serve(LinkQueue& lq);
+  /// A packet has left `from`'s uplink: it propagates to the receiver's
+  /// downlink (uplink side of serve()).
+  void propagate(Duration latency, Packet&& pkt);
+  /// A packet has left the receiver's downlink: hand it to the handler.
+  void deliver(Packet&& pkt);
   void check_node(NodeId node) const;
 
   Simulator& sim_;

@@ -69,13 +69,18 @@ void Cell::set_payload(util::ByteView data) {
   std::memcpy(payload.data(), data.data(), data.size());
 }
 
-BENTO_HOT std::array<std::uint8_t, kCellPayloadLen> RelayCell::pack() const {
+std::array<std::uint8_t, kCellPayloadLen> RelayCell::pack() const {
+  std::array<std::uint8_t, kCellPayloadLen> out{};
+  pack_into(out);
+  return out;
+}
+
+BENTO_HOT void RelayCell::pack_into(PayloadSpan out) const {
   if (data.size() > kRelayDataMax) {
     throw std::invalid_argument("RelayCell::pack: data too large");
   }
-  // Serialized straight into the fixed payload array: the relay header is
+  // Serialized straight into the fixed payload: the relay header is
   // big-endian per tor-spec, and packing must not heap-allocate (datapath).
-  std::array<std::uint8_t, kCellPayloadLen> out{};
   out[0] = static_cast<std::uint8_t>(relay_cmd);
   out[1] = static_cast<std::uint8_t>(recognized >> 8);
   out[2] = static_cast<std::uint8_t>(recognized);
@@ -87,11 +92,12 @@ BENTO_HOT std::array<std::uint8_t, kCellPayloadLen> RelayCell::pack() const {
   out[8] = static_cast<std::uint8_t>(digest);
   out[9] = static_cast<std::uint8_t>(data.size() >> 8);
   out[10] = static_cast<std::uint8_t>(data.size());
-  if (!data.empty()) std::memcpy(out.data() + kRelayHeaderLen, data.data(), data.size());
-  return out;
+  std::uint8_t* body = out.data() + kRelayHeaderLen;
+  if (!data.empty() && data.data() != body) std::memcpy(body, data.data(), data.size());
+  std::memset(body + data.size(), 0, kRelayDataMax - data.size());
 }
 
-RelayCell RelayCell::unpack(std::span<const std::uint8_t, kCellPayloadLen> payload) {
+BENTO_HOT RelayCell RelayCell::unpack(std::span<const std::uint8_t, kCellPayloadLen> payload) {
   util::Reader r(payload);
   RelayCell c;
   c.relay_cmd = static_cast<RelayCommand>(r.u8());
@@ -100,7 +106,7 @@ RelayCell RelayCell::unpack(std::span<const std::uint8_t, kCellPayloadLen> paylo
   c.digest = r.u32();
   const std::uint16_t len = r.u16();
   if (len > kRelayDataMax) throw util::ParseError("RelayCell: bad length");
-  c.data = r.raw(len);
+  c.data = r.view(len);
   return c;
 }
 

@@ -88,12 +88,18 @@ struct RelayCell {
   std::uint16_t recognized = 0;
   StreamId stream_id = 0;
   std::uint32_t digest = 0;
-  util::Bytes data;  // up to kRelayDataMax
+  /// Up to kRelayDataMax bytes, viewed: a sender's bytes must outlive the
+  /// pack, a received cell's are the payload it was unpacked from.
+  util::ByteView data;
 
   /// Serializes into a 509-byte payload (zero padded).
   std::array<std::uint8_t, kCellPayloadLen> pack() const;
+  /// Same, into `out` (a link frame's payload, say). `data` may already sit
+  /// at its place in `out`, as a stream pops it there.
+  void pack_into(PayloadSpan out) const;
 
-  /// Parses a payload. Throws util::ParseError if length field is invalid.
+  /// Parses a payload in place: `data` views it. Throws util::ParseError if
+  /// the length field is invalid.
   static RelayCell unpack(std::span<const std::uint8_t, kCellPayloadLen> payload);
 };
 

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tor/wire.hpp"
+#include "util/annotations.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
 #include "util/simclock.hpp"
@@ -30,9 +31,9 @@ CircuitMetrics& circuit_metrics() {
 }
 }  // namespace
 
-void Stream::send(util::ByteView data) {
+void Stream::send(util::Bytes data) {
   if (circ_ == nullptr) return;
-  outbuf.push(data);
+  outbuf.push(std::move(data));
   // Pumping lives in the circuit (it owns the windows).
   circ_->pump_stream(*this);
 }
@@ -51,8 +52,10 @@ CircuitOrigin::CircuitOrigin(sim::Network& net, sim::NodeId own_node, Path path,
   counters_.created_us = util::sim_now_micros();
 }
 
-void CircuitOrigin::send_cell(const Cell& cell) {
-  net_.send(own_node_, path_.front().node, frame_cell(cell));
+BENTO_HOT void CircuitOrigin::send_cell(const Cell& cell) {
+  util::Bytes frame = frames_.take();
+  frame_cell_into(frame, cell);
+  net_.send(own_node_, path_.front().node, std::move(frame));
 }
 
 void CircuitOrigin::build(BuiltFn done) {
@@ -91,13 +94,14 @@ void CircuitOrigin::continue_build() {
   const RelayDescriptor& target = path_[next_hop_to_build_];
   const util::Bytes skin =
       ntor_client_create(pending_ntor_, target.onion_key, target.identity_key, rng_);
-  RelayCell extend;
-  extend.relay_cmd = RelayCommand::Extend;
   util::Writer w;
   w.str(target.fingerprint());
   w.blob(skin);
-  extend.data = std::move(w).take();
-  send_relay(std::move(extend), static_cast<int>(next_hop_to_build_) - 1);
+  const util::Bytes body = std::move(w).take();
+  RelayCell extend;
+  extend.relay_cmd = RelayCommand::Extend;
+  extend.data = body;
+  send_relay(extend, static_cast<int>(next_hop_to_build_) - 1);
 }
 
 void CircuitOrigin::fail_build() {
@@ -151,12 +155,19 @@ void CircuitOrigin::poke_liveness() {
   });
 }
 
-void CircuitOrigin::handle_cell(const Cell& cell) {
+void CircuitOrigin::handle_cell(util::Bytes frame) {
+  handle_frame(frame);
+  // Destruction is deferred (OnionProxy::forget), so this end is still here
+  // even if handling the cell tore the circuit down.
+  frames_.give(std::move(frame));
+}
+
+void CircuitOrigin::handle_frame(std::span<std::uint8_t> frame) {
   if (destroyed_) return;
   last_backward_us_ = util::sim_now_micros();
-  switch (cell.command) {
+  switch (frame_command(frame)) {
     case CellCommand::Created: {
-      util::ByteView reply(cell.payload.data(), kNtorReplyLen);
+      const util::ByteView reply = frame_payload(frame).first(kNtorReplyLen);
       auto keys = ntor_client_finish(pending_ntor_, reply);
       if (!keys.has_value()) {
         util::log_warn(kComponent, "handshake authentication failed at hop 0");
@@ -172,7 +183,7 @@ void CircuitOrigin::handle_cell(const Cell& cell) {
     case CellCommand::Relay: {
       circuit_metrics().cells_received.inc();
       obs::trace(obs::Ev::CellRecv, circ_id_, 0);
-      auto payload = cell.payload;
+      const PayloadSpan payload = frame_payload(frame);
       for (std::size_t i = 0; i < layers_.size(); ++i) {
         layers_[i]->crypt_backward(payload);
         if (layers_[i]->check_backward(payload)) {
@@ -234,7 +245,11 @@ void CircuitOrigin::handle_cell(const Cell& cell) {
   }
 }
 
-void CircuitOrigin::send_relay(RelayCell rc, int hop) {
+void CircuitOrigin::send_relay(const RelayCell& rc, int hop) {
+  send_relay(frames_.take(), rc, hop);
+}
+
+BENTO_HOT void CircuitOrigin::send_relay(util::Bytes frame, const RelayCell& rc, int hop) {
   if (destroyed_) return;
   last_forward_us_ = util::sim_now_micros();
   poke_liveness();
@@ -246,17 +261,15 @@ void CircuitOrigin::send_relay(RelayCell rc, int hop) {
     // digest), then wrap in every real hop's forward keystream without
     // sealing — no real hop recognizes the cell; the rendezvous point
     // splices it through to the client.
-    auto payload = rc.pack();
+    const PayloadSpan payload = frame_payload(frame);
+    rc.pack_into(payload);
     virtual_relay_->seal_backward(payload);
     virtual_relay_->crypt_backward(payload);
     for (std::size_t i = layers_.size(); i-- > 0;) {
       layers_[i]->crypt_forward(payload);
     }
-    Cell cell;
-    cell.circ_id = circ_id_;
-    cell.command = CellCommand::Relay;
-    cell.payload = payload;
-    send_cell(cell);
+    set_frame_header(frame, circ_id_, CellCommand::Relay);
+    net_.send(own_node_, path_.front().node, std::move(frame));
     return;
   }
   const int last = hop_count() - 1;
@@ -264,16 +277,14 @@ void CircuitOrigin::send_relay(RelayCell rc, int hop) {
   if (hop > last || hop < 0) {
     throw std::invalid_argument("send_relay: bad hop index");
   }
-  auto payload = rc.pack();
+  const PayloadSpan payload = frame_payload(frame);
+  rc.pack_into(payload);
   layers_[static_cast<std::size_t>(hop)]->seal_forward(payload);
   for (int i = hop; i >= 0; --i) {
     layers_[static_cast<std::size_t>(i)]->crypt_forward(payload);
   }
-  Cell cell;
-  cell.circ_id = circ_id_;
-  cell.command = CellCommand::Relay;
-  cell.payload = payload;
-  send_cell(cell);
+  set_frame_header(frame, circ_id_, CellCommand::Relay);
+  net_.send(own_node_, path_.front().node, std::move(frame));
 }
 
 void CircuitOrigin::add_hop_keys(const LayerKeys& keys) {
@@ -296,35 +307,40 @@ Stream* CircuitOrigin::open_stream(const Endpoint& to, Stream::Callbacks cbs) {
   streams_[sid] = std::move(stream);
   obs::trace(obs::Ev::StreamOpen, circ_id_, sid);
 
-  RelayCell begin;
-  begin.relay_cmd = RelayCommand::Begin;
-  begin.stream_id = sid;
   util::Writer w;
   w.u32(to.addr);
   w.u16(to.port);
-  begin.data = std::move(w).take();
-  send_relay(std::move(begin));
+  const util::Bytes body = std::move(w).take();
+  RelayCell begin;
+  begin.relay_cmd = RelayCommand::Begin;
+  begin.stream_id = sid;
+  begin.data = body;
+  send_relay(begin);
   return out;
 }
 
 void CircuitOrigin::pump_stream(Stream& stream) {
   while (!stream.outbuf.empty() && stream.package_window > 0 &&
          circ_package_window_ > 0) {
+    // The data goes from the stream's queue straight into the frame.
+    util::Bytes frame = frames_.take();
+    const PayloadSpan payload = frame_payload(frame);
+    const std::size_t n = stream.outbuf.pop(payload.subspan(kRelayHeaderLen));
     RelayCell data;
     data.relay_cmd = RelayCommand::Data;
     data.stream_id = stream.id_;
-    data.data = stream.outbuf.pop(kRelayDataMax);
+    data.data = payload.subspan(kRelayHeaderLen, n);
     stream.package_window--;
     circ_package_window_--;
     counters_.data_cells_sent++;
-    counters_.bytes_sent += data.data.size();
-    send_relay(std::move(data));
+    counters_.bytes_sent += n;
+    send_relay(std::move(frame), data, -1);
   }
   if (stream.outbuf.empty() && stream.end_after_flush) {
     RelayCell end;
     end.relay_cmd = RelayCommand::End;
     end.stream_id = stream.id_;
-    send_relay(std::move(end));
+    send_relay(end);
     stream.circ_ = nullptr;
     streams_.erase(stream.id_);  // invalidates `stream`
   }
@@ -363,7 +379,7 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
       if (circ_delivered_ % kCircuitWindowIncrement == 0) {
         RelayCell sendme;
         sendme.relay_cmd = RelayCommand::SendmeCircuit;
-        send_relay(std::move(sendme), hop);
+        send_relay(sendme, hop);
       }
       auto it = streams_.find(rc.stream_id);
       if (it == streams_.end()) return;
@@ -382,7 +398,7 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
         RelayCell sendme;
         sendme.relay_cmd = RelayCommand::SendmeStream;
         sendme.stream_id = rc.stream_id;
-        send_relay(std::move(sendme), hop);
+        send_relay(sendme, hop);
       }
       if (stream.cbs_.on_data) stream.cbs_.on_data(rc.data);
       return;
@@ -403,13 +419,11 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
     }
     case RelayCommand::SendmeCircuit: {
       circ_package_window_ += kCircuitWindowIncrement;
-      // Pump round-robin; collect ids first because pumping may erase.
-      std::vector<StreamId> ids;
-      ids.reserve(streams_.size());
-      for (auto& [sid, s] : streams_) ids.push_back(sid);
-      for (StreamId sid : ids) {
-        auto it = streams_.find(sid);
-        if (it != streams_.end()) pump_stream(*it->second);
+      // Pump every stream in id order. Pumping may erase the stream it pumps
+      // (a flushed END) and no other, so step past it first.
+      for (auto it = streams_.begin(); it != streams_.end();) {
+        Stream& stream = *(it++)->second;
+        pump_stream(stream);
       }
       return;
     }
@@ -426,7 +440,7 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
         RelayCell end;
         end.relay_cmd = RelayCommand::End;
         end.stream_id = rc.stream_id;
-        send_relay(std::move(end), hop);
+        send_relay(end, hop);
         return;
       }
       auto stream = std::make_unique<Stream>();
@@ -440,13 +454,13 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
         RelayCell end;
         end.relay_cmd = RelayCommand::End;
         end.stream_id = rc.stream_id;
-        send_relay(std::move(end), hop);
+        send_relay(end, hop);
         return;
       }
       RelayCell connected;
       connected.relay_cmd = RelayCommand::Connected;
       connected.stream_id = rc.stream_id;
-      send_relay(std::move(connected), hop);
+      send_relay(connected, hop);
       return;
     }
     default:

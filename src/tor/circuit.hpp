@@ -24,6 +24,7 @@
 #include "tor/ntor.hpp"
 #include "tor/pathselect.hpp"
 #include "tor/relaycrypto.hpp"
+#include "tor/wire.hpp"
 #include "util/rng.hpp"
 
 namespace bento::tor {
@@ -44,8 +45,9 @@ class Stream {
   StreamId id() const { return id_; }
   bool connected() const { return connected_; }
 
-  /// Queues data (chunked into DATA cells, window-limited).
-  void send(util::ByteView data);
+  /// Queues data (chunked into DATA cells, window-limited). The buffer is
+  /// kept as it is until its last byte is packed.
+  void send(util::Bytes data);
   /// Sends RELAY_END once buffered data drains.
   void end();
 
@@ -104,7 +106,7 @@ class CircuitOrigin {
 
   /// Sends a relay cell to hop `hop` (default: last). Most callers use the
   /// stream API; hidden-service setup and the Cover function use this.
-  void send_relay(RelayCell rc, int hop = -1);
+  void send_relay(const RelayCell& rc, int hop = -1);
 
   void set_relay_handler(RelayFn fn) { relay_handler_ = std::move(fn); }
   void set_on_destroy(std::function<void()> fn) { on_destroy_ = std::move(fn); }
@@ -114,8 +116,9 @@ class CircuitOrigin {
   /// Service side of a rendezvous join: terminate the e2e layer relay-style.
   void enable_virtual_relay(const LayerKeys& keys);
 
-  /// Feed a cell addressed to this circuit (OnionProxy dispatches).
-  void handle_cell(const Cell& cell);
+  /// Feed a framed cell addressed to this circuit (OnionProxy dispatches).
+  /// The frame is handled in place and then kept to pack a later cell into.
+  void handle_cell(util::Bytes frame);
 
   /// Tears down (DESTROY toward the guard) and fires stream/circuit ends.
   void destroy();
@@ -156,9 +159,14 @@ class CircuitOrigin {
 
  private:
   void continue_build();
+  void handle_frame(std::span<std::uint8_t> frame);
   void dispatch_relay(const RelayCell& rc, int hop);
   void pump_stream(Stream& stream);
+  /// Sends a CREATE or DESTROY in a frame from frames_.
   void send_cell(const Cell& cell);
+  /// Packs `rc` into `frame` (taken from frames_; its payload may already
+  /// hold rc.data), seals it for `hop`, onion-encrypts it and sends it.
+  void send_relay(util::Bytes frame, const RelayCell& rc, int hop);
   void arm_build_timer();
   void poke_liveness();
 
@@ -167,6 +175,7 @@ class CircuitOrigin {
   Path path_;
   CircId circ_id_;
   util::Rng& rng_;
+  FramePool frames_;
 
   std::vector<std::unique_ptr<LayerCrypto>> layers_;
   std::optional<LayerCrypto> virtual_relay_;

@@ -1,32 +1,42 @@
 #include "tor/flow.hpp"
 
 #include <algorithm>
+#include <cstring>
+
+#include "util/annotations.hpp"
 
 namespace bento::tor {
 
-void ByteQueue::push(util::ByteView data) {
+BENTO_HOT void ByteQueue::push(util::Bytes data) {
   if (data.empty()) return;
-  segments_.emplace_back(data.begin(), data.end());
+  if (head_ > 0 && segments_.size() == segments_.capacity()) {
+    segments_.erase(segments_.begin(), segments_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   total_ += data.size();
+  // bentolint: allow(BL102 amortized growth to the deepest backlog; a warm batch never repeats it)
+  segments_.push_back(std::move(data));
 }
 
-util::Bytes ByteQueue::pop(std::size_t max_len) {
-  util::Bytes out;
-  out.reserve(std::min(max_len, total_));
-  while (out.size() < max_len && !segments_.empty()) {
-    util::Bytes& front = segments_.front();
-    const std::size_t avail = front.size() - head_offset_;
-    const std::size_t take = std::min(avail, max_len - out.size());
-    out.insert(out.end(), front.begin() + static_cast<std::ptrdiff_t>(head_offset_),
-               front.begin() + static_cast<std::ptrdiff_t>(head_offset_ + take));
+BENTO_HOT std::size_t ByteQueue::pop(std::span<std::uint8_t> out) {
+  std::size_t filled = 0;
+  while (filled < out.size() && total_ > 0) {
+    util::Bytes& front = segments_[head_];
+    const std::size_t take = std::min(front.size() - head_offset_, out.size() - filled);
+    std::memcpy(out.data() + filled, front.data() + head_offset_, take);
+    filled += take;
     head_offset_ += take;
     total_ -= take;
     if (head_offset_ == front.size()) {
-      segments_.pop_front();
+      front = util::Bytes();  // the message is fully sent: release its buffer
       head_offset_ = 0;
+      if (++head_ == segments_.size()) {
+        segments_.clear();
+        head_ = 0;
+      }
     }
   }
-  return out;
+  return filled;
 }
 
 }  // namespace bento::tor

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -19,18 +21,25 @@ inline constexpr int kStreamWindowIncrement = 50;
 inline constexpr int kCircuitWindowInit = 1000;
 inline constexpr int kCircuitWindowIncrement = 100;
 
-/// FIFO byte buffer with segment storage; pop() re-chunks to cell size.
+/// FIFO of byte buffers awaiting window credit. It keeps the buffers it is
+/// given and pop() copies straight into the caller's cell payload, so a
+/// queued message is never copied or re-chunked into buffers of its own.
 class ByteQueue {
  public:
-  void push(util::ByteView data);
-  /// Pops up to max_len bytes (less only if the queue is shorter).
-  util::Bytes pop(std::size_t max_len);
+  void push(util::Bytes data);
+  /// Moves up to out.size() bytes into `out`; returns how many (fewer only
+  /// if the queue is shorter).
+  std::size_t pop(std::span<std::uint8_t> out);
   bool empty() const { return total_ == 0; }
   std::size_t size() const { return total_; }
 
  private:
-  std::deque<util::Bytes> segments_;
-  std::size_t head_offset_ = 0;  // consumed prefix of segments_.front()
+  // Live segments are segments_[head_..]; the drained prefix is reclaimed
+  // when the queue empties or the vector is full, so a warm queue's storage
+  // is reused.
+  std::vector<util::Bytes> segments_;
+  std::size_t head_ = 0;
+  std::size_t head_offset_ = 0;  // consumed prefix of segments_[head_]
   std::size_t total_ = 0;
 };
 

@@ -179,10 +179,11 @@ void HiddenServiceHost::establish_intro(std::size_t index,
       }
       util::log_warn(kComponent, "intro circuit: unexpected ", to_string(rc.relay_cmd));
     });
+    const util::Bytes auth = crypto::gp_to_bytes(identity_.signing_key.public_key());
     RelayCell establish;
     establish.relay_cmd = RelayCommand::EstablishIntro;
-    establish.data = crypto::gp_to_bytes(identity_.signing_key.public_key());
-    circ->send_relay(std::move(establish));
+    establish.data = auth;
+    circ->send_relay(establish);
   });
 }
 
@@ -220,13 +221,14 @@ void HiddenServiceHost::handle_introduction(util::ByteView blob) {
     if (circ == nullptr) return;
     rend_circuits_.push_back(circ);
     circ->set_stream_acceptor(acceptor_);
-    RelayCell rend1;
-    rend1.relay_cmd = RelayCommand::Rendezvous1;
     util::Writer w;
     w.blob(cookie);
     w.blob(reply.created_payload);
-    rend1.data = std::move(w).take();
-    circ->send_relay(std::move(rend1));
+    const util::Bytes body = std::move(w).take();
+    RelayCell rend1;
+    rend1.relay_cmd = RelayCommand::Rendezvous1;
+    rend1.data = body;
+    circ->send_relay(rend1);
     // All subsequent cells on this circuit belong to the e2e layer.
     circ->enable_virtual_relay(reply.keys);
     ++active_rendezvous_;
@@ -301,14 +303,15 @@ void HsClient::connect(const std::string& onion_id,
             return;
           }
           ctx->intro_circ = icirc;
-          RelayCell intro1;
-          intro1.relay_cmd = RelayCommand::Introduce1;
           util::Writer w;
           w.blob(crypto::gp_to_bytes(ctx->desc.service_pub));
           w.blob(make_intro_blob(ctx->desc.service_ntor_pub, rend_fp, ctx->cookie,
                                  ctx->skin, proxy_.rng()));
-          intro1.data = std::move(w).take();
-          icirc->send_relay(std::move(intro1));
+          const util::Bytes body = std::move(w).take();
+          RelayCell intro1;
+          intro1.relay_cmd = RelayCommand::Introduce1;
+          intro1.data = body;
+          icirc->send_relay(intro1);
         });
         return;
       }
@@ -336,7 +339,7 @@ void HsClient::connect(const std::string& onion_id,
     RelayCell establish;
     establish.relay_cmd = RelayCommand::EstablishRendezvous;
     establish.data = ctx->cookie;
-    circ->send_relay(std::move(establish));
+    circ->send_relay(establish);
   });
 }
 

@@ -14,6 +14,7 @@ std::optional<sim::NodeId> Internet::resolve(Addr addr) const {
 
 util::Bytes TcpMsg::pack() const {
   util::Writer w;
+  w.reserve(1 + 8 + 2 + 4 + payload.size());
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(conn_id);
   w.u16(dst_port);
@@ -27,7 +28,7 @@ TcpMsg TcpMsg::unpack(util::ByteView wire) {
   m.type = static_cast<TcpMsgType>(r.u8());
   m.conn_id = r.u64();
   m.dst_port = r.u16();
-  m.payload = r.blob();
+  m.payload = r.blob_view();
   r.expect_done();
   return m;
 }
@@ -49,7 +50,7 @@ void TcpClient::send(std::uint64_t conn_id, util::ByteView data) {
   TcpMsg m;
   m.type = TcpMsgType::Data;
   m.conn_id = conn_id;
-  m.payload = util::Bytes(data.begin(), data.end());
+  m.payload = data;
   net_.send(node_, it->second.server, m.pack());
 }
 
@@ -109,11 +110,11 @@ void TcpServer::on_message(sim::NodeId from, util::Bytes data) {
   }
 }
 
-void TcpServer::reply_data(const ConnKey& conn, util::Bytes data) {
+void TcpServer::reply_data(const ConnKey& conn, util::ByteView data) {
   TcpMsg m;
   m.type = TcpMsgType::Data;
   m.conn_id = conn.second;
-  m.payload = std::move(data);
+  m.payload = data;
   net_.send(node(), conn.first, m.pack());
 }
 
@@ -176,8 +177,7 @@ void WebServer::on_conn_data(const ConnKey& conn, util::ByteView data) {
     std::size_t off = 0;
     while (off < body.size()) {
       const std::size_t n = std::min(kChunk, body.size() - off);
-      reply_data(conn, util::Bytes(body.begin() + static_cast<std::ptrdiff_t>(off),
-                                   body.begin() + static_cast<std::ptrdiff_t>(off + n)));
+      reply_data(conn, util::ByteView(body).subspan(off, n));
       off += n;
     }
     reply_end(conn);

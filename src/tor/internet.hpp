@@ -39,10 +39,12 @@ enum class TcpMsgType : std::uint8_t { Open = 1, OpenAck = 2, Data = 3, End = 4 
 struct TcpMsg {
   TcpMsgType type = TcpMsgType::Data;
   std::uint64_t conn_id = 0;
-  Port dst_port = 0;      // Open only
-  util::Bytes payload;    // Data only
+  Port dst_port = 0;       // Open only
+  util::ByteView payload;  // Data only; views the sender's bytes or the wire
 
+  /// One buffer of exactly the message's size, written once.
   util::Bytes pack() const;
+  /// Parses in place: `payload` views `wire`.
   static TcpMsg unpack(util::ByteView wire);
 };
 
@@ -97,7 +99,7 @@ class TcpServer : public sim::MessageHandler {
   virtual void on_conn_data(const ConnKey& conn, util::ByteView data) = 0;
   virtual void on_conn_end(const ConnKey& conn) = 0;
 
-  void reply_data(const ConnKey& conn, util::Bytes data);
+  void reply_data(const ConnKey& conn, util::ByteView data);
   void reply_end(const ConnKey& conn);
 
   sim::Simulator& sim_;

@@ -143,10 +143,9 @@ void OnionProxy::on_message(sim::NodeId from, util::Bytes data) {
     util::log_warn(kComponent, "non-cell message at client node");
     return;
   }
-  const Cell cell = unframe_cell(data);
-  auto it = circuits_.find({from, cell.circ_id});
+  auto it = circuits_.find({from, frame_circ_id(data)});
   if (it == circuits_.end()) return;
-  it->second->handle_cell(cell);
+  it->second->handle_cell(std::move(data));
 }
 
 void OnionProxy::on_peer_down(sim::NodeId peer) {

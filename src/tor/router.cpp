@@ -22,10 +22,10 @@ CircId alloc_circ_id(CircId counter, bool low_side) {
 }
 }  // namespace
 
-void EdgeStream::send(util::ByteView data) {
+void EdgeStream::send(util::Bytes data) {
   // Thin facade: all flow-control state lives in the Router.
   if (router_ == nullptr) return;
-  router_->stream_deliver_backward(circ_key_, id_, data);
+  router_->stream_deliver_backward(circ_key_, id_, std::move(data));
 }
 
 void EdgeStream::end() {
@@ -112,11 +112,14 @@ void Router::on_message(sim::NodeId from, util::Bytes data) {
     case CellCommand::Padding:  // link padding is absorbed
       break;
   }
+  frames_.give(std::move(data));
 }
 
-void Router::send_cell(sim::NodeId to, const Cell& cell) {
+BENTO_HOT void Router::send_cell(sim::NodeId to, const Cell& cell) {
+  util::Bytes frame = frames_.take();
+  frame_cell_into(frame, cell);
   ++counters_.cells_out;
-  net_.send(node_, to, frame_cell(cell));
+  net_.send(node_, to, std::move(frame));
 }
 
 BENTO_HOT void Router::forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame) {
@@ -175,9 +178,8 @@ void Router::handle_created(sim::NodeId from, const Cell& cell) {
 
   RelayCell extended;
   extended.relay_cmd = RelayCommand::Extended;
-  extended.data =
-      util::Bytes(cell.payload.begin(), cell.payload.begin() + kNtorReplyLen);
-  send_backward(prev_key, *circ, std::move(extended));
+  extended.data = util::ByteView(cell.payload).first(kNtorReplyLen);
+  send_backward(prev_key, *circ, extended);
 }
 
 BENTO_HOT void Router::handle_relay(sim::NodeId from, CircId circ_id, util::Bytes frame) {
@@ -203,6 +205,8 @@ BENTO_HOT void Router::handle_relay(sim::NodeId from, CircId circ_id, util::Byte
       return;
     }
     handle_recognized(key, *circ, rc);
+    // The cell ends here: its frame carries the next one this relay sends.
+    frames_.give(std::move(frame));
     return;
   }
   if (circ->next.has_value()) {
@@ -306,7 +310,7 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
       RelayCell end;
       end.relay_cmd = RelayCommand::End;
       end.stream_id = sid;
-      send_backward(key, circ, std::move(end));
+      send_backward(key, circ, end);
       return;
     }
     StreamState& st = circ.streams[sid];
@@ -321,13 +325,13 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
       RelayCell end;
       end.relay_cmd = RelayCommand::End;
       end.stream_id = sid;
-      send_backward(key, circ, std::move(end));
+      send_backward(key, circ, end);
       return;
     }
     RelayCell connected;
     connected.relay_cmd = RelayCommand::Connected;
     connected.stream_id = sid;
-    send_backward(key, circ, std::move(connected));
+    send_backward(key, circ, connected);
     return;
   }
 
@@ -336,7 +340,7 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
     RelayCell end;
     end.relay_cmd = RelayCommand::End;
     end.stream_id = sid;
-    send_backward(key, circ, std::move(end));
+    send_backward(key, circ, end);
     return;
   }
   auto server = internet_.resolve(target.addr);
@@ -344,7 +348,7 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
     RelayCell end;
     end.relay_cmd = RelayCommand::End;
     end.stream_id = sid;
-    send_backward(key, circ, std::move(end));
+    send_backward(key, circ, end);
     return;
   }
 
@@ -360,10 +364,10 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
     RelayCell connected;
     connected.relay_cmd = RelayCommand::Connected;
     connected.stream_id = sid;
-    send_backward(key, *c, std::move(connected));
+    send_backward(key, *c, connected);
   };
   cbs.on_data = [this, key, sid](util::ByteView data) {
-    stream_deliver_backward(key, sid, data);
+    stream_deliver_backward(key, sid, util::Bytes(data.begin(), data.end()));
   };
   cbs.on_end = [this, key, sid] { stream_end_backward(key, sid); };
   st.tcp_conn = tcp_.open(*server, target.port, std::move(cbs));
@@ -375,7 +379,7 @@ void Router::on_data(const Key& key, Circuit& circ, const RelayCell& rc) {
   if (circ.circ_delivered % kCircuitWindowIncrement == 0) {
     RelayCell sendme;
     sendme.relay_cmd = RelayCommand::SendmeCircuit;
-    send_backward(key, circ, std::move(sendme));
+    send_backward(key, circ, sendme);
   }
   auto it = circ.streams.find(rc.stream_id);
   if (it == circ.streams.end()) return;
@@ -385,7 +389,7 @@ void Router::on_data(const Key& key, Circuit& circ, const RelayCell& rc) {
     RelayCell sendme;
     sendme.relay_cmd = RelayCommand::SendmeStream;
     sendme.stream_id = rc.stream_id;
-    send_backward(key, circ, std::move(sendme));
+    send_backward(key, circ, sendme);
   }
   if (st.is_local) {
     if (st.app_stream && st.app_stream->on_data_) st.app_stream->on_data_(rc.data);
@@ -411,11 +415,12 @@ void Router::on_end(const Key& key, Circuit& circ, const RelayCell& rc) {
 void Router::on_sendme(const Key& key, Circuit& circ, const RelayCell& rc) {
   if (rc.relay_cmd == RelayCommand::SendmeCircuit) {
     circ.circ_package_window += kCircuitWindowIncrement;
-    // pump_stream may erase finished streams; snapshot the ids first.
-    std::vector<StreamId> ids;
-    ids.reserve(circ.streams.size());
-    for (const auto& [sid, st] : circ.streams) ids.push_back(sid);
-    for (StreamId sid : ids) pump_stream(key, circ, sid);
+    // Pump every stream in id order. pump_stream may erase the stream it
+    // pumps (a flushed END) and no other, so step past it first.
+    for (auto it = circ.streams.begin(); it != circ.streams.end();) {
+      const StreamId sid = (it++)->first;
+      pump_stream(key, circ, sid);
+    }
     return;
   }
   auto it = circ.streams.find(rc.stream_id);
@@ -425,11 +430,11 @@ void Router::on_sendme(const Key& key, Circuit& circ, const RelayCell& rc) {
 }
 
 void Router::on_establish_intro(const Key& key, Circuit& circ, const RelayCell& rc) {
-  circ.intro_auth = rc.data;
-  intro_points_[rc.data] = key;
+  circ.intro_auth.assign(rc.data.begin(), rc.data.end());
+  intro_points_[circ.intro_auth] = key;
   RelayCell ack;
   ack.relay_cmd = RelayCommand::IntroEstablished;
-  send_backward(key, circ, std::move(ack));
+  send_backward(key, circ, ack);
 }
 
 void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -449,19 +454,19 @@ void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
   if (service_circ == nullptr) return;
   RelayCell intro2;
   intro2.relay_cmd = RelayCommand::Introduce2;
-  intro2.data = std::move(blob);
-  send_backward(it->second, *service_circ, std::move(intro2));
+  intro2.data = blob;
+  send_backward(it->second, *service_circ, intro2);
   (void)key;
   (void)circ;
 }
 
 void Router::on_establish_rendezvous(const Key& key, Circuit& circ,
                                      const RelayCell& rc) {
-  circ.rend_cookie = rc.data;
-  rend_points_[rc.data] = key;
+  circ.rend_cookie.assign(rc.data.begin(), rc.data.end());
+  rend_points_[circ.rend_cookie] = key;
   RelayCell ack;
   ack.relay_cmd = RelayCommand::RendezvousEstablished;
-  send_backward(key, circ, std::move(ack));
+  send_backward(key, circ, ack);
 }
 
 void Router::on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -487,20 +492,23 @@ void Router::on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc) 
 
   RelayCell rend2;
   rend2.relay_cmd = RelayCommand::Rendezvous2;
-  rend2.data = std::move(reply);
-  send_backward(client_key, *client_circ, std::move(rend2));
+  rend2.data = reply;
+  send_backward(client_key, *client_circ, rend2);
 }
 
-void Router::send_backward(const Key& key, Circuit& circ, RelayCell rc) {
-  auto payload = rc.pack();
+void Router::send_backward(const Key& key, Circuit& circ, const RelayCell& rc) {
+  send_backward(circ, rc, frames_.take());
+  (void)key;
+}
+
+BENTO_HOT void Router::send_backward(Circuit& circ, const RelayCell& rc, util::Bytes frame) {
+  const PayloadSpan payload = frame_payload(frame);
+  rc.pack_into(payload);
   circ.crypto->seal_backward(payload);
   circ.crypto->crypt_backward(payload);
-  Cell cell;
-  cell.circ_id = circ.prev_id;
-  cell.command = CellCommand::Relay;
-  cell.payload = payload;
-  send_cell(circ.prev_peer, cell);
-  (void)key;
+  set_frame_header(frame, circ.prev_id, CellCommand::Relay);
+  ++counters_.cells_out;
+  net_.send(node_, circ.prev_peer, std::move(frame));
 }
 
 void Router::pump_stream(const Key& key, Circuit& circ, StreamId sid) {
@@ -508,30 +516,33 @@ void Router::pump_stream(const Key& key, Circuit& circ, StreamId sid) {
   if (it == circ.streams.end()) return;
   StreamState& st = it->second;
   while (!st.outbuf.empty() && st.package_window > 0 && circ.circ_package_window > 0) {
+    // The data goes from the stream's queue straight into the frame.
+    util::Bytes frame = frames_.take();
+    const PayloadSpan payload = frame_payload(frame);
+    const std::size_t n = st.outbuf.pop(payload.subspan(kRelayHeaderLen));
     RelayCell data;
     data.relay_cmd = RelayCommand::Data;
     data.stream_id = sid;
-    data.data = st.outbuf.pop(kRelayDataMax);
+    data.data = payload.subspan(kRelayHeaderLen, n);
     st.package_window--;
     circ.circ_package_window--;
-    send_backward(key, circ, std::move(data));
+    send_backward(circ, data, std::move(frame));
   }
   if (st.outbuf.empty() && st.end_after_flush) {
     RelayCell end;
     end.relay_cmd = RelayCommand::End;
     end.stream_id = sid;
-    send_backward(key, circ, std::move(end));
+    send_backward(key, circ, end);
     circ.streams.erase(sid);
   }
 }
 
-void Router::stream_deliver_backward(const Key& key, StreamId sid,
-                                     util::ByteView data) {
+void Router::stream_deliver_backward(const Key& key, StreamId sid, util::Bytes data) {
   Circuit* circ = find_circuit(key);
   if (circ == nullptr) return;
   auto it = circ->streams.find(sid);
   if (it == circ->streams.end()) return;
-  it->second.outbuf.push(data);
+  it->second.outbuf.push(std::move(data));
   pump_stream(key, *circ, sid);
 }
 

@@ -25,6 +25,7 @@
 #include "tor/flow.hpp"
 #include "tor/internet.hpp"
 #include "tor/relaycrypto.hpp"
+#include "tor/wire.hpp"
 #include "util/rng.hpp"
 
 namespace bento::tor {
@@ -37,8 +38,9 @@ class Router;
 class EdgeStream {
  public:
   StreamId id() const { return id_; }
-  /// Queues data toward the circuit origin (chunked, window-limited).
-  void send(util::ByteView data);
+  /// Queues data toward the circuit origin (chunked, window-limited). The
+  /// buffer is kept as it is until its last byte is packed.
+  void send(util::Bytes data);
   /// Sends RELAY_END once buffered data drains.
   void end();
 
@@ -175,14 +177,18 @@ class Router : public sim::MessageHandler {
 
   /// Seals+encrypts a relay cell at our layer and sends it toward the
   /// origin of `circ`.
-  void send_backward(const Key& key, Circuit& circ, RelayCell rc);
+  void send_backward(const Key& key, Circuit& circ, const RelayCell& rc);
+  /// The same, packed into `frame` (taken from frames_), whose payload may
+  /// already hold rc.data.
+  void send_backward(Circuit& circ, const RelayCell& rc, util::Bytes frame);
+  /// Sends a CREATE, CREATED or DESTROY in a frame from frames_.
   void send_cell(sim::NodeId to, const Cell& cell);
   /// Sends a framed RELAY cell on as circuit `circ_id` toward `to`.
   void forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame);
 
   /// Pumps buffered stream data into DATA cells while windows allow.
   void pump_stream(const Key& key, Circuit& circ, StreamId sid);
-  void stream_deliver_backward(const Key& key, StreamId sid, util::ByteView data);
+  void stream_deliver_backward(const Key& key, StreamId sid, util::Bytes data);
   void stream_end_backward(const Key& key, StreamId sid);
 
   void destroy_circuit(const Key& key, bool notify_prev, bool notify_next);
@@ -206,6 +212,9 @@ class Router : public sim::MessageHandler {
   std::map<util::Bytes, Key> rend_points_;            // cookie -> circuit
   std::map<Port, LocalApp*> local_apps_;
   TcpClient tcp_;
+  // Frames of cells that ended here, reused for the cells this relay
+  // originates (its exit-side replies and control cells).
+  FramePool frames_;
   Counters counters_;
 
   friend class EdgeStream;  // facade over stream_deliver/end_backward

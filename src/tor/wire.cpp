@@ -1,23 +1,21 @@
 #include "tor/wire.hpp"
 
+#include <cstring>
+
 #include "util/annotations.hpp"
 #include "util/serialize.hpp"
 
 namespace bento::tor {
 
 util::Bytes frame_cell(const Cell& cell) {
-  // One allocation: marker + header + payload written straight into the
-  // frame instead of appending a Cell::pack() temporary.
-  util::Bytes out;
-  out.reserve(kCellLen + 1);
-  out.push_back(kCellFrameMarker);
-  out.push_back(static_cast<std::uint8_t>(cell.circ_id >> 24));
-  out.push_back(static_cast<std::uint8_t>(cell.circ_id >> 16));
-  out.push_back(static_cast<std::uint8_t>(cell.circ_id >> 8));
-  out.push_back(static_cast<std::uint8_t>(cell.circ_id));
-  out.push_back(static_cast<std::uint8_t>(cell.command));
-  out.insert(out.end(), cell.payload.begin(), cell.payload.end());
+  util::Bytes out(kFrameLen);
+  frame_cell_into(out, cell);
   return out;
+}
+
+BENTO_HOT void frame_cell_into(std::span<std::uint8_t> frame, const Cell& cell) {
+  set_frame_header(frame, cell.circ_id, cell.command);
+  std::memcpy(frame_payload(frame).data(), cell.payload.data(), kCellPayloadLen);
 }
 
 BENTO_HOT bool is_framed_cell(util::ByteView wire) {
@@ -47,6 +45,28 @@ BENTO_HOT CellCommand frame_command(util::ByteView frame) {
 
 BENTO_HOT PayloadSpan frame_payload(std::span<std::uint8_t> frame) {
   return frame.subspan<6, kCellPayloadLen>();
+}
+
+BENTO_HOT void set_frame_header(std::span<std::uint8_t> frame, CircId circ_id,
+                                CellCommand command) {
+  frame[0] = kCellFrameMarker;
+  set_frame_circ_id(frame, circ_id);
+  frame[5] = static_cast<std::uint8_t>(command);
+}
+
+BENTO_HOT util::Bytes FramePool::take() {
+  // Refill, like SlabPool's: only while more frames are out than have come
+  // back (util::Bytes(n) is the one allocation).
+  if (spares_.empty()) return util::Bytes(kFrameLen);
+  util::Bytes frame = std::move(spares_.back());
+  spares_.pop_back();
+  return frame;
+}
+
+BENTO_HOT void FramePool::give(util::Bytes frame) {
+  if (frame.size() != kFrameLen || spares_.size() == kMaxSpares) return;
+  // bentolint: allow(BL102 amortized growth up to kMaxSpares; a warm batch never repeats it)
+  spares_.push_back(std::move(frame));
 }
 
 }  // namespace bento::tor

@@ -93,6 +93,11 @@ Bytes Reader::blob() {
   return raw(n);
 }
 
+ByteView Reader::blob_view() {
+  std::uint32_t n = u32();
+  return view(n);
+}
+
 std::string Reader::str() {
   Bytes b = blob();
   return std::string(b.begin(), b.end());

@@ -36,6 +36,9 @@ class Writer {
   /// Unsigned LEB128.
   void varint(std::uint64_t v);
 
+  /// Sizes the buffer up front, for a caller that knows the total length.
+  void reserve(std::size_t n) { out_.reserve(n); }
+
   const Bytes& data() const& { return out_; }
   Bytes take() && { return std::move(out_); }
 
@@ -57,6 +60,8 @@ class Reader {
   /// only as long as the buffer the Reader was constructed over.
   ByteView view(std::size_t n);
   Bytes blob();
+  /// Zero-copy variant of blob(), with view()'s lifetime.
+  ByteView blob_view();
   std::string str();
   std::uint64_t varint();
 

@@ -159,9 +159,26 @@ TEST(Alloc, SimulatorChurnIsHeapFree) {
   EXPECT_EQ(sink, (1u + kBatch) * (kBatch * (kBatch - 1) / 2));
 }
 
+TEST(Alloc, WarmLinkSendAllocatesOnlyTheWireBuffer) {
+  // Per message, the caller's owned wire buffer and nothing else: the
+  // per-peer link queues reuse their ring slots and the serialization and
+  // propagation events borrow pooled slabs once the first batch has grown
+  // them.
+  constexpr int kBatch = 64;
+  constexpr int kBatches = 32;
+  NetSendHarness h;
+  h.batch(kBatch);
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < kBatches; ++i) h.batch(kBatch);
+            }),
+            std::uint64_t{kBatch} * kBatches);
+  EXPECT_EQ(h.sink.received, std::uint64_t{kBatch} * (1 + kBatches));
+}
+
 TEST(Alloc, IdleChaosHooksAddNoSendAllocations) {
-  // Each message allocates its owned wire buffer plus amortized link-queue
-  // growth; an installed engine with an empty plan must add nothing to that.
+  // Each message allocates only its owned wire buffer once the link is warm
+  // (WarmLinkSendAllocatesOnlyTheWireBuffer); an installed engine with an
+  // empty plan must add nothing to that.
   constexpr int kBatch = 64;
   constexpr int kBatches = 32;
   NetSendHarness base;
@@ -211,6 +228,37 @@ TEST(Alloc, SealedSteadyStateAppendIsHeapFree) {
     EXPECT_EQ(allocs_during([&] { h.batch(16 * kPaths); }), 0u)
         << payload << " B bodies";
   }
+}
+
+TEST(Alloc, EchoInvokeAllocationCount) {
+  // Exactly 8 allocations per invoke through the whole stack, client to
+  // function and back; each names its owner:
+  //   1. BentoConnection::invoke: the Invoke frame (StreamFramer::frame, one
+  //      buffer of exactly the frame's size, moved into the stream's queue);
+  //   2. Container::handle_invoke: the payload's one owned copy, which moves
+  //      on into the script's argument;
+  //   3. ScriptFunction::on_message: the one-element argument vector;
+  //   4. the interpreter's call frame: the map node binding `msg`;
+  //   5. the interpreter's eval_call: the argument vector of `api.send(msg)`;
+  //   6. the interpreter: the copy of `msg`'s Value in that vector;
+  //   7. Container::send: the Output frame (StreamFramer::frame);
+  //   8. BentoConnection: the Bytes the output handler receives.
+  // Cells ride recycled link frames at both circuit ends, relays forward the
+  // frame that arrived, and the link queues, event slabs, framer buffers and
+  // stream queues reuse their storage once warm. SENDMEs shift the pools'
+  // balance with a period of 25 batches (a stream SENDME every 50 cells, a
+  // circuit SENDME every 100, 8 cells per batch), so one full period warms
+  // every pool to its high-water mark and another is counted.
+  constexpr int kBatch = 8;
+  constexpr int kPeriod = 25;
+  WorldHarness h(/*persistent=*/false);
+  ASSERT_TRUE(h.tokens);
+  for (int i = 0; i < kPeriod; ++i) h.batch(kBatch);
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < kPeriod; ++i) h.batch(kBatch);
+            }),
+            8u * kBatch * kPeriod);
+  EXPECT_EQ(h.received, 2u * kBatch * kPeriod);
 }
 
 TEST(Alloc, IdleStoreMountAddsNoInvokeAllocations) {

@@ -1,6 +1,8 @@
 // Core unit tests: tokens, policies/manifests, wire protocol, URL parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/api.hpp"
 #include "core/message.hpp"
 #include "core/policy.hpp"
@@ -103,26 +105,38 @@ TEST(Policy, DeserializeRejectsGarbage) {
 }
 
 TEST(Message, SerializeRoundTrip) {
+  const bu::Bytes blob = bu::to_bytes("payload");
+  const bu::Bytes blob2 = bu::to_bytes("hello");
+  const bu::Bytes token = bu::to_bytes("0123456789abcdef");
   bc::Message m;
   m.type = bc::MsgType::Upload;
   m.container_id = 77;
   m.text = "python";
-  m.blob = bu::to_bytes("payload");
-  m.blob2 = bu::to_bytes("hello");
-  m.token = bu::to_bytes("0123456789abcdef");
-  auto back = bc::Message::deserialize(m.serialize());
-  EXPECT_EQ(back.type, bc::MsgType::Upload);
-  EXPECT_EQ(back.container_id, 77u);
-  EXPECT_EQ(back.text, "python");
-  EXPECT_EQ(back.blob, m.blob);
-  EXPECT_EQ(back.blob2, m.blob2);
-  EXPECT_EQ(back.token, m.token);
+  m.blob = blob;
+  m.blob2 = blob2;
+  m.token = token;
+  const bu::Bytes wire = bc::StreamFramer::frame(m);
+  // Exactly the length prefix plus the body: one u8, one u64, four u32
+  // length fields and the four fields' bytes.
+  EXPECT_EQ(wire.size(), 4u + 1 + 8 + 4 * 4 + 6 + blob.size() + blob2.size() + token.size());
+  bc::StreamFramer framer;
+  framer.append(wire);
+  const std::optional<bc::Message> back = framer.next();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->type, bc::MsgType::Upload);
+  EXPECT_EQ(back->container_id, 77u);
+  EXPECT_EQ(back->text, "python");
+  EXPECT_TRUE(std::ranges::equal(back->blob, blob));
+  EXPECT_TRUE(std::ranges::equal(back->blob2, blob2));
+  EXPECT_TRUE(std::ranges::equal(back->token, token));
+  EXPECT_FALSE(framer.next().has_value());
 }
 
 TEST(Message, FramerReassemblesSplits) {
+  const bu::Bytes big(1000, 0x11);
   bc::Message m1;
   m1.type = bc::MsgType::Invoke;
-  m1.blob = bu::Bytes(1000, 0x11);
+  m1.blob = big;
   bc::Message m2;
   m2.type = bc::MsgType::Ok;
 
@@ -130,25 +144,33 @@ TEST(Message, FramerReassemblesSplits) {
   bu::append(wire, bc::StreamFramer::frame(m2));
 
   bc::StreamFramer framer;
-  std::vector<bc::Message> got;
-  // Feed in awkward chunks (like 498-byte cells would).
+  std::vector<bc::MsgType> types;
+  std::vector<std::size_t> sizes;
+  // Feed in awkward chunks (like 498-byte cells would). A message's views
+  // last until the next chunk is fed, so read each before feeding on.
   std::size_t off = 0;
   while (off < wire.size()) {
     const std::size_t n = std::min<std::size_t>(498, wire.size() - off);
-    auto msgs = framer.feed(bu::ByteView(wire.data() + off, n));
-    for (auto& msg : msgs) got.push_back(std::move(msg));
+    for (const bc::Message& msg : framer.feed(bu::ByteView(wire.data() + off, n))) {
+      types.push_back(msg.type);
+      sizes.push_back(msg.blob.size());
+      if (msg.type == bc::MsgType::Invoke) {
+        EXPECT_TRUE(std::ranges::equal(msg.blob, big));
+      }
+    }
     off += n;
   }
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].type, bc::MsgType::Invoke);
-  EXPECT_EQ(got[0].blob.size(), 1000u);
-  EXPECT_EQ(got[1].type, bc::MsgType::Ok);
+  ASSERT_EQ(types.size(), 2u);
+  EXPECT_EQ(types[0], bc::MsgType::Invoke);
+  EXPECT_EQ(sizes[0], 1000u);
+  EXPECT_EQ(types[1], bc::MsgType::Ok);
 }
 
 TEST(Message, FramerHandlesByteAtATime) {
+  const bu::Bytes tiny = bu::to_bytes("tiny");
   bc::Message m;
   m.type = bc::MsgType::Output;
-  m.blob = bu::to_bytes("tiny");
+  m.blob = tiny;
   bu::Bytes wire = bc::StreamFramer::frame(m);
   bc::StreamFramer framer;
   int count = 0;
@@ -188,7 +210,7 @@ TEST(ParseUrl, Variants) {
 TEST(NativeRegistry, AddCreateHas) {
   struct Dummy : bc::Function {
     void on_install(bc::HostApi&, bu::ByteView) override {}
-    void on_message(bc::HostApi&, bu::ByteView) override {}
+    void on_message(bc::HostApi&, bu::Bytes) override {}
   };
   bc::NativeRegistry reg;
   EXPECT_FALSE(reg.has("dummy"));

@@ -476,9 +476,15 @@ void expect_box_still_serves(bc::BentoWorld& world, const std::string& box) {
   EXPECT_EQ(bu::to_string(d.outputs[0]), "still here");
 }
 
+/// One message a box sent back, copied out of the framer that parsed it.
+struct RawMessage {
+  bc::MsgType type;
+  std::string text;
+};
+
 /// What a box sent back on one raw stream.
 struct RawReply {
-  std::vector<bc::Message> messages;
+  std::vector<RawMessage> messages;
   bool ended = false;
 };
 
@@ -498,7 +504,9 @@ RawReply send_raw(bc::BentoWorld& world, bc::BentoWorld::Client& client,
     ASSERT_NE(circ, nullptr);
     bt::Stream::Callbacks cbs;
     cbs.on_data = [reply, framer](bu::ByteView d) {
-      for (bc::Message& m : framer->feed(d)) reply->messages.push_back(std::move(m));
+      for (const bc::Message& m : framer->feed(d)) {
+        reply->messages.push_back({m.type, std::string(m.text)});
+      }
     };
     cbs.on_end = [reply] { reply->ended = true; };
     const bt::Endpoint bento{desc->addr, bc::BentoClientConfig{}.bento_port};
@@ -663,10 +671,11 @@ TEST(Robustness, TamperedFsProtectFileKillsOnlyThatDropbox) {
 
   // The GET rides a raw stream: BentoConnection drops an Error it did not
   // ask for, and this test is about what the box answers.
+  const bu::Bytes get_payload = bu::to_bytes("GET:");
   bc::Message get;
   get.type = bc::MsgType::Invoke;
   get.token = victim.tokens->invocation.bytes();
-  get.blob = bu::to_bytes("GET:");
+  get.blob = get_payload;
   const RawReply reply = send_raw(world, alice, box, bc::StreamFramer::frame(get));
   ASSERT_EQ(reply.messages.size(), 1u);
   EXPECT_EQ(reply.messages[0].type, bc::MsgType::Error);

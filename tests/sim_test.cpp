@@ -428,6 +428,129 @@ TEST(Network, FairShareRecoversWhenFlowEnds) {
   EXPECT_NEAR(rx2.arrivals.back().when.seconds(), 3.0, 0.15);
 }
 
+namespace {
+/// Appends its node's id to a log shared by several receivers, so one log
+/// shows the order a shared uplink served its peers in.
+class DeliveryLog : public bs::MessageHandler {
+ public:
+  DeliveryLog(std::vector<bs::NodeId>& log, bs::NodeId* self) : log_(log), self_(self) {}
+  void on_message(bs::NodeId, bu::Bytes) override { log_.push_back(*self_); }
+
+ private:
+  std::vector<bs::NodeId>& log_;
+  bs::NodeId* self_;
+};
+}  // namespace
+
+TEST(Network, ThreePeersOnOneUplinkAreServedRoundRobinInFirstContactOrder) {
+  bs::Simulator sim(1);
+  bs::Network net(sim);
+  std::vector<bs::NodeId> log;
+  bs::NodeId ids[3] = {};
+  DeliveryLog rx0(log, &ids[0]), rx1(log, &ids[1]), rx2(log, &ids[2]);
+  // A slow uplink and fast, equidistant receivers: arrival order is the
+  // order the server's uplink serialized in.
+  const bs::NodeId server = net.add_node({"server", 1e5, 1e5});
+  ids[0] = net.add_node({"c0", 1e9, 1e9}, &rx0);
+  ids[1] = net.add_node({"c1", 1e9, 1e9}, &rx1);
+  ids[2] = net.add_node({"c2", 1e9, 1e9}, &rx2);
+  for (const bs::NodeId c : ids) net.set_latency(server, c, Duration::millis(5));
+
+  // First contact c2, c0, c1 (not node-id order), three packets each, all
+  // queued at t=0. c2's first packet finds the link idle and goes at once.
+  for (int round = 0; round < 3; ++round) {
+    net.send(server, ids[2], bu::Bytes(1000, 2));
+    net.send(server, ids[0], bu::Bytes(1000, 0));
+    net.send(server, ids[1], bu::Bytes(1000, 1));
+  }
+  sim.run();
+  const std::vector<bs::NodeId> rotation = {ids[2], ids[0], ids[1]};
+  std::vector<bs::NodeId> expected;
+  for (int round = 0; round < 3; ++round) {
+    expected.insert(expected.end(), rotation.begin(), rotation.end());
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(Network, RoundRobinResumesAfterAnIdleLink) {
+  bs::Simulator sim(1);
+  bs::Network net(sim);
+  std::vector<bs::NodeId> log;
+  bs::NodeId ids[3] = {};
+  DeliveryLog rx0(log, &ids[0]), rx1(log, &ids[1]), rx2(log, &ids[2]);
+  const bs::NodeId server = net.add_node({"server", 1e5, 1e5});
+  ids[0] = net.add_node({"c0", 1e9, 1e9}, &rx0);
+  ids[1] = net.add_node({"c1", 1e9, 1e9}, &rx1);
+  ids[2] = net.add_node({"c2", 1e9, 1e9}, &rx2);
+  for (const bs::NodeId c : ids) net.set_latency(server, c, Duration::millis(5));
+
+  // Phase 1 makes first contact in order c0, c1, c2 and stops with c1 the
+  // last peer served. When c1's packet finishes serializing, the uplink
+  // serves again, finds nothing queued anywhere and leaves its cursor (on
+  // c2) alone. No delivery order can show that cursor: the next packet on an
+  // idle link goes at once, whichever slot the cursor is on. What shows is
+  // that the rotation then continues from the slot of that first packet.
+  net.send(server, ids[0], bu::Bytes(1000, 0));
+  net.send(server, ids[1], bu::Bytes(1000, 1));
+  net.send(server, ids[2], bu::Bytes(1000, 2));
+  net.send(server, ids[0], bu::Bytes(1000, 0));
+  net.send(server, ids[1], bu::Bytes(1000, 1));
+  sim.run();
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log.back(), ids[1]);
+
+  // Phase 2, on the idle link: c0's packet goes at once; the rest rotate on
+  // from c0's slot in first-contact order (c1 has nothing, so c2, then c0).
+  log.clear();
+  net.send(server, ids[0], bu::Bytes(1000, 0));
+  net.send(server, ids[0], bu::Bytes(1000, 0));
+  net.send(server, ids[2], bu::Bytes(1000, 2));
+  net.send(server, ids[2], bu::Bytes(1000, 2));
+  sim.run();
+  const std::vector<bs::NodeId> expected = {ids[0], ids[2], ids[0], ids[2]};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(net.stats(server).messages_sent, 9u);
+}
+
+TEST(Network, SetLatencyAfterTrafficAppliesToTheNextPacket) {
+  bs::Simulator sim(1);
+  bs::Network net(sim);
+  Recorder rx(sim);
+  auto a = net.add_node({"a", 1e9, 1e9});
+  auto b = net.add_node({"b", 1e9, 1e9}, &rx);
+  net.set_latency(a, b, Duration::millis(10));
+  net.send(a, b, bu::Bytes(100, 1));
+  sim.run();
+  ASSERT_EQ(rx.arrivals.size(), 1u);
+  const Duration first = rx.arrivals[0].when - Time{};
+
+  // The pair has exchanged traffic, so the link holds their latency; a
+  // change (a LoadBalancer replica's node, BentoServer's companion proxy)
+  // must reach the very next packet, in either direction.
+  net.set_latency(b, a, Duration::millis(60));
+  const Time resent = sim.now();
+  net.send(a, b, bu::Bytes(100, 1));
+  sim.run();
+  ASSERT_EQ(rx.arrivals.size(), 2u);
+  EXPECT_EQ((rx.arrivals[1].when - resent).count_micros(),
+            first.count_micros() + 50'000);
+
+  // The default latency is cached the same way for pairs that never had
+  // an explicit one.
+  Recorder rx_c(sim);
+  auto c = net.add_node({"c", 1e9, 1e9}, &rx_c);
+  net.send(a, c, bu::Bytes(100, 1));
+  sim.run();
+  net.set_default_latency(Duration::millis(7));
+  const Time again = sim.now();
+  net.send(a, c, bu::Bytes(100, 1));
+  sim.run();
+  ASSERT_EQ(rx_c.arrivals.size(), 2u);
+  EXPECT_EQ((rx_c.arrivals[1].when - again).count_micros(),
+            (net.idle_delay(a, c, 100)).count_micros());
+  EXPECT_EQ(net.latency(a, c).to_millis(), 7);
+}
+
 TEST(Network, UnknownNodeThrows) {
   bs::Simulator sim(1);
   bs::Network net(sim);

@@ -62,27 +62,51 @@ TEST(Cell, SetPayloadBounds) {
 }
 
 TEST(RelayCell, PackUnpackRoundTrip) {
+  const bu::Bytes data = bu::to_bytes("hello tor");
   bt::RelayCell rc;
   rc.relay_cmd = bt::RelayCommand::Data;
   rc.stream_id = 42;
   rc.digest = 0x01020304;
-  rc.data = bu::to_bytes("hello tor");
+  rc.data = data;
   auto payload = rc.pack();
   bt::RelayCell back = bt::RelayCell::unpack(payload);
   EXPECT_EQ(back.relay_cmd, rc.relay_cmd);
   EXPECT_EQ(back.recognized, 0);
   EXPECT_EQ(back.stream_id, rc.stream_id);
   EXPECT_EQ(back.digest, rc.digest);
-  EXPECT_EQ(back.data, rc.data);
+  EXPECT_EQ(bu::to_string(back.data), "hello tor");
+  // Unpacking reads in place: the data views the payload itself.
+  EXPECT_EQ(back.data.data(), payload.data() + bt::kRelayHeaderLen);
 }
 
 TEST(RelayCell, MaxDataFits) {
+  const bu::Bytes data(bt::kRelayDataMax + 1, 0x7f);
   bt::RelayCell rc;
-  rc.data = bu::Bytes(bt::kRelayDataMax, 0x7f);
+  rc.data = bu::ByteView(data).first(bt::kRelayDataMax);
   auto payload = rc.pack();
   EXPECT_EQ(bt::RelayCell::unpack(payload).data.size(), bt::kRelayDataMax);
-  rc.data.push_back(1);
+  rc.data = data;
   EXPECT_THROW(rc.pack(), std::invalid_argument);
+}
+
+TEST(RelayCell, PackIntoAFrameZeroPadsAndTakesDataInPlace) {
+  // A recycled frame still holds its last cell; packing must leave exactly
+  // the bytes pack() gives, whether the data is copied in or was popped
+  // into place already.
+  const bu::Bytes data = bu::to_bytes("in place");
+  bt::RelayCell rc;
+  rc.stream_id = 9;
+  rc.data = data;
+  const auto expected = rc.pack();
+  std::array<std::uint8_t, bt::kCellPayloadLen> frame;
+  frame.fill(0xee);
+  rc.pack_into(frame);
+  EXPECT_EQ(frame, expected);
+  frame.fill(0xee);
+  std::copy(data.begin(), data.end(), frame.begin() + bt::kRelayHeaderLen);
+  rc.data = bu::ByteView(frame).subspan(bt::kRelayHeaderLen, data.size());
+  rc.pack_into(frame);
+  EXPECT_EQ(frame, expected);
 }
 
 TEST(RelayCell, UnpackRejectsBadLength) {
@@ -173,21 +197,47 @@ TEST(ExitPolicy, SerializeRoundTrip) {
   EXPECT_FALSE(back.allows({bt::parse_addr("10.3.9.9"), 443}));
 }
 
+namespace {
+/// Pops up to `n` bytes the way a circuit end does, into a cell-sized slot.
+bu::Bytes pop_bytes(bt::ByteQueue& q, std::size_t n) {
+  bu::Bytes out(n);
+  out.resize(q.pop(out));
+  return out;
+}
+}  // namespace
+
 TEST(ByteQueue, PushPopRechunks) {
   bt::ByteQueue q;
   q.push(bu::to_bytes("hello "));
   q.push(bu::to_bytes("world"));
   EXPECT_EQ(q.size(), 11u);
-  EXPECT_EQ(bu::to_string(q.pop(7)), "hello w");
-  EXPECT_EQ(bu::to_string(q.pop(100)), "orld");
+  EXPECT_EQ(bu::to_string(pop_bytes(q, 7)), "hello w");
+  EXPECT_EQ(bu::to_string(pop_bytes(q, 100)), "orld");
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.pop(5).empty());
+  EXPECT_TRUE(pop_bytes(q, 5).empty());
 }
 
 TEST(ByteQueue, ManySmallSegmentsPopLarge) {
   bt::ByteQueue q;
   for (int i = 0; i < 100; ++i) q.push(bu::Bytes{static_cast<std::uint8_t>(i)});
-  bu::Bytes all = q.pop(100);
+  bu::Bytes all = pop_bytes(q, 100);
   ASSERT_EQ(all.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ByteQueue, KeepsOrderAcrossRefillsWhileNeverDrained) {
+  // A backlog that never empties: the drained front must be reclaimed
+  // without reordering or losing bytes.
+  bt::ByteQueue q;
+  std::uint8_t next_in = 0;
+  std::uint8_t next_out = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      bu::Bytes segment(5);
+      for (std::uint8_t& b : segment) b = next_in++;
+      q.push(std::move(segment));
+    }
+    for (const std::uint8_t b : pop_bytes(q, 12)) ASSERT_EQ(b, next_out++);
+  }
+  EXPECT_EQ(q.size(), 200u * 3);
 }

@@ -19,10 +19,11 @@ bt::LayerKeys test_keys(std::uint64_t seed) {
 
 std::array<std::uint8_t, bt::kCellPayloadLen> make_payload(
     bt::RelayCommand cmd, std::uint16_t stream, const std::string& data) {
+  const bu::Bytes bytes = bu::to_bytes(data);
   bt::RelayCell rc;
   rc.relay_cmd = cmd;
   rc.stream_id = stream;
-  rc.data = bu::to_bytes(data);
+  rc.data = bytes;
   return rc.pack();
 }
 }  // namespace

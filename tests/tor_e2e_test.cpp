@@ -168,7 +168,7 @@ class EchoApp : public bt::LocalApp {
   bool on_stream_open(bt::EdgeStream& stream) override {
     ++opened_;
     stream.set_on_data([&stream, this](bu::ByteView data) {
-      for (int i = 0; i < repeat_; ++i) stream.send(data);
+      for (int i = 0; i < repeat_; ++i) stream.send(bu::Bytes(data.begin(), data.end()));
     });
     stream.set_on_end([this] { ++closed_; });
     return accept_;
@@ -374,11 +374,12 @@ TEST(TorE2E, CoverDropCellsAbsorbedAtExit) {
   bt::Router* last = bed.router_by_fingerprint(circ->path().back().fingerprint());
   ASSERT_NE(last, nullptr);
   const auto before = last->counters().cells_dropped;
+  const bu::Bytes padding(bt::kRelayDataMax, 0);
   for (int i = 0; i < 25; ++i) {
     bt::RelayCell drop;
     drop.relay_cmd = bt::RelayCommand::Drop;
-    drop.data = bu::Bytes(bt::kRelayDataMax, 0);
-    circ->send_relay(std::move(drop));
+    drop.data = padding;
+    circ->send_relay(drop);
   }
   bed.run();
   EXPECT_EQ(last->counters().cells_dropped, before + 25);

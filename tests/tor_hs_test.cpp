@@ -159,7 +159,7 @@ TEST(HiddenService, MultipleClientsSameService) {
   HsFixture fx(33);
   ASSERT_TRUE(fx.start_service());
   fx.host->set_stream_acceptor([](bt::Stream& stream) {
-    stream.set_on_data([&stream](bu::ByteView d) { stream.send(d); });
+    stream.set_on_data([&stream](bu::ByteView d) { stream.send(bu::Bytes(d.begin(), d.end())); });
     return true;
   });
 
