@@ -61,6 +61,7 @@ int main() {
 
   conn->invoke(tokens->invocation.bytes(), bu::to_bytes("onion"));
   world.run();
+  if (replies.empty()) return 1;
   const std::string onion = replies.back();
   std::cout << "hidden service up at onion id " << onion << "\n";
 
@@ -100,5 +101,8 @@ int main() {
   conn->invoke(tokens->invocation.bytes(), bu::to_bytes("status"));
   world.run();
   std::cout << "loadbalancer " << replies.back() << "\n";
+  for (const auto& dl : downloads) {
+    if (dl->finished < 0 || dl->received < config.content_bytes) return 1;
+  }
   return 0;
 }
