@@ -64,19 +64,23 @@ void start_clients(bc::BentoWorld& world, const std::string& onion,
     });
     panel.clients.push_back(std::move(run));
   }
-  // Sampler: per-window download rate for each client.
+  // Sampler: per-window download rate for each client. The stored function
+  // captures itself weakly; each scheduled sample holds the strong
+  // reference, so the loop is freed once it stops.
   auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [&panel, &world, sampler] {
+  std::weak_ptr<std::function<void()>> weak_sampler = sampler;
+  *sampler = [&panel, &world, weak_sampler] {
     for (auto& client : panel.clients) {
       const std::size_t delta = client->received - client->last_sample;
       client->last_sample = client->received;
       client->kbps.push_back(static_cast<double>(delta) / 1000.0 / kWindowSeconds);
     }
-    if (world.sim().now().seconds() < kHorizonSeconds) {
-      world.sim().after(bu::Duration::seconds(kWindowSeconds), *sampler);
+    if (world.sim().now().seconds() >= kHorizonSeconds) return;
+    if (auto self = weak_sampler.lock()) {
+      world.sim().after(bu::Duration::seconds(kWindowSeconds), [self] { (*self)(); });
     }
   };
-  world.sim().after(bu::Duration::seconds(kWindowSeconds), *sampler);
+  world.sim().after(bu::Duration::seconds(kWindowSeconds), [sampler] { (*sampler)(); });
 }
 
 void print_panel(const char* title, const PanelResult& panel) {

@@ -7,6 +7,8 @@
 //     erases the small-site crossover.
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 
 #include "core/world.hpp"
 #include "functions/library.hpp"
@@ -119,14 +121,20 @@ BrowserTiming browser_time(WorldSetup& setup, const bw::SiteModel& site,
   });
   // Page-ready: observe the raw stream crossing content_size (the padding
   // bytes come after the compressed page). Sampled at 50 ms granularity.
+  // The stored function captures itself weakly; each scheduled sample
+  // holds the strong reference, so the loop is freed once it stops.
   auto poll = std::make_shared<std::function<void()>>();
+  std::weak_ptr<std::function<void()>> weak_poll = poll;
   std::size_t raw_at_invoke = 0;
-  *poll = [&, poll] {
+  *poll = [&, weak_poll] {
     const std::size_t raw = conn->raw_bytes_received() - raw_at_invoke;
     if (timing.page_ready < 0 && content_size > 0 && raw >= content_size) {
       timing.page_ready = world.sim().now().seconds() - start;
     }
-    if (timing.full < 0) world.sim().after(bu::Duration::millis(50), *poll);
+    if (timing.full >= 0) return;
+    if (auto self = weak_poll.lock()) {
+      world.sim().after(bu::Duration::millis(50), [self] { (*self)(); });
+    }
   };
 
   conn->spawn(bc::kImagePythonOpSgx, [&](bool ok, std::string) {

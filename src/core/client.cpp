@@ -1,7 +1,6 @@
 #include "core/client.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -88,10 +87,10 @@ void BentoClient::connect(const std::string& box_fingerprint,
       return;
     }
     conn->circuit_ = circ;
-    if (std::getenv("BENTO_DEBUG_PATHS") != nullptr) {
+    if (util::log_enabled(util::LogLevel::Debug)) {
       std::string path_desc;
       for (const auto& hop : circ->path()) path_desc += hop.nickname + " ";
-      util::log_line(util::LogLevel::Info, "bento.client", "circuit path: " + path_desc);
+      util::log_debug(kComponent, "circuit path: ", path_desc);
     }
     tor::Stream::Callbacks cbs;
     cbs.on_data = [weak](util::ByteView d) {

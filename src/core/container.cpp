@@ -34,7 +34,7 @@ Container::~Container() {
 }
 
 void Container::install(const FunctionManifest& manifest, const UploadBody& body,
-                        tor::EdgeStream* uploader,
+                        tor::Stream* uploader,
                         std::shared_ptr<const script::Program> program) {
   manifest_ = manifest;
   // Enforced filter = manifest ∩ node policy; admit() already verified the
@@ -94,7 +94,7 @@ void Container::install(const FunctionManifest& manifest, const UploadBody& body
   fn_stats_.installed_at_us = util::sim_now_micros();
 }
 
-void Container::handle_invoke(tor::EdgeStream* from, util::ByteView payload) {
+void Container::handle_invoke(tor::Stream* from, util::ByteView payload) {
   if (dead_ || function_ == nullptr) return;
   fn_stats_.invokes += 1;
   fn_stats_.bytes_in += payload.size();
@@ -135,7 +135,7 @@ void Container::graceful_shutdown() {
   dead_ = true;
 }
 
-void Container::on_stream_closed(tor::EdgeStream* stream) {
+void Container::on_stream_closed(tor::Stream* stream) {
   if (bound_stream_ == stream) bound_stream_ = nullptr;
   for (auto it = reply_handles_.begin(); it != reply_handles_.end();) {
     if (it->second == stream) {

@@ -85,17 +85,17 @@ class Container final : public HostApi {
   /// the server already parsed it; null makes the container parse `body`
   /// itself.
   void install(const FunctionManifest& manifest, const UploadBody& body,
-               tor::EdgeStream* uploader,
+               tor::Stream* uploader,
                std::shared_ptr<const script::Program> program = nullptr);
 
   /// Routes one Invoke payload into the function.
-  void handle_invoke(tor::EdgeStream* from, util::ByteView payload);
+  void handle_invoke(tor::Stream* from, util::ByteView payload);
 
   /// Graceful shutdown (shutdown token was presented).
   void graceful_shutdown();
 
   /// Server notice: a client stream went away.
-  void on_stream_closed(tor::EdgeStream* stream);
+  void on_stream_closed(tor::Stream* stream);
 
   /// Current memory watermark (sandbox estimate + conclave overhead).
   std::size_t memory_bytes() const;
@@ -157,8 +157,8 @@ class Container final : public HostApi {
   std::unique_ptr<Function> function_;
   FnStats fn_stats_;
   TokenPair tokens_;
-  tor::EdgeStream* bound_stream_ = nullptr;
-  std::map<std::uint64_t, tor::EdgeStream*> reply_handles_;
+  tor::Stream* bound_stream_ = nullptr;
+  std::map<std::uint64_t, tor::Stream*> reply_handles_;
   std::uint64_t next_reply_handle_ = 1;
   std::vector<std::shared_ptr<BentoConnection>> deployed_;  // composition links
   // Liveness token: async callbacks (timers, TCP, remote outputs) captured

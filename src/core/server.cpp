@@ -68,13 +68,12 @@ BentoServer::BentoServer(sim::Simulator& sim, sim::Network& net, tor::Router& ro
   ias_.provision(platform_);
   // The companion onion proxy: the Stem-firewalled Tor access functions
   // get. Its node is "localhost" relative to the relay.
-  const sim::NodeId op_node = net.add_node(
-      {router_.descriptor().nickname + "-op", 12.5e6, 12.5e6}, nullptr);
   stem_proxy_ = std::make_unique<tor::OnionProxy>(
-      sim_, net, op_node, consensus, directory.authority_key(), rng_.fork());
-  net.attach(op_node, stem_proxy_.get());
-  net.set_latency(op_node, router_.node(), util::Duration::micros(50));
-  router_.bind_local_app(config_.port, this);
+      sim_, net, sim::NodeSpec{router_.descriptor().nickname + "-op", 12.5e6, 12.5e6},
+      consensus, directory.authority_key(), rng_.fork());
+  net.set_latency(stem_proxy_->node(), router_.node(), util::Duration::micros(50));
+  router_.bind_local_app(config_.port,
+                         [this](tor::Stream& stream) { return accept_stream(stream); });
 }
 
 std::vector<const Container*> BentoServer::containers() const {
@@ -90,8 +89,8 @@ std::size_t BentoServer::total_memory_bytes() const {
   return total;
 }
 
-bool BentoServer::on_stream_open(tor::EdgeStream& stream) {
-  tor::EdgeStream* ptr = &stream;
+bool BentoServer::accept_stream(tor::Stream& stream) {
+  tor::Stream* ptr = &stream;
   // No function may hold a message larger than its memory limit, so no
   // client needs a longer frame.
   conns_.try_emplace(ptr,
@@ -124,7 +123,7 @@ bool BentoServer::on_stream_open(tor::EdgeStream& stream) {
   return true;
 }
 
-void BentoServer::reject_stream(tor::EdgeStream* stream, const std::string& why) {
+void BentoServer::reject_stream(tor::Stream* stream, const std::string& why) {
   // Registered on first use, so runs without a rejection keep their metric set.
   static obs::Counter rejected = obs::registry().counter("bento.server.rejected");
   rejected.inc();
@@ -136,19 +135,19 @@ void BentoServer::reject_stream(tor::EdgeStream* stream, const std::string& why)
   stream->end();
 }
 
-void BentoServer::send_to_stream(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::send_to_stream(tor::Stream* stream, const Message& msg) {
   if (stream == nullptr) return;
   stream->send(StreamFramer::frame(msg));
 }
 
-void BentoServer::reply_error(tor::EdgeStream* stream, const std::string& text) {
+void BentoServer::reply_error(tor::Stream* stream, const std::string& text) {
   Message err;
   err.type = MsgType::Error;
   err.text = text;
   send_to_stream(stream, err);
 }
 
-void BentoServer::handle_message(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::handle_message(tor::Stream* stream, const Message& msg) {
   // Child of the client's request span (inert when untraced): everything
   // the box does for this message — attestation, verification, dispatch —
   // nests under one server.handle span.
@@ -173,7 +172,7 @@ void BentoServer::handle_message(tor::EdgeStream* stream, const Message& msg) {
   }
 }
 
-void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::handle_spawn(tor::Stream* stream, const Message& msg) {
   const std::string image(msg.text);
   if (!config_.policy.offers_image(image)) {
     reply_error(stream, "image not offered: " + image);
@@ -236,7 +235,7 @@ void BentoServer::handle_spawn(tor::EdgeStream* stream, const Message& msg) {
   send_to_stream(stream, reply);
 }
 
-void BentoServer::handle_upload(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::handle_upload(tor::Stream* stream, const Message& msg) {
   auto it = containers_.find(msg.container_id);
   if (it == containers_.end()) {
     reply_error(stream, "no such container");
@@ -348,7 +347,7 @@ void BentoServer::handle_upload(tor::EdgeStream* stream, const Message& msg) {
   send_to_stream(stream, reply);
 }
 
-void BentoServer::handle_invoke(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::handle_invoke(tor::Stream* stream, const Message& msg) {
   Container* container = find_by_invocation(msg.token);
   if (container == nullptr) {
     server_metrics().token_failures.inc();
@@ -364,7 +363,7 @@ void BentoServer::handle_invoke(tor::EdgeStream* stream, const Message& msg) {
   container->handle_invoke(stream, msg.blob);
 }
 
-void BentoServer::handle_shutdown(tor::EdgeStream* stream, const Message& msg) {
+void BentoServer::handle_shutdown(tor::Stream* stream, const Message& msg) {
   Container* container = find_by_shutdown(msg.token);
   if (container == nullptr) {
     server_metrics().token_failures.inc();

@@ -1,11 +1,12 @@
 // The Bento server (paper §5.2).
 //
 // Runs on the same machine as its companion Tor relay, as a separate
-// process on a separate port: here, a LocalApp bound to the relay's Bento
-// port (clients reach it through Tor streams to the relay's own address —
-// the paper's "exit node policy to connect to the Bento server via
-// localhost" deployment), plus a companion onion-proxy node representing
-// the Stem-controlled Tor access functions get through the firewall.
+// process on a separate port: here, a stream acceptor bound to the relay's
+// Bento port (clients reach it through Tor streams to the relay's own
+// address — the paper's "exit node policy to connect to the Bento server
+// via localhost" deployment), plus a companion onion-proxy node
+// representing the Stem-controlled Tor access functions get through the
+// firewall.
 //
 // Responsibilities: answer policy queries, spawn containers (optionally
 // inside conclaves, with the attested-channel handshake and a stapled IAS
@@ -62,7 +63,7 @@ struct BentoServerConfig {
   store::StoreOptions store_options = {};
 };
 
-class BentoServer : public tor::LocalApp {
+class BentoServer {
  public:
   BentoServer(sim::Simulator& sim, sim::Network& net, tor::Router& router,
               tor::DirectoryAuthority& directory, const tor::Consensus& consensus,
@@ -111,7 +112,7 @@ class BentoServer : public tor::LocalApp {
   std::vector<std::pair<std::string, store::ReplayReport>> recover_stores();
 
   /// Frames + sends a protocol message down a client stream.
-  void send_to_stream(tor::EdgeStream* stream, const Message& msg);
+  void send_to_stream(tor::Stream* stream, const Message& msg);
   /// Container committed suicide (sandbox violation / script error).
   void container_died(std::uint64_t id, const std::string& reason);
 
@@ -119,8 +120,6 @@ class BentoServer : public tor::LocalApp {
   /// and client connection is dropped without telling anyone (a dead
   /// process sends nothing). Chaos harnesses call this from node handlers.
   void crash();
-
-  bool on_stream_open(tor::EdgeStream& stream) override;
 
   std::size_t live_containers() const { return containers_.size(); }
   /// Total container memory (for the §7.3 scalability experiment).
@@ -142,15 +141,17 @@ class BentoServer : public tor::LocalApp {
   const Counters& counters() const { return counters_; }
 
  private:
-  void handle_message(tor::EdgeStream* stream, const Message& msg);
-  void handle_spawn(tor::EdgeStream* stream, const Message& msg);
-  void handle_upload(tor::EdgeStream* stream, const Message& msg);
-  void handle_invoke(tor::EdgeStream* stream, const Message& msg);
-  void handle_shutdown(tor::EdgeStream* stream, const Message& msg);
-  void reply_error(tor::EdgeStream* stream, const std::string& text);
+  /// A client's stream to the Bento port: its bytes are framed messages.
+  bool accept_stream(tor::Stream& stream);
+  void handle_message(tor::Stream* stream, const Message& msg);
+  void handle_spawn(tor::Stream* stream, const Message& msg);
+  void handle_upload(tor::Stream* stream, const Message& msg);
+  void handle_invoke(tor::Stream* stream, const Message& msg);
+  void handle_shutdown(tor::Stream* stream, const Message& msg);
+  void reply_error(tor::Stream* stream, const std::string& text);
   /// Answers a malformed frame: Error to the sender, then the stream ends
   /// and its framer is dropped (counted as bento.server.rejected).
-  void reject_stream(tor::EdgeStream* stream, const std::string& why);
+  void reject_stream(tor::Stream* stream, const std::string& why);
   Container* find_by_invocation(util::ByteView token);
   Container* find_by_shutdown(util::ByteView token);
   void remove_container(std::uint64_t id);
@@ -175,7 +176,7 @@ class BentoServer : public tor::LocalApp {
   struct ClientConn {
     StreamFramer framer;
   };
-  std::map<tor::EdgeStream*, ClientConn> conns_;
+  std::map<tor::Stream*, ClientConn> conns_;
   std::map<std::uint64_t, std::unique_ptr<Container>> containers_;
   std::uint64_t next_container_id_ = 1;
   Counters counters_;

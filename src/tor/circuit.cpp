@@ -31,23 +31,20 @@ CircuitMetrics& circuit_metrics() {
 }
 }  // namespace
 
-void Stream::send(util::Bytes data) {
-  if (circ_ == nullptr) return;
-  outbuf.push(std::move(data));
-  // Pumping lives in the circuit (it owns the windows).
-  circ_->pump_stream(*this);
-}
-
-void Stream::end() {
-  if (circ_ == nullptr) return;
-  end_after_flush = true;
-  circ_->pump_stream(*this);
-}
-
 CircuitOrigin::CircuitOrigin(sim::Network& net, sim::NodeId own_node, Path path,
                              CircId circ_id, util::Rng& rng)
-    : net_(net), own_node_(own_node), path_(std::move(path)), circ_id_(circ_id),
-      rng_(rng) {
+    : net_(net),
+      own_node_(own_node),
+      path_(std::move(path)),
+      circ_id_(circ_id),
+      rng_(rng),
+      streams_(frames_, [this](util::Bytes frame, const RelayCell& rc) {
+        if (rc.relay_cmd == RelayCommand::Data) {
+          counters_.data_cells_sent++;
+          counters_.bytes_sent += rc.data.size();
+        }
+        send_relay(std::move(frame), rc, -1);
+      }) {
   if (path_.empty()) throw std::invalid_argument("CircuitOrigin: empty path");
   counters_.created_us = util::sim_now_micros();
 }
@@ -225,13 +222,7 @@ void CircuitOrigin::handle_frame(std::span<std::uint8_t> frame) {
                                     : path_.size() - 1;
         failed_hop_ = path_[idx].fingerprint();
       }
-      // Callbacks may touch the stream map; detach it first.
-      auto doomed = std::move(streams_);
-      streams_.clear();
-      for (auto& [sid, stream] : doomed) {
-        stream->circ_ = nullptr;
-        if (stream->cbs_.on_end) stream->cbs_.on_end();
-      }
+      streams_.close_all();
       if (built_cb_) {
         auto cb = std::move(built_cb_);
         built_cb_ = nullptr;
@@ -298,13 +289,8 @@ void CircuitOrigin::enable_virtual_relay(const LayerKeys& keys) {
 Stream* CircuitOrigin::open_stream(const Endpoint& to, Stream::Callbacks cbs) {
   if (!built_) throw std::logic_error("open_stream: circuit not built");
   const StreamId sid = next_stream_id_++;
-  auto stream = std::make_unique<Stream>();
-  stream->circ_ = this;
-  stream->id_ = sid;
-  stream->cbs_ = std::move(cbs);
-  stream->opened_us = util::sim_now_micros();
-  Stream* out = stream.get();
-  streams_[sid] = std::move(stream);
+  Stream& stream = streams_.add(sid, std::move(cbs));
+  stream.opened_us = util::sim_now_micros();
   obs::trace(obs::Ev::StreamOpen, circ_id_, sid);
 
   util::Writer w;
@@ -316,34 +302,7 @@ Stream* CircuitOrigin::open_stream(const Endpoint& to, Stream::Callbacks cbs) {
   begin.stream_id = sid;
   begin.data = body;
   send_relay(begin);
-  return out;
-}
-
-void CircuitOrigin::pump_stream(Stream& stream) {
-  while (!stream.outbuf.empty() && stream.package_window > 0 &&
-         circ_package_window_ > 0) {
-    // The data goes from the stream's queue straight into the frame.
-    util::Bytes frame = frames_.take();
-    const PayloadSpan payload = frame_payload(frame);
-    const std::size_t n = stream.outbuf.pop(payload.subspan(kRelayHeaderLen));
-    RelayCell data;
-    data.relay_cmd = RelayCommand::Data;
-    data.stream_id = stream.id_;
-    data.data = payload.subspan(kRelayHeaderLen, n);
-    stream.package_window--;
-    circ_package_window_--;
-    counters_.data_cells_sent++;
-    counters_.bytes_sent += n;
-    send_relay(std::move(frame), data, -1);
-  }
-  if (stream.outbuf.empty() && stream.end_after_flush) {
-    RelayCell end;
-    end.relay_cmd = RelayCommand::End;
-    end.stream_id = stream.id_;
-    send_relay(end);
-    stream.circ_ = nullptr;
-    streams_.erase(stream.id_);  // invalidates `stream`
-  }
+  return &stream;
 }
 
 void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
@@ -362,107 +321,45 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
       continue_build();
       return;
     }
-    case RelayCommand::Connected: {
-      auto it = streams_.find(rc.stream_id);
-      if (it == streams_.end()) return;
-      it->second->connected_ = true;
-      if (it->second->cbs_.on_connected) it->second->cbs_.on_connected();
-      return;
-    }
     case RelayCommand::Data: {
       counters_.data_cells_received++;
       counters_.bytes_received += rc.data.size();
       const std::int64_t now_us = util::sim_now_micros();
       if (counters_.first_byte_us < 0) counters_.first_byte_us = now_us;
       counters_.last_byte_us = now_us;
-      circ_delivered_++;
-      if (circ_delivered_ % kCircuitWindowIncrement == 0) {
-        RelayCell sendme;
-        sendme.relay_cmd = RelayCommand::SendmeCircuit;
-        send_relay(sendme, hop);
-      }
-      auto it = streams_.find(rc.stream_id);
-      if (it == streams_.end()) return;
-      Stream& stream = *it->second;
-      if (stream.first_byte_us < 0) {
-        stream.first_byte_us = now_us;
-        if (stream.opened_us >= 0) {
-          circuit_metrics().ttfb_us.record(now_us - stream.opened_us);
+      Stream* stream = streams_.receive_data(rc);
+      if (stream == nullptr) return;
+      if (stream->first_byte_us < 0) {
+        stream->first_byte_us = now_us;
+        if (stream->opened_us >= 0) {
+          circuit_metrics().ttfb_us.record(now_us - stream->opened_us);
           obs::trace(obs::Ev::StreamTtfb, circ_id_,
-                     static_cast<std::uint64_t>(now_us - stream.opened_us));
+                     static_cast<std::uint64_t>(now_us - stream->opened_us));
         }
       }
-      stream.last_byte_us = now_us;
-      stream.delivered++;
-      if (stream.delivered % kStreamWindowIncrement == 0) {
-        RelayCell sendme;
-        sendme.relay_cmd = RelayCommand::SendmeStream;
-        sendme.stream_id = rc.stream_id;
-        send_relay(sendme, hop);
-      }
-      if (stream.cbs_.on_data) stream.cbs_.on_data(rc.data);
+      stream->last_byte_us = now_us;
+      streams_.deliver(*stream, rc.data);
       return;
     }
     case RelayCommand::End: {
-      auto it = streams_.find(rc.stream_id);
-      if (it == streams_.end()) return;
-      auto stream = std::move(it->second);
-      streams_.erase(it);
-      stream->circ_ = nullptr;
-      if (stream->opened_us >= 0 && stream->last_byte_us >= 0) {
+      const Stream* stream = streams_.find(rc.stream_id);
+      if (stream != nullptr && stream->opened_us >= 0 && stream->last_byte_us >= 0) {
         obs::trace(obs::Ev::StreamTtlb, circ_id_,
                    static_cast<std::uint64_t>(stream->last_byte_us -
                                               stream->opened_us));
       }
-      if (stream->cbs_.on_end) stream->cbs_.on_end();
+      streams_.receive(rc);
       return;
     }
-    case RelayCommand::SendmeCircuit: {
-      circ_package_window_ += kCircuitWindowIncrement;
-      // Pump every stream in id order. Pumping may erase the stream it pumps
-      // (a flushed END) and no other, so step past it first.
-      for (auto it = streams_.begin(); it != streams_.end();) {
-        Stream& stream = *(it++)->second;
-        pump_stream(stream);
-      }
+    case RelayCommand::Connected:
+    case RelayCommand::SendmeCircuit:
+    case RelayCommand::SendmeStream:
+      streams_.receive(rc);
       return;
-    }
-    case RelayCommand::SendmeStream: {
-      auto it = streams_.find(rc.stream_id);
-      if (it == streams_.end()) return;
-      it->second->package_window += kStreamWindowIncrement;
-      pump_stream(*it->second);
-      return;
-    }
-    case RelayCommand::Begin: {
+    case RelayCommand::Begin:
       // Service side (virtual hop): accept or refuse.
-      if (!acceptor_ || rc.stream_id == 0 || streams_.contains(rc.stream_id)) {
-        RelayCell end;
-        end.relay_cmd = RelayCommand::End;
-        end.stream_id = rc.stream_id;
-        send_relay(end, hop);
-        return;
-      }
-      auto stream = std::make_unique<Stream>();
-      stream->circ_ = this;
-      stream->id_ = rc.stream_id;
-      stream->connected_ = true;
-      Stream* raw = stream.get();
-      streams_[rc.stream_id] = std::move(stream);
-      if (!acceptor_(*raw)) {
-        streams_.erase(rc.stream_id);
-        RelayCell end;
-        end.relay_cmd = RelayCommand::End;
-        end.stream_id = rc.stream_id;
-        send_relay(end, hop);
-        return;
-      }
-      RelayCell connected;
-      connected.relay_cmd = RelayCommand::Connected;
-      connected.stream_id = rc.stream_id;
-      send_relay(connected, hop);
+      streams_.accept(rc.stream_id, acceptor_);
       return;
-    }
     default:
       if (relay_handler_) relay_handler_(rc, hop);
       return;
@@ -478,12 +375,7 @@ void CircuitOrigin::destroy() {
   destroy_cell.circ_id = circ_id_;
   destroy_cell.command = CellCommand::Destroy;
   send_cell(destroy_cell);
-  auto doomed = std::move(streams_);
-  streams_.clear();
-  for (auto& [sid, stream] : doomed) {
-    stream->circ_ = nullptr;
-    if (stream->cbs_.on_end) stream->cbs_.on_end();
-  }
+  streams_.close_all();
   if (on_destroy_) on_destroy_();
 }
 

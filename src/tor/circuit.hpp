@@ -1,8 +1,9 @@
 // Client-side circuit: the origin endpoint that owns every onion layer.
 //
-// A CircuitOrigin builds a circuit hop by hop (CREATE, then EXTENDs), opens
-// streams over it, and implements Tor's SENDME flow control. Two
-// hidden-service extensions mirror how Tor joins rendezvous circuits:
+// A CircuitOrigin builds a circuit hop by hop (CREATE, then EXTENDs) and
+// opens streams over it; their SENDME flow control is the StreamTable in
+// flow.hpp, which a relay's end of the circuit uses too. Two hidden-service
+// extensions mirror how Tor joins rendezvous circuits:
 //
 //  * add_hop_keys()       — client side: appends the end-to-end layer from
 //                           the hs-ntor handshake as a virtual 4th hop.
@@ -14,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -28,50 +28,6 @@
 #include "util/rng.hpp"
 
 namespace bento::tor {
-
-class CircuitOrigin;
-
-/// Origin-side stream endpoint (also used by hidden services for accepted
-/// streams). Owned by its CircuitOrigin; valid until on_end fires or the
-/// circuit is destroyed.
-class Stream {
- public:
-  struct Callbacks {
-    std::function<void()> on_connected;
-    std::function<void(util::ByteView)> on_data;
-    std::function<void()> on_end;
-  };
-
-  StreamId id() const { return id_; }
-  bool connected() const { return connected_; }
-
-  /// Queues data (chunked into DATA cells, window-limited). The buffer is
-  /// kept as it is until its last byte is packed.
-  void send(util::Bytes data);
-  /// Sends RELAY_END once buffered data drains.
-  void end();
-
-  void set_on_connected(std::function<void()> fn) { cbs_.on_connected = std::move(fn); }
-  void set_on_data(std::function<void(util::ByteView)> fn) { cbs_.on_data = std::move(fn); }
-  void set_on_end(std::function<void()> fn) { cbs_.on_end = std::move(fn); }
-
- private:
-  friend class CircuitOrigin;
-  // Stream is a facade; the circuit owns the windows and pumps the buffer.
-  CircuitOrigin* circ_ = nullptr;
-  StreamId id_ = 0;
-  Callbacks cbs_;
-  bool connected_ = false;
-  int package_window = kStreamWindowInit;
-  int delivered = 0;
-  ByteQueue outbuf;
-  bool end_after_flush = false;
-  // Sim-time telemetry (micros; -1 = not yet). TTFB/TTLB land in the trace
-  // and the tor.stream_ttfb_us histogram when the stream ends.
-  std::int64_t opened_us = -1;
-  std::int64_t first_byte_us = -1;
-  std::int64_t last_byte_us = -1;
-};
 
 class CircuitOrigin {
  public:
@@ -100,9 +56,7 @@ class CircuitOrigin {
 
   /// Service side: invoked for incoming RELAY_BEGIN at the virtual hop.
   /// Return false to refuse. The Stream is already connected when handed over.
-  void set_stream_acceptor(std::function<bool(Stream&)> acceptor) {
-    acceptor_ = std::move(acceptor);
-  }
+  void set_stream_acceptor(StreamAcceptor acceptor) { acceptor_ = std::move(acceptor); }
 
   /// Sends a relay cell to hop `hop` (default: last). Most callers use the
   /// stream API; hidden-service setup and the Cover function use this.
@@ -161,7 +115,6 @@ class CircuitOrigin {
   void continue_build();
   void handle_frame(std::span<std::uint8_t> frame);
   void dispatch_relay(const RelayCell& rc, int hop);
-  void pump_stream(Stream& stream);
   /// Sends a CREATE or DESTROY in a frame from frames_.
   void send_cell(const Cell& cell);
   /// Packs `rc` into `frame` (taken from frames_; its payload may already
@@ -185,12 +138,12 @@ class CircuitOrigin {
   bool built_ = false;
   bool destroyed_ = false;
 
-  std::map<StreamId, std::unique_ptr<Stream>> streams_;
+  // Stream cells leave through send_relay toward the last hop, which is
+  // also the virtual hop of a hidden-service circuit.
+  StreamTable streams_;
   StreamId next_stream_id_ = 1;
-  int circ_package_window_ = kCircuitWindowInit;
-  int circ_delivered_ = 0;
 
-  std::function<bool(Stream&)> acceptor_;
+  StreamAcceptor acceptor_;
   RelayFn relay_handler_;
   std::function<void()> on_destroy_;
   Counters counters_;
@@ -205,8 +158,6 @@ class CircuitOrigin {
   std::int64_t last_backward_us_ = -1;
   std::string failed_hop_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('\0');
-
-  friend class Stream;  // facade over pump_stream
 };
 
 }  // namespace bento::tor

@@ -44,9 +44,7 @@ class HiddenServiceHost {
   /// Called for every stream a connected client opens; return false to
   /// refuse. The Endpoint the client dialed is in the BEGIN payload (port
   /// selects the virtual service port; this simplified acceptor ignores it).
-  void set_stream_acceptor(std::function<bool(Stream&)> acceptor) {
-    acceptor_ = std::move(acceptor);
-  }
+  void set_stream_acceptor(StreamAcceptor acceptor) { acceptor_ = std::move(acceptor); }
 
   /// Re-publishes the descriptor (used by LoadBalancer replica promotion).
   void publish_descriptor();
@@ -93,7 +91,7 @@ class HiddenServiceHost {
   std::vector<std::string> intro_fingerprints_;
   std::vector<CircuitOrigin*> intro_circuits_;
   std::vector<CircuitOrigin*> rend_circuits_;
-  std::function<bool(Stream&)> acceptor_;
+  StreamAcceptor acceptor_;
   std::function<bool(util::ByteView)> intro_interceptor_;
   std::function<void(std::size_t)> on_load_change_;
   std::size_t active_rendezvous_ = 0;

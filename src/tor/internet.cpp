@@ -35,7 +35,7 @@ TcpMsg TcpMsg::unpack(util::ByteView wire) {
 
 std::uint64_t TcpClient::open(sim::NodeId server, Port port, Callbacks cbs) {
   const std::uint64_t id = next_id_++;
-  conns_[id] = Conn{server, std::move(cbs), false};
+  conns_[id] = Conn{server, std::move(cbs)};
   TcpMsg m;
   m.type = TcpMsgType::Open;
   m.conn_id = id;
@@ -70,7 +70,6 @@ void TcpClient::on_message(sim::NodeId from, const TcpMsg& msg) {
   Conn& conn = it->second;
   switch (msg.type) {
     case TcpMsgType::OpenAck:
-      conn.open = true;
       if (conn.cbs.on_open) conn.cbs.on_open();
       break;
     case TcpMsgType::Data:

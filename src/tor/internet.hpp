@@ -73,7 +73,6 @@ class TcpClient {
   struct Conn {
     sim::NodeId server;
     Callbacks cbs;
-    bool open = false;
   };
   sim::Network& net_;
   sim::NodeId node_;

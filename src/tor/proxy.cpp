@@ -30,18 +30,6 @@ OnionProxy::OnionProxy(sim::Simulator& sim, sim::Network& net,
       consensus_(check_consensus(std::move(consensus), authority_key)),
       rng_(rng) {}
 
-OnionProxy::OnionProxy(sim::Simulator& sim, sim::Network& net,
-                       sim::NodeId existing_node, Consensus consensus,
-                       crypto::Gp authority_key, util::Rng rng)
-    : sim_(sim),
-      net_(net),
-      node_(existing_node),
-      consensus_(check_consensus(std::move(consensus), authority_key)),
-      rng_(rng) {
-  // Caller is responsible for forwarding framed cells to on_message when it
-  // owns the node's handler.
-}
-
 CircId OnionProxy::alloc_circ_id(sim::NodeId guard) {
   CircId& counter = circ_counters_[guard];
   ++counter;

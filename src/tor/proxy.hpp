@@ -25,11 +25,6 @@ class OnionProxy : public sim::MessageHandler {
   OnionProxy(sim::Simulator& sim, sim::Network& net, const sim::NodeSpec& spec,
              Consensus consensus, crypto::Gp authority_key, util::Rng rng);
 
-  /// Attach to an existing node instead of creating one (used when a Bento
-  /// function spawns its own OP on the relay host).
-  OnionProxy(sim::Simulator& sim, sim::Network& net, sim::NodeId existing_node,
-             Consensus consensus, crypto::Gp authority_key, util::Rng rng);
-
   sim::NodeId node() const { return node_; }
   const Consensus& consensus() const { return consensus_; }
   sim::Simulator& simulator() { return sim_; }

@@ -22,17 +22,6 @@ CircId alloc_circ_id(CircId counter, bool low_side) {
 }
 }  // namespace
 
-void EdgeStream::send(util::Bytes data) {
-  // Thin facade: all flow-control state lives in the Router.
-  if (router_ == nullptr) return;
-  router_->stream_deliver_backward(circ_key_, id_, std::move(data));
-}
-
-void EdgeStream::end() {
-  if (router_ == nullptr) return;
-  router_->stream_end_backward(circ_key_, id_);
-}
-
 Router::Router(sim::Simulator& sim, sim::Network& net, Internet& internet,
                const RelayConfig& config, util::Rng rng)
     : sim_(sim),
@@ -58,12 +47,15 @@ Router::Router(sim::Simulator& sim, sim::Network& net, Internet& internet,
   descriptor_.sign(identity_);
 }
 
-void Router::bind_local_app(Port port, LocalApp* app) {
-  if (app == nullptr) throw std::invalid_argument("bind_local_app: null app");
-  local_apps_[port] = app;
-}
+Router::Circuit::Circuit(Router& router)
+    : streams(router.frames_, [&router, this](util::Bytes frame, const RelayCell& rc) {
+        router.send_backward(*this, rc, std::move(frame));
+      }) {}
 
-void Router::unbind_local_app(Port port) { local_apps_.erase(port); }
+void Router::bind_local_app(Port port, StreamAcceptor accept) {
+  if (!accept) throw std::invalid_argument("bind_local_app: empty acceptor");
+  local_apps_[port] = std::move(accept);
+}
 
 bool Router::open_clearnet(const Endpoint& to, TcpClient::Callbacks cbs,
                            std::uint64_t* conn_out) {
@@ -150,7 +142,7 @@ void Router::handle_create(sim::NodeId from, const Cell& cell) {
     send_cell(from, destroy);
     return;
   }
-  auto circ = std::make_shared<Circuit>();
+  auto circ = std::make_shared<Circuit>(*this);
   circ->prev_peer = from;
   circ->prev_id = cell.circ_id;
   circ->crypto = std::make_unique<LayerCrypto>(reply.keys);
@@ -231,10 +223,10 @@ void Router::handle_recognized(const Key& key, Circuit& circ, const RelayCell& r
   switch (rc.relay_cmd) {
     case RelayCommand::Extend: on_extend(key, circ, rc); break;
     case RelayCommand::Begin: on_begin(key, circ, rc); break;
-    case RelayCommand::Data: on_data(key, circ, rc); break;
-    case RelayCommand::End: on_end(key, circ, rc); break;
+    case RelayCommand::Data:
+    case RelayCommand::End:
     case RelayCommand::SendmeStream:
-    case RelayCommand::SendmeCircuit: on_sendme(key, circ, rc); break;
+    case RelayCommand::SendmeCircuit: circ.streams.receive(rc); break;
     case RelayCommand::EstablishIntro: on_establish_intro(key, circ, rc); break;
     case RelayCommand::Introduce1: on_introduce1(key, circ, rc); break;
     case RelayCommand::EstablishRendezvous:
@@ -286,7 +278,7 @@ void Router::on_extend(const Key& key, Circuit& circ, const RelayCell& rc) {
 
 void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
   const StreamId sid = rc.stream_id;
-  if (sid == 0 || circ.streams.contains(sid)) {
+  if (sid == 0 || circ.streams.find(sid) != nullptr) {
     destroy_circuit(key, true, true);
     return;
   }
@@ -301,132 +293,39 @@ void Router::on_begin(const Key& key, Circuit& circ, const RelayCell& rc) {
     return;
   }
 
-  ++counters_.streams_opened;
-
   // Local application? (Bento server, policy-query function, ...)
   if (target.addr == descriptor_.addr) {
-    auto app_it = local_apps_.find(target.port);
-    if (app_it == local_apps_.end()) {
-      RelayCell end;
-      end.relay_cmd = RelayCommand::End;
-      end.stream_id = sid;
-      send_backward(key, circ, end);
-      return;
+    auto app = local_apps_.find(target.port);
+    if (app == local_apps_.end()) {
+      circ.streams.send_control(RelayCommand::End, sid);
+    } else {
+      circ.streams.accept(sid, app->second);
     }
-    StreamState& st = circ.streams[sid];
-    st.is_local = true;
-    st.connected = true;
-    st.app_stream = std::make_unique<EdgeStream>();
-    st.app_stream->router_ = this;
-    st.app_stream->circ_key_ = key;
-    st.app_stream->id_ = sid;
-    if (!app_it->second->on_stream_open(*st.app_stream)) {
-      circ.streams.erase(sid);
-      RelayCell end;
-      end.relay_cmd = RelayCommand::End;
-      end.stream_id = sid;
-      send_backward(key, circ, end);
-      return;
-    }
-    RelayCell connected;
-    connected.relay_cmd = RelayCommand::Connected;
-    connected.stream_id = sid;
-    send_backward(key, circ, connected);
     return;
   }
 
   // Clearnet exit: enforce this relay's exit policy.
-  if (!descriptor_.exit_policy.allows(target)) {
-    RelayCell end;
-    end.relay_cmd = RelayCommand::End;
-    end.stream_id = sid;
-    send_backward(key, circ, end);
-    return;
-  }
-  auto server = internet_.resolve(target.addr);
+  std::optional<sim::NodeId> server;
+  if (descriptor_.exit_policy.allows(target)) server = internet_.resolve(target.addr);
   if (!server.has_value()) {
-    RelayCell end;
-    end.relay_cmd = RelayCommand::End;
-    end.stream_id = sid;
-    send_backward(key, circ, end);
+    circ.streams.send_control(RelayCommand::End, sid);
     return;
   }
-
-  StreamState& st = circ.streams[sid];
-  st.is_local = false;
+  // The exit's end of the stream is its TCP connection to the server. The
+  // TCP callbacks may hold the stream by reference: a stream ended by the
+  // client or with its circuit closes the connection first, and one that
+  // ends itself does so only once the connection has ended.
+  StreamTable& streams = circ.streams;
+  Stream& stream = streams.add(sid);
   TcpClient::Callbacks cbs;
-  cbs.on_open = [this, key, sid] {
-    Circuit* c = find_circuit(key);
-    if (c == nullptr) return;
-    auto it = c->streams.find(sid);
-    if (it == c->streams.end()) return;
-    it->second.connected = true;
-    RelayCell connected;
-    connected.relay_cmd = RelayCommand::Connected;
-    connected.stream_id = sid;
-    send_backward(key, *c, connected);
+  cbs.on_open = [&streams, sid] { streams.send_control(RelayCommand::Connected, sid); };
+  cbs.on_data = [&stream](util::ByteView data) {
+    stream.send(util::Bytes(data.begin(), data.end()));
   };
-  cbs.on_data = [this, key, sid](util::ByteView data) {
-    stream_deliver_backward(key, sid, util::Bytes(data.begin(), data.end()));
-  };
-  cbs.on_end = [this, key, sid] { stream_end_backward(key, sid); };
-  st.tcp_conn = tcp_.open(*server, target.port, std::move(cbs));
-}
-
-void Router::on_data(const Key& key, Circuit& circ, const RelayCell& rc) {
-  // Circuit-level delivery accounting (forward direction).
-  circ.circ_delivered++;
-  if (circ.circ_delivered % kCircuitWindowIncrement == 0) {
-    RelayCell sendme;
-    sendme.relay_cmd = RelayCommand::SendmeCircuit;
-    send_backward(key, circ, sendme);
-  }
-  auto it = circ.streams.find(rc.stream_id);
-  if (it == circ.streams.end()) return;
-  StreamState& st = it->second;
-  st.delivered++;
-  if (st.delivered % kStreamWindowIncrement == 0) {
-    RelayCell sendme;
-    sendme.relay_cmd = RelayCommand::SendmeStream;
-    sendme.stream_id = rc.stream_id;
-    send_backward(key, circ, sendme);
-  }
-  if (st.is_local) {
-    if (st.app_stream && st.app_stream->on_data_) st.app_stream->on_data_(rc.data);
-  } else {
-    tcp_.send(st.tcp_conn, rc.data);
-  }
-}
-
-void Router::on_end(const Key& key, Circuit& circ, const RelayCell& rc) {
-  auto it = circ.streams.find(rc.stream_id);
-  if (it == circ.streams.end()) return;
-  StreamState& st = it->second;
-  st.remote_ended = true;
-  if (st.is_local) {
-    if (st.app_stream && st.app_stream->on_end_) st.app_stream->on_end_();
-  } else {
-    tcp_.close(st.tcp_conn);
-  }
-  circ.streams.erase(it);
-  (void)key;
-}
-
-void Router::on_sendme(const Key& key, Circuit& circ, const RelayCell& rc) {
-  if (rc.relay_cmd == RelayCommand::SendmeCircuit) {
-    circ.circ_package_window += kCircuitWindowIncrement;
-    // Pump every stream in id order. pump_stream may erase the stream it
-    // pumps (a flushed END) and no other, so step past it first.
-    for (auto it = circ.streams.begin(); it != circ.streams.end();) {
-      const StreamId sid = (it++)->first;
-      pump_stream(key, circ, sid);
-    }
-    return;
-  }
-  auto it = circ.streams.find(rc.stream_id);
-  if (it == circ.streams.end()) return;
-  it->second.package_window += kStreamWindowIncrement;
-  pump_stream(key, circ, rc.stream_id);
+  cbs.on_end = [&stream] { stream.end(); };
+  const std::uint64_t conn = tcp_.open(*server, target.port, std::move(cbs));
+  stream.set_on_data([this, conn](util::ByteView data) { tcp_.send(conn, data); });
+  stream.set_on_end([this, conn] { tcp_.close(conn); });
 }
 
 void Router::on_establish_intro(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -511,50 +410,6 @@ BENTO_HOT void Router::send_backward(Circuit& circ, const RelayCell& rc, util::B
   net_.send(node_, circ.prev_peer, std::move(frame));
 }
 
-void Router::pump_stream(const Key& key, Circuit& circ, StreamId sid) {
-  auto it = circ.streams.find(sid);
-  if (it == circ.streams.end()) return;
-  StreamState& st = it->second;
-  while (!st.outbuf.empty() && st.package_window > 0 && circ.circ_package_window > 0) {
-    // The data goes from the stream's queue straight into the frame.
-    util::Bytes frame = frames_.take();
-    const PayloadSpan payload = frame_payload(frame);
-    const std::size_t n = st.outbuf.pop(payload.subspan(kRelayHeaderLen));
-    RelayCell data;
-    data.relay_cmd = RelayCommand::Data;
-    data.stream_id = sid;
-    data.data = payload.subspan(kRelayHeaderLen, n);
-    st.package_window--;
-    circ.circ_package_window--;
-    send_backward(circ, data, std::move(frame));
-  }
-  if (st.outbuf.empty() && st.end_after_flush) {
-    RelayCell end;
-    end.relay_cmd = RelayCommand::End;
-    end.stream_id = sid;
-    send_backward(key, circ, end);
-    circ.streams.erase(sid);
-  }
-}
-
-void Router::stream_deliver_backward(const Key& key, StreamId sid, util::Bytes data) {
-  Circuit* circ = find_circuit(key);
-  if (circ == nullptr) return;
-  auto it = circ->streams.find(sid);
-  if (it == circ->streams.end()) return;
-  it->second.outbuf.push(std::move(data));
-  pump_stream(key, *circ, sid);
-}
-
-void Router::stream_end_backward(const Key& key, StreamId sid) {
-  Circuit* circ = find_circuit(key);
-  if (circ == nullptr) return;
-  auto it = circ->streams.find(sid);
-  if (it == circ->streams.end()) return;
-  it->second.end_after_flush = true;
-  pump_stream(key, *circ, sid);
-}
-
 void Router::handle_destroy(sim::NodeId from, const Cell& cell) {
   const Key key{from, cell.circ_id};
   Circuit* circ = find_circuit(key);
@@ -568,17 +423,7 @@ void Router::destroy_circuit(const Key& key, bool notify_prev, bool notify_next)
   if (it == circuits_.end()) return;
   std::shared_ptr<Circuit> circ = it->second;
 
-  // Close stream resources. Callbacks may touch the map; detach it first.
-  auto doomed_streams = std::move(circ->streams);
-  circ->streams.clear();
-  for (auto& [sid, st] : doomed_streams) {
-    if (st.is_local) {
-      if (st.app_stream) st.app_stream->router_ = nullptr;
-      if (st.app_stream && st.app_stream->on_end_) st.app_stream->on_end_();
-    } else {
-      tcp_.close(st.tcp_conn);
-    }
-  }
+  circ->streams.close_all();
 
   if (!circ->intro_auth.empty()) intro_points_.erase(circ->intro_auth);
   if (!circ->rend_cookie.empty()) rend_points_.erase(circ->rend_cookie);
@@ -656,15 +501,7 @@ void Router::crash() {
   circuits_.clear();
   for (auto& [key, circ] : doomed) {
     if (key != Key{circ->prev_peer, circ->prev_id}) continue;  // dedupe
-    for (auto& [sid, st] : circ->streams) {
-      if (st.is_local) {
-        if (st.app_stream) st.app_stream->router_ = nullptr;
-        if (st.app_stream && st.app_stream->on_end_) st.app_stream->on_end_();
-      } else {
-        tcp_.close(st.tcp_conn);
-      }
-    }
-    circ->streams.clear();
+    circ->streams.close_all();
   }
   pending_extend_.clear();
   intro_points_.clear();

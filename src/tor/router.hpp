@@ -30,42 +30,6 @@
 
 namespace bento::tor {
 
-class Router;
-
-/// Server-side endpoint of a Tor stream terminating at a local application
-/// on this relay (e.g. the Bento server). Owned by the Router; pointers
-/// stay valid until on_end fires or the router destroys the circuit.
-class EdgeStream {
- public:
-  StreamId id() const { return id_; }
-  /// Queues data toward the circuit origin (chunked, window-limited). The
-  /// buffer is kept as it is until its last byte is packed.
-  void send(util::Bytes data);
-  /// Sends RELAY_END once buffered data drains.
-  void end();
-
-  void set_on_data(std::function<void(util::ByteView)> fn) { on_data_ = std::move(fn); }
-  void set_on_end(std::function<void()> fn) { on_end_ = std::move(fn); }
-
- private:
-  friend class Router;
-  Router* router_ = nullptr;
-  std::pair<sim::NodeId, CircId> circ_key_{};
-  StreamId id_ = 0;
-  std::function<void(util::ByteView)> on_data_;
-  std::function<void()> on_end_;
-};
-
-/// Application bound to a port on the relay host (the Bento server binds
-/// one). Streams to (relay addr, port) are delivered here instead of the
-/// clearnet.
-class LocalApp {
- public:
-  virtual ~LocalApp() = default;
-  /// Return false to refuse the stream (client sees RELAY_END).
-  virtual bool on_stream_open(EdgeStream& stream) = 0;
-};
-
 struct RelayConfig {
   std::string nickname;
   Addr addr = 0;
@@ -95,9 +59,10 @@ class Router : public sim::MessageHandler {
   /// router or be replaced before further use.
   void set_consensus(const Consensus* consensus) { consensus_ = consensus; }
 
-  /// Binds/unbinds a local application to a port on this relay's host.
-  void bind_local_app(Port port, LocalApp* app);
-  void unbind_local_app(Port port);
+  /// Binds a local application to a port on this relay's host (the Bento
+  /// server binds one): streams to (relay addr, port) go to `accept`
+  /// instead of the clearnet.
+  void bind_local_app(Port port, StreamAcceptor accept);
 
   /// Direct clearnet access for local apps (Bento functions). Returns false
   /// if the address is unknown. The caller is responsible for policy checks
@@ -115,15 +80,15 @@ class Router : public sim::MessageHandler {
   void on_peer_down(sim::NodeId peer) override;
 
   /// Simulates this relay crashing: drops all circuit, stream, intro and
-  /// rendezvous state without sending anything (a dead process can't).
-  /// Local-app streams get their on_end so hosts release edge state.
+  /// rendezvous state without sending a cell (a dead process can't). Every
+  /// stream gets its on_end, so hosts release edge state and the clearnet
+  /// exit's TCP connections close.
   void crash();
 
   struct Counters {
     std::uint64_t cells_in = 0;
     std::uint64_t cells_out = 0;
     std::uint64_t circuits_created = 0;
-    std::uint64_t streams_opened = 0;
     std::uint64_t cells_dropped = 0;  // DROP (cover) cells absorbed here
   };
   const Counters& counters() const { return counters_; }
@@ -131,27 +96,17 @@ class Router : public sim::MessageHandler {
  private:
   using Key = std::pair<sim::NodeId, CircId>;
 
-  struct StreamState {
-    bool is_local = false;
-    std::unique_ptr<EdgeStream> app_stream;  // when is_local
-    std::uint64_t tcp_conn = 0;              // when clearnet
-    bool connected = false;
-    int package_window = kStreamWindowInit;  // DATA cells we may send back
-    int delivered = 0;                       // since last stream SENDME
-    ByteQueue outbuf;                        // toward the origin
-    bool end_after_flush = false;
-    bool remote_ended = false;
-  };
-
   struct Circuit {
+    explicit Circuit(Router& router);
+
     sim::NodeId prev_peer = sim::kInvalidNode;
     CircId prev_id = 0;
     std::optional<Key> next;
     std::unique_ptr<LayerCrypto> crypto;
-    std::map<StreamId, StreamState> streams;
+    // This end's streams: a local application's, or a clearnet exit's
+    // wired to a TCP connection. Their cells go back toward the origin.
+    StreamTable streams;
     std::optional<Key> spliced;  // rendezvous mate circuit
-    int circ_package_window = kCircuitWindowInit;
-    int circ_delivered = 0;
     util::Bytes intro_auth;   // non-empty on a service intro circuit
     util::Bytes rend_cookie;  // non-empty on a waiting rendezvous circuit
   };
@@ -167,9 +122,6 @@ class Router : public sim::MessageHandler {
   // Relay command handlers (cell recognized at this hop).
   void on_extend(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_begin(const Key& key, Circuit& circ, const RelayCell& rc);
-  void on_data(const Key& key, Circuit& circ, const RelayCell& rc);
-  void on_end(const Key& key, Circuit& circ, const RelayCell& rc);
-  void on_sendme(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_establish_intro(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_establish_rendezvous(const Key& key, Circuit& circ, const RelayCell& rc);
@@ -185,11 +137,6 @@ class Router : public sim::MessageHandler {
   void send_cell(sim::NodeId to, const Cell& cell);
   /// Sends a framed RELAY cell on as circuit `circ_id` toward `to`.
   void forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame);
-
-  /// Pumps buffered stream data into DATA cells while windows allow.
-  void pump_stream(const Key& key, Circuit& circ, StreamId sid);
-  void stream_deliver_backward(const Key& key, StreamId sid, util::Bytes data);
-  void stream_end_backward(const Key& key, StreamId sid);
 
   void destroy_circuit(const Key& key, bool notify_prev, bool notify_next);
 
@@ -210,14 +157,12 @@ class Router : public sim::MessageHandler {
   std::map<sim::NodeId, CircId> next_circ_id_;        // per-peer allocator
   std::map<util::Bytes, Key> intro_points_;           // auth key -> circuit
   std::map<util::Bytes, Key> rend_points_;            // cookie -> circuit
-  std::map<Port, LocalApp*> local_apps_;
+  std::map<Port, StreamAcceptor> local_apps_;
   TcpClient tcp_;
   // Frames of cells that ended here, reused for the cells this relay
   // originates (its exit-side replies and control cells).
   FramePool frames_;
   Counters counters_;
-
-  friend class EdgeStream;  // facade over stream_deliver/end_backward
 };
 
 }  // namespace bento::tor

@@ -560,12 +560,14 @@ namespace {
 
 /// Stands in for the Bento server on a box's Bento port: answers the first
 /// bytes a client sends with `reply`.
-class FakeBox : public bt::LocalApp {
+class FakeBox {
  public:
   explicit FakeBox(bu::Bytes reply) : reply_(std::move(reply)) {}
-  bool on_stream_open(bt::EdgeStream& stream) override {
-    stream.set_on_data([this, &stream](bu::ByteView) { stream.send(reply_); });
-    return true;
+  bt::StreamAcceptor acceptor() {
+    return [this](bt::Stream& stream) {
+      stream.set_on_data([this, &stream](bu::ByteView) { stream.send(reply_); });
+      return true;
+    };
   }
 
  private:
@@ -583,7 +585,7 @@ void expect_client_rejects(const bu::Bytes& reply) {
   ASSERT_NE(relay, nullptr);
   ASSERT_TRUE(bc::BentoClient::advertised_policy(relay->descriptor()).has_value());
   FakeBox fake(reply);
-  relay->bind_local_app(bc::BentoClientConfig{}.bento_port, &fake);
+  relay->bind_local_app(bc::BentoClientConfig{}.bento_port, fake.acceptor());
   bento::obs::Counter rejected = bento::obs::registry().counter("bento.client.rejected");
   const std::uint64_t rejected_before = rejected.value();
 

@@ -3,6 +3,9 @@
 // flow control, cover traffic, and teardown.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "obs/metrics.hpp"
 #include "tor/testbed.hpp"
 #include "tor/wire.hpp"
@@ -94,16 +97,20 @@ TEST(TorE2E, FetchSmallPageThroughExit) {
 }
 
 TEST(TorE2E, FetchLargeBodyCrossesManyCells) {
-  bt::Testbed bed;
-  bed.finalize();
-  bu::Rng content_rng(99);
-  const bu::Bytes big = content_rng.bytes(300'000);
-  bed.add_web_server(web_endpoint().addr,
-                     [&big](const std::string&) { return big; });
-  auto client = bed.make_client("alice");
-  auto result = fetch_over_tor(bed, *client, "/big");
-  EXPECT_TRUE(result.ended);
-  EXPECT_EQ(result.body, big);  // exact byte-for-byte through 3 onion layers
+  // 600,000 B is more than the exit's 1,000-cell circuit window: the body
+  // arrives only if the client's circuit SENDMEs refill it.
+  for (const std::size_t size : {300'000u, 600'000u}) {
+    bt::Testbed bed;
+    bed.finalize();
+    bu::Rng content_rng(99);
+    const bu::Bytes big = content_rng.bytes(size);
+    bed.add_web_server(web_endpoint().addr,
+                       [&big](const std::string&) { return big; });
+    auto client = bed.make_client("alice");
+    auto result = fetch_over_tor(bed, *client, "/big");
+    EXPECT_TRUE(result.ended) << size;
+    EXPECT_EQ(result.body, big) << size;  // byte-for-byte through 3 onion layers
+  }
 }
 
 TEST(TorE2E, MissingPageReturns404) {
@@ -143,6 +150,31 @@ TEST(TorE2E, ExitPolicyRefusesStream) {
   EXPECT_TRUE(ended);
 }
 
+// The exit's end of a clearnet stream is its TCP connection: an END from
+// the client closes it, so the server sees the Open and then the End.
+TEST(TorE2E, ClientEndClosesTheExitsTcpConnection) {
+  bt::Testbed bed;
+  bed.finalize();
+  bt::WebServer& server = bed.add_web_server(
+      web_endpoint().addr, [](const std::string&) { return bu::to_bytes("x"); });
+  auto client = bed.make_client("alice");
+  bool connected = false;
+  bt::PathConstraints c;
+  c.exit_to = web_endpoint();
+  client->build_circuit(c, [&](bt::CircuitOrigin* circ) {
+    ASSERT_NE(circ, nullptr);
+    bt::Stream* stream = circ->open_stream(web_endpoint(), {});
+    stream->set_on_connected([&connected, stream] {
+      connected = true;
+      stream->end();
+    });
+  });
+  bed.run();
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(bed.net().stats(server.node()).messages_received, 2u);  // Open, End
+  EXPECT_EQ(server.requests_served(), 0u);
+}
+
 TEST(TorE2E, UnknownDestinationEndsStream) {
   bt::Testbed bed;
   bed.finalize();
@@ -162,10 +194,13 @@ TEST(TorE2E, UnknownDestinationEndsStream) {
 
 namespace {
 /// Local echo app bound to a relay port: echoes every chunk back n times.
-class EchoApp : public bt::LocalApp {
+class EchoApp {
  public:
   explicit EchoApp(int repeat = 1) : repeat_(repeat) {}
-  bool on_stream_open(bt::EdgeStream& stream) override {
+  bt::StreamAcceptor acceptor() {
+    return [this](bt::Stream& stream) { return on_stream_open(stream); };
+  }
+  bool on_stream_open(bt::Stream& stream) {
     ++opened_;
     stream.set_on_data([&stream, this](bu::ByteView data) {
       for (int i = 0; i < repeat_; ++i) stream.send(bu::Bytes(data.begin(), data.end()));
@@ -185,7 +220,7 @@ TEST(TorE2E, LocalAppStreamEcho) {
   bed.finalize();
   EchoApp app;
   bt::Router& box = bed.router(bed.router_count() - 1);
-  box.bind_local_app(8888, &app);
+  box.bind_local_app(8888, app.acceptor());
 
   auto client = bed.make_client("alice");
   bu::Bytes received;
@@ -243,7 +278,7 @@ TEST(TorE2E, TamperedCellThroughMiddleHopDestroysCircuitAtExit) {
   bed.finalize();
   EchoApp app;
   bt::Router& box = bed.router(bed.router_count() - 1);
-  box.bind_local_app(8888, &app);
+  box.bind_local_app(8888, app.acceptor());
 
   auto client = bed.make_client("alice");
   bt::CircuitOrigin* circ = nullptr;
@@ -291,7 +326,7 @@ TEST(TorE2E, LocalAppCanRefuseStream) {
   EchoApp app;
   app.accept_ = false;
   bt::Router& box = bed.router(0);
-  box.bind_local_app(8888, &app);
+  box.bind_local_app(8888, app.acceptor());
 
   auto client = bed.make_client("alice");
   bool connected = false, ended = false;
@@ -331,17 +366,16 @@ TEST(TorE2E, LargeUploadToLocalApp) {
   bt::Testbed bed;
   bed.finalize();
 
-  struct SinkApp : bt::LocalApp {
+  struct SinkApp {
     bu::Bytes received;
     bool ended = false;
-    bool on_stream_open(bt::EdgeStream& stream) override {
-      stream.set_on_data([this](bu::ByteView d) { bu::append(received, d); });
-      stream.set_on_end([this] { ended = true; });
-      return true;
-    }
   } app;
   bt::Router& box = bed.router(1);
-  box.bind_local_app(9000, &app);
+  box.bind_local_app(9000, [&app](bt::Stream& stream) {
+    stream.set_on_data([&app](bu::ByteView d) { bu::append(app.received, d); });
+    stream.set_on_end([&app] { app.ended = true; });
+    return true;
+  });
 
   auto client = bed.make_client("alice");
   bu::Rng rng(5);
@@ -360,6 +394,48 @@ TEST(TorE2E, LargeUploadToLocalApp) {
   bed.run();
   EXPECT_EQ(app.received, upload);
   EXPECT_TRUE(app.ended);
+}
+
+// Three replies on one circuit: the first two use up the exit's 1,000-cell
+// circuit window, so the third waits on that window alone. Its own stream
+// window is open and it has sent nothing that a stream SENDME could answer:
+// only a circuit SENDME, which pumps every blocked stream, releases it.
+TEST(TorE2E, CircuitSendmeResumesEveryBlockedStream) {
+  bt::Testbed bed;
+  bed.finalize();
+  bu::Rng content_rng(17);
+  const std::vector<bu::Bytes> replies = {
+      content_rng.bytes(300'000), content_rng.bytes(300'000), content_rng.bytes(5'000)};
+  bt::Router& box = bed.router(bed.router_count() - 1);
+  box.bind_local_app(8888, [&replies](bt::Stream& stream) {
+    // The request names the reply; the streams stay open, so the first one
+    // keeps the lowest id throughout.
+    stream.set_on_data([&replies, &stream](bu::ByteView request) {
+      stream.send(replies.at(static_cast<std::size_t>(request[0] - '0')));
+    });
+    return true;
+  });
+
+  auto client = bed.make_client("alice");
+  std::vector<bu::Bytes> received(replies.size());
+  bt::PathConstraints c;
+  c.last_hop = box.fingerprint();
+  client->build_circuit(c, [&](bt::CircuitOrigin* circ) {
+    ASSERT_NE(circ, nullptr);
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      bt::Stream::Callbacks cbs;
+      cbs.on_data = [&received, i](bu::ByteView d) { bu::append(received[i], d); };
+      bt::Stream* stream = circ->open_stream({box.addr(), 8888}, std::move(cbs));
+      stream->set_on_connected([stream, i] {
+        stream->send(bu::to_bytes(std::string(1, static_cast<char>('0' + i))));
+      });
+    }
+  });
+  bed.run();
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(received[i].size(), replies[i].size()) << "stream " << i;
+    EXPECT_EQ(received[i], replies[i]) << "stream " << i;
+  }
 }
 
 TEST(TorE2E, CoverDropCellsAbsorbedAtExit) {

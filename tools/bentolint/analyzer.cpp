@@ -658,7 +658,9 @@ class FileAnalysis {
 
   // BL103, capture side: at a lambda introducer, each capture segment that
   // carries shared_from_this() or a tracked strong-self variable (without a
-  // weak_ptr conversion in the same segment) is the leak class.
+  // weak_ptr conversion in the same segment) is the leak class. So is a
+  // lambda assigned through a pointer, `*x = [..., x, ...]`, that copies x:
+  // the function then owns the shared_ptr it is stored in.
   std::size_t maybe_lambda_capture(std::size_t open) {
     // `[[` attribute, subscript `a[i]`, or array declarator `int a[3]`.
     if (is_punct(open + 1, "[")) return open;
@@ -678,6 +680,17 @@ class FileAnalysis {
       if (is_punct(close, "]") && --depth == 0) break;
     }
     if (close >= sig_.size()) return open;
+    std::string_view stored_through;
+    if (open >= 3 && is_punct(open - 1, "=") && is_ident(open - 2) &&
+        is_punct(open - 3, "*")) {
+      // A unary `*`: not preceded by an operand (`a * x = ...` is no lvalue).
+      const bool operand_before =
+          open >= 4 && (sig_[open - 4].kind == Tok::Ident ||
+                        sig_[open - 4].kind == Tok::Number ||
+                        sig_[open - 4].kind == Tok::String ||
+                        is_punct(open - 4, "]"));
+      if (!operand_before) stored_through = sig_[open - 2].text;
+    }
     // Split the capture list into top-level comma segments.
     std::size_t seg_start = open + 1;
     int nest = 0;
@@ -689,14 +702,15 @@ class FileAnalysis {
         if (p == ")" || p == "}" || p == ">" || p == "]") --nest;
       }
       if (at_end || (nest == 0 && is_punct(k, ","))) {
-        check_capture_segment(seg_start, k);
+        check_capture_segment(seg_start, k, stored_through);
         seg_start = k + 1;
       }
     }
     return close;
   }
 
-  void check_capture_segment(std::size_t from, std::size_t to) {
+  void check_capture_segment(std::size_t from, std::size_t to,
+                             std::string_view stored_through) {
     bool has_self_call = false;
     bool has_weak = false;
     const Token* strong_var = nullptr;
@@ -716,6 +730,23 @@ class FileAnalysis {
       }
     }
     if (has_weak) return;  // `[w = std::weak_ptr<T>(shared_from_this())]`
+    if (!stored_through.empty()) {
+      // `x` or `name = x`: a copy of the pointer the lambda is stored through.
+      std::size_t copied = to;
+      if (to - from == 1) copied = from;
+      if (to - from == 3 && is_punct(from + 1, "=")) copied = from + 2;
+      if (copied < to && is_ident(copied) &&
+          sig_[copied].text == stored_through) {
+        report("BL103", sig_[copied],
+               "lambda stored through '*" + std::string(stored_through) +
+                   "' captures '" + std::string(stored_through) +
+                   "' by copy: the function owns the shared_ptr it is "
+                   "stored in (reference cycle) — capture std::weak_ptr and "
+                   "lock() in the body, and let the scheduled event hold the "
+                   "strong reference");
+        return;
+      }
+    }
     if (has_self_call) {
       report("BL103", sig_[from > 0 ? from - 1 : from],
              "lambda captures shared_from_this(); a handler queued on the "

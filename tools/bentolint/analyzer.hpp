@@ -15,8 +15,10 @@
 //   BL102  heap allocation inside a BENTO_HOT function (the 0-allocs/cell
 //          datapath guarantee, enforced at the source instead of the bench)
 //   BL103  shared_from_this() (or a shared self variable derived from it)
-//          captured by a lambda — the BentoConnection/shard/multipath
-//          reference-cycle leak class; capture a weak_ptr and lock()
+//          captured by a lambda, or a lambda stored through a pointer that
+//          it captures by copy (`*x = [x] {...}`) — the BentoConnection/
+//          shard/multipath reference-cycle leak class; capture a weak_ptr
+//          and lock()
 //   BL104  iteration over an unordered container feeding trace/log/event
 //          emission (iteration-order nondeterminism reaches the recorders)
 //   BL105  std::thread/mutex/condition_variable/atomic/future, pthread_*
