@@ -41,7 +41,7 @@ double run_one(int circuits) {
   exit_cfg.flags.exit = true;
   exit_cfg.flags.fast = true;
   exit_cfg.flags.bento = true;
-  exit_cfg.bento_policy = options.policy.serialize();
+  exit_cfg.bento_policy = options.server.policy.serialize();
   exit_cfg.exit_policy = bt::ExitPolicy::accept_all();
   const std::size_t exit_index = world.bed().add_relay(exit_cfg);
   world.start();

@@ -204,7 +204,7 @@ int main() {
     bc::BentoWorldOptions options = world_options();
     bc::BentoWorld world(options);
     bf::register_loadbalancer(world.natives());
-    std::vector<std::string> hosts = add_host_relays(world, options.policy);
+    std::vector<std::string> hosts = add_host_relays(world, options.server.policy);
     world.start();
     auto operator_client = world.make_client("operator", 1e6);
 

@@ -156,7 +156,7 @@ struct WorldHarness {
     o.testbed.guards = 2;
     o.testbed.middles = 2;
     o.testbed.exits = 2;
-    o.persistent_store = persistent;
+    o.server.persistent_store = persistent;
     return o;
   }
 

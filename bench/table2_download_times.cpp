@@ -55,7 +55,7 @@ WorldSetup make_world(const std::vector<bw::SiteModel>& sites, bool slow_start) 
           return model->body_for(path, 1, 0.0);
         },
         4e6);
-    server.tcp_params().model_slow_start = slow_start;
+    server.set_slow_start(slow_start);
   }
   for (const auto& relay : setup.world->bed().consensus().relays) {
     if (relay.flags.exit) setup.exit_box = relay.fingerprint();

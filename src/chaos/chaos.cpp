@@ -23,20 +23,6 @@ bool rule_matches(sim::NodeId ra, sim::NodeId rb, sim::NodeId from, sim::NodeId 
 }
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::Drop: return "drop";
-    case FaultKind::Duplicate: return "duplicate";
-    case FaultKind::Jitter: return "jitter";
-    case FaultKind::Partition: return "partition";
-    case FaultKind::Crash: return "crash";
-    case FaultKind::Restart: return "restart";
-    case FaultKind::Throttle: return "throttle";
-    case FaultKind::App: return "app";
-  }
-  return "unknown";
-}
-
 ChaosEngine::ChaosEngine(sim::Simulator& sim, sim::Network& net)
     : sim_(sim), net_(net) {}
 
@@ -120,10 +106,6 @@ void ChaosEngine::schedule_plan() {
 
 void ChaosEngine::crash_now(sim::NodeId node, util::Duration restart_after) {
   crash(node, restart_after);
-}
-
-void ChaosEngine::partition_now(sim::NodeId a, sim::NodeId b, util::Duration heal) {
-  cut(a, b, heal);
 }
 
 BENTO_HOT bool ChaosEngine::is_down(sim::NodeId node) const {

@@ -46,8 +46,6 @@ enum class FaultKind : std::uint8_t {
   App,
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// One probabilistic rule for packets between `a` and `b` (either may be
 /// kAnyNode; rules match both directions). Multiple matching rules compose:
 /// any drop wins, delays add.
@@ -128,10 +126,9 @@ class ChaosEngine final : public sim::FaultInjector {
   /// harness had left in place, which no real crash would preserve.
   void set_recovery_callback(sim::NodeId node, std::function<void()> fn);
 
-  /// Imperative faults for harnesses that react to run-time state (e.g.
+  /// Imperative crash for harnesses that react to run-time state (e.g.
   /// crash whichever relay the client's circuit chose).
   void crash_now(sim::NodeId node, util::Duration restart_after = {});
-  void partition_now(sim::NodeId a, sim::NodeId b, util::Duration heal = {});
 
   bool is_down(sim::NodeId node) const;
 

@@ -5,15 +5,6 @@
 
 namespace bento::core {
 
-const char* to_string(VerifyMode mode) {
-  switch (mode) {
-    case VerifyMode::Off: return "off";
-    case VerifyMode::Warn: return "warn";
-    case VerifyMode::Enforce: return "enforce";
-  }
-  return "?";
-}
-
 VerifyReport verify_upload(const script::Program& program,
                            const FunctionManifest& manifest) {
   VerifyReport report;

@@ -27,14 +27,11 @@ class StemSession;
 // ---- static admission control (load-time verifier) ----
 
 /// How the server treats the BentoScript static verifier at upload time.
-///   Off     — dynamic enforcement only (manifest ∩ policy traps at runtime)
 ///   Warn    — run the verifier, log findings, never reject
 ///   Enforce — reject uploads with analysis errors, inferred capabilities
 ///             beyond the manifest, or a static cost above the manifest's
 ///             resource ceiling
-enum class VerifyMode : std::uint8_t { Off, Warn, Enforce };
-
-const char* to_string(VerifyMode mode);
+enum class VerifyMode : std::uint8_t { Warn, Enforce };
 
 /// Full verifier output for one upload: the admission decision plus the raw
 /// analysis (diagnostics, inferred capabilities, static cost).

@@ -76,8 +76,8 @@ void BentoClient::connect(const std::string& box_fingerprint,
   // be freed until its circuit object went away (the same self-capture leak
   // class spawn()/upload() fixed in their pending_ handlers).
   std::weak_ptr<BentoConnection> weak = conn;
-  proxy_.build_circuit_retry(
-      std::move(constraints), std::max(1, config_.retry.build_attempts),
+  proxy_.build_circuit(
+      constraints,
       [conn, weak, bento_endpoint, done_shared, answered, span](tor::CircuitOrigin* circ) {
     if (circ == nullptr) {
       conn->closed_ = true;  // never opened; let prune_closed() reap it
@@ -112,7 +112,7 @@ void BentoClient::connect(const std::string& box_fingerprint,
       obs::end_span(span, obs::Stage::ClientConnect, /*ok=*/self != nullptr);
       (*done_shared)(std::move(self));
     });
-  });
+  }, kBuildAttempts);
 }
 
 void BentoClient::prune_closed() {
@@ -283,8 +283,7 @@ void BentoConnection::spawn(const std::string& image, SpawnFn done) {
         done(false, "attestation: report/quote mismatch");
         return;
       }
-      if (self->config_.require_up_to_date_tcb &&
-          report.tcb_status != tee::TcbStatus::UpToDate) {
+      if (report.tcb_status != tee::TcbStatus::UpToDate) {
         done(false, "attestation: TCB out of date");
         return;
       }
@@ -470,7 +469,7 @@ void BentoClient::invoke_reliable(const std::string& box_fingerprint,
       backoff_s *= 2.0;
     }
     backoff_s = std::min(backoff_s, rp.backoff_cap.to_seconds());
-    backoff_s *= 1.0 + rp.jitter * (2.0 * st->client->proxy_.rng().uniform01() - 1.0);
+    backoff_s *= 1.0 + kRetryJitter * (2.0 * st->client->proxy_.rng().uniform01() - 1.0);
     const auto backoff = util::Duration::micros(
         static_cast<std::int64_t>(backoff_s * 1e6));
     obs::trace(obs::Ev::ClientRetry, static_cast<std::uint32_t>(st->attempt),

@@ -28,26 +28,29 @@
 
 namespace bento::core {
 
-/// Failure-recovery knobs (DESIGN.md §9): request timeout, capped
-/// exponential backoff with deterministic jitter (drawn from the proxy's
-/// seeded Rng), and how many circuit builds a connect may burn.
+/// Failure-recovery knobs (DESIGN.md §9): request timeout and capped
+/// exponential backoff.
 struct RetryPolicy {
   int max_attempts = 4;  // total invoke attempts (first try included)
   util::Duration request_timeout = util::Duration::seconds(8);
   util::Duration backoff_base = util::Duration::seconds(1);
   util::Duration backoff_cap = util::Duration::seconds(16);
-  double jitter = 0.25;   // backoff scaled by uniform [1-j, 1+j]
-  int build_attempts = 2; // circuit builds per connect (reroutes failed hops)
 };
+
+/// Deterministic backoff jitter: each backoff is scaled by a uniform draw in
+/// [1 - kRetryJitter, 1 + kRetryJitter] from the proxy's seeded Rng.
+inline constexpr double kRetryJitter = 0.25;
+/// Circuit builds a connect may burn; a rebuild reroutes around the hop the
+/// failed build died at.
+inline constexpr int kBuildAttempts = 2;
 
 struct BentoClientConfig {
   tor::Port bento_port = 5577;
   /// IAS report-signing key, for verifying stapled attestation reports.
   crypto::Gp ias_public_key = 0;
-  /// Expected measurement of the Bento runtime image.
+  /// Expected measurement of the Bento runtime image. A python-op-sgx spawn
+  /// also refuses a box whose TCB is out of date.
   tee::Measurement expected_runtime{};
-  /// Refuse python-op-sgx uploads when the box's TCB is out of date.
-  bool require_up_to_date_tcb = true;
   RetryPolicy retry;
 };
 

@@ -73,7 +73,6 @@ class Container final : public HostApi {
   /// Non-null when the chroot is mounted on the persistent sealed store.
   /// (const member, mutable store: digest/get traffic touches the LRU.)
   store::BlobStore* blob_store() const { return store_.get(); }
-  const std::string& store_volume_key() const { return store_volume_key_; }
   std::optional<tee::SecureChannel>& channel() { return channel_; }
   /// The operator's view of one chroot file held in memory: the stored body
   /// (ciphertext under FS-Protect), writable as the box's own disk is. Null

@@ -297,26 +297,23 @@ void BentoServer::handle_upload(tor::Stream* stream, const Message& msg) {
       remove_container(msg.container_id);
       return;
     }
-    if (config_.verify != VerifyMode::Off) {
-      const VerifyReport report = verify_upload(*program, manifest);
-      for (const auto& d : report.analysis.diagnostics) {
-        util::log_info(kComponent, "verify[", manifest.name, "]: ", d.to_string());
+    const VerifyReport report = verify_upload(*program, manifest);
+    for (const auto& d : report.analysis.diagnostics) {
+      util::log_info(kComponent, "verify[", manifest.name, "]: ", d.to_string());
+    }
+    if (!report.decision.admitted) {
+      if (config_.verify == VerifyMode::Enforce) {
+        ++counters_.rejected_static;
+        server_metrics().policy_denials.inc();
+        obs::trace(obs::Ev::PolicyDeny, static_cast<std::uint32_t>(msg.container_id),
+                   1, /*ok=*/false);
+        reply_error(stream,
+                    "upload rejected by static verifier: " + report.decision.reason);
+        remove_container(msg.container_id);
+        return;
       }
-      if (!report.decision.admitted) {
-        if (config_.verify == VerifyMode::Enforce) {
-          ++counters_.rejected_static;
-          server_metrics().policy_denials.inc();
-          obs::trace(obs::Ev::PolicyDeny,
-                     static_cast<std::uint32_t>(msg.container_id), 1,
-                     /*ok=*/false);
-          reply_error(stream, "upload rejected by static verifier: " +
-                                  report.decision.reason);
-          remove_container(msg.container_id);
-          return;
-        }
-        util::log_info(kComponent, "verify[", manifest.name,
-                       "] would reject (mode=warn): ", report.decision.reason);
-      }
+      util::log_info(kComponent, "verify[", manifest.name,
+                     "] would reject (mode=warn): ", report.decision.reason);
     }
   }
 

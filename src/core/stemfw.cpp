@@ -104,13 +104,4 @@ tor::HiddenServiceHost& StemSession::create_hidden_service(
   return *hs_hosts_.back();
 }
 
-void StemSession::connect_hs(const std::string& onion_id,
-                             std::function<void(tor::CircuitOrigin*)> done) {
-  checked(filter_, sandbox::Syscall::TorCircuit);
-  if (hs_client_ == nullptr) {
-    hs_client_ = std::make_unique<tor::HsClient>(proxy_, directory_);
-  }
-  hs_client_->connect(onion_id, std::move(done));
-}
-
 }  // namespace bento::core

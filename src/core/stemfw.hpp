@@ -47,9 +47,6 @@ class StemSession {
   tor::HiddenServiceHost& create_hidden_service(int intro_count);
   tor::HiddenServiceHost& create_hidden_service(
       const tor::HiddenServiceHost::Identity& identity, int intro_count);
-  /// HS client connect through the firewall (TorCircuit).
-  void connect_hs(const std::string& onion_id,
-                  std::function<void(tor::CircuitOrigin*)> done);
 
   std::size_t owned_circuits() const { return circuits_.size(); }
 
@@ -61,7 +58,6 @@ class StemSession {
   CircuitHandle next_handle_ = 1;
   std::map<CircuitHandle, tor::CircuitOrigin*> circuits_;
   std::vector<std::unique_ptr<tor::HiddenServiceHost>> hs_hosts_;
-  std::unique_ptr<tor::HsClient> hs_client_;
 };
 
 }  // namespace bento::core

@@ -7,7 +7,7 @@ namespace bento::core {
 namespace {
 BentoWorldOptions with_policy(BentoWorldOptions options) {
   options.testbed.all_bento = true;
-  options.testbed.bento_policy = options.policy.serialize();
+  options.testbed.bento_policy = options.server.policy.serialize();
   return options;
 }
 }  // namespace
@@ -24,15 +24,9 @@ void BentoWorld::start() {
   for (std::size_t i = 0; i < bed_.router_count(); ++i) {
     tor::Router& router = bed_.router(i);
     if (!router.descriptor().flags.bento) continue;
-    BentoServerConfig cfg;
-    cfg.policy = options_.policy;
-    cfg.sgx_available = options_.sgx_available;
-    cfg.verify = options_.verify;
-    cfg.persistent_store = options_.persistent_store;
-    cfg.store_options = options_.store_options;
     servers_.push_back(std::make_unique<BentoServer>(
         bed_.sim(), bed_.net(), router, bed_.directory(), bed_.consensus(), *ias_,
-        natives_, cfg, bed_.rng().fork()));
+        natives_, options_.server, bed_.rng().fork()));
   }
 }
 
@@ -89,6 +83,7 @@ obs::Snapshot BentoWorld::snapshot_stats() {
 
 BentoClientConfig BentoWorld::client_config() const {
   BentoClientConfig cfg;
+  cfg.bento_port = options_.server.port;
   cfg.ias_public_key = ias_->public_key();
   cfg.expected_runtime = BentoServer::runtime_measurement();
   return cfg;

@@ -17,15 +17,9 @@ namespace bento::core {
 
 struct BentoWorldOptions {
   tor::TestbedOptions testbed;
-  MiddleboxPolicy policy = MiddleboxPolicy::permissive();
-  bool sgx_available = true;
-  /// Static admission control mode for every server in the world.
-  VerifyMode verify = VerifyMode::Warn;
-  /// Mount every server's chroots on the persistent sealed blob store, so
-  /// chaos crash/restart plans round-trip durable state (DESIGN.md §15).
-  bool persistent_store = false;
-  /// Store tuning applied to every server when persistent_store is on.
-  store::StoreOptions store_options = {};
+  /// Configuration of every server in the world; its policy is also the
+  /// one each relay descriptor advertises.
+  BentoServerConfig server;
 
   BentoWorldOptions() { testbed.all_bento = true; }
 };

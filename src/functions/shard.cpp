@@ -394,7 +394,7 @@ void ShardClient::repair(const std::vector<Placement>& placements,
     };
     // A Dropbox that accepts the stream but never answers (box process
     // crashed, relay alive) must not hang the whole repair. The deadline
-    // must outlast a worst-case connect — build_attempts timed-out circuit
+    // must outlast a worst-case connect — kBuildAttempts timed-out circuit
     // builds — or a live box reached over a freshly-dead relay would be
     // misclassified as lost.
     bento_.proxy().simulator().after(util::Duration::seconds(90),

@@ -190,10 +190,4 @@ void Snapshot::to_json(std::ostream& os) const {
   os << "]}\n";
 }
 
-std::string Snapshot::to_json() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
-}
-
 }  // namespace bento::obs

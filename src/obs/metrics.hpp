@@ -35,7 +35,6 @@ namespace detail {
 inline bool g_metrics_enabled = true;
 }  // namespace detail
 
-inline bool metrics_enabled() { return detail::g_metrics_enabled; }
 inline void set_metrics_enabled(bool on) { detail::g_metrics_enabled = on; }
 
 struct CounterCell {
@@ -157,7 +156,6 @@ struct Snapshot {
   /// values only and map order fixed by the registry's sorted interning, so
   /// identical seeded runs produce byte-identical output (CI diffs these).
   void to_json(std::ostream& os) const;
-  std::string to_json() const;
 };
 
 class Registry {

@@ -202,7 +202,6 @@ BENTO_FRAMED BENTO_HOT void BlobStore::append_record(Op op,
 
 void BlobStore::retire(const Entry& e) {
   garbage_bytes_ += e.frame_len;
-  live_bytes_ -= e.plain_size;
 }
 
 void BlobStore::put(const std::string& path, util::ByteView data) {
@@ -220,7 +219,6 @@ void BlobStore::put(const std::string& path, util::ByteView data) {
   Entry& e = it->second;
   if (!inserted) retire(e);
   append_record(Op::Put, path, data, &e);
-  live_bytes_ += data.size();
 
   if (e.in_cache && e.cached.size() == data.size()) {
     // Same-size overwrite refreshes the cached payload in place — the
@@ -446,7 +444,6 @@ ReplayReport BlobStore::replay() {
           e.offset = off;
           e.frame_len = len;
           e.plain_size = plain->size();
-          live_bytes_ += plain->size();
           cache_insert(it->first, e, *plain);
           break;
         }

@@ -132,7 +132,6 @@ class BlobStore {
   crypto::Digest snapshot_digest();
 
   std::size_t live_files() const { return index_.size(); }
-  std::size_t live_bytes() const { return live_bytes_; }
   std::size_t garbage_bytes() const { return garbage_bytes_; }
   std::size_t log_bytes() const { return volume_.total_bytes(); }
   std::size_t cached_bytes() const { return cached_bytes_; }
@@ -176,7 +175,6 @@ class BlobStore {
   util::Bytes frame_scratch_;   // reused per append: 0-alloc steady state
   std::uint64_t next_seq_ = 1;
   std::uint64_t seq_ceiling_ = 0;  // last durably reserved seq (inclusive)
-  std::size_t live_bytes_ = 0;
   std::size_t garbage_bytes_ = 0;
   std::size_t cached_bytes_ = 0;
   std::uint64_t cache_hits_ = 0;

@@ -149,10 +149,4 @@ void VolumeManager::crash() {
   }
 }
 
-std::size_t VolumeManager::total_bytes() const {
-  std::size_t n = 0;
-  for (const auto& [key, vol] : volumes_) n += vol->total_bytes();
-  return n;
-}
-
 }  // namespace bento::store

@@ -100,8 +100,6 @@ class VolumeManager {
   /// deterministically drawn torn prefix of each active segment.
   void crash();
 
-  std::size_t total_bytes() const;
-
  private:
   util::Rng rng_;
   std::map<std::string, std::unique_ptr<Volume>> volumes_;

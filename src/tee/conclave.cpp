@@ -144,11 +144,6 @@ void Conclave::set_memory_bytes(std::size_t bytes) {
   runtime_.set_memory_bytes(total);
 }
 
-std::unique_ptr<store::Sealer> Conclave::store_sealer(
-    const std::string& store_name) const {
-  return make_store_sealer(runtime_.platform(), runtime_.measurement(), store_name);
-}
-
 std::unique_ptr<store::Sealer> make_store_sealer(const Platform& platform,
                                                  const Measurement& measurement,
                                                  const std::string& store_name) {

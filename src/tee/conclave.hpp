@@ -95,15 +95,6 @@ class Conclave {
   void set_memory_bytes(std::size_t bytes);
   std::size_t memory_bytes() const { return runtime_.memory_bytes(); }
 
-  /// Sealer for this conclave's persistent blob store: keys derive from the
-  /// platform sealing secret and the runtime measurement, same contract as
-  /// Enclave::seal. Unlike FsProtect's ephemeral key, the derivation is
-  /// stable across restarts *of the same image on the same platform* — the
-  /// restart hook that makes crash-consistent recovery possible at all,
-  /// while anyone without the platform+measurement pair (no attestation)
-  /// derives garbage and replay fails closed.
-  std::unique_ptr<store::Sealer> store_sealer(const std::string& store_name) const;
-
   /// Baseline conclave memory overhead measured in [34] (§7.3: 7.3 MB).
   static constexpr std::size_t kBaselineOverheadBytes = 7'300'000;
 
@@ -114,7 +105,13 @@ class Conclave {
   Enclave runtime_;
 };
 
-/// Free-standing store-sealer derivation: the server-level recovery path
+/// Sealer for a conclave's persistent blob store: keys derive from the
+/// platform sealing secret and the runtime measurement, same contract as
+/// Enclave::seal. Unlike FsProtect's ephemeral key, the derivation is stable
+/// across restarts *of the same image on the same platform* — the restart
+/// hook that makes crash-consistent recovery possible at all, while anyone
+/// without the platform+measurement pair (no attestation) derives garbage
+/// and replay fails closed. The server-level recovery path
 /// (BentoServer::recover_stores) replays durable stores on node restart
 /// *before* any conclave is respawned, so it derives the key the same way a
 /// future conclave of `measurement` on `platform` would.

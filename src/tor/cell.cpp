@@ -8,17 +8,6 @@
 
 namespace bento::tor {
 
-const char* to_string(CellCommand c) {
-  switch (c) {
-    case CellCommand::Padding: return "PADDING";
-    case CellCommand::Create: return "CREATE";
-    case CellCommand::Created: return "CREATED";
-    case CellCommand::Relay: return "RELAY";
-    case CellCommand::Destroy: return "DESTROY";
-  }
-  return "UNKNOWN";
-}
-
 const char* to_string(RelayCommand c) {
   switch (c) {
     case RelayCommand::Begin: return "BEGIN";

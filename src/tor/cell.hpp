@@ -64,7 +64,6 @@ enum class RelayCommand : std::uint8_t {
   RendezvousEstablished = 39,
 };
 
-const char* to_string(CellCommand c);
 const char* to_string(RelayCommand c);
 
 struct Cell {

@@ -39,14 +39,10 @@ CircuitOrigin::CircuitOrigin(sim::Network& net, sim::NodeId own_node, Path path,
       circ_id_(circ_id),
       rng_(rng),
       streams_(frames_, [this](util::Bytes frame, const RelayCell& rc) {
-        if (rc.relay_cmd == RelayCommand::Data) {
-          counters_.data_cells_sent++;
-          counters_.bytes_sent += rc.data.size();
-        }
         send_relay(std::move(frame), rc, -1);
-      }) {
+      }),
+      created_us_(util::sim_now_micros()) {
   if (path_.empty()) throw std::invalid_argument("CircuitOrigin: empty path");
-  counters_.created_us = util::sim_now_micros();
 }
 
 BENTO_HOT void CircuitOrigin::send_cell(const Cell& cell) {
@@ -72,12 +68,10 @@ void CircuitOrigin::build(BuiltFn done) {
 void CircuitOrigin::continue_build() {
   if (next_hop_to_build_ >= path_.size()) {
     built_ = true;
-    counters_.built_us = util::sim_now_micros();
+    const std::int64_t built_us = util::sim_now_micros();
     CircuitMetrics& m = circuit_metrics();
     m.built.inc();
-    if (counters_.created_us >= 0 && counters_.built_us >= 0) {
-      m.build_us.record(counters_.built_us - counters_.created_us);
-    }
+    if (created_us_ >= 0 && built_us >= 0) m.build_us.record(built_us - created_us_);
     obs::trace(obs::Ev::CircBuilt, circ_id_,
                static_cast<std::uint64_t>(hop_count()));
     if (built_cb_) {
@@ -129,29 +123,6 @@ void CircuitOrigin::arm_build_timer() {
   });
 }
 
-void CircuitOrigin::poke_liveness() {
-  if (!built_ || destroyed_ || watchdog_armed_ ||
-      liveness_timeout_.count_micros() <= 0) {
-    return;
-  }
-  watchdog_armed_ = true;
-  std::weak_ptr<char> alive = alive_;
-  net_.simulator().after(liveness_timeout_, [this, alive] {
-    if (alive.expired()) return;
-    watchdog_armed_ = false;
-    if (destroyed_) return;
-    const bool awaiting = last_forward_us_ > last_backward_us_;
-    if (!awaiting) return;  // answered since; next send re-arms
-    const std::int64_t now = util::sim_now_micros();
-    if (now - last_forward_us_ >= liveness_timeout_.count_micros()) {
-      util::log_warn(kComponent, "liveness timeout on circuit ", circ_id_);
-      destroy();
-      return;
-    }
-    poke_liveness();
-  });
-}
-
 void CircuitOrigin::handle_cell(util::Bytes frame) {
   handle_frame(frame);
   // Destruction is deferred (OnionProxy::forget), so this end is still here
@@ -161,7 +132,6 @@ void CircuitOrigin::handle_cell(util::Bytes frame) {
 
 void CircuitOrigin::handle_frame(std::span<std::uint8_t> frame) {
   if (destroyed_) return;
-  last_backward_us_ = util::sim_now_micros();
   switch (frame_command(frame)) {
     case CellCommand::Created: {
       const util::ByteView reply = frame_payload(frame).first(kNtorReplyLen);
@@ -242,8 +212,6 @@ void CircuitOrigin::send_relay(const RelayCell& rc, int hop) {
 
 BENTO_HOT void CircuitOrigin::send_relay(util::Bytes frame, const RelayCell& rc, int hop) {
   if (destroyed_) return;
-  last_forward_us_ = util::sim_now_micros();
-  poke_liveness();
   circuit_metrics().cells_sent.inc();
   obs::trace(obs::Ev::CellSend, circ_id_,
              static_cast<std::uint64_t>(rc.relay_cmd));
@@ -322,11 +290,7 @@ void CircuitOrigin::dispatch_relay(const RelayCell& rc, int hop) {
       return;
     }
     case RelayCommand::Data: {
-      counters_.data_cells_received++;
-      counters_.bytes_received += rc.data.size();
       const std::int64_t now_us = util::sim_now_micros();
-      if (counters_.first_byte_us < 0) counters_.first_byte_us = now_us;
-      counters_.last_byte_us = now_us;
       Stream* stream = streams_.receive_data(rc);
       if (stream == nullptr) return;
       if (stream->first_byte_us < 0) {

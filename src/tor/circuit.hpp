@@ -87,29 +87,9 @@ class CircuitOrigin {
   /// otherwise waits forever.
   void set_build_timeout(util::Duration d) { build_timeout_ = d; }
 
-  /// Dead-hop watchdog: once built, if forward cells go unanswered for `d`
-  /// the circuit destroys itself (firing on_destroy so owners rebuild).
-  /// 0 (default) disables.
-  void set_liveness_timeout(util::Duration d) { liveness_timeout_ = d; }
-
   /// Fingerprint of the hop being negotiated when the build failed or timed
   /// out — what a rebuild should exclude. Empty when unknown.
   const std::string& failed_hop() const { return failed_hop_; }
-
-  /// Per-circuit scoped stats: cell/byte volume plus the sim-time marks the
-  /// paper's evaluation is built from (TTFB/TTLB relative to creation).
-  /// Times are microseconds of sim time, -1 until the event happened.
-  struct Counters {
-    std::uint64_t data_cells_sent = 0;
-    std::uint64_t data_cells_received = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::int64_t created_us = -1;
-    std::int64_t built_us = -1;
-    std::int64_t first_byte_us = -1;  // first DATA payload byte delivered
-    std::int64_t last_byte_us = -1;   // most recent DATA payload byte
-  };
-  const Counters& counters() const { return counters_; }
 
  private:
   void continue_build();
@@ -121,7 +101,6 @@ class CircuitOrigin {
   /// hold rc.data), seals it for `hop`, onion-encrypts it and sends it.
   void send_relay(util::Bytes frame, const RelayCell& rc, int hop);
   void arm_build_timer();
-  void poke_liveness();
 
   sim::Network& net_;
   sim::NodeId own_node_;
@@ -146,16 +125,13 @@ class CircuitOrigin {
   StreamAcceptor acceptor_;
   RelayFn relay_handler_;
   std::function<void()> on_destroy_;
-  Counters counters_;
+  // Sim time of construction (micros), the start of tor.circuit_build_us.
+  std::int64_t created_us_;
 
-  // Failure recovery (DESIGN.md §9). Timers capture a weak ref to alive_ so
-  // a fired watchdog never touches a deleted circuit.
+  // Failure recovery (DESIGN.md §9). The build timer captures a weak ref to
+  // alive_ so it never touches a deleted circuit.
   util::Duration build_timeout_ = util::Duration::seconds(30);
-  util::Duration liveness_timeout_{};
-  bool watchdog_armed_ = false;
   bool failing_ = false;
-  std::int64_t last_forward_us_ = -1;
-  std::int64_t last_backward_us_ = -1;
   std::string failed_hop_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('\0');
 };

@@ -126,7 +126,10 @@ void StreamTable::receive(const RelayCell& rc) {
       if (stream->cbs_.on_end) stream->cbs_.on_end();
       return;
     }
+    // A SENDME answers cells this end sent: one that would lift a window past
+    // its initial size is a protocol violation (tor-spec §7.4) and is ignored.
     case RelayCommand::SendmeCircuit:
+      if (package_window_ > kCircuitWindowInit - kCircuitWindowIncrement) return;
       package_window_ += kCircuitWindowIncrement;
       // Pump every stream in id order. Pumping may erase the stream it pumps
       // (a flushed END) and no other, so step past it first.
@@ -137,7 +140,10 @@ void StreamTable::receive(const RelayCell& rc) {
       return;
     case RelayCommand::SendmeStream: {
       Stream* stream = find(rc.stream_id);
-      if (stream == nullptr) return;
+      if (stream == nullptr ||
+          stream->package_window_ > kStreamWindowInit - kStreamWindowIncrement) {
+        return;
+      }
       stream->package_window_ += kStreamWindowIncrement;
       pump(*stream);
       return;

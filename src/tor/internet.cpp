@@ -86,7 +86,22 @@ void TcpClient::on_message(sim::NodeId from, const TcpMsg& msg) {
   }
 }
 
-void TcpServer::on_message(sim::NodeId from, util::Bytes data) {
+int slow_start_rounds(std::size_t bytes) {
+  if (bytes <= kInitCwndBytes) return 0;
+  // cwnd doubles each RTT: after r rounds the sender has shipped
+  // init_cwnd * (2^(r+1) - 1) bytes.
+  int rounds = 0;
+  std::size_t shipped = kInitCwndBytes;
+  std::size_t cwnd = kInitCwndBytes;
+  while (shipped < bytes && rounds < 40) {
+    cwnd *= 2;
+    shipped += cwnd;
+    ++rounds;
+  }
+  return rounds;
+}
+
+void WebServer::on_message(sim::NodeId from, util::Bytes data) {
   const TcpMsg msg = TcpMsg::unpack(data);
   const ConnKey conn{from, msg.conn_id};
   switch (msg.type) {
@@ -95,21 +110,21 @@ void TcpServer::on_message(sim::NodeId from, util::Bytes data) {
       ack.type = TcpMsgType::OpenAck;
       ack.conn_id = msg.conn_id;
       net_.send(node(), from, ack.pack());
-      on_conn_open(conn, msg.dst_port);
+      partial_[conn];
       break;
     }
     case TcpMsgType::Data:
       on_conn_data(conn, msg.payload);
       break;
     case TcpMsgType::End:
-      on_conn_end(conn);
+      partial_.erase(conn);
       break;
     case TcpMsgType::OpenAck:
       break;
   }
 }
 
-void TcpServer::reply_data(const ConnKey& conn, util::ByteView data) {
+void WebServer::reply_data(const ConnKey& conn, util::ByteView data) {
   TcpMsg m;
   m.type = TcpMsgType::Data;
   m.conn_id = conn.second;
@@ -117,7 +132,7 @@ void TcpServer::reply_data(const ConnKey& conn, util::ByteView data) {
   net_.send(node(), conn.first, m.pack());
 }
 
-void TcpServer::reply_end(const ConnKey& conn) {
+void WebServer::reply_end(const ConnKey& conn) {
   TcpMsg m;
   m.type = TcpMsgType::End;
   m.conn_id = conn.second;
@@ -130,8 +145,6 @@ void WebServer::set_think_time(util::Duration min, util::Duration max,
   think_max_ = max;
   think_rng_ = util::Rng(seed);
 }
-
-void WebServer::on_conn_open(const ConnKey& conn, Port) { partial_[conn]; }
 
 void WebServer::on_conn_data(const ConnKey& conn, util::ByteView data) {
   std::string& buf = partial_[conn];
@@ -154,15 +167,10 @@ void WebServer::on_conn_data(const ConnKey& conn, util::ByteView data) {
   }
 
   // First byte waits out the handshake + slow-start rounds; the network
-  // links then pace the chunk train at the bottleneck bandwidth. The
-  // size/bandwidth term of the analytic model is intentionally *excluded*
-  // here because the simulated links already impose it.
+  // links then pace the chunk train at the bottleneck bandwidth.
   const util::Duration rtt = net_.latency(node(), conn.first) * 2.0;
-  const int rounds = tcp_params_.model_slow_start
-                         ? sim::slow_start_rounds(body->size(), tcp_params_)
-                         : 0;
-  util::Duration first_byte_delay =
-      rtt * (tcp_params_.handshake_rtts + static_cast<double>(rounds));
+  const int rounds = slow_start_ ? slow_start_rounds(body->size()) : 0;
+  util::Duration first_byte_delay = rtt * (1.0 + static_cast<double>(rounds));
   if (think_max_ > think_min_) {
     const auto span = static_cast<std::uint64_t>(
         (think_max_ - think_min_).count_micros());
@@ -182,7 +190,5 @@ void WebServer::on_conn_data(const ConnKey& conn, util::ByteView data) {
     reply_end(conn);
   });
 }
-
-void WebServer::on_conn_end(const ConnKey& conn) { partial_.erase(conn); }
 
 }  // namespace bento::tor

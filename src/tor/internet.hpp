@@ -3,11 +3,12 @@
 // Exit relays (and Bento functions granted direct network access) reach
 // external servers through `Internet`, which maps service addresses to
 // simulator nodes. Connections speak a tiny framed protocol (OPEN / DATA /
-// END) over the message network; servers add the handshake + slow-start
-// delay from sim/transport.hpp before their first response byte so that
-// clearnet fetches show realistic TCP latency behaviour.
+// END) over the message network; web servers add the handshake and
+// slow-start delay before their first response byte so that clearnet
+// fetches show realistic TCP latency behaviour.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -16,7 +17,6 @@
 
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "sim/transport.hpp"
 #include "tor/address.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -80,48 +80,37 @@ class TcpClient {
   std::map<std::uint64_t, Conn> conns_;
 };
 
-/// Base class for servers on the simulated Internet.
-class TcpServer : public sim::MessageHandler {
- public:
-  TcpServer(sim::Simulator& sim, sim::Network& net) : sim_(sim), net_(net) {}
+/// TCP's initial congestion window: 10 segments of 1460 B (RFC 6928).
+inline constexpr std::size_t kInitCwndBytes = 14600;
 
-  void set_node(sim::NodeId node) { node_ = node; }
-  sim::NodeId node() const { return node_; }
+/// Slow-start rounds a sender needs before its window, starting at
+/// kInitCwndBytes and doubling every round trip, has shipped `bytes` (at
+/// most 40).
+int slow_start_rounds(std::size_t bytes);
 
-  void on_message(sim::NodeId from, util::Bytes data) final;
-
- protected:
-  /// A connection key is (remote node, remote conn id).
-  using ConnKey = std::pair<sim::NodeId, std::uint64_t>;
-
-  virtual void on_conn_open(const ConnKey& conn, Port dst_port) = 0;
-  virtual void on_conn_data(const ConnKey& conn, util::ByteView data) = 0;
-  virtual void on_conn_end(const ConnKey& conn) = 0;
-
-  void reply_data(const ConnKey& conn, util::ByteView data);
-  void reply_end(const ConnKey& conn);
-
-  sim::Simulator& sim_;
-  sim::Network& net_;
-
- private:
-  sim::NodeId node_ = sim::kInvalidNode;
-};
-
-/// An HTTP-ish web server: maps request paths to response bodies.
+/// An HTTP-ish web server on the simulated Internet: maps request paths to
+/// response bodies.
 ///
 /// Requests are a single line "GET <path>". Responses are streamed in 8 KiB
-/// DATA chunks; the first chunk is delayed by the TCP handshake/slow-start
-/// model for the response size, the rest are paced by the node's uplink.
-class WebServer : public TcpServer {
+/// DATA chunks. The first chunk waits one round trip for the handshake plus
+/// one per slow-start round the response size needs (the closed-form TCP
+/// latency model of Cardwell, Savage and Anderson, which captures what
+/// Table 2 depends on: small transfers are RTT-bound). The model's
+/// size/bandwidth term is left out because the node's links already pace
+/// the chunk train.
+class WebServer : public sim::MessageHandler {
  public:
   using ContentFn = std::function<std::optional<util::Bytes>(const std::string& path)>;
 
   WebServer(sim::Simulator& sim, sim::Network& net, ContentFn content)
-      : TcpServer(sim, net), content_(std::move(content)) {}
+      : sim_(sim), net_(net), content_(std::move(content)) {}
 
-  /// TCP model knobs (ablation: disable slow start).
-  sim::TcpModelParams& tcp_params() { return tcp_params_; }
+  void set_node(sim::NodeId node) { node_ = node; }
+  sim::NodeId node() const { return node_; }
+
+  /// Ablation switch (DESIGN.md §5): off, the first byte waits for the
+  /// handshake only. On by default.
+  void set_slow_start(bool on) { slow_start_ = on; }
 
   /// Random per-request server think time (drawn uniformly), modelling
   /// backend variance; defaults to none.
@@ -129,14 +118,21 @@ class WebServer : public TcpServer {
 
   std::uint64_t requests_served() const { return requests_; }
 
- protected:
-  void on_conn_open(const ConnKey& conn, Port dst_port) override;
-  void on_conn_data(const ConnKey& conn, util::ByteView data) override;
-  void on_conn_end(const ConnKey& conn) override;
+  void on_message(sim::NodeId from, util::Bytes data) override;
 
  private:
+  /// A connection key is (remote node, remote conn id).
+  using ConnKey = std::pair<sim::NodeId, std::uint64_t>;
+
+  void on_conn_data(const ConnKey& conn, util::ByteView data);
+  void reply_data(const ConnKey& conn, util::ByteView data);
+  void reply_end(const ConnKey& conn);
+
+  sim::Simulator& sim_;
+  sim::Network& net_;
+  sim::NodeId node_ = sim::kInvalidNode;
   ContentFn content_;
-  sim::TcpModelParams tcp_params_;
+  bool slow_start_ = true;
   util::Duration think_min_{};
   util::Duration think_max_{};
   util::Rng think_rng_{0};

@@ -37,7 +37,41 @@ CircId OnionProxy::alloc_circ_id(sim::NodeId guard) {
 }
 
 void OnionProxy::build_circuit(const PathConstraints& constraints,
-                               std::function<void(CircuitOrigin*)> done) {
+                               std::function<void(CircuitOrigin*)> done, int attempts) {
+  if (attempts > 1) {
+    // An init-capture: the copy drops const, so a rebuild can extend it.
+    done = [this, constraints = constraints, attempts,
+            done = std::move(done)](CircuitOrigin* circ) mutable {
+      if (circ != nullptr) {
+        done(circ);
+        return;
+      }
+      // Rebuild through a fresh path, excluding the relay the failed attempt
+      // died at — unless it is the pinned destination, which every path must
+      // keep (its crash is unrecoverable by rerouting).
+      const std::string& bad = last_failed_hop_;
+      if (!bad.empty() && bad != constraints.last_hop.value_or("") &&
+          std::find(constraints.excluded.begin(), constraints.excluded.end(), bad) ==
+              constraints.excluded.end()) {
+        constraints.excluded.push_back(bad);
+      }
+      obs::trace(obs::Ev::CircRebuild, 0,
+                 static_cast<std::uint64_t>(constraints.excluded.size()));
+      util::log_info(kComponent, "rebuilding circuit (", attempts - 1,
+                     " attempts left, excluding ", constraints.excluded.size(),
+                     " relays)");
+      build_circuit(
+          constraints,
+          [done = std::move(done)](CircuitOrigin* rebuilt) {
+            if (rebuilt != nullptr) {
+              obs::trace(obs::Ev::CircRebuild, rebuilt->circ_id(),
+                         static_cast<std::uint64_t>(rebuilt->hop_count()), /*ok=*/true);
+            }
+            done(rebuilt);
+          },
+          attempts - 1);
+    };
+  }
   PathSelector selector(consensus_);
   Path path;
   try {
@@ -48,47 +82,6 @@ void OnionProxy::build_circuit(const PathConstraints& constraints,
     return;
   }
   build_circuit_path(std::move(path), std::move(done));
-}
-
-void OnionProxy::build_circuit_retry(PathConstraints constraints, int attempts,
-                                     std::function<void(CircuitOrigin*)> done) {
-  if (attempts <= 0) {
-    done(nullptr);
-    return;
-  }
-  // The callback copies the constraints before build_circuit consumes them
-  // (argument evaluation order is unspecified).
-  auto retry_done = [this, constraints, attempts,
-                     done = std::move(done)](CircuitOrigin* circ) mutable {
-    if (circ != nullptr || attempts <= 1) {
-      done(circ);
-      return;
-    }
-    // Rebuild through a fresh path, excluding the relay the failed attempt
-    // died at — unless it is the pinned destination, which every path must
-    // keep (its crash is unrecoverable by rerouting).
-    const std::string& bad = last_failed_hop_;
-    if (!bad.empty() && bad != constraints.last_hop.value_or("") &&
-        std::find(constraints.excluded.begin(), constraints.excluded.end(), bad) ==
-            constraints.excluded.end()) {
-      constraints.excluded.push_back(bad);
-    }
-    obs::trace(obs::Ev::CircRebuild, 0,
-               static_cast<std::uint64_t>(constraints.excluded.size()));
-    util::log_info(kComponent, "rebuilding circuit (", attempts - 1,
-                   " attempts left, excluding ", constraints.excluded.size(),
-                   " relays)");
-    const int remaining = attempts - 1;
-    build_circuit_retry(std::move(constraints), remaining,
-                        [done = std::move(done)](CircuitOrigin* rebuilt) {
-      if (rebuilt != nullptr) {
-        obs::trace(obs::Ev::CircRebuild, rebuilt->circ_id(),
-                   static_cast<std::uint64_t>(rebuilt->hop_count()), /*ok=*/true);
-      }
-      done(rebuilt);
-    });
-  };
-  build_circuit(constraints, std::move(retry_done));
 }
 
 void OnionProxy::build_circuit_path(Path path,

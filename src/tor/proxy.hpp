@@ -32,18 +32,11 @@ class OnionProxy : public sim::MessageHandler {
   util::Rng& rng() { return rng_; }
 
   /// Builds a circuit; `done` receives nullptr on failure. The proxy owns
-  /// the returned circuit until it is destroyed.
+  /// the returned circuit until it is destroyed. With `attempts` > 1 a failed
+  /// build reselects a path excluding the hop it died at and tries again, up
+  /// to `attempts` builds in all; each rebuild is traced (Ev::CircRebuild).
   void build_circuit(const PathConstraints& constraints,
-                     std::function<void(CircuitOrigin*)> done);
-
-  /// Like build_circuit, but on failure reselects a path excluding the hop
-  /// the failed attempt died at and tries again, up to `attempts` total
-  /// builds. Each retry is traced (Ev::CircRebuild).
-  void build_circuit_retry(PathConstraints constraints, int attempts,
-                           std::function<void(CircuitOrigin*)> done);
-
-  /// Builds a circuit over an explicit path (testing / pinned paths).
-  void build_circuit_path(Path path, std::function<void(CircuitOrigin*)> done);
+                     std::function<void(CircuitOrigin*)> done, int attempts = 1);
 
   /// Applied to every circuit this proxy builds (0 disables the watchdog).
   void set_build_timeout(util::Duration d) { build_timeout_ = d; }
@@ -65,6 +58,7 @@ class OnionProxy : public sim::MessageHandler {
 
  private:
   CircId alloc_circ_id(sim::NodeId guard);
+  void build_circuit_path(Path path, std::function<void(CircuitOrigin*)> done);
 
   sim::Simulator& sim_;
   sim::Network& net_;

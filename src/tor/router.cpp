@@ -70,8 +70,6 @@ void Router::clearnet_send(std::uint64_t conn, util::ByteView data) {
   tcp_.send(conn, data);
 }
 
-void Router::clearnet_close(std::uint64_t conn) { tcp_.close(conn); }
-
 void Router::on_message(sim::NodeId from, util::Bytes data) {
   if (!is_framed_cell(data)) {
     // Everything else on a relay node is TCP-like clearnet traffic.
@@ -84,7 +82,6 @@ void Router::on_message(sim::NodeId from, util::Bytes data) {
     return;
   }
   const CircId circ_id = frame_circ_id(data);
-  ++counters_.cells_in;
   obs::trace(obs::Ev::CellRecv, circ_id, node_);
   // One span per cell per hop: inert unless the cell arrived on a traced
   // request's causal chain. Zero sim-time (relay processing is modeled as
@@ -110,13 +107,11 @@ void Router::on_message(sim::NodeId from, util::Bytes data) {
 BENTO_HOT void Router::send_cell(sim::NodeId to, const Cell& cell) {
   util::Bytes frame = frames_.take();
   frame_cell_into(frame, cell);
-  ++counters_.cells_out;
   net_.send(node_, to, std::move(frame));
 }
 
 BENTO_HOT void Router::forward_frame(sim::NodeId to, CircId circ_id, util::Bytes frame) {
   set_frame_circ_id(frame, circ_id);
-  ++counters_.cells_out;
   net_.send(node_, to, std::move(frame));
 }
 
@@ -171,7 +166,7 @@ void Router::handle_created(sim::NodeId from, const Cell& cell) {
   RelayCell extended;
   extended.relay_cmd = RelayCommand::Extended;
   extended.data = util::ByteView(cell.payload).first(kNtorReplyLen);
-  send_backward(prev_key, *circ, extended);
+  send_backward(*circ, extended);
 }
 
 BENTO_HOT void Router::handle_relay(sim::NodeId from, CircId circ_id, util::Bytes frame) {
@@ -333,7 +328,7 @@ void Router::on_establish_intro(const Key& key, Circuit& circ, const RelayCell& 
   intro_points_[circ.intro_auth] = key;
   RelayCell ack;
   ack.relay_cmd = RelayCommand::IntroEstablished;
-  send_backward(key, circ, ack);
+  send_backward(circ, ack);
 }
 
 void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -354,7 +349,7 @@ void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
   RelayCell intro2;
   intro2.relay_cmd = RelayCommand::Introduce2;
   intro2.data = blob;
-  send_backward(it->second, *service_circ, intro2);
+  send_backward(*service_circ, intro2);
   (void)key;
   (void)circ;
 }
@@ -365,7 +360,7 @@ void Router::on_establish_rendezvous(const Key& key, Circuit& circ,
   rend_points_[circ.rend_cookie] = key;
   RelayCell ack;
   ack.relay_cmd = RelayCommand::RendezvousEstablished;
-  send_backward(key, circ, ack);
+  send_backward(circ, ack);
 }
 
 void Router::on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc) {
@@ -392,12 +387,11 @@ void Router::on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc) 
   RelayCell rend2;
   rend2.relay_cmd = RelayCommand::Rendezvous2;
   rend2.data = reply;
-  send_backward(client_key, *client_circ, rend2);
+  send_backward(*client_circ, rend2);
 }
 
-void Router::send_backward(const Key& key, Circuit& circ, const RelayCell& rc) {
+void Router::send_backward(Circuit& circ, const RelayCell& rc) {
   send_backward(circ, rc, frames_.take());
-  (void)key;
 }
 
 BENTO_HOT void Router::send_backward(Circuit& circ, const RelayCell& rc, util::Bytes frame) {
@@ -406,7 +400,6 @@ BENTO_HOT void Router::send_backward(Circuit& circ, const RelayCell& rc, util::B
   circ.crypto->seal_backward(payload);
   circ.crypto->crypt_backward(payload);
   set_frame_header(frame, circ.prev_id, CellCommand::Relay);
-  ++counters_.cells_out;
   net_.send(node_, circ.prev_peer, std::move(frame));
 }
 

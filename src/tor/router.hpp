@@ -70,7 +70,6 @@ class Router : public sim::MessageHandler {
   bool open_clearnet(const Endpoint& to, TcpClient::Callbacks cbs,
                      std::uint64_t* conn_out);
   void clearnet_send(std::uint64_t conn, util::ByteView data);
-  void clearnet_close(std::uint64_t conn);
 
   void on_message(sim::NodeId from, util::Bytes data) override;
 
@@ -86,8 +85,6 @@ class Router : public sim::MessageHandler {
   void crash();
 
   struct Counters {
-    std::uint64_t cells_in = 0;
-    std::uint64_t cells_out = 0;
     std::uint64_t circuits_created = 0;
     std::uint64_t cells_dropped = 0;  // DROP (cover) cells absorbed here
   };
@@ -129,7 +126,7 @@ class Router : public sim::MessageHandler {
 
   /// Seals+encrypts a relay cell at our layer and sends it toward the
   /// origin of `circ`.
-  void send_backward(const Key& key, Circuit& circ, const RelayCell& rc);
+  void send_backward(Circuit& circ, const RelayCell& rc);
   /// The same, packed into `frame` (taken from frames_), whose payload may
   /// already hold rc.data.
   void send_backward(Circuit& circ, const RelayCell& rc, util::Bytes frame);

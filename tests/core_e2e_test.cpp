@@ -155,7 +155,7 @@ TEST(BentoE2E, AttestationFailsWhenTcbOutdated) {
 
 TEST(BentoE2E, ManifestExceedingPolicyRejected) {
   bc::BentoWorldOptions options;
-  options.policy = bc::MiddleboxPolicy::no_storage();
+  options.server.policy = bc::MiddleboxPolicy::no_storage();
   bc::BentoWorld world(options);
   world.start();
   auto client = world.make_client("alice");
@@ -247,7 +247,7 @@ TEST(BentoE2E, EnforceModeRejectsManifestUnderstatingFunction) {
   // the container ever runs — with a line-numbered reason naming the
   // capability the manifest failed to request.
   bc::BentoWorldOptions options;
-  options.verify = bc::VerifyMode::Enforce;
+  options.server.verify = bc::VerifyMode::Enforce;
   bc::BentoWorld world(options);
   world.start();
   auto client = world.make_client("alice");
@@ -280,7 +280,7 @@ def on_message(msg):
 
 TEST(BentoE2E, EnforceModeAdmitsCleanFunctionEndToEnd) {
   bc::BentoWorldOptions options;
-  options.verify = bc::VerifyMode::Enforce;
+  options.server.verify = bc::VerifyMode::Enforce;
   bc::BentoWorld world(options);
   world.start();
   auto client = world.make_client("alice");
@@ -442,7 +442,7 @@ def on_message(msg):
 
 TEST(BentoE2E, SgxUnavailableBoxRefusesConclaveImage) {
   bc::BentoWorldOptions options;
-  options.sgx_available = false;
+  options.server.sgx_available = false;
   bc::BentoWorld world(options);
   world.start();
   auto client = world.make_client("alice");

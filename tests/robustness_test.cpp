@@ -148,7 +148,7 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   options.testbed.guards = 3;
   options.testbed.middles = 5;
   options.testbed.exits = 3;
-  options.persistent_store = true;
+  options.server.persistent_store = true;
   bc::BentoWorld world(options);
   world.start();
   bch::ChaosEngine engine(world.sim(), world.bed().net());
@@ -255,7 +255,7 @@ TEST(Robustness, PersistentStoreCorruptTailRecoversLongestPrefix) {
   RecorderScope recorder("persistent_store_corrupt_tail");
   bc::BentoWorldOptions options;
   options.testbed.seed = chaos_seed(9);
-  options.persistent_store = true;
+  options.server.persistent_store = true;
   bc::BentoWorld world(options);
   world.start();
   bch::ChaosEngine engine(world.sim(), world.bed().net());
@@ -310,7 +310,7 @@ TEST(Robustness, RespawnInSameCascadeKeepsDurableStoreName) {
   RecorderScope recorder("persistent_store_respawn_same_cascade");
   bc::BentoWorldOptions options;
   options.testbed.seed = chaos_seed(13);
-  options.persistent_store = true;
+  options.server.persistent_store = true;
   bc::BentoWorld world(options);
   world.start();
 

@@ -11,7 +11,6 @@
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "sim/transport.hpp"
 #include "util/bytes.hpp"
 
 namespace bch = bento::chaos;
@@ -568,48 +567,3 @@ TEST(Network, DefaultLatencyApplies) {
   auto b = net.add_node({"b", 1e9, 1e9});
   EXPECT_EQ(net.latency(a, b).to_millis(), 123);
 }
-
-TEST(Transport, SmallTransferIsRttBound) {
-  // 5 KB at 10 MB/s: transfer time negligible, so halving RTT halves delay.
-  auto d1 = bs::tcp_fetch_delay(5000, Duration::millis(100), 10e6);
-  auto d2 = bs::tcp_fetch_delay(5000, Duration::millis(50), 10e6);
-  EXPECT_NEAR(d1.to_seconds() / d2.to_seconds(), 2.0, 0.05);
-}
-
-TEST(Transport, LargeTransferIsBandwidthBound) {
-  auto d = bs::tcp_fetch_delay(100'000'000, Duration::millis(50), 10e6);
-  EXPECT_NEAR(d.to_seconds(), 10.0, 1.0);
-}
-
-TEST(Transport, SlowStartRounds) {
-  bs::TcpModelParams p;
-  EXPECT_EQ(bs::slow_start_rounds(1000, p), 0);
-  EXPECT_EQ(bs::slow_start_rounds(p.init_cwnd_bytes, p), 0);
-  EXPECT_EQ(bs::slow_start_rounds(p.init_cwnd_bytes + 1, p), 1);
-  EXPECT_GT(bs::slow_start_rounds(1'000'000, p), 3);
-  EXPECT_LT(bs::slow_start_rounds(1'000'000'000ULL, p), 41);
-}
-
-TEST(Transport, AblationDisablesSlowStart) {
-  bs::TcpModelParams with{};
-  bs::TcpModelParams without{};
-  without.model_slow_start = false;
-  auto dw = bs::tcp_fetch_delay(1'000'000, Duration::millis(100), 10e6, with);
-  auto dwo = bs::tcp_fetch_delay(1'000'000, Duration::millis(100), 10e6, without);
-  EXPECT_GT(dw.to_seconds(), dwo.to_seconds());
-}
-
-// Property sweep: delay is monotone in size and RTT.
-class TransportSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TransportSweep, MonotoneInSizeAndRtt) {
-  const std::size_t size = GetParam();
-  auto base = bs::tcp_fetch_delay(size, Duration::millis(80), 5e6);
-  auto bigger = bs::tcp_fetch_delay(size * 2 + 1, Duration::millis(80), 5e6);
-  auto slower = bs::tcp_fetch_delay(size, Duration::millis(160), 5e6);
-  EXPECT_GE(bigger.count_micros(), base.count_micros());
-  EXPECT_GT(slower.count_micros(), base.count_micros());
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, TransportSweep,
-                         ::testing::Values(100, 1000, 14600, 100000, 5000000));

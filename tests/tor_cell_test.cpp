@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tor/address.hpp"
 #include "tor/cell.hpp"
 #include "tor/exitpolicy.hpp"
@@ -240,4 +242,49 @@ TEST(ByteQueue, KeepsOrderAcrossRefillsWhileNeverDrained) {
     for (const std::uint8_t b : pop_bytes(q, 12)) ASSERT_EQ(b, next_out++);
   }
   EXPECT_EQ(q.size(), 200u * 3);
+}
+
+namespace {
+/// One circuit end's stream table that only counts the DATA cells it sends.
+struct CountingTable {
+  bt::FramePool frames;
+  int data_cells = 0;
+  bt::StreamTable table{frames, [this](bu::Bytes frame, const bt::RelayCell& rc) {
+    if (rc.relay_cmd == bt::RelayCommand::Data) ++data_cells;
+    frames.give(std::move(frame));
+  }};
+};
+
+bt::RelayCell sendme(bt::RelayCommand cmd, bt::StreamId sid) {
+  bt::RelayCell rc;
+  rc.relay_cmd = cmd;
+  rc.stream_id = sid;
+  return rc;
+}
+
+/// More data than any package window lets out.
+bu::Bytes cells_of_data(std::size_t cells) { return bu::Bytes(cells * bt::kRelayDataMax, 0); }
+}  // namespace
+
+// A SENDME answers cells this end sent. One that arrives before any DATA has
+// gone out would lift the window past its initial size (tor-spec §7.4 calls
+// that a protocol violation), so it is ignored: the stream still stops at
+// kStreamWindowInit cells instead of 550.
+TEST(StreamTable, EarlyStreamSendmeDoesNotLiftTheStreamWindow) {
+  CountingTable end;
+  bt::Stream& stream = end.table.add(1);
+  end.table.receive(sendme(bt::RelayCommand::SendmeStream, 1));
+  stream.send(cells_of_data(600));
+  EXPECT_EQ(end.data_cells, bt::kStreamWindowInit);
+}
+
+// The same for the circuit window: three streams could send 1,500 cells
+// between them, and the circuit stops them at kCircuitWindowInit, not 1,100.
+TEST(StreamTable, EarlyCircuitSendmeDoesNotLiftTheCircuitWindow) {
+  CountingTable end;
+  std::vector<bt::Stream*> streams;
+  for (bt::StreamId sid = 1; sid <= 3; ++sid) streams.push_back(&end.table.add(sid));
+  end.table.receive(sendme(bt::RelayCommand::SendmeCircuit, 0));
+  for (bt::Stream* stream : streams) stream->send(cells_of_data(600));
+  EXPECT_EQ(end.data_cells, bt::kCircuitWindowInit);
 }

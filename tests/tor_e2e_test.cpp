@@ -523,3 +523,57 @@ TEST(TorE2E, ManySequentialStreamsOnOneCircuit) {
   }
   EXPECT_EQ(completed, 10);
 }
+
+TEST(Transport, SlowStartRounds) {
+  EXPECT_EQ(bt::slow_start_rounds(1000), 0);
+  EXPECT_EQ(bt::slow_start_rounds(bt::kInitCwndBytes), 0);
+  EXPECT_EQ(bt::slow_start_rounds(bt::kInitCwndBytes + 1), 1);
+  EXPECT_GT(bt::slow_start_rounds(1'000'000), 3);
+  EXPECT_LT(bt::slow_start_rounds(1'000'000'000ULL), 41);
+}
+
+// Table 2's rows rest on the web server's first-byte delay: one round trip
+// for the handshake plus one per slow-start round of the body. Its
+// --no-slow-start ablation drops the rounds and keeps the handshake.
+TEST(WebServer, SlowStartDelaysTheFirstByteByOneRoundTripPerRound) {
+  static constexpr std::size_t kBodyBytes = 1'000'000;
+  std::int64_t rtt_us = -1;
+  // Sim time from sending the GET to the first response byte, over a relay's
+  // raw clearnet connection (no circuit, so the fetch is the only traffic).
+  auto first_byte_us = [&rtt_us](bool slow_start) {
+    bt::Testbed bed;
+    bed.finalize();
+    bt::WebServer& server = bed.add_web_server(
+        web_endpoint().addr, [](const std::string&) { return bu::Bytes(kBodyBytes, 'x'); });
+    server.set_slow_start(slow_start);
+    bt::Router& relay = bed.router(0);
+    rtt_us = (bed.net().latency(relay.node(), server.node()) * 2.0).count_micros();
+    std::uint64_t conn = 0;
+    std::int64_t sent_us = -1;
+    std::int64_t first_us = -1;
+    std::size_t received = 0;
+    bt::TcpClient::Callbacks cbs;
+    cbs.on_open = [&] {
+      sent_us = bed.sim().now().micros();
+      relay.clearnet_send(conn, bu::to_bytes("GET /\n"));
+    };
+    cbs.on_data = [&](bu::ByteView d) {
+      if (first_us < 0) first_us = bed.sim().now().micros();
+      received += d.size();
+    };
+    EXPECT_TRUE(relay.open_clearnet(web_endpoint(), std::move(cbs), &conn));
+    bed.run();
+    EXPECT_EQ(received, kBodyBytes);
+    EXPECT_GE(sent_us, 0);
+    return first_us - sent_us;
+  };
+  const std::int64_t with = first_byte_us(true);
+  const std::int64_t without = first_byte_us(false);
+  ASSERT_GT(rtt_us, 0);
+  const int rounds = bt::slow_start_rounds(kBodyBytes);
+  ASSERT_GT(rounds, 0);
+  EXPECT_EQ(with - without, rounds * rtt_us);
+  // The handshake round trip stays: half an RTT for the GET to arrive, one
+  // RTT of handshake and half an RTT for the first chunk to come back.
+  EXPECT_GE(without, 2 * rtt_us);
+}
