@@ -45,7 +45,7 @@ inline constexpr double kRetryJitter = 0.25;
 inline constexpr int kBuildAttempts = 2;
 
 struct BentoClientConfig {
-  tor::Port bento_port = 5577;
+  tor::Port bento_port = kBentoPort;
   /// IAS report-signing key, for verifying stapled attestation reports.
   crypto::Gp ias_public_key = 0;
   /// Expected measurement of the Bento runtime image. A python-op-sgx spawn

@@ -1,5 +1,8 @@
 #include "core/container.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/client.hpp"
 #include "core/server.hpp"
 #include "obs/metrics.hpp"
@@ -12,6 +15,14 @@ namespace bento::core {
 
 namespace {
 constexpr char kComponent[] = "bento.container";
+
+/// A clearnet fetch collects its body in blocks of this size (or of one
+/// larger chunk) and joins them once, at the end, into one buffer of
+/// exactly the body's size. A block stays below glibc's default mmap
+/// threshold (128 KiB); a vector doubling its way up to the page size
+/// would instead leave a trail of page-sized frees that the allocator
+/// trims and faults back in.
+constexpr std::size_t kFetchBlock = std::size_t{64} << 10;
 }  // namespace
 
 Container::Container(BentoServer& server, std::uint64_t id, std::string image,
@@ -288,9 +299,9 @@ void Container::http_get(const std::string& url, HttpCallback done) {
   resources_->open_connection();
 
   struct FetchState {
-    util::Bytes body;
+    std::vector<util::Bytes> blocks;  // each reserved once, never regrown
+    std::size_t size = 0;
     std::uint64_t conn = 0;
-    bool done = false;
   };
   auto state = std::make_shared<FetchState>();
   auto done_shared = std::make_shared<HttpCallback>(std::move(done));
@@ -316,14 +327,22 @@ void Container::http_get(const std::string& url, HttpCallback done) {
     if (alive.expired() || dead_) return;
     run_guarded([&] { resources_->charge_network(d.size()); });
     if (dead_) return;
-    util::append(state->body, d);
+    state->size += d.size();
+    if (state->blocks.empty() ||
+        state->blocks.back().size() + d.size() > state->blocks.back().capacity()) {
+      state->blocks.emplace_back().reserve(std::max(kFetchBlock, d.size()));
+    }
+    util::append(state->blocks.back(), d);
   };
   cbs.on_end = [this, alive, state, done_shared] {
     if (alive.expired() || dead_) return;
-    state->done = true;
     resources_->close_connection();
+    util::Bytes body;
+    body.reserve(state->size);
+    for (const util::Bytes& block : state->blocks) util::append(body, block);
+    state->blocks.clear();
     // Function code runs guarded even on async paths.
-    run_guarded([&] { (*done_shared)(true, std::move(state->body)); });
+    run_guarded([&] { (*done_shared)(true, std::move(body)); });
   };
   if (!server_.router().open_clearnet(parsed.endpoint, std::move(cbs), &state->conn)) {
     resources_->close_connection();

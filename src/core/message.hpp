@@ -20,10 +20,15 @@
 #include <string_view>
 #include <vector>
 
+#include "tor/address.hpp"
 #include "util/bytes.hpp"
 #include "util/serialize.hpp"
 
 namespace bento::core {
+
+/// The port a Bento server listens on at every box, and the one a client
+/// dials unless told otherwise.
+inline constexpr tor::Port kBentoPort = 5577;
 
 enum class MsgType : std::uint8_t {
   // Client -> server.

@@ -20,6 +20,7 @@
 #include <set>
 
 #include "core/container.hpp"
+#include "core/message.hpp"
 #include "core/policy.hpp"
 #include "sandbox/resources.hpp"
 #include "store/store.hpp"
@@ -30,8 +31,6 @@
 #include "tor/router.hpp"
 
 namespace bento::core {
-
-inline constexpr tor::Port kBentoPort = 5577;
 
 struct BentoServerConfig {
   tor::Port port = kBentoPort;

@@ -4,6 +4,12 @@
 
 namespace bento::script {
 
+Value Value::bytes(util::Bytes b) {
+  Value v;
+  v.data = std::make_shared<const util::Bytes>(std::move(b));
+  return v;
+}
+
 Value Value::list(List items) {
   Value v;
   v.data = std::make_shared<List>(std::move(items));
@@ -51,7 +57,7 @@ const std::string& Value::as_str() const {
 }
 
 const util::Bytes& Value::as_bytes() const {
-  if (auto* b = std::get_if<util::Bytes>(&data)) return *b;
+  if (auto* b = std::get_if<SharedBytes>(&data)) return **b;
   type_fail("bytes", *this);
 }
 
@@ -71,7 +77,7 @@ bool Value::truthy() const {
   if (auto* i = std::get_if<std::int64_t>(&data)) return *i != 0;
   if (auto* d = std::get_if<double>(&data)) return *d != 0.0;
   if (auto* s = std::get_if<std::string>(&data)) return !s->empty();
-  if (auto* by = std::get_if<util::Bytes>(&data)) return !by->empty();
+  if (auto* by = std::get_if<SharedBytes>(&data)) return !(*by)->empty();
   if (is_list()) return !as_list().empty();
   if (is_dict()) return !as_dict().empty();
   return true;  // callables
@@ -122,8 +128,8 @@ std::string Value::to_display() const {
     out << *d;
   } else if (auto* s = std::get_if<std::string>(&data)) {
     out << *s;
-  } else if (auto* by = std::get_if<util::Bytes>(&data)) {
-    out << "b'" << util::to_hex(*by) << "'";
+  } else if (auto* by = std::get_if<SharedBytes>(&data)) {
+    out << "b'" << util::to_hex(**by) << "'";
   } else if (is_list()) {
     out << "[";
     const List& l = as_list();
@@ -162,7 +168,7 @@ const char* Value::type_name() const {
 std::size_t Value::memory_estimate() const {
   std::size_t base = sizeof(Value);
   if (auto* s = std::get_if<std::string>(&data)) return base + s->size();
-  if (auto* b = std::get_if<util::Bytes>(&data)) return base + b->size();
+  if (auto* b = std::get_if<SharedBytes>(&data)) return base + (*b)->size();
   if (is_list()) {
     std::size_t total = base;
     for (const auto& v : as_list()) total += v.memory_estimate();

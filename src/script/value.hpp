@@ -2,7 +2,10 @@
 //
 // A small dynamic type system: None, bool, int, float, str, bytes, list,
 // dict, and callables (native or script-defined). Lists and dicts have
-// reference semantics (shared_ptr), like Python.
+// reference semantics (shared_ptr), like Python. A bytes value is immutable
+// and shared, as in Python: reading a name, passing an argument or storing
+// it in a container shares one buffer, and every operation that "changes"
+// bytes (concatenation, slicing) builds a new one.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@ struct Value;
 using List = std::vector<Value>;
 using Dict = std::map<std::string, Value>;
 using NativeFn = std::function<Value(Interpreter&, std::vector<Value>&)>;
+using SharedBytes = std::shared_ptr<const util::Bytes>;
 
 struct FunctionDef;  // AST node, defined in ast.hpp
 
@@ -39,7 +43,7 @@ class TypeError : public std::runtime_error {
 
 struct Value {
   std::variant<std::monostate, bool, std::int64_t, double, std::string,
-               util::Bytes, std::shared_ptr<List>, std::shared_ptr<Dict>,
+               SharedBytes, std::shared_ptr<List>, std::shared_ptr<Dict>,
                std::shared_ptr<NativeFn>, ScriptFn>
       data;
 
@@ -49,7 +53,8 @@ struct Value {
   static Value integer(std::int64_t i) { return Value{{i}}; }
   static Value real(double d) { return Value{{d}}; }
   static Value str(std::string s) { return Value{{std::move(s)}}; }
-  static Value bytes(util::Bytes b) { return Value{{std::move(b)}}; }
+  /// Takes `b` over as one shared, immutable buffer.
+  static Value bytes(util::Bytes b);
   static Value list(List items = {});
   static Value dict(Dict items = {});
   static Value native(NativeFn fn);
@@ -59,7 +64,7 @@ struct Value {
   bool is_int() const { return std::holds_alternative<std::int64_t>(data); }
   bool is_float() const { return std::holds_alternative<double>(data); }
   bool is_str() const { return std::holds_alternative<std::string>(data); }
-  bool is_bytes() const { return std::holds_alternative<util::Bytes>(data); }
+  bool is_bytes() const { return std::holds_alternative<SharedBytes>(data); }
   bool is_list() const { return std::holds_alternative<std::shared_ptr<List>>(data); }
   bool is_dict() const { return std::holds_alternative<std::shared_ptr<Dict>>(data); }
   bool is_callable() const {
@@ -87,7 +92,9 @@ struct Value {
   /// Type name for diagnostics ("int", "list", ...).
   const char* type_name() const;
 
-  /// Rough heap footprint, for sandbox memory accounting.
+  /// Rough heap footprint, for sandbox memory accounting. Every reference
+  /// to a shared bytes buffer is charged its full size, as if it were a
+  /// copy, so sharing never moves where a memory limit trips.
   std::size_t memory_estimate() const;
 };
 

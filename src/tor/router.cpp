@@ -223,7 +223,7 @@ void Router::handle_recognized(const Key& key, Circuit& circ, const RelayCell& r
     case RelayCommand::SendmeStream:
     case RelayCommand::SendmeCircuit: circ.streams.receive(rc); break;
     case RelayCommand::EstablishIntro: on_establish_intro(key, circ, rc); break;
-    case RelayCommand::Introduce1: on_introduce1(key, circ, rc); break;
+    case RelayCommand::Introduce1: on_introduce1(rc); break;
     case RelayCommand::EstablishRendezvous:
       on_establish_rendezvous(key, circ, rc);
       break;
@@ -331,7 +331,7 @@ void Router::on_establish_intro(const Key& key, Circuit& circ, const RelayCell& 
   send_backward(circ, ack);
 }
 
-void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
+void Router::on_introduce1(const RelayCell& rc) {
   util::Bytes auth;
   util::Bytes blob;
   try {
@@ -350,8 +350,6 @@ void Router::on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc) {
   intro2.relay_cmd = RelayCommand::Introduce2;
   intro2.data = blob;
   send_backward(*service_circ, intro2);
-  (void)key;
-  (void)circ;
 }
 
 void Router::on_establish_rendezvous(const Key& key, Circuit& circ,

@@ -120,7 +120,7 @@ class Router : public sim::MessageHandler {
   void on_extend(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_begin(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_establish_intro(const Key& key, Circuit& circ, const RelayCell& rc);
-  void on_introduce1(const Key& key, Circuit& circ, const RelayCell& rc);
+  void on_introduce1(const RelayCell& rc);
   void on_establish_rendezvous(const Key& key, Circuit& circ, const RelayCell& rc);
   void on_rendezvous1(const Key& key, Circuit& circ, const RelayCell& rc);
 

@@ -3,7 +3,7 @@
 // so the figure is exact and independent of host speed. The counting
 // operator new below replaces the global one, which is why these cases are a
 // test binary of their own. The fixtures are the ones bench/ times
-// (bench/harness.hpp).
+// (bench/harness.hpp), except the Browser's page, which no bench times.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +11,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "chaos/chaos.hpp"
+#include "functions/library.hpp"
 #include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -22,9 +27,24 @@
 #include "tor/cell.hpp"
 #include "tor/wire.hpp"
 #include "util/rng.hpp"
+#include "util/zlite.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+
+// The sizes of the allocations of at least kBigAlloc bytes, in the order
+// they were made (the first g_big_sizes.size() of them), so a case can
+// count the page-sized buffers a batch makes.
+constexpr std::size_t kBigAlloc = std::size_t{128} << 10;
+std::array<std::size_t, 4096> g_big_sizes{};
+std::atomic<std::uint64_t> g_big_allocs{0};
+
+void count_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (n < kBigAlloc) return;
+  const std::uint64_t i = g_big_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (i < g_big_sizes.size()) g_big_sizes[i] = n;
+}
 }  // namespace
 
 // The replaced operator new below is malloc-backed, so pairing its result
@@ -35,13 +55,13 @@ std::atomic<std::uint64_t> g_allocs{0};
 #endif
 
 void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(n);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(n);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
                                    (n + static_cast<std::size_t>(al) - 1) &
                                        ~(static_cast<std::size_t>(al) - 1))) {
@@ -59,6 +79,8 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
+namespace bc = bento::core;
+namespace bf = bento::functions;
 namespace bo = bento::obs;
 namespace bt = bento::tor;
 namespace bu = bento::util;
@@ -77,7 +99,69 @@ std::uint64_t allocs_during(Fn&& fn) {
   return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
+/// The sizes of the allocations of at least kBigAlloc bytes made while
+/// `fn` runs, in order.
+template <class Fn>
+std::vector<std::size_t> big_allocs_during(Fn&& fn) {
+  g_big_allocs.store(0, std::memory_order_relaxed);
+  fn();
+  const std::uint64_t n = g_big_allocs.load(std::memory_order_relaxed);
+  EXPECT_LE(n, g_big_sizes.size()) << "only the first sizes are kept";
+  return {g_big_sizes.begin(),
+          g_big_sizes.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min<std::uint64_t>(n, g_big_sizes.size()))};
+}
+
 constexpr int kCells = 4096;
+
+/// The stock Browser (padding 0) on an exit box, and one web server whose
+/// page is kPageBytes long: a random prefix and a repeated HTML-ish tail,
+/// shaped like wf::SiteModel::body_for. fetch() has the Browser fetch the
+/// page once and runs the world until its compressed reply is in.
+struct BrowserPageHarness {
+  static constexpr std::size_t kPageBytes = 1'000'000;
+  static constexpr std::size_t kRandomPrefix = std::size_t{32} << 10;
+
+  bc::BentoWorld world{WorldHarness::options(/*persistent=*/false)};
+  bc::BentoWorld::Client client;
+  std::shared_ptr<bc::BentoConnection> conn;
+  std::optional<bc::TokenPair> tokens;
+  bu::Bytes page;
+  std::vector<bu::Bytes> replies;
+
+  BrowserPageHarness() {
+    page = bu::Rng(9).bytes(kRandomPrefix);
+    const std::string tail = "<div class=\"c7\"><a href=\"/x\">item</a></div>\n";
+    while (page.size() < kPageBytes) {
+      const std::size_t take = std::min(tail.size(), kPageBytes - page.size());
+      page.insert(page.end(), tail.begin(), tail.begin() + static_cast<std::ptrdiff_t>(take));
+    }
+    world.start();
+    world.bed().add_web_server(bt::parse_addr("93.184.216.34"),
+                               [this](const std::string&) { return page; });
+    client = world.make_client("browser");
+    std::string exit_box;
+    for (const auto& relay : world.bed().consensus().relays) {
+      if (relay.flags.exit) exit_box = relay.fingerprint();
+    }
+    client.bento->connect(exit_box, [this](std::shared_ptr<bc::BentoConnection> c) {
+      conn = std::move(c);
+    });
+    world.run();
+    conn->spawn(bf::browser_manifest().image, [this](bool ok, std::string) {
+      if (!ok) return;
+      conn->upload(bf::browser_manifest(), bf::browser_source(), "", {},
+                   [this](std::optional<bc::TokenPair> t, std::string) { tokens = t; });
+    });
+    world.run();
+    conn->set_output_handler([this](bu::Bytes out) { replies.push_back(std::move(out)); });
+  }
+
+  void fetch() {
+    conn->invoke(tokens->invocation.bytes(), bu::to_bytes("http://93.184.216.34/ 0"));
+    world.run();
+  }
+};
 
 }  // namespace
 
@@ -237,10 +321,12 @@ TEST(Alloc, EchoInvokeAllocationCount) {
   //      buffer of exactly the frame's size, moved into the stream's queue);
   //   2. Container::handle_invoke: the payload's one owned copy, which moves
   //      on into the script's argument;
-  //   3. ScriptFunction::on_message: the one-element argument vector;
-  //   4. the interpreter's call frame: the map node binding `msg`;
-  //   5. the interpreter's eval_call: the argument vector of `api.send(msg)`;
-  //   6. the interpreter: the copy of `msg`'s Value in that vector;
+  //   3. Value::bytes: the shared node that takes that copy over as the
+  //      script's immutable bytes value;
+  //   4. ScriptFunction::on_message: the one-element argument vector;
+  //   5. the interpreter's call frame: the map node binding `msg`;
+  //   6. the interpreter's eval_call: the argument vector of `api.send(msg)`,
+  //      whose Value shares `msg`'s buffer;
   //   7. Container::send: the Output frame (StreamFramer::frame);
   //   8. BentoConnection: the Bytes the output handler receives.
   // Cells ride recycled link frames at both circuit ends, relays forward the
@@ -280,4 +366,38 @@ TEST(Alloc, IdleStoreMountAddsNoInvokeAllocations) {
   EXPECT_EQ(mounted_allocs, base_allocs);
   EXPECT_EQ(base.received, std::uint64_t{kBatch} * (1 + kBatches));
   EXPECT_EQ(mounted.received, base.received);
+}
+
+TEST(Alloc, BrowserPageCrossesTheBoxOnce) {
+  // Per page, exactly 2 allocations of the page's size or more, and none
+  // other of 128 KiB or more; each names its owner:
+  //   1. the web server fixture: the copy of the page its content callback
+  //      returns;
+  //   2. Container::http_get: the fetch body, joined at the end of the fetch
+  //      from 64 KiB blocks into one buffer of exactly the body's size.
+  // The page then crosses the box by reference: net.get's callback takes
+  // the body over as one shared bytes value, which `body == None` and
+  // `zlib.compress(body)` read in place. The compressed reply (a little over
+  // the 32 KiB random prefix) and every buffer it passes through stay below
+  // 128 KiB. A body grown by doubling would add 128, 256 and 512 KiB and
+  // 1 MiB buffers; an interpreter that copied bytes on every read would add
+  // two more copies of the page.
+  constexpr std::size_t kPage = BrowserPageHarness::kPageBytes;
+  constexpr int kWarm = 2;
+  constexpr int kPages = 4;
+  BrowserPageHarness h;
+  ASSERT_TRUE(h.tokens);
+  for (int i = 0; i < kWarm; ++i) h.fetch();
+  const std::vector<std::size_t> big = big_allocs_during([&] {
+    for (int i = 0; i < kPages; ++i) h.fetch();
+  });
+  std::string sizes;
+  for (const std::size_t n : big) sizes += " " + std::to_string(n);
+  EXPECT_EQ(std::count_if(big.begin(), big.end(), [](std::size_t n) { return n >= kPage; }),
+            2 * kPages)
+      << "allocations of 128 KiB or more:" << sizes;
+  EXPECT_EQ(big.size(), 2u * kPages) << "allocations of 128 KiB or more:" << sizes;
+  ASSERT_EQ(h.replies.size(), std::size_t{kWarm + kPages});
+  EXPECT_LT(h.replies.back().size(), kBigAlloc);
+  EXPECT_EQ(bu::zlite::decompress(h.replies.back()), h.page);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "util/rng.hpp"
 
 namespace bc = bento::core;
 namespace bt = bento::tor;
@@ -528,6 +529,59 @@ def on_message(msg):
   world.run();
   ASSERT_EQ(s.outputs.size(), 1u);
   EXPECT_EQ(bu::to_string(s.outputs[0]), "web:/page.html");
+}
+
+TEST(BentoE2E, ClearnetFetchArrivesWholeInABufferOfItsExactSize) {
+  // A native function fetches the URL its payload names through
+  // HostApi::http_get. Bodies straddle the box's 64 KiB collection blocks:
+  // each must arrive byte for byte, in one buffer of exactly its size.
+  struct Fetcher final : bc::Function {
+    std::vector<bu::Bytes>* bodies;
+    explicit Fetcher(std::vector<bu::Bytes>* out) : bodies(out) {}
+    void on_install(bc::HostApi&, bu::ByteView) override {}
+    void on_message(bc::HostApi& api, bu::Bytes payload) override {
+      api.http_get(bu::to_string(payload), [this](bool ok, bu::Bytes body) {
+        if (ok) bodies->push_back(std::move(body));
+      });
+    }
+  };
+  auto body_of = [](std::size_t n) { return bu::Rng(n + 1).bytes(n); };
+
+  bc::BentoWorld world;
+  std::vector<bu::Bytes> bodies;
+  world.natives().add("fetcher", [&bodies] { return std::make_unique<Fetcher>(&bodies); });
+  world.start();
+  world.bed().add_web_server(bt::parse_addr("93.184.216.34"),
+                             [&body_of](const std::string& path) {
+                               return body_of(std::stoul(path.substr(1)));
+                             });
+  auto client = world.make_client("alice");
+  std::string exit_box;
+  for (const auto& relay : world.bed().consensus().relays) {
+    if (relay.flags.exit) exit_box = relay.fingerprint();
+  }
+  bc::FunctionManifest manifest;
+  manifest.name = "fetcher";
+  manifest.required = {bento::sandbox::Syscall::NetConnect};
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 10'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 32 << 20;
+  auto s = establish(world, client, exit_box, bc::kImagePython, "", "fetcher", {},
+                     manifest);
+  ASSERT_TRUE(s.tokens.has_value()) << s.error;
+
+  const std::size_t sizes[] = {0, 1, 65'535, 65'536, 65'537, 1'000'000};
+  for (const std::size_t n : sizes) {
+    s.conn->invoke(s.tokens->invocation.bytes(),
+                   bu::to_bytes("http://93.184.216.34/" + std::to_string(n)));
+    world.run();
+    ASSERT_FALSE(bodies.empty()) << n << " B body never arrived";
+    const bu::Bytes& body = bodies.back();
+    EXPECT_EQ(body, body_of(n)) << n << " B body";
+    EXPECT_EQ(body.capacity(), body.size()) << n << " B body";
+  }
+  EXPECT_EQ(bodies.size(), std::size(sizes));
 }
 
 TEST(BentoE2E, NonExitBoxFunctionsHaveNoDirectNetwork) {

@@ -441,6 +441,85 @@ for i in range(2000):
   EXPECT_GT(peak, 20'000u);
 }
 
+// ---- bytes are immutable and shared ----
+
+TEST(ScriptBytes, CopiedValuesShareOneBuffer) {
+  const sc::Value a = sc::Value::bytes(bu::Bytes(64, 7));
+  const sc::Value b = a;
+  EXPECT_EQ(&a.as_bytes(), &b.as_bytes());
+
+  // Reading a name, assigning it and storing it all share the one buffer.
+  auto interp = run_program(R"(
+a = bytes("abc")
+b = a
+xs = [a]
+d = {"k": a}
+)");
+  const bu::Bytes* buffer = &interp->global("a").as_bytes();
+  EXPECT_EQ(&interp->global("b").as_bytes(), buffer);
+  EXPECT_EQ(&interp->global("xs").as_list()[0].as_bytes(), buffer);
+  EXPECT_EQ(&interp->global("d").as_dict()["k"].as_bytes(), buffer);
+}
+
+TEST(ScriptBytes, RebindingANameLeavesItsAliasesAsTheyWere) {
+  auto interp = run_program(R"(
+a = bytes("abc")
+b = a
+a = a + bytes("x")
+c = b
+c += bytes("y")
+)");
+  EXPECT_EQ(bu::to_string(interp->global("a").as_bytes()), "abcx");
+  EXPECT_EQ(bu::to_string(interp->global("b").as_bytes()), "abc");
+  EXPECT_EQ(bu::to_string(interp->global("c").as_bytes()), "abcy");
+}
+
+TEST(ScriptBytes, ArgumentsAndContainerSlotsAreNotAliases) {
+  auto interp = std::make_unique<sc::Interpreter>(sc::parse(R"(
+def grow(x):
+    x = x + bytes("x")
+    return x
+a = bytes("abc")
+grown = grow(a)
+xs = [a]
+d = {"k": a}
+host.keep(a)
+xs[0] = xs[0] + bytes("l")
+d["k"] = d["k"] + bytes("d")
+a = a + bytes("a")
+)"));
+  sc::install_stdlib(*interp);
+  sc::Value kept;
+  sc::Dict host;
+  host["keep"] = sc::Value::native([&kept](sc::Interpreter&, std::vector<sc::Value>& args) {
+    kept = args[0];
+    return sc::Value::none();
+  });
+  interp->bind("host", sc::Value::dict(std::move(host)));
+  interp->run();
+  EXPECT_EQ(bu::to_string(interp->global("grown").as_bytes()), "abcx");
+  EXPECT_EQ(bu::to_string(interp->global("xs").as_list()[0].as_bytes()), "abcl");
+  EXPECT_EQ(bu::to_string(interp->global("d").as_dict()["k"].as_bytes()), "abcd");
+  EXPECT_EQ(bu::to_string(interp->global("a").as_bytes()), "abca");
+  EXPECT_EQ(bu::to_string(kept.as_bytes()), "abc");
+}
+
+TEST(ScriptBytes, EveryReferenceIsChargedItsFullSize) {
+  // Sharing saves the copies, not the accounting: a memory limit trips
+  // where it would if every name held a copy of its own.
+  sc::InterpreterOptions opts;
+  std::size_t peak = 0;
+  opts.memory_hook = [&](std::size_t bytes) { peak = std::max(peak, bytes); };
+  run_program(R"(
+big = bytes(1048576)
+alias = big
+for i in range(300):
+    pass
+)",
+              std::move(opts));
+  EXPECT_GE(peak, std::size_t{2} << 20);
+}
+
 // The paper's Appendix A Browser function, transliterated: the API surface
 // (requests/zlib/os/api) is bound by the host, logic is unchanged.
 TEST(ScriptPaper, AppendixABrowserShape) {
