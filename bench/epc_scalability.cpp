@@ -47,21 +47,20 @@ int main() {
     });
     world.run();
     if (conn == nullptr) break;
-    bool ok = false;
-    conn->spawn(bc::kImagePythonOpSgx, [&](bool s, std::string) { ok = s; });
-    world.run();
-    if (!ok) {
-      std::printf("spawn %d refused (EPC exhausted)\n", i);
-      break;
-    }
     auto manifest = bf::browser_manifest();
     manifest.name = "browser-" + std::to_string(i);
-    conn->upload(manifest, bf::browser_source(), "", {},
-                 [&](std::optional<bc::TokenPair> t, std::string) {
-                   ok = t.has_value();
-                 });
+    bool installed = false;
+    std::string error = "no reply";
+    conn->install(manifest, bf::browser_source(), "", {},
+                  [&](std::optional<bc::TokenPair> t, std::string e) {
+                    installed = t.has_value();
+                    error = std::move(e);
+                  });
     world.run();
-    if (!ok) break;
+    if (!installed) {
+      std::printf("function %d refused (%s)\n", i, error.c_str());
+      break;
+    }
     // Model the function's steady-state working set against the EPC, as the
     // paper does when estimating how many functions fit.
     // (The script interpreter's own heap is tiny; the paper's figure counts

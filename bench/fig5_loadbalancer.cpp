@@ -225,19 +225,11 @@ int main() {
     std::vector<std::string> replies;
     conn->set_output_handler(
         [&](bu::Bytes out) { replies.push_back(bu::to_string(out)); });
-    conn->spawn(bc::kImagePythonOpSgx, [&](bool ok, std::string err) {
-      if (!ok) {
-        std::fprintf(stderr, "spawn: %s\n", err.c_str());
-        std::exit(1);
-      }
-      conn->upload(bf::loadbalancer_manifest(), "", "loadbalancer",
-                   config.serialize(),
-                   [&](std::optional<bc::TokenPair> t, std::string err2) {
-                     if (!t.has_value())
-                       std::fprintf(stderr, "upload: %s\n", err2.c_str());
-                     tokens = std::move(t);
-                   });
-    });
+    conn->install(bf::loadbalancer_manifest(), "", "loadbalancer", config.serialize(),
+                  [&](std::optional<bc::TokenPair> t, std::string err) {
+                    if (!t.has_value()) std::fprintf(stderr, "install: %s\n", err.c_str());
+                    tokens = std::move(t);
+                  });
     world.run();
     if (!tokens.has_value()) return 1;
     conn->invoke(tokens->invocation.bytes(), bu::to_bytes("onion"));

@@ -169,21 +169,16 @@ struct WorldHarness {
                             conn = std::move(c);
                           });
     world.run();
-    conn->spawn(core::kImagePython, [this](bool ok, std::string) {
-      if (!ok) return;
-      core::FunctionManifest manifest;
-      manifest.name = "bench";
-      // The permissive policy's ceilings, verbatim: budgets are cumulative
-      // over the function's lifetime and the bench invokes ~100k times.
-      manifest.resources.memory_bytes = 64ull << 20;
-      manifest.resources.cpu_instructions = 2'000'000'000ull;
-      manifest.resources.disk_bytes = 1ull << 20;
-      manifest.resources.network_bytes = 4ull << 30;
-      conn->upload(manifest, "def on_message(msg):\n    api.send(msg)\n", "", {},
-                   [this](std::optional<core::TokenPair> t, std::string) {
-                     tokens = t;
-                   });
-    });
+    core::FunctionManifest manifest;
+    manifest.name = "bench";
+    // The permissive policy's ceilings, verbatim: budgets are cumulative
+    // over the function's lifetime and the bench invokes ~100k times.
+    manifest.resources.memory_bytes = 64ull << 20;
+    manifest.resources.cpu_instructions = 2'000'000'000ull;
+    manifest.resources.disk_bytes = 1ull << 20;
+    manifest.resources.network_bytes = 4ull << 30;
+    conn->install(manifest, "def on_message(msg):\n    api.send(msg)\n", "", {},
+                  [this](std::optional<core::TokenPair> t, std::string) { tokens = t; });
     world.run();
     conn->set_output_handler([this](util::Bytes) { ++received; });
     util::Rng rng(3);

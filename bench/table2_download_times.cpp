@@ -137,19 +137,16 @@ BrowserTiming browser_time(WorldSetup& setup, const bw::SiteModel& site,
     }
   };
 
-  conn->spawn(bc::kImagePythonOpSgx, [&](bool ok, std::string) {
-    if (!ok) return;
-    conn->upload(bf::browser_manifest(), bf::browser_source(), "", {},
-                 [&](std::optional<bc::TokenPair> tokens, std::string) {
-                   if (!tokens.has_value()) return;
-                   start = world.sim().now().seconds();
-                   raw_at_invoke = conn->raw_bytes_received();
-                   conn->invoke(tokens->invocation.bytes(),
-                                bu::to_bytes("http://" + bt::format_addr(site.addr) +
-                                             "/bundle " + std::to_string(padding)));
-                   (*poll)();
-                 });
-  });
+  conn->install(bf::browser_manifest(), bf::browser_source(), "", {},
+                [&](std::optional<bc::TokenPair> tokens, std::string) {
+                  if (!tokens.has_value()) return;
+                  start = world.sim().now().seconds();
+                  raw_at_invoke = conn->raw_bytes_received();
+                  conn->invoke(tokens->invocation.bytes(),
+                               bu::to_bytes("http://" + bt::format_addr(site.addr) +
+                                            "/bundle " + std::to_string(padding)));
+                  (*poll)();
+                });
   world.run();
   if (timing.page_ready < 0) timing.page_ready = timing.full;
   conn->close();

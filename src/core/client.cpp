@@ -361,6 +361,32 @@ void BentoConnection::upload(const FunctionManifest& manifest,
   send_msg(msg);
 }
 
+void BentoConnection::install(const FunctionManifest& manifest,
+                              const std::string& source, const std::string& native,
+                              util::ByteView args, UploadFn done) {
+  // The upload leaves from the spawn reply's handler, whose trace context is
+  // the box's; it goes out under the caller's instead, so spawn and upload
+  // are two requests of whoever called install() (two roots at top level).
+  const obs::SpanContext caller = obs::current_span();
+  // Weak capture for the same reason as spawn(): the handler lives in our own
+  // `pending_` queue.
+  std::weak_ptr<BentoConnection> weak = shared_from_this();
+  spawn(manifest.image,
+        [weak, caller, manifest, source, native,
+         args = util::Bytes(args.begin(), args.end()),
+         done = std::move(done)](bool ok, std::string error) mutable {
+          auto self = weak.lock();
+          if (!ok || self == nullptr) {
+            done(std::nullopt, ok ? "connection closed" : std::move(error));
+            return;
+          }
+          const obs::SpanContext reply = obs::current_span();
+          obs::set_current_span(caller);
+          self->upload(manifest, source, native, args, std::move(done));
+          obs::set_current_span(reply);
+        });
+}
+
 void BentoConnection::invoke(util::ByteView invocation_token, util::ByteView payload) {
   // A newer invoke supersedes an unanswered one: close the old span at the
   // point it stopped being the request we are waiting on.
@@ -446,8 +472,7 @@ void BentoClient::invoke_reliable(const std::string& box_fingerprint,
       conn->set_output_handler(nullptr);
       conn->close();
     }
-    const RetryPolicy& rp = st->client->config_.retry;
-    if (st->attempt >= rp.max_attempts) {
+    if (st->attempt >= kMaxAttempts) {
       st->settled = true;
       obs::trace(obs::Ev::ClientRetry, static_cast<std::uint32_t>(st->attempt), 0,
                  /*ok=*/false);  // ok=false: giving up
@@ -464,11 +489,11 @@ void BentoClient::invoke_reliable(const std::string& box_fingerprint,
             st->excluded.end()) {
       st->excluded.push_back(bad);
     }
-    double backoff_s = rp.backoff_base.to_seconds();
-    for (int i = 1; i < st->attempt && backoff_s < rp.backoff_cap.to_seconds(); ++i) {
+    double backoff_s = kBackoffBase.to_seconds();
+    for (int i = 1; i < st->attempt && backoff_s < kBackoffCap.to_seconds(); ++i) {
       backoff_s *= 2.0;
     }
-    backoff_s = std::min(backoff_s, rp.backoff_cap.to_seconds());
+    backoff_s = std::min(backoff_s, kBackoffCap.to_seconds());
     backoff_s *= 1.0 + kRetryJitter * (2.0 * st->client->proxy_.rng().uniform01() - 1.0);
     const auto backoff = util::Duration::micros(
         static_cast<std::int64_t>(backoff_s * 1e6));
@@ -512,8 +537,7 @@ void BentoClient::invoke_reliable(const std::string& box_fingerprint,
         st->retry(st);
       });
       conn->invoke(st->token, st->payload);
-      const RetryPolicy& rp = st->client->config_.retry;
-      st->client->proxy_.simulator().after(rp.request_timeout, [st, epoch] {
+      st->client->proxy_.simulator().after(kRequestTimeout, [st, epoch] {
         if (st->settled || epoch != st->epoch) return;
         util::log_warn(kComponent, "invoke attempt ", st->attempt, " timed out");
         st->retry(st);

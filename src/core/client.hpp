@@ -10,6 +10,7 @@
 //      report (measurement, TCB status, report signature);
 //   4. upload()    — ship the function + manifest (sealed under the
 //      channel in SGX mode) and receive the invocation/shutdown tokens;
+//      install() is steps 3-4 as one call, spawning the manifest's image;
 //   5. invoke()/outputs — drive the function; share the invocation token
 //      freely while keeping the shutdown token private.
 #pragma once
@@ -28,15 +29,13 @@
 
 namespace bento::core {
 
-/// Failure-recovery knobs (DESIGN.md §9): request timeout and capped
-/// exponential backoff.
-struct RetryPolicy {
-  int max_attempts = 4;  // total invoke attempts (first try included)
-  util::Duration request_timeout = util::Duration::seconds(8);
-  util::Duration backoff_base = util::Duration::seconds(1);
-  util::Duration backoff_cap = util::Duration::seconds(16);
-};
-
+/// invoke_reliable's recovery (DESIGN.md §9): total invoke attempts (the
+/// first try included), the per-attempt request timeout and the capped
+/// exponential backoff between attempts.
+inline constexpr int kMaxAttempts = 4;
+inline constexpr util::Duration kRequestTimeout = util::Duration::seconds(8);
+inline constexpr util::Duration kBackoffBase = util::Duration::seconds(1);
+inline constexpr util::Duration kBackoffCap = util::Duration::seconds(16);
 /// Deterministic backoff jitter: each backoff is scaled by a uniform draw in
 /// [1 - kRetryJitter, 1 + kRetryJitter] from the proxy's seeded Rng.
 inline constexpr double kRetryJitter = 0.25;
@@ -51,7 +50,6 @@ struct BentoClientConfig {
   /// Expected measurement of the Bento runtime image. A python-op-sgx spawn
   /// also refuses a box whose TCB is out of date.
   tee::Measurement expected_runtime{};
-  RetryPolicy retry;
 };
 
 /// One client<->box session (one circuit, one stream, one container).
@@ -69,6 +67,12 @@ class BentoConnection : public std::enable_shared_from_this<BentoConnection> {
   void spawn(const std::string& image, SpawnFn done);
   void upload(const FunctionManifest& manifest, const std::string& source,
               const std::string& native, util::ByteView args, UploadFn done);
+  /// Puts a function on the box: spawns `manifest.image` (attesting it for
+  /// python-op-sgx) and uploads once the spawn succeeds. `done` fires
+  /// exactly once, with the tokens or the failing step's error text. The
+  /// caller keeps the connection alive until then.
+  void install(const FunctionManifest& manifest, const std::string& source,
+               const std::string& native, util::ByteView args, UploadFn done);
   /// Fire-and-stream: outputs arrive via the output handler.
   void invoke(util::ByteView invocation_token, util::ByteView payload);
   void set_output_handler(OutputFn fn) { output_ = std::move(fn); }
@@ -152,7 +156,7 @@ class BentoClient {
   /// the token, and delivers the first Output. On connect failure, stream
   /// death, or request timeout it backs off (capped exponential, seeded
   /// jitter) and retries on a fresh circuit that excludes relays observed
-  /// failing, up to retry.max_attempts. The invocation token routes every
+  /// failing, up to kMaxAttempts. The invocation token routes every
   /// attempt to the same container, so re-invocation is idempotent from the
   /// caller's view. `done(ok, first_output, attempts)` fires exactly once.
   using ReliableInvokeFn =

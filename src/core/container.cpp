@@ -80,7 +80,7 @@ void Container::install(const FunctionManifest& manifest, const UploadBody& body
   netfilter_ =
       sandbox::NetFilter::from_exit_policy(server_.router().descriptor().exit_policy);
   stem_ = std::make_unique<StemSession>(server_.stem_proxy(), server_.directory(),
-                                        filter_, server_.config().stem_circuit_cap);
+                                        filter_);
   tokens_ = TokenPair::generate(rng_);
   bound_stream_ = uploader;
 
@@ -91,12 +91,7 @@ void Container::install(const FunctionManifest& manifest, const UploadBody& body
     options.step_hook = [this](std::uint64_t steps) { resources_->charge_cpu(steps); };
     options.memory_hook = [this](std::size_t bytes) { update_memory(bytes); };
     options.print_hook = [this](const std::string& line) { log(line); };
-    if (program != nullptr) {
-      function_ = std::make_unique<ScriptFunction>(std::move(program),
-                                                   std::move(options));
-    } else {
-      function_ = std::make_unique<ScriptFunction>(body.source, std::move(options));
-    }
+    function_ = std::make_unique<ScriptFunction>(std::move(program), std::move(options));
   }
   // on_install runs guarded: a function that dies during install fails the
   // upload (the caller observes dead()).
@@ -387,29 +382,21 @@ void Container::deploy(const DeploySpec& spec, DeployCallback done) {
       run_guarded([&] { (*done_shared)(false, {}, {}); });
       return;
     }
-    conn->spawn(spec.manifest.image, [this, alive, conn, spec, done_shared](
-                                         bool ok, std::string) {
-      if (alive.expired()) return;
-      if (!ok) {
-        run_guarded([&] { (*done_shared)(false, {}, {}); });
-        return;
-      }
-      conn->upload(spec.manifest, spec.source, spec.native, spec.args,
-                   [this, alive, conn, done_shared](std::optional<TokenPair> tokens,
-                                                    std::string) {
-                     if (alive.expired()) return;
-                     if (!tokens.has_value()) {
-                       run_guarded([&] { (*done_shared)(false, {}, {}); });
-                       return;
-                     }
-                     deployed_.push_back(conn);  // keep stream alive
-                     util::Bytes token = tokens->invocation.bytes();
-                     util::Bytes stoken = tokens->shutdown.bytes();
-                     run_guarded([&] {
-                       (*done_shared)(true, std::move(token), std::move(stoken));
-                     });
-                   });
-    });
+    conn->install(spec.manifest, spec.source, spec.native, spec.args,
+                  [this, alive, conn, done_shared](std::optional<TokenPair> tokens,
+                                                   std::string) {
+                    if (alive.expired()) return;
+                    if (!tokens.has_value()) {
+                      run_guarded([&] { (*done_shared)(false, {}, {}); });
+                      return;
+                    }
+                    deployed_.push_back(conn);  // keep stream alive
+                    util::Bytes token = tokens->invocation.bytes();
+                    util::Bytes stoken = tokens->shutdown.bytes();
+                    run_guarded([&] {
+                      (*done_shared)(true, std::move(token), std::move(stoken));
+                    });
+                  });
   });
 }
 

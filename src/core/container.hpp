@@ -79,13 +79,11 @@ class Container final : public HostApi {
   /// when absent or when the chroot is on the persistent store.
   util::Bytes* stored_bytes(const std::string& path) const;
 
-  /// Installs the function; throws (sandbox/script/parse errors) on failure.
-  /// `program` is the pre-parsed (and statically verified) script image when
-  /// the server already parsed it; null makes the container parse `body`
-  /// itself.
+  /// Installs the function; throws (sandbox/script errors) on failure.
+  /// `program` is the script image the server parsed (and statically
+  /// verified) from `body`; null for a native function.
   void install(const FunctionManifest& manifest, const UploadBody& body,
-               tor::Stream* uploader,
-               std::shared_ptr<const script::Program> program = nullptr);
+               tor::Stream* uploader, std::shared_ptr<const script::Program> program);
 
   /// Routes one Invoke payload into the function.
   void handle_invoke(tor::Stream* from, util::ByteView payload);

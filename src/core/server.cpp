@@ -11,6 +11,15 @@ namespace bento::core {
 
 namespace {
 constexpr char kComponent[] = "bento.server";
+// Operator-level cap over all containers together (paper §6.2).
+constexpr sandbox::ResourceLimits kAggregateLimits{
+    .memory_bytes = 512ull << 20,
+    .cpu_instructions = 4'000'000'000ULL,
+    .disk_bytes = 1ull << 30,
+    .network_bytes = 8ull << 30,
+};
+// Live containers one box hosts at a time.
+constexpr std::size_t kMaxContainers = 64;
 
 // Fleet-wide function lifecycle counters; the per-server Counters struct
 // stays as the scoped view, these feed the global registry snapshot.
@@ -53,7 +62,7 @@ BentoServer::BentoServer(sim::Simulator& sim, sim::Network& net, tor::Router& ro
       config_(std::move(config)),
       rng_(rng),
       platform_(rng_.next_u64(), ias.current_tcb(), rng_),
-      aggregate_(config_.aggregate_limits),
+      aggregate_(kAggregateLimits),
       // Seeded from the fingerprint (FNV-1a), NOT from rng_: the durable
       // media must not perturb the server's existing random streams, and
       // torn-tail draws stay a function of the node identity alone.
@@ -182,7 +191,7 @@ void BentoServer::handle_spawn(tor::Stream* stream, const Message& msg) {
     reply_error(stream, "no SGX on this box");
     return;
   }
-  if (containers_.size() >= static_cast<std::size_t>(config_.max_containers)) {
+  if (containers_.size() >= kMaxContainers) {
     reply_error(stream, "container limit reached");
     return;
   }
@@ -447,8 +456,7 @@ std::unique_ptr<store::BlobStore> BentoServer::take_or_open_store(
       config_.sgx_available
           ? tee::make_store_sealer(platform_, runtime_measurement(), key)
           : store::make_null_sealer();
-  auto blob = std::make_unique<store::BlobStore>(
-      volumes_.open(key), std::move(sealer), config_.store_options);
+  auto blob = std::make_unique<store::BlobStore>(volumes_.open(key), std::move(sealer));
   if (blob->volume().total_bytes() > 0) blob->replay();
   return blob;
 }
@@ -466,8 +474,7 @@ BentoServer::recover_stores() {
         config_.sgx_available
             ? tee::make_store_sealer(platform_, runtime_measurement(), key)
             : store::make_null_sealer();
-    auto blob = std::make_unique<store::BlobStore>(
-        volumes_.open(key), std::move(sealer), config_.store_options);
+    auto blob = std::make_unique<store::BlobStore>(volumes_.open(key), std::move(sealer));
     reports.emplace_back(key, blob->replay());
     recovered_.emplace(key, std::move(blob));
   }

@@ -35,18 +35,7 @@ namespace bento::core {
 struct BentoServerConfig {
   tor::Port port = kBentoPort;
   MiddleboxPolicy policy = MiddleboxPolicy::permissive();
-  /// Operator-level cap over all containers together (paper §6.2).
-  sandbox::ResourceLimits aggregate_limits = [] {
-    sandbox::ResourceLimits l;
-    l.memory_bytes = 512ull << 20;
-    l.cpu_instructions = 4'000'000'000ULL;
-    l.disk_bytes = 1ull << 30;
-    l.network_bytes = 8ull << 30;
-    return l;
-  }();
   bool sgx_available = true;
-  int max_containers = 64;
-  int stem_circuit_cap = 8;
   /// Static admission control over uploaded BentoScript images. Warn runs
   /// the verifier on every upload and logs findings without changing
   /// admission; Enforce rejects before the container ever executes.
@@ -54,12 +43,10 @@ struct BentoServerConfig {
   /// Mount containers' chroots on the persistent sealed blob store
   /// (src/store, DESIGN.md §15): durable state keyed by function name that
   /// survives crash() and replays on recovery. Off by default — the
-  /// in-memory VFS keeps the paper's ephemeral semantics.
+  /// in-memory VFS keeps the paper's ephemeral semantics. Every store keeps
+  /// the default store::StoreOptions: its plaintext cache holds up to the
+  /// EPC usable ceiling, beyond which reads page through unseal.
   bool persistent_store = false;
-  /// Log/cache tuning for persistent stores. cache_bytes defaults to the
-  /// EPC usable ceiling (tee::kEpcUsableBytes): below it reads stay in the
-  /// plaintext cache tier, beyond it they page through unseal.
-  store::StoreOptions store_options = {};
 };
 
 class BentoServer {

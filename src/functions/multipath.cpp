@@ -162,61 +162,51 @@ void MultipathFetcher::fetch(const std::string& exit_box, const std::string& url
       finish(false);
       return;
     }
-    conn->spawn(core::kImagePython, [this, state, finish, attach_output, url,
-                                     exit_box, conn](bool ok, std::string) {
-      if (!ok) {
+    conn->install(multipath_manifest(), "", "multipath-fetch", {},
+                  [this, state, finish, attach_output, url, exit_box, conn](
+                      std::optional<core::TokenPair> tokens, std::string) {
+      if (!tokens.has_value()) {
         finish(false);
         return;
       }
-      conn->upload(
-          multipath_manifest(), "", "multipath-fetch", {},
-          [this, state, finish, attach_output, url, exit_box, conn](
-              std::optional<core::TokenPair> tokens, std::string) {
-            if (!tokens.has_value()) {
-              finish(false);
-              return;
-            }
-            state->token = tokens->invocation.bytes();
-            state->started = state->now();
-            attach_output(0, conn);
-            for (const auto& fp : conn->path_fingerprints()) {
-              if (fp != exit_box) state->used_relays.push_back(fp);
-            }
-            conn->invoke(state->token,
-                         util::to_bytes("FETCH " + url + " 0 " +
-                                        std::to_string(state->circuits)));
-            // Remaining stripes over their own, relay-disjoint circuits
-            // (mTor-style: disjoint paths, common exit). Opened one after
-            // another so each sees the relays its predecessors used.
-            // The stored function captures itself weakly: the pending
-            // connect callback (transient) carries the strong reference, so
-            // the chain stays alive exactly until the last path opens.
-            auto open_path = std::make_shared<std::function<void(int)>>();
-            std::weak_ptr<std::function<void(int)>> weak_open = open_path;
-            *open_path = [this, state, finish, attach_output, url, exit_box,
-                          weak_open](int path) {
-              if (path >= state->circuits) return;
-              bento_.connect(
-                  exit_box, state->used_relays,
-                  [state, finish, attach_output, url, path, exit_box,
-                   next = weak_open.lock()](std::shared_ptr<core::BentoConnection> c2) {
-                    if (c2 == nullptr) {
-                      finish(false);
-                      return;
-                    }
-                    for (const auto& fp : c2->path_fingerprints()) {
-                      if (fp != exit_box) state->used_relays.push_back(fp);
-                    }
-                    attach_output(path, c2);
-                    c2->invoke(state->token,
-                               util::to_bytes("FETCH " + url + " " +
-                                              std::to_string(path) + " " +
-                                              std::to_string(state->circuits)));
-                    if (next != nullptr) (*next)(path + 1);
-                  });
-            };
-            (*open_path)(1);
-          });
+      state->token = tokens->invocation.bytes();
+      state->started = state->now();
+      attach_output(0, conn);
+      for (const auto& fp : conn->path_fingerprints()) {
+        if (fp != exit_box) state->used_relays.push_back(fp);
+      }
+      conn->invoke(state->token, util::to_bytes("FETCH " + url + " 0 " +
+                                                std::to_string(state->circuits)));
+      // Remaining stripes over their own, relay-disjoint circuits
+      // (mTor-style: disjoint paths, common exit). Opened one after another
+      // so each sees the relays its predecessors used. The stored function
+      // captures itself weakly: the pending connect callback (transient)
+      // carries the strong reference, so the chain stays alive exactly until
+      // the last path opens.
+      auto open_path = std::make_shared<std::function<void(int)>>();
+      std::weak_ptr<std::function<void(int)>> weak_open = open_path;
+      *open_path = [this, state, finish, attach_output, url, exit_box,
+                    weak_open](int path) {
+        if (path >= state->circuits) return;
+        bento_.connect(
+            exit_box, state->used_relays,
+            [state, finish, attach_output, url, path, exit_box,
+             next = weak_open.lock()](std::shared_ptr<core::BentoConnection> c2) {
+              if (c2 == nullptr) {
+                finish(false);
+                return;
+              }
+              for (const auto& fp : c2->path_fingerprints()) {
+                if (fp != exit_box) state->used_relays.push_back(fp);
+              }
+              attach_output(path, c2);
+              c2->invoke(state->token,
+                         util::to_bytes("FETCH " + url + " " + std::to_string(path) +
+                                        " " + std::to_string(state->circuits)));
+              if (next != nullptr) (*next)(path + 1);
+            });
+      };
+      (*open_path)(1);
     });
   });
 }

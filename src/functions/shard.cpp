@@ -191,34 +191,26 @@ void ShardClient::put_shard(const std::string& box, Shard shard,
       (*done_shared)(false, {});
       return;
     }
-    conn->spawn(core::kImagePythonOpSgx, [box, conn, shard_shared, done_shared](
-                                             bool ok, std::string) {
-      if (!ok) {
+    conn->install(dropbox_manifest(), dropbox_source(), "", {},
+                  [box, conn, shard_shared, done_shared](
+                      std::optional<core::TokenPair> tokens, std::string) {
+      if (!tokens.has_value()) {
         (*done_shared)(false, {});
         return;
       }
-      conn->upload(
-          dropbox_manifest(), dropbox_source(), "", {},
-          [box, conn, shard_shared, done_shared](
-              std::optional<core::TokenPair> tokens, std::string) {
-            if (!tokens.has_value()) {
-              (*done_shared)(false, {});
-              return;
-            }
-            auto placement = std::make_shared<Placement>();
-            placement->box = box;
-            placement->invocation_token = tokens->invocation.bytes();
-            placement->shutdown_token = tokens->shutdown.bytes();
-            // PUT the shard; Dropbox answers "OK". The handler must not
-            // capture `conn` (a connection owning a closure that owns the
-            // connection never dies); BentoClient::live_ keeps it alive.
-            conn->set_output_handler([placement, done_shared](util::Bytes out) {
-              (*done_shared)(util::to_string(out) == "OK", std::move(*placement));
-            });
-            util::Bytes payload = util::to_bytes("PUT:");
-            util::append(payload, shard_shared->serialize());
-            conn->invoke(placement->invocation_token, payload);
-          });
+      auto placement = std::make_shared<Placement>();
+      placement->box = box;
+      placement->invocation_token = tokens->invocation.bytes();
+      placement->shutdown_token = tokens->shutdown.bytes();
+      // PUT the shard; Dropbox answers "OK". The handler must not capture
+      // `conn` (a connection owning a closure that owns the connection never
+      // dies); BentoClient::live_ keeps it alive.
+      conn->set_output_handler([placement, done_shared](util::Bytes out) {
+        (*done_shared)(util::to_string(out) == "OK", std::move(*placement));
+      });
+      util::Bytes payload = util::to_bytes("PUT:");
+      util::append(payload, shard_shared->serialize());
+      conn->invoke(placement->invocation_token, payload);
     });
   });
 }

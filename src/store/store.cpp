@@ -21,6 +21,14 @@ constexpr std::size_t kMetaBodyLen = 18;
 constexpr std::uint8_t kMetaSealed = 0x01;     // log written with a sealing key
 constexpr std::uint8_t kMetaCompacted = 0x02;  // head of a merged segment
 constexpr std::uint8_t kMetaChained = 0x04;    // prev-end field is meaningful
+// Sequence numbers reserved (durably, via a synced Meta frame) ahead of use.
+// Recovery resumes above the last reserved ceiling, so a seq sealed into a
+// crash-truncated tail is never reissued — the nonce-reuse guard. Large
+// enough that steady-state appends almost never pay the extra synced Meta
+// frame.
+constexpr std::uint64_t kSeqReserve = 1 << 16;
+// Compact when garbage / sealed-segment bytes exceeds this.
+constexpr double kCompactGarbageRatio = 0.5;
 
 void store_le32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -129,7 +137,7 @@ BENTO_FRAMED void BlobStore::append_meta() {
     prev_end = segs[segs.size() - 2].data.size();
   }
   const std::uint64_t seq = next_seq_++;
-  seq_ceiling_ = seq + std::max<std::uint64_t>(opts_.seq_reserve, 1);
+  seq_ceiling_ = seq + kSeqReserve;
   frame_scratch_.clear();
   build_meta_frame(frame_scratch_, seq, flags, seq_ceiling_, prev_end);
   // bentolint: allow(BL109 frame built and CRC-stamped by build_meta_frame)
@@ -507,7 +515,7 @@ bool BlobStore::wants_compaction() const {
   const double ratio =
       static_cast<double>(std::min(garbage_bytes_, sealed)) /
       static_cast<double>(sealed);
-  return ratio > opts_.compact_garbage_ratio;
+  return ratio > kCompactGarbageRatio;
 }
 
 void BlobStore::compact() {

@@ -25,8 +25,8 @@
 // (sealed | compacted | chained), a 64-bit *sequence ceiling*, and the
 // predecessor segment's byte length at roll time. The ceiling is the
 // nonce-reuse guard: a Meta frame is always written synced, reserving
-// `seq_reserve` sequence numbers, and no record is appended with a seq
-// above the last durable ceiling. Recovery resumes at
+// `kSeqReserve` (store.cpp) sequence numbers, and no record is appended
+// with a seq above the last durable ceiling. Recovery resumes at
 // max(max seq seen, max ceiling seen) + 1, so a seq that was handed out
 // before a crash — even one sealed into a torn tail an attacker may have
 // snapshotted — is never paired with the key again. The chained
@@ -42,9 +42,10 @@
 // ceiling: below the limit reads are EPC-resident, above it they page
 // through unseal — the cache-tier boundary). Overwritten and removed
 // records become garbage; when the garbage ratio of the sealed
-// (non-active) segments crosses the threshold, compact() rewrites them,
-// copying live records *verbatim* — bodies are never re-sealed, so a
-// (key, seq) nonce pair is used at most once for the life of the log.
+// (non-active) segments crosses `kCompactGarbageRatio` (store.cpp),
+// compact() rewrites them, copying live records *verbatim* — bodies are
+// never re-sealed, so a (key, seq) nonce pair is used at most once for the
+// life of the log.
 #pragma once
 
 #include <cstdint>
@@ -74,21 +75,13 @@ struct StoreOptions {
   /// Segment roll threshold; also the per-segment reserve, so steady-state
   /// appends never reallocate the segment buffer.
   std::size_t segment_bytes = 256 * 1024;
-  /// Plaintext cache ceiling. Defaults to the SGX EPC usable budget
-  /// (tee::kEpcUsableBytes, 93 MiB) — the wiring passes it explicitly; the
-  /// literal here only keeps store/ free of a tee/ dependency.
+  /// Plaintext cache ceiling: the SGX EPC usable budget
+  /// (tee::kEpcUsableBytes, 93 MiB), which the Bento server's stores keep.
+  /// Written as a literal so store/ does not depend on tee/.
   std::size_t cache_bytes = 93ull << 20;
-  /// Compact when garbage / sealed-segment bytes exceeds this.
-  double compact_garbage_ratio = 0.5;
   /// Sync the volume after every append (full durability). Turned off by
   /// the bench / torn-write tests to expose unsynced tails to crashes.
   bool sync_every_append = true;
-  /// Sequence numbers reserved (durably, via a synced Meta frame) ahead of
-  /// use. Recovery resumes above the last reserved ceiling, so a seq sealed
-  /// into a crash-truncated tail is never reissued — the nonce-reuse guard.
-  /// Large enough that steady-state appends almost never pay the extra
-  /// synced Meta frame.
-  std::uint64_t seq_reserve = 1 << 16;
 };
 
 struct ReplayReport {

@@ -75,18 +75,15 @@ BrowserVisit visit_browser(core::BentoWorld& world, core::BentoWorld::Client& cl
     output_seen = true;
     output_ok = !(out.size() > 3 && out[0] == 'E' && out[1] == 'R' && out[2] == 'R');
   });
-  visit.conn->spawn(core::kImagePythonOpSgx, [&](bool s, std::string) {
-    if (!s) return;
-    visit.conn->upload(
-        functions::browser_manifest(), functions::browser_source(), "", {},
-        [&](std::optional<core::TokenPair> tokens, std::string) {
-          if (!tokens.has_value()) return;
-          visit.tokens = std::move(tokens);
-          const std::string url = "http://" + tor::format_addr(site.addr) + "/bundle";
-          visit.conn->invoke(visit.tokens->invocation.bytes(),
-                             util::to_bytes(url + " " + std::to_string(padding)));
-        });
-  });
+  visit.conn->install(
+      functions::browser_manifest(), functions::browser_source(), "", {},
+      [&](std::optional<core::TokenPair> tokens, std::string) {
+        if (!tokens.has_value()) return;
+        visit.tokens = std::move(tokens);
+        const std::string url = "http://" + tor::format_addr(site.addr) + "/bundle";
+        visit.conn->invoke(visit.tokens->invocation.bytes(),
+                           util::to_bytes(url + " " + std::to_string(padding)));
+      });
   world.run();
   visit.ok = output_seen && output_ok;
   return visit;

@@ -148,11 +148,8 @@ struct BrowserPageHarness {
       conn = std::move(c);
     });
     world.run();
-    conn->spawn(bf::browser_manifest().image, [this](bool ok, std::string) {
-      if (!ok) return;
-      conn->upload(bf::browser_manifest(), bf::browser_source(), "", {},
-                   [this](std::optional<bc::TokenPair> t, std::string) { tokens = t; });
-    });
+    conn->install(bf::browser_manifest(), bf::browser_source(), "", {},
+                  [this](std::optional<bc::TokenPair> t, std::string) { tokens = t; });
     world.run();
     conn->set_output_handler([this](bu::Bytes out) { replies.push_back(std::move(out)); });
   }

@@ -187,12 +187,6 @@ ScenarioResult run_conclave_scenario() {
     world.run();
     EXPECT_NE(conn, nullptr);
     if (conn != nullptr) {
-      bool ready = false;
-      conn->spawn(bc::kImagePythonOpSgx,
-                  [&](bool ok, std::string) { ready = ok; });
-      world.run();
-      EXPECT_TRUE(ready);
-
       bc::FunctionManifest manifest;
       manifest.name = "echo";
       manifest.image = bc::kImagePythonOpSgx;
@@ -201,10 +195,10 @@ ScenarioResult run_conclave_scenario() {
       manifest.resources.disk_bytes = 1 << 20;
       manifest.resources.network_bytes = 1 << 20;
       std::optional<bc::TokenPair> tokens;
-      conn->upload(manifest, kEchoSource, "", {},
-                   [&](std::optional<bc::TokenPair> t, std::string) {
-                     tokens = std::move(t);
-                   });
+      conn->install(manifest, kEchoSource, "", {},
+                    [&](std::optional<bc::TokenPair> t, std::string) {
+                      tokens = std::move(t);
+                    });
       world.run();
       EXPECT_TRUE(tokens.has_value());
       if (tokens.has_value()) {
@@ -349,22 +343,15 @@ TEST(BentotraceE2E, StemMediationSpansAppearForHiddenServiceFunctions) {
     });
     world.run();
     ASSERT_NE(conn, nullptr);
-    bool ready = false;
-    conn->spawn(bf::loadbalancer_manifest().image,
-                [&](bool ok, std::string) { ready = ok; });
-    world.run();
-    ASSERT_TRUE(ready);
-
     bf::LoadBalancerConfig config;
     config.intro_points = 2;
     config.content_bytes = 10'000;
     config.replica_boxes = {boxes[2], boxes[3]};
     std::optional<bc::TokenPair> tokens;
-    conn->upload(bf::loadbalancer_manifest(), "", "loadbalancer",
-                 config.serialize(),
-                 [&](std::optional<bc::TokenPair> t, std::string) {
-                   tokens = std::move(t);
-                 });
+    conn->install(bf::loadbalancer_manifest(), "", "loadbalancer", config.serialize(),
+                  [&](std::optional<bc::TokenPair> t, std::string) {
+                    tokens = std::move(t);
+                  });
     world.run();
     ASSERT_TRUE(tokens.has_value());
 
@@ -407,11 +394,6 @@ TEST(BentotraceE2E, MidRequestTeardownLeavesReportedOrphanSpan) {
     });
     world.run();
     ASSERT_NE(conn, nullptr);
-    bool ready = false;
-    conn->spawn(bc::kImagePythonOpSgx,
-                [&](bool ok, std::string) { ready = ok; });
-    world.run();
-    ASSERT_TRUE(ready);
     bc::FunctionManifest manifest;
     manifest.name = "echo";
     manifest.image = bc::kImagePythonOpSgx;
@@ -420,10 +402,10 @@ TEST(BentotraceE2E, MidRequestTeardownLeavesReportedOrphanSpan) {
     manifest.resources.disk_bytes = 1 << 20;
     manifest.resources.network_bytes = 1 << 20;
     std::optional<bc::TokenPair> tokens;
-    conn->upload(manifest, kEchoSource, "", {},
-                 [&](std::optional<bc::TokenPair> t, std::string) {
-                   tokens = std::move(t);
-                 });
+    conn->install(manifest, kEchoSource, "", {},
+                  [&](std::optional<bc::TokenPair> t, std::string) {
+                    tokens = std::move(t);
+                  });
     world.run();
     ASSERT_TRUE(tokens.has_value());
 

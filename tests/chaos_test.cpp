@@ -95,9 +95,9 @@ struct Deployed {
   std::vector<bu::Bytes> outputs;
 };
 
-/// Connects, spawns, uploads. `settle` runs the world between steps —
-/// pass world.run() normally, or a run_for() when recurring timers (LB
-/// health checks) keep the event queue non-empty forever.
+/// Connects, then installs the function. `settle` runs the world after each
+/// step — pass world.run() normally, or a run_for() when recurring timers
+/// (LB health checks) keep the event queue non-empty forever.
 Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
                          const std::string& box, const bc::FunctionManifest& manifest,
                          const std::string& source, const std::string& native = "",
@@ -115,18 +115,11 @@ Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
     return d;
   }
   d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  bool ok = false;
-  d.conn->spawn(manifest.image, [&](bool s, std::string err) {
-    ok = s;
-    if (!s) d.error = err;
-  });
-  run();
-  if (!ok) return d;
-  d.conn->upload(manifest, source, native, args,
-                 [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                   d.tokens = std::move(tokens);
-                   if (!err.empty()) d.error = err;
-                 });
+  d.conn->install(manifest, source, native, args,
+                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
+                    d.tokens = std::move(tokens);
+                    d.error = std::move(err);
+                  });
   run();
   return d;
 }
@@ -457,7 +450,7 @@ TEST(Chaos, ShardRepairAfterDropboxLoss) {
 }
 
 // A permanently dead target box: every attempt fails, backoff runs its
-// course, and the client reports failure after exactly max_attempts.
+// course, and the client reports failure after exactly kMaxAttempts.
 TEST(Chaos, ClientRetryUntilDeadline) {
   RecorderScope rec("ClientRetryUntilDeadline");
   bc::BentoWorldOptions options;
@@ -479,12 +472,7 @@ TEST(Chaos, ClientRetryUntilDeadline) {
 
   auto proxy = world.bed().make_client("carol");
   proxy->set_build_timeout(bu::Duration::seconds(2));
-  bc::BentoClientConfig config = world.client_config();
-  config.retry.max_attempts = 3;
-  config.retry.request_timeout = bu::Duration::seconds(5);
-  config.retry.backoff_base = bu::Duration::millis(500);
-  config.retry.backoff_cap = bu::Duration::seconds(2);
-  bc::BentoClient client(*proxy, config);
+  bc::BentoClient client(*proxy, world.client_config());
 
   bool done = false;
   bool ok = true;
@@ -498,7 +486,7 @@ TEST(Chaos, ClientRetryUntilDeadline) {
   world.run();
   ASSERT_TRUE(done);
   EXPECT_FALSE(ok);
-  EXPECT_EQ(attempts, 3);
+  EXPECT_EQ(attempts, bc::kMaxAttempts);
 
   const std::string jsonl = rec.jsonl();
   EXPECT_NE(jsonl.find("\"ev\":\"client.retry\""), std::string::npos);

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
+#include "obs/span.hpp"
 #include "util/rng.hpp"
 
 namespace bc = bento::core;
+namespace bo = bento::obs;
 namespace bt = bento::tor;
 namespace bu = bento::util;
 
@@ -23,7 +25,8 @@ struct Session {
   std::vector<bu::Bytes> outputs;
 };
 
-/// Connects, spawns, uploads; runs the world to quiescence at each step.
+/// Connects, then installs the function; runs the world to quiescence after
+/// each.
 Session establish(bc::BentoWorld& world, bc::BentoWorld::Client& client,
                   const std::string& box, const std::string& image,
                   const std::string& source, const std::string& native = "",
@@ -39,14 +42,6 @@ Session establish(bc::BentoWorld& world, bc::BentoWorld::Client& client,
     return s;
   }
   s.conn->set_output_handler([&s](bu::Bytes out) { s.outputs.push_back(std::move(out)); });
-
-  bool spawn_ok = false;
-  s.conn->spawn(image, [&](bool ok, std::string err) {
-    spawn_ok = ok;
-    if (!ok) s.error = err;
-  });
-  world.run();
-  if (!spawn_ok) return s;
 
   bc::FunctionManifest manifest;
   if (manifest_in.has_value()) {
@@ -65,13 +60,70 @@ Session establish(bc::BentoWorld& world, bc::BentoWorld::Client& client,
   }
   manifest.image = image;
 
-  s.conn->upload(manifest, source, native, args,
-                 [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                   s.tokens = std::move(tokens);
-                   if (!err.empty()) s.error = err;
-                 });
+  s.conn->install(manifest, source, native, args,
+                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
+                    s.tokens = std::move(tokens);
+                    s.error = std::move(err);
+                  });
   world.run();
   return s;
+}
+
+bc::FunctionManifest echo_manifest(const std::string& image) {
+  bc::FunctionManifest manifest;
+  manifest.name = "echo";
+  manifest.image = image;
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 1'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 1 << 20;
+  return manifest;
+}
+
+/// Span begins of `stage` the flight recorder holds.
+std::size_t spans_begun(bo::Stage stage) {
+  std::size_t n = 0;
+  for (const bo::TraceEvent& e : bo::recorder().events()) {
+    if (e.kind == bo::Ev::SpanBegin &&
+        (e.b & 0xffffffffu) == static_cast<std::uint64_t>(stage)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+/// What one install() reported, and what crossed the Bento stream for it.
+struct InstallOutcome {
+  int callbacks = 0;
+  std::optional<bc::TokenPair> tokens;
+  std::string error;
+  std::size_t uploads_sent = 0;  // client.upload spans the client opened
+  std::size_t box_messages = 0;  // server.handle spans: messages the box took
+};
+
+/// Connects to `box`, then installs the echo function under `manifest` with
+/// the flight recorder on.
+InstallOutcome install_traced(bc::BentoWorld& world, bc::BentoClient& client,
+                              const std::string& box,
+                              const bc::FunctionManifest& manifest) {
+  InstallOutcome out;
+  std::shared_ptr<bc::BentoConnection> conn;
+  client.connect(box, [&](std::shared_ptr<bc::BentoConnection> c) { conn = std::move(c); });
+  world.run();
+  EXPECT_NE(conn, nullptr);
+  if (conn == nullptr) return out;
+  bo::recorder().enable();
+  conn->install(manifest, kEchoSource, "", {},
+                [&](std::optional<bc::TokenPair> tokens, std::string error) {
+                  ++out.callbacks;
+                  out.tokens = std::move(tokens);
+                  out.error = std::move(error);
+                });
+  world.run();
+  out.uploads_sent = spans_begun(bo::Stage::ClientUpload);
+  out.box_messages = spans_begun(bo::Stage::ServerHandle);
+  bo::recorder().disable();
+  return out;
 }
 }  // namespace
 
@@ -690,4 +742,107 @@ def on_message(msg):
   EXPECT_EQ(bu::to_string(s.outputs[0]), "stored 21");
   // The second box really runs a container now.
   EXPECT_EQ(world.server_for(boxes[2])->live_containers(), 1u);
+}
+
+TEST(BentoE2E, RefusedDeployAnswersNoneAndTheComposerKeepsServing) {
+  // A composed deploy that the remote box refuses (the uploaded source does
+  // not parse) reaches the script once, as None; the deploying function
+  // keeps serving.
+  bc::BentoWorld world;
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+
+  const std::string composer = R"(
+def deployed(token):
+    if token == None:
+        api.send("deploy refused")
+    else:
+        api.send("deployed")
+
+def on_message(msg):
+    target = str(msg)
+    if target == "ping":
+        api.send("pong")
+    else:
+        bento.deploy(target, "broken", "def broken(:\n    pass\n", [], "", deployed)
+)";
+  bc::FunctionManifest manifest;
+  manifest.name = "composer";
+  manifest.required = {bento::sandbox::Syscall::SpawnFunction};
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 20'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 32 << 20;
+
+  auto s = establish(world, client, boxes[0], bc::kImagePython, composer, "", {},
+                     manifest);
+  ASSERT_TRUE(s.tokens.has_value()) << s.error;
+
+  s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes(boxes[2]));
+  world.run();
+  ASSERT_EQ(s.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(s.outputs[0]), "deploy refused");
+  EXPECT_EQ(world.server_for(boxes[2])->live_containers(), 0u);
+
+  s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes("ping"));
+  world.run();
+  ASSERT_EQ(s.outputs.size(), 2u);
+  EXPECT_EQ(bu::to_string(s.outputs[1]), "pong");
+  EXPECT_EQ(world.server_for(boxes[0])->live_containers(), 1u);
+}
+
+// install() reports a refused step exactly once, with that step's error,
+// and never uploads after a spawn that failed.
+TEST(Install, UnofferedImageFailsAtTheSpawnWithoutAnUpload) {
+  bc::BentoWorld world;
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+
+  const InstallOutcome out =
+      install_traced(world, *client.bento, boxes[0], echo_manifest("windows-me"));
+  EXPECT_EQ(out.callbacks, 1);
+  EXPECT_FALSE(out.tokens.has_value());
+  EXPECT_EQ(out.error.rfind("image not offered", 0), 0u) << out.error;
+  EXPECT_EQ(out.uploads_sent, 0u);
+  EXPECT_EQ(out.box_messages, 1u);  // the spawn alone
+  EXPECT_EQ(world.server_for(boxes[0])->live_containers(), 0u);
+}
+
+TEST(Install, RejectedManifestFailsAtTheUpload) {
+  bc::BentoWorldOptions options;
+  options.server.policy = bc::MiddleboxPolicy::no_storage();
+  bc::BentoWorld world(options);
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+
+  bc::FunctionManifest manifest = echo_manifest(bc::kImagePython);
+  manifest.required = {bento::sandbox::Syscall::FsWrite};
+  const InstallOutcome out = install_traced(world, *client.bento, boxes[0], manifest);
+  EXPECT_EQ(out.callbacks, 1);
+  EXPECT_FALSE(out.tokens.has_value());
+  EXPECT_EQ(out.error.rfind("manifest rejected", 0), 0u) << out.error;
+  EXPECT_EQ(out.uploads_sent, 1u);
+  EXPECT_EQ(out.box_messages, 2u);  // the spawn, then the refused upload
+}
+
+TEST(Install, FailedAttestationFailsAtTheSpawnWithoutAnUpload) {
+  bc::BentoWorld world;
+  world.start();
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  // A client expecting another runtime than the one the box attests.
+  auto proxy = world.bed().make_client("alice");
+  bc::BentoClientConfig config = world.client_config();
+  config.expected_runtime = {};
+  bc::BentoClient client(*proxy, config);
+
+  const InstallOutcome out =
+      install_traced(world, client, boxes[0], echo_manifest(bc::kImagePythonOpSgx));
+  EXPECT_EQ(out.callbacks, 1);
+  EXPECT_FALSE(out.tokens.has_value());
+  EXPECT_EQ(out.error.rfind("attestation: ", 0), 0u) << out.error;
+  EXPECT_EQ(out.uploads_sent, 0u);
+  EXPECT_EQ(out.box_messages, 1u);  // the box spawned; the client walked away
 }

@@ -38,18 +38,11 @@ Deployed deploy(bc::BentoWorld& world, bc::BentoWorld::Client& client,
     return d;
   }
   d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  bool ok = false;
-  d.conn->spawn(manifest.image, [&](bool s, std::string e) {
-    ok = s;
-    if (!s) d.error = e;
-  });
-  world.run();
-  if (!ok) return d;
-  d.conn->upload(manifest, source, native, args,
-                 [&](std::optional<bc::TokenPair> t, std::string e) {
-                   d.tokens = std::move(t);
-                   if (!e.empty()) d.error = e;
-                 });
+  d.conn->install(manifest, source, native, args,
+                  [&](std::optional<bc::TokenPair> t, std::string e) {
+                    d.tokens = std::move(t);
+                    d.error = std::move(e);
+                  });
   world.run();
   return d;
 }

@@ -38,18 +38,11 @@ Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
     return d;
   }
   d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  bool ok = false;
-  d.conn->spawn(manifest.image, [&](bool s, std::string err) {
-    ok = s;
-    if (!s) d.error = err;
-  });
-  world.run();
-  if (!ok) return d;
-  d.conn->upload(manifest, source, native, args,
-                 [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                   d.tokens = std::move(tokens);
-                   if (!err.empty()) d.error = err;
-                 });
+  d.conn->install(manifest, source, native, args,
+                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
+                    d.tokens = std::move(tokens);
+                    d.error = std::move(err);
+                  });
   world.run();
   return d;
 }

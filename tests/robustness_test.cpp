@@ -3,6 +3,7 @@
 // crash-consistent recovery of the persistent sealed blob store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -67,7 +68,7 @@ struct Deployed {
   std::vector<bu::Bytes> outputs;
 };
 
-/// Connect + spawn + upload, draining the world between steps.
+/// Connect, then install the function, draining the world after each.
 Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
                          const std::string& box,
                          const bc::FunctionManifest& manifest,
@@ -83,18 +84,11 @@ Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
   }
   d.conn->set_output_handler(
       [&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  bool ok = false;
-  d.conn->spawn(manifest.image, [&](bool s, std::string err) {
-    ok = s;
-    if (!s) d.error = err;
-  });
-  world.run();
-  if (!ok) return d;
-  d.conn->upload(manifest, source, "", {},
-                 [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                   d.tokens = std::move(tokens);
-                   if (!err.empty()) d.error = err;
-                 });
+  d.conn->install(manifest, source, "", {},
+                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
+                    d.tokens = std::move(tokens);
+                    d.error = std::move(err);
+                  });
   world.run();
   return d;
 }
@@ -407,6 +401,49 @@ TEST(Robustness, ClientRejectsForgedConsensus) {
                               bento::sim::NodeSpec{"victim", 1e6, 1e6}, forged,
                               bed.directory().authority_key(), bu::Rng(3)),
                std::invalid_argument);
+}
+
+// Overwrites turn the sealed segments into garbage; the mount's on_mutate
+// hook arms the background compaction tick, which rewrites them. The log
+// shrinks and the Dropbox still answers with the last PUT.
+TEST(Robustness, OverwrittenDropboxStoreCompactsInTheBackground) {
+  bc::BentoWorldOptions options;
+  options.server.persistent_store = true;
+  bc::BentoWorld world(options);
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  auto d = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
+                           bf::dropbox_source());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  bs::BlobStore* store = store_of(world.server_for(boxes[0]), "dropbox");
+  ASSERT_NE(store, nullptr);
+
+  const bento::obs::Counter runs = bento::obs::registry().counter("store.compact.runs");
+  const std::uint64_t runs_before = runs.value();
+  bu::Rng rng(21);
+  bu::Bytes last;
+  std::size_t peak_log_bytes = 0;
+  bool shrank = false;
+  // A segment rolls every 256 KiB, so five 48 KiB PUTs fill one and the
+  // sixth seals it with every record in it overwritten.
+  for (int i = 0; i < 12; ++i) {
+    last = rng.bytes(48 << 10);
+    bu::Bytes put = bu::to_bytes("PUT:");
+    bu::append(put, last);
+    d.conn->invoke(d.tokens->invocation.bytes(), put);
+    world.run();
+    ASSERT_EQ(bu::to_string(d.outputs.back()), "OK");
+    if (store->log_bytes() < peak_log_bytes) shrank = true;
+    peak_log_bytes = std::max(peak_log_bytes, store->log_bytes());
+  }
+  EXPECT_GT(runs.value(), runs_before);
+  EXPECT_GT(store->compactions(), 0u);
+  EXPECT_TRUE(shrank);
+
+  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("GET:"));
+  world.run();
+  EXPECT_EQ(d.outputs.back(), last);
 }
 
 TEST(Robustness, BentoServerSurvivesProtocolGarbage) {
@@ -788,16 +825,6 @@ TEST(Robustness, ClientStreamDeathOrphansFunctionSafely) {
   world.start();
   auto alice = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  std::shared_ptr<bc::BentoConnection> conn;
-  alice.bento->connect(boxes[0], [&](std::shared_ptr<bc::BentoConnection> c) {
-    conn = std::move(c);
-  });
-  world.run();
-  bool ok = false;
-  std::optional<bc::TokenPair> tokens;
-  conn->spawn(bc::kImagePython, [&](bool s, std::string) { ok = s; });
-  world.run();
-  ASSERT_TRUE(ok);
   bc::FunctionManifest manifest;
   manifest.name = "counter";
   manifest.required = {bento::sandbox::Syscall::Clock};
@@ -805,19 +832,16 @@ TEST(Robustness, ClientStreamDeathOrphansFunctionSafely) {
   manifest.resources.cpu_instructions = 1'000'000;
   manifest.resources.disk_bytes = 1 << 20;
   manifest.resources.network_bytes = 1 << 20;
-  conn->upload(manifest,
-               "state = {\"n\": 0}\n"
-               "def on_message(m):\n"
-               "    state[\"n\"] += 1\n"
-               "    api.send(str(state[\"n\"]))\n",
-               "", {},
-               [&](std::optional<bc::TokenPair> t, std::string) { tokens = std::move(t); });
-  world.run();
-  ASSERT_TRUE(tokens.has_value());
+  auto d = deploy_function(world, alice, boxes[0], manifest,
+                           "state = {\"n\": 0}\n"
+                           "def on_message(m):\n"
+                           "    state[\"n\"] += 1\n"
+                           "    api.send(str(state[\"n\"]))\n");
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
-  conn->invoke(tokens->invocation.bytes(), {});
+  d.conn->invoke(d.tokens->invocation.bytes(), {});
   world.run();
-  conn->close();  // Alice vanishes mid-life
+  d.conn->close();  // Alice vanishes mid-life
   world.run();
   EXPECT_EQ(world.server_for(boxes[0])->live_containers(), 1u);  // still alive
 
@@ -827,7 +851,7 @@ TEST(Robustness, ClientStreamDeathOrphansFunctionSafely) {
   bob.bento->connect(boxes[0], [&](std::shared_ptr<bc::BentoConnection> c) {
     ASSERT_NE(c, nullptr);
     c->set_output_handler([&](bu::Bytes out) { outputs.push_back(std::move(out)); });
-    c->invoke(tokens->invocation.bytes(), {});
+    c->invoke(d.tokens->invocation.bytes(), {});
   });
   world.run();
   ASSERT_EQ(outputs.size(), 1u);
