@@ -213,7 +213,6 @@ int main() {
     config.max_clients_per_replica = 2;
     config.content_bytes = kFileBytes;
     config.replica_boxes = {hosts[1], hosts[2], hosts[3]};  // 4 hosts total
-    config.idle_shutdown_seconds = 0;
 
     std::shared_ptr<bc::BentoConnection> conn;
     operator_client.bento->connect(hosts[0],

@@ -38,7 +38,6 @@ int main() {
   config.max_clients_per_replica = 2;
   config.content_bytes = 1'000'000;
   config.replica_boxes = {boxes[2], boxes[3], boxes[4]};
-  config.idle_shutdown_seconds = 0;
 
   std::shared_ptr<bc::BentoConnection> conn;
   operator_client.bento->connect(boxes[1], [&](std::shared_ptr<bc::BentoConnection> c) {

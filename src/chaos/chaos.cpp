@@ -81,7 +81,6 @@ void ChaosEngine::schedule_plan() {
   }
   for (const Throttle& t : plan_.throttles) {
     sim_.at(t.start, [this, t] {
-      ++stats_.throttles;
       record(FaultKind::Throttle, t.node,
              static_cast<std::uint64_t>(t.scale * 1000.0));
       net_.set_bandwidth_scale(t.node, t.scale);
@@ -97,7 +96,6 @@ void ChaosEngine::schedule_plan() {
     // size stays within the scheduler's inline buffer.
     auto fn = std::make_shared<std::function<void()>>(f.fn);
     sim_.at(f.at, [this, ref = f.ref, fn] {
-      ++stats_.app_faults;
       record(FaultKind::App, ref, 0);
       if (*fn) (*fn)();
     });
@@ -151,7 +149,6 @@ void ChaosEngine::restart(sim::NodeId node) {
 void ChaosEngine::cut(sim::NodeId a, sim::NodeId b, util::Duration heal) {
   cuts_.insert(ordered(a, b));
   sync_hook();
-  ++stats_.partitioned;
   record(FaultKind::Partition, a == kAnyNode ? b : a,
          a == kAnyNode || b == kAnyNode ? 0xffffffffu
                                         : static_cast<std::uint64_t>(ordered(a, b).second));
@@ -179,18 +176,15 @@ BENTO_HOT sim::FaultDecision ChaosEngine::on_packet(sim::NodeId from, sim::NodeI
   for (const LinkFault& rule : plan_.links) {
     if (!rule_matches(rule.a, rule.b, from, to)) continue;
     if (rule.drop_p > 0 && rng_.chance(rule.drop_p)) {
-      ++stats_.dropped;
       record(FaultKind::Drop, from, to, /*ok=*/false);
       verdict.drop = true;
       return verdict;  // a lost packet cannot also be duplicated/delayed
     }
     if (rule.dup_p > 0 && rng_.chance(rule.dup_p)) {
-      ++stats_.duplicated;
       record(FaultKind::Duplicate, from, to);
       verdict.duplicate = true;
     }
     if (rule.jitter_p > 0 && rng_.chance(rule.jitter_p)) {
-      ++stats_.jittered;
       const util::Duration extra = util::Duration::micros(static_cast<std::int64_t>(
           rng_.exponential(rule.jitter_mean.to_seconds() * 1e6)));
       record(FaultKind::Jitter, from,

@@ -137,15 +137,11 @@ class ChaosEngine final : public sim::FaultInjector {
   sim::FaultDecision on_packet(sim::NodeId from, sim::NodeId to,
                                std::size_t wire_size) override;
 
+  /// Node crashes and restarts so far. Every fault is also traced as
+  /// Ev::ChaosFault.
   struct Stats {
-    std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t jittered = 0;
-    std::uint64_t partitioned = 0;
     std::uint64_t crashes = 0;
     std::uint64_t restarts = 0;
-    std::uint64_t throttles = 0;
-    std::uint64_t app_faults = 0;
   };
   const Stats& stats() const { return stats_; }
 

@@ -20,19 +20,14 @@ BENTO_HOT std::uint32_t load32(const std::uint8_t* p) {
 // ---- Interleaved keystream kernels ---------------------------------------
 //
 // Blocks are produced stored lane-innermost (x[word][lane]) so every
-// quarter-round statement is one SIMD operation over all blocks. On GCC and
-// Clang the body is written with vector extensions and instantiated per
-// target: 8 lanes for the baseline ISA (the compiler splits the 32-byte
-// vectors into whatever it offers) and for AVX2, 16 lanes for AVX-512, with
-// a one-time runtime dispatch on cpuid. Elsewhere a plain scalar body keeps
-// the same 8 interleaved dependency chains for ILP.
+// quarter-round statement is one SIMD operation over all blocks. The body is
+// written with GCC/Clang vector extensions (the tree needs one of the two
+// anyway: it uses unsigned __int128) and instantiated per target: 8 lanes
+// for the baseline ISA (the compiler splits the 32-byte vectors into
+// whatever it offers) and for AVX2, 16 lanes for AVX-512, with a one-time
+// runtime dispatch on cpuid.
 
-#if defined(__GNUC__) || defined(__clang__)
-#define BENTO_CHACHA_SIMD 1
-#endif
-
-#if BENTO_CHACHA_SIMD && (defined(__clang__) || __GNUC__ >= 12) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#if (defined(__clang__) || __GNUC__ >= 12) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 // __builtin_shufflevector is available and vector lanes are stored in
 // keystream (little-endian) byte order: rotates and the output store are
 // shuffles. Other targets rotate with shift-or and store word by word.
@@ -47,8 +42,6 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 #endif
-
-#if BENTO_CHACHA_SIMD
 
 #if BENTO_CHACHA_SHUFFLE
 // Byte-granular rotates (16 and 8 bits) become single shuffle instructions
@@ -266,59 +259,6 @@ BENTO_HOT BENTO_AVX512_TARGET void chacha20_refill_avx512(const std::uint32_t* s
 #undef BENTO_CHACHA_QR
 
 }  // namespace detail
-
-#else  // !BENTO_CHACHA_SIMD: scalar fallback, 8 interleaved chains
-
-BENTO_HOT void quarter_round(std::uint32_t x[16][8], int a, int b, int c, int d) {
-  for (int l = 0; l < 8; ++l) {
-    x[a][l] += x[b][l];
-    x[d][l] ^= x[a][l];
-    x[d][l] = (x[d][l] << 16) | (x[d][l] >> 16);
-    x[c][l] += x[d][l];
-    x[b][l] ^= x[c][l];
-    x[b][l] = (x[b][l] << 12) | (x[b][l] >> 20);
-    x[a][l] += x[b][l];
-    x[d][l] ^= x[a][l];
-    x[d][l] = (x[d][l] << 8) | (x[d][l] >> 24);
-    x[c][l] += x[d][l];
-    x[b][l] ^= x[c][l];
-    x[b][l] = (x[b][l] << 7) | (x[b][l] >> 25);
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-BENTO_HOT void chacha20_refill_portable(const std::uint32_t* state, std::uint8_t* block) {
-  std::uint32_t x[16][8];
-  for (int i = 0; i < 16; ++i) {
-    for (int l = 0; l < 8; ++l) x[i][l] = state[i];
-  }
-  for (int l = 0; l < 8; ++l) x[12][l] += static_cast<std::uint32_t>(l);
-  for (int round = 0; round < 10; ++round) {
-    quarter_round(x, 0, 4, 8, 12);
-    quarter_round(x, 1, 5, 9, 13);
-    quarter_round(x, 2, 6, 10, 14);
-    quarter_round(x, 3, 7, 11, 15);
-    quarter_round(x, 0, 5, 10, 15);
-    quarter_round(x, 1, 6, 11, 12);
-    quarter_round(x, 2, 7, 8, 13);
-    quarter_round(x, 3, 4, 9, 14);
-  }
-  for (int l = 0; l < 8; ++l) {
-    std::uint8_t* out = block + 64 * l;
-    for (int i = 0; i < 16; ++i) {
-      std::uint32_t v = x[i][l] + state[i];
-      if (i == 12) v += static_cast<std::uint32_t>(l);
-      store32(out + 4 * i, v);
-    }
-  }
-}
-
-}  // namespace detail
-
-#endif  // BENTO_CHACHA_SIMD
 
 namespace {
 

@@ -17,7 +17,6 @@ util::Bytes LoadBalancerConfig::serialize() const {
   w.u64(content_bytes);
   w.u32(static_cast<std::uint32_t>(replica_boxes.size()));
   for (const auto& box : replica_boxes) w.str(box);
-  w.u64(static_cast<std::uint64_t>(idle_shutdown_seconds * 1000));
   w.u64(static_cast<std::uint64_t>(health_check_seconds * 1000));
   w.u32(static_cast<std::uint32_t>(health_max_misses));
   return std::move(w).take();
@@ -31,7 +30,6 @@ LoadBalancerConfig LoadBalancerConfig::deserialize(util::ByteView data) {
   c.content_bytes = r.u64();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) c.replica_boxes.push_back(r.str());
-  c.idle_shutdown_seconds = static_cast<double>(r.u64()) / 1000.0;
   c.health_check_seconds = static_cast<double>(r.u64()) / 1000.0;
   c.health_max_misses = static_cast<int>(r.u32());
   r.expect_done();
@@ -106,10 +104,6 @@ void LoadBalancerFunction::on_install(core::HostApi& api, util::ByteView args) {
     if (!ok) api.log("loadbalancer: failed to establish introduction points");
   });
 
-  if (config_.idle_shutdown_seconds > 0) {
-    api.after(util::Duration::seconds(config_.idle_shutdown_seconds),
-              [this, &api] { scale_down_idle(api); });
-  }
   if (config_.health_check_seconds > 0) {
     api.after(util::Duration::seconds(config_.health_check_seconds),
               [this, &api] { health_tick(api); });
@@ -130,7 +124,6 @@ LoadBalancerFunction::Replica* LoadBalancerFunction::least_loaded() {
 void LoadBalancerFunction::assign_to(core::HostApi& api, Replica& target,
                                      util::ByteView blob) {
   target.assigned++;
-  target.idle_since = -1.0;
   if (!target.remote) {
     host_->handle_introduction(blob);
     return;
@@ -221,7 +214,7 @@ void LoadBalancerFunction::scale_up(core::HostApi& api, bool failover_respawn) {
 
   api.log("loadbalancer: scaling up onto " + box);
   api.deploy(spec, [this, box, &api, failover_respawn](bool ok, util::Bytes invocation,
-                                                       util::Bytes shutdown) {
+                                                       util::Bytes /*shutdown*/) {
     --pending_deploys_;
     if (!ok) {
       api.log("loadbalancer: replica deploy failed on " + box);
@@ -232,7 +225,6 @@ void LoadBalancerFunction::scale_up(core::HostApi& api, bool failover_respawn) {
     replica.box = box;
     replica.remote = true;
     replica.invocation_token = std::move(invocation);
-    replica.shutdown_token = std::move(shutdown);
     replicas_.push_back(std::move(replica));
     peak_replicas_ = std::max(peak_replicas_, static_cast<int>(replicas_.size()));
     if (failover_respawn) {
@@ -287,34 +279,6 @@ void LoadBalancerFunction::health_tick(core::HostApi& api) {
   }
   api.after(util::Duration::seconds(config_.health_check_seconds),
             [this, &api] { health_tick(api); });
-}
-
-void LoadBalancerFunction::scale_down_idle(core::HostApi& api) {
-  const double now = api.now().seconds();
-  for (auto it = replicas_.begin(); it != replicas_.end();) {
-    Replica& replica = *it;
-    if (!replica.remote || effective_load(replica) > 0) {
-      replica.idle_since = -1.0;
-      ++it;
-      continue;
-    }
-    if (replica.idle_since < 0) {
-      replica.idle_since = now;
-      ++it;
-      continue;
-    }
-    if (now - replica.idle_since >= config_.idle_shutdown_seconds) {
-      api.log("loadbalancer: scaling down replica on " + replica.box);
-      // Low watermark: idle too long — release the box. We drop our record;
-      // the shutdown token terminates the remote function.
-      // (Remote shutdown uses the composition channel's connection.)
-      it = replicas_.erase(it);
-      continue;
-    }
-    ++it;
-  }
-  api.after(util::Duration::seconds(config_.idle_shutdown_seconds),
-            [this, &api] { scale_down_idle(api); });
 }
 
 std::string LoadBalancerFunction::status() const {

@@ -7,7 +7,10 @@
 // point on the front end's behalf. Replica creation copies the service's
 // hostname and private keys to a fresh Bento box (which is why the paper
 // deploys LoadBalancer inside conclaves), is fully transparent to clients,
-// and is driven by load watermarks fed by periodic replica reports.
+// and is driven by a high watermark on the load replicas report. The front
+// end scales up and, with health checks on, fails a dead replica over to
+// the next spare box; it never scales down, so with health checks off an
+// installed LoadBalancer arms no timer and its world quiesces.
 //
 // Both halves are native functions:
 //   "loadbalancer" — the front end (install args: LoadBalancerConfig)
@@ -34,8 +37,6 @@ struct LoadBalancerConfig {
   std::uint64_t content_bytes = 10'000'000;
   /// Candidate Bento boxes for replicas, in deployment order.
   std::vector<std::string> replica_boxes;
-  /// Replicas idle for this long are scaled back down (0 disables).
-  double idle_shutdown_seconds = 20.0;
   /// Ping remote replicas this often (0 disables health checks).
   double health_check_seconds = 0.0;
   /// Consecutive unanswered pings before a replica is declared dead and a
@@ -65,11 +66,9 @@ class LoadBalancerFunction final : public core::Function {
   struct Replica {
     std::string box;
     util::Bytes invocation_token;
-    util::Bytes shutdown_token;
     int load = 0;       // last reported / locally tracked
     int assigned = 0;   // optimistic in-flight assignments
     bool remote = false;
-    double idle_since = -1.0;
     int missed = 0;            // unanswered health checks in a row
     bool awaiting_pong = false;
   };
@@ -78,7 +77,6 @@ class LoadBalancerFunction final : public core::Function {
   void assign_to(core::HostApi& api, Replica& replica, util::ByteView blob);
   void scale_up(core::HostApi& api, bool failover_respawn = false);
   void health_tick(core::HostApi& api);
-  void scale_down_idle(core::HostApi& api);
   void drain_queue(core::HostApi& api, Replica* fresh);
   Replica* least_loaded();
   int effective_load(const Replica& r) const { return std::max(r.load, r.assigned); }

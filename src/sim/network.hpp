@@ -110,10 +110,6 @@ class Network {
   const NodeStats& stats(NodeId node) const;
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Total payload bytes a node received in [since, now] — used by
-  /// experiment harnesses to compute download-speed time series.
-  std::uint64_t bytes_received(NodeId node) const { return stats(node).bytes_received; }
-
   /// Installs/clears the passive wire monitor.
   void set_monitor(WireMonitor monitor) { monitor_ = std::move(monitor); }
 

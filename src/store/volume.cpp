@@ -127,8 +127,6 @@ Volume* VolumeManager::find(const std::string& key) {
   return it == volumes_.end() ? nullptr : it->second.get();
 }
 
-bool VolumeManager::erase(const std::string& key) { return volumes_.erase(key) > 0; }
-
 std::vector<std::string> VolumeManager::keys() const {
   std::vector<std::string> out;
   out.reserve(volumes_.size());

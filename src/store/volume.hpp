@@ -93,7 +93,6 @@ class VolumeManager {
   /// Opens (creating if absent) the named volume.
   Volume& open(const std::string& key);
   Volume* find(const std::string& key);
-  bool erase(const std::string& key);
   std::vector<std::string> keys() const;
 
   /// Node crash: every volume loses its unsynced bytes except a

@@ -31,6 +31,17 @@ std::size_t padding_bytes(Defense d) {
 
 namespace {
 
+/// Per-visit content size jitter (fraction).
+constexpr double kSizeNoise = 0.04;
+/// Web-server think-time jitter bounds (seconds).
+constexpr double kThinkMinSeconds = 0.02;
+constexpr double kThinkMaxSeconds = 0.35;
+/// The testbed: relay access-link bandwidth (bytes/sec) and relay counts.
+constexpr double kRelayBandwidth = 2.5e6;
+constexpr int kGuards = 3;
+constexpr int kMiddles = 4;
+constexpr int kExits = 4;
+
 /// One standard-Tor visit: fresh circuit, browser-style page load.
 bool visit_standard(core::BentoWorld& world, tor::OnionProxy& victim,
                     const SiteModel& site) {
@@ -108,10 +119,10 @@ std::vector<Example> collect_dataset(
     const std::function<void(int done, int total)>& progress) {
   core::BentoWorldOptions world_options;
   world_options.testbed.seed = options.seed;
-  world_options.testbed.guards = options.guards;
-  world_options.testbed.middles = options.middles;
-  world_options.testbed.exits = options.exits;
-  world_options.testbed.relay_bandwidth = options.relay_bandwidth;
+  world_options.testbed.guards = kGuards;
+  world_options.testbed.middles = kMiddles;
+  world_options.testbed.exits = kExits;
+  world_options.testbed.relay_bandwidth = kRelayBandwidth;
   core::BentoWorld world(world_options);
   world.start();
 
@@ -121,31 +132,30 @@ std::vector<Example> collect_dataset(
   std::map<tor::Addr, const SiteModel*> by_addr;
   for (const auto& site : sites) by_addr[site.addr] = &site;
   auto visit_counter = std::make_shared<std::map<tor::Addr, std::uint64_t>>();
-  const double noise = options.size_noise;
   std::uint64_t server_seed = options.seed * 977;
   for (const auto& site : sites) {
     const SiteModel* model = &site;
     auto& server = world.bed().add_web_server(
         site.addr,
-        [model, visit_counter, noise](const std::string& path)
+        [model, visit_counter](const std::string& path)
             -> std::optional<util::Bytes> {
           const std::uint64_t visit = (*visit_counter)[model->addr];
           if (path == "/bundle") {
             // Whole page in one response (index + all resources).
-            util::Bytes all = model->body_for("/", visit, noise);
+            util::Bytes all = model->body_for("/", visit, kSizeNoise);
             for (std::size_t r = 0; r < model->resource_bytes.size(); ++r) {
               util::append(all,
-                           model->body_for("/r" + std::to_string(r), visit, noise));
+                           model->body_for("/r" + std::to_string(r), visit, kSizeNoise));
             }
             return all;
           }
-          return model->body_for(path, visit, noise);
+          return model->body_for(path, visit, kSizeNoise);
         });
     // Live web servers answer with variable think time; this is what keeps
     // deterministic fetch-duration gaps from becoming a fingerprint the
     // real attack never had.
-    server.set_think_time(util::Duration::seconds(options.think_min),
-                          util::Duration::seconds(options.think_max),
+    server.set_think_time(util::Duration::seconds(kThinkMinSeconds),
+                          util::Duration::seconds(kThinkMaxSeconds),
                           ++server_seed);
   }
 

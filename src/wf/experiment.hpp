@@ -26,16 +26,6 @@ struct CollectOptions {
   Defense defense = Defense::None;
   int visits_per_site = 10;
   std::uint64_t seed = 42;
-  /// Per-visit content size jitter (fraction).
-  double size_noise = 0.04;
-  /// Web-server think-time jitter bounds (seconds).
-  double think_min = 0.02;
-  double think_max = 0.35;
-  /// Relay access-link bandwidth (bytes/sec).
-  double relay_bandwidth = 2.5e6;
-  int guards = 3;
-  int middles = 4;
-  int exits = 4;
 };
 
 /// Runs `visits_per_site` visits to every site under the given defense and

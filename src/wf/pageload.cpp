@@ -5,11 +5,13 @@
 namespace bento::wf {
 
 namespace {
+/// Sub-resource streams a browser keeps open at once.
+constexpr int kMaxConcurrentStreams = 6;
+
 struct LoadState {
   tor::CircuitOrigin* circuit;
   const SiteModel* site;
   std::function<void(PageLoadResult)> done;
-  int max_concurrent;
   PageLoadResult result;
   std::size_t next_resource = 0;
   int in_flight = 0;
@@ -33,7 +35,7 @@ void LoadState::fetch(const std::string& path, std::function<void(bool)> finishe
 
 void LoadState::pump() {
   if (failed) return;
-  while (in_flight < max_concurrent && next_resource < site->resource_bytes.size()) {
+  while (in_flight < kMaxConcurrentStreams && next_resource < site->resource_bytes.size()) {
     const std::string path = "/r" + std::to_string(next_resource++);
     ++in_flight;
     fetch(path, [this](bool ok) {
@@ -54,12 +56,10 @@ void LoadState::pump() {
 }  // namespace
 
 void browse_page(tor::CircuitOrigin& circuit, const SiteModel& site,
-                 double time_now_seconds, std::function<void(PageLoadResult)> done,
-                 int max_concurrent_streams) {
+                 double time_now_seconds, std::function<void(PageLoadResult)> done) {
   auto state = std::make_shared<LoadState>();
   state->circuit = &circuit;
   state->site = &site;
-  state->max_concurrent = max_concurrent_streams;
   state->result.started = time_now_seconds;
   // Keep the state alive through the callback chain.
   state->done = [state, done = std::move(done)](PageLoadResult result) mutable {

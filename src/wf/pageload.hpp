@@ -28,7 +28,6 @@ struct PageLoadResult {
 /// once every resource completed (or any failed).
 void browse_page(tor::CircuitOrigin& circuit, const SiteModel& site,
                  double time_now_seconds,
-                 std::function<void(PageLoadResult)> done,
-                 int max_concurrent_streams = 6);
+                 std::function<void(PageLoadResult)> done);
 
 }  // namespace bento::wf

@@ -28,6 +28,7 @@
 #include "tor/wire.hpp"
 #include "util/rng.hpp"
 #include "util/zlite.hpp"
+#include "world_fixture.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -124,10 +125,8 @@ struct BrowserPageHarness {
 
   bc::BentoWorld world{WorldHarness::options(/*persistent=*/false)};
   bc::BentoWorld::Client client;
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
   bu::Bytes page;
-  std::vector<bu::Bytes> replies;
+  std::optional<Deployed> browser;
 
   BrowserPageHarness() {
     page = bu::Rng(9).bytes(kRandomPrefix);
@@ -140,22 +139,13 @@ struct BrowserPageHarness {
     world.bed().add_web_server(bt::parse_addr("93.184.216.34"),
                                [this](const std::string&) { return page; });
     client = world.make_client("browser");
-    std::string exit_box;
-    for (const auto& relay : world.bed().consensus().relays) {
-      if (relay.flags.exit) exit_box = relay.fingerprint();
-    }
-    client.bento->connect(exit_box, [this](std::shared_ptr<bc::BentoConnection> c) {
-      conn = std::move(c);
-    });
-    world.run();
-    conn->install(bf::browser_manifest(), bf::browser_source(), "", {},
-                  [this](std::optional<bc::TokenPair> t, std::string) { tokens = t; });
-    world.run();
-    conn->set_output_handler([this](bu::Bytes out) { replies.push_back(std::move(out)); });
+    browser.emplace(world, client, exit_box(world), bf::browser_manifest(),
+                    bf::browser_source());
   }
 
   void fetch() {
-    conn->invoke(tokens->invocation.bytes(), bu::to_bytes("http://93.184.216.34/ 0"));
+    browser->conn->invoke(browser->tokens->invocation.bytes(),
+                          bu::to_bytes("http://93.184.216.34/ 0"));
     world.run();
   }
 };
@@ -383,7 +373,7 @@ TEST(Alloc, BrowserPageCrossesTheBoxOnce) {
   constexpr int kWarm = 2;
   constexpr int kPages = 4;
   BrowserPageHarness h;
-  ASSERT_TRUE(h.tokens);
+  ASSERT_TRUE(h.browser->tokens) << h.browser->error;
   for (int i = 0; i < kWarm; ++i) h.fetch();
   const std::vector<std::size_t> big = big_allocs_during([&] {
     for (int i = 0; i < kPages; ++i) h.fetch();
@@ -394,7 +384,8 @@ TEST(Alloc, BrowserPageCrossesTheBoxOnce) {
             2 * kPages)
       << "allocations of 128 KiB or more:" << sizes;
   EXPECT_EQ(big.size(), 2u * kPages) << "allocations of 128 KiB or more:" << sizes;
-  ASSERT_EQ(h.replies.size(), std::size_t{kWarm + kPages});
-  EXPECT_LT(h.replies.back().size(), kBigAlloc);
-  EXPECT_EQ(bu::zlite::decompress(h.replies.back()), h.page);
+  const std::vector<bu::Bytes>& replies = h.browser->outputs;
+  ASSERT_EQ(replies.size(), std::size_t{kWarm + kPages});
+  EXPECT_LT(replies.back().size(), kBigAlloc);
+  EXPECT_EQ(bu::zlite::decompress(replies.back()), h.page);
 }

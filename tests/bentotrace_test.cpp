@@ -20,6 +20,7 @@
 #include "obs/critpath.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bf = bento::functions;
@@ -151,7 +152,7 @@ TEST(BentotraceReader, FullWidthValuesKeepTheirColumnsApart) {
 
 namespace {
 
-constexpr char kEchoSource[] = R"(
+constexpr char kCountingEchoSource[] = R"(
 state = {"n": 0}
 
 def on_message(msg):
@@ -180,37 +181,19 @@ ScenarioResult run_conclave_scenario() {
 
     auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
     auto client = world.make_client("alice");
-    std::shared_ptr<bc::BentoConnection> conn;
-    client.bento->connect(boxes[0], [&](std::shared_ptr<bc::BentoConnection> c) {
-      conn = std::move(c);
-    });
-    world.run();
-    EXPECT_NE(conn, nullptr);
-    if (conn != nullptr) {
-      bc::FunctionManifest manifest;
-      manifest.name = "echo";
-      manifest.image = bc::kImagePythonOpSgx;
-      manifest.resources.memory_bytes = 8 << 20;
-      manifest.resources.cpu_instructions = 1'000'000;
-      manifest.resources.disk_bytes = 1 << 20;
-      manifest.resources.network_bytes = 1 << 20;
-      std::optional<bc::TokenPair> tokens;
-      conn->install(manifest, kEchoSource, "", {},
-                    [&](std::optional<bc::TokenPair> t, std::string) {
-                      tokens = std::move(t);
-                    });
-      world.run();
-      EXPECT_TRUE(tokens.has_value());
-      if (tokens.has_value()) {
-        for (int i = 0; i < 2; ++i) {
-          conn->invoke(tokens->invocation.bytes(), bu::to_bytes("ping"));
-          world.run();
-        }
-        bool closed = false;
-        conn->shutdown(tokens->shutdown.bytes(), [&](bool ok) { closed = ok; });
+    Deployed d(world, client, boxes[0], echo_manifest(bc::kImagePythonOpSgx),
+               kCountingEchoSource);
+    EXPECT_NE(d.conn, nullptr);
+    EXPECT_TRUE(d.tokens.has_value()) << d.error;
+    if (d.tokens.has_value()) {
+      for (int i = 0; i < 2; ++i) {
+        d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("ping"));
         world.run();
-        EXPECT_TRUE(closed);
       }
+      bool closed = false;
+      d.conn->shutdown(d.tokens->shutdown.bytes(), [&](bool ok) { closed = ok; });
+      world.run();
+      EXPECT_TRUE(closed);
     }
     std::ostringstream os;
     bo::recorder().export_jsonl(os);
@@ -337,23 +320,14 @@ TEST(BentotraceE2E, StemMediationSpansAppearForHiddenServiceFunctions) {
     auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
     ASSERT_GE(boxes.size(), 4u);
 
-    std::shared_ptr<bc::BentoConnection> conn;
-    client.bento->connect(boxes[1], [&](std::shared_ptr<bc::BentoConnection> c) {
-      conn = std::move(c);
-    });
-    world.run();
-    ASSERT_NE(conn, nullptr);
     bf::LoadBalancerConfig config;
     config.intro_points = 2;
     config.content_bytes = 10'000;
     config.replica_boxes = {boxes[2], boxes[3]};
-    std::optional<bc::TokenPair> tokens;
-    conn->install(bf::loadbalancer_manifest(), "", "loadbalancer", config.serialize(),
-                  [&](std::optional<bc::TokenPair> t, std::string) {
-                    tokens = std::move(t);
-                  });
-    world.run();
-    ASSERT_TRUE(tokens.has_value());
+    Deployed d(world, client, boxes[1], bf::loadbalancer_manifest(), "", "loadbalancer",
+               config.serialize());
+    ASSERT_NE(d.conn, nullptr);
+    ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
     std::ostringstream os;
     bo::recorder().export_jsonl(os);
@@ -388,32 +362,16 @@ TEST(BentotraceE2E, MidRequestTeardownLeavesReportedOrphanSpan) {
 
     auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
     auto client = world.make_client("alice");
-    std::shared_ptr<bc::BentoConnection> conn;
-    client.bento->connect(boxes[0], [&](std::shared_ptr<bc::BentoConnection> c) {
-      conn = std::move(c);
-    });
-    world.run();
-    ASSERT_NE(conn, nullptr);
-    bc::FunctionManifest manifest;
-    manifest.name = "echo";
-    manifest.image = bc::kImagePythonOpSgx;
-    manifest.resources.memory_bytes = 8 << 20;
-    manifest.resources.cpu_instructions = 1'000'000;
-    manifest.resources.disk_bytes = 1 << 20;
-    manifest.resources.network_bytes = 1 << 20;
-    std::optional<bc::TokenPair> tokens;
-    conn->install(manifest, kEchoSource, "", {},
-                  [&](std::optional<bc::TokenPair> t, std::string) {
-                    tokens = std::move(t);
-                  });
-    world.run();
-    ASSERT_TRUE(tokens.has_value());
+    Deployed d(world, client, boxes[0], echo_manifest(bc::kImagePythonOpSgx),
+               kCountingEchoSource);
+    ASSERT_NE(d.conn, nullptr);
+    ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
     // Fire an invoke but kill the connection before the response can make
     // it back: the request's span must surface as an orphan, not vanish.
-    conn->invoke(tokens->invocation.bytes(), bu::to_bytes("doomed"));
+    d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("doomed"));
     world.run_for(bu::Duration::millis(10));
-    conn->close();
+    d.conn->close();
     world.run();
 
     std::ostringstream os;

@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,107 +22,20 @@
 #include "functions/loadbalancer.hpp"
 #include "functions/shard.hpp"
 #include "obs/trace.hpp"
-#include "tor/hs.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bch = bento::chaos;
 namespace bf = bento::functions;
 namespace bo = bento::obs;
-namespace bt = bento::tor;
 namespace bu = bento::util;
 
 namespace {
 
-std::uint64_t chaos_seed() {
-  const char* s = std::getenv("BENTO_CHAOS_SEED");
-  if (s == nullptr || *s == '\0') return 42;
-  return std::strtoull(s, nullptr, 10);
-}
+/// The scenarios' seed when BENTO_CHAOS_SEED is not set.
+constexpr std::uint64_t kDefaultSeed = 42;
 
-/// Turns the flight recorder on for one test; on destruction writes the
-/// capture to $BENTO_CHAOS_ARTIFACT_DIR/<name>.jsonl if the test failed,
-/// then disables the recorder.
-class RecorderScope {
- public:
-  explicit RecorderScope(std::string name) : name_(std::move(name)) {
-    bo::recorder().enable(1 << 15);
-  }
-
-  std::string jsonl() const {
-    std::ostringstream os;
-    bo::recorder().export_jsonl(os);
-    return os.str();
-  }
-
-  ~RecorderScope() {
-    const char* dir = std::getenv("BENTO_CHAOS_ARTIFACT_DIR");
-    if (dir != nullptr && *dir != '\0' && ::testing::Test::HasFailure()) {
-      std::ofstream out(std::string(dir) + "/" + name_ + ".jsonl");
-      out << jsonl();
-    }
-    bo::recorder().disable();
-  }
-
- private:
-  std::string name_;
-};
-
-/// Crash both layers of a box when the chaos engine takes its node down:
-/// the Tor router forgets every circuit and the Bento server loses its
-/// containers (conclaves die with the machine).
-void wire_box_crash(bch::ChaosEngine& engine, bc::BentoWorld& world,
-                    const std::string& fingerprint) {
-  bt::Router* router = world.bed().router_by_fingerprint(fingerprint);
-  ASSERT_NE(router, nullptr);
-  engine.set_node_handler(router->node(), [&world, fingerprint](bool up) {
-    if (up) return;
-    if (bc::BentoServer* server = world.server_for(fingerprint)) server->crash();
-    world.bed().router_by_fingerprint(fingerprint)->crash();
-  });
-}
-
-constexpr char kEchoSource[] = R"(
-def on_message(msg):
-    api.send("echo: " + str(msg))
-)";
-
-struct Deployed {
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::string error;
-  std::vector<bu::Bytes> outputs;
-};
-
-/// Connects, then installs the function. `settle` runs the world after each
-/// step — pass world.run() normally, or a run_for() when recurring timers
-/// (LB health checks) keep the event queue non-empty forever.
-Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
-                         const std::string& box, const bc::FunctionManifest& manifest,
-                         const std::string& source, const std::string& native = "",
-                         bu::Bytes args = {},
-                         const std::function<void()>& settle = {}) {
-  const std::function<void()> run =
-      settle ? settle : std::function<void()>([&world] { world.run(); });
-  Deployed d;
-  client.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> conn) {
-    d.conn = std::move(conn);
-  });
-  run();
-  if (d.conn == nullptr) {
-    d.error = "connect failed";
-    return d;
-  }
-  d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  d.conn->install(manifest, source, native, args,
-                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                    d.tokens = std::move(tokens);
-                    d.error = std::move(err);
-                  });
-  run();
-  return d;
-}
-
-bc::FunctionManifest echo_manifest() {
+bc::FunctionManifest chaos_echo_manifest() {
   bc::FunctionManifest manifest;
   manifest.name = "chaos-echo";
   manifest.image = bc::kImagePython;
@@ -169,7 +80,7 @@ std::string traced_chaos_jsonl(std::uint64_t seed) {
 
     auto client = world.make_client("alice");
     auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-    auto d = deploy_function(world, client, boxes.back(), echo_manifest(), kEchoSource);
+    Deployed d(world, client, boxes.back(), chaos_echo_manifest(), kEchoSource);
     if (d.tokens.has_value()) {
       for (int i = 0; i < 2; ++i) {
         client.bento->invoke_reliable(boxes.back(), d.tokens->invocation.bytes(),
@@ -191,7 +102,7 @@ std::string traced_chaos_jsonl(std::uint64_t seed) {
 // A chaos run is a pure function of (seed, plan): the same seed replays a
 // byte-identical flight-recorder capture, and a different seed does not.
 TEST(Chaos, SeededDeterminism) {
-  const std::uint64_t seed = chaos_seed();
+  const std::uint64_t seed = chaos_seed(kDefaultSeed);
   const std::string first = traced_chaos_jsonl(seed);
   const std::string second = traced_chaos_jsonl(seed);
   EXPECT_EQ(first, second) << "chaos run is not deterministic for seed " << seed;
@@ -207,7 +118,7 @@ TEST(Chaos, SeededDeterminism) {
 TEST(Chaos, CircuitRebuildOnRelayCrash) {
   RecorderScope rec("CircuitRebuildOnRelayCrash");
   bc::BentoWorldOptions options;
-  options.testbed.seed = chaos_seed();
+  options.testbed.seed = chaos_seed(kDefaultSeed);
   bc::BentoWorld world(options);
   world.start();
   bch::ChaosEngine engine(world.sim(), world.bed().net());
@@ -217,12 +128,9 @@ TEST(Chaos, CircuitRebuildOnRelayCrash) {
   const auto& relays = world.bed().consensus().relays;
   // Target an exit-flagged box; victim is a flagless middle off the deploy
   // path; keep exactly one guard eligible so the forced path is unique.
-  std::string box;
-  for (const auto& r : relays) {
-    if (r.flags.exit) box = r.fingerprint();
-  }
+  const std::string box = exit_box(world);
   ASSERT_FALSE(box.empty());
-  auto d = deploy_function(world, client, box, echo_manifest(), kEchoSource);
+  Deployed d(world, client, box, chaos_echo_manifest(), kEchoSource);
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   const auto deploy_path = d.conn->path_fingerprints();
 
@@ -290,7 +198,7 @@ TEST(Chaos, CircuitRebuildOnRelayCrash) {
 TEST(Chaos, LoadBalancerFailoverOnReplicaCrash) {
   RecorderScope rec("LoadBalancerFailoverOnReplicaCrash");
   bc::BentoWorldOptions options;
-  options.testbed.seed = chaos_seed();
+  options.testbed.seed = chaos_seed(kDefaultSeed);
   options.testbed.guards = 3;
   options.testbed.middles = 6;
   options.testbed.exits = 2;
@@ -310,7 +218,6 @@ TEST(Chaos, LoadBalancerFailoverOnReplicaCrash) {
   config.max_clients_per_replica = 1;
   config.content_bytes = 200'000;
   config.replica_boxes = {boxes[2], boxes[3]};
-  config.idle_shutdown_seconds = 0;
   config.health_check_seconds = 2;
   config.health_max_misses = 2;
 
@@ -318,8 +225,8 @@ TEST(Chaos, LoadBalancerFailoverOnReplicaCrash) {
   // install (upload) step onward.
   const std::string lb_box = boxes[1];
   auto settle = [&world] { world.run_for(bu::Duration::seconds(30)); };
-  auto d = deploy_function(world, operator_client, lb_box, bf::loadbalancer_manifest(),
-                           "", "loadbalancer", config.serialize(), settle);
+  Deployed d(world, operator_client, lb_box, bf::loadbalancer_manifest(), "",
+             "loadbalancer", config.serialize(), settle);
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("onion"));
@@ -330,30 +237,7 @@ TEST(Chaos, LoadBalancerFailoverOnReplicaCrash) {
 
   // Two concurrent downloads with a 1-client watermark force a remote
   // replica onto boxes[2].
-  struct Download {
-    std::unique_ptr<bt::OnionProxy> proxy;
-    std::unique_ptr<bt::HsClient> hs;
-    std::size_t received = 0;
-    bool done = false;
-  };
-  std::vector<std::unique_ptr<Download>> downloads;
-  for (int i = 0; i < 2; ++i) {
-    auto dl = std::make_unique<Download>();
-    dl->proxy = world.bed().make_client("dl" + std::to_string(i), 4e6);
-    dl->hs = std::make_unique<bt::HsClient>(*dl->proxy, world.bed().directory());
-    Download* raw = dl.get();
-    world.sim().after(bu::Duration::seconds(1 + i), [raw, onion] {
-      raw->hs->connect(onion, [raw](bt::CircuitOrigin* circ) {
-        if (circ == nullptr) return;
-        bt::Stream::Callbacks cbs;
-        cbs.on_data = [raw](bu::ByteView data) { raw->received += data.size(); };
-        cbs.on_end = [raw] { raw->done = true; };
-        bt::Stream* stream = circ->open_stream({0, 80}, std::move(cbs));
-        stream->set_on_connected([stream] { stream->send(bu::to_bytes("GET\n")); });
-      });
-    });
-    downloads.push_back(std::move(dl));
-  }
+  const auto downloads = start_hs_downloads(world, onion, 2);
   world.run_for(bu::Duration::seconds(90));
   for (const auto& dl : downloads) EXPECT_TRUE(dl->done);
 
@@ -389,7 +273,7 @@ TEST(Chaos, LoadBalancerFailoverOnReplicaCrash) {
 TEST(Chaos, ShardRepairAfterDropboxLoss) {
   RecorderScope rec("ShardRepairAfterDropboxLoss");
   bc::BentoWorldOptions options;
-  options.testbed.seed = chaos_seed();
+  options.testbed.seed = chaos_seed(kDefaultSeed);
   options.testbed.guards = 3;
   options.testbed.middles = 5;
   options.testbed.exits = 3;
@@ -454,17 +338,13 @@ TEST(Chaos, ShardRepairAfterDropboxLoss) {
 TEST(Chaos, ClientRetryUntilDeadline) {
   RecorderScope rec("ClientRetryUntilDeadline");
   bc::BentoWorldOptions options;
-  options.testbed.seed = chaos_seed();
+  options.testbed.seed = chaos_seed(kDefaultSeed);
   bc::BentoWorld world(options);
   world.start();
   bch::ChaosEngine engine(world.sim(), world.bed().net());
   engine.install({});
 
-  const auto& relays = world.bed().consensus().relays;
-  std::string victim;
-  for (const auto& r : relays) {
-    if (r.flags.exit) victim = r.fingerprint();
-  }
+  const std::string victim = exit_box(world);
   ASSERT_FALSE(victim.empty());
   wire_box_crash(engine, world, victim);
   engine.crash_now(world.bed().router_by_fingerprint(victim)->node());

@@ -6,6 +6,7 @@
 #include "core/world.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bo = bento::obs;
@@ -13,70 +14,56 @@ namespace bt = bento::tor;
 namespace bu = bento::util;
 
 namespace {
-constexpr char kEchoSource[] = R"(
-def on_message(msg):
-    api.send("echo: " + str(msg))
-)";
-
-struct Session {
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::string error;
-  std::vector<bu::Bytes> outputs;
-};
-
-/// Connects, then installs the function; runs the world to quiescence after
-/// each.
-Session establish(bc::BentoWorld& world, bc::BentoWorld::Client& client,
-                  const std::string& box, const std::string& image,
-                  const std::string& source, const std::string& native = "",
-                  bu::Bytes args = {},
-                  std::optional<bc::FunctionManifest> manifest_in = std::nullopt) {
-  Session s;
-  client.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> conn) {
-    s.conn = std::move(conn);
-  });
-  world.run();
-  if (s.conn == nullptr) {
-    s.error = "connect failed";
-    return s;
-  }
-  s.conn->set_output_handler([&s](bu::Bytes out) { s.outputs.push_back(std::move(out)); });
-
+/// The manifest most cases here deploy under: clock, randomness and the
+/// three file syscalls, on `image`.
+bc::FunctionManifest test_fn_manifest(const std::string& image) {
   bc::FunctionManifest manifest;
-  if (manifest_in.has_value()) {
-    manifest = *manifest_in;
-  } else {
-    manifest.name = "test-fn";
-    manifest.required = {bento::sandbox::Syscall::Clock,
-                         bento::sandbox::Syscall::Random,
-                         bento::sandbox::Syscall::FsRead,
-                         bento::sandbox::Syscall::FsWrite,
-                         bento::sandbox::Syscall::FsDelete};
-    manifest.resources.memory_bytes = 8 << 20;
-    manifest.resources.cpu_instructions = 10'000'000;
-    manifest.resources.disk_bytes = 4 << 20;
-    manifest.resources.network_bytes = 32 << 20;
-  }
+  manifest.name = "test-fn";
   manifest.image = image;
-
-  s.conn->install(manifest, source, native, args,
-                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                    s.tokens = std::move(tokens);
-                    s.error = std::move(err);
-                  });
-  world.run();
-  return s;
+  manifest.required = {bento::sandbox::Syscall::Clock,
+                       bento::sandbox::Syscall::Random,
+                       bento::sandbox::Syscall::FsRead,
+                       bento::sandbox::Syscall::FsWrite,
+                       bento::sandbox::Syscall::FsDelete};
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 10'000'000;
+  manifest.resources.disk_bytes = 4 << 20;
+  manifest.resources.network_bytes = 32 << 20;
+  return manifest;
 }
 
-bc::FunctionManifest echo_manifest(const std::string& image) {
+/// Claims no syscalls; 1 MiB each of memory, disk and network.
+bc::FunctionManifest sneaky_manifest() {
   bc::FunctionManifest manifest;
-  manifest.name = "echo";
-  manifest.image = image;
-  manifest.resources.memory_bytes = 8 << 20;
+  manifest.name = "sneaky";
+  manifest.resources.memory_bytes = 1 << 20;
   manifest.resources.cpu_instructions = 1'000'000;
   manifest.resources.disk_bytes = 1 << 20;
   manifest.resources.network_bytes = 1 << 20;
+  return manifest;
+}
+
+/// May open clearnet connections.
+bc::FunctionManifest fetcher_manifest() {
+  bc::FunctionManifest manifest;
+  manifest.name = "fetcher";
+  manifest.required = {bento::sandbox::Syscall::NetConnect};
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 10'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 32 << 20;
+  return manifest;
+}
+
+/// May deploy functions on other boxes (bento.deploy).
+bc::FunctionManifest composer_manifest() {
+  bc::FunctionManifest manifest;
+  manifest.name = "composer";
+  manifest.required = {bento::sandbox::Syscall::SpawnFunction};
+  manifest.resources.memory_bytes = 8 << 20;
+  manifest.resources.cpu_instructions = 20'000'000;
+  manifest.resources.disk_bytes = 1 << 20;
+  manifest.resources.network_bytes = 32 << 20;
   return manifest;
 }
 
@@ -162,7 +149,7 @@ TEST(BentoE2E, UploadInvokeEchoPythonImage) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  auto s = establish(world, client, boxes[1], bc::kImagePython, kEchoSource);
+  Deployed s(world, client, boxes[1], test_fn_manifest(bc::kImagePython), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   EXPECT_FALSE(s.conn->attested());  // plain image: no conclave
 
@@ -184,7 +171,7 @@ TEST(BentoE2E, SgxImageAttestsAndSealsUpload) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  auto s = establish(world, client, boxes[0], bc::kImagePythonOpSgx, kEchoSource);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePythonOpSgx), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   EXPECT_TRUE(s.conn->attested());
 
@@ -201,7 +188,7 @@ TEST(BentoE2E, AttestationFailsWhenTcbOutdated) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  auto s = establish(world, client, boxes[0], bc::kImagePythonOpSgx, kEchoSource);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePythonOpSgx), kEchoSource);
   EXPECT_FALSE(s.tokens.has_value());
   EXPECT_NE(s.error.find("TCB"), std::string::npos) << s.error;
 }
@@ -222,8 +209,7 @@ TEST(BentoE2E, ManifestExceedingPolicyRejected) {
   manifest.resources.disk_bytes = 0;
   manifest.resources.network_bytes = 1 << 20;
 
-  auto s = establish(world, client, boxes[0], bc::kImagePython, kEchoSource, "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], manifest, kEchoSource);
   EXPECT_FALSE(s.tokens.has_value());
   EXPECT_NE(s.error.find("rejected"), std::string::npos) << s.error;
   EXPECT_EQ(world.server(0).counters().rejected_manifests +
@@ -238,20 +224,11 @@ TEST(BentoE2E, FunctionExceedingManifestSyscallsDies) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  bc::FunctionManifest manifest;
-  manifest.name = "sneaky";
-  manifest.required = {};  // nothing
-  manifest.resources.memory_bytes = 1 << 20;
-  manifest.resources.cpu_instructions = 1'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 1 << 20;
-
   const std::string source = R"(
 def on_message(msg):
     fs.write("x", msg)
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source, "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], sneaky_manifest(), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   bc::BentoServer* server = world.server_for(boxes[0]);
@@ -275,7 +252,7 @@ def on_message(msg):
     while True:
         pass
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes("go"));
   world.run();
@@ -289,8 +266,8 @@ TEST(BentoE2E, SyntaxErrorFailsUpload) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto s = establish(world, client, boxes[0], bc::kImagePython,
-                     "def broken(:\n    pass\n");
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython),
+             "def broken(:\n    pass\n");
   EXPECT_FALSE(s.tokens.has_value());
   EXPECT_FALSE(s.error.empty());
 }
@@ -306,20 +283,11 @@ TEST(BentoE2E, EnforceModeRejectsManifestUnderstatingFunction) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  bc::FunctionManifest manifest;
-  manifest.name = "sneaky";
-  manifest.required = {};  // claims nothing...
-  manifest.resources.memory_bytes = 1 << 20;
-  manifest.resources.cpu_instructions = 1'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 1 << 20;
-
   const std::string source = R"(
 def on_message(msg):
     fs.write("x", msg)
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source, "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], sneaky_manifest(), source);
   EXPECT_FALSE(s.tokens.has_value());
   EXPECT_NE(s.error.find("static verifier"), std::string::npos) << s.error;
   EXPECT_NE(s.error.find("line 3"), std::string::npos) << s.error;
@@ -339,7 +307,7 @@ TEST(BentoE2E, EnforceModeAdmitsCleanFunctionEndToEnd) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  auto s = establish(world, client, boxes[1], bc::kImagePython, kEchoSource);
+  Deployed s(world, client, boxes[1], test_fn_manifest(bc::kImagePython), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes("verified"));
@@ -357,17 +325,8 @@ TEST(BentoE2E, WarnModeAdmitsUnderstatingFunction) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
-  bc::FunctionManifest manifest;
-  manifest.name = "sneaky";
-  manifest.required = {};
-  manifest.resources.memory_bytes = 1 << 20;
-  manifest.resources.cpu_instructions = 1'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 1 << 20;
-
-  auto s = establish(world, client, boxes[0], bc::kImagePython,
-                     "def on_message(msg):\n    fs.write(\"x\", msg)\n", "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], sneaky_manifest(),
+             "def on_message(msg):\n    fs.write(\"x\", msg)\n");
   EXPECT_TRUE(s.tokens.has_value()) << s.error;
   EXPECT_EQ(world.server_for(boxes[0])->counters().rejected_static, 0u);
 }
@@ -377,7 +336,7 @@ TEST(BentoE2E, InvalidTokenRejected) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto s = establish(world, client, boxes[0], bc::kImagePython, kEchoSource);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   s.conn->invoke(bu::Bytes(bc::kTokenLen, 0x00), bu::to_bytes("hi"));
@@ -390,7 +349,7 @@ TEST(BentoE2E, ShutdownTokenSeparatesRights) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto s = establish(world, client, boxes[0], bc::kImagePython, kEchoSource);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   bc::BentoServer* server = world.server_for(boxes[0]);
 
@@ -413,7 +372,7 @@ TEST(BentoE2E, InvocationTokenShareableAcrossClients) {
   world.start();
   auto alice = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto s = establish(world, alice, boxes[0], bc::kImagePython, kEchoSource);
+  Deployed s(world, alice, boxes[0], test_fn_manifest(bc::kImagePython), kEchoSource);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   // Bob, a different client with a different circuit, uses the shared
@@ -442,7 +401,7 @@ def on_message(msg):
     state["n"] += 1
     api.send(str(state["n"]))
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   for (int i = 0; i < 3; ++i) {
     s.conn->invoke(s.tokens->invocation.bytes(), {});
@@ -467,8 +426,8 @@ def on_message(msg):
     api.send("stored")
 )";
   const std::string secret = "abusive-or-sensitive-content";
-  auto sgx = establish(world, client, boxes[0], bc::kImagePythonOpSgx, source);
-  auto plain = establish(world, client, boxes[0], bc::kImagePython, source);
+  Deployed sgx(world, client, boxes[0], test_fn_manifest(bc::kImagePythonOpSgx), source);
+  Deployed plain(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
   ASSERT_TRUE(sgx.tokens.has_value()) << sgx.error;
   ASSERT_TRUE(plain.tokens.has_value()) << plain.error;
   sgx.conn->invoke(sgx.tokens->invocation.bytes(), bu::to_bytes(secret));
@@ -493,6 +452,27 @@ def on_message(msg):
   EXPECT_EQ(stored_by_image[bc::kImagePython], secret);
 }
 
+TEST(BentoE2E, FsListNamesEveryWrittenFile) {
+  bc::BentoWorld world;
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  const std::string source = R"(
+def on_message(msg):
+    fs.write("a.txt", msg)
+    fs.write("b.txt", msg)
+    for name in sorted(fs.list()):
+        api.send(name)
+)";
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
+  ASSERT_TRUE(s.tokens.has_value()) << s.error;
+  s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes("x"));
+  world.run();
+  ASSERT_EQ(s.outputs.size(), 2u);
+  EXPECT_EQ(bu::to_string(s.outputs[0]), "a.txt");
+  EXPECT_EQ(bu::to_string(s.outputs[1]), "b.txt");
+}
+
 TEST(BentoE2E, SgxUnavailableBoxRefusesConclaveImage) {
   bc::BentoWorldOptions options;
   options.server.sgx_available = false;
@@ -500,7 +480,7 @@ TEST(BentoE2E, SgxUnavailableBoxRefusesConclaveImage) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto s = establish(world, client, boxes[0], bc::kImagePythonOpSgx, kEchoSource);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePythonOpSgx), kEchoSource);
   EXPECT_FALSE(s.tokens.has_value());
   EXPECT_NE(s.error.find("SGX"), std::string::npos) << s.error;
 }
@@ -516,7 +496,7 @@ def on_message(msg):
     r = os.urandom(8)
     api.send(str(len(r)) + ":" + str(t >= 0))
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   s.conn->invoke(s.tokens->invocation.bytes(), {});
   world.run();
@@ -536,7 +516,7 @@ def on_message(msg):
     time.after(1.0, tick)
     api.send("armed")
 )";
-  auto s = establish(world, client, boxes[0], bc::kImagePython, source);
+  Deployed s(world, client, boxes[0], test_fn_manifest(bc::kImagePython), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   s.conn->invoke(s.tokens->invocation.bytes(), {});
   world.run();
@@ -553,12 +533,9 @@ TEST(BentoE2E, FunctionFetchesClearnetViaExitPolicy) {
                                return bu::to_bytes("web:" + path);
                              });
   auto client = world.make_client("alice");
-  // Pick an exit relay's box (its netfilter allows clearnet).
-  std::string exit_box;
-  for (const auto& relay : world.bed().consensus().relays) {
-    if (relay.flags.exit) exit_box = relay.fingerprint();
-  }
-  ASSERT_FALSE(exit_box.empty());
+  // An exit relay's box: its netfilter allows clearnet.
+  const std::string box = exit_box(world);
+  ASSERT_FALSE(box.empty());
 
   const std::string source = R"(
 def got(body):
@@ -566,16 +543,7 @@ def got(body):
 def on_message(msg):
     net.get("http://93.184.216.34/page.html", got)
 )";
-  bc::FunctionManifest manifest;
-  manifest.name = "fetcher";
-  manifest.required = {bento::sandbox::Syscall::NetConnect};
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 10'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 32 << 20;
-
-  auto s = establish(world, client, exit_box, bc::kImagePython, source, "", {},
-                     manifest);
+  Deployed s(world, client, box, fetcher_manifest(), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   s.conn->invoke(s.tokens->invocation.bytes(), {});
   world.run();
@@ -608,19 +576,7 @@ TEST(BentoE2E, ClearnetFetchArrivesWholeInABufferOfItsExactSize) {
                                return body_of(std::stoul(path.substr(1)));
                              });
   auto client = world.make_client("alice");
-  std::string exit_box;
-  for (const auto& relay : world.bed().consensus().relays) {
-    if (relay.flags.exit) exit_box = relay.fingerprint();
-  }
-  bc::FunctionManifest manifest;
-  manifest.name = "fetcher";
-  manifest.required = {bento::sandbox::Syscall::NetConnect};
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 10'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 32 << 20;
-  auto s = establish(world, client, exit_box, bc::kImagePython, "", "fetcher", {},
-                     manifest);
+  Deployed s(world, client, exit_box(world), fetcher_manifest(), "", "fetcher");
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   const std::size_t sizes[] = {0, 1, 65'535, 65'536, 65'537, 1'000'000};
@@ -653,15 +609,7 @@ def got(body):
 def on_message(msg):
     net.get("http://93.184.216.34/", got)
 )";
-  bc::FunctionManifest manifest;
-  manifest.name = "fetcher";
-  manifest.required = {bento::sandbox::Syscall::NetConnect};
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 10'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 32 << 20;
-  auto s = establish(world, client, guard_box, bc::kImagePython, source, "", {},
-                     manifest);
+  Deployed s(world, client, guard_box, fetcher_manifest(), source);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
   bc::BentoServer* server = world.server_for(guard_box);
 
@@ -680,32 +628,6 @@ TEST(BentoE2E, ComposedFunctionDeploysDropboxElsewhere) {
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
   const std::string composer = R"(
-store_src = "state = {}\ndef on_message(msg):\n    state['data'] = msg\n    api.send('stored ' + str(len(msg)))\n"
-
-def deployed(token):
-    if token == None:
-        api.send("deploy failed")
-    else:
-        bento.invoke(target, token, "payload-from-composer", relay_output)
-
-def relay_output(out):
-    api.send(out)
-
-def on_install(args):
-    pass
-
-def on_message(msg):
-    target = str(msg)
-    globals_set(target)
-    bento.deploy(target, "store", store_src, ["spawn_function"], "", deployed)
-
-def globals_set(t):
-    state["target"] = t
-
-state = {}
-)";
-  // Simpler composer: avoid the globals dance above by rewriting source.
-  const std::string composer2 = R"(
 state = {"target": ""}
 store_src = "def on_message(msg):\n    api.send('stored ' + str(len(msg)))\n"
 
@@ -722,18 +644,8 @@ def on_message(msg):
     state["target"] = str(msg)
     bento.deploy(state["target"], "store", store_src, [], "", deployed)
 )";
-  (void)composer;
 
-  bc::FunctionManifest manifest;
-  manifest.name = "composer";
-  manifest.required = {bento::sandbox::Syscall::SpawnFunction};
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 20'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 32 << 20;
-
-  auto s = establish(world, client, boxes[0], bc::kImagePython, composer2, "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], composer_manifest(), composer);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes(boxes[2]));
@@ -767,16 +679,7 @@ def on_message(msg):
     else:
         bento.deploy(target, "broken", "def broken(:\n    pass\n", [], "", deployed)
 )";
-  bc::FunctionManifest manifest;
-  manifest.name = "composer";
-  manifest.required = {bento::sandbox::Syscall::SpawnFunction};
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 20'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 32 << 20;
-
-  auto s = establish(world, client, boxes[0], bc::kImagePython, composer, "", {},
-                     manifest);
+  Deployed s(world, client, boxes[0], composer_manifest(), composer);
   ASSERT_TRUE(s.tokens.has_value()) << s.error;
 
   s.conn->invoke(s.tokens->invocation.bytes(), bu::to_bytes(boxes[2]));

@@ -9,51 +9,13 @@
 #include "functions/library.hpp"
 #include "functions/multipath.hpp"
 #include "wf/trace.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bf = bento::functions;
 namespace bt = bento::tor;
 namespace bu = bento::util;
 namespace bw = bento::wf;
-
-namespace {
-struct Deployed {
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::string error;
-  std::vector<bu::Bytes> outputs;
-};
-
-Deployed deploy(bc::BentoWorld& world, bc::BentoWorld::Client& client,
-                const std::string& box, const bc::FunctionManifest& manifest,
-                const std::string& source, const std::string& native = "",
-                bu::Bytes args = {}) {
-  Deployed d;
-  client.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> c) {
-    d.conn = std::move(c);
-  });
-  world.run();
-  if (d.conn == nullptr) {
-    d.error = "connect failed";
-    return d;
-  }
-  d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  d.conn->install(manifest, source, native, args,
-                  [&](std::optional<bc::TokenPair> t, std::string e) {
-                    d.tokens = std::move(t);
-                    d.error = std::move(e);
-                  });
-  world.run();
-  return d;
-}
-
-std::string exit_box_of(bc::BentoWorld& world) {
-  for (const auto& relay : world.bed().consensus().relays) {
-    if (relay.flags.exit) return relay.fingerprint();
-  }
-  return "";
-}
-}  // namespace
 
 TEST(Multipath, FetchesOverParallelCircuits) {
   bc::BentoWorldOptions options;
@@ -72,7 +34,7 @@ TEST(Multipath, FetchesOverParallelCircuits) {
   auto client = world.make_client("alice", 4e6);
   bf::MultipathFetcher fetcher(*client.bento, 3);
   std::optional<bf::MultipathFetcher::Result> result;
-  fetcher.fetch(exit_box_of(world), "http://93.184.216.34/big",
+  fetcher.fetch(exit_box(world), "http://93.184.216.34/big",
                 [&] { return world.sim().now().seconds(); },
                 [&](bf::MultipathFetcher::Result r) { result = std::move(r); });
   world.run();
@@ -96,7 +58,7 @@ TEST(Multipath, SinglePathDegeneratesGracefully) {
   auto client = world.make_client("alice");
   bf::MultipathFetcher fetcher(*client.bento, 1);
   std::optional<bf::MultipathFetcher::Result> result;
-  fetcher.fetch(exit_box_of(world), "http://93.184.216.34/x",
+  fetcher.fetch(exit_box(world), "http://93.184.216.34/x",
                 [&] { return world.sim().now().seconds(); },
                 [&](bf::MultipathFetcher::Result r) { result = std::move(r); });
   world.run();
@@ -112,7 +74,7 @@ TEST(Multipath, FetchFailureReported) {
   auto client = world.make_client("alice");
   bf::MultipathFetcher fetcher(*client.bento, 2);
   std::optional<bf::MultipathFetcher::Result> result;
-  fetcher.fetch(exit_box_of(world), "http://93.184.216.34/x",
+  fetcher.fetch(exit_box(world), "http://93.184.216.34/x",
                 [&] { return world.sim().now().seconds(); },
                 [&](bf::MultipathFetcher::Result r) { result = std::move(r); });
   world.run();
@@ -138,7 +100,7 @@ def on_message(msg):
         for h in state["subs"]:
             api.send_to(h, sub(m, 4))
 )";
-  auto d = deploy(world, alice, boxes[0], [] {
+  Deployed d(world, alice, boxes[0], [] {
     bc::FunctionManifest m;
     m.name = "pubsub";
     m.resources.memory_bytes = 8 << 20;
@@ -232,7 +194,7 @@ def on_install(args):
     manifest.resources.cpu_instructions = 50'000'000;
     manifest.resources.disk_bytes = 1 << 20;
     manifest.resources.network_bytes = 1 << 20;
-    auto d = deploy(world, client, boxes[0], manifest, hog);
+    Deployed d(world, client, boxes[0], manifest, hog);
     if (d.tokens.has_value()) {
       ++installed;
     } else {
@@ -260,7 +222,7 @@ TEST(CoverTraffic, ConstantRateVisibleOnTheWire) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto d = deploy(world, client, boxes[0], bf::cover_manifest(), bf::cover_source());
+  Deployed d(world, client, boxes[0], bf::cover_manifest(), bf::cover_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   bw::TraceRecorder recorder(world.sim(), world.bed().net(), client.proxy->node());

@@ -8,52 +8,13 @@
 #include "functions/loadbalancer.hpp"
 #include "functions/pow.hpp"
 #include "functions/shard.hpp"
-#include "tor/hs.hpp"
 #include "util/zlite.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bf = bento::functions;
 namespace bt = bento::tor;
 namespace bu = bento::util;
-
-namespace {
-struct Deployed {
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::string error;
-  std::vector<bu::Bytes> outputs;
-};
-
-Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
-                         const std::string& box, const bc::FunctionManifest& manifest,
-                         const std::string& source, const std::string& native = "",
-                         bu::Bytes args = {}) {
-  Deployed d;
-  client.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> conn) {
-    d.conn = std::move(conn);
-  });
-  world.run();
-  if (d.conn == nullptr) {
-    d.error = "connect failed";
-    return d;
-  }
-  d.conn->set_output_handler([&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  d.conn->install(manifest, source, native, args,
-                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                    d.tokens = std::move(tokens);
-                    d.error = std::move(err);
-                  });
-  world.run();
-  return d;
-}
-
-std::string exit_box_of(bc::BentoWorld& world) {
-  for (const auto& relay : world.bed().consensus().relays) {
-    if (relay.flags.exit) return relay.fingerprint();
-  }
-  return "";
-}
-}  // namespace
 
 TEST(FunctionsE2E, BrowserFetchesCompressesAndPads) {
   bc::BentoWorld world;
@@ -64,8 +25,7 @@ TEST(FunctionsE2E, BrowserFetchesCompressesAndPads) {
                                return bu::to_bytes(page);
                              });
   auto client = world.make_client("alice");
-  auto d = deploy_function(world, client, exit_box_of(world),
-                           bf::browser_manifest(), bf::browser_source());
+  Deployed d(world, client, exit_box(world), bf::browser_manifest(), bf::browser_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   EXPECT_TRUE(d.conn->attested());  // Browser runs in the SGX image
 
@@ -92,8 +52,7 @@ TEST(FunctionsE2E, BrowserZeroPaddingReturnsCompressedOnly) {
                                return bu::to_bytes(std::string(10'000, 'z'));
                              });
   auto client = world.make_client("alice");
-  auto d = deploy_function(world, client, exit_box_of(world),
-                           bf::browser_manifest(), bf::browser_source());
+  Deployed d(world, client, exit_box(world), bf::browser_manifest(), bf::browser_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   d.conn->invoke(d.tokens->invocation.bytes(),
                  bu::to_bytes("http://93.184.216.34/x 0"));
@@ -108,8 +67,7 @@ TEST(FunctionsE2E, BrowserReportsFetchFailure) {
   bc::BentoWorld world;
   world.start();  // no web server registered
   auto client = world.make_client("alice");
-  auto d = deploy_function(world, client, exit_box_of(world),
-                           bf::browser_manifest(), bf::browser_source());
+  Deployed d(world, client, exit_box(world), bf::browser_manifest(), bf::browser_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   d.conn->invoke(d.tokens->invocation.bytes(),
                  bu::to_bytes("http://93.184.216.34/x 0"));
@@ -123,8 +81,7 @@ TEST(FunctionsE2E, DropboxPutGetDelete) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto d = deploy_function(world, client, boxes[1], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, client, boxes[1], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   bu::Bytes put = bu::to_bytes("PUT:");
@@ -156,8 +113,7 @@ TEST(FunctionsE2E, DropboxSharedTokenAcrossUsers) {
   world.start();
   auto alice = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto d = deploy_function(world, alice, boxes[0], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, alice, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   bu::Bytes put = bu::to_bytes("PUT:dead drop message");
@@ -183,8 +139,8 @@ TEST(FunctionsE2E, DropboxExpiry) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
   // Install with a 30-second expiry (armed at each PUT).
-  auto d = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
-                           bf::dropbox_source(), "", bu::to_bytes("30.0"));
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source(), "",
+             bu::to_bytes("30.0"));
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   // PUT then GET land well inside the 30 s window; the expiry timer fires
   // later in the same run.
@@ -204,8 +160,7 @@ TEST(FunctionsE2E, CoverGeneratesConstantRateTraffic) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto d = deploy_function(world, client, boxes[0], bf::cover_manifest(),
-                           bf::cover_source());
+  Deployed d(world, client, boxes[0], bf::cover_manifest(), bf::cover_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("start 0.5"));
@@ -228,9 +183,8 @@ TEST(FunctionsE2E, PolicyQueryReturnsPolicy) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
   const std::string policy_text = world.server(0).policy().to_string();
-  auto d = deploy_function(world, client, world.server(0).fingerprint(),
-                           bf::policy_query_manifest(), bf::policy_query_source(),
-                           "", bu::to_bytes(policy_text));
+  Deployed d(world, client, world.server(0).fingerprint(), bf::policy_query_manifest(),
+             bf::policy_query_source(), "", bu::to_bytes(policy_text));
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("?"));
   world.run();
@@ -284,8 +238,8 @@ TEST(FunctionsE2E, PowGateAdmitsOnlyStampedRequests) {
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
 
   const int difficulty = 12;
-  auto d = deploy_function(world, client, boxes[0], bf::pow_gate_manifest(), "",
-                           "pow-gate", bu::Bytes{difficulty});
+  Deployed d(world, client, boxes[0], bf::pow_gate_manifest(), "", "pow-gate",
+             bu::Bytes{difficulty});
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   // Unstamped request denied.
@@ -325,11 +279,9 @@ TEST(FunctionsE2E, LoadBalancerServesAndScales) {
   config.max_clients_per_replica = 1;  // aggressive scaling for the test
   config.content_bytes = 200'000;
   config.replica_boxes = {boxes[2], boxes[3]};
-  config.idle_shutdown_seconds = 0;
 
-  auto d = deploy_function(world, operator_client, boxes[1],
-                           bf::loadbalancer_manifest(), "", "loadbalancer",
-                           config.serialize());
+  Deployed d(world, operator_client, boxes[1], bf::loadbalancer_manifest(), "",
+             "loadbalancer", config.serialize());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   world.run();
 
@@ -342,30 +294,7 @@ TEST(FunctionsE2E, LoadBalancerServesAndScales) {
 
   // Three clients download concurrently; with max 1 client per replica the
   // LB must spin up both candidate replicas.
-  struct Download {
-    std::unique_ptr<bento::tor::OnionProxy> proxy;
-    std::unique_ptr<bento::tor::HsClient> hs;
-    std::size_t received = 0;
-    bool done = false;
-  };
-  std::vector<std::unique_ptr<Download>> downloads;
-  for (int i = 0; i < 3; ++i) {
-    auto dl = std::make_unique<Download>();
-    dl->proxy = world.bed().make_client("dl" + std::to_string(i), 4e6);
-    dl->hs = std::make_unique<bento::tor::HsClient>(*dl->proxy, world.bed().directory());
-    Download* raw = dl.get();
-    world.sim().after(bu::Duration::seconds(1 + i), [raw, onion, &world] {
-      raw->hs->connect(onion, [raw](bento::tor::CircuitOrigin* circ) {
-        if (circ == nullptr) return;
-        bento::tor::Stream::Callbacks cbs;
-        cbs.on_data = [raw](bu::ByteView data) { raw->received += data.size(); };
-        cbs.on_end = [raw] { raw->done = true; };
-        bento::tor::Stream* stream = circ->open_stream({0, 80}, std::move(cbs));
-        stream->set_on_connected([stream] { stream->send(bu::to_bytes("GET\n")); });
-      });
-    });
-    downloads.push_back(std::move(dl));
-  }
+  const auto downloads = start_hs_downloads(world, onion, 3);
   world.run();
 
   for (const auto& dl : downloads) {
@@ -379,4 +308,22 @@ TEST(FunctionsE2E, LoadBalancerServesAndScales) {
   // peak replicas: local + both candidates = 3.
   EXPECT_NE(status.find("peak:3"), std::string::npos) << status;
   EXPECT_NE(status.find("introductions:3"), std::string::npos) << status;
+}
+
+// Without health checks (the default) an installed LoadBalancer keeps no
+// timer of its own: the install's world.run() drains every event.
+TEST(FunctionsE2E, LoadBalancerInstallLetsTheWorldQuiesce) {
+  bc::BentoWorld world;
+  bf::register_loadbalancer(world.natives());
+  world.start();
+  auto operator_client = world.make_client("operator");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  ASSERT_GE(boxes.size(), 4u);
+
+  bf::LoadBalancerConfig config;
+  config.replica_boxes = {boxes[2], boxes[3]};
+  Deployed d(world, operator_client, boxes[1], bf::loadbalancer_manifest(), "",
+             "loadbalancer", config.serialize());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  EXPECT_EQ(world.sim().pending(), 0u);
 }

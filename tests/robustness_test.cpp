@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "chaos/chaos.hpp"
 #include "obs/trace.hpp"
@@ -18,6 +15,7 @@
 #include "store/store.hpp"
 #include "tor/testbed.hpp"
 #include "tor/wire.hpp"
+#include "world_fixture.hpp"
 
 namespace bc = bento::core;
 namespace bch = bento::chaos;
@@ -28,86 +26,16 @@ namespace bu = bento::util;
 
 namespace {
 
-/// Topology seed for the durability-torture matrix: $BENTO_CHAOS_SEED when
-/// set (CI sweeps 1..8), otherwise the test's own default — the recovery
-/// contract is seed-independent because every append is synced.
-std::uint64_t chaos_seed(std::uint64_t fallback) {
-  const char* s = std::getenv("BENTO_CHAOS_SEED");
-  if (s == nullptr || *s == '\0') return fallback;
-  return std::strtoull(s, nullptr, 10);
-}
-
-/// Flight recorder for one durability test; on destruction writes the
-/// capture — crash edges, recovery callbacks and the store.replay spans —
-/// to $BENTO_CHAOS_ARTIFACT_DIR/<name>.jsonl if the test failed.
-class RecorderScope {
- public:
-  explicit RecorderScope(std::string name) : name_(std::move(name)) {
-    bento::obs::recorder().enable(1 << 15);
-  }
-
-  ~RecorderScope() {
-    const char* dir = std::getenv("BENTO_CHAOS_ARTIFACT_DIR");
-    if (dir != nullptr && *dir != '\0' && ::testing::Test::HasFailure()) {
-      std::ostringstream os;
-      bento::obs::recorder().export_jsonl(os);
-      std::ofstream out(std::string(dir) + "/" + name_ + ".jsonl");
-      out << os.str();
-    }
-    bento::obs::recorder().disable();
-  }
-
- private:
-  std::string name_;
-};
-
-struct Deployed {
-  std::shared_ptr<bc::BentoConnection> conn;
-  std::optional<bc::TokenPair> tokens;
-  std::string error;
-  std::vector<bu::Bytes> outputs;
-};
-
-/// Connect, then install the function, draining the world after each.
-Deployed deploy_function(bc::BentoWorld& world, bc::BentoWorld::Client& client,
-                         const std::string& box,
-                         const bc::FunctionManifest& manifest,
-                         const std::string& source) {
-  Deployed d;
-  client.bento->connect(box, [&](std::shared_ptr<bc::BentoConnection> conn) {
-    d.conn = std::move(conn);
-  });
-  world.run();
-  if (d.conn == nullptr) {
-    d.error = "connect failed";
-    return d;
-  }
-  d.conn->set_output_handler(
-      [&d](bu::Bytes out) { d.outputs.push_back(std::move(out)); });
-  d.conn->install(manifest, source, "", {},
-                  [&](std::optional<bc::TokenPair> tokens, std::string err) {
-                    d.tokens = std::move(tokens);
-                    d.error = std::move(err);
-                  });
-  world.run();
-  return d;
-}
-
-/// Wires the crash (down edge) and recover_stores (restart edge) handlers
-/// for one Bento box; replay reports land in `reports` keyed by
+/// Wires the box crash (down edge) and recover_stores (restart edge) for
+/// one Bento box; replay reports land in `reports` keyed by
 /// "<fingerprint>/<store name>" and `recoveries` counts callback firings.
 void wire_durable_box(bch::ChaosEngine& engine, bc::BentoWorld& world,
                       const std::string& fingerprint, int& recoveries,
                       std::map<std::string, bs::ReplayReport>& reports) {
-  bt::Router* router = world.bed().router_by_fingerprint(fingerprint);
-  ASSERT_NE(router, nullptr);
-  engine.set_node_handler(router->node(), [&world, fingerprint](bool up) {
-    if (up) return;
-    if (bc::BentoServer* server = world.server_for(fingerprint)) server->crash();
-    world.bed().router_by_fingerprint(fingerprint)->crash();
-  });
+  ASSERT_NO_FATAL_FAILURE(wire_box_crash(engine, world, fingerprint));
   engine.set_recovery_callback(
-      router->node(), [&world, &recoveries, &reports, fingerprint] {
+      world.bed().router_by_fingerprint(fingerprint)->node(),
+      [&world, &recoveries, &reports, fingerprint] {
         ++recoveries;
         bc::BentoServer* server = world.server_for(fingerprint);
         ASSERT_NE(server, nullptr);
@@ -134,7 +62,9 @@ bs::BlobStore* store_of(bc::BentoServer* server, const std::string& name) {
 // in the middle of a Dropbox/Shard workload must round-trip every stored
 // byte through the sealed log — contents recover byte-identically
 // (digest-witnessed), and a K-subset Shard fetch that leans on the
-// recovered slot still decodes the original file.
+// recovered slot still decodes the original file. The durability tests take
+// their topology seed from chaos_seed(): the contract holds for any seed
+// because every append is synced.
 TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   RecorderScope recorder("persistent_store_crash_restart");
   bc::BentoWorldOptions options;
@@ -168,8 +98,7 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   ASSERT_EQ(placements.size(), 5u);
 
   // Alice's own Dropbox workload on box 5.
-  auto d = deploy_function(world, client, boxes[5], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, client, boxes[5], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   const bu::Bytes payload = rng.bytes(12'000);
   bu::Bytes put = bu::to_bytes("PUT:");
@@ -209,8 +138,7 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
 
   // A fresh Dropbox on box 5 adopts the recovered store: the stored bytes
   // come back unchanged and the namespace digest matches exactly.
-  auto d2 = deploy_function(world, client, boxes[5], bf::dropbox_manifest(),
-                            bf::dropbox_source());
+  Deployed d2(world, client, boxes[5], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
   d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
   world.run();
@@ -221,8 +149,7 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   EXPECT_EQ(dbox2->snapshot_digest(), dropbox_digest);
 
   // Same on the shard box: the slot-1 assignment survived byte-identically…
-  auto s2 = deploy_function(world, client, boxes[1], bf::dropbox_manifest(),
-                            bf::dropbox_source());
+  Deployed s2(world, client, boxes[1], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(s2.tokens.has_value()) << s2.error;
   bs::BlobStore* slot1b = store_of(world.server_for(boxes[1]), "dropbox");
   ASSERT_NE(slot1b, nullptr);
@@ -258,8 +185,7 @@ TEST(Robustness, PersistentStoreCorruptTailRecoversLongestPrefix) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
   ASSERT_FALSE(boxes.empty());
-  auto d = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("PUT:first version"));
@@ -286,13 +212,57 @@ TEST(Robustness, PersistentStoreCorruptTailRecoversLongestPrefix) {
   EXPECT_GT(reports[boxes[0] + "/dropbox"].truncated_bytes, 0u);
 
   // The recovered namespace holds the longest valid prefix: version one.
-  auto d2 = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
-                            bf::dropbox_source());
+  Deployed d2(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
   d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
   world.run();
   ASSERT_FALSE(d2.outputs.empty());
   EXPECT_EQ(bu::to_string(d2.outputs.back()), "first version");
+}
+
+// A delete is as durable as a write: after DEL, GET answers MISSING, and a
+// Dropbox respawned under the same name after a crash and recover_stores()
+// still does — replay ends on the delete's tombstone, not on the PUT.
+TEST(Robustness, PersistentStoreDeleteSurvivesCrashRestart) {
+  RecorderScope recorder("persistent_store_delete_crash_restart");
+  bc::BentoWorldOptions options;
+  options.testbed.seed = chaos_seed(11);
+  options.server.persistent_store = true;
+  bc::BentoWorld world(options);
+  world.start();
+  bch::ChaosEngine engine(world.sim(), world.bed().net());
+  engine.install({});
+
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  ASSERT_FALSE(boxes.empty());
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  for (const char* command : {"PUT:deleted before the crash", "DEL:", "GET:"}) {
+    d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes(command));
+    world.run();
+  }
+  ASSERT_EQ(d.outputs.size(), 3u);
+  EXPECT_EQ(bu::to_string(d.outputs[1]), "OK");
+  EXPECT_EQ(bu::to_string(d.outputs[2]), "MISSING");
+
+  int recoveries = 0;
+  std::map<std::string, bs::ReplayReport> reports;
+  wire_durable_box(engine, world, boxes[0], recoveries, reports);
+  engine.crash_now(world.bed().router_by_fingerprint(boxes[0])->node(),
+                   bu::Duration::seconds(2));
+  world.run();
+  ASSERT_EQ(recoveries, 1);
+  ASSERT_EQ(reports.count(boxes[0] + "/dropbox"), 1u);
+  EXPECT_FALSE(reports[boxes[0] + "/dropbox"].torn);
+  EXPECT_EQ(reports[boxes[0] + "/dropbox"].live_files, 0u);
+
+  Deployed d2(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
+  ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
+  d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
+  world.run();
+  ASSERT_EQ(d2.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(d2.outputs[0]), "MISSING");
 }
 
 TEST(Robustness, RespawnInSameCascadeKeepsDurableStoreName) {
@@ -311,8 +281,7 @@ TEST(Robustness, RespawnInSameCascadeKeepsDurableStoreName) {
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
   ASSERT_FALSE(boxes.empty());
-  auto d = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   d.conn->invoke(d.tokens->invocation.bytes(),
                  bu::to_bytes("PUT:durable payload"));
@@ -413,8 +382,7 @@ TEST(Robustness, OverwrittenDropboxStoreCompactsInTheBackground) {
   world.start();
   auto client = world.make_client("alice");
   auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  auto d = deploy_function(world, client, boxes[0], bf::dropbox_manifest(),
-                           bf::dropbox_source());
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   bs::BlobStore* store = store_of(world.server_for(boxes[0]), "dropbox");
   ASSERT_NE(store, nullptr);
@@ -490,22 +458,11 @@ TEST(Robustness, BentoServerSurvivesProtocolGarbage) {
 
 namespace {
 
-bc::FunctionManifest echo_manifest() {
-  bc::FunctionManifest manifest;
-  manifest.name = "echo";
-  manifest.image = bc::kImagePython;
-  manifest.resources.memory_bytes = 8 << 20;
-  manifest.resources.cpu_instructions = 1'000'000;
-  manifest.resources.disk_bytes = 1 << 20;
-  manifest.resources.network_bytes = 1 << 20;
-  return manifest;
-}
-
 /// A fresh client deploys an echo function on `box` and gets its bytes back.
 void expect_box_still_serves(bc::BentoWorld& world, const std::string& box) {
   auto alice = world.make_client("alice");
-  Deployed d = deploy_function(world, alice, box, echo_manifest(),
-                               "def on_message(msg):\n    api.send(msg)\n");
+  Deployed d(world, alice, box, echo_manifest(bc::kImagePython),
+             "def on_message(msg):\n    api.send(msg)\n");
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("still here"));
   world.run();
@@ -667,7 +624,7 @@ TEST(Robustness, DeeplyNestedUploadIsASyntaxError) {
   auto mallory = world.make_client("mallory");
   const std::string nested =
       "x = " + std::string(100'000, '(') + "1" + std::string(100'000, ')') + "\n";
-  Deployed d = deploy_function(world, mallory, box, echo_manifest(), nested);
+  Deployed d(world, mallory, box, echo_manifest(bc::kImagePython), nested);
   EXPECT_FALSE(d.tokens.has_value());
   EXPECT_EQ(d.error.rfind("install failed: syntax error", 0), 0u) << d.error;
 
@@ -684,10 +641,8 @@ TEST(Robustness, TamperedFsProtectFileKillsOnlyThatDropbox) {
   const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
   auto alice = world.make_client("alice");
   auto bob = world.make_client("bob");
-  Deployed victim = deploy_function(world, alice, box, bf::dropbox_manifest(),
-                                    bf::dropbox_source());
-  Deployed other = deploy_function(world, bob, box, bf::dropbox_manifest(),
-                                   bf::dropbox_source());
+  Deployed victim(world, alice, box, bf::dropbox_manifest(), bf::dropbox_source());
+  Deployed other(world, bob, box, bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(victim.tokens.has_value()) << victim.error;
   ASSERT_TRUE(other.tokens.has_value()) << other.error;
   victim.conn->invoke(victim.tokens->invocation.bytes(), bu::to_bytes("PUT:alice's"));
@@ -737,17 +692,14 @@ TEST(Robustness, ClearnetBudgetTripKillsOnlyTheContainer) {
   world.bed().add_web_server(bt::parse_addr("93.184.216.34"), [](const std::string&) {
     return std::optional<bu::Bytes>(bu::Bytes(200'000, 'x'));
   });
-  std::string box;
-  for (const auto& relay : world.bed().consensus().relays) {
-    if (relay.flags.exit) box = relay.fingerprint();
-  }
+  const std::string box = exit_box(world);
   ASSERT_FALSE(box.empty());
   bento::obs::Counter trips = bento::obs::registry().counter("sandbox.resource_trips");
 
   bc::FunctionManifest manifest = bf::browser_manifest();
   manifest.resources.network_bytes = 10'000;
   auto client = world.make_client("alice");
-  Deployed d = deploy_function(world, client, box, manifest, bf::browser_source());
+  Deployed d(world, client, box, manifest, bf::browser_source());
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
   bc::BentoServer* server = world.server_for(box);
   ASSERT_NE(server, nullptr);
@@ -832,11 +784,11 @@ TEST(Robustness, ClientStreamDeathOrphansFunctionSafely) {
   manifest.resources.cpu_instructions = 1'000'000;
   manifest.resources.disk_bytes = 1 << 20;
   manifest.resources.network_bytes = 1 << 20;
-  auto d = deploy_function(world, alice, boxes[0], manifest,
-                           "state = {\"n\": 0}\n"
-                           "def on_message(m):\n"
-                           "    state[\"n\"] += 1\n"
-                           "    api.send(str(state[\"n\"]))\n");
+  Deployed d(world, alice, boxes[0], manifest,
+             "state = {\"n\": 0}\n"
+             "def on_message(m):\n"
+             "    state[\"n\"] += 1\n"
+             "    api.send(str(state[\"n\"]))\n");
   ASSERT_TRUE(d.tokens.has_value()) << d.error;
 
   d.conn->invoke(d.tokens->invocation.bytes(), {});
