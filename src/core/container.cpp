@@ -7,6 +7,7 @@
 #include "core/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "script/natives.hpp"
 #include "util/log.hpp"
 #include "util/simclock.hpp"
 #include "util/zlite.hpp"
@@ -369,10 +370,7 @@ void Container::deploy(const DeploySpec& spec, DeployCallback done) {
   filter_.check(sandbox::Syscall::SpawnFunction);
   // Composition runs over the server's onion proxy: the function is a Bento
   // client of the remote box (Figure 2's Browser deploying Dropbox).
-  BentoClientConfig cfg;
-  cfg.ias_public_key = server_.ias_public_key();
-  cfg.expected_runtime = BentoServer::runtime_measurement();
-  auto client = std::make_shared<BentoClient>(server_.stem_proxy(), cfg);
+  auto client = std::make_shared<BentoClient>(server_.stem_proxy(), server_.client_config());
   auto done_shared = std::make_shared<DeployCallback>(std::move(done));
   std::weak_ptr<bool> alive = alive_;
   client->connect(spec.box_fingerprint, [this, alive, client, spec, done_shared](
@@ -405,31 +403,26 @@ void Container::invoke_remote(const std::string& box_fingerprint,
                               std::function<void(util::Bytes output)> on_output) {
   filter_.check(sandbox::Syscall::SpawnFunction);
   std::weak_ptr<bool> alive = alive_;
+  auto relay = [this, alive, on_output](util::Bytes out) {
+    if (alive.expired()) return;
+    run_guarded([&] { on_output(std::move(out)); });
+  };
   // Reuse a deployed connection to that box when available.
   for (auto& conn : deployed_) {
     if (conn->box_fingerprint() == box_fingerprint && conn->open()) {
-      conn->set_output_handler([this, alive, on_output](util::Bytes out) {
-        if (alive.expired()) return;
-        run_guarded([&] { on_output(std::move(out)); });
-      });
+      conn->set_output_handler(relay);
       conn->invoke(invocation_token, payload);
       return;
     }
   }
-  BentoClientConfig cfg;
-  cfg.ias_public_key = server_.ias_public_key();
-  cfg.expected_runtime = BentoServer::runtime_measurement();
-  auto client = std::make_shared<BentoClient>(server_.stem_proxy(), cfg);
+  auto client = std::make_shared<BentoClient>(server_.stem_proxy(), server_.client_config());
   util::Bytes token_copy(invocation_token.begin(), invocation_token.end());
   util::Bytes payload_copy(payload.begin(), payload.end());
   client->connect(box_fingerprint, [this, alive, client, token_copy, payload_copy,
-                                    on_output](std::shared_ptr<BentoConnection> conn) {
+                                    relay](std::shared_ptr<BentoConnection> conn) {
     if (alive.expired() || conn == nullptr) return;
     deployed_.push_back(conn);
-    conn->set_output_handler([this, alive, on_output](util::Bytes out) {
-      if (alive.expired()) return;
-      run_guarded([&] { on_output(std::move(out)); });
-    });
+    conn->set_output_handler(relay);
     conn->invoke(token_copy, payload_copy);
   });
 }
@@ -456,8 +449,23 @@ void ScriptFunction::bind_modules(HostApi& api) {
   if (bound_) return;
   bound_ = true;
   HostApi* host = &api;
-  using script::Dict;
+  using script::Interpreter;
+  using script::native_row;
   using script::Value;
+  using Args = std::vector<Value>;
+
+  // A host module is a dict global, made at its first binding. Each native
+  // goes into its module through its row of the natives table
+  // (script/natives.hpp), which fixes the argument counts the interpreter
+  // admits.
+  const auto module = [this](std::string_view name) -> script::Dict& {
+    const std::string key(name);
+    if (interp_->global(key).is_none()) interp_->bind(key, Value::dict());
+    return interp_->global(key).as_dict();
+  };
+  const auto bind = [&module](const script::NativeSig& row, script::NativeFn fn) {
+    module(row.owner)[std::string(row.name)] = Value::native(row, std::move(fn));
+  };
 
   // The bytes a payload argument stands for. A bytes value is viewed where
   // it lives (the call's argument, alive for the whole host call); a str,
@@ -468,25 +476,20 @@ void ScriptFunction::bind_modules(HostApi& api) {
     return rendered;
   };
 
-  Dict api_mod;
-  api_mod["send"] = Value::native([host, as_payload](script::Interpreter&,
-                                                     std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("api.send() takes 1 argument");
+  bind(native_row("api", "send"), [host, as_payload](Interpreter&, Args& args) {
     util::Bytes rendered;
     host->send(as_payload(args[0], rendered));
     return Value::none();
   });
-  api_mod["handle"] = Value::native([host](script::Interpreter&, std::vector<Value>&) {
+  bind(native_row("api", "handle"), [host](Interpreter&, Args&) {
     return Value::integer(static_cast<std::int64_t>(host->reply_handle()));
   });
-  api_mod["send_to"] = Value::native([host, as_payload](script::Interpreter&,
-                                                        std::vector<Value>& args) {
-    if (args.size() != 2) throw script::TypeError("api.send_to(handle, data)");
+  bind(native_row("api", "send_to"), [host, as_payload](Interpreter&, Args& args) {
     util::Bytes rendered;
     host->send_to(static_cast<std::uint64_t>(args[0].as_int()), as_payload(args[1], rendered));
     return Value::none();
   });
-  api_mod["log"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
+  bind(native_row("api", "log"), [host](Interpreter&, Args& args) {
     std::string line;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (i > 0) line += " ";
@@ -495,39 +498,28 @@ void ScriptFunction::bind_modules(HostApi& api) {
     host->log(line);
     return Value::none();
   });
-  interp_->bind("api", Value::dict(std::move(api_mod)));
 
-  Dict fs_mod;
-  fs_mod["write"] = Value::native([host, as_payload](script::Interpreter&,
-                                                     std::vector<Value>& args) {
-    if (args.size() != 2) throw script::TypeError("fs.write() takes 2 arguments");
+  bind(native_row("fs", "write"), [host, as_payload](Interpreter&, Args& args) {
     util::Bytes rendered;
     host->fs_write(args[0].as_str(), as_payload(args[1], rendered));
     return Value::none();
   });
-  fs_mod["read"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("fs.read() takes 1 argument");
+  bind(native_row("fs", "read"), [host](Interpreter&, Args& args) {
     auto data = host->fs_read(args[0].as_str());
     if (!data.has_value()) return Value::none();
     return Value::bytes(std::move(*data));
   });
-  fs_mod["delete"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("fs.delete() takes 1 argument");
+  bind(native_row("fs", "delete"), [host](Interpreter&, Args& args) {
     return Value::boolean(host->fs_remove(args[0].as_str()));
   });
-  fs_mod["list"] = Value::native([host](script::Interpreter&, std::vector<Value>&) {
+  bind(native_row("fs", "list"), [host](Interpreter&, Args&) {
     script::List out;
     for (const auto& name : host->fs_list()) out.push_back(Value::str(name));
     return Value::list(std::move(out));
   });
-  interp_->bind("fs", Value::dict(std::move(fs_mod)));
 
-  Dict net_mod;
-  net_mod["get"] = Value::native([host](script::Interpreter& in,
-                                        std::vector<Value>& args) {
-    if (args.size() != 2 || !args[1].is_callable()) {
-      throw script::TypeError("net.get(url, callback) takes a URL and a callback");
-    }
+  bind(native_row("net", "get"), [host](Interpreter& in, Args& args) {
+    if (!args[1].is_callable()) throw script::TypeError("net.get: callback is not callable");
     const std::string url = args[0].as_str();
     Value callback = args[1];
     host->http_get(url, [&in, callback](bool ok, util::Bytes body) {
@@ -537,56 +529,36 @@ void ScriptFunction::bind_modules(HostApi& api) {
     });
     return Value::none();
   });
-  interp_->bind("net", Value::dict(std::move(net_mod)));
 
-  Dict os_mod;
-  os_mod["urandom"] = Value::native([host](script::Interpreter&, std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("os.urandom() takes 1 argument");
+  bind(native_row("os", "urandom"), [host](Interpreter&, Args& args) {
     const std::int64_t n = args[0].as_int();
     if (n < 0) throw script::TypeError("os.urandom(): negative size");
     return Value::bytes(host->random_bytes(static_cast<std::size_t>(n)));
   });
-  interp_->bind("os", Value::dict(std::move(os_mod)));
 
-  Dict time_mod;
-  time_mod["now"] = Value::native([host](script::Interpreter&, std::vector<Value>&) {
+  bind(native_row("time", "now"), [host](Interpreter&, Args&) {
     return Value::real(host->now().seconds());
   });
-  time_mod["after"] = Value::native([host](script::Interpreter& in,
-                                           std::vector<Value>& args) {
-    if (args.size() != 2 || !args[1].is_callable()) {
-      throw script::TypeError("time.after(seconds, callback)");
-    }
+  bind(native_row("time", "after"), [host](Interpreter& in, Args& args) {
+    if (!args[1].is_callable()) throw script::TypeError("time.after: callback is not callable");
     Value callback = args[1];
     host->after(util::Duration::seconds(args[0].as_float()),
                 [&in, callback] { in.call_value(callback, {}); });
     return Value::none();
   });
-  interp_->bind("time", Value::dict(std::move(time_mod)));
 
-  Dict zlib_mod;
-  zlib_mod["compress"] = Value::native([as_payload](script::Interpreter&,
-                                                    std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("zlib.compress() takes 1 argument");
+  bind(native_row("zlib", "compress"), [as_payload](Interpreter&, Args& args) {
     util::Bytes rendered;
     return Value::bytes(util::zlite::compress(as_payload(args[0], rendered)));
   });
-  zlib_mod["decompress"] = Value::native([](script::Interpreter&,
-                                            std::vector<Value>& args) {
-    if (args.size() != 1) throw script::TypeError("zlib.decompress() takes 1 argument");
+  bind(native_row("zlib", "decompress"), [](Interpreter&, Args& args) {
     return Value::bytes(util::zlite::decompress(args[0].as_bytes()));
   });
-  interp_->bind("zlib", Value::dict(std::move(zlib_mod)));
 
-  Dict bento_mod;
-  bento_mod["self"] = Value::str(api.box_fingerprint());
-  bento_mod["deploy"] = Value::native([host](script::Interpreter& in,
-                                             std::vector<Value>& args) {
+  module("bento")["self"] = Value::str(api.box_fingerprint());
+  bind(native_row("bento", "deploy"), [host](Interpreter& in, Args& args) {
     // bento.deploy(box_fp, name, source, [syscall names], args, callback)
-    if (args.size() != 6 || !args[5].is_callable()) {
-      throw script::TypeError(
-          "bento.deploy(box, name, source, syscalls, args, callback)");
-    }
+    if (!args[5].is_callable()) throw script::TypeError("bento.deploy: callback is not callable");
     HostApi::DeploySpec spec;
     spec.box_fingerprint = args[0].as_str();
     spec.manifest.name = args[1].as_str();
@@ -604,12 +576,9 @@ void ScriptFunction::bind_modules(HostApi& api) {
     });
     return Value::none();
   });
-  bento_mod["invoke"] = Value::native([host, as_payload](script::Interpreter& in,
-                                                         std::vector<Value>& args) {
+  bind(native_row("bento", "invoke"), [host, as_payload](Interpreter& in, Args& args) {
     // bento.invoke(box_fp, token, payload, on_output)
-    if (args.size() != 4 || !args[3].is_callable()) {
-      throw script::TypeError("bento.invoke(box, token, payload, on_output)");
-    }
+    if (!args[3].is_callable()) throw script::TypeError("bento.invoke: on_output is not callable");
     Value callback = args[3];
     util::Bytes rendered;
     host->invoke_remote(args[0].as_str(), args[1].as_bytes(), as_payload(args[2], rendered),
@@ -620,7 +589,6 @@ void ScriptFunction::bind_modules(HostApi& api) {
                         });
     return Value::none();
   });
-  interp_->bind("bento", Value::dict(std::move(bento_mod)));
 }
 
 void ScriptFunction::on_install(HostApi& api, util::ByteView args) {

@@ -184,7 +184,7 @@ class ScriptFunction final : public Function {
   void on_message(HostApi& api, util::Bytes payload) override;
   void on_shutdown(HostApi& api) override;
 
-  std::uint64_t steps() const { return interp_->steps(); }
+  const script::Interpreter& interpreter() const { return *interp_; }
 
  private:
   void bind_modules(HostApi& api);

@@ -19,6 +19,7 @@
 #include <memory>
 #include <set>
 
+#include "core/client.hpp"
 #include "core/container.hpp"
 #include "core/message.hpp"
 #include "core/policy.hpp"
@@ -75,7 +76,11 @@ class BentoServer {
   const NativeRegistry& natives() const { return natives_; }
   sandbox::AggregateAccountant& aggregate() { return aggregate_; }
   tee::Platform& platform() { return platform_; }
-  crypto::Gp ias_public_key() const { return ias_.public_key(); }
+  /// How a client reaches and attests a box like this one, for the world's
+  /// clients and for a function's compositions (bento.deploy, bento.invoke).
+  BentoClientConfig client_config() const {
+    return {config_.port, ias_.public_key(), runtime_measurement()};
+  }
   tee::EpcManager& epc() { return epc_; }
   util::Rng& rng() { return rng_; }
 

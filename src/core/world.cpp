@@ -81,12 +81,4 @@ obs::Snapshot BentoWorld::snapshot_stats() {
   return snap;
 }
 
-BentoClientConfig BentoWorld::client_config() const {
-  BentoClientConfig cfg;
-  cfg.bento_port = options_.server.port;
-  cfg.ias_public_key = ias_->public_key();
-  cfg.expected_runtime = BentoServer::runtime_measurement();
-  return cfg;
-}
-
 }  // namespace bento::core

@@ -48,10 +48,10 @@ class BentoWorld {
   };
   Client make_client(const std::string& name, double bandwidth = 1.25e6);
 
-  /// Client configuration with the IAS key + runtime measurement filled in.
-  BentoClientConfig client_config() const;
+  /// How clients reach and attest the boxes (all share one; after start()).
+  BentoClientConfig client_config() const { return servers_.at(0)->client_config(); }
 
-  void run(std::uint64_t max_events = 100'000'000) { bed_.run(max_events); }
+  void run() { bed_.run(); }
   void run_for(util::Duration d) { bed_.run_for(d); }
 
   /// One consolidated telemetry snapshot: the global registry (counters,

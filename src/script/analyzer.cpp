@@ -4,64 +4,19 @@
 #include <limits>
 #include <optional>
 
+#include "script/natives.hpp"
+
 namespace bento::script {
 
 namespace {
 
 namespace sb = sandbox;
 
-/// Signature of one host binding or stdlib function.
-struct BindingSig {
-  int min_args = 0;
-  int max_args = -1;  // -1 = variadic
-  std::optional<sb::Syscall> syscall;
-  bool callable = true;  // false: plain attribute (bento.self)
-};
-
-using ModuleSig = std::map<std::string, BindingSig>;
-
-/// Host modules installed by ScriptFunction::bind_modules, with the
-/// sandbox syscall each binding exercises through HostApi.
-const std::map<std::string, ModuleSig>& module_table() {
-  static const std::map<std::string, ModuleSig> table = {
-      {"api",
-       {{"send", {1, 1, std::nullopt}},
-        {"handle", {0, 0, std::nullopt}},
-        {"send_to", {2, 2, std::nullopt}},
-        {"log", {0, -1, std::nullopt}}}},
-      {"fs",
-       {{"write", {2, 2, sb::Syscall::FsWrite}},
-        {"read", {1, 1, sb::Syscall::FsRead}},
-        {"delete", {1, 1, sb::Syscall::FsDelete}},
-        {"list", {0, 0, sb::Syscall::FsRead}}}},
-      {"net", {{"get", {2, 2, sb::Syscall::NetConnect}}}},
-      {"os", {{"urandom", {1, 1, sb::Syscall::Random}}}},
-      {"time",
-       {{"now", {0, 0, sb::Syscall::Clock}},
-        {"after", {2, 2, sb::Syscall::Clock}}}},
-      {"zlib",
-       {{"compress", {1, 1, std::nullopt}},
-        {"decompress", {1, 1, std::nullopt}}}},
-      {"bento",
-       {{"self", {0, 0, std::nullopt, /*callable=*/false}},
-        {"deploy", {6, 6, sb::Syscall::SpawnFunction}},
-        {"invoke", {4, 4, sb::Syscall::SpawnFunction}}}},
-  };
-  return table;
-}
-
-/// Pure stdlib installed by install_stdlib (arity only; no capabilities).
-const std::map<std::string, BindingSig>& builtin_table() {
-  auto pure = [](int min_args, int max_args) {
-    return BindingSig{min_args, max_args, std::nullopt, true};
-  };
-  static const std::map<std::string, BindingSig> table = {
-      {"len", pure(1, 1)},   {"str", pure(1, 1)},    {"int", pure(1, 1)},
-      {"float", pure(1, 1)}, {"bytes", pure(1, 1)},  {"range", pure(1, 3)},
-      {"print", pure(0, -1)}, {"min", pure(1, -1)},  {"max", pure(1, -1)},
-      {"abs", pure(1, 1)},   {"sub", pure(2, 3)},    {"sorted", pure(1, 1)},
-  };
-  return table;
+/// True when `name` is a host module: the owner of a kModule row of kNatives.
+bool is_host_module(const std::string& name) {
+  return std::ranges::any_of(kNatives, [&](const NativeSig& row) {
+    return row.kind == kModule && row.owner == name;
+  });
 }
 
 constexpr std::uint64_t kCostCap = std::numeric_limits<std::uint64_t>::max() / 4;
@@ -109,10 +64,6 @@ class Analyzer {
       const Stmt& s = *stmt;
       switch (s.kind) {
         case StmtKind::Assign:
-          if (!inside_def && s.target->kind == ExprKind::Name) {
-            global_vars_.insert(s.target->name);
-          }
-          break;
         case StmtKind::AugAssign:
           if (!inside_def && s.target->kind == ExprKind::Name) {
             global_vars_.insert(s.target->name);
@@ -144,11 +95,11 @@ class Analyzer {
   /// the name (shadowing turns it into an ordinary dynamic value).
   bool is_module(const std::string& name, const Locals* locals) const {
     if (locals != nullptr && locals->contains(name)) return false;
-    return module_table().contains(name) && !is_global(name);
+    return is_host_module(name) && !is_global(name);
   }
   bool is_builtin(const std::string& name, const Locals* locals) const {
     if (locals != nullptr && locals->contains(name)) return false;
-    return builtin_table().contains(name) && !is_global(name);
+    return find_native("", name) != nullptr && !is_global(name);
   }
 
   // ---- diagnostics / capabilities ----
@@ -162,18 +113,15 @@ class Analyzer {
                          std::optional<sb::Syscall> syscall, int line) {
     result_.modules.insert(module);
     if (!syscall.has_value()) return;
-    auto [it, inserted] =
-        caps_.try_emplace(*syscall, CapabilityUse{*syscall, module + "." + attr, line});
-    (void)it;
-    (void)inserted;
+    caps_.try_emplace(*syscall, CapabilityUse{*syscall, module + "." + attr, line});
   }
 
   /// A module value escaped (aliased, passed as an argument, iterated...):
   /// the program could reach any of its bindings, so claim them all.
   void record_whole_module(const std::string& module, int line) {
     result_.modules.insert(module);
-    for (const auto& [attr, sig] : module_table().at(module)) {
-      if (sig.syscall.has_value()) record_capability(module, "*", sig.syscall, line);
+    for (const NativeSig& row : kNatives) {
+      if (row.owner == module) record_capability(module, "*", row.syscall, line);
     }
   }
 
@@ -206,18 +154,10 @@ class Analyzer {
     diag(Severity::Error, e.line, "BS101", "unknown name '" + e.name + "'");
   }
 
-  void check_arity(const Expr& call, const std::string& what, int min_args,
-                   int max_args) {
-    const int got = static_cast<int>(call.args.size());
-    if (got < min_args || (max_args >= 0 && got > max_args)) {
-      std::string expected =
-          max_args < 0 ? "at least " + std::to_string(min_args)
-          : min_args == max_args
-              ? std::to_string(min_args)
-              : std::to_string(min_args) + "-" + std::to_string(max_args);
-      diag(Severity::Error, call.line, "BS104",
-           what + " takes " + expected + " argument(s), got " +
-               std::to_string(got));
+  /// BS104 when `call` passes an argument count `sig` does not admit.
+  void check_arity(const Expr& call, const NativeSig& sig) {
+    if (!sig.admits(call.args.size())) {
+      diag(Severity::Error, call.line, "BS104", sig.arity_message(call.args.size()));
     }
   }
 
@@ -227,22 +167,20 @@ class Analyzer {
                   TopLevel* top) {
     if (attr.a->kind == ExprKind::Name && is_module(attr.a->name, locals)) {
       const std::string& module = attr.a->name;
-      const ModuleSig& sig = module_table().at(module);
-      auto it = sig.find(attr.name);
-      if (it == sig.end()) {
+      const NativeSig* row = find_native(module, attr.name);
+      if (row == nullptr) {
         result_.modules.insert(module);
         diag(Severity::Error, attr.line, "BS103",
              "module '" + module + "' has no attribute '" + attr.name + "'");
         return;
       }
-      record_capability(module, attr.name, it->second.syscall, attr.line);
+      record_capability(module, attr.name, row->syscall, attr.line);
       if (call != nullptr) {
-        if (!it->second.callable) {
+        if (!row->callable) {
           diag(Severity::Error, call->line, "BS104",
-               module + "." + attr.name + " is not callable");
+               row->qualified_name() + " is not callable");
         } else {
-          check_arity(*call, module + "." + attr.name, it->second.min_args,
-                      it->second.max_args);
+          check_arity(*call, *row);
         }
       }
       return;
@@ -258,8 +196,7 @@ class Analyzer {
       visit_attr(callee, &e, locals, top);
     } else if (callee.kind == ExprKind::Name) {
       if (is_builtin(callee.name, locals)) {
-        const BindingSig& sig = builtin_table().at(callee.name);
-        check_arity(e, callee.name, sig.min_args, sig.max_args);
+        check_arity(e, *find_native("", callee.name));
       } else {
         resolve_name(callee, locals, top);
         // Calling a user-defined function with a statically-known unique
@@ -272,8 +209,10 @@ class Analyzer {
               it->second.begin(), it->second.end(),
               [&](const FunctionDef* d) { return d->params.size() == params; });
           if (uniform) {
-            check_arity(e, callee.name + "()", static_cast<int>(params),
-                        static_cast<int>(params));
+            // A user function's signature, checked like a row of its own.
+            const std::string what = callee.name + "()";
+            const int n = static_cast<int>(params);
+            check_arity(e, NativeSig(kBuiltin, "", what, n, n));
           }
         }
       }
@@ -508,20 +447,13 @@ class Analyzer {
         return std::nullopt;
       }
     }
-    std::int64_t lo = 0, hi = 0, step = 1;
-    if (vals.size() == 1) {
-      hi = vals[0];
-    } else if (vals.size() == 2) {
-      lo = vals[0];
-      hi = vals[1];
-    } else if (vals.size() == 3) {
-      lo = vals[0];
-      hi = vals[1];
-      step = vals[2];
-      if (step == 0) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
+    // range(hi), range(lo, hi) or range(lo, hi, step), as install_stdlib reads them.
+    if (!find_native("", "range")->admits(vals.size())) return std::nullopt;
+    const bool hi_only = vals.size() == 1;
+    const std::int64_t lo = hi_only ? 0 : vals[0];
+    const std::int64_t hi = vals[hi_only ? 0 : 1];
+    const std::int64_t step = vals.size() == 3 ? vals[2] : 1;
+    if (step == 0) return std::nullopt;
     if (step > 0 && hi > lo) {
       return static_cast<std::uint64_t>((hi - lo + step - 1) / step);
     }

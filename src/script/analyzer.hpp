@@ -5,16 +5,16 @@
 //
 //   * capability inference — every `Attr`/`Call`/`Name` node is walked to
 //     compute which host modules (api, fs, net, os, time, zlib, bento) the
-//     program can ever reach, mapped to the sandbox::Syscall each binding
-//     needs. A bare reference to a module (aliasing, passing it around)
-//     conservatively claims the whole module's syscall set, so the inferred
-//     set is a sound over-approximation: if the program can perform an
-//     effect at runtime, the effect's syscall is in the inferred set.
+//     program can ever reach, mapped to the sandbox::Syscall each binding's
+//     row of kNatives (natives.hpp) names. A bare reference to a module
+//     (aliasing, passing it around) conservatively claims the whole module's
+//     syscall set, so the inferred set is a sound over-approximation: if the
+//     program can perform an effect at runtime, the effect's syscall is in it.
 //   * lint diagnostics — structured {severity, line, code, message} records
 //     for unknown names, use-before-definition, unknown module attributes,
-//     arity mismatches against the known stdlib/binding signatures,
-//     unreachable statements, constant-condition `while` loops, and missing
-//     entry points.
+//     arity mismatches against kNatives' rows (as the interpreter's) and user
+//     `def`s, unreachable statements, constant-condition `while` loops, and
+//     missing entry points.
 //   * static cost — a per-statement lower bound on interpreter steps for
 //     the load + on_install path, so trivially over-budget functions can be
 //     refused against ResourceLimits without running them.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "script/natives.hpp"
+
 namespace bento::script {
 
 Interpreter::Interpreter(std::shared_ptr<const Program> program,
@@ -40,6 +42,17 @@ Value Interpreter::global(const std::string& name) const {
 }
 
 namespace {
+// The position `key` names in a sequence of `size` items; a negative key
+// counts from the end.
+std::size_t sequence_index(const Value& key, std::size_t size, const char* what, int line) {
+  std::int64_t i = key.as_int();
+  if (i < 0) i += static_cast<std::int64_t>(size);
+  if (i < 0 || i >= static_cast<std::int64_t>(size)) {
+    throw ScriptError(std::string(what) + " index out of range", line);
+  }
+  return static_cast<std::size_t>(i);
+}
+
 // Holds one level of eval_depth for as long as its eval/exec frame lives.
 class NestingLevel {
  public:
@@ -95,8 +108,12 @@ Value* Interpreter::lookup(const std::string& name) {
 }
 
 Value Interpreter::call_value(const Value& callable, std::vector<Value> args) {
-  if (auto* native = std::get_if<std::shared_ptr<NativeFn>>(&callable.data)) {
-    return (**native)(*this, args);
+  if (auto* native = std::get_if<std::shared_ptr<const Native>>(&callable.data)) {
+    const Native& n = **native;
+    if (n.sig != nullptr && !n.sig->admits(args.size())) {
+      throw TypeError(n.sig->arity_message(args.size()));
+    }
+    return n.fn(*this, args);
   }
   if (auto* fn = std::get_if<ScriptFn>(&callable.data)) {
     const FunctionDef& def = *fn->def;
@@ -105,7 +122,7 @@ Value Interpreter::call_value(const Value& callable, std::vector<Value> args) {
                             " arguments, got " + std::to_string(args.size()),
                         def.line);
     }
-    if (++call_depth_ > options_.max_call_depth) {
+    if (++call_depth_ > kMaxCallDepth) {
       --call_depth_;
       throw ScriptError("maximum recursion depth exceeded", def.line);
     }
@@ -181,48 +198,39 @@ Interpreter::Flow Interpreter::exec(const Stmt& s, Value* ret) {
     }
     case StmtKind::For: {
       Value iterable = eval(*s.target);
-      auto iterate = [&](const Value& item) -> Flow {
+      Flow exit = Flow::Normal;
+      // Runs the body for one item; false once a break or return leaves the loop.
+      auto iterate = [&](const Value& item) {
         step(s.line);
-        if (frames_.empty()) {
-          globals_[s.name] = item;
-        } else {
-          frames_.back()[s.name] = item;
-        }
-        return exec_block(s.body, ret);
+        (frames_.empty() ? globals_ : frames_.back())[s.name] = item;
+        const Flow flow = exec_block(s.body, ret);
+        if (flow == Flow::Return) exit = flow;
+        return flow != Flow::Break && flow != Flow::Return;
       };
       if (iterable.is_list()) {
-        // Copy to tolerate mutation during iteration.
-        List items = iterable.as_list();
+        const List items = iterable.as_list();  // a copy tolerates mutation
         for (const Value& item : items) {
-          const Flow flow = iterate(item);
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
+          if (!iterate(item)) break;
         }
       } else if (iterable.is_dict()) {
         std::vector<std::string> keys;
         for (const auto& [k, v] : iterable.as_dict()) keys.push_back(k);
         for (const auto& k : keys) {
-          const Flow flow = iterate(Value::str(k));
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
+          if (!iterate(Value::str(k))) break;
         }
       } else if (iterable.is_str()) {
         for (char c : iterable.as_str()) {
-          const Flow flow = iterate(Value::str(std::string(1, c)));
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
+          if (!iterate(Value::str(std::string(1, c)))) break;
         }
       } else if (iterable.is_bytes()) {
         for (std::uint8_t b : iterable.as_bytes()) {
-          const Flow flow = iterate(Value::integer(b));
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
+          if (!iterate(Value::integer(b))) break;
         }
       } else {
         throw ScriptError(std::string("cannot iterate over ") + iterable.type_name(),
                           s.line);
       }
-      return Flow::Normal;
+      return exit;
     }
     case StmtKind::Def:
       globals_[s.def->name] = Value{{ScriptFn{s.def.get()}}};
@@ -257,12 +265,7 @@ void Interpreter::assign(const Expr& target, Value value) {
       Value key = eval(*target.b);
       if (container.is_list()) {
         List& list = container.as_list();
-        std::int64_t i = key.as_int();
-        if (i < 0) i += static_cast<std::int64_t>(list.size());
-        if (i < 0 || i >= static_cast<std::int64_t>(list.size())) {
-          throw ScriptError("list index out of range", target.line);
-        }
-        list[static_cast<std::size_t>(i)] = std::move(value);
+        list[sequence_index(key, list.size(), "list", target.line)] = std::move(value);
         return;
       }
       if (container.is_dict()) {
@@ -325,12 +328,7 @@ Value Interpreter::eval(const Expr& e) {
       Value key = eval(*e.b);
       if (container.is_list()) {
         const List& list = container.as_list();
-        std::int64_t i = key.as_int();
-        if (i < 0) i += static_cast<std::int64_t>(list.size());
-        if (i < 0 || i >= static_cast<std::int64_t>(list.size())) {
-          throw ScriptError("list index out of range", e.line);
-        }
-        return list[static_cast<std::size_t>(i)];
+        return list[sequence_index(key, list.size(), "list", e.line)];
       }
       if (container.is_dict()) {
         const Dict& dict = container.as_dict();
@@ -342,21 +340,11 @@ Value Interpreter::eval(const Expr& e) {
       }
       if (container.is_bytes()) {
         const util::Bytes& b = container.as_bytes();
-        std::int64_t i = key.as_int();
-        if (i < 0) i += static_cast<std::int64_t>(b.size());
-        if (i < 0 || i >= static_cast<std::int64_t>(b.size())) {
-          throw ScriptError("bytes index out of range", e.line);
-        }
-        return Value::integer(b[static_cast<std::size_t>(i)]);
+        return Value::integer(b[sequence_index(key, b.size(), "bytes", e.line)]);
       }
       if (container.is_str()) {
         const std::string& s = container.as_str();
-        std::int64_t i = key.as_int();
-        if (i < 0) i += static_cast<std::int64_t>(s.size());
-        if (i < 0 || i >= static_cast<std::int64_t>(s.size())) {
-          throw ScriptError("string index out of range", e.line);
-        }
-        return Value::str(std::string(1, s[static_cast<std::size_t>(i)]));
+        return Value::str(std::string(1, s[sequence_index(key, s.size(), "string", e.line)]));
       }
       throw ScriptError(std::string("cannot index ") + container.type_name(), e.line);
     }
@@ -501,17 +489,18 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
     auto it = dict.find(name);
     if (it != dict.end()) return it->second;
   }
-  // Built-in methods on containers and strings (bound closures over obj).
+  // Built-in methods on containers and strings: closures over obj, each
+  // bound through its row of the natives table.
+  using Args = std::vector<Value>;
   if (obj.is_list()) {
     if (name == "append") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
-        if (args.size() != 1) throw TypeError("append() takes 1 argument");
+      return Value::native(native_row("list", "append"), [obj](Interpreter&, Args& args) {
         obj.as_list().push_back(args[0]);
         return Value::none();
       });
     }
     if (name == "pop") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
+      return Value::native(native_row("list", "pop"), [obj](Interpreter&, Args& args) {
         List& list = obj.as_list();
         if (list.empty()) throw TypeError("pop from empty list");
         if (!args.empty()) {
@@ -532,7 +521,7 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
   }
   if (obj.is_str()) {
     if (name == "split") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
+      return Value::native(native_row("str", "split"), [obj](Interpreter&, Args& args) {
         const std::string sep = args.empty() ? " " : args[0].as_str();
         if (sep.empty()) throw TypeError("empty separator");
         List parts;
@@ -551,14 +540,14 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
       });
     }
     if (name == "startswith") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
-        if (args.size() != 1) throw TypeError("startswith() takes 1 argument");
+      return Value::native(native_row("str", "startswith"), [obj](Interpreter&, Args& args) {
         return Value::boolean(obj.as_str().rfind(args[0].as_str(), 0) == 0);
       });
     }
     if (name == "upper" || name == "lower") {
       const bool up = name == "upper";
-      return Value::native([obj, up](Interpreter&, std::vector<Value>&) {
+      return Value::native(up ? native_row("str", "upper") : native_row("str", "lower"),
+                           [obj, up](Interpreter&, Args&) {
         std::string s = obj.as_str();
         std::transform(s.begin(), s.end(), s.begin(), [up](unsigned char c) {
           return up ? std::toupper(c) : std::tolower(c);
@@ -567,8 +556,7 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
       });
     }
     if (name == "find") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
-        if (args.size() != 1) throw TypeError("find() takes 1 argument");
+      return Value::native(native_row("str", "find"), [obj](Interpreter&, Args& args) {
         const auto at = obj.as_str().find(args[0].as_str());
         return Value::integer(at == std::string::npos ? -1
                                                       : static_cast<std::int64_t>(at));
@@ -577,8 +565,7 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
   }
   if (obj.is_dict()) {
     if (name == "get") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
-        if (args.empty() || args.size() > 2) throw TypeError("get() takes 1-2 arguments");
+      return Value::native(native_row("dict", "get"), [obj](Interpreter&, Args& args) {
         const Dict& dict = obj.as_dict();
         auto it = dict.find(args[0].as_str());
         if (it != dict.end()) return it->second;
@@ -586,15 +573,14 @@ Value Interpreter::eval_attr(const Value& obj, const std::string& name, int line
       });
     }
     if (name == "keys") {
-      return Value::native([obj](Interpreter&, std::vector<Value>&) {
+      return Value::native(native_row("dict", "keys"), [obj](Interpreter&, Args&) {
         List keys;
         for (const auto& [k, v] : obj.as_dict()) keys.push_back(Value::str(k));
         return Value::list(std::move(keys));
       });
     }
     if (name == "remove") {
-      return Value::native([obj](Interpreter&, std::vector<Value>& args) {
-        if (args.size() != 1) throw TypeError("remove() takes 1 argument");
+      return Value::native(native_row("dict", "remove"), [obj](Interpreter&, Args& args) {
         return Value::boolean(obj.as_dict().erase(args[0].as_str()) > 0);
       });
     }

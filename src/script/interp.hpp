@@ -29,20 +29,22 @@ class ScriptError : public std::runtime_error {
   int line;
 };
 
+/// Bound on nested calls of script functions.
+inline constexpr int kMaxCallDepth = 64;
+
 /// Bound on eval/exec nesting summed over every active call. The parser caps
-/// one tree's depth (kMaxDepth) and max_call_depth caps calls, but their
+/// one tree's depth (kMaxDepth) and kMaxCallDepth caps calls, but their
 /// product would let an upload claim megabytes of C++ stack. One level costs
 /// at most 3.7 KB of stack in a Debug ASan build (an eval frame plus its
 /// eval_binary, the largest pair; 0.6 KB at RelWithDebInfo), so the bound
 /// keeps a script under 4 MB of the 8 MB main-thread stack. The deepest
-/// legitimate use is a kMaxDepth tree at top level, or max_call_depth calls
+/// legitimate use is a kMaxDepth tree at top level, or kMaxCallDepth calls
 /// of library-sized bodies (depth <= 10).
 inline constexpr int kMaxEvalDepth = 1024;
 
 struct InterpreterOptions {
   /// Hard internal cap; the step hook may impose a tighter budget.
   std::uint64_t max_steps = 100'000'000;
-  int max_call_depth = 64;
   /// Called in batches with the number of steps executed since last call.
   std::function<void(std::uint64_t steps)> step_hook;
   /// Called periodically with the interpreter's estimated heap usage.
@@ -76,6 +78,7 @@ class Interpreter {
   std::uint64_t steps() const { return steps_; }
   /// Global variable access (tests / host inspection).
   Value global(const std::string& name) const;
+  const std::map<std::string, Value>& globals() const { return globals_; }
 
   /// print() sink used by the stdlib.
   void print(const std::string& line) {
@@ -108,8 +111,8 @@ class Interpreter {
   bool ran_ = false;
 };
 
-/// Installs the pure standard library (len, str, int, float, range, print,
-/// min, max, abs, bytes, sorted) plus list/str/dict methods support.
+/// Installs the pure standard library: the kBuiltin rows of kNatives
+/// (natives.hpp).
 void install_stdlib(Interpreter& interp);
 
 }  // namespace bento::script

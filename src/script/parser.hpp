@@ -12,8 +12,8 @@ namespace bento::script {
 /// Deepest program tree the parser accepts, counting statements, nested
 /// blocks and expressions alike. A walk over a parsed Program (analyzer,
 /// interpreter, destructor) recurses at most this deep, whatever the source;
-/// the interpreter's script-level calls stack such walks up to its
-/// max_call_depth.
+/// the interpreter's script-level calls stack such walks up to
+/// kMaxCallDepth (interp.hpp).
 inline constexpr int kMaxDepth = 256;
 
 /// Parses a full program. Throws SyntaxError on malformed input, including

@@ -1,22 +1,18 @@
-// Pure (capability-free) standard library for BentoScript.
+// Pure (capability-free) standard library for BentoScript. Each builtin is
+// bound through its row of kNatives, which fixes its argument counts.
 #include <algorithm>
 
 #include "script/interp.hpp"
+#include "script/natives.hpp"
 
 namespace bento::script {
 
-namespace {
-void check_arity(const std::vector<Value>& args, std::size_t n, const char* name) {
-  if (args.size() != n) {
-    throw TypeError(std::string(name) + "() takes " + std::to_string(n) +
-                    " argument(s), got " + std::to_string(args.size()));
-  }
-}
-}  // namespace
-
 void install_stdlib(Interpreter& interp) {
-  interp.bind("len", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "len");
+  const auto bind = [&interp](const NativeSig& row, NativeFn fn) {
+    interp.bind(std::string(row.name), Value::native(row, std::move(fn)));
+  };
+
+  bind(native_row("", "len"), [](Interpreter&, std::vector<Value>& args) {
     const Value& v = args[0];
     if (v.is_str()) return Value::integer(static_cast<std::int64_t>(v.as_str().size()));
     if (v.is_bytes()) {
@@ -25,19 +21,17 @@ void install_stdlib(Interpreter& interp) {
     if (v.is_list()) return Value::integer(static_cast<std::int64_t>(v.as_list().size()));
     if (v.is_dict()) return Value::integer(static_cast<std::int64_t>(v.as_dict().size()));
     throw TypeError(std::string("len() of ") + v.type_name());
-  }));
+  });
 
-  interp.bind("str", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "str");
+  bind(native_row("", "str"), [](Interpreter&, std::vector<Value>& args) {
     if (args[0].is_bytes()) {
       const util::Bytes& b = args[0].as_bytes();
       return Value::str(std::string(b.begin(), b.end()));
     }
     return Value::str(args[0].to_display());
-  }));
+  });
 
-  interp.bind("int", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "int");
+  bind(native_row("", "int"), [](Interpreter&, std::vector<Value>& args) {
     const Value& v = args[0];
     if (v.is_int() || v.is_bool()) return Value::integer(v.as_int());
     if (v.is_float()) return Value::integer(static_cast<std::int64_t>(v.as_float()));
@@ -49,10 +43,9 @@ void install_stdlib(Interpreter& interp) {
       }
     }
     throw TypeError(std::string("int() of ") + v.type_name());
-  }));
+  });
 
-  interp.bind("float", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "float");
+  bind(native_row("", "float"), [](Interpreter&, std::vector<Value>& args) {
     const Value& v = args[0];
     if (v.is_str()) {
       try {
@@ -62,10 +55,9 @@ void install_stdlib(Interpreter& interp) {
       }
     }
     return Value::real(v.as_float());
-  }));
+  });
 
-  interp.bind("bytes", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "bytes");
+  bind(native_row("", "bytes"), [](Interpreter&, std::vector<Value>& args) {
     const Value& v = args[0];
     if (v.is_bytes()) return v;
     if (v.is_str()) return Value::bytes(util::to_bytes(v.as_str()));
@@ -80,23 +72,15 @@ void install_stdlib(Interpreter& interp) {
       return Value::bytes(std::move(out));
     }
     throw TypeError(std::string("bytes() of ") + v.type_name());
-  }));
+  });
 
-  interp.bind("range", Value::native([](Interpreter&, std::vector<Value>& args) {
-    std::int64_t lo = 0, hi = 0, step = 1;
-    if (args.size() == 1) {
-      hi = args[0].as_int();
-    } else if (args.size() == 2) {
-      lo = args[0].as_int();
-      hi = args[1].as_int();
-    } else if (args.size() == 3) {
-      lo = args[0].as_int();
-      hi = args[1].as_int();
-      step = args[2].as_int();
-      if (step == 0) throw TypeError("range() step cannot be 0");
-    } else {
-      throw TypeError("range() takes 1-3 arguments");
-    }
+  bind(native_row("", "range"), [](Interpreter&, std::vector<Value>& args) {
+    // range(hi), range(lo, hi) or range(lo, hi, step).
+    const bool hi_only = args.size() == 1;
+    const std::int64_t lo = hi_only ? 0 : args[0].as_int();
+    const std::int64_t hi = args[hi_only ? 0 : 1].as_int();
+    const std::int64_t step = args.size() == 3 ? args[2].as_int() : 1;
+    if (step == 0) throw TypeError("range() step cannot be 0");
     if ((hi - lo) * (step > 0 ? 1 : -1) > 10'000'000) {
       throw TypeError("range() too large");
     }
@@ -107,9 +91,9 @@ void install_stdlib(Interpreter& interp) {
       for (std::int64_t i = lo; i > hi; i += step) out.push_back(Value::integer(i));
     }
     return Value::list(std::move(out));
-  }));
+  });
 
-  interp.bind("print", Value::native([](Interpreter& in, std::vector<Value>& args) {
+  bind(native_row("", "print"), [](Interpreter& in, std::vector<Value>& args) {
     std::string line;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (i > 0) line += " ";
@@ -117,89 +101,75 @@ void install_stdlib(Interpreter& interp) {
     }
     in.print(line);
     return Value::none();
-  }));
+  });
 
-  interp.bind("min", Value::native([](Interpreter&, std::vector<Value>& args) {
-    if (args.empty()) throw TypeError("min() needs arguments");
-    const std::vector<Value>* items = &args;
-    if (args.size() == 1 && args[0].is_list()) items = &args[0].as_list();
-    if (items->empty()) throw TypeError("min() of empty list");
-    Value best = (*items)[0];
-    for (const auto& v : *items) {
-      if (v.as_float() < best.as_float()) best = v;
-    }
-    return best;
-  }));
+  // min(a, b, ...) or min(list), and max likewise.
+  for (const bool is_max : {false, true}) {
+    bind(is_max ? native_row("", "max") : native_row("", "min"),
+         [is_max](Interpreter&, std::vector<Value>& args) {
+           const std::vector<Value>* items = &args;
+           if (args.size() == 1 && args[0].is_list()) items = &args[0].as_list();
+           if (items->empty()) {
+             throw TypeError(std::string(is_max ? "max" : "min") + "() of empty list");
+           }
+           Value best = (*items)[0];
+           for (const auto& v : *items) {
+             if (is_max ? v.as_float() > best.as_float() : v.as_float() < best.as_float()) {
+               best = v;
+             }
+           }
+           return best;
+         });
+  }
 
-  interp.bind("max", Value::native([](Interpreter&, std::vector<Value>& args) {
-    if (args.empty()) throw TypeError("max() needs arguments");
-    const std::vector<Value>* items = &args;
-    if (args.size() == 1 && args[0].is_list()) items = &args[0].as_list();
-    if (items->empty()) throw TypeError("max() of empty list");
-    Value best = (*items)[0];
-    for (const auto& v : *items) {
-      if (v.as_float() > best.as_float()) best = v;
-    }
-    return best;
-  }));
-
-  interp.bind("abs", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "abs");
+  bind(native_row("", "abs"), [](Interpreter&, std::vector<Value>& args) {
     if (args[0].is_int()) {
       const std::int64_t v = args[0].as_int();
       return Value::integer(v < 0 ? -v : v);
     }
     const double v = args[0].as_float();
     return Value::real(v < 0 ? -v : v);
-  }));
+  });
 
   // sub(x, start [, count]) — slice of a str/bytes/list (Python x[a:a+n]).
-  interp.bind("sub", Value::native([](Interpreter&, std::vector<Value>& args) {
-    if (args.size() < 2 || args.size() > 3) {
-      throw TypeError("sub() takes 2-3 arguments");
-    }
+  bind(native_row("", "sub"), [](Interpreter&, std::vector<Value>& args) {
     const Value& v = args[0];
+    // [from, to) of a sequence of `size` items, clamped to it.
     auto bounds = [&](std::size_t size) {
+      const auto n = static_cast<std::int64_t>(size);
       std::int64_t start = args[1].as_int();
-      if (start < 0) start += static_cast<std::int64_t>(size);
-      start = std::max<std::int64_t>(0, std::min<std::int64_t>(start,
-                                          static_cast<std::int64_t>(size)));
-      std::int64_t count = args.size() == 3
-                               ? args[2].as_int()
-                               : static_cast<std::int64_t>(size) - start;
-      count = std::max<std::int64_t>(
-          0, std::min<std::int64_t>(count, static_cast<std::int64_t>(size) - start));
-      return std::pair<std::size_t, std::size_t>(static_cast<std::size_t>(start),
-                                                 static_cast<std::size_t>(count));
+      if (start < 0) start += n;
+      start = std::clamp<std::int64_t>(start, 0, n);
+      const std::int64_t count =
+          std::clamp<std::int64_t>(args.size() == 3 ? args[2].as_int() : n - start, 0, n - start);
+      return std::pair<std::ptrdiff_t, std::ptrdiff_t>(start, start + count);
     };
     if (v.is_str()) {
-      auto [start, count] = bounds(v.as_str().size());
-      return Value::str(v.as_str().substr(start, count));
+      auto [from, to] = bounds(v.as_str().size());
+      return Value::str(v.as_str().substr(static_cast<std::size_t>(from),
+                                          static_cast<std::size_t>(to - from)));
     }
     if (v.is_bytes()) {
-      auto [start, count] = bounds(v.as_bytes().size());
       const util::Bytes& b = v.as_bytes();
-      return Value::bytes(util::Bytes(b.begin() + static_cast<std::ptrdiff_t>(start),
-                                      b.begin() + static_cast<std::ptrdiff_t>(start + count)));
+      auto [from, to] = bounds(b.size());
+      return Value::bytes(util::Bytes(b.begin() + from, b.begin() + to));
     }
     if (v.is_list()) {
-      auto [start, count] = bounds(v.as_list().size());
       const List& l = v.as_list();
-      return Value::list(List(l.begin() + static_cast<std::ptrdiff_t>(start),
-                              l.begin() + static_cast<std::ptrdiff_t>(start + count)));
+      auto [from, to] = bounds(l.size());
+      return Value::list(List(l.begin() + from, l.begin() + to));
     }
     throw TypeError(std::string("sub() of ") + v.type_name());
-  }));
+  });
 
-  interp.bind("sorted", Value::native([](Interpreter&, std::vector<Value>& args) {
-    check_arity(args, 1, "sorted");
+  bind(native_row("", "sorted"), [](Interpreter&, std::vector<Value>& args) {
     List out = args[0].as_list();
     std::sort(out.begin(), out.end(), [](const Value& a, const Value& b) {
       if (a.is_str() && b.is_str()) return a.as_str() < b.as_str();
       return a.as_float() < b.as_float();
     });
     return Value::list(std::move(out));
-  }));
+  });
 }
 
 }  // namespace bento::script

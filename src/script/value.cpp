@@ -23,9 +23,11 @@ Value Value::dict(Dict items) {
 }
 
 Value Value::native(NativeFn fn) {
-  Value v;
-  v.data = std::make_shared<NativeFn>(std::move(fn));
-  return v;
+  return Value{{std::make_shared<const Native>(Native{std::move(fn)})}};
+}
+
+Value Value::native(const NativeSig& sig, NativeFn fn) {
+  return Value{{std::make_shared<const Native>(Native{std::move(fn), &sig})}};
 }
 
 namespace {

@@ -30,6 +30,14 @@ using NativeFn = std::function<Value(Interpreter&, std::vector<Value>&)>;
 using SharedBytes = std::shared_ptr<const util::Bytes>;
 
 struct FunctionDef;  // AST node, defined in ast.hpp
+struct NativeSig;    // a row of the natives table, natives.hpp
+
+/// A host function a script can call. The interpreter checks each call's
+/// argument count against `sig`, the row it was bound through, if any.
+struct Native {
+  NativeFn fn;
+  const NativeSig* sig = nullptr;
+};
 
 /// Script-level callable (a `def`), closed over the global scope only.
 struct ScriptFn {
@@ -44,7 +52,7 @@ class TypeError : public std::runtime_error {
 struct Value {
   std::variant<std::monostate, bool, std::int64_t, double, std::string,
                SharedBytes, std::shared_ptr<List>, std::shared_ptr<Dict>,
-               std::shared_ptr<NativeFn>, ScriptFn>
+               std::shared_ptr<const Native>, ScriptFn>
       data;
 
   // Aggregate (no user-declared constructors) so Value{{x}} works.
@@ -58,6 +66,7 @@ struct Value {
   static Value list(List items = {});
   static Value dict(Dict items = {});
   static Value native(NativeFn fn);
+  static Value native(const NativeSig& sig, NativeFn fn);
 
   bool is_none() const { return std::holds_alternative<std::monostate>(data); }
   bool is_bool() const { return std::holds_alternative<bool>(data); }
@@ -68,7 +77,7 @@ struct Value {
   bool is_list() const { return std::holds_alternative<std::shared_ptr<List>>(data); }
   bool is_dict() const { return std::holds_alternative<std::shared_ptr<Dict>>(data); }
   bool is_callable() const {
-    return std::holds_alternative<std::shared_ptr<NativeFn>>(data) ||
+    return std::holds_alternative<std::shared_ptr<const Native>>(data) ||
            std::holds_alternative<ScriptFn>(data);
   }
 

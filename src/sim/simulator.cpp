@@ -98,6 +98,7 @@ BENTO_HOT bool Simulator::step() {
 void Simulator::run(std::uint64_t limit) {
   for (std::uint64_t i = 0; i < limit && step(); ++i) {
   }
+  if (!heap_.empty()) throw EventCapReached(limit, heap_.size());
 }
 
 void Simulator::run_until(Time deadline) {

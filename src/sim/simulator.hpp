@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -197,6 +199,22 @@ class EventFn {
   const VTable* vt_ = nullptr;
 };
 
+/// Raised by Simulator::run when it stops at its limit with events still
+/// queued: a world whose timers re-arm forever never drains, and must not
+/// look as if it had.
+struct EventCapReached : std::runtime_error {
+  EventCapReached(std::uint64_t limit, std::size_t pending)
+      : std::runtime_error("simulator stopped at its cap of " + std::to_string(limit) +
+                           " events with " + std::to_string(pending) + " still pending"),
+        limit(limit),
+        pending(pending) {}
+  std::uint64_t limit;
+  std::size_t pending;
+};
+
+/// The cap of a run to quiescence (tor::Testbed::run, BentoWorld::run).
+inline constexpr std::uint64_t kRunEventCap = 100'000'000;
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
@@ -227,7 +245,8 @@ class Simulator {
   /// handler propagates to the caller with the span context cleared.
   bool step();
 
-  /// Runs until the queue is empty or `limit` events have fired.
+  /// Runs until the queue is empty. Throws EventCapReached when `limit`
+  /// events have fired and more are still queued.
   void run(std::uint64_t limit = UINT64_MAX);
 
   /// Runs events with timestamp <= deadline; clock lands on `deadline`.

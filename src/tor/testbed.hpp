@@ -65,8 +65,9 @@ class Testbed {
   WebServer& add_web_server(Addr addr, WebServer::ContentFn content,
                             double bandwidth = 12.5e6);
 
-  /// Runs the simulation until quiescent (or the event limit).
-  void run(std::uint64_t max_events = 50'000'000) { sim_.run(max_events); }
+  /// Runs the simulation until quiescent; throws sim::EventCapReached past
+  /// sim::kRunEventCap events.
+  void run() { sim_.run(sim::kRunEventCap); }
   void run_for(util::Duration d) { sim_.run_until(sim_.now() + d); }
 
  private:

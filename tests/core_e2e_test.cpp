@@ -656,6 +656,58 @@ def on_message(msg):
   EXPECT_EQ(world.server_for(boxes[2])->live_containers(), 1u);
 }
 
+// Composition dials the port the boxes listen on, not the default one: on a
+// port-6000 world a function's deploy answers a token, and another
+// function's invoke (over a connection of its own) answers the output.
+TEST(BentoE2E, ComposedDeployAndInvokeReachABoxOnItsConfiguredPort) {
+  bc::BentoWorldOptions options;
+  options.server.port = 6000;
+  bc::BentoWorld world(options);
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+
+  const std::string deployer = R"(
+store_src = "def on_message(msg):\n    api.send('stored ' + str(len(msg)))\n"
+
+def deployed(token):
+    if token == None:
+        api.send("deploy failed")
+    else:
+        api.send(token)
+
+def on_message(msg):
+    bento.deploy(str(msg), "store", store_src, [], "", deployed)
+)";
+  const std::string invoker = R"(
+state = {"box": ""}
+
+def relay_output(out):
+    api.send(out)
+
+def on_install(args):
+    state["box"] = str(args)
+
+def on_message(msg):
+    bento.invoke(state["box"], msg, "payload-from-invoker", relay_output)
+)";
+
+  Deployed d(world, client, boxes[0], composer_manifest(), deployer);
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes(boxes[2]));
+  world.run();
+  ASSERT_EQ(d.outputs.size(), 1u);
+  ASSERT_NE(bu::to_string(d.outputs[0]), "deploy failed");
+
+  Deployed i(world, client, boxes[1], composer_manifest(), invoker, "",
+             bu::to_bytes(boxes[2]));
+  ASSERT_TRUE(i.tokens.has_value()) << i.error;
+  i.conn->invoke(i.tokens->invocation.bytes(), d.outputs[0]);
+  world.run();
+  ASSERT_EQ(i.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(i.outputs[0]), "stored 20");
+}
+
 TEST(BentoE2E, RefusedDeployAnswersNoneAndTheComposerKeepsServing) {
   // A composed deploy that the remote box refuses (the uploaded source does
   // not parse) reaches the script once, as None; the deploying function

@@ -422,10 +422,21 @@ TEST(ScriptBudget, StepHookCanAbort) {
 }
 
 TEST(ScriptBudget, RecursionLimit) {
-  sc::InterpreterOptions opts;
-  opts.max_call_depth = 16;
-  EXPECT_THROW(run_program("def f(n):\n    return f(n + 1)\nf(0)\n", std::move(opts)),
-               sc::ScriptError);
+  EXPECT_THROW(run_program("def f(n):\n    return f(n + 1)\nf(0)\n"), sc::ScriptError);
+  // kMaxCallDepth (64) nested calls run; the next one is refused.
+  const auto nest = [](int calls) {
+    return "def f(n):\n    if n == 0:\n        return 0\n    return f(n - 1)\nx = f(" +
+           std::to_string(calls - 1) + ")\n";
+  };
+  EXPECT_EQ(sc::kMaxCallDepth, 64);
+  EXPECT_EQ(run_program(nest(sc::kMaxCallDepth))->global("x").as_int(), 0);
+  try {
+    run_program(nest(sc::kMaxCallDepth + 1));
+    ADD_FAILURE() << "call " << sc::kMaxCallDepth + 1 << " ran";
+  } catch (const sc::ScriptError& e) {
+    EXPECT_NE(std::string(e.what()).find("maximum recursion depth exceeded"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScriptBudget, MemoryHookSeesHeapGrowth) {

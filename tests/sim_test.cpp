@@ -76,12 +76,24 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(count, 10);
 }
 
+// A run that stops at its limit with events still queued throws, naming
+// both; one that drains within its limit returns.
 TEST(Simulator, RunWithLimit) {
   bs::Simulator sim(1);
   int count = 0;
   for (int i = 0; i < 100; ++i) sim.after(Duration::millis(i), [&] { ++count; });
-  sim.run(10);
+  try {
+    sim.run(10);
+    ADD_FAILURE() << "run(10) returned with 90 events queued";
+  } catch (const bs::EventCapReached& e) {
+    EXPECT_EQ(e.limit, 10u);
+    EXPECT_EQ(e.pending, 90u);
+    EXPECT_STREQ(e.what(), "simulator stopped at its cap of 10 events with 90 still pending");
+  }
   EXPECT_EQ(count, 10);
+  sim.run(90);
+  EXPECT_EQ(count, 100);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 // ---- Event-queue determinism & callback storage ----
