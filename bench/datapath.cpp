@@ -6,13 +6,12 @@
 // Measured here:
 //   * ChaCha20 keystream kernel, new (SIMD) vs the seed scalar
 //     byte-at-a-time kernel (inlined below as the fixed baseline), and one
-//     1 KiB refill on each of the portable, AVX2 and AVX-512 kernels;
+//     1 KiB refill on each of the AVX2 and AVX-512 kernels;
 //   * SHA-256 over 8 blocks: the scalar kernel vs Sha256 itself, which on a
 //     SHA-NI host must have dispatched to the SHA-NI kernel;
 //   * the full 3-hop relay-crypto datapath (origin onion-encrypt + three
 //     relay peel/check stages), and what live metrics and a per-cell span
 //     add to it (paired, bench/paired.hpp);
-//   * raw metric-handle and trace-record costs, and simulator event churn;
 //   * what idle chaos hooks add to the network send path (paired).
 #include <benchmark/benchmark.h>
 
@@ -29,13 +28,11 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "paired.hpp"
-#include "sim/simulator.hpp"
 #include "tor/cell.hpp"
 #include "util/rng.hpp"
 
 namespace bc = bento::crypto;
 namespace bt = bento::tor;
-namespace bs = bento::sim;
 namespace bu = bento::util;
 
 namespace {
@@ -131,13 +128,13 @@ static void BM_ChaCha20(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20)->Arg(509)->Arg(8192);
 
-// One 1 KiB keystream refill per iteration on one kernel: the 8-block
-// kernels (portable, AVX2) take two calls, the AVX-512 kernel one.
-// run_benchmarks.sh gates avx512 against avx2 at 1.3x on AVX-512 hosts.
-enum class ChaChaKernel { kPortable, kAvx2, kAvx512 };
+// One 1 KiB keystream refill per iteration on one kernel: the 8-block AVX2
+// kernel takes two calls, the AVX-512 kernel one. run_benchmarks.sh gates
+// avx512 against avx2 at 1.3x on AVX-512 hosts.
+enum class ChaChaKernel { kAvx2, kAvx512 };
 
 static void BM_ChaCha20Kernel(benchmark::State& state, ChaChaKernel kernel) {
-  bool supported = kernel == ChaChaKernel::kPortable;
+  bool supported = false;
 #if BENTO_X86_KERNELS
   if (kernel == ChaChaKernel::kAvx2) supported = __builtin_cpu_supports("avx2");
 #endif
@@ -157,12 +154,6 @@ static void BM_ChaCha20Kernel(benchmark::State& state, ChaChaKernel kernel) {
   alignas(64) std::array<std::uint8_t, 1024> block{};
   for (auto _ : state) {
     switch (kernel) {
-      case ChaChaKernel::kPortable:
-        bc::detail::chacha20_refill_portable(words.data(), block.data());
-        words[12] += 8;
-        bc::detail::chacha20_refill_portable(words.data(), block.data() + 512);
-        words[12] += 8;
-        break;
       case ChaChaKernel::kAvx2:
 #if BENTO_X86_KERNELS
         bc::detail::chacha20_refill_avx2(words.data(), block.data());
@@ -183,7 +174,6 @@ static void BM_ChaCha20Kernel(benchmark::State& state, ChaChaKernel kernel) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
-BENCHMARK_CAPTURE(BM_ChaCha20Kernel, portable, ChaChaKernel::kPortable);
 BENCHMARK_CAPTURE(BM_ChaCha20Kernel, avx2, ChaChaKernel::kAvx2);
 BENCHMARK_CAPTURE(BM_ChaCha20Kernel, avx512, ChaChaKernel::kAvx512);
 
@@ -294,61 +284,6 @@ static void BM_RelaySpanOverhead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * kRelayBatch);
 }
 BENCHMARK(BM_RelaySpanOverhead);
-
-// Raw registry handle costs: one pre-registered counter increment / histogram
-// record per iteration. These are the budget every instrumentation point
-// spends.
-static void BM_CounterIncrement(benchmark::State& state) {
-  bo::Counter c = bo::registry().counter("bench.counter");
-  for (auto _ : state) {
-    c.inc();
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CounterIncrement);
-
-static void BM_HistogramRecord(benchmark::State& state) {
-  bo::Histogram h = bo::registry().histogram("bench.histogram");
-  std::int64_t v = 0;
-  for (auto _ : state) {
-    h.record(v);
-    v = (v + 977) % 1'200'000;  // sweep across all buckets
-    benchmark::DoNotOptimize(h);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_HistogramRecord);
-
-static void BM_TraceRecord(benchmark::State& state) {
-  bo::recorder().enable(std::size_t{1} << 12);
-  std::uint32_t a = 0;
-  for (auto _ : state) {
-    bo::trace(bo::Ev::CellSend, a++, 7);
-  }
-  bo::recorder().disable();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TraceRecord);
-
-// Simulator event churn with a capture shaped like the network layer's
-// delivery lambda (this + pointer + a few words): schedule a batch, run it.
-static void BM_SimulatorEventChurn(benchmark::State& state) {
-  bs::Simulator sim(1);
-  constexpr int kBatch = 64;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      std::array<std::uint64_t, 5> ctx{};  // ~40-byte capture: inline storage
-      ctx[0] = static_cast<std::uint64_t>(i);
-      sim.after(bu::Duration::micros(i), [&sink, ctx] { sink += ctx[0]; });
-    }
-    sim.run();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_SimulatorEventChurn);
 
 // The chaos engine taxes every Network::send with two node_down() probes and
 // one on_packet() verdict even when no fault ever fires. Two harnesses, one

@@ -2,6 +2,7 @@
 // (bench/datapath.cpp, bench/store.cpp), and by tests/alloc_test.cpp, which
 // counts the heap allocations they make. Keeping one copy means the bench
 // times exactly the loop whose allocation invariant tier-1 enforces.
+// StoreHarness is counted only; perfbench's traced probes time the store.
 #pragma once
 
 #include <array>

@@ -6,27 +6,18 @@
 // models, a k-NN and an MLP attacker over CUMUL/DF-style features, traces
 // captured at the victim's access link of the simulated Tor network.
 //
-//   BENTO_T1_SITES / BENTO_T1_VISITS environment variables rescale the run
-//   (defaults 100 x 6; the paper's 100 x 10 takes a few times longer).
+//   100 sites x 8 visits per configuration; --quick runs 25 x 4.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "wf/experiment.hpp"
 
 namespace bw = bento::wf;
 
-namespace {
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const int sites_count = env_int("BENTO_T1_SITES", quick ? 25 : 100);
-  const int visits = env_int("BENTO_T1_VISITS", quick ? 4 : 8);
+  const int sites_count = quick ? 25 : 100;
+  const int visits = quick ? 4 : 8;
   const int train = visits * 2 / 3 > 0 ? visits * 2 / 3 : 1;
 
   std::printf("Table 1: website-fingerprinting accuracy vs Browser padding\n");

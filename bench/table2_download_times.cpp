@@ -45,13 +45,7 @@ WorldSetup make_world(const std::vector<bw::SiteModel>& sites, bool slow_start) 
     auto& server = setup.world->bed().add_web_server(
         site.addr,
         [model](const std::string& path) -> std::optional<bu::Bytes> {
-          if (path == "/bundle") {
-            bu::Bytes all = model->body_for("/", 1, 0.0);
-            for (std::size_t r = 0; r < model->resource_bytes.size(); ++r) {
-              bu::append(all, model->body_for("/r" + std::to_string(r), 1, 0.0));
-            }
-            return all;
-          }
+          if (path == "/bundle") return model->bundle(1, 0.0);
           return model->body_for(path, 1, 0.0);
         },
         4e6);
@@ -104,11 +98,7 @@ BrowserTiming browser_time(WorldSetup& setup, const bw::SiteModel& site,
   if (conn == nullptr) return timing;
 
   // Content size: what the compressed page occupies before padding.
-  bu::Bytes full_page = site.body_for("/", 1, 0.0);
-  for (std::size_t r = 0; r < site.resource_bytes.size(); ++r) {
-    bu::append(full_page, site.body_for("/r" + std::to_string(r), 1, 0.0));
-  }
-  const std::size_t content_size = bu::zlite::compress(full_page).size();
+  const std::size_t content_size = bu::zlite::compress(site.bundle(1, 0.0)).size();
 
   // Paper metric: "from the time the client issues the request to the
   // function until it is done downloading" — setup (spawn/attest/upload)

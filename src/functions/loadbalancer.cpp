@@ -133,17 +133,25 @@ void LoadBalancerFunction::assign_to(core::HostApi& api, Replica& target,
   const std::string box = target.box;
   api.invoke_remote(box, target.invocation_token, payload,
                     [this, box](util::Bytes output) {
-                      // Replicas report "load:N" on every change.
-                      const std::string text = util::to_string(output);
-                      if (text.rfind("load:", 0) != 0) return;
-                      for (auto& replica : replicas_) {
-                        if (replica.box == box) {
-                          replica.load = std::stoi(text.substr(5));
-                          replica.assigned =
-                              std::min(replica.assigned, replica.load);
-                        }
-                      }
+                      on_load_report(box, output, /*pong=*/false);
                     });
+}
+
+void LoadBalancerFunction::on_load_report(const std::string& box,
+                                          const util::Bytes& output, bool pong) {
+  // Replicas report "load:N" on every change and in answer to a PING.
+  const std::string text = util::to_string(output);
+  if (text.rfind("load:", 0) != 0) return;
+  const int load = std::stoi(text.substr(5));
+  for (Replica& r : replicas_) {
+    if (r.box != box) continue;
+    if (pong) {
+      r.awaiting_pong = false;
+      r.missed = 0;
+    }
+    r.load = load;
+    r.assigned = std::min(r.assigned, r.load);
+  }
 }
 
 void LoadBalancerFunction::route_introduction(core::HostApi& api,
@@ -265,15 +273,7 @@ void LoadBalancerFunction::health_tick(core::HostApi& api) {
     const std::string box = replica.box;
     api.invoke_remote(box, replica.invocation_token, util::to_bytes("PING"),
                       [this, box](util::Bytes output) {
-                        const std::string text = util::to_string(output);
-                        if (text.rfind("load:", 0) != 0) return;
-                        for (auto& r : replicas_) {
-                          if (r.box != box) continue;
-                          r.awaiting_pong = false;
-                          r.missed = 0;
-                          r.load = std::stoi(text.substr(5));
-                          r.assigned = std::min(r.assigned, r.load);
-                        }
+                        on_load_report(box, output, /*pong=*/true);
                       });
     ++i;
   }

@@ -77,6 +77,9 @@ class LoadBalancerFunction final : public core::Function {
   void assign_to(core::HostApi& api, Replica& replica, util::ByteView blob);
   void scale_up(core::HostApi& api, bool failover_respawn = false);
   void health_tick(core::HostApi& api);
+  /// Applies a replica's "load:N" report; a `pong` (the answer to a health
+  /// check PING) also clears its missed checks.
+  void on_load_report(const std::string& box, const util::Bytes& output, bool pong);
   void drain_queue(core::HostApi& api, Replica* fresh);
   Replica* least_loaded();
   int effective_load(const Replica& r) const { return std::max(r.load, r.assigned); }

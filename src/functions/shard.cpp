@@ -268,30 +268,33 @@ void ShardClient::fetch(const std::vector<Placement>& placements, FetchFn done) 
     }
   };
 
-  for (const Placement& placement : placements) {
-    bento_.connect(placement.box, [placement, collect](
-                                      std::shared_ptr<core::BentoConnection> conn) {
-      if (conn == nullptr) {
-        collect(std::nullopt);
+  for (const Placement& placement : placements) get_shard(placement, collect);
+}
+
+void ShardClient::get_shard(const Placement& placement,
+                            std::function<void(std::optional<Shard>)> done) {
+  bento_.connect(placement.box, [placement, done](
+                                    std::shared_ptr<core::BentoConnection> conn) {
+    if (conn == nullptr) {
+      done(std::nullopt);
+      return;
+    }
+    // The handler must not capture `conn` (a connection owning a closure
+    // that owns the connection never dies); BentoClient::live_ keeps the
+    // connection alive for as long as the reply can arrive.
+    conn->set_output_handler([done](util::Bytes out) {
+      if (util::to_string(out) == "MISSING") {
+        done(std::nullopt);
         return;
       }
-      // The handler must not capture `conn` (a connection owning a closure
-      // that owns the connection never dies); BentoClient::live_ keeps the
-      // connection alive for as long as the reply can arrive.
-      conn->set_output_handler([collect](util::Bytes out) {
-        if (util::to_string(out) == "MISSING") {
-          collect(std::nullopt);
-          return;
-        }
-        try {
-          collect(Shard::deserialize(out));
-        } catch (const util::ParseError&) {
-          collect(std::nullopt);
-        }
-      });
-      conn->invoke(placement.invocation_token, util::to_bytes("GET:"));
+      try {
+        done(Shard::deserialize(out));
+      } catch (const util::ParseError&) {
+        done(std::nullopt);
+      }
     });
-  }
+    conn->invoke(placement.invocation_token, util::to_bytes("GET:"));
+  });
 }
 
 void ShardClient::repair(const std::vector<Placement>& placements,
@@ -391,25 +394,7 @@ void ShardClient::repair(const std::vector<Placement>& placements,
     // misclassified as lost.
     bento_.proxy().simulator().after(util::Duration::seconds(90),
                                      [probe_done] { probe_done(std::nullopt); });
-    bento_.connect(placement.box, [placement, probe_done](
-                                      std::shared_ptr<core::BentoConnection> conn) {
-      if (conn == nullptr) {
-        probe_done(std::nullopt);
-        return;
-      }
-      conn->set_output_handler([probe_done](util::Bytes out) {
-        if (util::to_string(out) == "MISSING") {
-          probe_done(std::nullopt);
-          return;
-        }
-        try {
-          probe_done(Shard::deserialize(out));
-        } catch (const util::ParseError&) {
-          probe_done(std::nullopt);
-        }
-      });
-      conn->invoke(placement.invocation_token, util::to_bytes("GET:"));
-    });
+    get_shard(placement, probe_done);
   }
 }
 

@@ -83,6 +83,11 @@ class ShardClient {
   /// of store()/repair()).
   void put_shard(const std::string& box, Shard shard,
                  std::function<void(bool ok, Placement)> done);
+  /// GETs the shard `placement` holds (the per-shard leg of fetch() and of
+  /// repair()'s probe); nullopt when the box is unreachable, answers
+  /// MISSING or sends something that is not a shard.
+  void get_shard(const Placement& placement,
+                 std::function<void(std::optional<Shard>)> done);
 
   core::BentoClient& bento_;
   int k_;

@@ -20,19 +20,6 @@ std::string stage_token(Stage stage) {
   return name;
 }
 
-// Right-aligns `s` into a `width`-character column that starts with at
-// least one space, so a value as wide as its column still stands apart.
-void col(std::ostream& os, const std::string& s, std::size_t width) {
-  os << std::string(s.size() < width ? width - s.size() : 1, ' ') << s;
-}
-
-// Left-aligns `s` into a `width`-character first column; the right-aligned
-// column after it supplies the separator.
-void lcol(std::ostream& os, const std::string& s, std::size_t width) {
-  os << s;
-  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
-}
-
 /// "8333" -> "83.33": x100 fixed-point percent, integer arithmetic only.
 std::string pct_x100(std::int64_t bp) {
   std::string out = std::to_string(bp / 100) + ".";
@@ -55,66 +42,62 @@ std::string segment_name(Stage stage, SegKind kind) {
   return "unknown";
 }
 
-CritReport compute_critical_paths(const std::vector<CritSpan>& spans) {
+CritReport compute_critical_paths(const SpanForest& forest) {
   CritReport out;
-  std::map<std::uint32_t, const CritSpan*> by_id;
-  for (const CritSpan& s : spans) {
-    if (s.id != 0) by_id[s.id] = &s;
-  }
-  std::map<std::uint32_t, std::vector<std::uint32_t>> kids;
-  for (const auto& [id, s] : by_id) {
-    if (s->parent != 0 && by_id.count(s->parent) != 0) {
-      kids[s->parent].push_back(id);
-    }
-  }
   // One flattened subtree interval. The span hierarchy is causal, not
   // containment: children routinely outlive their (often instantaneous)
   // parents, so depth comes from the tree while intervals are taken at face
   // value and clamped to the root's window.
   struct Flat {
-    const CritSpan* s = nullptr;
+    const SpanNode* s = nullptr;
     std::int64_t b = 0;
     std::int64_t e = 0;
     std::int64_t first_child_b = std::numeric_limits<std::int64_t>::max();
     int depth = 0;
   };
+  constexpr std::size_t kNoFlat = std::numeric_limits<std::size_t>::max();
+  struct Visit {
+    std::uint32_t id;
+    int depth;
+    std::size_t parent_flat;  // kNoFlat: the parent takes no blame
+  };
   std::vector<Flat> flats;
+  std::vector<Visit> stack;
   std::vector<std::int64_t> pts;
   std::vector<std::int64_t> link_us;
 
-  for (const auto& [rid, root] : by_id) {
-    if (root->parent != 0) continue;  // descendants ride their root's walk
-    if (root->begin_us < 0 || root->end_us < root->begin_us) {
+  for (const std::uint32_t rid : forest.roots) {
+    const SpanNode& root = forest.spans.at(rid);
+    if (root.parent != 0) continue;  // promoted orphan subtree: no request
+    if (root.begin_ts < 0 || root.end_ts < root.begin_ts) {
       ++out.incomplete;
       continue;
     }
-    const std::int64_t rb = root->begin_us;
-    const std::int64_t re = root->end_us;
+    const std::int64_t rb = root.begin_ts;
+    const std::int64_t re = root.end_ts;
 
     flats.clear();
-    std::map<std::uint32_t, std::size_t> flat_of;
-    std::vector<std::pair<std::uint32_t, int>> stack{{rid, 0}};
+    stack.assign(1, Visit{rid, 0, kNoFlat});
     while (!stack.empty()) {
-      const auto [id, depth] = stack.back();
+      const Visit v = stack.back();
       stack.pop_back();
-      const auto kit = kids.find(id);
-      if (kit != kids.end()) {
-        for (const std::uint32_t k : kit->second) stack.emplace_back(k, depth + 1);
+      const SpanNode& s = forest.spans.at(v.id);
+      const std::int64_t b = std::max(s.begin_ts, rb);
+      const std::int64_t e = std::min(s.end_ts < 0 ? re : s.end_ts, re);
+      // A wraparound stub or a span outside the window takes no blame, but
+      // its subtree still can.
+      std::size_t self = kNoFlat;
+      if (s.begin_ts >= 0 && e >= b) {
+        self = flats.size();
+        flats.push_back(Flat{&s, b, e, std::numeric_limits<std::int64_t>::max(),
+                             v.depth});
+        if (v.parent_flat != kNoFlat) {
+          Flat& parent = flats[v.parent_flat];
+          parent.first_child_b = std::min(parent.first_child_b, b);
+        }
       }
-      const CritSpan* s = by_id.at(id);
-      if (s->begin_us < 0) continue;  // wraparound stub; keep descending
-      const std::int64_t b = std::max(s->begin_us, rb);
-      const std::int64_t e = std::min(s->end_us < 0 ? re : s->end_us, re);
-      if (e < b) continue;
-      flat_of[id] = flats.size();
-      flats.push_back(Flat{s, b, e,
-                           std::numeric_limits<std::int64_t>::max(), depth});
-    }
-    for (const Flat& f : flats) {
-      const auto pit = flat_of.find(f.s->parent);
-      if (pit != flat_of.end()) {
-        Flat& parent = flats[pit->second];
-        parent.first_child_b = std::min(parent.first_child_b, f.b);
+      for (const std::uint32_t kid : s.children) {
+        stack.push_back(Visit{kid, v.depth + 1, self});
       }
     }
 
@@ -129,10 +112,10 @@ CritReport compute_critical_paths(const std::vector<CritSpan>& spans) {
 
     RequestBlame req;
     req.root_id = rid;
-    req.ref = root->ref;
+    req.ref = root.ref;
     req.begin_us = rb;
     req.total_us = re - rb;
-    req.ok = root->ok;
+    req.ok = root.ok;
 
     std::map<std::pair<Stage, SegKind>, std::int64_t> acc;
     link_us.assign(flats.size(), 0);
@@ -170,7 +153,7 @@ CritReport compute_critical_paths(const std::vector<CritSpan>& spans) {
     for (std::size_t j = 0; j < flats.size(); ++j) {
       const std::int64_t a = link_us[j];
       if (a <= 0) continue;
-      const CritSpan& s = *flats[j].s;
+      const SpanNode& s = *flats[j].s;
       const std::int64_t chaos =
           std::min(std::max<std::int64_t>(s.chaos_us, 0), a);
       const std::int64_t transit =
@@ -302,12 +285,12 @@ std::string BlameProfile::to_string() const {
   for (const Row& r : rows) {
     const std::int64_t share = sum_us > 0 ? r.total_us * 10000 / sum_us : 0;
     lcol(os, r.seg, 30);
-    col(os, std::to_string(r.requests), 6);
-    col(os, std::to_string(r.total_us), 14);
-    col(os, pct_x100(share), 8);
-    col(os, std::to_string(r.mean_us), 11);
-    col(os, std::to_string(r.body_mean_us), 11);
-    col(os, std::to_string(r.tail_mean_us), 11);
+    rcol(os, static_cast<std::int64_t>(r.requests), 6);
+    rcol(os, r.total_us, 14);
+    rcol(os, pct_x100(share), 8);
+    rcol(os, r.mean_us, 11);
+    rcol(os, r.body_mean_us, 11);
+    rcol(os, r.tail_mean_us, 11);
     os << "\n";
   }
   return std::move(os).str();
@@ -330,6 +313,23 @@ void add_critpath_series(const CritReport& report, SloInput& input) {
                        it == mine.end() ? 0 : it->second);
     }
   }
+}
+
+SloReport evaluate_trace_slos(const SpanForest& forest,
+                              const std::vector<SloSpec>& specs) {
+  SloInput input;
+  for (const auto& [stream, us] : forest.ttfb) input.add_sample("ttfb_us", us);
+  for (const auto& [stream, us] : forest.ttlb) input.add_sample("ttlb_us", us);
+  // critpath.* metrics (e.g. "critpath.net_link_queue_us:p99<=...") run the
+  // analyzer only when a spec actually asks, so plain latency gates stay
+  // O(spans).
+  for (const SloSpec& spec : specs) {
+    if (spec.metric.rfind("critpath.", 0) == 0) {
+      add_critpath_series(compute_critical_paths(forest), input);
+      break;
+    }
+  }
+  return evaluate_slos("trace", specs, input);
 }
 
 bool BlameDiff::regressed() const {
@@ -379,12 +379,12 @@ std::string BlameDiff::to_string() const {
         "a_tail_us  b_tail_us tail_delta  verdict\n";
   for (const Row& r : rows) {
     lcol(os, r.seg, 30);
-    col(os, std::to_string(r.a_mean_us), 10);
-    col(os, std::to_string(r.b_mean_us), 11);
-    col(os, std::to_string(r.b_mean_us - r.a_mean_us), 11);
-    col(os, std::to_string(r.a_tail_mean_us), 11);
-    col(os, std::to_string(r.b_tail_mean_us), 11);
-    col(os, std::to_string(r.b_tail_mean_us - r.a_tail_mean_us), 11);
+    rcol(os, r.a_mean_us, 10);
+    rcol(os, r.b_mean_us, 11);
+    rcol(os, r.b_mean_us - r.a_mean_us, 11);
+    rcol(os, r.a_tail_mean_us, 11);
+    rcol(os, r.b_tail_mean_us, 11);
+    rcol(os, r.b_tail_mean_us - r.a_tail_mean_us, 11);
     os << "  " << (r.regressed ? "REGRESSED" : "ok") << "\n";
   }
   return std::move(os).str();

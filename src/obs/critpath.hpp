@@ -1,8 +1,8 @@
 // Per-request critical-path attribution over the span forest (DESIGN.md §14).
 //
-// The flight recorder measures; this module explains. Given the spans of a
-// run (plus the per-link budget notes the network stamps),
-// compute_critical_paths() reconstructs, for every request root, *where
+// The flight recorder measures; this module explains. Given the span forest
+// of a run (obs/forest.hpp, with the per-link budget notes the network
+// stamps), compute_critical_paths() reconstructs, for every request root, *where
 // each microsecond of its TTLB went*: which (stage, segment kind) was the
 // most specific work in flight at every instant of the request's lifetime.
 // The resulting blame vector sums exactly to the request's measured
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/forest.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 
@@ -49,20 +50,6 @@ enum class SegKind : std::uint8_t {
 /// "chaos_dwell". These are the names the SLO grammar sees as
 /// "critpath.<name>_us".
 std::string segment_name(Stage stage, SegKind kind);
-
-/// One span, as reconstructed offline (tools/bentotrace adapts its
-/// TraceForest to this; tests build them directly).
-struct CritSpan {
-  std::uint32_t id = 0;
-  std::uint32_t parent = 0;    // 0 = request root
-  Stage stage = Stage::None;
-  std::int64_t begin_us = -1;  // -1: begin lost to ring wraparound
-  std::int64_t end_us = -1;    // -1: end never recorded
-  bool ok = true;
-  std::uint32_t ref = 0;       // kNoteRef (session / node id)
-  std::int64_t idle_us = 0;    // kNoteLinkIdle: uncontended transit budget
-  std::int64_t chaos_us = 0;   // kNoteChaosDwell: fault-added dwell
-};
 
 /// One (stage, kind) cell of a request's blame vector.
 struct BlameSeg {
@@ -86,12 +73,12 @@ struct CritReport {
   std::uint64_t incomplete = 0;  // roots dropped: begin or end missing
 };
 
-/// Reconstructs every request's critical path. A request is a span with
+/// Reconstructs every request's critical path. A request is a root with
 /// parent == 0 and both endpoints recorded; descendant spans are clamped to
 /// the root's interval, and at every instant the deepest active span (ties:
 /// latest begin, then highest id — the most recently dispatched work) takes
 /// the blame.
-CritReport compute_critical_paths(const std::vector<CritSpan>& spans);
+CritReport compute_critical_paths(const SpanForest& forest);
 
 /// Aggregated blame across requests, with p50-body vs p99-tail cohorts.
 struct BlameProfile {
@@ -138,13 +125,19 @@ BlameProfile aggregate_blame(const CritReport& report);
 /// spent nothing there) — so percentile gates compare like with like.
 void add_critpath_series(const CritReport& report, SloInput& input);
 
+/// Evaluates `specs` against a trace: "ttfb_us" and "ttlb_us" are its
+/// stream samples, and when a spec names a "critpath.*" series the
+/// critical-path analyzer runs over the same forest to add those.
+SloReport evaluate_trace_slos(const SpanForest& forest,
+                              const std::vector<SloSpec>& specs);
+
 /// The regression rule of diff_blame(): a per-request mean must grow by
 /// more than both of these to count.
 inline constexpr std::int64_t kDiffThresholdPct = 10;
 inline constexpr std::int64_t kDiffFloorUs = 50;
 
 /// Cross-run comparison of two blame profiles (run A = baseline, run B =
-/// candidate). A segment regresses when its per-request mean — overall or
+/// candidate; `bentotrace diff A B` builds both from traces). A segment regresses when its per-request mean — overall or
 /// tail-cohort — grows by more than kDiffFloorUs AND by more than
 /// kDiffThresholdPct percent. Missing segments count as mean 0 on the side
 /// they miss.

@@ -1,40 +1,6 @@
 #include "obs/span.hpp"
 
-#include <string_view>
-
 namespace bento::obs {
-
-const char* stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::None: return "none";
-    case Stage::ClientConnect: return "client.connect";
-    case Stage::ClientSpawn: return "client.spawn";
-    case Stage::ClientUpload: return "client.upload";
-    case Stage::ClientInvoke: return "client.invoke";
-    case Stage::ClientShutdown: return "client.shutdown";
-    case Stage::NetLink: return "net.link";
-    case Stage::RelayForward: return "relay.forward";
-    case Stage::ServerHandle: return "server.handle";
-    case Stage::FnDispatch: return "fn.dispatch";
-    case Stage::FnExecute: return "fn.execute";
-    case Stage::StemMediate: return "stem.mediate";
-    case Stage::Attest: return "attest";
-    case Stage::StoreAppend: return "store.append";
-    case Stage::StoreCompact: return "store.compact";
-    case Stage::StoreReplay: return "store.replay";
-    case Stage::kCount: break;
-  }
-  return "unknown";
-}
-
-bool stage_names_complete() {
-  for (unsigned i = 0; i < static_cast<unsigned>(Stage::kCount); ++i) {
-    const char* name = stage_name(static_cast<Stage>(i));
-    if (name == nullptr || name[0] == '\0') return false;
-    if (std::string_view(name) == "unknown") return false;
-  }
-  return true;
-}
 
 std::uint32_t open_span(Stage stage, std::uint32_t ref) {
   const SpanContext ctx = current_span();

@@ -12,9 +12,10 @@
 // (SpanBegin / SpanEnd / SpanNote) — same 24-byte events, same 0-alloc
 // record() hot path, same wraparound semantics. Tree structure lives in the
 // operands (SpanBegin.b packs the parent id and stage) and is reconstructed
-// offline by tools/bentotrace.
+// offline by build_forest() (obs/forest.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "obs/trace.hpp"
@@ -22,7 +23,7 @@
 namespace bento::obs {
 
 /// Pipeline stages a request crosses; each span is tagged with one. Stable
-/// names come from stage_name() and are what bentotrace aggregates by.
+/// names come from kStageNames and are what bentotrace aggregates by.
 enum class Stage : std::uint8_t {
   None = 0,
   ClientConnect,   // circuit build + Bento stream open to the box
@@ -44,10 +45,30 @@ enum class Stage : std::uint8_t {
 };
 
 /// Stable lower_snake stage names ("client.invoke", "net.link", ...).
-const char* stage_name(Stage stage);
+inline constexpr NameRow<Stage> kStageNames[] = {
+    {Stage::None, "none"},
+    {Stage::ClientConnect, "client.connect"},
+    {Stage::ClientSpawn, "client.spawn"},
+    {Stage::ClientUpload, "client.upload"},
+    {Stage::ClientInvoke, "client.invoke"},
+    {Stage::ClientShutdown, "client.shutdown"},
+    {Stage::NetLink, "net.link"},
+    {Stage::RelayForward, "relay.forward"},
+    {Stage::ServerHandle, "server.handle"},
+    {Stage::FnDispatch, "fn.dispatch"},
+    {Stage::FnExecute, "fn.execute"},
+    {Stage::StemMediate, "stem.mediate"},
+    {Stage::Attest, "attest"},
+    {Stage::StoreAppend, "store.append"},
+    {Stage::StoreCompact, "store.compact"},
+    {Stage::StoreReplay, "store.replay"},
+};
+static_assert(names_follow_enum(kStageNames),
+              "kStageNames needs one row per Stage, in enum order, each name unique");
 
-/// Startup self-check, mirror of ev_names_complete() for stages.
-bool stage_names_complete();
+constexpr const char* stage_name(Stage stage) {
+  return kStageNames[static_cast<std::size_t>(stage)].name;
+}
 
 /// SpanNote note kinds (high 32 bits of SpanNote.b).
 inline constexpr std::uint32_t kNoteRef = 0;        // circuit/container/node id

@@ -1,56 +1,11 @@
 #include "obs/trace.hpp"
 
+#include <charconv>
+#include <istream>
 #include <ostream>
-#include <string_view>
+#include <string>
 
 namespace bento::obs {
-
-const char* ev_name(Ev kind) {
-  switch (kind) {
-    case Ev::SimDispatch: return "sim.dispatch";
-    case Ev::CircExtend: return "circuit.extend";
-    case Ev::CircBuilt: return "circuit.built";
-    case Ev::CircTeardown: return "circuit.teardown";
-    case Ev::StreamOpen: return "stream.open";
-    case Ev::StreamTtfb: return "stream.ttfb";
-    case Ev::StreamTtlb: return "stream.ttlb";
-    case Ev::CellSend: return "cell.send";
-    case Ev::CellRecv: return "cell.recv";
-    case Ev::CellRecognized: return "cell.recognized";
-    case Ev::CellUnrecognized: return "cell.unrecognized";
-    case Ev::FnUpload: return "fn.upload";
-    case Ev::FnInvoke: return "fn.invoke";
-    case Ev::FnShutdown: return "fn.shutdown";
-    case Ev::TokenCheck: return "token.check";
-    case Ev::PolicyDeny: return "policy.deny";
-    case Ev::StemDeny: return "stem.deny";
-    case Ev::SpanBegin: return "span.begin";
-    case Ev::SpanEnd: return "span.end";
-    case Ev::SpanNote: return "span.note";
-    case Ev::SandboxNetDeny: return "sandbox.net_deny";
-    case Ev::SandboxSyscallDeny: return "sandbox.syscall_deny";
-    case Ev::SandboxResourceTrip: return "sandbox.resource_trip";
-    case Ev::TeeAttest: return "tee.attest";
-    case Ev::TeeEpcPage: return "tee.epc_page";
-    case Ev::ChaosFault: return "chaos.fault";
-    case Ev::ClientRetry: return "client.retry";
-    case Ev::CircRebuild: return "circuit.rebuild";
-    case Ev::LbFailover: return "lb.failover";
-    case Ev::ShardRepair: return "shard.repair";
-    case Ev::kCount: break;
-  }
-  return "unknown";
-}
-
-bool ev_names_complete() {
-  for (unsigned i = 0; i < static_cast<unsigned>(Ev::kCount); ++i) {
-    const char* name = ev_name(static_cast<Ev>(i));
-    if (name == nullptr || name[0] == '\0') return false;
-    // ev_name falls through to "unknown" for kinds without a case label.
-    if (name[0] == 'u' && std::string_view(name) == "unknown") return false;
-  }
-  return true;
-}
 
 namespace {
 // Chrome renders one horizontal lane per (pid, tid); group events by
@@ -132,6 +87,69 @@ void Recorder::export_jsonl(std::ostream& os) const {
        << "\",\"a\":" << e.a << ",\"b\":" << e.b
        << ",\"ok\":" << (e.flags & 1 ? 1 : 0) << "}\n";
   });
+}
+
+namespace {
+
+// Field scanners for export_jsonl()'s fixed shape. Not a general JSON
+// parser on purpose: one object per line, keys ts/ev/a/b/ok in that order.
+bool skip_literal(std::string_view& s, std::string_view lit) {
+  if (s.substr(0, lit.size()) != lit) return false;
+  s.remove_prefix(lit.size());
+  return true;
+}
+
+template <typename Int>
+bool take_int(std::string_view& s, Int& out) {
+  const char* begin = s.data();
+  const auto [ptr, ec] = std::from_chars(begin, begin + s.size(), out);
+  if (ec != std::errc{} || ptr == begin) return false;
+  s.remove_prefix(static_cast<std::size_t>(ptr - begin));
+  return true;
+}
+
+bool take_kind(std::string_view& s, Ev& out) {
+  if (s.empty() || s.front() != '"') return false;
+  const std::size_t close = s.find('"', 1);
+  if (close == std::string_view::npos) return false;
+  const std::optional<Ev> kind = kind_named(kEvNames, s.substr(1, close - 1));
+  if (!kind) return false;
+  out = *kind;
+  s.remove_prefix(close + 1);
+  return true;
+}
+
+}  // namespace
+
+std::optional<TraceEvent> parse_jsonl_line(std::string_view line) {
+  while (!line.empty() && (line.back() == '\r' || line.back() == '\n')) {
+    line.remove_suffix(1);
+  }
+  TraceEvent ev{};
+  int ok = 0;
+  if (!skip_literal(line, "{\"ts\":") || !take_int(line, ev.ts_us) ||
+      !skip_literal(line, ",\"ev\":") || !take_kind(line, ev.kind) ||
+      !skip_literal(line, ",\"a\":") || !take_int(line, ev.a) ||
+      !skip_literal(line, ",\"b\":") || !take_int(line, ev.b) ||
+      !skip_literal(line, ",\"ok\":") || !take_int(line, ok) ||
+      !skip_literal(line, "}") || !line.empty()) {
+    return std::nullopt;
+  }
+  ev.flags = ok != 0 ? 1 : 0;
+  return ev;
+}
+
+JsonlTrace read_jsonl(std::istream& is) {
+  JsonlTrace out;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (const std::optional<TraceEvent> ev = parse_jsonl_line(line)) {
+      out.events.push_back(*ev);
+    } else if (!line.empty()) {
+      ++out.unparsed;
+    }
+  }
+  return out;
 }
 
 }  // namespace bento::obs

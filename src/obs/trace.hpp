@@ -12,12 +12,15 @@
 // per-kind conventions next to Ev). Naming and structure are resolved at
 // export time: to Chrome `trace_event` JSON (load in chrome://tracing or
 // Perfetto) or to a JSONL stream (one event per line, byte-stable across
-// identical seeded runs — the determinism regression diffs these).
+// identical seeded runs — the determinism regression diffs these), which
+// read_jsonl() turns back into the same TraceEvents offline.
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -60,12 +63,78 @@ enum class Ev : std::uint8_t {
   kCount,
 };
 
-/// Stable lower_snake names used by both exporters.
-const char* ev_name(Ev kind);
+/// One row of a kind's name table (kEvNames, kStageNames). Kind i sits at
+/// row i, which names_follow_enum() checks while compiling; the same row
+/// gives a kind its name (ev_name, stage_name) and a name its kind
+/// (kind_named).
+template <typename Kind>
+struct NameRow {
+  Kind kind;
+  const char* name;
+};
 
-/// Startup self-check: true iff every kind below kCount resolves to a real
-/// name. Catches silent enum drift (a kind added without an ev_name entry).
-bool ev_names_complete();
+template <typename Kind, std::size_t N>
+consteval bool names_follow_enum(const NameRow<Kind> (&rows)[N]) {
+  if (N != static_cast<std::size_t>(Kind::kCount)) return false;
+  for (std::size_t i = 0; i < N; ++i) {
+    const std::string_view name = rows[i].name;
+    if (static_cast<std::size_t>(rows[i].kind) != i || name.empty()) return false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (name == rows[j].name) return false;
+    }
+  }
+  return true;
+}
+
+/// The kind `rows` calls `name`, if any.
+template <typename Kind, std::size_t N>
+std::optional<Kind> kind_named(const NameRow<Kind> (&rows)[N], std::string_view name) {
+  for (const NameRow<Kind>& row : rows) {
+    if (name == row.name) return row.kind;
+  }
+  return std::nullopt;
+}
+
+/// Stable lower_snake names, written by both exporters and read back by
+/// read_jsonl().
+inline constexpr NameRow<Ev> kEvNames[] = {
+    {Ev::SimDispatch, "sim.dispatch"},
+    {Ev::CircExtend, "circuit.extend"},
+    {Ev::CircBuilt, "circuit.built"},
+    {Ev::CircTeardown, "circuit.teardown"},
+    {Ev::StreamOpen, "stream.open"},
+    {Ev::StreamTtfb, "stream.ttfb"},
+    {Ev::StreamTtlb, "stream.ttlb"},
+    {Ev::CellSend, "cell.send"},
+    {Ev::CellRecv, "cell.recv"},
+    {Ev::CellRecognized, "cell.recognized"},
+    {Ev::CellUnrecognized, "cell.unrecognized"},
+    {Ev::FnUpload, "fn.upload"},
+    {Ev::FnInvoke, "fn.invoke"},
+    {Ev::FnShutdown, "fn.shutdown"},
+    {Ev::TokenCheck, "token.check"},
+    {Ev::PolicyDeny, "policy.deny"},
+    {Ev::StemDeny, "stem.deny"},
+    {Ev::SpanBegin, "span.begin"},
+    {Ev::SpanEnd, "span.end"},
+    {Ev::SpanNote, "span.note"},
+    {Ev::SandboxNetDeny, "sandbox.net_deny"},
+    {Ev::SandboxSyscallDeny, "sandbox.syscall_deny"},
+    {Ev::SandboxResourceTrip, "sandbox.resource_trip"},
+    {Ev::TeeAttest, "tee.attest"},
+    {Ev::TeeEpcPage, "tee.epc_page"},
+    {Ev::ChaosFault, "chaos.fault"},
+    {Ev::ClientRetry, "client.retry"},
+    {Ev::CircRebuild, "circuit.rebuild"},
+    {Ev::LbFailover, "lb.failover"},
+    {Ev::ShardRepair, "shard.repair"},
+};
+static_assert(names_follow_enum(kEvNames),
+              "kEvNames needs one row per Ev, in enum order, each name unique");
+
+constexpr const char* ev_name(Ev kind) {
+  return kEvNames[static_cast<std::size_t>(kind)].name;
+}
 
 struct TraceEvent {
   std::int64_t ts_us;
@@ -148,6 +217,7 @@ class Recorder {
   /// one lane per subsystem, timestamps in sim microseconds.
   void export_chrome_trace(std::ostream& os) const;
   /// One compact JSON object per line; byte-stable for identical runs.
+  /// read_jsonl() below reads it back.
   void export_jsonl(std::ostream& os) const;
 
  private:
@@ -171,6 +241,19 @@ inline Recorder g_recorder;
 }  // namespace detail
 
 inline Recorder& recorder() { return detail::g_recorder; }
+
+/// Parses one export_jsonl() line: `{"ts":..,"ev":"..","a":..,"b":..,"ok":..}`
+/// in exactly that shape, naming a kind of kEvNames. nullopt for anything
+/// else, so a corrupted dump is reported instead of half-read.
+std::optional<TraceEvent> parse_jsonl_line(std::string_view line);
+
+/// An export_jsonl() stream read back.
+struct JsonlTrace {
+  std::vector<TraceEvent> events;
+  std::size_t unparsed = 0;  // non-blank lines parse_jsonl_line() refused
+};
+
+JsonlTrace read_jsonl(std::istream& is);
 
 /// Convenience hot-path entry: obs::trace(Ev::CellSend, circ, cmd).
 BENTO_HOT inline void trace(Ev kind, std::uint32_t a = 0, std::uint64_t b = 0, bool ok = true) {

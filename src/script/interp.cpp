@@ -165,21 +165,13 @@ Interpreter::Flow Interpreter::exec(const Stmt& s, Value* ret) {
       assign(*s.target, eval(*s.expr));
       return Flow::Normal;
     case StmtKind::AugAssign: {
-      Value current = eval(*s.target);
-      Value delta = eval(*s.expr);
-      // Build the equivalent binary op.
-      Expr synthetic;
-      synthetic.kind = ExprKind::Binary;
-      synthetic.op = s.op == TokenType::PlusAssign ? TokenType::Plus : TokenType::Minus;
-      synthetic.line = s.line;
-      Expr lit_a, lit_b;
-      lit_a.kind = ExprKind::Literal;
-      lit_a.literal = std::move(current);
-      lit_b.kind = ExprKind::Literal;
-      lit_b.literal = std::move(delta);
-      synthetic.a = ExprPtr(new Expr(std::move(lit_a)));
-      synthetic.b = ExprPtr(new Expr(std::move(lit_b)));
-      assign(*s.target, eval_binary(synthetic));
+      // `x += e` costs what `x = x + e` costs, its Binary node's step too.
+      step(s.line);
+      const Value current = eval(*s.target);
+      const Value delta = eval(*s.expr);
+      assign(*s.target,
+             binary_op(s.op == TokenType::PlusAssign ? TokenType::Plus : TokenType::Minus,
+                       current, delta, s.line));
       return Flow::Normal;
     }
     case StmtKind::If: {
@@ -379,15 +371,18 @@ Value Interpreter::eval_binary(const Expr& e) {
     return eval(*e.b);
   }
 
-  Value a = eval(*e.a);
-  Value b = eval(*e.b);
+  const Value a = eval(*e.a);
+  const Value b = eval(*e.b);
+  return binary_op(e.op, a, b, e.line);
+}
 
+Value Interpreter::binary_op(TokenType op, const Value& a, const Value& b, int line) {
   auto numeric = [&](auto int_op, auto float_op) -> Value {
     if (a.is_float() || b.is_float()) return Value::real(float_op(a.as_float(), b.as_float()));
     return Value::integer(int_op(a.as_int(), b.as_int()));
   };
 
-  switch (e.op) {
+  switch (op) {
     case TokenType::Plus:
       if (a.is_str() && b.is_str()) return Value::str(a.as_str() + b.as_str());
       if (a.is_bytes() && b.is_bytes()) {
@@ -408,7 +403,7 @@ Value Interpreter::eval_binary(const Expr& e) {
       }
       throw ScriptError(std::string("cannot add ") + a.type_name() + " and " +
                             b.type_name(),
-                        e.line);
+                        line);
     case TokenType::Minus:
       return numeric([](auto x, auto y) { return x - y; },
                      [](auto x, auto y) { return x - y; });
@@ -423,11 +418,11 @@ Value Interpreter::eval_binary(const Expr& e) {
     case TokenType::Slash: {
       if (a.is_float() || b.is_float()) {
         const double div = b.as_float();
-        if (div == 0.0) throw ScriptError("division by zero", e.line);
+        if (div == 0.0) throw ScriptError("division by zero", line);
         return Value::real(a.as_float() / div);
       }
       const std::int64_t div = b.as_int();
-      if (div == 0) throw ScriptError("division by zero", e.line);
+      if (div == 0) throw ScriptError("division by zero", line);
       // Floor division like Python's //.
       std::int64_t q = a.as_int() / div;
       if ((a.as_int() % div != 0) && ((a.as_int() < 0) != (div < 0))) --q;
@@ -435,7 +430,7 @@ Value Interpreter::eval_binary(const Expr& e) {
     }
     case TokenType::Percent: {
       const std::int64_t div = b.as_int();
-      if (div == 0) throw ScriptError("modulo by zero", e.line);
+      if (div == 0) throw ScriptError("modulo by zero", line);
       std::int64_t m = a.as_int() % div;
       if (m != 0 && ((m < 0) != (div < 0))) m += div;
       return Value::integer(m);
@@ -456,7 +451,7 @@ Value Interpreter::eval_binary(const Expr& e) {
         const double y = b.as_float();
         cmp = x < y ? -1 : (x > y ? 1 : 0);
       }
-      switch (e.op) {
+      switch (op) {
         case TokenType::Lt: return Value::boolean(cmp < 0);
         case TokenType::Le: return Value::boolean(cmp <= 0);
         case TokenType::Gt: return Value::boolean(cmp > 0);
@@ -475,10 +470,10 @@ Value Interpreter::eval_binary(const Expr& e) {
         return Value::boolean(b.as_str().find(a.as_str()) != std::string::npos);
       }
       throw ScriptError(std::string("cannot test membership in ") + b.type_name(),
-                        e.line);
+                        line);
     }
     default:
-      throw ScriptError("internal: bad binary operator", e.line);
+      throw ScriptError("internal: bad binary operator", line);
   }
 }
 

@@ -91,6 +91,9 @@ class Interpreter {
   void step(int line);
   Value eval(const Expr& e);
   Value eval_binary(const Expr& e);
+  /// The arithmetic, comparison and membership operators: `a op b` for both
+  /// `x = x op e` and `x op= e`.
+  static Value binary_op(TokenType op, const Value& a, const Value& b, int line);
   Value eval_call(const Expr& e);
   Value eval_attr(const Value& obj, const std::string& name, int line);
   Flow exec(const Stmt& s, Value* ret);

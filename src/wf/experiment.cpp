@@ -140,15 +140,7 @@ std::vector<Example> collect_dataset(
         [model, visit_counter](const std::string& path)
             -> std::optional<util::Bytes> {
           const std::uint64_t visit = (*visit_counter)[model->addr];
-          if (path == "/bundle") {
-            // Whole page in one response (index + all resources).
-            util::Bytes all = model->body_for("/", visit, kSizeNoise);
-            for (std::size_t r = 0; r < model->resource_bytes.size(); ++r) {
-              util::append(all,
-                           model->body_for("/r" + std::to_string(r), visit, kSizeNoise));
-            }
-            return all;
-          }
+          if (path == "/bundle") return model->bundle(visit, kSizeNoise);
           return model->body_for(path, visit, kSizeNoise);
         });
     // Live web servers answer with variable think time; this is what keeps

@@ -45,6 +45,14 @@ util::Bytes SiteModel::body_for(const std::string& path, std::uint64_t visit_see
   return body;
 }
 
+util::Bytes SiteModel::bundle(std::uint64_t visit_seed, double noise) const {
+  util::Bytes all = body_for("/", visit_seed, noise);
+  for (std::size_t r = 0; r < resource_bytes.size(); ++r) {
+    util::append(all, body_for("/r" + std::to_string(r), visit_seed, noise));
+  }
+  return all;
+}
+
 std::vector<SiteModel> make_popular_sites(int count, util::Rng& rng) {
   std::vector<SiteModel> sites;
   sites.reserve(static_cast<std::size_t>(count));

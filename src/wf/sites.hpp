@@ -33,6 +33,10 @@ struct SiteModel {
   /// variation of ±noise to sizes.
   util::Bytes body_for(const std::string& path, std::uint64_t visit_seed,
                        double noise) const;
+
+  /// The whole page as one "/bundle" document: the index, then every
+  /// resource in order, each as body_for() gives it.
+  util::Bytes bundle(std::uint64_t visit_seed, double noise) const;
 };
 
 /// `count` distinctive "popular sites" (index 0..count-1), addresses

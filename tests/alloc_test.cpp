@@ -1,4 +1,5 @@
-// Exact allocation invariants of the datapath (DESIGN.md §7, §8, §9, §15).
+// Exact allocation invariants of the datapath (DESIGN.md §7, §8, §9, §15)
+// and of BentoScript's augmented assignment.
 // Each case warms up, then counts every heap allocation over a fixed batch,
 // so the figure is exact and independent of host speed. The counting
 // operator new below replaces the global one, which is why these cases are a
@@ -23,6 +24,8 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "script/interp.hpp"
+#include "script/parser.hpp"
 #include "sim/simulator.hpp"
 #include "tor/cell.hpp"
 #include "tor/wire.hpp"
@@ -388,4 +391,25 @@ TEST(Alloc, BrowserPageCrossesTheBoxOnce) {
   ASSERT_EQ(replies.size(), std::size_t{kWarm + kPages});
   EXPECT_LT(replies.back().size(), kBigAlloc);
   EXPECT_EQ(bu::zlite::decompress(replies.back()), h.page);
+}
+
+TEST(Alloc, AugmentedAssignCostsWhatTheLongFormCosts) {
+  // `x += e` and `x = x + e` run through one operator, so 1,000 iterations
+  // of each allocate as often and take as many interpreter steps.
+  struct Cost {
+    std::uint64_t allocs;
+    std::uint64_t steps;
+  };
+  const auto cost = [](const std::string& statement) {
+    bento::script::Interpreter interp(
+        bento::script::parse("x = 0\nfor i in range(1000):\n    " + statement + "\n"));
+    bento::script::install_stdlib(interp);
+    const std::uint64_t allocs = allocs_during([&] { interp.run(); });
+    EXPECT_EQ(interp.global("x").as_int(), 1000) << statement;
+    return Cost{allocs, interp.steps()};
+  };
+  const Cost augmented = cost("x += 1");
+  const Cost longhand = cost("x = x + 1");
+  EXPECT_EQ(augmented.allocs, longhand.allocs);
+  EXPECT_EQ(augmented.steps, longhand.steps);
 }

@@ -1,10 +1,10 @@
-// bentotrace reader + end-to-end span pipeline tests: JSONL parsing, forest
-// reconstruction (orphans, wraparound stubs), table columns that stay apart
-// at full width, byte-identical span trees for fixed-seed runs, per-stage
-// coverage of a full conclave deployment (client, relay hops, conclave
-// dispatch, attestation) and its critical-path attribution, Stem-firewall
-// mediation spans via the LoadBalancer native, and orphan reporting when a
-// circuit dies mid-request.
+// bentotrace tests: the JSONL reader, forest reconstruction (orphans,
+// wraparound stubs), table columns that stay apart at full width,
+// byte-identical span trees for fixed-seed runs, per-stage coverage of a
+// full conclave deployment (client, relay hops, conclave dispatch,
+// attestation) and its critical-path attribution, Stem-firewall mediation
+// spans via the LoadBalancer native, and orphan reporting when a circuit
+// dies mid-request.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -13,11 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "bentotrace/critpath.hpp"
-#include "bentotrace/reader.hpp"
+#include "bentotrace/report.hpp"
 #include "core/world.hpp"
 #include "functions/loadbalancer.hpp"
 #include "obs/critpath.hpp"
+#include "obs/forest.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "world_fixture.hpp"
@@ -29,40 +29,46 @@ namespace bt = bento::tools;
 namespace bu = bento::util;
 
 TEST(BentotraceReader, ParsesExporterLines) {
-  auto ev = bt::parse_jsonl_line(
+  auto ev = bo::parse_jsonl_line(
       R"({"ts":1234,"ev":"span.begin","a":7,"b":12884901890,"ok":1})");
   ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->ts, 1234);
-  EXPECT_EQ(ev->ev, "span.begin");
+  EXPECT_EQ(ev->ts_us, 1234);
+  EXPECT_EQ(ev->kind, bo::Ev::SpanBegin);
   EXPECT_EQ(ev->a, 7u);
   EXPECT_EQ(ev->b, 12884901890ull);
-  EXPECT_TRUE(ev->ok);
+  EXPECT_EQ(ev->flags, 1);
 
-  auto failed = bt::parse_jsonl_line(
+  auto failed = bo::parse_jsonl_line(
       R"({"ts":-1,"ev":"span.end","a":1,"b":4,"ok":0})");
   ASSERT_TRUE(failed.has_value());
-  EXPECT_EQ(failed->ts, -1);
-  EXPECT_FALSE(failed->ok);
+  EXPECT_EQ(failed->ts_us, -1);
+  EXPECT_EQ(failed->flags, 0);
 
-  EXPECT_FALSE(bt::parse_jsonl_line("").has_value());
-  EXPECT_FALSE(bt::parse_jsonl_line("not json").has_value());
-  EXPECT_FALSE(bt::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2})").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line("").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line("not json").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2})").has_value());
   EXPECT_FALSE(
-      bt::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2,"b":3,"ok":1} trailing)")
+      bo::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2,"b":3,"ok":1} trailing)")
           .has_value());
+}
+
+TEST(BentotraceReader, UnknownKindCountsAsUnparsed) {
+  // A well-formed line naming no Ev kind is as foreign as a broken one.
+  std::istringstream in(
+      "{\"ts\":5,\"ev\":\"cell.send\",\"a\":1,\"b\":2,\"ok\":1}\n"
+      "{\"ts\":6,\"ev\":\"cell.teleport\",\"a\":1,\"b\":2,\"ok\":1}\n"
+      "\n"
+      "{\"ts\":7,\"ev\":\"cell.recv\",\"a\":1\n");
+  const bo::JsonlTrace trace = bo::read_jsonl(in);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].kind, bo::Ev::CellSend);
+  EXPECT_EQ(trace.unparsed, 2u);  // the unknown kind and the cut line
 }
 
 namespace {
 
-bt::RawEvent raw(std::int64_t ts, const char* ev, std::uint32_t a,
-                 std::uint64_t b, bool ok = true) {
-  bt::RawEvent e;
-  e.ts = ts;
-  e.ev = ev;
-  e.a = a;
-  e.b = b;
-  e.ok = ok;
-  return e;
+bo::TraceEvent raw(std::int64_t ts, bo::Ev kind, std::uint32_t a, std::uint64_t b) {
+  return bo::TraceEvent{.ts_us = ts, .b = b, .a = a, .kind = kind, .flags = 1};
 }
 
 std::uint64_t begin_b(std::uint32_t parent, bo::Stage stage) {
@@ -73,43 +79,43 @@ std::uint64_t begin_b(std::uint32_t parent, bo::Stage stage) {
 }  // namespace
 
 TEST(BentotraceReader, BuildsForestWithParentLinks) {
-  std::vector<bt::RawEvent> events = {
-      raw(0, "span.begin", 1, begin_b(0, bo::Stage::ClientInvoke)),
-      raw(5, "span.begin", 2, begin_b(1, bo::Stage::NetLink)),
-      raw(5, "span.note", 2,
+  std::vector<bo::TraceEvent> events = {
+      raw(0, bo::Ev::SpanBegin, 1, begin_b(0, bo::Stage::ClientInvoke)),
+      raw(5, bo::Ev::SpanBegin, 2, begin_b(1, bo::Stage::NetLink)),
+      raw(5, bo::Ev::SpanNote, 2,
           (static_cast<std::uint64_t>(bo::kNoteWireBytes) << 32) | 581),
-      raw(45, "span.end", 2, static_cast<std::uint64_t>(bo::Stage::NetLink)),
-      raw(90, "span.end", 1,
+      raw(45, bo::Ev::SpanEnd, 2, static_cast<std::uint64_t>(bo::Stage::NetLink)),
+      raw(90, bo::Ev::SpanEnd, 1,
           static_cast<std::uint64_t>(bo::Stage::ClientInvoke)),
   };
-  const bt::TraceForest forest = bt::build_forest(events);
+  const bo::SpanForest forest = bo::build_forest(events);
   ASSERT_EQ(forest.spans.size(), 2u);
   ASSERT_EQ(forest.roots.size(), 1u);
   EXPECT_TRUE(forest.orphan_ends.empty());
   EXPECT_TRUE(forest.unfinished.empty());
-  const bt::SpanNode& root = forest.spans.at(1);
+  const bo::SpanNode& root = forest.spans.at(1);
   EXPECT_EQ(root.stage, bo::Stage::ClientInvoke);
   EXPECT_EQ(root.duration_us(), 90);
   ASSERT_EQ(root.children.size(), 1u);
-  const bt::SpanNode& link = forest.spans.at(2);
+  const bo::SpanNode& link = forest.spans.at(2);
   EXPECT_EQ(link.parent, 1u);
   EXPECT_EQ(link.wire_bytes, 581u);
   EXPECT_EQ(link.duration_us(), 40);
 }
 
 TEST(BentotraceReader, OrphanEndAndUnfinishedSpanAreReported) {
-  std::vector<bt::RawEvent> events = {
+  std::vector<bo::TraceEvent> events = {
       // End whose begin was overwritten by ring wraparound: stage comes
       // from the end event itself.
-      raw(100, "span.end", 9, static_cast<std::uint64_t>(bo::Stage::NetLink)),
+      raw(100, bo::Ev::SpanEnd, 9, static_cast<std::uint64_t>(bo::Stage::NetLink)),
       // Begin that never ends (request still in flight at export).
-      raw(200, "span.begin", 10, begin_b(0, bo::Stage::ClientInvoke)),
+      raw(200, bo::Ev::SpanBegin, 10, begin_b(0, bo::Stage::ClientInvoke)),
       // Child whose parent is entirely lost: promoted to a root.
-      raw(300, "span.begin", 11, begin_b(4, bo::Stage::RelayForward)),
-      raw(310, "span.end", 11,
+      raw(300, bo::Ev::SpanBegin, 11, begin_b(4, bo::Stage::RelayForward)),
+      raw(310, bo::Ev::SpanEnd, 11,
           static_cast<std::uint64_t>(bo::Stage::RelayForward)),
   };
-  const bt::TraceForest forest = bt::build_forest(events);
+  const bo::SpanForest forest = bo::build_forest(events);
   ASSERT_EQ(forest.orphan_ends.size(), 1u);
   EXPECT_EQ(forest.spans.at(9).stage, bo::Stage::NetLink);
   EXPECT_FALSE(forest.spans.at(9).complete());
@@ -130,12 +136,12 @@ TEST(BentotraceReader, FullWidthValuesKeepTheirColumnsApart) {
   // The flight recorder's TTFB shape: one 6-digit first byte and one
   // 8-digit one (a stream that idles until a spawn), exactly as wide as the
   // 8-character percentile columns.
-  const std::vector<bt::RawEvent> events = {
-      raw(10, "stream.ttfb", 7, 623650),
-      raw(20, "stream.ttfb", 7, 29776402),
+  const std::vector<bo::TraceEvent> events = {
+      raw(10, bo::Ev::StreamTtfb, 7, 623650),
+      raw(20, bo::Ev::StreamTtfb, 7, 29776402),
   };
   std::ostringstream os;
-  bt::format_ttfb_table(bt::build_forest(events), os);
+  bt::format_ttfb_table(bo::build_forest(events), os);
   std::istringstream lines(os.str());
   std::vector<std::string> all_row;
   for (std::string line; std::getline(lines, line);) {
@@ -163,7 +169,7 @@ def on_message(msg):
 struct ScenarioResult {
   std::string jsonl;
   std::string tree;
-  bt::TraceForest forest;
+  bo::SpanForest forest;
 };
 
 // Fixed-seed conclave deployment: connect, SGX spawn, upload, two invokes,
@@ -202,14 +208,14 @@ ScenarioResult run_conclave_scenario() {
   bo::recorder().disable();
 
   std::istringstream in(result.jsonl);
-  result.forest = bt::build_forest(bt::read_jsonl(in));
+  result.forest = bo::build_forest(bo::read_jsonl(in).events);
   std::ostringstream tree;
   bt::format_tree(result.forest, tree);
   result.tree = tree.str();
   return result;
 }
 
-std::set<std::string> stages_seen(const bt::TraceForest& forest) {
+std::set<std::string> stages_seen(const bo::SpanForest& forest) {
   std::set<std::string> seen;
   for (const auto& [id, node] : forest.spans) {
     seen.insert(bo::stage_name(node.stage));
@@ -266,16 +272,14 @@ TEST(BentotraceE2E, BreakdownCoversEveryPipelineStage) {
 
 TEST(BentotraceE2E, CritpathAttributesEveryConclaveRequest) {
   const ScenarioResult result = run_conclave_scenario();
-  std::istringstream in(result.jsonl);
-  const bo::CritReport report = bo::compute_critical_paths(
-      bt::crit_spans_from_events(bt::read_jsonl(in)));
+  const bo::CritReport report = bo::compute_critical_paths(result.forest);
   // Connect, spawn, upload, two invokes and shutdown, all complete.
   EXPECT_EQ(report.requests.size(), 6u);
   EXPECT_EQ(report.incomplete, 0u);
 
   std::size_t invokes = 0;
   for (const bo::RequestBlame& req : report.requests) {
-    const bt::SpanNode& root = result.forest.spans.at(req.root_id);
+    const bo::SpanNode& root = result.forest.spans.at(req.root_id);
     std::int64_t sum = 0;
     std::int64_t dispatch = 0;
     for (const bo::BlameSeg& seg : req.segs) {
@@ -337,7 +341,7 @@ TEST(BentotraceE2E, StemMediationSpansAppearForHiddenServiceFunctions) {
   bo::recorder().set_mask(bo::Recorder::mask_all());
 
   std::istringstream in(jsonl);
-  const bt::TraceForest forest = bt::build_forest(bt::read_jsonl(in));
+  const bo::SpanForest forest = bo::build_forest(bo::read_jsonl(in).events);
   std::size_t mediations = 0;
   for (const auto& [id, node] : forest.spans) {
     if (node.stage != bo::Stage::StemMediate) continue;
@@ -381,7 +385,7 @@ TEST(BentotraceE2E, MidRequestTeardownLeavesReportedOrphanSpan) {
   bo::recorder().disable();
 
   std::istringstream in(jsonl);
-  const bt::TraceForest forest = bt::build_forest(bt::read_jsonl(in));
+  const bo::SpanForest forest = bo::build_forest(bo::read_jsonl(in).events);
   bool orphaned_invoke = false;
   for (const auto& [id, node] : forest.spans) {
     if (node.stage != bo::Stage::ClientInvoke) continue;

@@ -1,6 +1,7 @@
 // Critical-path attribution suite (DESIGN.md §14). Three layers:
 //
-//  1. Synthetic span-set units pin the sweep semantics exactly: deepest
+//  1. Synthetic span events, as the recorder writes them, linked by
+//     build_forest(), pin the sweep semantics exactly: deepest
 //     active span wins, link time splits into chaos/transit/queue against
 //     the budget notes, and every blame vector sums to the request's
 //     measured duration.
@@ -22,10 +23,9 @@
 #include <utility>
 #include <vector>
 
-#include "bentotrace/critpath.hpp"
-#include "bentotrace/reader.hpp"
 #include "chaos/chaos.hpp"
 #include "obs/critpath.hpp"
+#include "obs/forest.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -36,7 +36,6 @@
 namespace bc = bento::chaos;
 namespace bo = bento::obs;
 namespace bs = bento::sim;
-namespace bt = bento::tools;
 namespace bu = bento::util;
 
 using bu::Duration;
@@ -44,15 +43,36 @@ using bu::Time;
 
 namespace {
 
-bo::CritSpan span(std::uint32_t id, std::uint32_t parent, bo::Stage stage,
-                  std::int64_t begin, std::int64_t end) {
-  bo::CritSpan s;
-  s.id = id;
-  s.parent = parent;
-  s.stage = stage;
-  s.begin_us = begin;
-  s.end_us = end;
-  return s;
+// The notes a span may carry: kNoteRef, kNoteLinkIdle, kNoteChaosDwell.
+struct Notes {
+  std::uint32_t ref = 0;
+  std::uint32_t idle_us = 0;
+  std::uint32_t chaos_us = 0;
+};
+
+// Appends the recorder events of one span: its begin, its non-zero notes
+// and its end. A begin or end of -1 is left out (lost to wraparound, never
+// recorded).
+void span(std::vector<bo::TraceEvent>& events, std::uint32_t id,
+          std::uint32_t parent, bo::Stage stage, std::int64_t begin,
+          std::int64_t end, Notes notes = {}) {
+  const auto add = [&](std::int64_t ts, bo::Ev kind, std::uint64_t b) {
+    events.push_back(bo::TraceEvent{.ts_us = ts, .b = b, .a = id, .kind = kind, .flags = 1});
+  };
+  if (begin >= 0) {
+    add(begin, bo::Ev::SpanBegin,
+        std::uint64_t{parent} << 32 | static_cast<std::uint64_t>(stage));
+  }
+  for (const auto& [kind, value] : {std::pair{bo::kNoteRef, notes.ref},
+                                   std::pair{bo::kNoteLinkIdle, notes.idle_us},
+                                   std::pair{bo::kNoteChaosDwell, notes.chaos_us}}) {
+    if (value != 0) add(begin, bo::Ev::SpanNote, std::uint64_t{kind} << 32 | value);
+  }
+  if (end >= 0) add(end, bo::Ev::SpanEnd, static_cast<std::uint64_t>(stage));
+}
+
+bo::CritReport critical_paths(const std::vector<bo::TraceEvent>& events) {
+  return bo::compute_critical_paths(bo::build_forest(events));
 }
 
 std::int64_t seg_us(const bo::RequestBlame& req, bo::Stage stage,
@@ -91,16 +111,13 @@ TEST(CritPath, BlameSumsToRootDurationWithLinkSplit) {
   // root [0,100] -> link1 [0,40] (idle 30); zero-length relay.forward at 40
   // whose child link2 [40,90] (idle 45) outlives it; tail [90,100] is the
   // root waiting on the final delivery.
-  std::vector<bo::CritSpan> in;
-  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
-  in.back().ref = 7;
-  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
-  in.back().idle_us = 30;
-  in.push_back(span(3, 1, bo::Stage::RelayForward, 40, 40));
-  in.push_back(span(4, 3, bo::Stage::NetLink, 40, 90));
-  in.back().idle_us = 45;
+  std::vector<bo::TraceEvent> in;
+  span(in, 1, 0, bo::Stage::ClientInvoke, 0, 100, {.ref = 7});
+  span(in, 2, 1, bo::Stage::NetLink, 0, 40, {.idle_us = 30});
+  span(in, 3, 1, bo::Stage::RelayForward, 40, 40);
+  span(in, 4, 3, bo::Stage::NetLink, 40, 90, {.idle_us = 45});
 
-  const bo::CritReport report = bo::compute_critical_paths(in);
+  const bo::CritReport report = critical_paths(in);
   ASSERT_EQ(report.requests.size(), 1u);
   EXPECT_EQ(report.incomplete, 0u);
   const bo::RequestBlame& req = report.requests[0];
@@ -125,13 +142,11 @@ TEST(CritPath, BlameSumsToRootDurationWithLinkSplit) {
 TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
   // Link attributed 40 µs with idle budget 30 and chaos dwell 15: chaos is
   // taken first (15), transit gets what the budget still fits (25), queue 0.
-  std::vector<bo::CritSpan> in;
-  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 40));
-  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 40));
-  in.back().idle_us = 30;
-  in.back().chaos_us = 15;
+  std::vector<bo::TraceEvent> in;
+  span(in, 1, 0, bo::Stage::ClientInvoke, 0, 40);
+  span(in, 2, 1, bo::Stage::NetLink, 0, 40, {.idle_us = 30, .chaos_us = 15});
 
-  const bo::CritReport report = bo::compute_critical_paths(in);
+  const bo::CritReport report = critical_paths(in);
   ASSERT_EQ(report.requests.size(), 1u);
   const bo::RequestBlame& req = report.requests[0];
   EXPECT_EQ(seg_us(req, bo::Stage::NetLink, bo::SegKind::ChaosDwell), 15);
@@ -141,12 +156,10 @@ TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
 
   // Dwell larger than the attributed interval clamps: never blame more
   // microseconds than the path actually spent.
-  std::vector<bo::CritSpan> clamp;
-  clamp.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 10));
-  clamp.push_back(span(2, 1, bo::Stage::NetLink, 0, 10));
-  clamp.back().idle_us = 30;
-  clamp.back().chaos_us = 50;
-  const bo::CritReport clamped = bo::compute_critical_paths(clamp);
+  std::vector<bo::TraceEvent> clamp;
+  span(clamp, 1, 0, bo::Stage::ClientInvoke, 0, 10);
+  span(clamp, 2, 1, bo::Stage::NetLink, 0, 10, {.idle_us = 30, .chaos_us = 50});
+  const bo::CritReport clamped = critical_paths(clamp);
   ASSERT_EQ(clamped.requests.size(), 1u);
   EXPECT_EQ(seg_us(clamped.requests[0], bo::Stage::NetLink,
                    bo::SegKind::ChaosDwell),
@@ -155,11 +168,11 @@ TEST(CritPath, ChaosDwellComesOffTheTopOfLinkTime) {
 }
 
 TEST(CritPath, IncompleteRootsAreCountedNotAttributed) {
-  std::vector<bo::CritSpan> in;
-  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, -1));  // no end
-  in.push_back(span(2, 0, bo::Stage::ClientInvoke, -1, 50));  // no begin
-  in.push_back(span(3, 0, bo::Stage::ClientInvoke, 10, 30));
-  const bo::CritReport report = bo::compute_critical_paths(in);
+  std::vector<bo::TraceEvent> in;
+  span(in, 1, 0, bo::Stage::ClientInvoke, 0, -1);  // no end
+  span(in, 2, 0, bo::Stage::ClientInvoke, -1, 50);  // no begin
+  span(in, 3, 0, bo::Stage::ClientInvoke, 10, 30);
+  const bo::CritReport report = critical_paths(in);
   EXPECT_EQ(report.incomplete, 2u);
   ASSERT_EQ(report.requests.size(), 1u);
   EXPECT_EQ(report.requests[0].root_id, 3u);
@@ -169,15 +182,13 @@ TEST(CritPath, IncompleteRootsAreCountedNotAttributed) {
 TEST(CritPath, SloSeriesCarryOneSamplePerRequest) {
   // Two requests; only the first has queue time. The series must still give
   // both requests a sample (0 for the second) so percentiles are per-request.
-  std::vector<bo::CritSpan> in;
-  in.push_back(span(1, 0, bo::Stage::ClientInvoke, 0, 100));
-  in.push_back(span(2, 1, bo::Stage::NetLink, 0, 100));
-  in.back().idle_us = 60;
-  in.push_back(span(5, 0, bo::Stage::ClientInvoke, 200, 250));
-  in.push_back(span(6, 5, bo::Stage::NetLink, 200, 250));
-  in.back().idle_us = 50;
+  std::vector<bo::TraceEvent> in;
+  span(in, 1, 0, bo::Stage::ClientInvoke, 0, 100);
+  span(in, 2, 1, bo::Stage::NetLink, 0, 100, {.idle_us = 60});
+  span(in, 5, 0, bo::Stage::ClientInvoke, 200, 250);
+  span(in, 6, 5, bo::Stage::NetLink, 200, 250, {.idle_us = 50});
 
-  const bo::CritReport report = bo::compute_critical_paths(in);
+  const bo::CritReport report = critical_paths(in);
   bo::SloInput input;
   bo::add_critpath_series(report, input);
   ASSERT_EQ(input.series.at("critpath.total_us").size(), 2u);
@@ -348,8 +359,7 @@ LoopCapture run_loop(std::uint64_t seed, int sessions, int burst,
   bo::recorder().disable();
 
   std::istringstream in(cap.jsonl);
-  const std::vector<bt::RawEvent> events = bt::read_jsonl(in);
-  cap.report = bo::compute_critical_paths(bt::crit_spans_from_events(events));
+  cap.report = critical_paths(bo::read_jsonl(in).events);
   const bo::BlameProfile profile = bo::aggregate_blame(cap.report);
   cap.critpath_text = profile.to_string();
   cap.critpath_json = profile.to_json();
@@ -394,23 +404,11 @@ TEST(CritPathE2E, RepeatRunsByteIdenticalAndSumToMeasuredLatency) {
   EXPECT_GT(queue, 0);
 }
 
-TEST(CritPathE2E, ProfileJsonRoundTripsAndDiffsCleanAgainstItself) {
+TEST(CritPathE2E, TraceDiffsCleanAgainstItself) {
+  // `bentotrace diff T T`: a run diffed against itself is all-quiet.
   const LoopCapture cap = run_loop(41, 12, 3, 30'000, nullptr);
-  bo::BlameProfile parsed;
-  ASSERT_TRUE(bt::parse_blame_profile(cap.critpath_json, parsed));
-  EXPECT_EQ(parsed.to_json(), cap.critpath_json);
-
-  // A profile diffed against itself must be all-quiet...
-  const bo::BlameDiff self_diff = bo::diff_blame(parsed, parsed);
-  EXPECT_FALSE(self_diff.regressed());
-
-  // ...and load_blame_profile accepts both input shapes for a diff side.
-  bo::BlameProfile from_trace;
-  std::string err;
-  ASSERT_TRUE(bt::load_blame_profile(cap.jsonl, from_trace, &err)) << err;
-  ASSERT_TRUE(bt::load_blame_profile(cap.critpath_json, parsed, &err)) << err;
-  EXPECT_EQ(from_trace.to_json(), parsed.to_json());
-  EXPECT_FALSE(bt::load_blame_profile("not json at all", parsed, &err));
+  const bo::BlameProfile profile = bo::aggregate_blame(cap.report);
+  EXPECT_FALSE(bo::diff_blame(profile, profile).regressed());
 }
 
 TEST(CritPathE2E, InjectedThrottleDominatesTheBlameProfile) {

@@ -367,8 +367,17 @@ TEST(Span, EndSurvivesRingWraparoundWithStageAttribution) {
 }
 
 TEST(Span, NamesCompleteForEveryStageAndEvKind) {
-  EXPECT_TRUE(bo::stage_names_complete());
-  EXPECT_TRUE(bo::ev_names_complete());
+  // The tables are checked while compiling (names_follow_enum); this pins
+  // both directions of each row: kind -> name -> the same kind.
+  for (unsigned i = 0; i < static_cast<unsigned>(bo::Ev::kCount); ++i) {
+    const auto kind = static_cast<bo::Ev>(i);
+    EXPECT_EQ(bo::kind_named(bo::kEvNames, bo::ev_name(kind)), kind) << i;
+  }
+  for (unsigned i = 0; i < static_cast<unsigned>(bo::Stage::kCount); ++i) {
+    const auto stage = static_cast<bo::Stage>(i);
+    EXPECT_EQ(bo::kind_named(bo::kStageNames, bo::stage_name(stage)), stage) << i;
+  }
+  EXPECT_FALSE(bo::kind_named(bo::kEvNames, "unknown").has_value());
 }
 
 TEST(Log, ParseLogLevel) {

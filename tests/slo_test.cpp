@@ -1,16 +1,17 @@
 // SLO engine suite (DESIGN.md §13): the spec grammar, nearest-rank
-// percentiles, missing-metric and value-caused failures, and the
-// bentotrace path that feeds trace events into the engine.
+// percentiles, missing-metric and value-caused failures, and the path that
+// feeds a trace's span forest into the engine.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "bentotrace/critpath.hpp"
+#include "obs/critpath.hpp"
+#include "obs/forest.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 
 namespace bo = bento::obs;
-namespace bt = bento::tools;
 
 TEST(Slo, SpecGrammarParses) {
   bo::SloSpec s;
@@ -142,18 +143,18 @@ TEST(Slo, CeilingBelowActualFailsTheRun) {
 
 TEST(Slo, TraceEventsFeedTheEngine) {
   // Synthetic trace: 4 TTFB samples and their TTLB stamps.
-  std::vector<bt::RawEvent> events;
+  std::vector<bo::TraceEvent> events;
   for (std::int64_t us : {100, 200, 300, 400}) {
-    events.push_back(bt::RawEvent{.ts = us, .ev = "stream.ttfb", .a = 1,
-                                  .b = static_cast<std::uint64_t>(us), .ok = 1});
-    events.push_back(bt::RawEvent{.ts = us, .ev = "stream.ttlb", .a = 1,
-                                  .b = static_cast<std::uint64_t>(us + 50), .ok = 1});
+    events.push_back(bo::TraceEvent{.ts_us = us, .b = static_cast<std::uint64_t>(us),
+                                    .a = 1, .kind = bo::Ev::StreamTtfb, .flags = 1});
+    events.push_back(bo::TraceEvent{.ts_us = us, .b = static_cast<std::uint64_t>(us + 50),
+                                    .a = 1, .kind = bo::Ev::StreamTtlb, .flags = 1});
   }
   std::vector<bo::SloSpec> specs(3);
   ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:count>=4", specs[0]));
   ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:p50<=200", specs[1]));
   ASSERT_TRUE(bo::parse_slo_spec("ttlb_us:max<=450", specs[2]));
-  const bo::SloReport report = bt::evaluate_trace_slos(events, specs);
+  const bo::SloReport report = bo::evaluate_trace_slos(bo::build_forest(events), specs);
   EXPECT_TRUE(report.pass()) << report.to_string();
   EXPECT_DOUBLE_EQ(report.results[2].actual, 450);
 }

@@ -15,28 +15,26 @@
 //                                      aggregated with p50-body vs p99-tail
 //                                      cohorts (DESIGN.md §14)
 //   bentotrace diff A B                align two runs' blame profiles (each
-//                                      side: trace.jsonl or a critpath JSON)
-//                                      and flag segments whose mean or tail
-//                                      mean grew by >10% and >50 us (DESIGN.md
-//                                      §14); exit 0 ok / 1 regressed
+//                                      side a trace.jsonl) and flag segments
+//                                      whose mean or tail mean grew by >10%
+//                                      and >50 us (DESIGN.md §14); exit 0 ok
+//                                      / 1 regressed
 //
-// `-` reads the dump from stdin. Every subcommand starts with a self-check
-// that obs::ev_name / obs::stage_name cover their whole enums — a new kind
-// added without a name string fails loudly here (and in CI) instead of
-// rendering as "unknown" in reports.
+// `-` reads the dump from stdin. Every subcommand walks the one span forest
+// obs::build_forest() links from the dump.
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bentotrace/critpath.hpp"
-#include "bentotrace/reader.hpp"
+#include "bentotrace/report.hpp"
 #include "obs/critpath.hpp"
+#include "obs/forest.hpp"
 #include "obs/slo.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
+
+namespace bo = bento::obs;
 
 namespace {
 
@@ -48,23 +46,9 @@ int usage() {
   return 2;
 }
 
-bool self_check() {
-  if (!bento::obs::ev_names_complete()) {
-    std::cerr << "bentotrace: self-check failed: obs::ev_name is missing a "
-                 "name for at least one Ev kind\n";
-    return false;
-  }
-  if (!bento::obs::stage_names_complete()) {
-    std::cerr << "bentotrace: self-check failed: obs::stage_name is missing a "
-                 "name for at least one Stage\n";
-    return false;
-  }
-  return true;
-}
-
-bool read_events(const std::string& path, std::vector<bento::tools::RawEvent>& out) {
+bool read_trace(const std::string& path, bo::JsonlTrace& out) {
   if (path == "-") {
-    out = bento::tools::read_jsonl(std::cin);
+    out = bo::read_jsonl(std::cin);
     return true;
   }
   std::ifstream in(path);
@@ -72,53 +56,42 @@ bool read_events(const std::string& path, std::vector<bento::tools::RawEvent>& o
     std::cerr << "bentotrace: cannot open " << path << "\n";
     return false;
   }
-  out = bento::tools::read_jsonl(in);
+  out = bo::read_jsonl(in);
   return true;
 }
 
-bool read_whole(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "bentotrace: cannot open " << path << "\n";
+// One side of a diff: a run's blame profile, from a dump with events.
+bool read_blame(const std::string& path, bo::BlameProfile& out) {
+  bo::JsonlTrace trace;
+  if (!read_trace(path, trace)) return false;
+  if (trace.events.empty()) {
+    std::cerr << "bentotrace: " << path << ": not a trace.jsonl\n";
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = std::move(ss).str();
+  out = bo::aggregate_blame(bo::compute_critical_paths(bo::build_forest(trace.events)));
   return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!self_check()) return 3;
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   const std::string path = argv[2];
 
   if (cmd == "diff") {
     if (argc != 4) return usage();
-    bento::obs::BlameProfile a;
-    bento::obs::BlameProfile b;
-    std::string text;
-    std::string err;
-    if (!read_whole(path, text)) return 1;
-    if (!bento::tools::load_blame_profile(text, a, &err)) {
-      std::cerr << "bentotrace: " << path << ": " << err << "\n";
-      return 1;
-    }
-    if (!read_whole(argv[3], text)) return 1;
-    if (!bento::tools::load_blame_profile(text, b, &err)) {
-      std::cerr << "bentotrace: " << argv[3] << ": " << err << "\n";
-      return 1;
-    }
-    const bento::obs::BlameDiff diff = bento::obs::diff_blame(a, b);
+    bo::BlameProfile a;
+    bo::BlameProfile b;
+    if (!read_blame(path, a) || !read_blame(argv[3], b)) return 1;
+    const bo::BlameDiff diff = bo::diff_blame(a, b);
     std::cout << diff.to_string();
     return diff.regressed() ? 1 : 0;
   }
 
-  std::vector<bento::tools::RawEvent> events;
-  if (!read_events(path, events)) return 1;
+  bo::JsonlTrace trace;
+  if (!read_trace(path, trace)) return 1;
+  const bo::SpanForest forest = bo::build_forest(trace.events, trace.unparsed);
 
   if (cmd == "critpath") {
     bool json = false;
@@ -129,39 +102,36 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
-    const bento::obs::BlameProfile profile = bento::obs::aggregate_blame(
-        bento::obs::compute_critical_paths(
-            bento::tools::crit_spans_from_events(events)));
+    const bo::BlameProfile profile =
+        bo::aggregate_blame(bo::compute_critical_paths(forest));
     std::cout << (json ? profile.to_json() : profile.to_string());
     return 0;
   }
 
   if (cmd == "slo") {
     if (argc < 4) return usage();
-    std::vector<bento::obs::SloSpec> specs;
+    std::vector<bo::SloSpec> specs;
     for (int i = 3; i < argc; ++i) {
-      bento::obs::SloSpec spec;
+      bo::SloSpec spec;
       std::string err;
-      if (!bento::obs::parse_slo_spec(argv[i], spec, &err)) {
+      if (!bo::parse_slo_spec(argv[i], spec, &err)) {
         std::cerr << "bentotrace: bad SLO spec '" << argv[i] << "': " << err
                   << "\n";
         return 2;
       }
       specs.push_back(spec);
     }
-    const bento::obs::SloReport report =
-        bento::tools::evaluate_trace_slos(events, specs);
+    const bo::SloReport report = bo::evaluate_trace_slos(forest, specs);
     std::cout << report.to_string();
     return report.pass() ? 0 : 1;
   }
 
   if (argc != 3) return usage();
-  const bento::tools::TraceForest forest = bento::tools::build_forest(events);
-
   if (cmd == "summary") {
-    std::cout << "bentotrace summary: " << events.size() << " events, "
-              << forest.spans.size() << " spans, " << forest.roots.size()
-              << " traces\n\n";
+    // Every non-blank input line counts as an event here, parsed or not.
+    std::cout << "bentotrace summary: " << trace.events.size() + trace.unparsed
+              << " events, " << forest.spans.size() << " spans, "
+              << forest.roots.size() << " traces\n\n";
     bento::tools::format_stage_summary(forest, std::cout);
     std::cout << "\n";
     bento::tools::format_ttfb_table(forest, std::cout);
