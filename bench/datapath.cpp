@@ -9,6 +9,8 @@
 //     1 KiB refill on each of the AVX2 and AVX-512 kernels;
 //   * SHA-256 over 8 blocks: the scalar kernel vs Sha256 itself, which on a
 //     SHA-NI host must have dispatched to the SHA-NI kernel;
+//   * Poly1305 over 32 KiB: the scalar block loop vs crypto::poly1305, which
+//     on an AVX-512 IFMA host must have dispatched to the IFMA kernel;
 //   * the full 3-hop relay-crypto datapath (origin onion-encrypt + three
 //     relay peel/check stages), and what live metrics and a per-cell span
 //     add to it (paired, bench/paired.hpp);
@@ -22,6 +24,7 @@
 #include "chaos/chaos.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/kernels.hpp"
+#include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "harness.hpp"
 #include "obs/metrics.hpp"
@@ -212,6 +215,50 @@ static void BM_Sha256Kernel(benchmark::State& state, bool through_dispatch) {
 }
 BENCHMARK_CAPTURE(BM_Sha256Kernel, scalar, false)->Arg(512);
 BENCHMARK_CAPTURE(BM_Sha256Kernel, shani, true)->Arg(512);
+
+// Poly1305 of a 32 KiB body, FS-Protect's size class. The scalar arm calls
+// the block loop directly; the ifma arm MACs through crypto::poly1305, so it
+// times whatever the startup dispatch picked. run_benchmarks.sh gates
+// ifma/scalar at 3x on IFMA hosts.
+static void BM_Poly1305Kernel(benchmark::State& state, bool through_dispatch) {
+  if (through_dispatch) {
+#if BENTO_X86_KERNELS
+    const bool has_ifma =
+        __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+#else
+    const bool has_ifma = false;
+#endif
+    if (!has_ifma) {
+      state.SkipWithError("CPU lacks AVX-512 IFMA");
+      return;
+    }
+  }
+  bu::Rng rng(5);
+  const bu::Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  bc::Poly1305Key key{};
+  const bu::Bytes key_bytes = rng.bytes(key.size());
+  std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+  bc::detail::Poly1305Limbs limbs;  // a clamped r, split 44/44/42
+  limbs.r[0] = rng.next_u64() & 0xffc0fffffff;
+  limbs.r[1] = rng.next_u64() & 0xfffffc0ffff;
+  limbs.r[2] = rng.next_u64() & 0x00ffffffc0f;
+  bc::Poly1305Tag tag{};
+  for (auto _ : state) {
+    if (through_dispatch) {
+      tag = bc::poly1305(key, data);
+    } else {
+      bc::detail::poly1305_blocks_scalar(limbs, data.data(), data.size() / 16,
+                                         std::uint64_t{1} << 40);
+    }
+    benchmark::DoNotOptimize(tag.data());
+    benchmark::DoNotOptimize(limbs.h);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Poly1305Kernel, scalar, false)->Arg(32768);
+BENCHMARK_CAPTURE(BM_Poly1305Kernel, ifma, true)->Arg(32768);
 
 // The 3-hop traversal with the metrics registry live (it is on by default;
 // recognition counters fire per check). run_benchmarks.sh records cells/s.

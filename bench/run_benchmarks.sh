@@ -6,7 +6,7 @@
 #   BENCH_MIN_TIME   --benchmark_min_time per benchmark (default 0.2)
 #
 # Runs bench/datapath and the idle-mount benchmark of bench/store, prints
-# one JSON record to stdout (host, CPU MHz, build type, the eight ratios
+# one JSON record to stdout (host, CPU MHz, build type, the nine ratios
 # below and the 3-hop relay's cells/s), writes no file, and exits 1 when a
 # ratio is out of bounds:
 #
@@ -14,13 +14,14 @@
 #                                 kernel compiled into the bench     >= 3.6x
 #   sha256_speedup_512            Sha256 vs its scalar kernel         >= 3x
 #   chacha20_avx512_speedup_1024  one 1 KiB refill, AVX-512 vs AVX2   >= 1.3x
+#   poly1305_ifma_speedup_32k     Poly1305 vs its scalar block loop   >= 3x
 #   metrics_overhead_pct          live metrics on the cell path       <= 10%
 #   span_overhead_pct             one span per cell under a root      <= 15%
 #   chaos_idle_overhead_pct       idle chaos hooks on network send    <= 2%
 #   store_idle_overhead_pct       idle persistent-store mount, invoke <= 2%
 #
-# The SHA-256 and AVX-512 ratios are null, and not gated, on hosts without
-# SHA-NI or AVX-512. The four overheads are paired medians
+# The SHA-256, AVX-512 and IFMA ratios are null, and not gated, on hosts
+# without SHA-NI, AVX-512 or AVX-512 IFMA. The four overheads are paired medians
 # (bench/paired.hpp). The exact gates — allocation counts, store replay
 # determinism and the lint — run in tier-1 ctest (Alloc.*, Store.*,
 # Lint.Tree).
@@ -80,6 +81,8 @@ record = {
                                   "BM_Sha256Kernel/scalar/512"),
     "chacha20_avx512_speedup_1024": speedup("BM_ChaCha20Kernel/avx512",
                                             "BM_ChaCha20Kernel/avx2"),
+    "poly1305_ifma_speedup_32k": speedup("BM_Poly1305Kernel/ifma/32768",
+                                         "BM_Poly1305Kernel/scalar/32768"),
     "metrics_overhead_pct": overhead("BM_RelayMetricsOverhead"),
     "span_overhead_pct": overhead("BM_RelaySpanOverhead"),
     "chaos_idle_overhead_pct": overhead("BM_NetworkSendChaosIdleOverhead"),
@@ -93,6 +96,7 @@ floors = {
     "chacha20_speedup_8192": 3.6,
     "sha256_speedup_512": 3.0,
     "chacha20_avx512_speedup_1024": 1.3,
+    "poly1305_ifma_speedup_32k": 3.0,
 }
 ceilings = {
     "metrics_overhead_pct": 10.0,

@@ -65,6 +65,21 @@ TEST(BentotraceReader, UnknownKindCountsAsUnparsed) {
   EXPECT_EQ(trace.unparsed, 2u);  // the unknown kind and the cut line
 }
 
+TEST(BentotraceReader, SummaryCountsParsedEventsOnly) {
+  // A cut line shows in the integrity line, not in the event count.
+  std::istringstream in(
+      "{\"ts\":5,\"ev\":\"cell.send\",\"a\":1,\"b\":2,\"ok\":1}\n"
+      "{\"ts\":6,\"ev\":\"cell.recv\",\"a\":1,\"b\":2,\"ok\":1}\n"
+      "{\"ts\":7,\"ev\":\"cell.recv\",\"a\":1\n");
+  const bo::JsonlTrace trace = bo::read_jsonl(in);
+  std::ostringstream os;
+  bt::format_summary(trace, bo::build_forest(trace.events, trace.unparsed), os);
+  const std::string out = os.str();
+  EXPECT_EQ(out.substr(0, out.find('\n')), "bentotrace summary: 2 events, 0 spans, 0 traces");
+  EXPECT_NE(out.find("\nintegrity: 0 orphan ends, 0 unfinished spans, 1 unparsed lines\n"),
+            std::string::npos);
+}
+
 namespace {
 
 bo::TraceEvent raw(std::int64_t ts, bo::Ev kind, std::uint32_t a, std::uint64_t b) {

@@ -323,6 +323,53 @@ TEST(Sha256, UpdateSplitAtEveryOffsetMatchesOneShot) {
 // Only one kernel per primitive is dispatched on a given host, so the KATs
 // above exercise just that one; these run both on the same inputs.
 
+namespace {
+// Numbers mod p = 2^130 - 5 as three little-endian 64-bit words, for the
+// Poly1305 checks.
+using U192 = std::array<std::uint64_t, 3>;
+
+U192 load_le(bu::ByteView b) {
+  U192 x{};
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    x[i / 8] |= static_cast<std::uint64_t>(b[i]) << (8 * (i % 8));
+  }
+  return x;
+}
+
+// a += b mod 2^192; returns the carry out.
+bool add_to(U192& a, const U192& b) {
+  unsigned __int128 carry = 0;
+  for (int i = 0; i < 3; ++i) {
+    carry += static_cast<unsigned __int128>(a[i]) + b[i];
+    a[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return carry != 0;
+}
+
+// x mod p for x < 2p: subtract p when x + (2^192 - p) carries out.
+void reduce(U192& x) {
+  const U192 minus_p = {5, 0, ~std::uint64_t{0} << 2};
+  U192 t = x;
+  if (add_to(t, minus_p)) x = t;
+}
+
+// The Poly1305 accumulator's value mod p, whatever carried form its three
+// 44/44/42-bit limbs are in.
+[[maybe_unused]] U192 h_mod_p(const bc::detail::Poly1305Limbs& st) {
+  U192 x = {st.h[0], 0, 0};
+  add_to(x, {st.h[1] << 44, st.h[1] >> 20, 0});
+  add_to(x, {0, st.h[2] << 24, st.h[2] >> 40});
+  for (int fold = 0; fold < 2; ++fold) {  // 2^130 = 5 (mod p)
+    const std::uint64_t top = x[2] >> 2;
+    x[2] &= 3;
+    add_to(x, {top * 5, 0, 0});
+  }
+  reduce(x);
+  return x;
+}
+}  // namespace
+
 TEST(CryptoKernels, Sha256ShaNiMatchesScalar) {
 #if BENTO_X86_KERNELS
   if (!__builtin_cpu_supports("sha") || !__builtin_cpu_supports("sse4.1")) {
@@ -393,6 +440,65 @@ TEST(CryptoKernels, ChaCha20Avx512MatchesPortable) {
 #endif
 }
 
+// The IFMA kernel takes each run of eight blocks, the scalar loop the rest
+// of the MAC (the blocks after the last whole group and the final partial
+// block): both orders must reach the same h mod p from the same state.
+TEST(CryptoKernels, Poly1305IfmaMatchesScalar) {
+#if BENTO_X86_KERNELS
+  if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("avx512ifma")) {
+    GTEST_SKIP() << "CPU lacks AVX-512F/IFMA: only the scalar block loop can run";
+  }
+  constexpr std::uint64_t kMask44 = (std::uint64_t{1} << 44) - 1;
+  constexpr std::uint64_t kMask42 = (std::uint64_t{1} << 42) - 1;
+  constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;
+  bu::Rng rng(1305);
+  // Every length up to 17 blocks (so 7 to 17 blocks, either side of one and
+  // two groups), then random lengths up to 70,000 bytes.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 272; ++n) lengths.push_back(n);
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.uniform(273, 70000));
+  const bu::Bytes random_msg = rng.bytes(70000);
+  const bu::Bytes all_ff(70000, 0xff);
+  for (const std::size_t len : lengths) {
+    // Bit 0 saturates r, the starting state and every message limb; bit 1
+    // closes the final partial block with the 0x01 marker (poly1305) rather
+    // than zero padding (chapoly_*).
+    for (int variant = 0; variant < 4; ++variant) {
+      const bool saturate = (variant & 1) != 0;
+      const bool marker = (variant & 2) != 0;
+      const std::uint8_t* msg = saturate ? all_ff.data() : random_msg.data();
+      bc::detail::Poly1305Limbs start;
+      const std::uint64_t clamp[3] = {0xffc0fffffff, 0xfffffc0ffff, 0x00ffffffc0f};
+      const std::uint64_t limb_max[3] = {kMask44, kMask44, kMask42};
+      for (int i = 0; i < 3; ++i) {
+        start.r[i] = saturate ? clamp[i] : rng.next_u64() & clamp[i];
+        start.h[i] = saturate ? limb_max[i] : rng.next_u64() & limb_max[i];
+      }
+      const std::size_t nblocks = len / 16;
+      const std::size_t rest = len % 16;
+      std::array<std::uint8_t, 16> last{};
+      std::copy(msg + 16 * nblocks, msg + len, last.begin());
+      if (marker) last[rest] = 1;
+      auto close = [&](bc::detail::Poly1305Limbs& st) {
+        if (rest > 0) bc::detail::poly1305_blocks_scalar(st, last.data(), 1, marker ? 0 : kHibit);
+        return h_mod_p(st);
+      };
+
+      bc::detail::Poly1305Limbs scalar = start;
+      bc::detail::poly1305_blocks_scalar(scalar, msg, nblocks, kHibit);
+      bc::detail::Poly1305Limbs ifma = start;
+      bc::detail::poly1305_powers(ifma);
+      bc::detail::poly1305_blocks_ifma(ifma, msg, nblocks / 8);
+      bc::detail::poly1305_blocks_scalar(ifma, msg + 128 * (nblocks / 8), nblocks % 8,
+                                         kHibit);
+      ASSERT_EQ(close(ifma), close(scalar)) << "length " << len << ", variant " << variant;
+    }
+  }
+#else
+  GTEST_SKIP() << "the IFMA kernel exists only on x86";
+#endif
+}
+
 // ---- AEAD: the API of the one AEAD, RFC 8439 chapoly_seal/chapoly_open ----
 
 namespace {
@@ -457,6 +563,23 @@ TEST(Aead, TooShortInputFails) {
   const bc::ChaChaKey key = random_key(rng);
   bu::Bytes tiny(bc::kChapolyTagLen - 1, 0);
   EXPECT_FALSE(bc::chapoly_open(key, bc::nonce_from_counter(0), {}, tiny).has_value());
+}
+
+TEST(Aead, OneFlippedByteInAnyEightBlockGroupFails) {
+  // A 64 KiB body is 512 groups of eight blocks, the IFMA kernel's unit.
+  bu::Rng rng(17);
+  const bc::ChaChaKey key = random_key(rng);
+  const auto nonce = bc::nonce_from_counter(8);
+  const bu::Bytes aad = bu::to_bytes("fsprotect");
+  bu::Bytes sealed = bc::chapoly_seal(key, nonce, aad, rng.bytes(64 * 1024));
+  ASSERT_TRUE(bc::chapoly_open(key, nonce, aad, sealed).has_value());
+  for (std::size_t group = 0; group < 512; ++group) {
+    const std::size_t at = 128 * group + rng.uniform(0, 127);
+    const auto flip = static_cast<std::uint8_t>(rng.uniform(1, 255));
+    sealed[at] ^= flip;
+    ASSERT_FALSE(bc::chapoly_open(key, nonce, aad, sealed).has_value()) << "byte " << at;
+    sealed[at] ^= flip;
+  }
 }
 
 TEST(Aead, EmptyPlaintextWorks) {
@@ -733,36 +856,8 @@ TEST(Poly1305, ChapolyTagMatchesAssembledMacInput) {
 
 namespace {
 // Slow Poly1305 reference for the cross-check: schoolbook bit-serial
-// multiply mod p = 2^130 - 5 on three 64-bit words, written for
-// obviousness rather than speed.
-using U192 = std::array<std::uint64_t, 3>;
-
-U192 load_le(bu::ByteView b) {
-  U192 x{};
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    x[i / 8] |= static_cast<std::uint64_t>(b[i]) << (8 * (i % 8));
-  }
-  return x;
-}
-
-// a += b mod 2^192; returns the carry out.
-bool add_to(U192& a, const U192& b) {
-  unsigned __int128 carry = 0;
-  for (int i = 0; i < 3; ++i) {
-    carry += static_cast<unsigned __int128>(a[i]) + b[i];
-    a[i] = static_cast<std::uint64_t>(carry);
-    carry >>= 64;
-  }
-  return carry != 0;
-}
-
-// x mod p for x < 2p: subtract p when x + (2^192 - p) carries out.
-void reduce(U192& x) {
-  const U192 minus_p = {5, 0, ~std::uint64_t{0} << 2};
-  U192 t = x;
-  if (add_to(t, minus_p)) x = t;
-}
-
+// multiply mod p = 2^130 - 5 on three 64-bit words (U192 above), written
+// for obviousness rather than speed.
 bc::Poly1305Tag slow_poly1305(const bc::Poly1305Key& key, bu::ByteView message) {
   std::array<std::uint8_t, 16> r_bytes{};
   std::copy(key.begin(), key.begin() + 16, r_bytes.begin());
@@ -798,11 +893,12 @@ bc::Poly1305Tag slow_poly1305(const bc::Poly1305Key& key, bu::ByteView message) 
 
 TEST(Poly1305, MatchesSlowReferenceOnRandomInputs) {
   bu::Rng rng(44);
-  for (int trial = 0; trial < 2000; ++trial) {
+  // The last 20 trials run to a few KiB, through many groups of eight blocks.
+  for (int trial = 0; trial < 2020; ++trial) {
     bc::Poly1305Key key{};
     const bu::Bytes kb = rng.bytes(32);
     std::copy(kb.begin(), kb.end(), key.begin());
-    bu::Bytes message = rng.bytes(rng.uniform(0, 300));
+    bu::Bytes message = rng.bytes(trial < 2000 ? rng.uniform(0, 300) : rng.uniform(1024, 4096));
     // Three trials in four saturate r (before clamping), the message or
     // both, so limb carries run at their bounds.
     if (trial % 4 == 1 || trial % 4 == 3) std::fill(key.begin(), key.begin() + 16, 0xff);

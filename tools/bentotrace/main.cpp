@@ -128,20 +128,7 @@ int main(int argc, char** argv) {
 
   if (argc != 3) return usage();
   if (cmd == "summary") {
-    // Every non-blank input line counts as an event here, parsed or not.
-    std::cout << "bentotrace summary: " << trace.events.size() + trace.unparsed
-              << " events, " << forest.spans.size() << " spans, "
-              << forest.roots.size() << " traces\n\n";
-    bento::tools::format_stage_summary(forest, std::cout);
-    std::cout << "\n";
-    bento::tools::format_ttfb_table(forest, std::cout);
-    if (!forest.orphan_ends.empty() || !forest.unfinished.empty() ||
-        forest.unparsed_lines > 0) {
-      std::cout << "\nintegrity: " << forest.orphan_ends.size()
-                << " orphan ends, " << forest.unfinished.size()
-                << " unfinished spans, " << forest.unparsed_lines
-                << " unparsed lines\n";
-    }
+    bento::tools::format_summary(trace, forest, std::cout);
   } else if (cmd == "tree") {
     bento::tools::format_tree(forest, std::cout);
   } else if (cmd == "chrome") {

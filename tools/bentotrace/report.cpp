@@ -45,6 +45,21 @@ void format_node(const SpanForest& forest, std::uint32_t id, int depth,
 
 }  // namespace
 
+void format_summary(const obs::JsonlTrace& trace, const SpanForest& forest,
+                    std::ostream& os) {
+  os << "bentotrace summary: " << trace.events.size() << " events, "
+     << forest.spans.size() << " spans, " << forest.roots.size() << " traces\n\n";
+  format_stage_summary(forest, os);
+  os << "\n";
+  format_ttfb_table(forest, os);
+  if (!forest.orphan_ends.empty() || !forest.unfinished.empty() ||
+      forest.unparsed_lines > 0) {
+    os << "\nintegrity: " << forest.orphan_ends.size() << " orphan ends, "
+       << forest.unfinished.size() << " unfinished spans, " << forest.unparsed_lines
+       << " unparsed lines\n";
+  }
+}
+
 void format_tree(const SpanForest& forest, std::ostream& os) {
   std::size_t trace_no = 0;
   for (const std::uint32_t root : forest.roots) {

@@ -1,6 +1,6 @@
-// bentotrace's reports over a span forest (obs/forest.hpp): the per-request
-// tree dump, the per-stage latency table, the TTFB/TTLB percentile tables
-// and the Chrome view with causal flow arrows.
+// bentotrace's reports over a span forest (obs/forest.hpp): the summary,
+// the per-request tree dump, the per-stage latency table, the TTFB/TTLB
+// percentile tables and the Chrome view with causal flow arrows.
 //
 // Everything is deterministic: the same forest produces byte-identical
 // output, which is how the fixed-seed regression proves span trees are
@@ -12,6 +12,12 @@
 #include "obs/forest.hpp"
 
 namespace bento::tools {
+
+/// `bentotrace summary`: the counts of parsed events, spans and traces, the
+/// stage table, the TTFB/TTLB table and, when the forest is not whole, an
+/// integrity line (orphan ends, unfinished spans, unparsed lines).
+void format_summary(const obs::JsonlTrace& trace, const obs::SpanForest& forest,
+                    std::ostream& os);
 
 /// Indented per-request tree dump; byte-stable for a given trace.
 void format_tree(const obs::SpanForest& forest, std::ostream& os);
