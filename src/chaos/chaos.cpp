@@ -68,10 +68,6 @@ void ChaosEngine::set_node_handler(sim::NodeId node, std::function<void(bool)> f
   node_handlers_[node] = std::move(fn);
 }
 
-void ChaosEngine::set_recovery_callback(sim::NodeId node, std::function<void()> fn) {
-  recovery_callbacks_[node] = std::move(fn);
-}
-
 void ChaosEngine::schedule_plan() {
   for (const Partition& p : plan_.partitions) {
     sim_.at(p.start, [this, p] { cut(p.a, p.b, p.heal); });
@@ -140,10 +136,6 @@ void ChaosEngine::restart(sim::NodeId node) {
   record(FaultKind::Restart, node, 0);
   auto it = node_handlers_.find(node);
   if (it != node_handlers_.end() && it->second) it->second(true);
-  // Recovery runs after the up-edge handler: the node exists again, now it
-  // replays durable state rather than resuming stale in-memory contents.
-  auto rec = recovery_callbacks_.find(node);
-  if (rec != recovery_callbacks_.end() && rec->second) rec->second();
 }
 
 void ChaosEngine::cut(sim::NodeId a, sim::NodeId b, util::Duration heal) {

@@ -119,13 +119,6 @@ class ChaosEngine final : public sim::FaultInjector {
   /// restarts (up == true) — harnesses wire relay/server state teardown.
   void set_node_handler(sim::NodeId node, std::function<void(bool up)> fn);
 
-  /// Registers the recovery callback fired on the restart edge, after the
-  /// node handler ran. A restarted node must rebuild its state from durable
-  /// media (BentoServer::recover_stores) here — before this hook existed,
-  /// restart silently resurrected whatever pre-crash RAM contents the
-  /// harness had left in place, which no real crash would preserve.
-  void set_recovery_callback(sim::NodeId node, std::function<void()> fn);
-
   /// Imperative crash for harnesses that react to run-time state (e.g.
   /// crash whichever relay the client's circuit chose).
   void crash_now(sim::NodeId node, util::Duration restart_after = {});
@@ -164,7 +157,6 @@ class ChaosEngine final : public sim::FaultInjector {
   std::vector<std::uint8_t> down_;  // indexed by NodeId, grown on demand
   std::set<std::pair<sim::NodeId, sim::NodeId>> cuts_;
   std::map<sim::NodeId, std::function<void(bool)>> node_handlers_;
-  std::map<sim::NodeId, std::function<void()>> recovery_callbacks_;
 };
 
 }  // namespace bento::chaos

@@ -37,13 +37,7 @@ Container::Container(BentoServer& server, std::uint64_t id, std::string image,
   }
 }
 
-Container::~Container() {
-  *alive_ = false;
-  // Normal teardown returns the volume name for the next tenant. After a
-  // server crash() the key was already forcibly cleared (a dead process
-  // releases nothing; the claim table itself died with it).
-  if (!store_volume_key_.empty()) server_.release_store_name(store_volume_key_);
-}
+Container::~Container() { *alive_ = false; }
 
 void Container::install(const FunctionManifest& manifest, const UploadBody& body,
                         tor::Stream* uploader,
@@ -57,27 +51,17 @@ void Container::install(const FunctionManifest& manifest, const UploadBody& body
                                                              &server_.aggregate());
   std::unique_ptr<sandbox::VfsBackend> backend;
   if (server_.persistent_store()) {
-    // Persistent mount: the chroot sits on the sealed blob store, keyed by
-    // function name. take_or_open_store replays whatever the named volume
-    // already holds (possibly staged by recover_stores after a chaos
-    // restart), so a crashed Dropbox comes back with its files.
-    store_ = server_.take_or_open_store(manifest.name, &store_volume_key_);
-    auto mount = std::make_unique<sandbox::StoreBackend>(store_.get());
-    mount->set_on_mutate([this] { schedule_store_maintenance(); });
-    backend = std::move(mount);
+    backend = mount_store(manifest.name);
   } else {
     std::unique_ptr<sandbox::MemoryBackend> memory = std::move(fs_protect_);
     if (memory == nullptr) memory = std::make_unique<sandbox::MemoryBackend>();
     memory_ = memory.get();
     backend = std::move(memory);
   }
+  // Replayed files get charged exactly like fresh writes (throws — and
+  // fails the install — if the recovered state busts the disk budget).
   vfs_ = std::make_unique<sandbox::Vfs>(std::move(backend), *resources_);
-  if (store_ != nullptr) {
-    // Replayed files get charged exactly like fresh writes (throws — and
-    // fails the install — if the recovered state busts the disk budget).
-    vfs_->restore_accounting();
-    schedule_store_maintenance();
-  }
+  schedule_store_maintenance();
   netfilter_ =
       sandbox::NetFilter::from_exit_policy(server_.router().descriptor().exit_policy);
   stem_ = std::make_unique<StemSession>(server_.stem_proxy(), server_.directory(),
@@ -206,12 +190,43 @@ void Container::update_memory(std::size_t sandbox_estimate) {
   if (conclave_ != nullptr) conclave_->set_memory_bytes(sandbox_estimate);
 }
 
+std::unique_ptr<sandbox::VfsBackend> Container::mount_store(const std::string& name) {
+  // The chroot sits on the sealed blob store of the function's name. A
+  // volume is claimed by the live container whose store is mounted on it,
+  // so the server's container table is the claim set: removal and crash()
+  // release a claim by dropping the container. A second live function under
+  // the same name gets a uniquified volume ("name#2"), durable only under
+  // that exact suffix — acceptable for replicas, which rebuild from their
+  // primary anyway.
+  const auto claimed = [this](const std::string& key) {
+    const store::Volume* volume = server_.volumes().find(key);
+    if (volume == nullptr) return false;
+    for (const Container* other : server_.containers()) {
+      if (other->store_ != nullptr && &other->store_->volume() == volume) return true;
+    }
+    return false;
+  };
+  std::string key = name;
+  for (std::uint64_t n = 2; claimed(key); ++n) key = name + "#" + std::to_string(n);
+  std::unique_ptr<store::Sealer> sealer =
+      server_.config().sgx_available
+          ? tee::make_store_sealer(server_.platform(), BentoServer::runtime_measurement(),
+                                   key)
+          : store::make_null_sealer();
+  store_ = std::make_unique<store::BlobStore>(server_.volumes().open(key), std::move(sealer));
+  // The mount is the one recovery: whatever the volume holds comes back
+  // here, a crash's torn tail truncated, and a log sealed under another key
+  // throws StoreError, which fails this install only.
+  if (store_->volume().total_bytes() > 0) store_->replay();
+  return std::make_unique<sandbox::StoreBackend>(store_.get());
+}
+
 void Container::schedule_store_maintenance() {
   // Background compaction rides the simulator like any other housekeeping —
-  // but armed by mutations (the StoreBackend on_mutate hook) rather than a
-  // free-running period, so an idle store leaves the event queue empty and
-  // world.run() quiesces. One tick is pending at a time; the weak liveness
-  // token keeps a doomed container's tick from touching freed state.
+  // but armed by mutations (fs_write, fs_remove) rather than a free-running
+  // period, so an idle store leaves the event queue empty and world.run()
+  // quiesces. One tick is pending at a time; the weak liveness token keeps a
+  // doomed container's tick from touching freed state.
   if (compaction_pending_ || store_ == nullptr || !store_->wants_compaction()) {
     return;
   }
@@ -269,6 +284,7 @@ void Container::log(const std::string& line) {
 void Container::fs_write(const std::string& path, util::ByteView data) {
   filter_.check(sandbox::Syscall::FsWrite);
   vfs_->write(path, data);
+  schedule_store_maintenance();
 }
 
 std::optional<util::Bytes> Container::fs_read(const std::string& path) {
@@ -278,7 +294,9 @@ std::optional<util::Bytes> Container::fs_read(const std::string& path) {
 
 bool Container::fs_remove(const std::string& path) {
   filter_.check(sandbox::Syscall::FsDelete);
-  return vfs_->remove(path);
+  const bool removed = vfs_->remove(path);
+  if (removed) schedule_store_maintenance();
+  return removed;
 }
 
 std::vector<std::string> Container::fs_list() {

@@ -71,7 +71,6 @@ class Container final : public HostApi {
   const FunctionManifest& manifest() const { return manifest_; }
   tee::Conclave* conclave() { return conclave_.get(); }
   /// Non-null when the chroot is mounted on the persistent sealed store.
-  /// (const member, mutable store: digest/get traffic touches the LRU.)
   store::BlobStore* blob_store() const { return store_.get(); }
   std::optional<tee::SecureChannel>& channel() { return channel_; }
   /// The operator's view of one chroot file held in memory: the stored body
@@ -123,9 +122,12 @@ class Container final : public HostApi {
   void run_guarded(Fn&& fn);
   void kill(const std::string& reason);
   void update_memory(std::size_t sandbox_estimate);
+  /// Opens, claims and replays the persistent store of function `name`.
+  std::unique_ptr<sandbox::VfsBackend> mount_store(const std::string& name);
   /// Arms one background-compaction simulator event when the store's
-  /// garbage ratio warrants it (called from the StoreBackend mutation
-  /// hook); guarded by the liveness token. No-op while one is pending.
+  /// garbage ratio warrants it (called after the mount and after every
+  /// fs_write/fs_remove); guarded by the liveness token. No-op while one is
+  /// pending or without a store.
   void schedule_store_maintenance();
 
   BentoServer& server_;
@@ -142,10 +144,9 @@ class Container final : public HostApi {
   std::unique_ptr<tee::FsProtect> fs_protect_;
   sandbox::MemoryBackend* memory_ = nullptr;  // the mounted in-memory backend
   /// Persistent-store lifecycle: the container owns the BlobStore (open
-  /// log, index, cache); the underlying Volume belongs to the server's
+  /// log and index); the underlying Volume belongs to the server's
   /// VolumeManager and survives crashes.
   std::unique_ptr<store::BlobStore> store_;
-  std::string store_volume_key_;
   bool compaction_pending_ = false;
   sandbox::NetFilter netfilter_ = sandbox::NetFilter::deny_all();
   std::unique_ptr<tee::Conclave> conclave_;
@@ -164,8 +165,6 @@ class Container final : public HostApi {
   bool dead_ = false;
   bool in_function_ = false;
   std::string death_reason_;
-
-  friend class BentoServer;
 };
 
 /// Adapts a BentoScript program to the Function interface. The script may

@@ -414,10 +414,6 @@ void BentoServer::crash() {
                  containers_.size(), " containers");
   counters_.deaths += containers_.size();
   conns_.clear();
-  // A dead process releases no claims: clear each doomed container's volume
-  // key so its (deferred) destructor cannot release a name a post-restart
-  // container has since re-claimed.
-  for (auto& [id, container] : containers_) container->store_volume_key_.clear();
   // Same deferral as remove_container: a chaos handler may reach this from
   // inside a container's own call stack.
   auto doomed = std::make_shared<std::map<std::uint64_t, std::unique_ptr<Container>>>(
@@ -425,78 +421,20 @@ void BentoServer::crash() {
   containers_.clear();
   sim_.after(util::Duration::micros(0), [doomed] {});
   // Durable media take the crash too: unsynced bytes vanish, the active
-  // segment keeps a deterministic torn prefix. Everything RAM-resident
-  // about the stores (staged recoveries, name claims) dies with the
-  // process; the Volumes themselves survive inside volumes_.
-  recovered_.clear();
-  open_store_names_.clear();
+  // segment keeps a deterministic torn prefix. The volumes themselves
+  // survive inside volumes_; their claims left with containers_.
   volumes_.crash();
-}
-
-std::unique_ptr<store::BlobStore> BentoServer::take_or_open_store(
-    const std::string& name, std::string* volume_key) {
-  // Duplicate live functions under one name must not share a log: the
-  // second claimant gets a uniquified volume (durable only under that
-  // exact suffix — acceptable for replicas, which rebuild from their
-  // primary anyway).
-  std::string key = name;
-  for (std::uint64_t n = 2; open_store_names_.contains(key); ++n) {
-    key = name + "#" + std::to_string(n);
-  }
-  open_store_names_.insert(key);
-  if (volume_key != nullptr) *volume_key = key;
-
-  auto staged = recovered_.find(key);
-  if (staged != recovered_.end()) {
-    std::unique_ptr<store::BlobStore> blob = std::move(staged->second);
-    recovered_.erase(staged);
-    return blob;
-  }
-  std::unique_ptr<store::Sealer> sealer =
-      config_.sgx_available
-          ? tee::make_store_sealer(platform_, runtime_measurement(), key)
-          : store::make_null_sealer();
-  auto blob = std::make_unique<store::BlobStore>(volumes_.open(key), std::move(sealer));
-  if (blob->volume().total_bytes() > 0) blob->replay();
-  return blob;
-}
-
-void BentoServer::release_store_name(const std::string& volume_key) {
-  open_store_names_.erase(volume_key);
-}
-
-std::vector<std::pair<std::string, store::ReplayReport>>
-BentoServer::recover_stores() {
-  std::vector<std::pair<std::string, store::ReplayReport>> reports;
-  for (const std::string& key : volumes_.keys()) {
-    if (open_store_names_.contains(key) || recovered_.contains(key)) continue;
-    std::unique_ptr<store::Sealer> sealer =
-        config_.sgx_available
-            ? tee::make_store_sealer(platform_, runtime_measurement(), key)
-            : store::make_null_sealer();
-    auto blob = std::make_unique<store::BlobStore>(volumes_.open(key), std::move(sealer));
-    reports.emplace_back(key, blob->replay());
-    recovered_.emplace(key, std::move(blob));
-  }
-  return reports;
 }
 
 void BentoServer::remove_container(std::uint64_t id) {
   auto it = containers_.find(id);
   if (it == containers_.end()) return;
   // Deferred: removal is frequently reached from inside the container's own
-  // call stack (kill during install/invoke).
+  // call stack (kill during install/invoke). Leaving the table releases
+  // its volume claim at once, so a respawn within this event cascade mounts
+  // the same name.
   std::shared_ptr<Container> doomed(std::move(it->second));
   containers_.erase(it);
-  // The store name claim must not outlive the container's removal from the
-  // table: a respawn of the same function within this event cascade would
-  // otherwise be uniquified onto an empty "name#2" volume and silently lose
-  // its durable state. Release eagerly; clearing the key makes the deferred
-  // destructor's release a no-op.
-  if (!doomed->store_volume_key_.empty()) {
-    release_store_name(doomed->store_volume_key_);
-    doomed->store_volume_key_.clear();
-  }
   sim_.after(util::Duration::micros(0), [doomed] {});
 }
 

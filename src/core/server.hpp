@@ -17,14 +17,12 @@
 
 #include <map>
 #include <memory>
-#include <set>
 
 #include "core/client.hpp"
 #include "core/container.hpp"
 #include "core/message.hpp"
 #include "core/policy.hpp"
 #include "sandbox/resources.hpp"
-#include "store/store.hpp"
 #include "store/volume.hpp"
 #include "tee/attestation.hpp"
 #include "tee/epc.hpp"
@@ -43,10 +41,8 @@ struct BentoServerConfig {
   VerifyMode verify = VerifyMode::Warn;
   /// Mount containers' chroots on the persistent sealed blob store
   /// (src/store, DESIGN.md §15): durable state keyed by function name that
-  /// survives crash() and replays on recovery. Off by default — the
-  /// in-memory VFS keeps the paper's ephemeral semantics. Every store keeps
-  /// the default store::StoreOptions: its plaintext cache holds up to the
-  /// EPC usable ceiling, beyond which reads page through unseal.
+  /// survives crash() and is replayed when a container mounts it. Off by
+  /// default — the in-memory VFS keeps the paper's ephemeral semantics.
   bool persistent_store = false;
 };
 
@@ -87,20 +83,10 @@ class BentoServer {
   // ---- persistent sealed blob store (DESIGN.md §15) ----
   bool persistent_store() const { return config_.persistent_store; }
   /// The node's durable media. Lives here — not in any container — because
-  /// disks outlive the processes that crash on top of them.
+  /// disks outlive the processes that crash on top of them. A volume is
+  /// claimed by the live container whose store is mounted on it
+  /// (Container::mount_store).
   store::VolumeManager& volumes() { return volumes_; }
-  /// Hands a container its replayed store: a store staged by
-  /// recover_stores() if one is waiting, else freshly opened (and replayed)
-  /// from the named volume. The name is claimed until the store is
-  /// released; a second container under the same name gets a uniquified
-  /// volume (see take_or_open_store in server.cpp).
-  std::unique_ptr<store::BlobStore> take_or_open_store(const std::string& name,
-                                                       std::string* volume_key);
-  void release_store_name(const std::string& volume_key);
-  /// The chaos recovery callback (set_recovery_callback): replays every
-  /// named volume on this node after a restart, truncating torn tails and
-  /// failing closed on sealing-key mismatch. Returns one report per volume.
-  std::vector<std::pair<std::string, store::ReplayReport>> recover_stores();
 
   /// Frames + sends a protocol message down a client stream.
   void send_to_stream(tor::Stream* stream, const Message& msg);
@@ -158,10 +144,6 @@ class BentoServer {
   tee::EpcManager epc_;
   sandbox::AggregateAccountant aggregate_;
   store::VolumeManager volumes_;
-  /// Stores replayed by recover_stores(), awaiting adoption by the next
-  /// container of that name. RAM-only: crash() clears it.
-  std::map<std::string, std::unique_ptr<store::BlobStore>> recovered_;
-  std::set<std::string> open_store_names_;
   std::unique_ptr<tor::OnionProxy> stem_proxy_;
 
   struct ClientConn {

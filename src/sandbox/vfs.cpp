@@ -5,12 +5,6 @@
 
 namespace bento::sandbox {
 
-std::optional<std::size_t> VfsBackend::size_of(const std::string& path) const {
-  const std::optional<util::Bytes> data = read(path);
-  if (!data.has_value()) return std::nullopt;
-  return data->size();
-}
-
 namespace {
 util::ByteView path_bytes(const std::string& path) {
   return {reinterpret_cast<const std::uint8_t*>(path.data()), path.size()};
@@ -47,25 +41,26 @@ std::vector<std::string> MemoryBackend::list() const {
   return out;
 }
 
+std::optional<std::size_t> MemoryBackend::size_of(const std::string& path) const {
+  auto it = files_.find(path);
+  if (it == files_.end()) return std::nullopt;
+  const std::size_t stored = it->second.body.size();
+  const std::size_t tag = sealer_->overhead();
+  return stored > tag ? stored - tag : 0;
+}
+
 util::Bytes* MemoryBackend::stored(const std::string& path) {
   auto it = files_.find(path);
   return it == files_.end() ? nullptr : &it->second.body;
 }
 
-void StoreBackend::write(const std::string& path, util::ByteView data) {
-  blob_->put(path, data);
-  if (on_mutate_) on_mutate_();
-}
+void StoreBackend::write(const std::string& path, util::ByteView data) { blob_->put(path, data); }
 
 std::optional<util::Bytes> StoreBackend::read(const std::string& path) const {
   return blob_->get(path);
 }
 
-bool StoreBackend::remove(const std::string& path) {
-  const bool existed = blob_->remove(path);
-  if (existed && on_mutate_) on_mutate_();
-  return existed;
-}
+bool StoreBackend::remove(const std::string& path) { return blob_->remove(path); }
 
 std::vector<std::string> StoreBackend::list() const { return blob_->list(); }
 
@@ -94,7 +89,11 @@ std::string chroot_normalize(const std::string& path) {
 }
 
 Vfs::Vfs(std::unique_ptr<VfsBackend> backend, ResourceAccountant& resources)
-    : backend_(std::move(backend)), resources_(resources) {}
+    : backend_(std::move(backend)), resources_(resources) {
+  for (const std::string& key : backend_->list()) {
+    resources_.charge_disk(static_cast<std::int64_t>(backend_->size_of(key).value_or(0)));
+  }
+}
 
 void Vfs::write(const std::string& path, util::ByteView data) {
   const std::string key = chroot_normalize(path);
@@ -105,10 +104,9 @@ void Vfs::write(const std::string& path, util::ByteView data) {
   if (key.empty() || key.size() > 0xffff) {
     throw std::invalid_argument("vfs: unwritable path: " + path);
   }
-  const auto old = sizes_.find(key);
   const std::int64_t delta =
       static_cast<std::int64_t>(data.size()) -
-      (old == sizes_.end() ? 0 : static_cast<std::int64_t>(old->second));
+      static_cast<std::int64_t>(backend_->size_of(key).value_or(0));
   resources_.charge_disk(delta);  // throws before touching the backend
   try {
     backend_->write(key, data);
@@ -116,7 +114,6 @@ void Vfs::write(const std::string& path, util::ByteView data) {
     resources_.charge_disk(-delta);  // a failed write stores nothing
     throw;
   }
-  sizes_[key] = data.size();
 }
 
 std::optional<util::Bytes> Vfs::read(const std::string& path) const {
@@ -125,30 +122,12 @@ std::optional<util::Bytes> Vfs::read(const std::string& path) const {
 
 bool Vfs::remove(const std::string& path) {
   const std::string key = chroot_normalize(path);
-  auto it = sizes_.find(key);
-  if (it == sizes_.end()) return false;
-  resources_.charge_disk(-static_cast<std::int64_t>(it->second));
-  sizes_.erase(it);
-  return backend_->remove(key);
-}
-
-bool Vfs::exists(const std::string& path) const {
-  return sizes_.contains(chroot_normalize(path));
+  const std::optional<std::size_t> size = backend_->size_of(key);
+  if (!size.has_value() || !backend_->remove(key)) return false;
+  resources_.charge_disk(-static_cast<std::int64_t>(*size));
+  return true;
 }
 
 std::vector<std::string> Vfs::list() const { return backend_->list(); }
-
-void Vfs::restore_accounting() {
-  for (const std::string& key : backend_->list()) {
-    const std::optional<std::size_t> size = backend_->size_of(key);
-    if (!size.has_value()) continue;
-    const auto old = sizes_.find(key);
-    const std::int64_t delta =
-        static_cast<std::int64_t>(*size) -
-        (old == sizes_.end() ? 0 : static_cast<std::int64_t>(old->second));
-    resources_.charge_disk(delta);
-    sizes_[key] = *size;
-  }
-}
 
 }  // namespace bento::sandbox

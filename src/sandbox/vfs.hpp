@@ -10,7 +10,6 @@
 // persistent sealed log store.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,9 +33,9 @@ class VfsBackend {
   virtual std::optional<util::Bytes> read(const std::string& path) const = 0;
   virtual bool remove(const std::string& path) = 0;
   virtual std::vector<std::string> list() const = 0;
-  /// Size without materializing contents (recovery accounting). The default
-  /// reads the file.
-  virtual std::optional<std::size_t> size_of(const std::string& path) const;
+  /// The file's plaintext size, without unsealing it; nullopt if absent.
+  /// The Vfs charges disk against these answers.
+  virtual std::optional<std::size_t> size_of(const std::string& path) const = 0;
 };
 
 /// The in-memory backend: a map from path to a body sealed by a
@@ -51,6 +50,9 @@ class MemoryBackend : public VfsBackend {
   std::optional<util::Bytes> read(const std::string& path) const override;
   bool remove(const std::string& path) override;
   std::vector<std::string> list() const override;
+  /// The stored body's length less the sealer's tag. A body an operator cut
+  /// shorter than the tag counts as empty (and fails to open on read).
+  std::optional<std::size_t> size_of(const std::string& path) const override;
 
   /// The operator's view of one file: the body as stored (ciphertext under
   /// FS-Protect), writable as any disk is to whoever runs the box. Null if
@@ -81,16 +83,8 @@ class StoreBackend final : public VfsBackend {
   std::vector<std::string> list() const override;
   std::optional<std::size_t> size_of(const std::string& path) const override;
 
-  store::BlobStore& blob() { return *blob_; }
-
-  /// Fired after every mutation (write/remove) — the container hooks this to
-  /// schedule background compaction as a simulator event, so the event
-  /// queue stays empty while the store is idle.
-  void set_on_mutate(std::function<void()> fn) { on_mutate_ = std::move(fn); }
-
  private:
   store::BlobStore* blob_;  // non-owning; the container outlives the mount
-  std::function<void()> on_mutate_;
 };
 
 /// Normalizes a path inside the chroot: collapses ".", "..", duplicate
@@ -99,26 +93,19 @@ std::string chroot_normalize(const std::string& path);
 
 class Vfs {
  public:
+  /// Charges `resources` for whatever `backend` already holds (a replayed
+  /// persistent store), exactly as if those files had just been written;
+  /// throws ResourceExceeded if they no longer fit the disk budget.
   Vfs(std::unique_ptr<VfsBackend> backend, ResourceAccountant& resources);
 
   void write(const std::string& path, util::ByteView data);
   std::optional<util::Bytes> read(const std::string& path) const;
   bool remove(const std::string& path);
-  bool exists(const std::string& path) const;
   std::vector<std::string> list() const;
-  std::size_t file_count() const { return sizes_.size(); }
-
-  /// Rebuilds the size map and disk charges from whatever the backend
-  /// already holds — called after mounting a recovered persistent store so
-  /// replayed files are accounted exactly like freshly written ones.
-  /// Throws (via ResourceAccountant) if the recovered state no longer fits
-  /// the container's disk budget.
-  void restore_accounting();
 
  private:
   std::unique_ptr<VfsBackend> backend_;
   ResourceAccountant& resources_;
-  std::map<std::string, std::size_t> sizes_;  // for disk accounting deltas
 };
 
 }  // namespace bento::sandbox

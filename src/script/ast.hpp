@@ -82,7 +82,7 @@ struct Stmt {
 
   std::vector<StmtPtr> body;
   std::vector<StmtPtr> orelse;  // If: else branch (possibly a chained elif)
-  std::shared_ptr<FunctionDef> def;
+  std::unique_ptr<FunctionDef> def;
 };
 
 struct Program {

@@ -225,9 +225,8 @@ Interpreter::Flow Interpreter::exec(const Stmt& s, Value* ret) {
       return exit;
     }
     case StmtKind::Def:
+      // program_ owns every FunctionDef for the interpreter's lifetime.
       globals_[s.def->name] = Value{{ScriptFn{s.def.get()}}};
-      // Keep the shared FunctionDef alive for the interpreter's lifetime.
-      retained_defs_.push_back(s.def);
       return Flow::Normal;
     case StmtKind::Return:
       if (s.expr) *ret = eval(*s.expr);

@@ -106,7 +106,6 @@ class Interpreter {
   InterpreterOptions options_;
   std::map<std::string, Value> globals_;
   std::vector<std::map<std::string, Value>> frames_;
-  std::vector<std::shared_ptr<FunctionDef>> retained_defs_;
   std::uint64_t steps_ = 0;
   std::uint64_t unreported_steps_ = 0;
   int call_depth_ = 0;

@@ -220,12 +220,20 @@ class Lexer {
       }
       if (c != '_') digits.push_back(c);
     }
-    if (is_float) {
-      t.type = TokenType::Float;
-      t.float_value = std::stod(digits);
-    } else {
-      t.type = TokenType::Int;
-      t.int_value = std::stoll(digits);
+    // An uploaded literal may not fit its type; that is the uploader's
+    // syntax error, never an exception that escapes the box.
+    try {
+      if (is_float) {
+        t.type = TokenType::Float;
+        t.float_value = std::stod(digits);
+      } else {
+        t.type = TokenType::Int;
+        t.int_value = std::stoll(digits);
+      }
+    } catch (const std::out_of_range&) {
+      throw SyntaxError(is_float ? "float literal out of range"
+                                 : "integer literal out of range",
+                        t.line);
     }
     tokens_.push_back(std::move(t));
   }

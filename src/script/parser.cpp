@@ -146,7 +146,7 @@ class Parser {
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::Def;
     stmt->line = advance().line;
-    auto def = std::make_shared<FunctionDef>();
+    auto def = std::make_unique<FunctionDef>();
     def->line = stmt->line;
     def->name = expect(TokenType::Identifier, "after def").text;
     expect(TokenType::LParen, "after function name");

@@ -10,8 +10,8 @@
 //
 // `Sealer` is an interface so the store itself has no tee/ dependency:
 // tee/conclave.cpp derives the key from the platform sealing secret and the
-// enclave measurement (tee::derive_sealing_key, which Enclave::seal also
-// keys from) and hands the store a ChaPolySealer. Recovery on the wrong
+// enclave measurement (tee::derive_sealing_key) and hands the store a
+// ChaPolySealer. Recovery on the wrong
 // platform or with the wrong measurement derives a different key, every
 // unseal fails, and replay fails closed — the attestation gate of
 // DESIGN.md §15. The chroot's in-memory backend (sandbox/vfs.hpp) seals

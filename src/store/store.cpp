@@ -89,8 +89,6 @@ struct StoreCounters {
   obs::Counter replay_truncated = obs::registry().counter("store.replay.truncated_bytes");
   obs::Counter compact_runs = obs::registry().counter("store.compact.runs");
   obs::Counter compact_reclaimed = obs::registry().counter("store.compact.reclaimed_bytes");
-  obs::Counter cache_hits = obs::registry().counter("store.cache.hits");
-  obs::Counter cache_misses = obs::registry().counter("store.cache.misses");
 };
 
 StoreCounters& counters() {
@@ -227,27 +225,13 @@ void BlobStore::put(const std::string& path, util::ByteView data) {
   Entry& e = it->second;
   if (!inserted) retire(e);
   append_record(Op::Put, path, data, &e);
-
-  if (e.in_cache && e.cached.size() == data.size()) {
-    // Same-size overwrite refreshes the cached payload in place — the
-    // steady-state 0-alloc path the bench gate measures.
-    std::copy(data.begin(), data.end(), e.cached.begin());
-    touch_lru(it->first, e);
-  } else {
-    cache_insert(it->first, e, data);
-  }
 }
 
 bool BlobStore::remove(const std::string& path) {
   auto it = index_.find(path);
   if (it == index_.end()) return false;
   obs::SpanScope span(obs::Stage::StoreAppend);
-  Entry& e = it->second;
-  retire(e);
-  if (e.in_cache) {
-    cached_bytes_ -= e.cached.size();
-    lru_.erase(e.lru);
-  }
+  retire(it->second);
   append_record(Op::Remove, path, {}, nullptr);
   // The tombstone itself is garbage the moment the record it masks is gone;
   // count it eagerly so the compaction heuristic sees delete-heavy logs.
@@ -256,21 +240,10 @@ bool BlobStore::remove(const std::string& path) {
   return true;
 }
 
-std::optional<util::Bytes> BlobStore::get(const std::string& path) {
+std::optional<util::Bytes> BlobStore::get(const std::string& path) const {
   auto it = index_.find(path);
   if (it == index_.end()) return std::nullopt;
-  Entry& e = it->second;
-  if (e.in_cache) {
-    ++cache_hits_;
-    counters().cache_hits.inc();
-    touch_lru(it->first, e);
-    return e.cached;
-  }
-  ++cache_misses_;
-  counters().cache_misses.inc();
-  util::Bytes plain = read_and_unseal(it->first, e);
-  cache_insert(it->first, e, plain);
-  return plain;
+  return read_and_unseal(it->first, it->second);
 }
 
 bool BlobStore::contains(const std::string& path) const {
@@ -288,40 +261,6 @@ std::vector<std::string> BlobStore::list() const {
   out.reserve(index_.size());
   for (const auto& [path, e] : index_) out.push_back(path);
   return out;
-}
-
-void BlobStore::touch_lru(const std::string& /*path*/, Entry& e) {
-  lru_.splice(lru_.begin(), lru_, e.lru);
-}
-
-void BlobStore::cache_insert(const std::string& path, Entry& e,
-                             util::ByteView plain) {
-  if (e.in_cache) {
-    cached_bytes_ -= e.cached.size();
-    e.cached.assign(plain.begin(), plain.end());
-    touch_lru(path, e);
-  } else {
-    e.cached.assign(plain.begin(), plain.end());
-    lru_.push_front(path);
-    e.lru = lru_.begin();
-    e.in_cache = true;
-  }
-  cached_bytes_ += e.cached.size();
-  cache_evict_to(opts_.cache_bytes);
-}
-
-void BlobStore::cache_evict_to(std::size_t limit) {
-  while (cached_bytes_ > limit && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = index_.find(victim);
-    if (it != index_.end() && it->second.in_cache) {
-      Entry& e = it->second;
-      cached_bytes_ -= e.cached.size();
-      e.cached = util::Bytes();
-      e.in_cache = false;
-    }
-    lru_.pop_back();
-  }
 }
 
 util::Bytes BlobStore::read_and_unseal(const std::string& path,
@@ -452,18 +391,12 @@ ReplayReport BlobStore::replay() {
           e.offset = off;
           e.frame_len = len;
           e.plain_size = plain->size();
-          cache_insert(it->first, e, *plain);
           break;
         }
         case Op::Remove: {
           auto it = index_.find(path);
           if (it != index_.end()) {
-            Entry& e = it->second;
-            retire(e);
-            if (e.in_cache) {
-              cached_bytes_ -= e.cached.size();
-              lru_.erase(e.lru);
-            }
+            retire(it->second);
             index_.erase(it);
           }
           garbage_bytes_ += len;
@@ -591,7 +524,7 @@ void BlobStore::compact() {
   counters().compact_reclaimed.inc(reclaimed);
 }
 
-crypto::Digest BlobStore::snapshot_digest() {
+crypto::Digest BlobStore::snapshot_digest() const {
   crypto::Sha256 h;
   std::uint8_t lenbuf[8];
   for (const auto& [path, entry] : index_) {
@@ -599,8 +532,7 @@ crypto::Digest BlobStore::snapshot_digest() {
     h.update(util::ByteView(lenbuf, 8));
     h.update(util::ByteView(reinterpret_cast<const std::uint8_t*>(path.data()),
                             path.size()));
-    const util::Bytes contents =
-        entry.in_cache ? entry.cached : read_and_unseal(path, entry);
+    const util::Bytes contents = read_and_unseal(path, entry);
     store_le64(lenbuf, contents.size());
     h.update(util::ByteView(lenbuf, 8));
     h.update(contents);

@@ -37,10 +37,9 @@
 //
 // Every segment begins with a Meta record so recovery can reject a log
 // written under a different sealing mode before touching any body. The
-// in-memory index maps each live path to its newest record; decrypted
-// payloads sit in an LRU cache bounded by `cache_bytes` (wired to the EPC
-// ceiling: below the limit reads are EPC-resident, above it they page
-// through unseal — the cache-tier boundary). Overwritten and removed
+// in-memory index maps each live path to its newest record; a record's
+// plaintext exists only while a read unseals it from the log, so the store
+// holds live state sealed and nowhere else. Overwritten and removed
 // records become garbage; when the garbage ratio of the sealed
 // (non-active) segments crosses `kCompactGarbageRatio` (store.cpp),
 // compact() rewrites them, copying live records *verbatim* — bodies are
@@ -49,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -75,10 +73,6 @@ struct StoreOptions {
   /// Segment roll threshold; also the per-segment reserve, so steady-state
   /// appends never reallocate the segment buffer.
   std::size_t segment_bytes = 256 * 1024;
-  /// Plaintext cache ceiling: the SGX EPC usable budget
-  /// (tee::kEpcUsableBytes, 93 MiB), which the Bento server's stores keep.
-  /// Written as a literal so store/ does not depend on tee/.
-  std::size_t cache_bytes = 93ull << 20;
   /// Sync the volume after every append (full durability). Turned off by
   /// the bench / torn-write tests to expose unsynced tails to crashes.
   bool sync_every_append = true;
@@ -109,7 +103,8 @@ class BlobStore {
   void put(const std::string& path, util::ByteView data);
   /// True when the path existed.
   bool remove(const std::string& path);
-  std::optional<util::Bytes> get(const std::string& path);
+  /// Unseals the path's newest record from the log; nullopt if absent.
+  std::optional<util::Bytes> get(const std::string& path) const;
   bool contains(const std::string& path) const;
   std::optional<std::size_t> size_of(const std::string& path) const;
   std::vector<std::string> list() const;
@@ -122,14 +117,11 @@ class BlobStore {
 
   /// SHA-256 over the sorted (path, contents) namespace — the
   /// replay-determinism witness used by tests and the bench gate.
-  crypto::Digest snapshot_digest();
+  crypto::Digest snapshot_digest() const;
 
   std::size_t live_files() const { return index_.size(); }
   std::size_t garbage_bytes() const { return garbage_bytes_; }
   std::size_t log_bytes() const { return volume_.total_bytes(); }
-  std::size_t cached_bytes() const { return cached_bytes_; }
-  std::uint64_t cache_hits() const { return cache_hits_; }
-  std::uint64_t cache_misses() const { return cache_misses_; }
   std::uint64_t compactions() const { return compactions_; }
 
   Volume& volume() { return volume_; }
@@ -144,9 +136,6 @@ class BlobStore {
     std::size_t offset = 0;     // frame start within the segment
     std::size_t frame_len = 0;  // whole frame, header included
     std::size_t plain_size = 0;
-    util::Bytes cached;  // decrypted payload; empty capacity == not cached
-    bool in_cache = false;
-    std::list<std::string>::iterator lru;  // valid iff in_cache
   };
 
   void append_meta();
@@ -154,9 +143,6 @@ class BlobStore {
                      Entry* reuse);
   void roll_segment(std::size_t upcoming_frame);
   void retire(const Entry& e);
-  void touch_lru(const std::string& path, Entry& e);
-  void cache_insert(const std::string& path, Entry& e, util::ByteView plain);
-  void cache_evict_to(std::size_t limit);
   util::Bytes read_and_unseal(const std::string& path, const Entry& e) const;
   std::size_t sealed_segment_bytes() const;
 
@@ -164,14 +150,10 @@ class BlobStore {
   std::unique_ptr<Sealer> sealer_;
   StoreOptions opts_;
   std::map<std::string, Entry> index_;
-  std::list<std::string> lru_;  // front = most recent
   util::Bytes frame_scratch_;   // reused per append: 0-alloc steady state
   std::uint64_t next_seq_ = 1;
   std::uint64_t seq_ceiling_ = 0;  // last durably reserved seq (inclusive)
   std::size_t garbage_bytes_ = 0;
-  std::size_t cached_bytes_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   std::uint64_t compactions_ = 0;
   bool replayed_ = false;
 };

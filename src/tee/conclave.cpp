@@ -147,9 +147,8 @@ void Conclave::set_memory_bytes(std::size_t bytes) {
 std::unique_ptr<store::Sealer> make_store_sealer(const Platform& platform,
                                                  const Measurement& measurement,
                                                  const std::string& store_name) {
-  // The Enclave::seal derivation with a per-store label, so each named store
-  // gets an independent key bound to exactly the (platform, image) pair
-  // attestation vouches for.
+  // A per-store label, so each named store gets an independent key bound to
+  // exactly the (platform, image) pair attestation vouches for.
   return store::make_chapoly_sealer(
       derive_sealing_key(platform, measurement, "bento-store-seal:" + store_name));
 }

@@ -105,16 +105,16 @@ class Conclave {
   Enclave runtime_;
 };
 
-/// Sealer for a conclave's persistent blob store: keys derive from the
-/// platform sealing secret and the runtime measurement, same contract as
-/// Enclave::seal. Unlike FsProtect's ephemeral key, the derivation is stable
-/// across restarts *of the same image on the same platform* — the restart
-/// hook that makes crash-consistent recovery possible at all, while anyone
-/// without the platform+measurement pair (no attestation) derives garbage
-/// and replay fails closed. The server-level recovery path
-/// (BentoServer::recover_stores) replays durable stores on node restart
-/// *before* any conclave is respawned, so it derives the key the same way a
-/// future conclave of `measurement` on `platform` would.
+/// Sealer for a conclave's persistent blob store, the one sealing contract
+/// for durable state: keys derive from the platform sealing secret and the
+/// runtime measurement (derive_sealing_key), and the store's durably
+/// reserved seqs are the nonces. Unlike FsProtect's ephemeral key, the
+/// derivation is stable across restarts *of the same image on the same
+/// platform* — what makes crash-consistent recovery possible at all, while
+/// anyone without the platform+measurement pair (no attestation) derives
+/// garbage and replay fails closed. A container's mount replays its volume
+/// after a restart (Container::mount_store), so the key it derives is the
+/// one any conclave of `measurement` on `platform` would.
 std::unique_ptr<store::Sealer> make_store_sealer(const Platform& platform,
                                                  const Measurement& measurement,
                                                  const std::string& store_name);

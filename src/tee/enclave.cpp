@@ -3,14 +3,8 @@
 #include <algorithm>
 
 #include "crypto/hmac.hpp"
-#include "crypto/poly1305.hpp"
-#include "util/serialize.hpp"
 
 namespace bento::tee {
-
-namespace {
-constexpr std::string_view kSealLabel = "sgx-seal-key";
-}  // namespace
 
 Measurement measure(util::ByteView code_image) { return crypto::sha256(code_image); }
 
@@ -42,23 +36,5 @@ crypto::ChaChaKey derive_sealing_key(const Platform& platform,
 
 Enclave::Enclave(Platform& platform, util::ByteView code_image, std::string name)
     : platform_(platform), measurement_(measure(code_image)), name_(std::move(name)) {}
-
-util::Bytes Enclave::seal(util::ByteView plaintext) const {
-  const std::uint64_t counter = ++seal_counter_;
-  util::Writer w;
-  w.u64(counter);
-  w.raw(crypto::chapoly_seal(derive_sealing_key(platform_, measurement_, kSealLabel),
-                             crypto::nonce_from_counter(counter), {}, plaintext));
-  return std::move(w).take();
-}
-
-std::optional<util::Bytes> Enclave::unseal(util::ByteView sealed) const {
-  if (sealed.size() < 8 + crypto::kChapolyTagLen) return std::nullopt;
-  util::Reader r(sealed);
-  const std::uint64_t counter = r.u64();
-  return crypto::chapoly_open(derive_sealing_key(platform_, measurement_, kSealLabel),
-                              crypto::nonce_from_counter(counter), {},
-                              sealed.subspan(8));
-}
 
 }  // namespace bento::tee

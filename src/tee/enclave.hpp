@@ -5,8 +5,8 @@
 // module reproduces the *contract* of SGX at the API level:
 //
 //   * measurement  — MRENCLAVE := SHA-256 of the loaded code image;
-//   * sealing      — data encrypted under a key derived from the platform
-//                    sealing secret and the measurement, so only the same
+//   * sealing      — keys derived from the platform sealing secret and
+//                    the measurement (derive_sealing_key), so only the same
 //                    enclave on the same platform can unseal;
 //   * EPC limits   — the paper's 93 MiB usable protected memory, with
 //                    paging beyond it (tee/epc.hpp);
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -77,12 +76,6 @@ class Enclave {
   const std::string& name() const { return name_; }
   const Platform& platform() const { return platform_; }
 
-  /// Seals data so only an enclave with the same measurement on the same
-  /// platform can unseal it (MRENCLAVE policy): a u64 counter, then
-  /// ChaCha20-Poly1305 under that counter as nonce.
-  util::Bytes seal(util::ByteView plaintext) const;
-  std::optional<util::Bytes> unseal(util::ByteView sealed) const;
-
   /// Memory accounting hooks (wired to the EPC manager by the conclave).
   std::size_t memory_bytes() const { return memory_bytes_; }
   void set_memory_bytes(std::size_t bytes) { memory_bytes_ = bytes; }
@@ -92,7 +85,6 @@ class Enclave {
   Measurement measurement_;
   std::string name_;
   std::size_t memory_bytes_ = 0;
-  mutable std::uint64_t seal_counter_ = 0;
 };
 
 }  // namespace bento::tee

@@ -298,7 +298,7 @@ TEST(Alloc, SealedSteadyStateAppendIsHeapFree) {
     // 16 MiB segments keep the warm-up and the counted batch inside the
     // first, pre-reserved segment: a segment roll allocates by design.
     StoreHarness h(payload, kPaths, /*sealed=*/true, 16ull << 20);
-    h.batch(2 * kPaths);  // index entries, LRU nodes and cache buffers
+    h.batch(2 * kPaths);  // index entries
     EXPECT_EQ(allocs_during([&] { h.batch(16 * kPaths); }), 0u)
         << payload << " B bodies";
   }
@@ -391,6 +391,30 @@ TEST(Alloc, BrowserPageCrossesTheBoxOnce) {
   ASSERT_EQ(replies.size(), std::size_t{kWarm + kPages});
   EXPECT_LT(replies.back().size(), kBigAlloc);
   EXPECT_EQ(bu::zlite::decompress(replies.back()), h.page);
+}
+
+TEST(Alloc, NestedDefCostsTheSameOnEveryCall) {
+  // A `def` inside a function runs on every call. The program owns every
+  // FunctionDef for the interpreter's lifetime, so running one records
+  // nothing per call and equal windows of calls allocate equally. A record
+  // kept per run, grown by doubling, would reallocate on call 4,096: inside
+  // the second window below and not the first.
+  bento::script::Interpreter interp(bento::script::parse(
+      "def on_message(msg):\n"
+      "    def helper(x):\n"
+      "        return x\n"
+      "    return helper(msg)\n"));
+  interp.run();
+  const auto calls = [&](int n) {
+    return allocs_during([&] {
+      for (int i = 0; i < n; ++i) {
+        interp.call("on_message", {bento::script::Value::integer(i)});
+      }
+    });
+  };
+  calls(2048);
+  const std::uint64_t first = calls(1024);  // calls 2,049-3,072
+  EXPECT_EQ(calls(1024), first);            // calls 3,073-4,096
 }
 
 TEST(Alloc, AugmentedAssignCostsWhatTheLongFormCosts) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "chaos/chaos.hpp"
 #include "obs/trace.hpp"
@@ -13,6 +12,7 @@
 #include "functions/library.hpp"
 #include "functions/shard.hpp"
 #include "store/store.hpp"
+#include "tee/conclave.hpp"
 #include "tor/testbed.hpp"
 #include "tor/wire.hpp"
 #include "world_fixture.hpp"
@@ -26,23 +26,9 @@ namespace bu = bento::util;
 
 namespace {
 
-/// Wires the box crash (down edge) and recover_stores (restart edge) for
-/// one Bento box; replay reports land in `reports` keyed by
-/// "<fingerprint>/<store name>" and `recoveries` counts callback firings.
-void wire_durable_box(bch::ChaosEngine& engine, bc::BentoWorld& world,
-                      const std::string& fingerprint, int& recoveries,
-                      std::map<std::string, bs::ReplayReport>& reports) {
-  ASSERT_NO_FATAL_FAILURE(wire_box_crash(engine, world, fingerprint));
-  engine.set_recovery_callback(
-      world.bed().router_by_fingerprint(fingerprint)->node(),
-      [&world, &recoveries, &reports, fingerprint] {
-        ++recoveries;
-        bc::BentoServer* server = world.server_for(fingerprint);
-        ASSERT_NE(server, nullptr);
-        for (auto& [name, report] : server->recover_stores()) {
-          reports[fingerprint + "/" + name] = report;
-        }
-      });
+/// The bytes replay has cut from torn log tails so far, on every box.
+bento::obs::Counter truncated_bytes() {
+  return bento::obs::registry().counter("store.replay.truncated_bytes");
 }
 
 /// The box's store-backed container named `name` (tests deploy one each).
@@ -56,15 +42,26 @@ bs::BlobStore* store_of(bc::BentoServer* server, const std::string& name) {
   return nullptr;
 }
 
+/// The volume the store of `d`'s container is mounted on, or null.
+bs::Volume* volume_of(bc::BentoServer& server, const Deployed& d) {
+  for (const bc::Container* container : server.containers()) {
+    if (container->tokens().invocation.bytes() == d.tokens->invocation.bytes() &&
+        container->blob_store() != nullptr) {
+      return &container->blob_store()->volume();
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 // The tentpole durability contract (DESIGN.md §15): a chaos crash+restart
 // in the middle of a Dropbox/Shard workload must round-trip every stored
 // byte through the sealed log — contents recover byte-identically
-// (digest-witnessed), and a K-subset Shard fetch that leans on the
-// recovered slot still decodes the original file. The durability tests take
-// their topology seed from chaos_seed(): the contract holds for any seed
-// because every append is synced.
+// (digest-witnessed) when a fresh Dropbox mounts the volume, and a K-subset
+// Shard fetch that leans on the recovered slot still decodes the original
+// file. The durability tests take their topology seed from chaos_seed():
+// the contract holds for any seed because every append is synced.
 TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   RecorderScope recorder("persistent_store_crash_restart");
   bc::BentoWorldOptions options;
@@ -117,36 +114,29 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   const bento::crypto::Digest shard_digest = slot1->snapshot_digest();
 
   // Crash the Shard slot-1 box and the Dropbox box; both restart after 2 s
-  // and must rebuild from durable media via the recovery callback.
-  int recoveries = 0;
-  std::map<std::string, bs::ReplayReport> reports;
+  // with nothing but their volumes.
+  const std::uint64_t truncated_before = truncated_bytes().value();
   for (const std::string& fp : {boxes[1], boxes[5]}) {
-    wire_durable_box(engine, world, fp, recoveries, reports);
+    ASSERT_NO_FATAL_FAILURE(wire_box_crash(engine, world, fp));
     engine.crash_now(world.bed().router_by_fingerprint(fp)->node(),
                      bu::Duration::seconds(2));
   }
   world.run();
   EXPECT_EQ(engine.stats().crashes, 2u);
   EXPECT_EQ(engine.stats().restarts, 2u);
-  ASSERT_EQ(recoveries, 2);
-  ASSERT_EQ(reports.count(boxes[5] + "/dropbox"), 1u);
-  ASSERT_EQ(reports.count(boxes[1] + "/dropbox"), 1u);
-  // Every append was synced, so nothing is torn and nothing was dropped.
-  EXPECT_FALSE(reports[boxes[5] + "/dropbox"].torn);
-  EXPECT_GE(reports[boxes[5] + "/dropbox"].live_files, 1u);
-  EXPECT_FALSE(reports[boxes[1] + "/dropbox"].torn);
 
-  // A fresh Dropbox on box 5 adopts the recovered store: the stored bytes
+  // A fresh Dropbox on box 5 mounts and replays the volume: the stored bytes
   // come back unchanged and the namespace digest matches exactly.
   Deployed d2(world, client, boxes[5], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
+  bs::BlobStore* dbox2 = store_of(world.server_for(boxes[5]), "dropbox");
+  ASSERT_NE(dbox2, nullptr);
+  EXPECT_GE(dbox2->live_files(), 1u);
+  EXPECT_EQ(dbox2->snapshot_digest(), dropbox_digest);
   d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
   world.run();
   ASSERT_FALSE(d2.outputs.empty());
   EXPECT_EQ(d2.outputs.back(), payload);
-  bs::BlobStore* dbox2 = store_of(world.server_for(boxes[5]), "dropbox");
-  ASSERT_NE(dbox2, nullptr);
-  EXPECT_EQ(dbox2->snapshot_digest(), dropbox_digest);
 
   // Same on the shard box: the slot-1 assignment survived byte-identically…
   Deployed s2(world, client, boxes[1], bf::dropbox_manifest(), bf::dropbox_source());
@@ -154,6 +144,8 @@ TEST(Robustness, PersistentStoreSurvivesCrashRestart) {
   bs::BlobStore* slot1b = store_of(world.server_for(boxes[1]), "dropbox");
   ASSERT_NE(slot1b, nullptr);
   EXPECT_EQ(slot1b->snapshot_digest(), shard_digest);
+  // Every append was synced, so neither replay cut a torn tail.
+  EXPECT_EQ(truncated_bytes().value() - truncated_before, 0u);
 
   // …and a K-subset fetch that includes the recovered slot decodes the file.
   std::vector<bf::ShardClient::Placement> subset = {placements[0], placements[1],
@@ -200,20 +192,18 @@ TEST(Robustness, PersistentStoreCorruptTailRecoversLongestPrefix) {
   ASSERT_NE(volume, nullptr);
   volume->corrupt_tail(/*byte_from_end=*/10);
 
-  int recoveries = 0;
-  std::map<std::string, bs::ReplayReport> reports;
-  wire_durable_box(engine, world, boxes[0], recoveries, reports);
+  const std::uint64_t truncated_before = truncated_bytes().value();
+  ASSERT_NO_FATAL_FAILURE(wire_box_crash(engine, world, boxes[0]));
   engine.crash_now(world.bed().router_by_fingerprint(boxes[0])->node(),
                    bu::Duration::seconds(2));
   world.run();
-  ASSERT_EQ(recoveries, 1);
-  ASSERT_EQ(reports.count(boxes[0] + "/dropbox"), 1u);
-  EXPECT_TRUE(reports[boxes[0] + "/dropbox"].torn);
-  EXPECT_GT(reports[boxes[0] + "/dropbox"].truncated_bytes, 0u);
+  ASSERT_EQ(engine.stats().restarts, 1u);
 
-  // The recovered namespace holds the longest valid prefix: version one.
+  // The remount cuts the corrupt frame and keeps the longest valid prefix:
+  // version one.
   Deployed d2(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
+  EXPECT_GT(truncated_bytes().value() - truncated_before, 0u);
   d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
   world.run();
   ASSERT_FALSE(d2.outputs.empty());
@@ -221,8 +211,8 @@ TEST(Robustness, PersistentStoreCorruptTailRecoversLongestPrefix) {
 }
 
 // A delete is as durable as a write: after DEL, GET answers MISSING, and a
-// Dropbox respawned under the same name after a crash and recover_stores()
-// still does — replay ends on the delete's tombstone, not on the PUT.
+// Dropbox respawned under the same name after a crash still does — its
+// mount's replay ends on the delete's tombstone, not on the PUT.
 TEST(Robustness, PersistentStoreDeleteSurvivesCrashRestart) {
   RecorderScope recorder("persistent_store_delete_crash_restart");
   bc::BentoWorldOptions options;
@@ -246,77 +236,23 @@ TEST(Robustness, PersistentStoreDeleteSurvivesCrashRestart) {
   EXPECT_EQ(bu::to_string(d.outputs[1]), "OK");
   EXPECT_EQ(bu::to_string(d.outputs[2]), "MISSING");
 
-  int recoveries = 0;
-  std::map<std::string, bs::ReplayReport> reports;
-  wire_durable_box(engine, world, boxes[0], recoveries, reports);
+  const std::uint64_t truncated_before = truncated_bytes().value();
+  ASSERT_NO_FATAL_FAILURE(wire_box_crash(engine, world, boxes[0]));
   engine.crash_now(world.bed().router_by_fingerprint(boxes[0])->node(),
                    bu::Duration::seconds(2));
   world.run();
-  ASSERT_EQ(recoveries, 1);
-  ASSERT_EQ(reports.count(boxes[0] + "/dropbox"), 1u);
-  EXPECT_FALSE(reports[boxes[0] + "/dropbox"].torn);
-  EXPECT_EQ(reports[boxes[0] + "/dropbox"].live_files, 0u);
+  ASSERT_EQ(engine.stats().restarts, 1u);
 
   Deployed d2(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
   ASSERT_TRUE(d2.tokens.has_value()) << d2.error;
+  bs::BlobStore* remounted = store_of(world.server_for(boxes[0]), "dropbox");
+  ASSERT_NE(remounted, nullptr);
+  EXPECT_EQ(remounted->live_files(), 0u);
+  EXPECT_EQ(truncated_bytes().value() - truncated_before, 0u);
   d2.conn->invoke(d2.tokens->invocation.bytes(), bu::to_bytes("GET:"));
   world.run();
   ASSERT_EQ(d2.outputs.size(), 1u);
   EXPECT_EQ(bu::to_string(d2.outputs[0]), "MISSING");
-}
-
-TEST(Robustness, RespawnInSameCascadeKeepsDurableStoreName) {
-  // Regression: container destruction is deferred (+0us), so the store-name
-  // claim must be released *eagerly* on removal — otherwise a shutdown
-  // followed by a respawn of the same function within one event cascade is
-  // uniquified onto an empty "dropbox#2" volume and silently loses its
-  // durable state.
-  RecorderScope recorder("persistent_store_respawn_same_cascade");
-  bc::BentoWorldOptions options;
-  options.testbed.seed = chaos_seed(13);
-  options.server.persistent_store = true;
-  bc::BentoWorld world(options);
-  world.start();
-
-  auto client = world.make_client("alice");
-  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
-  ASSERT_FALSE(boxes.empty());
-  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
-  ASSERT_TRUE(d.tokens.has_value()) << d.error;
-  d.conn->invoke(d.tokens->invocation.bytes(),
-                 bu::to_bytes("PUT:durable payload"));
-  world.run();
-  ASSERT_FALSE(d.outputs.empty());
-  EXPECT_EQ(bu::to_string(d.outputs.back()), "OK");
-
-  bc::BentoServer* server = world.server_for(boxes[0]);
-  ASSERT_NE(server, nullptr);
-  bs::BlobStore* dbox = store_of(server, "dropbox");
-  ASSERT_NE(dbox, nullptr);
-  const bento::crypto::Digest digest = dbox->snapshot_digest();
-  std::uint64_t id = 0;
-  for (const bc::Container* container : server->containers()) {
-    if (container->manifest().name == "dropbox") id = container->id();
-  }
-  ASSERT_NE(id, 0u);
-
-  // Shutdown, then reopen the store before any deferred event has run —
-  // exactly what a respawn arriving in the same delivery cascade does.
-  server->container_died(id, "test: shutdown before respawn");
-  std::string key;
-  auto reopened = server->take_or_open_store("dropbox", &key);
-  EXPECT_EQ(key, "dropbox");
-  ASSERT_NE(reopened, nullptr);
-  EXPECT_EQ(reopened->snapshot_digest(), digest);
-
-  // Draining the deferred destructor must not disturb the new claim, and
-  // no uniquified ghost volume may have been created.
-  world.run();
-  for (const std::string& vol : server->volumes().keys()) {
-    EXPECT_EQ(vol.find('#'), std::string::npos) << vol;
-  }
-  EXPECT_EQ(*reopened->get("drop.bin"), bu::to_bytes("durable payload"));
-  server->release_store_name(key);
 }
 
 TEST(Robustness, RelaySurvivesGarbageMessages) {
@@ -372,10 +308,10 @@ TEST(Robustness, ClientRejectsForgedConsensus) {
                std::invalid_argument);
 }
 
-// Overwrites turn the sealed segments into garbage; the mount's on_mutate
-// hook arms the background compaction tick, which rewrites them. The log
-// shrinks and the Dropbox still answers with the last PUT.
-TEST(Robustness, OverwrittenDropboxStoreCompactsInTheBackground) {
+// Overwrites turn the sealed segments into garbage; each fs.write arms the
+// background compaction tick, which rewrites them. The log shrinks and the
+// Dropbox still answers with the last PUT.
+TEST(Robustness, PersistentStoreCompactsOverwrittenDropboxInTheBackground) {
   bc::BentoWorldOptions options;
   options.server.persistent_store = true;
   bc::BentoWorld world(options);
@@ -627,6 +563,172 @@ TEST(Robustness, DeeplyNestedUploadIsASyntaxError) {
   Deployed d(world, mallory, box, echo_manifest(bc::kImagePython), nested);
   EXPECT_FALSE(d.tokens.has_value());
   EXPECT_EQ(d.error.rfind("install failed: syntax error", 0), 0u) << d.error;
+
+  expect_box_still_serves(world, box);
+}
+
+// A numeric literal too large for its type is a syntax error for its
+// uploader, like any other malformed source.
+TEST(Robustness, OutOfRangeLiteralUploadIsASyntaxError) {
+  bc::BentoWorld world;
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  auto mallory = world.make_client("mallory");
+  Deployed d(world, mallory, box, echo_manifest(bc::kImagePython),
+             "x = 99999999999999999999\n");
+  EXPECT_FALSE(d.tokens.has_value());
+  EXPECT_EQ(d.error.rfind("install failed: syntax error", 0), 0u) << d.error;
+
+  expect_box_still_serves(world, box);
+}
+
+// Container destruction is deferred (+0 us), but a removed container leaves
+// the server's table at once, and that table is the claim set: a shutdown
+// and a respawn of the same function handled in one event cascade mount the
+// same volume, not an empty "dropbox#2".
+TEST(Robustness, PersistentStoreRespawnInSameCascadeKeepsItsName) {
+  RecorderScope recorder("persistent_store_respawn_same_cascade");
+  bc::BentoWorldOptions options;
+  options.testbed.seed = chaos_seed(13);
+  options.server.persistent_store = true;
+  bc::BentoWorld world(options);
+  world.start();
+
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  ASSERT_FALSE(boxes.empty());
+  Deployed d(world, client, boxes[0], bf::dropbox_manifest(), bf::dropbox_source());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  d.conn->invoke(d.tokens->invocation.bytes(), bu::to_bytes("PUT:durable payload"));
+  world.run();
+  ASSERT_FALSE(d.outputs.empty());
+  EXPECT_EQ(bu::to_string(d.outputs.back()), "OK");
+
+  bc::BentoServer* server = world.server_for(boxes[0]);
+  ASSERT_NE(server, nullptr);
+  bs::BlobStore* dbox = store_of(server, "dropbox");
+  ASSERT_NE(dbox, nullptr);
+  const bento::crypto::Digest digest = dbox->snapshot_digest();
+
+  // An empty python container waits for the respawn's upload.
+  bool spawned = false;
+  d.conn->spawn(bc::kImagePython, [&](bool ok, std::string) { spawned = ok; });
+  world.run();
+  ASSERT_TRUE(spawned);
+  std::uint64_t respawn_id = 0;
+  for (const bc::Container* container : server->containers()) {
+    if (!container->installed()) respawn_id = container->id();
+  }
+  ASSERT_NE(respawn_id, 0u);
+
+  // One cell carries the Dropbox's shutdown and the respawn's upload, so
+  // the box handles both in one delivery.
+  bc::Message shutdown;
+  shutdown.type = bc::MsgType::Shutdown;
+  shutdown.token = d.tokens->shutdown.bytes();
+  bc::FunctionManifest manifest = bf::dropbox_manifest();
+  manifest.image = bc::kImagePython;
+  bc::UploadBody body;
+  body.manifest = manifest.serialize();
+  body.source = "def on_message(msg):\n    api.send(fs.read(\"drop.bin\"))\n";
+  const bu::Bytes body_bytes = body.serialize();
+  bc::Message upload;
+  upload.type = bc::MsgType::Upload;
+  upload.container_id = respawn_id;
+  upload.blob = body_bytes;
+  bu::Bytes both = bc::StreamFramer::frame(shutdown);
+  bu::append(both, bc::StreamFramer::frame(upload));
+  ASSERT_LE(both.size(), bt::kRelayDataMax);
+  const RawReply reply = send_raw(world, client, boxes[0], both);
+  ASSERT_EQ(reply.messages.size(), 2u);
+  EXPECT_EQ(reply.messages[0].type, bc::MsgType::Ok);
+  EXPECT_EQ(reply.messages[1].type, bc::MsgType::UploadReply) << reply.messages[1].text;
+
+  bs::BlobStore* respawned = store_of(server, "dropbox");
+  ASSERT_NE(respawned, nullptr);
+  EXPECT_EQ(&respawned->volume(), server->volumes().find("dropbox"));
+  EXPECT_EQ(respawned->snapshot_digest(), digest);
+  EXPECT_EQ(*respawned->get("drop.bin"), bu::to_bytes("durable payload"));
+  for (const std::string& vol : server->volumes().keys()) {
+    EXPECT_EQ(vol.find('#'), std::string::npos) << vol;
+  }
+}
+
+// Two live Dropboxes of one name on one box mount "dropbox" and
+// "dropbox#2". Once the first shuts down its claim is gone, and the next
+// Dropbox mounts "dropbox" and serves the first one's file.
+TEST(Robustness, PersistentStoreSecondLiveDropboxMountsItsOwnVolume) {
+  RecorderScope recorder("persistent_store_second_live_dropbox");
+  bc::BentoWorldOptions options;
+  options.testbed.seed = chaos_seed(17);
+  options.server.persistent_store = true;
+  bc::BentoWorld world(options);
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  bc::BentoServer* server = world.server_for(box);
+  ASSERT_NE(server, nullptr);
+
+  auto alice = world.make_client("alice");
+  auto bob = world.make_client("bob");
+  Deployed first(world, alice, box, bf::dropbox_manifest(), bf::dropbox_source());
+  Deployed second(world, bob, box, bf::dropbox_manifest(), bf::dropbox_source());
+  ASSERT_TRUE(first.tokens.has_value()) << first.error;
+  ASSERT_TRUE(second.tokens.has_value()) << second.error;
+  first.conn->invoke(first.tokens->invocation.bytes(), bu::to_bytes("PUT:alice's file"));
+  second.conn->invoke(second.tokens->invocation.bytes(), bu::to_bytes("PUT:bob's file"));
+  world.run();
+  ASSERT_EQ(first.outputs.size(), 1u);
+  ASSERT_EQ(second.outputs.size(), 1u);
+  ASSERT_NE(server->volumes().find("dropbox#2"), nullptr);
+  EXPECT_EQ(volume_of(*server, first), server->volumes().find("dropbox"));
+  EXPECT_EQ(volume_of(*server, second), server->volumes().find("dropbox#2"));
+
+  bool shut_down = false;
+  first.conn->shutdown(first.tokens->shutdown.bytes(), [&](bool ok) { shut_down = ok; });
+  world.run();
+  ASSERT_TRUE(shut_down);
+
+  auto carol = world.make_client("carol");
+  Deployed third(world, carol, box, bf::dropbox_manifest(), bf::dropbox_source());
+  ASSERT_TRUE(third.tokens.has_value()) << third.error;
+  EXPECT_EQ(volume_of(*server, third), server->volumes().find("dropbox"));
+  third.conn->invoke(third.tokens->invocation.bytes(), bu::to_bytes("GET:"));
+  second.conn->invoke(second.tokens->invocation.bytes(), bu::to_bytes("GET:"));
+  world.run();
+  ASSERT_EQ(third.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(third.outputs[0]), "alice's file");
+  ASSERT_EQ(second.outputs.size(), 2u);
+  EXPECT_EQ(bu::to_string(second.outputs[1]), "bob's file");
+}
+
+// A volume whose log another machine sealed (a disk moved between boxes)
+// fails closed at the mount: that Dropbox's install fails with the store
+// error, the box keeps serving, and nothing escapes world.run().
+TEST(Robustness, PersistentStoreSealedUnderAnotherKeyFailsOnlyThatInstall) {
+  RecorderScope recorder("persistent_store_foreign_key");
+  bc::BentoWorldOptions options;
+  options.testbed.seed = chaos_seed(19);
+  options.server.persistent_store = true;
+  bc::BentoWorld world(options);
+  world.start();
+  const std::string box = bc::BentoClient::find_boxes(world.bed().consensus())[0];
+  bc::BentoServer* server = world.server_for(box);
+  ASSERT_NE(server, nullptr);
+  {
+    bu::Rng rng(3);
+    bento::tee::Platform elsewhere(99, 2, rng);
+    bs::BlobStore foreign(server->volumes().open("dropbox"),
+                          bento::tee::make_store_sealer(
+                              elsewhere, bc::BentoServer::runtime_measurement(), "dropbox"));
+    foreign.put("drop.bin", bu::to_bytes("sealed elsewhere"));
+  }
+
+  auto alice = world.make_client("alice");
+  Deployed d(world, alice, box, bf::dropbox_manifest(), bf::dropbox_source());
+  EXPECT_FALSE(d.tokens.has_value());
+  EXPECT_EQ(d.error.rfind("install failed: store: ", 0), 0u) << d.error;
+  EXPECT_NE(d.error.find("sealing key mismatch"), std::string::npos) << d.error;
+  EXPECT_EQ(server->live_containers(), 0u);
 
   expect_box_still_serves(world, box);
 }

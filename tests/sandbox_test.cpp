@@ -156,11 +156,10 @@ TEST(Vfs, ReadWriteRemoveAccounting) {
   EXPECT_EQ(acct.usage().disk_bytes, 20u);
   vfs.write("b", bu::Bytes(80, 3));
   EXPECT_THROW(vfs.write("c", bu::Bytes(10, 4)), sb::ResourceExceeded);
-  EXPECT_FALSE(vfs.exists("c"));  // failed write left no trace
+  EXPECT_FALSE(vfs.read("c").has_value());  // failed write left no trace
   EXPECT_TRUE(vfs.remove("b"));
   EXPECT_EQ(acct.usage().disk_bytes, 20u);
-  EXPECT_EQ(vfs.list().size(), 1u);
-  EXPECT_EQ(vfs.file_count(), 1u);
+  EXPECT_EQ(vfs.list(), std::vector<std::string>{"a"});
 }
 
 TEST(Vfs, UnwritablePathsRejectedUniformlyAcrossBackends) {
@@ -174,7 +173,7 @@ TEST(Vfs, UnwritablePathsRejectedUniformlyAcrossBackends) {
   sb::Vfs mem_vfs(std::make_unique<sb::MemoryBackend>(), mem_acct);
   EXPECT_THROW(mem_vfs.write("/", bu::to_bytes("x")), std::invalid_argument);
   EXPECT_EQ(mem_acct.usage().disk_bytes, 0u);
-  EXPECT_EQ(mem_vfs.file_count(), 0u);
+  EXPECT_TRUE(mem_vfs.list().empty());
 
   sb::ResourceAccountant store_acct(limits);
   bento::store::Volume volume;
@@ -186,6 +185,34 @@ TEST(Vfs, UnwritablePathsRejectedUniformlyAcrossBackends) {
                std::invalid_argument);
   EXPECT_EQ(store_acct.usage().disk_bytes, 0u);
   EXPECT_EQ(blob.live_files(), 0u);
+}
+
+TEST(Vfs, MountChargesWhatTheBackendAlreadyHolds) {
+  // A replayed persistent store is charged like fresh writes when the Vfs
+  // mounts it; one that no longer fits the disk budget fails the mount.
+  bento::store::Volume volume;
+  {
+    bento::store::BlobStore writer(volume, bento::store::make_null_sealer());
+    writer.replay();
+    writer.put("a", bu::Bytes(30, 1));
+    writer.put("b", bu::Bytes(50, 2));
+  }
+  bento::store::BlobStore blob(volume, bento::store::make_null_sealer());
+  blob.replay();
+  sb::ResourceLimits limits;
+  limits.disk_bytes = 79;
+  sb::ResourceAccountant tight(limits);
+  EXPECT_THROW(sb::Vfs(std::make_unique<sb::StoreBackend>(&blob), tight),
+               sb::ResourceExceeded);
+
+  limits.disk_bytes = 100;
+  sb::ResourceAccountant acct(limits);
+  sb::Vfs vfs(std::make_unique<sb::StoreBackend>(&blob), acct);
+  EXPECT_EQ(acct.usage().disk_bytes, 80u);
+  vfs.write("a", bu::Bytes(10, 3));  // an overwrite charges the difference
+  EXPECT_EQ(acct.usage().disk_bytes, 60u);
+  EXPECT_TRUE(vfs.remove("b"));
+  EXPECT_EQ(acct.usage().disk_bytes, 10u);
 }
 
 TEST(Vfs, FailedBackendPutRollsBackDiskCharge) {
@@ -201,6 +228,9 @@ TEST(Vfs, FailedBackendPutRollsBackDiskCharge) {
     }
     bool remove(const std::string&) override { return false; }
     std::vector<std::string> list() const override { return {}; }
+    std::optional<std::size_t> size_of(const std::string&) const override {
+      return std::nullopt;
+    }
   };
   sb::ResourceLimits limits;
   limits.disk_bytes = 100;
@@ -208,7 +238,7 @@ TEST(Vfs, FailedBackendPutRollsBackDiskCharge) {
   sb::Vfs vfs(std::make_unique<ThrowingBackend>(), acct);
   EXPECT_THROW(vfs.write("a", bu::Bytes(60, 1)), std::runtime_error);
   EXPECT_EQ(acct.usage().disk_bytes, 0u);
-  EXPECT_FALSE(vfs.exists("a"));
+  EXPECT_FALSE(vfs.read("a").has_value());
   // The full budget is still available afterwards.
   acct.charge_disk(100);
   EXPECT_EQ(acct.usage().disk_bytes, 100u);
@@ -220,7 +250,7 @@ TEST(Vfs, MissingFileBehaviour) {
   sb::Vfs vfs(std::make_unique<sb::MemoryBackend>(), acct);
   EXPECT_FALSE(vfs.read("nope").has_value());
   EXPECT_FALSE(vfs.remove("nope"));
-  EXPECT_FALSE(vfs.exists("nope"));
+  EXPECT_TRUE(vfs.list().empty());
 }
 
 TEST(NetFilter, CompiledFromExitPolicy) {

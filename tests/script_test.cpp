@@ -355,6 +355,25 @@ TEST(ScriptErrors, ParserRejectsMalformed) {
   EXPECT_THROW(sc::parse("x = [1, 2\n"), sc::SyntaxError);
 }
 
+// A literal too large for its type is the uploader's syntax error, on the
+// line it is on, never a std::out_of_range that escapes the box.
+TEST(ScriptErrors, OutOfRangeLiteralIsASyntaxError) {
+  const auto error = [](const std::string& src) -> std::string {
+    try {
+      sc::parse(src);
+    } catch (const sc::SyntaxError& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(error("x = 1\ny = 99999999999999999999\n"),
+            "line 2: integer literal out of range");
+  EXPECT_EQ(error("x = 1" + std::string(309, '0') + ".0\n"),
+            "line 1: float literal out of range");
+  // The largest integer that fits still parses.
+  EXPECT_EQ(run_program("x = 9223372036854775807\n")->global("x").as_int(), INT64_MAX);
+}
+
 // Uploads are untrusted: a source nested too deep must be a SyntaxError from
 // parse, never a stack overflow in parse, analyze() or run().
 TEST(ScriptErrors, ParserBoundsNestingDepth) {

@@ -1,7 +1,7 @@
 // Unit suite for the log-structured sealed blob store (DESIGN.md §15):
 // frame round-trips, the zero-alloc sealer against the reference AEAD,
 // torn/corrupt-tail recovery to the longest valid prefix, fail-closed
-// replay under the wrong key, compaction, and the cache-tier LRU.
+// replay under the wrong key, and compaction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -296,36 +296,6 @@ TEST(Store, CompactionReclaimsGarbageAndPreservesNamespace) {
   // And the store keeps working after compaction.
   store->put("/f0", rng.bytes(700));
   EXPECT_EQ(store->live_files(), 5u);
-}
-
-TEST(Store, LruCacheHonoursCeiling) {
-  bs::Volume volume;
-  bs::StoreOptions opts;
-  opts.cache_bytes = 4000;  // room for ~4 of the 1000-byte payloads
-  auto store = open_store(volume, bs::make_chapoly_sealer(test_key(3)), opts);
-
-  bu::Rng rng(30);
-  std::vector<bu::Bytes> payloads;
-  for (int i = 0; i < 8; ++i) {
-    payloads.push_back(rng.bytes(1000));
-    store->put("/f" + std::to_string(i), payloads.back());
-  }
-  EXPECT_LE(store->cached_bytes(), opts.cache_bytes);
-
-  // Freshly written entries beyond the ceiling were evicted; reading them
-  // unseals (a miss), reading a resident entry does not.
-  const std::uint64_t misses0 = store->cache_misses();
-  EXPECT_EQ(*store->get("/f0"), payloads[0]);  // evicted long ago: a miss
-  EXPECT_GT(store->cache_misses(), misses0);
-  const std::uint64_t hits0 = store->cache_hits();
-  EXPECT_EQ(*store->get("/f0"), payloads[0]);  // now resident
-  EXPECT_GT(store->cache_hits(), hits0);
-  EXPECT_LE(store->cached_bytes(), opts.cache_bytes);
-
-  // Every payload round-trips regardless of cache residency.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(*store->get("/f" + std::to_string(i)), payloads[i]);
-  }
 }
 
 TEST(Store, SeqNeverReusedAfterTornCrashRecovery) {

@@ -26,13 +26,38 @@ TEST(Enclave, MeasurementIsCodeHash) {
   EXPECT_EQ(bt::measurement_hex(a.measurement()).size(), 64u);
 }
 
+namespace {
+
+/// One record sealed by the store sealer of (platform, measurement, store).
+struct SealedRecord {
+  static constexpr std::uint64_t kSeq = 7;
+  bu::Bytes aad = bu::to_bytes("drop.bin");
+  bu::Bytes body;
+
+  SealedRecord(const bt::Platform& platform, const bt::Measurement& measurement,
+               const std::string& store, const std::string& plaintext) {
+    bt::make_store_sealer(platform, measurement, store)
+        ->seal_append(body, kSeq, aad, bu::to_bytes(plaintext));
+  }
+  std::optional<bu::Bytes> open_with(const bt::Platform& platform,
+                                     const bt::Measurement& measurement,
+                                     const std::string& store) const {
+    return bt::make_store_sealer(platform, measurement, store)->open(kSeq, aad, body);
+  }
+};
+
+}  // namespace
+
 TEST(Enclave, SealUnsealSameMeasurement) {
+  // Durable state is sealed under a key the platform and the measurement
+  // derive: a second enclave of the same image on the same platform (the
+  // box after a restart) opens what the first sealed.
   bu::Rng rng(2);
   bt::Platform platform(1, 2, rng);
   bt::Enclave e1(platform, bu::to_bytes("image"), "e1");
   bt::Enclave e2(platform, bu::to_bytes("image"), "e2");  // same image
-  auto sealed = e1.seal(bu::to_bytes("secret state"));
-  auto opened = e2.unseal(sealed);
+  const SealedRecord record(platform, e1.measurement(), "dropbox", "secret state");
+  const auto opened = record.open_with(platform, e2.measurement(), "dropbox");
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(bu::to_string(*opened), "secret state");
 }
@@ -40,14 +65,15 @@ TEST(Enclave, SealUnsealSameMeasurement) {
 TEST(Enclave, SealBoundToMeasurementAndPlatform) {
   bu::Rng rng(3);
   bt::Platform p1(1, 2, rng), p2(2, 2, rng);
-  bt::Enclave same_platform_other_code(p1, bu::to_bytes("other"), "x");
-  bt::Enclave other_platform_same_code(p2, bu::to_bytes("image"), "y");
-  bt::Enclave original(p1, bu::to_bytes("image"), "o");
-
-  auto sealed = original.seal(bu::to_bytes("secret"));
-  EXPECT_FALSE(same_platform_other_code.unseal(sealed).has_value());
-  EXPECT_FALSE(other_platform_same_code.unseal(sealed).has_value());
-  EXPECT_FALSE(original.unseal(bu::Bytes(5)).has_value());
+  const bt::Measurement image = bt::measure(bu::to_bytes("image"));
+  const SealedRecord record(p1, image, "dropbox", "secret");
+  ASSERT_TRUE(record.open_with(p1, image, "dropbox").has_value());
+  EXPECT_FALSE(record.open_with(p1, bt::measure(bu::to_bytes("other")), "dropbox").has_value());
+  EXPECT_FALSE(record.open_with(p2, image, "dropbox").has_value());
+  EXPECT_FALSE(record.open_with(p1, image, "dropbox#2").has_value());
+  EXPECT_FALSE(bt::make_store_sealer(p1, image, "dropbox")
+                   ->open(SealedRecord::kSeq, record.aad, bu::Bytes(5))
+                   .has_value());
 }
 
 TEST(Epc, AccountsAllocations) {
@@ -217,6 +243,29 @@ TEST(FsProtect, OverwriteListRemoveAccounting) {
   EXPECT_FALSE(vfs.remove("a"));
   EXPECT_EQ(acct.usage().disk_bytes, 50u);
   EXPECT_FALSE(vfs.read("a").has_value());
+}
+
+TEST(FsProtect, SizeComesFromTheStoredBody) {
+  // The Vfs charges disk against size_of, which FS-Protect answers from the
+  // sealed body's length, tag excluded, without unsealing. A body an
+  // operator cut shorter than the tag counts as empty instead of wrapping
+  // around, and still fails to open.
+  bu::Rng rng(24);
+  bento::sandbox::ResourceLimits limits;
+  bento::sandbox::ResourceAccountant acct(limits);
+  auto owned = std::make_unique<bt::FsProtect>(rng);
+  bt::FsProtect& fs = *owned;
+  bento::sandbox::Vfs vfs(std::move(owned), acct);
+  vfs.write("f", bu::Bytes(100, 7));
+  EXPECT_EQ(fs.size_of("f"), 100u);
+  EXPECT_FALSE(fs.size_of("g").has_value());
+  EXPECT_EQ(acct.usage().disk_bytes, 100u);
+
+  fs.stored("f")->resize(5);
+  EXPECT_EQ(fs.size_of("f"), 0u);
+  EXPECT_THROW(vfs.read("f"), bento::store::StoreError);
+  EXPECT_TRUE(vfs.remove("f"));
+  EXPECT_FALSE(fs.size_of("f").has_value());
 }
 
 TEST(SecureChannel, AttestedHandshakeAndTraffic) {
